@@ -12,7 +12,8 @@ Subcommands::
     repro-cloud kb          [--trace trace_dir] [--out kb.json]
     repro-cloud case-study  [--seed 11]
     repro-cloud bench-scale --cache-dir DIR [--scale 50] [--budget-gb 4]
-                            [--tasks fig6 fig7a ...] [--out BENCH_scale.json]
+                            [--workers N] [--tasks fig6 fig7a ...]
+                            [--out BENCH_scale.json]
     repro-cloud bench-perf  --cache-dir DIR [--scale 0.12] [--repeats 3]
                             [--check] [--baseline BENCH_perf.json]
                             [--write-baseline] [--tasks fig6 ...]
@@ -33,6 +34,12 @@ when every task completed and passed, 1 when any completed experiment
 failed its shape checks, and 3 when the run is *degraded*: every
 completed experiment passed but some task failed, timed out, or was
 skipped (see docs/PIPELINE.md), so CI can gate directly on the command.
+
+The three ``bench-*`` verbs share one handler over :mod:`repro.bench`:
+each exits 1 when the run itself failed (a task not ok, a query error,
+kernel output drift, a phase over budget) or, with ``--check``, when the
+calibrated comparison against the committed baseline regresses.  Their
+tolerances are constants in ``repro.bench.GATES``.
 """
 
 from __future__ import annotations
@@ -295,78 +302,33 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(args)
 
 
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    from repro.experiments.benchscale import run_bench_scale, write_artifact
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro import bench
 
-    payload = run_bench_scale(
+    run = getattr(bench, f"run_bench_{args.bench}")
+    payload = run(
         seed=args.seed,
         scale=args.scale,
         cache_dir=args.cache_dir,
-        budget_gb=args.budget_gb,
-        workers=args.workers,
-        task_ids=args.tasks,
+        **{name: getattr(args, name) for name in args.bench_params},
     )
-    out = write_artifact(payload, args.out)
-    phases = payload["phases"]
-    print(
-        f"generate: {phases['generate']['utilization_series']} series, "
-        f"{phases['generate']['wall_s']}s, "
-        f"peak RSS {phases['generate']['peak_rss_kb'] / 1024 / 1024:.2f} GiB",
-        file=sys.stderr,
-    )
-    print(
-        f"analyze: {len(phases['analyze']['tasks'])} tasks, "
-        f"{phases['analyze']['wall_s']}s, "
-        f"peak RSS {phases['analyze']['peak_rss_kb'] / 1024 / 1024:.2f} GiB",
-        file=sys.stderr,
-    )
-    print(f"wrote {out}")
-    if not payload["within_budget"]:
-        print(
-            f"FAIL: peak RSS {payload['peak_rss_gb']} GiB exceeds the "
-            f"{payload['budget_gb']} GiB budget",
-            file=sys.stderr,
-        )
-    if payload["degraded_tasks"]:
-        print(
-            f"FAIL: degraded tasks: {', '.join(payload['degraded_tasks'])}",
-            file=sys.stderr,
-        )
-    return 0 if payload["passed"] else 1
-
-
-def _cmd_bench_perf(args: argparse.Namespace) -> int:
-    from repro.experiments.benchperf import (
-        compare_to_baseline,
-        load_artifact,
-        print_summary,
-        render_comparison,
-        run_bench_perf,
-        write_artifact,
-    )
-
-    payload = run_bench_perf(
-        seed=args.seed,
-        scale=args.scale,
-        repeats=args.repeats,
-        cache_dir=args.cache_dir,
-        task_ids=args.tasks,
-    )
-    print_summary(payload)
-    drifted = [k["name"] for k in payload["kernels"] if not k["outputs_identical"]]
-    if args.write_baseline:
-        out = write_artifact(payload, args.baseline)
+    bad = bench.problems(payload)
+    if getattr(args, "write_baseline", False):
+        if bad:
+            print(bench.render(payload))
+            print(
+                f"FAIL: refusing to write a bad run to {args.baseline}",
+                file=sys.stderr,
+            )
+            return 1
+        out = bench.write_artifact(payload, args.baseline)
         print(f"baseline written to {out}")
-        return 0 if not drifted else 1
-    out = write_artifact(payload, args.out)
-    print(f"wrote {out}")
-    if drifted:
-        print(
-            f"FAIL: kernel output drift in: {', '.join(drifted)}", file=sys.stderr
-        )
-        return 1
-    if not args.check:
         return 0
+    out = bench.write_artifact(payload, args.out)
+    print(f"wrote {out}")
+    if bad or not getattr(args, "check", False):
+        print(bench.render(payload))
+        return 1 if bad else 0
     baseline_path = Path(args.baseline)
     if not baseline_path.exists():
         print(
@@ -375,15 +337,52 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    result = compare_to_baseline(
-        payload,
-        load_artifact(baseline_path),
-        per_task_tolerance=args.per_task_tolerance,
-        total_tolerance=args.total_tolerance,
-        min_task_s=args.min_task_s,
-    )
-    print(render_comparison(result))
+    result = bench.compare(payload, bench.load_artifact(baseline_path, args.bench))
+    print(bench.render(payload, result))
     return 0 if result["ok"] else 1
+
+
+def _add_bench_parser(sub, name: str, help_text: str, *, gated: bool, params) -> None:
+    """One ``bench-<name>`` verb: the flags every bench shares, then its own.
+
+    ``params`` are ``(flag, add_argument kwargs)`` pairs whose destinations
+    are passed to ``repro.bench.run_bench_<name>`` as keyword arguments.
+    """
+    from repro.bench import DEFAULT_SCALE
+
+    parser = sub.add_parser(f"bench-{name}", help=help_text)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--scale", type=float, default=DEFAULT_SCALE[name],
+        help=f"workload scale (default {DEFAULT_SCALE[name]:g})",
+    )
+    parser.add_argument(
+        "--cache-dir", type=str, required=True,
+        help="trace cache root (a warm-up pass populates it, so measured "
+        "passes never pay generation costs)",
+    )
+    out = f"BENCH_{name}.candidate.json" if gated else f"BENCH_{name}.json"
+    parser.add_argument(
+        "--out", type=str, default=out, help=f"artifact path (default: {out})"
+    )
+    if gated:
+        parser.add_argument(
+            "--baseline", type=str, default=f"BENCH_{name}.json",
+            help=f"committed baseline path (default: BENCH_{name}.json)",
+        )
+        parser.add_argument(
+            "--check", action="store_true",
+            help="compare against the baseline and exit 1 on regression",
+        )
+        parser.add_argument(
+            "--write-baseline", action="store_true",
+            help="write the measurement to --baseline instead of comparing; "
+            "refused (exit 1) when the run itself failed",
+        )
+    dests = []
+    for flag, kwargs in params:
+        dests.append(parser.add_argument(flag, **kwargs).dest)
+    parser.set_defaults(func=_cmd_bench, bench=name, bench_params=dests)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -430,53 +429,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("interrupted; shutting down", file=sys.stderr)
     return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serving.benchserve import (
-        compare_to_baseline,
-        load_artifact,
-        print_summary,
-        render_comparison,
-        run_bench_serve,
-        write_artifact,
-    )
-
-    payload = run_bench_serve(
-        seed=args.seed,
-        scale=args.scale,
-        clients=args.clients,
-        requests_per_client=args.requests_per_client,
-        speedup=args.speedup,
-        queue_maxsize=args.queue_maxsize,
-        cache_dir=args.cache_dir,
-    )
-    print_summary(payload)
-    if args.write_baseline:
-        out = write_artifact(payload, args.baseline)
-        print(f"baseline written to {out}")
-        return 0
-    out = write_artifact(payload, args.out)
-    print(f"wrote {out}")
-    if not args.check:
-        return 0
-    baseline_path = Path(args.baseline)
-    if not baseline_path.exists():
-        print(
-            f"FAIL: no baseline at {baseline_path} (run with --write-baseline "
-            "to create one)",
-            file=sys.stderr,
-        )
-        return 1
-    result = compare_to_baseline(
-        payload,
-        load_artifact(baseline_path),
-        qps_tolerance=args.qps_tolerance,
-        p99_tolerance=args.p99_tolerance,
-        min_p99_ms=args.min_p99_ms,
-    )
-    print(render_comparison(result))
-    return 0 if result["ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,95 +543,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_case.add_argument("--seed", type=int, default=11)
     p_case.set_defaults(func=_cmd_case_study)
 
-    p_bench = sub.add_parser(
-        "bench-scale",
-        help="paper-scale memory benchmark: generate + analyze under an "
-        "RSS budget, writing BENCH_scale.json",
+    _add_bench_parser(
+        sub, "scale",
+        "paper-scale memory benchmark: generate + analyze under an RSS "
+        "budget, writing BENCH_scale.json",
+        gated=False,
+        params=[
+            ("--budget-gb", dict(
+                type=float, default=4.0,
+                help="hard per-phase peak-RSS budget in GiB (default 4)",
+            )),
+            ("--workers", dict(
+                type=int, default=1,
+                help="generation worker processes (forwarded to "
+                "generate_trace_pair)",
+            )),
+            (
+            "--tasks",
+            dict(type=str, nargs="*", default=None, dest="task_ids",
+                 help="only these registry task ids (default: all 19)"),
+        ),
+        ],
     )
-    p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument(
-        "--scale", type=float, default=50.0,
-        help="workload scale (50 yields >1M telemetry series)",
-    )
-    p_bench.add_argument(
-        "--cache-dir", type=str, required=True,
-        help="trace cache root for the generated trace (needs ~bytes-on-disk "
-        "of the telemetry; shards are hard-linked, not duplicated)",
-    )
-    p_bench.add_argument(
-        "--budget-gb", type=float, default=4.0,
-        help="hard per-phase peak-RSS budget in GiB (default 4)",
-    )
-    p_bench.add_argument(
-        "--workers", type=int, default=1,
-        help="generation worker processes (forwarded to generate_trace_pair)",
-    )
-    p_bench.add_argument(
-        "--tasks", type=str, nargs="*", default=None,
-        help="analyze only these registry task ids (default: all)",
-    )
-    p_bench.add_argument(
-        "--out", type=str, default="BENCH_scale.json",
-        help="artifact path (default: BENCH_scale.json)",
-    )
-    p_bench.set_defaults(func=_cmd_bench_scale)
-
-    p_perf = sub.add_parser(
-        "bench-perf",
-        help="per-task wall-time benchmark: run the experiment registry at "
+    _add_bench_parser(
+        sub, "perf",
+        "per-task wall-time benchmark: run the experiment registry at "
         "fixed scale and compare against the committed BENCH_perf.json",
+        gated=True,
+        params=[
+            ("--repeats", dict(
+                type=int, default=3,
+                help="measured repeats per task after one discarded warm-up "
+                "(default 3; the artifact records the median)",
+            )),
+            (
+            "--tasks",
+            dict(type=str, nargs="*", default=None, dest="task_ids",
+                 help="only these registry task ids (default: all 19)"),
+        ),
+        ],
     )
-    p_perf.add_argument("--seed", type=int, default=7)
-    p_perf.add_argument(
-        "--scale", type=float, default=0.12,
-        help="benchmark workload scale (fixed across runs; default 0.12)",
-    )
-    p_perf.add_argument(
-        "--repeats", type=int, default=3,
-        help="measured repeats per task after one discarded warm-up "
-        "(default 3; the artifact records the median)",
-    )
-    p_perf.add_argument(
-        "--cache-dir", type=str, required=True,
-        help="trace cache root (the warm-up run populates it so measured "
-        "repeats never pay generation costs)",
-    )
-    p_perf.add_argument(
-        "--tasks", type=str, nargs="*", default=None,
-        help="measure only these registry task ids (default: all 19)",
-    )
-    p_perf.add_argument(
-        "--out", type=str, default="BENCH_perf.candidate.json",
-        help="candidate artifact path (default: BENCH_perf.candidate.json, "
-        "so the committed baseline is never clobbered by accident)",
-    )
-    p_perf.add_argument(
-        "--baseline", type=str, default="BENCH_perf.json",
-        help="committed baseline path (default: BENCH_perf.json)",
-    )
-    p_perf.add_argument(
-        "--check", action="store_true",
-        help="compare against the baseline and exit 1 on regression",
-    )
-    p_perf.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the measurement to --baseline instead of comparing "
-        "(the escape hatch after an accepted perf change)",
-    )
-    p_perf.add_argument(
-        "--per-task-tolerance", type=float, default=0.20,
-        help="per-task regression tolerance as a fraction (default 0.20)",
-    )
-    p_perf.add_argument(
-        "--total-tolerance", type=float, default=0.10,
-        help="whole-registry regression tolerance (default 0.10)",
-    )
-    p_perf.add_argument(
-        "--min-task-s", type=float, default=0.05,
-        help="skip the per-task gate when both medians are under this "
-        "floor (timer noise; default 0.05s)",
-    )
-    p_perf.set_defaults(func=_cmd_bench_perf)
 
     p_serve = sub.add_parser(
         "serve",
@@ -716,75 +619,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_bserve = sub.add_parser(
-        "bench-serve",
-        help="serving benchmark: replay a trace into the live service while "
+    _add_bench_parser(
+        sub, "serve",
+        "serving benchmark: replay a trace into the live service while "
         "concurrent clients query it; measure sustained QPS and p99 latency "
         "and compare against the committed BENCH_serve.json",
+        gated=True,
+        params=[
+            ("--clients", dict(
+                type=int, default=4,
+                help="concurrent query clients (default 4; part of the "
+                "baseline key)",
+            )),
+            ("--requests-per-client", dict(
+                type=int, default=400,
+                help="requests each client issues (default 400; baseline key)",
+            )),
+        ],
     )
-    p_bserve.add_argument("--seed", type=int, default=7)
-    p_bserve.add_argument(
-        "--scale", type=float, default=0.12,
-        help="benchmark workload scale (fixed across runs; default 0.12)",
-    )
-    p_bserve.add_argument(
-        "--clients", type=int, default=4,
-        help="concurrent query clients (default 4; part of the baseline key)",
-    )
-    p_bserve.add_argument(
-        "--requests-per-client", type=int, default=400,
-        help="requests each client issues (default 400; baseline key)",
-    )
-    p_bserve.add_argument(
-        "--speedup", type=float, default=0.0,
-        help="replay pacing during the bench (default 0: ingest-bound, the "
-        "service is measured under maximum ingest pressure)",
-    )
-    p_bserve.add_argument(
-        "--queue-maxsize", type=int, default=64,
-        help="ingest queue depth before replay blocks (default 64)",
-    )
-    p_bserve.add_argument(
-        "--cache-dir", type=str, required=True,
-        help="trace cache root (the warm-up pass populates it so the "
-        "measured pass never pays generation costs)",
-    )
-    p_bserve.add_argument(
-        "--out", type=str, default="BENCH_serve.candidate.json",
-        help="candidate artifact path (default: BENCH_serve.candidate.json)",
-    )
-    p_bserve.add_argument(
-        "--baseline", type=str, default="BENCH_serve.json",
-        help="committed baseline path (default: BENCH_serve.json)",
-    )
-    p_bserve.add_argument(
-        "--check", action="store_true",
-        help="compare against the baseline and exit 1 on regression",
-    )
-    p_bserve.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the measurement to --baseline instead of comparing",
-    )
-    p_bserve.add_argument(
-        "--qps-tolerance", type=float, default=0.40,
-        help="allowed fractional QPS drop vs calibration-normalized "
-        "baseline (default 0.40)",
-    )
-    p_bserve.add_argument(
-        "--p99-tolerance", type=float, default=1.00,
-        help="allowed fractional p99 growth per query type (default 1.00, "
-        "i.e. 2x the normalized baseline)",
-    )
-    p_bserve.add_argument(
-        "--min-p99-ms", type=float, default=2.0,
-        help="skip the p99 gate when both sides are under this floor "
-        "(loopback timer noise; default 2ms)",
-    )
-    p_bserve.set_defaults(func=_cmd_bench_serve)
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the determinism & invariant linter (REP001-REP012, "
+        help="run the determinism & invariant linter (REP001-REP011, "
         "see docs/LINTING.md)",
     )
     from repro.lintkit.cli import add_lint_arguments

@@ -9,7 +9,7 @@ drives to produce a week-long trace.
 
 from repro.cloud.allocator import AllocationFailure, AllocationService, PlacementPolicy
 from repro.cloud.entities import Cluster, Node, Rack, Region, Topology, TopologySpec, build_topology
-from repro.cloud.autoscale import Autoscaler, PredictiveAutoscaler, diurnal_demand
+from repro.cloud.autoscale import Autoscaler, diurnal_demand
 from repro.cloud.platform import CloudPlatform, VMRequest
 from repro.cloud.simulation import Simulator
 from repro.cloud.spot_market import SpotMarket, SpotObservation
@@ -23,7 +23,6 @@ __all__ = [
     "Cluster",
     "Node",
     "NodeSku",
-    "PredictiveAutoscaler",
     "PlacementPolicy",
     "Rack",
     "Region",

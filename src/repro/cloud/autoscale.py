@@ -106,65 +106,6 @@ class Autoscaler:
         self.scale_in_events += 1
 
 
-class PredictiveAutoscaler(Autoscaler):
-    """Scale *ahead* of demand using the learned within-day profile.
-
-    The reactive :class:`Autoscaler` only sees current demand, so during a
-    steep morning ramp its fleet lags behind by one evaluation interval --
-    exactly the gap predictive provisioning ([19] in the paper) closes.
-    This controller records the demand it has observed, folds it into a
-    within-day profile, and provisions for the *maximum of the current
-    demand and the profile's prediction ``lead_time`` ahead*.
-    """
-
-    def __init__(self, *args, lead_time: float = 1800.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if lead_time < 0:
-            raise ValueError("lead_time must be non-negative")
-        self.lead_time = lead_time
-        #: Observed (seconds-into-day, demand) pairs.
-        self._history: list[tuple[float, int]] = []
-        self.predictive_scale_outs = 0
-
-    def evaluate(self, now: float) -> None:
-        """One control step with look-ahead."""
-        from repro.timebase import SECONDS_PER_DAY
-
-        current = max(0, int(self.demand(now)))
-        self._history.append((now % SECONDS_PER_DAY, current))
-        target = max(current, self._predict(now + self.lead_time))
-        if target > current:
-            self.predictive_scale_outs += 1
-        while len(self._fleet) < target:
-            if not self._launch(now):
-                break
-        while len(self._fleet) > target:
-            self._retire(now)
-
-    def _predict(self, future_time: float) -> int:
-        """Profile-based demand estimate for a future instant."""
-        from repro.timebase import SECONDS_PER_DAY
-
-        if len(self._history) < 8:
-            return 0
-        time_of_day = future_time % SECONDS_PER_DAY
-        # Average the observations within +/- half an evaluation interval
-        # of the target time-of-day.
-        window = max(self.evaluation_interval, 900.0)
-        nearby = [
-            demand
-            for observed_tod, demand in self._history
-            if min(
-                abs(observed_tod - time_of_day),
-                SECONDS_PER_DAY - abs(observed_tod - time_of_day),
-            )
-            <= window
-        ]
-        if not nearby:
-            return 0
-        return int(round(float(np.mean(nearby))))
-
-
 def diurnal_demand(
     *,
     base: int,

@@ -15,10 +15,9 @@ REP008 blocking calls reachable from ``async def`` (incl. transitive)
 REP009 unawaited coroutines / dropped ``create_task`` handles
 REP010 instance-state mutation torn across an ``await`` without a lock
 REP011 wire-protocol drift: ``_handlers`` vs ``_op_*`` vs SERVING.md
-REP012 schema/version constants vs committed artifacts and docs
 ====== ============================================================
 
-REP001-REP007 are per-file passes; REP008-REP012 are *project* rules
+REP001-REP007 are per-file passes; REP008-REP011 are *project* rules
 running over a whole-program :class:`~repro.lintkit.project.
 ProjectContext` (cross-module imports, call graph, async coloring).
 

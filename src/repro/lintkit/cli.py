@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     """Standalone entry point (``python -m repro.lintkit``)."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Determinism & invariant linter (REP001-REP012) "
+        description="Determinism & invariant linter (REP001-REP011) "
         "for the repro codebase",
     )
     add_lint_arguments(parser)

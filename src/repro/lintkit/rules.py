@@ -1,7 +1,7 @@
-"""The REP001-REP012 rule set: repo-specific determinism & invariant checks.
+"""The REP001-REP011 rule set: repo-specific determinism & invariant checks.
 
 Each rule is a small :class:`~repro.lintkit.framework.Rule` subclass over
-the shared single-parse framework; REP008-REP012 are
+the shared single-parse framework; REP008-REP011 are
 :class:`~repro.lintkit.project.ProjectRule` subclasses over the resolved
 call graph.  The catalog (rationale, examples, suppression guidance)
 lives in ``docs/LINTING.md``; the docstrings here are the normative
@@ -11,7 +11,6 @@ short form.
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -1290,162 +1289,6 @@ class WireProtocolRule(ProjectRule):
 
 
 # ----------------------------------------------------------------------
-# REP012: schema/version-literal drift
-# ----------------------------------------------------------------------
-
-#: (constant name, module-path suffix, committed artifact at the root).
-_ARTIFACT_CONTRACTS = (
-    ("SCHEMA_VERSION", "experiments/benchperf.py", "BENCH_perf.json"),
-    ("SCHEMA_VERSION", "experiments/benchscale.py", "BENCH_scale.json"),
-    ("SCHEMA_VERSION", "serving/benchserve.py", "BENCH_serve.json"),
-    ("BASELINE_SCHEMA_VERSION", "lintkit/baseline.py", "lintkit-baseline.json"),
-)
-
-#: (constant name, module-path suffix, doc at the root, extraction regex).
-_DOC_CONTRACTS = (
-    (
-        "MANIFEST_SCHEMA_VERSION", "experiments/runner.py",
-        "docs/PIPELINE.md", re.compile(r'"schema_version":\s*(\d+)'),
-    ),
-    (
-        "GENERATOR_VERSION", "workloads/generator.py",
-        "docs/PIPELINE.md", re.compile(r'"generator_version":\s*"([^"]+)"'),
-    ),
-    (
-        "TRACE_FORMAT_VERSION", "telemetry/io.py",
-        "docs/TRACE_FORMAT.md", re.compile(r"format v(\d+)"),
-    ),
-)
-
-_WATCHED_CONSTANTS = frozenset(
-    {name for name, _suffix, _artifact in _ARTIFACT_CONTRACTS}
-    | {name for name, _suffix, _doc, _pattern in _DOC_CONTRACTS}
-)
-
-_REP012_HINT = (
-    "bump code constant, committed artifact, and docs together -- a "
-    "version literal that drifts silently breaks the refuse-to-compare "
-    "contract; see docs/LINTING.md#rep012"
-)
-
-
-class VersionDriftRule(ProjectRule):
-    """REP012: version constants vs committed artifacts and docs.
-
-    Every schema-versioned contract in the repo -- ``BENCH_*.json``
-    artifacts, the lint baseline, manifest v3, the trace format, the
-    generator version -- exists so that mismatched producers and
-    consumers *refuse to compare* instead of guessing.  That only works
-    while the literals agree.  This rule pins each version constant to
-    its committed artifact's ``schema_version`` field and to the version
-    literals quoted in the docs; missing artifacts (fixture trees) skip
-    silently, malformed ones are findings.
-    """
-
-    code = "REP012"
-    name = "version-literal-drift"
-    description = "schema/version constants vs committed BENCH_*.json, baseline, and docs"
-
-    def reset(self) -> None:
-        #: constant name -> [(ctx, assign node, value)].
-        self._constants: dict[str, list[tuple[FileContext, ast.AST, object]]] = {}
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ctx.tree.body:
-            if not isinstance(node, ast.Assign) or not isinstance(
-                node.value, ast.Constant
-            ):
-                continue
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id in _WATCHED_CONSTANTS
-                ):
-                    self._constants.setdefault(target.id, []).append(
-                        (ctx, node, node.value.value)
-                    )
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for name, suffix, artifact in _ARTIFACT_CONTRACTS:
-            for ctx, node, value in self._sites(name, suffix):
-                yield from self._check_artifact(
-                    ctx, node, name, value, project.root / artifact, artifact
-                )
-        for name, suffix, doc, pattern in _DOC_CONTRACTS:
-            for ctx, node, value in self._sites(name, suffix):
-                yield from self._check_doc(
-                    ctx, node, name, value, project.root / doc, doc, pattern
-                )
-
-    def _sites(self, name: str, suffix: str):
-        return [
-            (ctx, node, value)
-            for ctx, node, value in self._constants.get(name, ())
-            if ctx.rel == suffix or ctx.rel.endswith("/" + suffix)
-        ]
-
-    def _check_artifact(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        name: str,
-        value: object,
-        path: Path,
-        label: str,
-    ) -> Iterator[Diagnostic]:
-        if not path.is_file():
-            return  # nothing committed in this tree; no contract to check
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            yield ctx.diagnostic(
-                self.code, node,
-                f"committed artifact {label} is unreadable: {exc}",
-                _REP012_HINT,
-            )
-            return
-        recorded = document.get("schema_version") if isinstance(document, dict) else None
-        if recorded is None:
-            yield ctx.diagnostic(
-                self.code, node,
-                f"committed artifact {label} carries no schema_version "
-                f"(code declares {name} = {value!r})",
-                _REP012_HINT,
-            )
-        elif recorded != value:
-            yield ctx.diagnostic(
-                self.code, node,
-                f"{name} = {value!r} but committed {label} records "
-                f"schema_version {recorded!r}",
-                _REP012_HINT,
-            )
-
-    def _check_doc(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        name: str,
-        value: object,
-        path: Path,
-        label: str,
-        pattern: re.Pattern,
-    ) -> Iterator[Diagnostic]:
-        if not path.is_file():
-            return
-        match = pattern.search(path.read_text(encoding="utf-8"))
-        if match is None:
-            return  # the doc no longer quotes the literal; nothing to pin
-        documented = match.group(1)
-        if str(value) != documented:
-            yield ctx.diagnostic(
-                self.code, node,
-                f"{name} = {value!r} but {label} documents {documented!r}",
-                _REP012_HINT,
-            )
-
-
-# ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
 
@@ -1464,7 +1307,6 @@ def default_rules() -> list[Rule]:
         DroppedCoroutineRule(),
         TornAwaitStateRule(),
         WireProtocolRule(),
-        VersionDriftRule(),
     ]
 
 

@@ -9,7 +9,7 @@ per-region characterizations via dirty-set refresh, and answers concurrent
 queries over a newline-JSON TCP protocol.  Storage is pluggable
 (:mod:`repro.serving.backends`), arrival traffic comes from a timed trace
 replayer (:mod:`repro.serving.replay`), and sustained QPS / tail latency is
-benchmarked and CI-gated by :mod:`repro.serving.benchserve`.
+benchmarked and CI-gated by ``bench-serve`` in :mod:`repro.bench`.
 
 The load-bearing invariant, enforced by ``tests/test_serving_equivalence.py``:
 at every flush point, :meth:`~repro.serving.service.KnowledgeBaseService.snapshot_json`

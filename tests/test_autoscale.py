@@ -77,6 +77,32 @@ def test_scale_in_terminates_newest_first():
     assert terminated == set(first_fleet[1:])
 
 
+def test_evaluate_reaches_constant_demand_without_history():
+    platform = make_platform()
+    scaler = make_scaler(platform, lambda t: 3)
+    scaler.evaluate(0.0)
+    assert scaler.current_size == 3
+
+
+def test_reactive_fleet_lags_a_diurnal_ramp():
+    """Evaluating only current demand leaves the fleet short mid-ramp."""
+    platform = make_platform(nodes=8)
+    demand = diurnal_demand(base=2, amplitude=24, tz_offset_hours=0, weekend_factor=1.0)
+    scaler = make_scaler(platform, demand)
+    sim = Simulator()
+    horizon = SECONDS_PER_DAY
+    scaler.install(sim, start=0.0, until=horizon)
+    shortfalls = []
+
+    def probe(now: float) -> None:
+        shortfalls.append(max(0, demand(now) - scaler.current_size))
+
+    sim.schedule_periodic(450.0, 900.0, probe, until=horizon)
+    sim.run(until=horizon)
+    assert max(shortfalls) > 0
+    assert scaler.scale_out_events > 0 and scaler.scale_in_events > 0
+
+
 def test_capacity_limit_stops_scale_out():
     platform = make_platform(nodes=1)  # 16 cores only
     scaler = make_scaler(platform, lambda t: 100)

@@ -1,4 +1,4 @@
-"""Tests for the bench-perf harness: comparison logic and determinism."""
+"""Tests for bench-perf in ``repro.bench``: its gate, determinism and CLI."""
 
 from __future__ import annotations
 
@@ -6,13 +6,15 @@ import copy
 
 import pytest
 
-from repro.experiments.benchperf import (
+from repro import bench
+from repro.bench import (
     SCHEMA_VERSION,
-    compare_to_baseline,
+    compare,
     load_artifact,
-    render_comparison,
+    render,
     run_bench_perf,
 )
+from repro.cli import main
 
 
 def artifact(**overrides) -> dict:
@@ -47,82 +49,77 @@ def with_task_times(base: dict, times: dict[str, float]) -> dict:
 
 class TestCompareToBaseline:
     def test_identical_artifacts_pass(self):
-        result = compare_to_baseline(artifact(), artifact())
+        result = compare(artifact(), artifact())
         assert result["ok"]
         assert result["failures"] == []
         assert result["machine_factor"] == 1.0
-        assert "perf gate: ok" in render_comparison(result)
+        assert "perf gate: ok" in render(artifact(), result)
 
     def test_within_tolerance_passes(self):
         candidate = with_task_times(artifact(), {"fig1a": 1.15})  # +15% < 20%
-        assert compare_to_baseline(candidate, artifact())["ok"]
+        assert compare(candidate, artifact())["ok"]
 
     def test_per_task_regression_fails(self):
         candidate = with_task_times(artifact(), {"fig7a": 5.0})  # +25%
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert not result["ok"]
         assert any("fig7a" in f for f in result["failures"])
-        assert "REGRESSED" in render_comparison(result)
+        assert "REGRESSED" in render(candidate, result)
 
     def test_total_regression_fails_even_when_tasks_pass(self):
         # Every task up 12%: under the 20% per-task bar, over the 10% total.
         candidate = with_task_times(
             artifact(), {"fig1a": 1.12, "fig7a": 4.48, "tiny": 0.0112}
         )
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert not result["ok"]
-        assert any("registry total" in f for f in result["failures"])
+        assert any("total_s" in f for f in result["failures"])
 
     def test_calibration_normalizes_slower_machine(self):
         # 2x slower machine, 2x slower tasks: no relative regression.
         candidate = with_task_times(
             artifact(calibration_s=1.0), {"fig1a": 2.0, "fig7a": 8.0, "tiny": 0.02}
         )
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert result["ok"]
         assert result["machine_factor"] == 2.0
 
     def test_noise_floor_skips_tiny_tasks(self):
         # 3x regression on a 10ms task is timer noise, not a perf bug.
         candidate = with_task_times(artifact(), {"tiny": 0.03})
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert result["ok"]
-        (tiny_row,) = [r for r in result["per_task"] if r["id"] == "tiny"]
+        (tiny_row,) = [r for r in result["rows"] if r["id"] == "tiny"]
         assert not tiny_row["gated"]
 
-    def test_noise_floor_is_configurable(self):
-        candidate = with_task_times(artifact(), {"tiny": 0.03})
-        result = compare_to_baseline(candidate, artifact(), min_task_s=0.001)
-        assert not result["ok"]
-
     def test_schema_version_mismatch_fails(self):
-        result = compare_to_baseline(
+        result = compare(
             artifact(schema_version=SCHEMA_VERSION + 1), artifact()
         )
         assert not result["ok"]
         assert any("schema_version" in f for f in result["failures"])
 
     def test_seed_and_scale_mismatch_fails(self):
-        assert not compare_to_baseline(artifact(seed=8), artifact())["ok"]
-        assert not compare_to_baseline(artifact(scale=0.3), artifact())["ok"]
+        assert not compare(artifact(seed=8), artifact())["ok"]
+        assert not compare(artifact(scale=0.3), artifact())["ok"]
 
     def test_task_list_mismatch_fails(self):
         candidate = artifact()
         candidate["tasks"] = candidate["tasks"][:-1]
         candidate["total_s"] = 5.0
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert not result["ok"]
-        assert any("task list" in f for f in result["failures"])
+        assert any("row list" in f for f in result["failures"])
 
     def test_non_ok_status_fails(self):
         candidate = artifact()
         candidate["tasks"][0]["status"] = "failed"
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert not result["ok"]
         assert any("status" in f for f in result["failures"])
 
     def test_missing_calibration_fails(self):
-        result = compare_to_baseline(artifact(calibration_s=0.0), artifact())
+        result = compare(artifact(calibration_s=0.0), artifact())
         assert not result["ok"]
         assert any("calibration" in f for f in result["failures"])
 
@@ -161,7 +158,7 @@ class TestRunBenchPerf:
             t["status"] for t in second["tasks"]
         ]
         # And the comparison machinery accepts a self-comparison end-to-end.
-        assert compare_to_baseline(second, first)["ok"]
+        assert compare(second, first)["ok"]
 
 
 class TestLoadArtifact:
@@ -170,10 +167,45 @@ class TestLoadArtifact:
         import json
 
         path.write_text(json.dumps(artifact()))
-        assert load_artifact(path)["total_s"] == 5.01
+        assert load_artifact(path, "perf")["total_s"] == 5.01
 
     def test_rejects_other_artifacts(self, tmp_path):
         path = tmp_path / "BENCH_scale.json"
         path.write_text('{"bench": "scale"}')
         with pytest.raises(ValueError):
-            load_artifact(path)
+            load_artifact(path, "perf")
+
+
+class TestWriteBaseline:
+    """``--write-baseline`` refuses a run that failed on its own."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kernels": [{"name": "detect_periods", "scalar_s": 1.0, "batched_s": 0.5,
+                          "speedup": 2.0, "outputs_identical": False}]},
+            {"tasks": [{"id": "fig1a", "status": "failed", "median_s": 1.0,
+                        "samples_s": [1.0]}], "total_s": 1.0},
+        ],
+        ids=["kernel-drift", "failed-task"],
+    )
+    def test_bad_run_leaves_baseline_untouched(self, tmp_path, monkeypatch, bad):
+        baseline = tmp_path / "BENCH_perf.json"
+        baseline.write_text("committed\n")
+        monkeypatch.setattr(bench, "run_bench_perf", lambda **_: artifact(**bad))
+        code = main([
+            "bench-perf", "--cache-dir", str(tmp_path),
+            "--baseline", str(baseline), "--write-baseline",
+        ])
+        assert code == 1
+        assert baseline.read_text() == "committed\n"
+
+    def test_good_run_is_written(self, tmp_path, monkeypatch):
+        baseline = tmp_path / "BENCH_perf.json"
+        monkeypatch.setattr(bench, "run_bench_perf", lambda **_: artifact())
+        code = main([
+            "bench-perf", "--cache-dir", str(tmp_path),
+            "--baseline", str(baseline), "--write-baseline",
+        ])
+        assert code == 0
+        assert load_artifact(baseline, "perf") == artifact()

@@ -1,8 +1,7 @@
-"""Tests for the bench-serve harness: comparison logic and determinism.
+"""Tests for bench-serve in ``repro.bench``: its gate, request plans and CLI.
 
-Mirrors ``tests/test_benchperf.py`` for the serving gate.  Everything here
-is pure (no subprocesses, no sockets): the end-to-end path is exercised by
-``repro bench-serve`` itself in CI's serving-smoke job.
+Mirrors ``tests/test_benchperf.py`` for the serving gate.  Everything but
+``TestRunBenchServe`` is pure (no subprocesses, no sockets).
 """
 
 from __future__ import annotations
@@ -13,16 +12,19 @@ import json
 import numpy as np
 import pytest
 
-from repro.serving.benchserve import (
+from repro import bench
+from repro.bench import (
     QUERY_MIX,
     SCHEMA_VERSION,
     _build_ops,
     _percentiles,
-    compare_to_baseline,
+    compare,
     load_artifact,
-    render_comparison,
+    render,
+    run_bench_serve,
     write_artifact,
 )
+from repro.cli import main
 
 pytestmark = pytest.mark.serving
 
@@ -65,38 +67,38 @@ def with_p99(base: dict, op: str, p99_ms: float) -> dict:
 
 class TestCompareToBaseline:
     def test_identical_artifacts_pass(self):
-        result = compare_to_baseline(artifact(), artifact())
+        result = compare(artifact(), artifact())
         assert result["ok"]
         assert result["failures"] == []
         assert result["machine_factor"] == 1.0
-        assert "serve gate: ok" in render_comparison(result)
+        assert "serve gate: ok" in render(artifact(), result)
 
     def test_p99_within_tolerance_passes(self):
         candidate = with_p99(artifact(), "pattern_for_vm", 9.0)  # +80% < 100%
-        assert compare_to_baseline(candidate, artifact())["ok"]
+        assert compare(candidate, artifact())["ok"]
 
     def test_p99_regression_fails(self):
         candidate = with_p99(artifact(), "pattern_for_vm", 11.0)  # +120%
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert not result["ok"]
         assert any("pattern_for_vm" in f for f in result["failures"])
-        assert "REGRESSED" in render_comparison(result)
+        assert "REGRESSED" in render(candidate, result)
 
     def test_noise_floor_skips_fast_ops(self):
         # stats baseline p99 is 1ms; even tripling it stays under the 2ms
         # floor, so the gate must not fire.
         candidate = with_p99(artifact(), "stats", 1.9)
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert result["ok"]
-        stats_row = next(r for r in result["per_op"] if r["op"] == "stats")
+        stats_row = next(r for r in result["rows"] if r["id"] == "stats")
         assert not stats_row["gated"]
 
     def test_qps_drop_fails(self):
         candidate = artifact()
         candidate["total"] = dict(candidate["total"], qps=500.0)  # -50% > 40%
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert not result["ok"]
-        assert any("QPS" in f for f in result["failures"])
+        assert any("total.qps" in f for f in result["failures"])
 
     def test_calibration_normalizes_slower_machine(self):
         # Candidate machine is 2x slower: halved QPS and doubled tails are
@@ -105,14 +107,14 @@ class TestCompareToBaseline:
         candidate["total"] = dict(candidate["total"], qps=500.0)
         for row in candidate["queries"]:
             row["p99_ms"] *= 2.0
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert result["ok"]
         assert result["machine_factor"] == 2.0
 
     def test_query_errors_fail(self):
         candidate = artifact()
         candidate["total"] = dict(candidate["total"], errors=3)
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert not result["ok"]
         assert any("error" in f for f in result["failures"])
 
@@ -124,44 +126,39 @@ class TestCompareToBaseline:
             ("clients", 2),
             ("requests_per_client", 10),
         ):
-            result = compare_to_baseline(artifact(**{key: value}), artifact())
+            result = compare(artifact(**{key: value}), artifact())
             assert not result["ok"], key
             assert any(key in f for f in result["failures"]), key
 
     def test_query_mix_mismatch_fails(self):
         candidate = artifact()
         candidate["queries"] = candidate["queries"][:1]
-        result = compare_to_baseline(candidate, artifact())
+        result = compare(candidate, artifact())
         assert not result["ok"]
-        assert any("query mix" in f for f in result["failures"])
+        assert any("row list" in f for f in result["failures"])
 
     def test_missing_calibration_fails(self):
-        result = compare_to_baseline(artifact(calibration_s=0.0), artifact())
+        result = compare(artifact(calibration_s=0.0), artifact())
         assert not result["ok"]
         assert any("calibration" in f for f in result["failures"])
 
-    def test_tolerances_configurable(self):
-        candidate = with_p99(artifact(), "pattern_for_vm", 9.0)  # +80%
-        assert not compare_to_baseline(
-            candidate, artifact(), p99_tolerance=0.50
-        )["ok"]
-        slow = artifact()
-        slow["total"] = dict(slow["total"], qps=900.0)  # -10%
-        assert not compare_to_baseline(
-            slow, artifact(), qps_tolerance=0.05
-        )["ok"]
+    def test_speedup_mismatch_fails(self):
+        """A paced run must not compare against the ingest-bound baseline."""
+        result = compare(artifact(speedup=0), artifact(speedup=60))
+        assert not result["ok"]
+        assert any("speedup mismatch" in f for f in result["failures"])
 
 
 class TestArtifactIO:
     def test_round_trip(self, tmp_path):
         path = write_artifact(artifact(), tmp_path / "BENCH_serve.json")
-        assert load_artifact(path) == artifact()
+        assert load_artifact(path, "serve") == artifact()
 
     def test_rejects_other_artifacts(self, tmp_path):
         path = tmp_path / "BENCH_perf.json"
         path.write_text(json.dumps({"bench": "perf"}))
         with pytest.raises(ValueError):
-            load_artifact(path)
+            load_artifact(path, "serve")
 
 
 class TestRequestPlans:
@@ -192,3 +189,34 @@ class TestRequestPlans:
         stats = _percentiles([1.0, 2.0, 3.0, 4.0])
         assert set(stats) == {"mean_ms", "p50_ms", "p95_ms", "p99_ms"}
         assert stats["p50_ms"] == 2.5
+
+
+class TestWriteBaseline:
+    def test_query_errors_leave_baseline_untouched(self, tmp_path, monkeypatch):
+        baseline = tmp_path / "BENCH_serve.json"
+        baseline.write_text("committed\n")
+        bad = artifact()
+        bad["queries"][0]["errors"] = 2
+        bad["total"] = dict(bad["total"], errors=2)
+        monkeypatch.setattr(bench, "run_bench_serve", lambda **_: bad)
+        code = main([
+            "bench-serve", "--cache-dir", str(tmp_path),
+            "--baseline", str(baseline), "--write-baseline",
+        ])
+        assert code == 1
+        assert baseline.read_text() == "committed\n"
+
+
+class TestRunBenchServe:
+    def test_smoke_run_compares_ok_against_itself(self, tmp_path):
+        """The smallest end-to-end pass: service, replay, one client."""
+        payload = run_bench_serve(
+            seed=7, scale=0.03, clients=1, requests_per_client=20,
+            cache_dir=tmp_path,
+        )
+        path = write_artifact(payload, tmp_path / "BENCH_serve.json")
+        loaded = load_artifact(path, "serve")
+        assert loaded["total"]["requests"] == 20
+        assert loaded["total"]["errors"] == 0
+        assert loaded["speedup"] == bench.SERVE_SPEEDUP
+        assert compare(loaded, loaded)["ok"]

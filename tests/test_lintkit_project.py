@@ -1,10 +1,9 @@
-"""Tests for lintkit v2: ProjectContext, call graph, and REP008-REP012.
+"""Tests for lintkit v2: ProjectContext, call graph, and REP008-REP011.
 
 Fixture trees exercise each project rule in isolation; the acceptance
 tests at the bottom inject real violations into copies of the shipped
-sources (a ``time.sleep`` in a serving handler, a mutated
-``schema_version`` literal, an op dispatched but undocumented) and
-assert the rules catch exactly them.
+sources (a ``time.sleep`` in a serving handler, an op dispatched but
+undocumented) and assert the rules catch exactly them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.lintkit.project import ProjectContext, _module_name
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
 
-PROJECT_CODES = ["REP008", "REP009", "REP010", "REP011", "REP012"]
+PROJECT_CODES = ["REP008", "REP009", "REP010", "REP011"]
 
 
 def lint_snippets(tmp_path: Path, files: dict[str, str], **kwargs):
@@ -368,61 +367,6 @@ def test_rep011_no_docs_skips_doc_legs(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# REP012: version-literal drift
-# ----------------------------------------------------------------------
-
-
-def _bench_fixture(version: int) -> dict[str, str]:
-    return {
-        "src/pkg/experiments/benchperf.py": f"SCHEMA_VERSION = {version}\n",
-    }
-
-
-def test_rep012_matching_artifact_is_clean(tmp_path):
-    (tmp_path / "BENCH_perf.json").write_text(
-        json.dumps({"schema_version": 1}) + "\n"
-    )
-    result = lint_snippets(tmp_path, _bench_fixture(1), select=["REP012"])
-    assert codes(result) == []
-
-
-def test_rep012_flags_drifted_artifact(tmp_path):
-    (tmp_path / "BENCH_perf.json").write_text(
-        json.dumps({"schema_version": 1}) + "\n"
-    )
-    result = lint_snippets(tmp_path, _bench_fixture(2), select=["REP012"])
-    assert codes(result) == ["REP012"]
-    assert "SCHEMA_VERSION = 2" in result.diagnostics[0].message
-    assert "records schema_version 1" in result.diagnostics[0].message
-
-
-def test_rep012_flags_artifact_without_version(tmp_path):
-    (tmp_path / "BENCH_perf.json").write_text(json.dumps({"bench": "perf"}) + "\n")
-    result = lint_snippets(tmp_path, _bench_fixture(1), select=["REP012"])
-    assert codes(result) == ["REP012"]
-    assert "no schema_version" in result.diagnostics[0].message
-
-
-def test_rep012_missing_artifact_skips(tmp_path):
-    result = lint_snippets(tmp_path, _bench_fixture(7), select=["REP012"])
-    assert codes(result) == []
-
-
-def test_rep012_doc_contract(tmp_path):
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "PIPELINE.md").write_text(
-        'The manifest starts with "schema_version": 3 and\n'
-        '"generator_version": "1".\n'
-    )
-    result = lint_snippets(tmp_path, {
-        "src/pkg/workloads/generator.py": "GENERATOR_VERSION = '2'\n",
-        "src/pkg/experiments/runner.py": "MANIFEST_SCHEMA_VERSION = 3\n",
-    }, select=["REP012"])
-    assert codes(result) == ["REP012"]
-    assert "GENERATOR_VERSION" in result.diagnostics[0].message
-
-
-# ----------------------------------------------------------------------
 # Injected-violation acceptance tests against the real sources
 # ----------------------------------------------------------------------
 
@@ -472,20 +416,6 @@ def test_acceptance_injected_undocumented_op(tmp_path):
     result = lint_paths([tmp_path], root=tmp_path, select=["REP011"])
     assert codes(result) == ["REP011"]
     assert "op 'flush' is dispatched but has no row" in result.diagnostics[0].message
-
-
-def test_acceptance_mutated_schema_version_literal(tmp_path):
-    """Bumping SCHEMA_VERSION without regenerating BENCH_perf.json."""
-    target = tmp_path / "src" / "repro" / "experiments" / "benchperf.py"
-    target.parent.mkdir(parents=True)
-    shutil.copy(SRC_TREE / "experiments" / "benchperf.py", target)
-    shutil.copy(REPO_ROOT / "BENCH_perf.json", tmp_path / "BENCH_perf.json")
-    source = target.read_text()
-    assert "SCHEMA_VERSION = 1\n" in source
-    target.write_text(source.replace("SCHEMA_VERSION = 1\n", "SCHEMA_VERSION = 99\n", 1))
-    result = lint_paths([tmp_path], root=tmp_path, select=["REP012"])
-    assert codes(result) == ["REP012"]
-    assert "SCHEMA_VERSION = 99" in result.diagnostics[0].message
 
 
 # ----------------------------------------------------------------------
