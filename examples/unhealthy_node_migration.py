@@ -7,8 +7,9 @@ of VMs running on this node, the cloud platform can optimize this procedure
 by only migrating out VMs with long remaining time."
 
 This example trains the lifetime predictor on the first half of the week,
-then compares migrate-everything against lifetime-aware migration on nodes
-that receive an unhealthy signal mid-week.
+then replays a failure schedule -- nodes signal unhealthy mid-week and fail
+two hours later -- under migrate-all, migrate-none and lifetime-aware
+evacuation (:mod:`repro.cloud.health`).
 
 Run:
     python examples/unhealthy_node_migration.py
@@ -18,15 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Cloud, GeneratorConfig, private_profile
+from repro import Cloud, private_profile
+from repro.cloud.health import NodeHealthMonitor, evaluate_policies
 from repro.management.prediction import LifetimePredictor
-from repro.workloads.generator import TraceGenerator, GeneratorConfig as GenConfig
+from repro.workloads.generator import GeneratorConfig, TraceGenerator
+
+#: Unhealthy signal to node failure; VMs predicted to finish sooner stay put.
+LEAD_TIME = 2 * 3600.0
 
 
 def main() -> None:
-    config = GenConfig(seed=9, scale=0.15, synthesize_utilization=False)
-    generator = TraceGenerator(private_profile(), config)
-    trace = generator.generate()
+    config = GeneratorConfig(seed=9, scale=0.15, synthesize_utilization=False)
+    trace = TraceGenerator(private_profile(), config).generate()
 
     print("Training the lifetime predictor on the first half of the week ...")
     predictor = LifetimePredictor()
@@ -37,58 +41,48 @@ def main() -> None:
         f"{evaluation.n_train} train / {evaluation.n_test} test VMs)\n"
     )
 
-    # Mid-week, some nodes report unhealthy signals.  Which VMs to migrate?
-    # Pick nodes that host freshly created (likely short-lived) VMs -- these
-    # are exactly the nodes where the lifetime-aware policy pays off.
+    # Mid-week, some nodes report unhealthy signals.  Pick nodes that host
+    # freshly created (likely short-lived) VMs -- these are exactly the
+    # nodes where the lifetime-aware policy pays off.
     now = trace.metadata.duration / 2
     rng = np.random.default_rng(1)
-    candidate_nodes = []
+    alive_by_node = {}
     for node_id, vms in trace.vms_by_node(cloud=Cloud.PRIVATE).items():
         alive = [vm for vm in vms if vm.created_at <= now < vm.ended_at]
-        fresh = [vm for vm in alive if now - vm.created_at < 1800]
-        if len(alive) >= 3 and fresh:
-            candidate_nodes.append(node_id)
-    unhealthy = rng.choice(
-        candidate_nodes, size=min(5, len(candidate_nodes)), replace=False
+        if len(alive) >= 3 and any(now - vm.created_at < 1800 for vm in alive):
+            alive_by_node[node_id] = alive
+    candidates = sorted(alive_by_node)
+    unhealthy = rng.choice(candidates, size=min(5, len(candidates)), replace=False)
+
+    monitor = NodeHealthMonitor(
+        failure_times={int(node_id): now + LEAD_TIME for node_id in unhealthy},
+        lead_time=LEAD_TIME,
     )
+    predicted = {
+        vm.vm_id: predictor.predict_remaining_time(vm, now=now)
+        for node_id in monitor.failure_times
+        for vm in alive_by_node[node_id]
+    }
+    outcomes = evaluate_policies(trace, monitor, predicted_remaining=predicted)
 
-    print("Lifetime-aware migration plans (vs migrate-everything):")
-    total_alive = 0
-    total_migrated = 0
-    total_wasted = 0  # migrations of VMs that would have ended soon anyway
-    for node_id in unhealthy:
-        alive = [
-            vm
-            for vm in trace.vms(cloud=Cloud.PRIVATE)
-            if vm.node_id == node_id and vm.created_at <= now < vm.ended_at
-        ]
-        remaining = {
-            vm.vm_id: predictor.predict_remaining_time(vm, now=now) for vm in alive
-        }
-        # plan_migrations expects a platform-shaped object; build the plan
-        # directly from predictions here.
-        migrate = [v for v, t in remaining.items() if t > 2 * 3600]
-        leave = [v for v in remaining if v not in set(migrate)]
-        truly_short = {
-            vm.vm_id for vm in alive if vm.ended_at - now <= 2 * 3600
-        }
-        wasted = len(truly_short) - len([v for v in leave if v in truly_short])
-        total_alive += len(alive)
-        total_migrated += len(migrate)
-        total_wasted += max(0, wasted)
+    print(
+        f"{len(monitor.failure_times)} nodes signal unhealthy at t={now / 3600:.0f} h "
+        f"and fail {LEAD_TIME / 3600:.0f} h later ({len(predicted)} VMs alive):"
+    )
+    for policy, outcome in outcomes.items():
         print(
-            f"  node {node_id}: {len(alive)} VMs alive -> migrate "
-            f"{len(migrate)}, leave {len(leave)} "
-            f"(naive policy would migrate all {len(alive)})"
+            f"  {policy:<15} migrate {outcome.migrations:3d}, "
+            f"interrupted {outcome.interrupted:3d}, "
+            f"wasted migrations {outcome.wasted_migrations:3d}"
         )
 
-    if total_alive:
-        saved = total_alive - total_migrated
-        print(
-            f"\nSummary: lifetime-aware policy migrates {total_migrated}/"
-            f"{total_alive} VMs, avoiding {saved} migrations "
-            f"({total_wasted} would-have-finished VMs still moved)."
-        )
+    saved = outcomes["migrate-all"].migrations - outcomes["lifetime-aware"].migrations
+    print(
+        f"\nSummary: lifetime-aware evacuation avoids {saved} of "
+        f"{outcomes['migrate-all'].migrations} migrations "
+        f"({outcomes['lifetime-aware'].wasted_migrations} would-have-finished "
+        "VMs still moved)."
+    )
 
 
 if __name__ == "__main__":

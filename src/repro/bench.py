@@ -151,7 +151,8 @@ class Gate:
 
 #: The tolerance policy of every bench (``docs/PERFORMANCE.md``,
 #: ``docs/SERVING.md``).  The per-task bar is looser than the total's:
-#: single tasks jitter, nineteen summed medians do not.  Loopback TCP
+#: single tasks jitter, nineteen summed medians do not.  The total shares
+#: the per-task noise floor, so a task-subset run of a few ms is not gated.  Loopback TCP
 #: jitters far more than in-process kernels, hence serve's wide bars.
 GATES = {
     "perf": Gate(
@@ -159,7 +160,7 @@ GATES = {
         rows="tasks",
         row_id="id",
         row_metrics=(Metric("median_s", "lower", 0.20, floor=0.05),),
-        totals=(Metric("total_s", "lower", 0.10),),
+        totals=(Metric("total_s", "lower", 0.10, floor=0.05),),
         summary=("total_s", "calibration_s"),
     ),
     "scale": Gate(

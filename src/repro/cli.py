@@ -640,8 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the determinism & invariant linter (REP001-REP011, "
-        "see docs/LINTING.md)",
+        help="run the determinism & invariant linter (REP001, REP002, "
+        "REP004-REP010, see docs/LINTING.md)",
     )
     from repro.lintkit.cli import add_lint_arguments
 

@@ -1,62 +1,19 @@
 """Failure injection: node failures and VM live migration.
 
-The paper motivates workload characterization with exactly this scenario
-(Section I): "to avoid service interruption, the cloud platform could choose
-to migrate out VMs from nodes with unhealthy signals ... With knowledge of
-the lifetime of VMs running on this node, the cloud platform can optimize
-this procedure by only migrating out VMs with long remaining time."
-
-:class:`FailureInjector` fails nodes; :func:`plan_migrations` implements the
-lifetime-aware migration policy of that motivating example and is evaluated
-against migrate-everything in the tests.
+:class:`FailureInjector` fails a node on a running :class:`CloudPlatform`
+and re-places every VM it hosted elsewhere in the region (or evicts it
+when capacity is exhausted).  Which VMs are *worth* moving ahead of a
+predicted failure -- the lifetime-aware evacuation of the paper's
+Section I example -- is decided and evaluated in :mod:`repro.cloud.health`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cloud.allocator import AllocationFailure
 from repro.cloud.platform import CloudPlatform
 from repro.telemetry.schema import EventKind, EventRecord
-
-
-@dataclass(frozen=True)
-class MigrationPlan:
-    """Outcome of planning migrations off an unhealthy node."""
-
-    #: VMs worth moving (long expected remaining time).
-    migrate: tuple[int, ...]
-    #: VMs left to finish in place (short expected remaining time).
-    leave: tuple[int, ...]
-
-
-def plan_migrations(
-    platform: CloudPlatform,
-    node_id: int,
-    *,
-    now: float,
-    remaining_time_of: dict[int, float],
-    migration_threshold: float = 2 * 3600.0,
-) -> MigrationPlan:
-    """Choose which VMs to migrate off an unhealthy node.
-
-    ``remaining_time_of`` maps vm ids to the (predicted) remaining lifetime;
-    VMs expected to finish within ``migration_threshold`` seconds are left in
-    place, all others are migrated -- the optimization from the paper's
-    introduction.
-    """
-    node = platform.topology.nodes[node_id]
-    migrate: list[int] = []
-    leave: list[int] = []
-    for vm_id in node.hosted:
-        remaining = remaining_time_of.get(vm_id, float("inf"))
-        if remaining > migration_threshold:
-            migrate.append(vm_id)
-        else:
-            leave.append(vm_id)
-    return MigrationPlan(migrate=tuple(sorted(migrate)), leave=tuple(sorted(leave)))
 
 
 class FailureInjector:

@@ -63,11 +63,10 @@ def resolve_cache_dir(cache_dir: str | Path | None = None) -> Path:
 
 
 #: The :class:`GeneratorConfig` fields that parameterize the generated
-#: trace and therefore enter the cache key.  REP003 (``repro.lintkit``)
-#: statically cross-checks this tuple against the dataclass, and
-#: :func:`config_hash` re-checks at runtime: a new config knob cannot be
-#: added without either landing here (changing the key) or being listed
-#: in :data:`CACHE_KEY_EXEMPT` with a justification.
+#: trace and therefore enter the cache key.  :func:`config_hash` checks
+#: this tuple against the dataclass on every call: a new config knob
+#: cannot be added without either landing here (changing the key) or
+#: being listed in :data:`CACHE_KEY_EXEMPT` with a justification.
 CACHE_KEY_FIELDS: tuple[str, ...] = (
     "seed",
     "scale",
@@ -85,7 +84,11 @@ CACHE_KEY_EXEMPT: frozenset[str] = frozenset()
 
 
 class CacheKeyCoverageError(ValueError):
-    """A ``GeneratorConfig`` field is neither keyed nor explicitly exempt."""
+    """``CACHE_KEY_FIELDS``/``CACHE_KEY_EXEMPT`` disagree with ``GeneratorConfig``.
+
+    Raised for a field that is neither keyed nor exempt, a keyed name
+    that is no longer a field, or a name that is both keyed and exempt.
+    """
 
 
 #: Above this ``GeneratorConfig.scale``, :func:`fetch_trace` synthesizes
@@ -112,18 +115,22 @@ def config_hash(config: GeneratorConfig) -> str:
 
     Every field named in :data:`CACHE_KEY_FIELDS` participates; enum
     fields hash by value so the key survives module reloads and
-    interpreter restarts.  Coverage is validated on every call (and
-    statically by lintkit's REP003): a field that is neither keyed nor in
-    :data:`CACHE_KEY_EXEMPT` raises :class:`CacheKeyCoverageError` instead
-    of silently colliding cache entries across configs.
+    interpreter restarts.  Coverage is validated on every call: a field
+    that is neither keyed nor in :data:`CACHE_KEY_EXEMPT`, a stale keyed
+    name, or a name both keyed and exempt raises
+    :class:`CacheKeyCoverageError` instead of silently colliding cache
+    entries across configs.
     """
     names = {field.name for field in dataclasses.fields(config)}
-    missing = names - set(CACHE_KEY_FIELDS) - CACHE_KEY_EXEMPT
-    stale = set(CACHE_KEY_FIELDS) - names
-    if missing or stale:
+    keyed = set(CACHE_KEY_FIELDS)
+    missing = names - keyed - CACHE_KEY_EXEMPT
+    stale = keyed - names
+    both = keyed & CACHE_KEY_EXEMPT
+    if missing or stale or both:
         raise CacheKeyCoverageError(
             f"cache key out of sync with GeneratorConfig: "
-            f"unkeyed fields {sorted(missing)}, stale entries {sorted(stale)}; "
+            f"unkeyed fields {sorted(missing)}, stale entries {sorted(stale)}, "
+            f"keyed and exempt {sorted(both)}; "
             "update CACHE_KEY_FIELDS or CACHE_KEY_EXEMPT in repro.experiments.cache"
         )
     payload: dict[str, object] = {"generator_version": GENERATOR_VERSION}

@@ -6,7 +6,6 @@ ruff/flake8 cannot express:
 ====== ============================================================
 REP001 unseeded randomness (legacy ``np.random.*``, stdlib ``random``)
 REP002 wall-clock reads outside ``repro/obs`` (core paths use spans)
-REP003 ``GeneratorConfig`` fields must enter the trace-cache key
 REP004 broad ``except`` that neither re-raises nor counts the swallow
 REP005 unsorted dict/set iteration feeding hashing/dispatch sinks
 REP006 metric/span naming convention + unique metric registration
@@ -14,12 +13,15 @@ REP007 per-series FFT/Pearson/``np.append`` inside loops in hot paths
 REP008 blocking calls reachable from ``async def`` (incl. transitive)
 REP009 unawaited coroutines / dropped ``create_task`` handles
 REP010 instance-state mutation torn across an ``await`` without a lock
-REP011 wire-protocol drift: ``_handlers`` vs ``_op_*`` vs SERVING.md
 ====== ============================================================
 
-REP001-REP007 are per-file passes; REP008-REP011 are *project* rules
-running over a whole-program :class:`~repro.lintkit.project.
-ProjectContext` (cross-module imports, call graph, async coloring).
+REP001, REP002 and REP004-REP007 are per-file passes; REP008-REP010 are
+*project* rules running over a whole-program
+:class:`~repro.lintkit.project.ProjectContext` (cross-module imports,
+call graph, async coloring).  The two retired codes keep their gaps so
+baseline fingerprints and pragmas stay valid: REP003 (cache-key coverage)
+is checked at runtime by ``repro.experiments.cache.config_hash`` and
+REP011 (wire-protocol drift) by ``tests/test_serving.py``.
 
 Run it as ``python -m repro lint`` or ``python -m repro.lintkit``; the
 rule catalog and suppression workflow are documented in

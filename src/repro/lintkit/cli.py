@@ -68,7 +68,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--select", type=str, default=None, metavar="CODES",
-        help="comma-separated rule codes to run (e.g. REP001,REP003)",
+        help="comma-separated rule codes to run (e.g. REP001,REP004)",
     )
     parser.add_argument(
         "--ignore", type=str, default=None, metavar="CODES",
@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     """Standalone entry point (``python -m repro.lintkit``)."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Determinism & invariant linter (REP001-REP011) "
+        description="Determinism & invariant linter (REP001, REP002, REP004-REP010) "
         "for the repro codebase",
     )
     add_lint_arguments(parser)

@@ -3,8 +3,8 @@
 The pipeline's reproducibility contract -- content-addressed trace caching,
 registry-order metric merging, deterministic fault replay -- rests on
 invariants that generic linters cannot express: *who* may read the wall
-clock, *which* randomness sources are seeded, *whether* every generator
-knob reaches the cache key.  This module provides the machinery the
+clock, *which* randomness sources are seeded, *whether* a metric name
+is registered twice.  This module provides the machinery the
 repo-specific rules in :mod:`repro.lintkit.rules` share:
 
 * :class:`FileContext` -- one ``ast.parse`` per file, plus the source
@@ -12,7 +12,7 @@ repo-specific rules in :mod:`repro.lintkit.rules` share:
   so N rules never mean N parses;
 * :class:`Rule` -- the visitor-style base class.  ``check(ctx)`` yields
   per-file findings; ``finalize()`` yields cross-file findings for rules
-  that correlate state between modules (REP003, REP006).  Rules that
+  that correlate state between modules (REP006).  Rules that
   need the resolved call graph subclass
   :class:`~repro.lintkit.project.ProjectRule` instead and implement
   ``check_project`` over the shared

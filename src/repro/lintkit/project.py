@@ -1,10 +1,10 @@
 """Whole-program context for the linter: modules, symbols, call graph.
 
-The per-file rules (REP001-REP007) see one ``ast`` tree at a time, which
-is exactly the wrong shape for the serving layer's failure modes: a
-``time.sleep`` buried two *sync* calls below an ``async def`` stalls the
-event loop just as surely as one written inline, and no single file shows
-the chain.  :class:`ProjectContext` closes that gap:
+The per-file rules (REP001, REP002, REP004-REP007) see one ``ast`` tree
+at a time, which is exactly the wrong shape for the serving layer's
+failure modes: a ``time.sleep`` buried two *sync* calls below an
+``async def`` stalls the event loop just as surely as one written
+inline, and no single file shows the chain.  :class:`ProjectContext` closes that gap:
 
 * every linted file's tree is indexed once into a **function registry**
   (module-level functions, methods, nested defs) keyed by dotted

@@ -1,7 +1,8 @@
-"""The REP001-REP011 rule set: repo-specific determinism & invariant checks.
+"""The REP001, REP002, REP004-REP010 rule set: repo-specific determinism
+and invariant checks.
 
 Each rule is a small :class:`~repro.lintkit.framework.Rule` subclass over
-the shared single-parse framework; REP008-REP011 are
+the shared single-parse framework; REP008-REP010 are
 :class:`~repro.lintkit.project.ProjectRule` subclasses over the resolved
 call graph.  The catalog (rationale, examples, suppression guidance)
 lives in ``docs/LINTING.md``; the docstrings here are the normative
@@ -13,7 +14,6 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 from repro.lintkit.framework import Diagnostic, FileContext, Rule
@@ -254,167 +254,6 @@ class WallClockRule(Rule):
                         "outside repro/obs",
                         _REP002_HINT,
                     )
-
-
-# ----------------------------------------------------------------------
-# REP003: cache-key coverage of GeneratorConfig
-# ----------------------------------------------------------------------
-
-_REP003_HINT = (
-    "add the field to CACHE_KEY_FIELDS (it then changes the trace-cache key) "
-    "or to CACHE_KEY_EXEMPT with a justification comment; "
-    "see docs/LINTING.md#rep003"
-)
-
-
-class CacheKeyCoverageRule(Rule):
-    """REP003: every ``GeneratorConfig`` field must reach the cache key.
-
-    Cross-checks the dataclass fields of ``GeneratorConfig`` against the
-    fields the ``config_hash`` module consumes.  Coverage is established
-    by (in order of preference) the explicit ``CACHE_KEY_FIELDS`` tuple,
-    a generic ``for ... in dataclasses.fields(...)`` loop, or literal
-    field references inside ``config_hash`` itself.  A field that is
-    neither covered nor listed in ``CACHE_KEY_EXEMPT`` means a new knob
-    could silently poison cache keys -- exactly the bug class this rule
-    exists to prevent.  Also flags stale ``CACHE_KEY_FIELDS`` entries and
-    fields listed as both keyed and exempt.
-    """
-
-    code = "REP003"
-    name = "cache-key-coverage"
-    description = "GeneratorConfig fields must enter config_hash or CACHE_KEY_EXEMPT"
-
-    def reset(self) -> None:
-        #: (ctx, {field -> AnnAssign node}) for each GeneratorConfig found.
-        self._configs: list[tuple[FileContext, dict[str, ast.AST]]] = []
-        #: The config_hash-side module, if seen.
-        self._hash_ctx: FileContext | None = None
-        self._key_fields: dict[str, ast.AST] = {}
-        self._key_fields_node: ast.AST | None = None
-        self._exempt: set[str] = set()
-        self._explicit_refs: set[str] = set()
-        self._generic_loop = False
-        self._hash_fn_seen = False
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == "GeneratorConfig":
-                if any(
-                    (isinstance(d, ast.Name) and d.id == "dataclass")
-                    or (isinstance(d, ast.Attribute) and d.attr == "dataclass")
-                    or (
-                        isinstance(d, ast.Call)
-                        and call_name(d) == "dataclass"
-                    )
-                    for d in node.decorator_list
-                ):
-                    self._configs.append((ctx, _dataclass_fields(node)))
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                if "CACHE_KEY_FIELDS" in names:
-                    self._hash_ctx = ctx
-                    self._key_fields_node = node
-                    for name, value_node in _string_elements(node.value):
-                        self._key_fields.setdefault(name, value_node)
-                if "CACHE_KEY_EXEMPT" in names:
-                    self._hash_ctx = self._hash_ctx or ctx
-                    self._exempt |= {n for n, _ in _string_elements(node.value)}
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if node.target.id == "CACHE_KEY_FIELDS" and node.value is not None:
-                    self._hash_ctx = ctx
-                    self._key_fields_node = node
-                    for name, value_node in _string_elements(node.value):
-                        self._key_fields.setdefault(name, value_node)
-                if node.target.id == "CACHE_KEY_EXEMPT" and node.value is not None:
-                    self._hash_ctx = self._hash_ctx or ctx
-                    self._exempt |= {n for n, _ in _string_elements(node.value)}
-            elif isinstance(node, ast.FunctionDef) and node.name == "config_hash":
-                self._hash_fn_seen = True
-                self._hash_ctx = self._hash_ctx or ctx
-                self._scan_hash_fn(node)
-        return iter(())
-
-    def _scan_hash_fn(self, fn: ast.FunctionDef) -> None:
-        arg_names = {a.arg for a in fn.args.args}
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call):
-                canonical = dotted_name(node.func) or ""
-                if canonical in ("dataclasses.fields", "fields"):
-                    self._generic_loop = True
-            elif isinstance(node, ast.Attribute):
-                if isinstance(node.value, ast.Name) and node.value.id in arg_names:
-                    self._explicit_refs.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                self._explicit_refs.add(node.value)
-
-    def finalize(self) -> Iterator[Diagnostic]:
-        if not self._configs:
-            return
-        if self._hash_ctx is None and not self._hash_fn_seen:
-            return  # no cache-key side in this lint run; nothing to cross-check
-        if self._key_fields:
-            covered = set(self._key_fields)
-        elif self._generic_loop:
-            covered = None  # generic loop covers every field by construction
-        else:
-            covered = self._explicit_refs
-        for ctx, fields in self._configs:
-            field_names = set(fields)
-            if covered is not None:
-                for name in sorted(field_names - covered - self._exempt):
-                    yield ctx.diagnostic(
-                        self.code, fields[name],
-                        f"GeneratorConfig.{name} is not in the trace-cache key: "
-                        "missing from CACHE_KEY_FIELDS and CACHE_KEY_EXEMPT",
-                        _REP003_HINT,
-                    )
-            if self._hash_ctx is not None and self._key_fields_node is not None:
-                for name in sorted(set(self._key_fields) - field_names):
-                    yield self._hash_ctx.diagnostic(
-                        self.code, self._key_fields.get(name, self._key_fields_node),
-                        f"CACHE_KEY_FIELDS names '{name}', which is not a "
-                        "GeneratorConfig field (stale entry)",
-                        "remove the stale name from CACHE_KEY_FIELDS",
-                    )
-                for name in sorted(set(self._key_fields) & self._exempt):
-                    yield self._hash_ctx.diagnostic(
-                        self.code, self._key_fields.get(name, self._key_fields_node),
-                        f"'{name}' is listed in both CACHE_KEY_FIELDS and "
-                        "CACHE_KEY_EXEMPT",
-                        "a field is either keyed or exempt, never both",
-                    )
-            break  # cross-check the first GeneratorConfig only (one per tree)
-
-
-def _dataclass_fields(node: ast.ClassDef) -> dict[str, ast.AST]:
-    """Field name -> defining node for a dataclass body (ClassVars skipped)."""
-    fields: dict[str, ast.AST] = {}
-    for stmt in node.body:
-        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
-            continue
-        annotation = ast.dump(stmt.annotation)
-        if "ClassVar" in annotation:
-            continue
-        name = stmt.target.id
-        if not name.startswith("_"):
-            fields[name] = stmt
-    return fields
-
-
-def _string_elements(node: ast.AST) -> list[tuple[str, ast.AST]]:
-    """String literals inside a tuple/list/set/frozenset(...) literal."""
-    if isinstance(node, ast.Call) and call_name(node) in ("frozenset", "set", "tuple"):
-        if node.args:
-            return _string_elements(node.args[0])
-        return []
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return [
-            (elt.value, elt)
-            for elt in node.elts
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-        ]
-    return []
 
 
 # ----------------------------------------------------------------------
@@ -1150,145 +989,6 @@ class TornAwaitStateRule(ProjectRule):
 
 
 # ----------------------------------------------------------------------
-# REP011: wire-protocol contract coverage
-# ----------------------------------------------------------------------
-
-#: ``| `op` | ...`` rows of the docs/SERVING.md protocol table.
-_DOC_OP_RE = re.compile(r"^\|\s*`([A-Za-z0-9_]+)`\s*\|")
-
-_REP011_HINT = (
-    "an op exists when all three agree: the _handlers dict, an _op_<name> "
-    "method, and a row in the docs/SERVING.md protocol table; "
-    "see docs/LINTING.md#rep011"
-)
-
-
-class WireProtocolRule(ProjectRule):
-    """REP011: the service's op table, handlers, and docs must agree.
-
-    Collects the string keys of any ``self._handlers = {...}`` dict, the
-    class's ``_op_*`` methods, every string-literal op a client passes to
-    ``.call(...)``/``.request(...)``, and the backticked op rows of
-    ``docs/SERVING.md``.  Any op present in one place and missing in
-    another is protocol drift: an undocumented op, a dead handler
-    method, a documented op nobody dispatches, or a client calling an op
-    the service does not serve.
-    """
-
-    code = "REP011"
-    name = "wire-protocol-drift"
-    description = "service _handlers keys vs _op_* methods vs docs/SERVING.md table"
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        tables = self._handler_tables(project)
-        if not tables:
-            return  # no service in this lint scope; nothing to cross-check
-        for ctx, dict_node, keys, referenced, methods in tables:
-            doc_ops = self._documented_ops(project.root)
-            for op in sorted(set(methods) - referenced):
-                yield ctx.diagnostic(
-                    self.code, methods[op],
-                    f"handler method '_op_{op}' is not registered in "
-                    "_handlers (dead op: nothing dispatches it)",
-                    _REP011_HINT,
-                )
-            if doc_ops is not None:
-                for op in sorted(set(keys) - doc_ops):
-                    yield ctx.diagnostic(
-                        self.code, keys[op],
-                        f"op '{op}' is dispatched but has no row in the "
-                        "docs/SERVING.md protocol table",
-                        _REP011_HINT,
-                    )
-                for op in sorted(doc_ops - set(keys)):
-                    yield ctx.diagnostic(
-                        self.code, dict_node,
-                        f"docs/SERVING.md documents op '{op}', which the "
-                        "service does not dispatch",
-                        _REP011_HINT,
-                    )
-            yield from self._check_client_literals(project, set(keys))
-
-    @staticmethod
-    def _handler_tables(project: ProjectContext):
-        """Every ``self._handlers = {str: self._op_x}`` assignment found."""
-        tables = []
-        for rel in sorted(project.contexts):
-            ctx = project.contexts[rel]
-            for class_node in ast.walk(ctx.tree):
-                if not isinstance(class_node, ast.ClassDef):
-                    continue
-                dict_node, keys, referenced = None, {}, set()
-                for sub in ast.walk(class_node):
-                    if not isinstance(sub, ast.Assign):
-                        continue
-                    is_handlers = any(
-                        isinstance(t, ast.Attribute) and t.attr == "_handlers"
-                        for t in sub.targets
-                    )
-                    if not is_handlers or not isinstance(sub.value, ast.Dict):
-                        continue
-                    dict_node = sub
-                    for key, value in zip(
-                        sub.value.keys, sub.value.values, strict=True
-                    ):
-                        if isinstance(key, ast.Constant) and isinstance(
-                            key.value, str
-                        ):
-                            keys[key.value] = key
-                        if isinstance(value, ast.Attribute) and value.attr.startswith(
-                            "_op_"
-                        ):
-                            referenced.add(value.attr[len("_op_"):])
-                if dict_node is None:
-                    continue
-                methods = {
-                    item.name[len("_op_"):]: item
-                    for item in class_node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name.startswith("_op_")
-                }
-                tables.append((ctx, dict_node, keys, referenced, methods))
-        return tables
-
-    @staticmethod
-    def _documented_ops(root: Path) -> set[str] | None:
-        doc = root / "docs" / "SERVING.md"
-        if not doc.is_file():
-            return None  # fixture trees have no docs; skip the doc leg
-        ops = set()
-        for line in doc.read_text(encoding="utf-8").splitlines():
-            match = _DOC_OP_RE.match(line.strip())
-            if match:
-                ops.add(match.group(1))
-        return ops
-
-    def _check_client_literals(
-        self, project: ProjectContext, known_ops: set[str]
-    ) -> Iterator[Diagnostic]:
-        for qualname in sorted(project.functions):
-            fn = project.functions[qualname]
-            for call in fn.calls:
-                func = call.node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                if func.attr not in ("call", "request"):
-                    continue
-                args = call.node.args
-                if not args or not isinstance(args[0], ast.Constant):
-                    continue
-                op = args[0].value
-                if not isinstance(op, str) or op in known_ops:
-                    continue
-                yield fn.ctx.diagnostic(
-                    self.code, call.node,
-                    f"client calls op '{op}', which no _handlers table "
-                    "dispatches",
-                    _REP011_HINT,
-                )
-
-
-# ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
 
@@ -1298,7 +998,6 @@ def default_rules() -> list[Rule]:
     return [
         UnseededRandomnessRule(),
         WallClockRule(),
-        CacheKeyCoverageRule(),
         SilentBroadExceptRule(),
         UnsortedSinkIterationRule(),
         MetricNameRule(),
@@ -1306,7 +1005,6 @@ def default_rules() -> list[Rule]:
         BlockingCallInAsyncRule(),
         DroppedCoroutineRule(),
         TornAwaitStateRule(),
-        WireProtocolRule(),
     ]
 
 

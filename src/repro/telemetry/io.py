@@ -5,18 +5,12 @@ A trace saves to a directory:
 * ``metadata.json`` -- window duration, sample period, label, format;
 * ``topology.json`` -- regions, clusters, nodes, subscriptions;
 * ``vms.jsonl`` / ``events.jsonl`` -- one JSON object per row;
-* utilization telemetry, in one of two formats:
-
-  - **v2** (default): a ``utilization/`` directory of fixed-size float32
-    ``.npy`` row shards plus an ``index.json`` mapping each shard to its
-    VM ids in row order.  Shards are loaded lazily via
-    ``np.load(..., mmap_mode="r")`` (see :mod:`repro.telemetry.shards`),
-    so opening a paper-scale trace reads only its metadata and workers
-    attach telemetry zero-copy by path.
-  - **v1** (still readable, writable via ``version=1``):
-    ``utilization.npz`` with one array per VM; the reader rebuilds it
-    into a single resident storage block.
-
+* ``utilization/`` -- telemetry as fixed-size float32 ``.npy`` row
+  shards plus an ``index.json`` mapping each shard to its VM ids in row
+  order.  Shards are loaded lazily via ``np.load(..., mmap_mode="r")``
+  (see :mod:`repro.telemetry.shards`), so opening a paper-scale trace
+  reads only its metadata and workers attach telemetry zero-copy by
+  path;
 * ``checksums.json`` -- sha256 + byte size of every other file, written
   last so readers can detect truncated or bit-rotted entries.  Shard
   payloads record full digests too, but routine verification checks them
@@ -29,9 +23,11 @@ A trace saves to a directory:
 Corruption handling: :func:`verify_trace_dir` (and :func:`load_trace`,
 which calls it) raise the typed :class:`TraceCorruptionError` on missing,
 truncated, unparseable, or checksum-mismatched files instead of leaking
-``KeyError``/``EOFError``/``BadZipFile`` from whichever parser happened
-to trip first.  Callers like the trace cache catch that one type, evict
-the entry, and fall back to re-synthesis.
+``KeyError``/``EOFError`` from whichever parser happened to trip first.
+:func:`load_trace` also raises it for any ``format`` other than
+:data:`TRACE_FORMAT_VERSION` rather than load another layout without its
+telemetry.  Callers like the trace cache catch that one type, evict the
+entry, and fall back to re-synthesis.
 """
 
 from __future__ import annotations
@@ -43,10 +39,7 @@ import math
 import os
 import shutil
 import tempfile
-import zipfile
 from pathlib import Path
-
-import numpy as np
 
 from repro.obs import Counter, span
 from repro.telemetry.schema import (
@@ -67,11 +60,12 @@ from repro.telemetry.store import TraceMetadata, TraceStore
 #: optional: traces generated without telemetry omit them).
 TRACE_FILES = ("metadata.json", "topology.json", "vms.jsonl", "events.jsonl")
 
-#: Current trace directory format; v1 (``utilization.npz``) traces remain
-#: readable and can still be written with ``save_trace(..., version=1)``.
+#: The one trace directory format this module writes and reads.  Any other
+#: ``format`` raises :class:`TraceCorruptionError`, so the content-addressed
+#: trace cache evicts such an entry and re-synthesizes it.
 TRACE_FORMAT_VERSION = 2
 
-#: Subdirectory holding v2 utilization shards and their index.
+#: Subdirectory holding utilization shards and their index.
 UTIL_DIR = "utilization"
 
 #: Integrity sidecar written last by :func:`save_trace`; absent from
@@ -89,10 +83,10 @@ _TMP_LEAKED = Counter("io.tmp_cleanup_failed")
 class TraceCorruptionError(RuntimeError):
     """A saved trace directory is unreadable.
 
-    Raised for missing or truncated files, checksum mismatches, and
-    payloads that no longer parse -- one typed error callers can catch to
-    evict and regenerate, instead of the grab-bag of ``KeyError`` /
-    ``EOFError`` / ``BadZipFile`` the underlying parsers produce.
+    Raised for missing or truncated files, checksum mismatches, payloads
+    that no longer parse, and a format this reader does not read -- one
+    typed error callers can catch to evict and regenerate, instead of the
+    grab-bag of ``KeyError`` / ``EOFError`` the underlying parsers produce.
     """
 
 
@@ -177,13 +171,11 @@ def verify_trace_dir(directory: str | Path, *, deep: bool = False) -> Path:
 
 
 def _is_shard_payload(name: str) -> bool:
-    """Whether a checksum entry is a bulk v2 shard (shallow-verified)."""
+    """Whether a checksum entry is a bulk shard (shallow-verified)."""
     return name.startswith(f"{UTIL_DIR}/") and name.endswith(".npy")
 
 
-def save_trace_atomic(
-    store: TraceStore, directory: str | Path, *, version: int = TRACE_FORMAT_VERSION
-) -> Path:
+def save_trace_atomic(store: TraceStore, directory: str | Path) -> Path:
     """Like :func:`save_trace`, but all-or-nothing.
 
     The trace is written to a temporary sibling directory and renamed into
@@ -196,7 +188,7 @@ def save_trace_atomic(
     tmp = Path(tempfile.mkdtemp(prefix=f".{directory.name}.tmp-", dir=directory.parent))
     try:
         with span("io.save_trace", vms=len(store)):
-            adopted = _save_trace(store, tmp, version)
+            adopted = _save_trace(store, tmp)
         won = True
         try:
             tmp.rename(directory)
@@ -231,13 +223,11 @@ def _cleanup_tmp_dir(tmp: Path) -> None:
             pass
 
 
-def save_trace(
-    store: TraceStore, directory: str | Path, *, version: int = TRACE_FORMAT_VERSION
-) -> Path:
+def save_trace(store: TraceStore, directory: str | Path) -> Path:
     """Write ``store`` to ``directory`` (created if missing); returns the path.
 
-    ``version=2`` (the default) writes sharded utilization; orphaned rows
-    are never written, so a save/load round trip implicitly compacts.
+    Utilization is written as shards; orphaned rows are never written, so
+    a save/load round trip implicitly compacts.
     Lazy shard blocks whose layout already matches the save order are
     adopted -- hard-linked (or copied) into place without decompressing or
     rewriting their bytes -- and the store's references are re-pointed at
@@ -246,7 +236,7 @@ def save_trace(
     """
     directory = Path(directory)
     with span("io.save_trace", vms=len(store)):
-        adopted = _save_trace(store, directory, version)
+        adopted = _save_trace(store, directory)
     _repoint_shards(adopted, directory)
     _TRACES_WRITTEN.inc()
     _BYTES_WRITTEN.inc(_trace_bytes(directory))
@@ -259,18 +249,14 @@ def _repoint_shards(adopted: "list[tuple[ShardRef, str]]", directory: Path) -> N
         ref.path = directory / relative
 
 
-def _save_trace(
-    store: TraceStore, directory: Path, version: int
-) -> "list[tuple[ShardRef, str]]":
-    if version not in (1, TRACE_FORMAT_VERSION):
-        raise ValueError(f"unknown trace format version {version}")
+def _save_trace(store: TraceStore, directory: Path) -> "list[tuple[ShardRef, str]]":
     directory.mkdir(parents=True, exist_ok=True)
 
     meta = {
         "duration": store.metadata.duration,
         "sample_period": store.metadata.sample_period,
         "label": store.metadata.label,
-        "format": version,
+        "format": TRACE_FORMAT_VERSION,
     }
     (directory / "metadata.json").write_text(json.dumps(meta, indent=2))
 
@@ -299,12 +285,7 @@ def _save_trace(
         for event in store.events():
             fh.write(json.dumps(_plain(_record_dict(event))) + "\n")
 
-    if version == 1:
-        adopted: list[tuple[ShardRef, str]] = []
-        arrays = {str(vm_id): series for vm_id, series in store.iter_utilization()}
-        np.savez_compressed(directory / "utilization.npz", **arrays)
-    else:
-        adopted = _save_utilization_v2(store, directory)
+    adopted = _save_utilization(store, directory)
 
     # The integrity sidecar goes last: its presence implies every hashed
     # file was fully written, so a torn save can never verify.
@@ -331,7 +312,7 @@ def _link_or_copy(source: Path, target: Path) -> None:
         shutil.copy2(source, target)
 
 
-def _save_utilization_v2(
+def _save_utilization(
     store: TraceStore, directory: Path
 ) -> "list[tuple[ShardRef, str]]":
     """Write live utilization rows as fixed-size shards + index.
@@ -425,7 +406,6 @@ def load_trace(directory: str | Path) -> TraceStore:
             TypeError,
             ValueError,
             EOFError,
-            zipfile.BadZipFile,
             OSError,
         ) as exc:
             raise TraceCorruptionError(
@@ -438,6 +418,12 @@ def load_trace(directory: str | Path) -> TraceStore:
 
 def _load_trace(directory: Path) -> TraceStore:
     meta = json.loads((directory / "metadata.json").read_text())
+    fmt = meta.get("format")
+    if fmt != TRACE_FORMAT_VERSION:
+        raise TraceCorruptionError(
+            f"trace {directory} has format {fmt!r}; only format "
+            f"{TRACE_FORMAT_VERSION} is readable (re-save or re-synthesize it)"
+        )
     store = TraceStore(
         TraceMetadata(
             duration=meta["duration"],
@@ -475,37 +461,22 @@ def _load_trace(directory: Path) -> TraceStore:
             row["kind"] = EventKind(row["kind"])
             store.add_event(EventRecord(**row))
 
-    if int(meta.get("format", 1)) >= 2:
-        index_path = directory / UTIL_DIR / "index.json"
-        if index_path.exists():
-            index = json.loads(index_path.read_text())
-            n_samples = store.metadata.n_samples
-            for entry in index["shards"]:
-                # Shards attach lazily: no telemetry byte is read here, and
-                # worker processes loading the same trace share the bytes
-                # through the page cache (zero-copy attach by path).
-                store.add_utilization_shard(
-                    [int(vm_id) for vm_id in entry["vm_ids"]],
-                    ShardRef(
-                        directory / UTIL_DIR / entry["file"],
-                        int(entry["rows"]),
-                        n_samples,
-                    ),
-                )
-        return store
-
-    npz_path = directory / "utilization.npz"
-    if npz_path.exists():
-        with np.load(npz_path) as arrays:
-            keys = arrays.files
-            if keys:
-                # One storage block for the whole trace instead of one tiny
-                # array per VM, so ``utilization_matrix`` keeps its
-                # single-block fast path after any cache round trip.
-                store.add_utilization_block(
-                    [int(key) for key in keys],
-                    np.vstack([arrays[key] for key in keys]),
-                )
+    index_path = directory / UTIL_DIR / "index.json"
+    if index_path.exists():
+        index = json.loads(index_path.read_text())
+        n_samples = store.metadata.n_samples
+        for entry in index["shards"]:
+            # Shards attach lazily: no telemetry byte is read here, and
+            # worker processes loading the same trace share the bytes
+            # through the page cache (zero-copy attach by path).
+            store.add_utilization_shard(
+                [int(vm_id) for vm_id in entry["vm_ids"]],
+                ShardRef(
+                    directory / UTIL_DIR / entry["file"],
+                    int(entry["rows"]),
+                    n_samples,
+                ),
+            )
     return store
 
 

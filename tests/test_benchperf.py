@@ -92,6 +92,26 @@ class TestCompareToBaseline:
         (tiny_row,) = [r for r in result["rows"] if r["id"] == "tiny"]
         assert not tiny_row["gated"]
 
+    def test_total_under_noise_floor_is_not_gated(self):
+        # A one-task run totals a few ms: +50% there is timer noise.
+        base = artifact(tasks=[artifact()["tasks"][2]], total_s=0.01)
+        candidate = with_task_times(base, {"tiny": 0.015})
+        result = compare(candidate, base)
+        assert result["ok"]
+        (total_row,) = [r for r in result["rows"] if r["field"] == "total_s"]
+        assert not total_row["gated"]
+
+    def test_total_over_noise_floor_is_gated(self):
+        # Just above the 50 ms floor the +10% total bar applies again.
+        base = artifact(tasks=[artifact()["tasks"][2]], total_s=0.01)
+        base = with_task_times(base, {"tiny": 0.049})
+        candidate = with_task_times(base, {"tiny": 0.056})  # +14%
+        result = compare(candidate, base)
+        assert not result["ok"]
+        (total_row,) = [r for r in result["rows"] if r["field"] == "total_s"]
+        assert total_row["gated"]
+        assert any(f.startswith("total_s:") for f in result["failures"])
+
     def test_schema_version_mismatch_fails(self):
         result = compare(
             artifact(schema_version=SCHEMA_VERSION + 1), artifact()

@@ -1,11 +1,11 @@
-"""Unit tests for failure injection and lifetime-aware migration."""
+"""Unit tests for failure injection: node failure, eviction and recovery."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.cloud.entities import RegionSpec, TopologySpec, build_topology
-from repro.cloud.faults import FailureInjector, plan_migrations
+from repro.cloud.faults import FailureInjector
 from repro.cloud.platform import CloudPlatform, VMRequest
 from repro.cloud.sku import NodeSku, VMSku
 from repro.telemetry.schema import Cloud, EventKind
@@ -86,26 +86,3 @@ def test_recover_node_restores_rotation():
     assert platform.allocator.is_down(node_id)
     injector.recover_node(node_id)
     assert not platform.allocator.is_down(node_id)
-
-
-def test_plan_migrations_lifetime_aware():
-    platform = make_platform()
-    vm_ids = fill_node(platform, n_vms=3)
-    node_id = platform.store.vm(vm_ids[0]).node_id
-    same_node = [v for v in vm_ids if platform.store.vm(v).node_id == node_id]
-    assert same_node, "expected at least one VM on the chosen node"
-    remaining = {vm_id: 10 * 3600.0 for vm_id in same_node}
-    remaining[same_node[0]] = 600.0  # about to finish: leave it
-    plan = plan_migrations(
-        platform, node_id, now=0.0, remaining_time_of=remaining
-    )
-    assert same_node[0] in plan.leave
-    assert set(plan.migrate) == set(same_node[1:])
-
-
-def test_plan_migrations_unknown_vms_treated_as_long():
-    platform = make_platform()
-    vm_ids = fill_node(platform, n_vms=2)
-    node_id = platform.store.vm(vm_ids[0]).node_id
-    plan = plan_migrations(platform, node_id, now=0.0, remaining_time_of={})
-    assert plan.leave == ()

@@ -82,7 +82,7 @@ def test_save_creates_directory(populated_store, tmp_path):
     target = tmp_path / "deep" / "nested" / "dir"
     save_trace(populated_store, target)
     assert (target / "vms.jsonl").exists()
-    # Format v2: sharded utilization directory instead of utilization.npz.
+    # Format v2: a sharded utilization directory.
     assert (target / "utilization" / "index.json").exists()
     assert list((target / "utilization").glob("*.npy"))
 
@@ -183,36 +183,11 @@ else:
 
 
 # ----------------------------------------------------------------------
-# trace-format v2 (sharded utilization) and the kept v1 reader
+# trace-format v2 (sharded utilization)
 # ----------------------------------------------------------------------
 from repro.telemetry.io import save_trace_atomic, verify_trace_dir  # noqa: E402
 from repro.telemetry.shards import ShardRef, mmap_cache  # noqa: E402
 from repro.telemetry.store import TraceStore as _TraceStore  # noqa: E402
-
-
-def test_v1_save_load_round_trip(populated_store, tmp_path):
-    """The v1 (utilization.npz) writer and reader are kept for old traces."""
-    save_trace(populated_store, tmp_path / "v1", version=1)
-    assert (tmp_path / "v1" / "utilization.npz").exists()
-    assert not (tmp_path / "v1" / "utilization").exists()
-    loaded = load_trace(tmp_path / "v1")
-    np.testing.assert_array_equal(
-        loaded.utilization(1), populated_store.utilization(1)
-    )
-    assert loaded.summary() == populated_store.summary()
-
-
-def test_v1_load_builds_single_block(populated_store, tmp_path):
-    """Regression: the v1 reader must not fragment into 1-row blocks."""
-    save_trace(populated_store, tmp_path / "v1", version=1)
-    loaded = load_trace(tmp_path / "v1")
-    assert len(loaded._util_blocks) == 1
-    assert isinstance(loaded._util_blocks[0], np.ndarray)
-
-
-def test_unknown_format_version_rejected(populated_store, tmp_path):
-    with pytest.raises(ValueError, match="version"):
-        save_trace(populated_store, tmp_path / "bad", version=99)
 
 
 def test_v2_load_is_lazy(populated_store, tmp_path):
@@ -231,13 +206,14 @@ def test_v2_load_is_lazy(populated_store, tmp_path):
 
 
 def test_v2_values_bit_identical_to_v1(small_trace, tmp_path):
-    save_trace(small_trace, tmp_path / "v1", version=1)
-    save_trace(small_trace, tmp_path / "v2", version=2)
-    a = load_trace(tmp_path / "v1")
-    b = load_trace(tmp_path / "v2")
-    assert a.vm_ids_with_utilization() == b.vm_ids_with_utilization()
-    for vm_id in a.vm_ids_with_utilization():
-        np.testing.assert_array_equal(a.utilization(vm_id), b.utilization(vm_id))
+    """The sharded layout round-trips every series bit for bit."""
+    save_trace(small_trace, tmp_path / "v2")
+    loaded = load_trace(tmp_path / "v2")
+    assert loaded.vm_ids_with_utilization() == small_trace.vm_ids_with_utilization()
+    for vm_id in small_trace.vm_ids_with_utilization():
+        np.testing.assert_array_equal(
+            loaded.utilization(vm_id), small_trace.utilization(vm_id)
+        )
 
 
 def test_v2_shallow_verify_catches_size_change(populated_store, tmp_path):

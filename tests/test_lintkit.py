@@ -178,89 +178,6 @@ def test_pragma_above_decorator_stack_covers_the_def(tmp_path):
     assert result.suppressed_pragma == 2
 
 
-# ----------------------------------------------------------------------
-# REP003: cache-key coverage
-# ----------------------------------------------------------------------
-
-_CONFIG_SRC = (
-    "from dataclasses import dataclass\n"
-    "@dataclass\n"
-    "class GeneratorConfig:\n"
-    "    seed: int = 7\n"
-    "    scale: float = 1.0\n"
-    "    debug_label: str = ''\n"
-)
-
-
-def test_rep003_missing_field_is_flagged(tmp_path):
-    result = lint_snippets(tmp_path, {
-        "generator.py": _CONFIG_SRC,
-        "cache.py": (
-            "CACHE_KEY_FIELDS = ('seed', 'scale')\n"
-            "CACHE_KEY_EXEMPT = frozenset()\n"
-        ),
-    })
-    assert codes(result) == ["REP003"]
-    assert "debug_label" in result.diagnostics[0].message
-    assert result.diagnostics[0].path == "generator.py"
-
-
-def test_rep003_exempt_field_is_clean(tmp_path):
-    result = lint_snippets(tmp_path, {
-        "generator.py": _CONFIG_SRC,
-        "cache.py": (
-            "CACHE_KEY_FIELDS = ('seed', 'scale')\n"
-            "CACHE_KEY_EXEMPT = frozenset({'debug_label'})\n"
-        ),
-    })
-    assert codes(result) == []
-
-
-def test_rep003_generic_fields_loop_covers_everything(tmp_path):
-    result = lint_snippets(tmp_path, {
-        "generator.py": _CONFIG_SRC,
-        "cache.py": (
-            "import dataclasses\n"
-            "def config_hash(config):\n"
-            "    payload = {}\n"
-            "    for field in dataclasses.fields(config):\n"
-            "        payload[field.name] = getattr(config, field.name)\n"
-            "    return str(sorted(payload.items()))\n"
-        ),
-    })
-    assert codes(result) == []
-
-
-def test_rep003_stale_and_double_listed_entries(tmp_path):
-    result = lint_snippets(tmp_path, {
-        "generator.py": _CONFIG_SRC,
-        "cache.py": (
-            "CACHE_KEY_FIELDS = ('seed', 'scale', 'debug_label', 'removed_knob')\n"
-            "CACHE_KEY_EXEMPT = frozenset({'debug_label'})\n"
-        ),
-    })
-    messages = [d.message for d in result.diagnostics]
-    assert codes(result) == ["REP003", "REP003"]
-    assert any("removed_knob" in m and "stale" in m for m in messages)
-    assert any("debug_label" in m and "both" in m for m in messages)
-
-
-def test_rep003_catches_unkeyed_field_added_to_real_tree(tmp_path):
-    """Acceptance check: a new GeneratorConfig knob must be caught."""
-    generator_src = (SRC_TREE / "workloads" / "generator.py").read_text()
-    marker = "    telemetry_batch: bool = True\n"
-    assert marker in generator_src
-    generator_src = generator_src.replace(
-        marker, marker + "    sneaky_new_knob: float = 1.0\n"
-    )
-    result = lint_snippets(tmp_path, {
-        "generator.py": generator_src,
-        "cache.py": (SRC_TREE / "experiments" / "cache.py").read_text(),
-    }, select=["REP003"])
-    assert codes(result) == ["REP003"]
-    assert "sneaky_new_knob" in result.diagnostics[0].message
-
-
 def test_rep001_catches_unseeded_call_added_to_real_tree(tmp_path):
     """Acceptance check: a deliberate np.random.rand in generator code."""
     generator_src = (SRC_TREE / "workloads" / "generator.py").read_text()

@@ -1,9 +1,9 @@
-"""Tests for lintkit v2: ProjectContext, call graph, and REP008-REP011.
+"""Tests for lintkit v2: ProjectContext, call graph, and REP008-REP010.
 
 Fixture trees exercise each project rule in isolation; the acceptance
-tests at the bottom inject real violations into copies of the shipped
-sources (a ``time.sleep`` in a serving handler, an op dispatched but
-undocumented) and assert the rules catch exactly them.
+tests at the bottom inject a real violation into a copy of the shipped
+sources (a ``time.sleep`` in a serving handler) and assert the rules
+catch exactly it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.lintkit.project import ProjectContext, _module_name
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
 
-PROJECT_CODES = ["REP008", "REP009", "REP010", "REP011"]
+PROJECT_CODES = ["REP008", "REP009", "REP010"]
 
 
 def lint_snippets(tmp_path: Path, files: dict[str, str], **kwargs):
@@ -290,83 +290,6 @@ def test_rep010_branchy_flow_merges_state(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# REP011: wire-protocol drift
-# ----------------------------------------------------------------------
-
-_SERVICE_FIXTURE = (
-    "class Svc:\n"
-    "    def __init__(self):\n"
-    "        self._handlers = {\n"
-    "            'ping': self._op_ping,\n"
-    "            'stats': self._op_stats,\n"
-    "        }\n"
-    "    def _op_ping(self, payload):\n"
-    "        return {}\n"
-    "    def _op_stats(self, payload):\n"
-    "        return {}\n"
-)
-
-_SERVING_DOC = (
-    "# Serving\n\n"
-    "| op | payload | reply |\n"
-    "| --- | --- | --- |\n"
-    "| `ping` | `{}` | `{}` |\n"
-    "| `stats` | `{}` | `{}` |\n"
-)
-
-
-def test_rep011_agreeing_table_is_clean(tmp_path):
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "SERVING.md").write_text(_SERVING_DOC)
-    result = lint_snippets(tmp_path, {"svc.py": _SERVICE_FIXTURE},
-                           select=["REP011"])
-    assert codes(result) == []
-
-
-def test_rep011_dead_handler_method(tmp_path):
-    source = _SERVICE_FIXTURE + "    def _op_flush(self, payload):\n        return {}\n"
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "SERVING.md").write_text(_SERVING_DOC)
-    result = lint_snippets(tmp_path, {"svc.py": source}, select=["REP011"])
-    assert codes(result) == ["REP011"]
-    assert "dead op" in result.diagnostics[0].message
-    # Anchored at the method definition itself.
-    assert result.diagnostics[0].line == _SERVICE_FIXTURE.count("\n") + 1
-
-
-def test_rep011_documented_but_not_dispatched(tmp_path):
-    doc = _SERVING_DOC + "| `flush` | `{}` | `{}` |\n"
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "SERVING.md").write_text(doc)
-    result = lint_snippets(tmp_path, {"svc.py": _SERVICE_FIXTURE},
-                           select=["REP011"])
-    assert codes(result) == ["REP011"]
-    assert "does not dispatch" in result.diagnostics[0].message
-
-
-def test_rep011_client_literal_unknown_op(tmp_path):
-    client = (
-        "async def probe(client):\n"
-        "    return await client.call('flsuh')\n"
-    )
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "SERVING.md").write_text(_SERVING_DOC)
-    result = lint_snippets(
-        tmp_path, {"svc.py": _SERVICE_FIXTURE, "client.py": client},
-        select=["REP011"],
-    )
-    assert codes(result) == ["REP011"]
-    assert "'flsuh'" in result.diagnostics[0].message
-
-
-def test_rep011_no_docs_skips_doc_legs(tmp_path):
-    """Fixture trees without docs/SERVING.md only check code-side drift."""
-    result = lint_snippets(tmp_path, {"svc.py": _SERVICE_FIXTURE},
-                           select=["REP011"])
-    assert codes(result) == []
-
-
-# ----------------------------------------------------------------------
 # Injected-violation acceptance tests against the real sources
 # ----------------------------------------------------------------------
 
@@ -375,9 +298,6 @@ def _copy_real_service(tmp_path: Path) -> Path:
     target = tmp_path / "src" / "repro" / "serving" / "service.py"
     target.parent.mkdir(parents=True)
     shutil.copy(SRC_TREE / "serving" / "service.py", target)
-    docs = tmp_path / "docs"
-    docs.mkdir()
-    shutil.copy(REPO_ROOT / "docs" / "SERVING.md", docs / "SERVING.md")
     return target
 
 
@@ -402,20 +322,6 @@ def test_acceptance_injected_sleep_in_serving_handler(tmp_path):
     assert "time.sleep()" in result.diagnostics[0].message
     assert "reachable from async" in result.diagnostics[0].message
     assert "apply_records" in result.diagnostics[0].message
-
-
-def test_acceptance_injected_undocumented_op(tmp_path):
-    """An op wired into _handlers but absent from docs/SERVING.md."""
-    target = _copy_real_service(tmp_path)
-    source = target.read_text()
-    marker = '            "ping": self._op_ping,\n'
-    assert marker in source
-    target.write_text(source.replace(
-        marker, marker + '            "flush": self._op_ping,\n', 1
-    ))
-    result = lint_paths([tmp_path], root=tmp_path, select=["REP011"])
-    assert codes(result) == ["REP011"]
-    assert "op 'flush' is dispatched but has no row" in result.diagnostics[0].message
 
 
 # ----------------------------------------------------------------------

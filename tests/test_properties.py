@@ -14,10 +14,13 @@ properties are identical either way:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.experiments.cache import config_hash
+from repro.experiments import cache
+from repro.experiments.cache import CacheKeyCoverageError, config_hash
 from repro.telemetry.io import load_trace, save_trace, verify_trace_dir
 from repro.telemetry.schema import Cloud, EventKind, EventRecord
 from repro.telemetry.store import TraceStore
@@ -148,6 +151,13 @@ else:
         _assert_hash_properties(_random_config(rng), _random_config(rng))
 
 
+@dataclasses.dataclass(frozen=True)
+class _ConfigWithNewKnob(GeneratorConfig):
+    """A ``GeneratorConfig`` that grew a knob the cache key never heard of."""
+
+    new_knob: float = 1.0
+
+
 class TestConfigHashAnchors:
     """Non-random guarantees that hold regardless of the test backend."""
 
@@ -170,3 +180,30 @@ class TestConfigHashAnchors:
         base = GeneratorConfig()
         changed = GeneratorConfig(**{**vars(base), **override})
         assert config_hash(changed) != config_hash(base)
+
+    def test_default_digest_is_pinned(self):
+        # Moving this literal invalidates every cached trace on disk.
+        assert config_hash(GeneratorConfig()) == "7ff1557ec46c8cb97a2a"
+
+    # config_hash refuses a config its key tables do not describe.
+
+    def test_unkeyed_field_raises(self):
+        with pytest.raises(CacheKeyCoverageError, match=r"unkeyed fields \['new_knob'\]"):
+            config_hash(_ConfigWithNewKnob())
+
+    def test_exempt_field_is_clean_and_leaves_the_key_alone(self, monkeypatch):
+        monkeypatch.setattr(cache, "CACHE_KEY_EXEMPT", frozenset({"new_knob"}))
+        base = config_hash(GeneratorConfig())
+        assert config_hash(_ConfigWithNewKnob()) == base
+        assert config_hash(_ConfigWithNewKnob(new_knob=2.0)) == base
+
+    def test_stale_entry_raises(self, monkeypatch):
+        stale = cache.CACHE_KEY_FIELDS + ("removed_knob",)
+        monkeypatch.setattr(cache, "CACHE_KEY_FIELDS", stale)
+        with pytest.raises(CacheKeyCoverageError, match=r"stale entries \['removed_knob'\]"):
+            config_hash(GeneratorConfig())
+
+    def test_keyed_and_exempt_raises(self, monkeypatch):
+        monkeypatch.setattr(cache, "CACHE_KEY_EXEMPT", frozenset({"seed"}))
+        with pytest.raises(CacheKeyCoverageError, match=r"keyed and exempt \['seed'\]"):
+            config_hash(GeneratorConfig())

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.bench import QUERY_MIX
 from repro.obs import MetricsScope
 from repro.serving import (
     KnowledgeBaseService,
@@ -34,6 +37,13 @@ TIMEOUT_S = 120.0
 def run(coro):
     """Run one test coroutine with a hard timeout on a fresh event loop."""
     return asyncio.run(asyncio.wait_for(coro, TIMEOUT_S))
+
+
+#: The protocol table every op must have a row in.
+SERVING_DOC = Path(__file__).resolve().parent.parent / "docs" / "SERVING.md"
+
+#: ``| `op` | ...`` rows of the docs/SERVING.md protocol table.
+_DOC_OP_RE = re.compile(r"^\|\s*`([A-Za-z0-9_]+)`\s*\|", re.MULTILINE)
 
 
 def _sorted_sub_ids(snapshot: dict) -> list[int]:
@@ -118,6 +128,35 @@ class TestConcurrentQueries:
 
         first, second = run(scenario())
         assert json.dumps(first) == json.dumps(second)
+
+
+class TestProtocolTable:
+    def test_handlers_methods_docs_and_clients_agree(self):
+        """An op exists only when dispatch dict, method, docs and clients agree.
+
+        Each ``_handlers`` key has a row in the docs/SERVING.md table and
+        vice versa; each key dispatches to its own bound ``_op_<key>``
+        and no ``_op_*`` method sits outside the dict; every op the
+        bench query mix, the bench's ``stats`` probe and remote ingest
+        send is served.
+        """
+        service = KnowledgeBaseService()
+        served = set(service._handlers)
+        documented = set(_DOC_OP_RE.findall(SERVING_DOC.read_text(encoding="utf-8")))
+        assert served - documented == set(), "dispatched but no docs/SERVING.md row"
+        assert documented - served == set(), "documented but not dispatched"
+
+        for op, handler in service._handlers.items():
+            assert handler == getattr(service, f"_op_{op}"), f"{op} -> {handler}"
+        methods = {
+            name[len("_op_"):]
+            for name in vars(KnowledgeBaseService)
+            if name.startswith("_op_")
+        }
+        assert methods - served == set(), "dead _op_* method: nothing dispatches it"
+
+        sent = {op for op, _ in QUERY_MIX} | {"stats", "ingest"}
+        assert sent - served == set(), "clients send an op the service does not serve"
 
 
 class TestProtocolErrors:

@@ -1,15 +1,17 @@
 """Regression tests: corrupted on-disk traces raise typed errors and heal.
 
 A truncated or torn cache entry used to surface as whatever the parser
-tripped over first (``KeyError``, ``EOFError``, ``BadZipFile`` ...).  The
-contract now is a single typed :class:`TraceCorruptionError` from
+tripped over first (``KeyError``, ``EOFError`` ...).  The contract now is
+a single typed :class:`TraceCorruptionError` from
 ``verify_trace_dir``/``load_trace``, and ``fetch_trace`` treating it as a
 miss: evict, re-synthesize, re-save.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.obs import metrics
 from repro.telemetry.io import (
     CHECKSUM_FILE,
     TRACE_FILES,
+    TRACE_FORMAT_VERSION,
     TraceCorruptionError,
     is_trace_dir,
     load_trace,
@@ -37,6 +40,27 @@ SMALL = GeneratorConfig(seed=3, scale=0.05)
 #: Everything a fresh (format v2) save writes, sidecar excluded.  Both
 #: fixture traces are small enough to pack into a single shard.
 ALL_FILES = TRACE_FILES + ("utilization/index.json", "utilization/00000.npy")
+
+
+def rewrite_format(directory, fmt) -> None:
+    """Stamp ``metadata.json`` with another ``format`` (``None`` drops the key).
+
+    The checksum sidecar is updated to match, so only the format check
+    can reject the directory.
+    """
+    meta_path = directory / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    meta.pop("format")
+    if fmt is not None:
+        meta["format"] = fmt
+    meta_path.write_text(json.dumps(meta))
+    sidecar = directory / CHECKSUM_FILE
+    recorded = json.loads(sidecar.read_text())
+    recorded["files"]["metadata.json"] = {
+        "sha256": hashlib.sha256(meta_path.read_bytes()).hexdigest(),
+        "bytes": meta_path.stat().st_size,
+    }
+    sidecar.write_text(json.dumps(recorded))
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +130,14 @@ class TestTypedCorruptionErrors:
         with pytest.raises(TraceCorruptionError):
             load_trace(trace_dir)
 
+    @pytest.mark.parametrize("fmt", [1, None, TRACE_FORMAT_VERSION + 1])
+    def test_other_format_is_corrupt(self, trace_dir, fmt):
+        """Format 1 (``utilization.npz``) must not load without its telemetry."""
+        rewrite_format(trace_dir, fmt)
+        verify_trace_dir(trace_dir)
+        with pytest.raises(TraceCorruptionError, match=f"has format {fmt!r}"):
+            load_trace(trace_dir)
+
     def test_sidecar_records_all_payload_files(self, trace_dir):
         recorded = json.loads((trace_dir / CHECKSUM_FILE).read_text())
         assert recorded["algorithm"] == "sha256"
@@ -127,6 +159,17 @@ class TestFetchTraceRecovery:
         assert info.source == "generated"
         assert metrics.REGISTRY.counter_value("cache.corrupt_evicted") == before + 1
         assert recovered.summary() == store.summary()
+
+    def test_format_1_entry_is_evicted_and_resynthesized(self, tmp_path):
+        store, cold = cache.fetch_trace(SMALL, cache_dir=tmp_path)
+        rewrite_format(Path(cold.path), 1)
+
+        recovered, info = cache.fetch_trace(SMALL, cache_dir=tmp_path)
+        assert info.evicted_corrupt and not info.hit
+        assert recovered.summary() == store.summary()
+        assert load_trace(cold.path).vm_ids_with_utilization() == (
+            store.vm_ids_with_utilization()
+        )
 
     def test_recovery_rewrites_a_valid_entry(self, tmp_path):
         _, cold = cache.fetch_trace(SMALL, cache_dir=tmp_path)
