@@ -24,8 +24,8 @@ Subcommands::
                             [--requests-per-client 400] [--check]
                             [--baseline BENCH_serve.json] [--write-baseline]
                             [--out BENCH_serve.candidate.json]
-    repro-cloud lint        [paths...] [--format text|json] [--baseline PATH]
-                            [--select/--ignore CODES] [--write-baseline]
+    repro-cloud lint        [paths...] [--format text|json] [--output PATH]
+                            [--select/--ignore CODES] [--list-rules]
 
 (Also runnable as ``python -m repro ...``.)
 

@@ -45,6 +45,13 @@ POLICY_REGION_SHIFT = "region-agnostic-rebalancing"
 POLICY_FAILURE_PREDICTION = "allocation-failure-prediction"
 POLICY_CONSERVATIVE = "no-aggressive-management"
 
+#: Pattern classifier settings of both the batch and the online path.
+CLASSIFIER_CONFIG = ClassifierConfig()
+#: Cross-region similarity above which a subscription is region-agnostic.
+REGION_AGNOSTIC_THRESHOLD = 0.7
+#: VMs per subscription whose windows feed the pattern mix.
+MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION = 50
+
 
 @dataclass(frozen=True)
 class KnowledgeDrift:
@@ -57,10 +64,7 @@ class KnowledgeDrift:
 
 
 def classify_windows(
-    windows: list[np.ndarray],
-    config: ClassifierConfig | None = None,
-    *,
-    sample_period: float,
+    windows: list[np.ndarray], *, sample_period: float
 ) -> list[str]:
     """Classify variable-length windows with the batched kernel.
 
@@ -79,7 +83,7 @@ def classify_windows(
         for row, idx in enumerate(idxs):
             block[row] = windows[idx]
         for idx, label in zip(
-            idxs, classify_block(block, config, sample_period=sample_period),
+            idxs, classify_block(block, CLASSIFIER_CONFIG, sample_period=sample_period),
             strict=True,
         ):
             labels[idx] = label
@@ -93,8 +97,6 @@ def build_subscription_record(
     *,
     creations: "list[tuple[float, int]] | tuple" = (),
     region_agnostic: bool | None = None,
-    classifier_config: ClassifierConfig | None = None,
-    max_classified_vms: int = 50,
 ) -> "SubscriptionKnowledge":
     """Distill one subscription's telemetry into a knowledge record.
 
@@ -150,12 +152,10 @@ def build_subscription_record(
         window = series[lo:hi]
         if window.size:
             utils.append(window)
-        if len(to_classify) < max_classified_vms:
+        if len(to_classify) < MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION:
             to_classify.append(np.asarray(window, dtype=np.float64).ravel())
     if to_classify:
-        labels = classify_windows(
-            to_classify, classifier_config, sample_period=sample_period
-        )
+        labels = classify_windows(to_classify, sample_period=sample_period)
         counts = Counter(labels)
         record.pattern_mix = {
             p: counts.get(p, 0) / len(labels)
@@ -224,14 +224,7 @@ class WorkloadKnowledgeBase:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_trace(
-        cls,
-        store: TraceStore,
-        *,
-        classifier_config: ClassifierConfig | None = None,
-        region_agnostic_threshold: float = 0.7,
-        max_classified_vms_per_subscription: int = 50,
-    ) -> "WorkloadKnowledgeBase":
+    def from_trace(cls, store: TraceStore) -> "WorkloadKnowledgeBase":
         """Extract knowledge from telemetry, like the paper's pipeline.
 
         Per-subscription distillation lives in
@@ -252,7 +245,7 @@ class WorkloadKnowledgeBase:
         for cloud in (Cloud.PRIVATE, Cloud.PUBLIC):
             try:
                 for report in region_agnostic_subscriptions(
-                    store, cloud, threshold=region_agnostic_threshold
+                    store, cloud, threshold=REGION_AGNOSTIC_THRESHOLD
                 ):
                     agnostic[report.subscription_id] = report.region_agnostic
             except ValueError:
@@ -269,8 +262,6 @@ class WorkloadKnowledgeBase:
                 vms,
                 creations=creations_by_sub.get(sub_id, ()),
                 region_agnostic=agnostic.get(sub_id),
-                classifier_config=classifier_config,
-                max_classified_vms=max_classified_vms_per_subscription,
             )
         return kb
 

@@ -8,7 +8,7 @@ REP001 unseeded randomness (legacy ``np.random.*``, stdlib ``random``)
 REP002 wall-clock reads outside ``repro/obs`` (core paths use spans)
 REP004 broad ``except`` that neither re-raises nor counts the swallow
 REP005 unsorted dict/set iteration feeding hashing/dispatch sinks
-REP006 metric/span naming convention + unique metric registration
+REP006 metric/span naming convention (``group.name``)
 REP007 per-series FFT/Pearson/``np.append`` inside loops in hot paths
 REP008 blocking calls reachable from ``async def`` (incl. transitive)
 REP009 unawaited coroutines / dropped ``create_task`` handles
@@ -19,21 +19,18 @@ REP001, REP002 and REP004-REP007 are per-file passes; REP008-REP010 are
 *project* rules running over a whole-program
 :class:`~repro.lintkit.project.ProjectContext` (cross-module imports,
 call graph, async coloring).  The two retired codes keep their gaps so
-baseline fingerprints and pragmas stay valid: REP003 (cache-key coverage)
-is checked at runtime by ``repro.experiments.cache.config_hash`` and
-REP011 (wire-protocol drift) by ``tests/test_serving.py``.
+existing pragmas stay valid: REP003 (cache-key coverage) is checked at
+runtime by ``repro.experiments.cache.config_hash`` and REP011
+(wire-protocol drift) by ``tests/test_serving.py``.  A metric name
+registered twice is refused at import time by
+``repro.obs.metrics.MetricsRegistry``.
 
 Run it as ``python -m repro lint`` or ``python -m repro.lintkit``; the
-rule catalog and suppression workflow are documented in
-``docs/LINTING.md``.  Everything here is pure standard library.
+rule catalog and the ``# lint: allow[...]`` pragma, the only way to
+suppress a finding, are documented in ``docs/LINTING.md``.  Everything
+here is pure standard library.
 """
 
-from repro.lintkit.baseline import (
-    apply_baseline,
-    build_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lintkit.framework import (
     Diagnostic,
     FileContext,
@@ -53,12 +50,8 @@ __all__ = [
     "ProjectRule",
     "RULE_INDEX",
     "Rule",
-    "apply_baseline",
-    "build_baseline",
     "default_rules",
     "lint_paths",
-    "load_baseline",
     "render_json",
     "render_text",
-    "write_baseline",
 ]

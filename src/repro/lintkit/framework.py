@@ -3,24 +3,20 @@
 The pipeline's reproducibility contract -- content-addressed trace caching,
 registry-order metric merging, deterministic fault replay -- rests on
 invariants that generic linters cannot express: *who* may read the wall
-clock, *which* randomness sources are seeded, *whether* a metric name
-is registered twice.  This module provides the machinery the
+clock, *which* randomness sources are seeded, *whether* iteration order
+can leak into a hash.  This module provides the machinery the
 repo-specific rules in :mod:`repro.lintkit.rules` share:
 
 * :class:`FileContext` -- one ``ast.parse`` per file, plus the source
   lines and the ``# lint: allow[...]`` pragma index, handed to every rule
   so N rules never mean N parses;
 * :class:`Rule` -- the visitor-style base class.  ``check(ctx)`` yields
-  per-file findings; ``finalize()`` yields cross-file findings for rules
-  that correlate state between modules (REP006).  Rules that
-  need the resolved call graph subclass
+  per-file findings.  Rules that need the resolved call graph subclass
   :class:`~repro.lintkit.project.ProjectRule` instead and implement
   ``check_project`` over the shared
   :class:`~repro.lintkit.project.ProjectContext`;
 * :class:`Diagnostic` -- one finding with file/line/col, the offending
-  source snippet, a fix hint, and a content *fingerprint* (path + code +
-  snippet) that the baseline machinery matches on, so recorded findings
-  survive unrelated line drift;
+  source snippet and a fix hint;
 * :func:`lint_paths` -- the runner: collect files, parse once, run every
   rule, apply pragma suppression and code selection, sort.
 
@@ -40,7 +36,6 @@ decorator stack.  See ``docs/LINTING.md``.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,18 +71,6 @@ class Diagnostic:
     #: decorated defs this is the first decorator's line.
     pragma_start: int = 0
 
-    @property
-    def fingerprint(self) -> str:
-        """Content hash the baseline matches on (stable across line drift)."""
-        payload = f"{self.path}::{self.code}::{self.snippet}"
-        return hashlib.sha1(payload.encode()).hexdigest()[:16]
-
-    @property
-    def content_fingerprint(self) -> str:
-        """Path-free hash (code + snippet): the baseline's rename fallback."""
-        payload = f"{self.code}::{self.snippet}"
-        return hashlib.sha1(payload.encode()).hexdigest()[:16]
-
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.code)
 
@@ -101,7 +84,6 @@ class Diagnostic:
             "col": self.col,
             "snippet": self.snippet,
             "fix_hint": self.fix_hint,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:
@@ -122,7 +104,7 @@ class FileContext:
         self.rel = rel
         self.source = source
         self.lines = source.splitlines()
-        #: Parsed once here, or handed in pre-parsed (parallel parsing).
+        #: Parsed once here, or handed in pre-parsed by :func:`lint_paths`.
         self.tree = ast.parse(source) if tree is None else tree
         #: line -> codes allowed on that line (``{"*"}`` allows everything).
         self.pragmas: dict[int, set[str]] = _parse_pragmas(self.lines)
@@ -200,25 +182,15 @@ class Rule:
     """Base class for one lint rule.
 
     Subclasses set :attr:`code`/:attr:`name`/:attr:`description` and
-    implement :meth:`check`; rules that correlate findings across files
-    accumulate state in :meth:`check` and emit from :meth:`finalize`.
-    Rule instances are single-use per :func:`lint_paths` call --
-    :meth:`reset` clears any accumulated state.
+    implement :meth:`check`, which sees one file at a time.
     """
 
     code: str = "REP999"
     name: str = ""
     description: str = ""
 
-    def reset(self) -> None:
-        """Clear cross-file state before a fresh run."""
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        """Yield per-file findings (and collect cross-file state)."""
-        return iter(())
-
-    def finalize(self) -> Iterator[Diagnostic]:
-        """Yield findings that needed the whole file set."""
+        """Yield per-file findings."""
         return iter(())
 
 
@@ -229,7 +201,6 @@ class LintResult:
     diagnostics: list[Diagnostic]
     files_checked: int
     suppressed_pragma: int = 0
-    suppressed_baseline: int = 0
 
     @property
     def counts(self) -> dict[str, int]:
@@ -304,33 +275,6 @@ def _filter_codes(
     return True
 
 
-def _parse_source(payload: tuple[str, str]) -> tuple:
-    """Read and parse one file (module-level so it pickles to workers)."""
-    path_str, rel = payload
-    source = Path(path_str).read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return path_str, rel, source, None, (exc.msg, exc.lineno, exc.offset, exc.text)
-    return path_str, rel, source, tree, None
-
-
-def _parse_files(files: Sequence[Path], rels: Sequence[str], jobs: int) -> list[tuple]:
-    """Parse every file, optionally across ``jobs`` worker processes.
-
-    ``ast`` trees pickle, so workers parse and the parent assembles; the
-    result list preserves input order either way, keeping diagnostics
-    deterministic regardless of ``jobs``.
-    """
-    payloads = [(str(path), rel) for path, rel in zip(files, rels, strict=True)]
-    if jobs > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_parse_source, payloads, chunksize=8))
-    return [_parse_source(payload) for payload in payloads]
-
-
 def lint_paths(
     paths: Iterable[str | Path],
     *,
@@ -338,15 +282,13 @@ def lint_paths(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
     rules: Sequence[Rule] | None = None,
-    jobs: int = 1,
 ) -> LintResult:
     """Run every rule over the Python files under ``paths``.
 
     ``select``/``ignore`` filter by rule code (select wins first, then
     ignore removes); rules whose code is filtered out never run at all.
-    Pragma suppression is always applied; baseline suppression is layered
-    on top by the CLI (see :mod:`repro.lintkit.baseline`).  Each file is
-    parsed exactly once, across ``jobs`` processes when ``jobs > 1``.
+    Pragma suppression is always applied.  Each file is parsed exactly
+    once.
     """
     if rules is None:
         from repro.lintkit.rules import default_rules
@@ -355,8 +297,6 @@ def lint_paths(
     select_set = {c.strip() for c in select} if select is not None else None
     ignore_set = {c.strip() for c in ignore} if ignore is not None else None
     rules = [r for r in rules if _filter_codes(r.code, select_set, ignore_set)]
-    for rule in rules:
-        rule.reset()
 
     files = iter_python_files(paths)
     resolved_root = _resolve_root(files, root)
@@ -368,22 +308,24 @@ def lint_paths(
             rels.append(path.as_posix())
     diagnostics: list[Diagnostic] = []
     contexts: dict[str, FileContext] = {}
-    for path_str, rel, source, tree, error in _parse_files(files, rels, jobs):
-        if error is not None:
-            msg, lineno, offset, text = error
+    for path, rel in zip(files, rels, strict=True):
+        source = path.read_text(encoding="utf-8")
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
             diagnostics.append(
                 Diagnostic(
                     code=PARSE_ERROR_CODE,
-                    message=f"file does not parse: {msg}",
+                    message=f"file does not parse: {exc.msg}",
                     path=rel,
-                    line=lineno or 1,
-                    col=(offset or 0) + 1,
-                    snippet=(text or "").strip(),
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    snippet=(exc.text or "").strip(),
                     fix_hint="fix the syntax error; no rule ran on this file",
                 )
             )
             continue
-        ctx = FileContext(Path(path_str), rel, source, tree=tree)
+        ctx = FileContext(path, rel, source, tree=tree)
         contexts[rel] = ctx
         for rule in rules:
             diagnostics.extend(rule.check(ctx))
@@ -395,8 +337,6 @@ def lint_paths(
         project = ProjectContext(list(contexts.values()), root=resolved_root)
         for rule in project_rules:
             diagnostics.extend(rule.check_project(project))
-    for rule in rules:
-        diagnostics.extend(rule.finalize())
 
     kept: list[Diagnostic] = []
     suppressed = 0

@@ -3,15 +3,15 @@
 The JSON document is the machine contract CI consumes (schema below);
 the text form is for humans at a terminal.
 
-JSON schema (``schema_version`` 1)::
+JSON schema (``schema_version`` 2)::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "files_checked": <int>,
       "findings": [ {code, message, path, line, col, snippet,
-                     fix_hint, fingerprint}, ... ],   # sorted by location
+                     fix_hint}, ... ],                # sorted by location
       "counts": {"REP001": <int>, ...},               # surviving findings
-      "suppressed": {"pragma": <int>, "baseline": <int>},
+      "suppressed": {"pragma": <int>},
       "exit_code": 0 | 1
     }
 """
@@ -22,7 +22,7 @@ import json
 
 from repro.lintkit.framework import LintResult
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def render_json(result: LintResult) -> str:
@@ -32,10 +32,7 @@ def render_json(result: LintResult) -> str:
         "files_checked": result.files_checked,
         "findings": [diag.to_dict() for diag in result.diagnostics],
         "counts": result.counts,
-        "suppressed": {
-            "pragma": result.suppressed_pragma,
-            "baseline": result.suppressed_baseline,
-        },
+        "suppressed": {"pragma": result.suppressed_pragma},
         "exit_code": result.exit_code,
     }
     return json.dumps(document, indent=2) + "\n"
@@ -48,13 +45,8 @@ def render_text(result: LintResult) -> str:
         f"{len(result.diagnostics)} finding(s) across "
         f"{result.files_checked} file(s)"
     )
-    suppressed_bits = []
     if result.suppressed_pragma:
-        suppressed_bits.append(f"{result.suppressed_pragma} by pragma")
-    if result.suppressed_baseline:
-        suppressed_bits.append(f"{result.suppressed_baseline} by baseline")
-    if suppressed_bits:
-        summary += f" ({', '.join(suppressed_bits)} suppressed)"
+        summary += f" ({result.suppressed_pragma} by pragma suppressed)"
     if result.counts:
         summary += "  [" + ", ".join(
             f"{code}: {n}" for code, n in result.counts.items()

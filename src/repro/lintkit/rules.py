@@ -410,7 +410,7 @@ class UnsortedSinkIterationRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP006: metric/span naming convention and unique registration
+# REP006: metric/span naming convention
 # ----------------------------------------------------------------------
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
@@ -419,32 +419,28 @@ _METRIC_KINDS = frozenset({"Counter", "Gauge", "Histogram"})
 
 _REP006_HINT = (
     "metric and span names follow 'group.name' (lowercase, dot-separated); "
-    "each metric registers in exactly one module; see docs/LINTING.md#rep006"
+    "see docs/LINTING.md#rep006"
 )
 
 
 class MetricNameRule(Rule):
-    """REP006: metric/span literals must follow ``group.name`` and be unique.
+    """REP006: metric/span literals must follow ``group.name``.
 
     Checks every ``Counter``/``Gauge``/``Histogram``/``span`` call whose
     handle was imported from :mod:`repro.obs` (so
     ``collections.Counter`` is never confused with the metrics handle).
-    Name literals must match the lowercase dotted convention, and a
-    metric name may be registered in only one module -- double
-    registration makes merge deltas ambiguous.
+    Name literals must match the lowercase dotted convention.  A second
+    handle for one metric name is refused at import time by
+    :class:`~repro.obs.metrics.MetricsRegistry`, not here.
     """
 
     code = "REP006"
     name = "metric-name-convention"
-    description = "obs metric/span names: 'group.name' format, single registration"
-
-    def reset(self) -> None:
-        #: metric name -> [(rel, line, node-ctx)] registration sites.
-        self._registrations: dict[str, list[tuple[FileContext, ast.AST]]] = {}
+    description = "obs metric/span names: 'group.name' format"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if "lintkit" in ctx.parts:
-            return  # this package's own fixtures/strings are not registrations
+            return  # this package's own fixtures/strings are not metric names
         imports = _ImportTracker(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -465,24 +461,6 @@ class MetricNameRule(Rule):
                     self.code, node,
                     f"{symbol} name '{name}' does not match the "
                     "'group.name' convention",
-                    _REP006_HINT,
-                )
-                continue
-            if symbol in _METRIC_KINDS:
-                self._registrations.setdefault(name, []).append((ctx, node))
-        return
-
-    def finalize(self) -> Iterator[Diagnostic]:
-        for name, sites in sorted(self._registrations.items()):
-            modules = sorted({ctx.rel for ctx, _node in sites})
-            if len(modules) < 2:
-                continue
-            for ctx, node in sites:
-                others = ", ".join(m for m in modules if m != ctx.rel)
-                yield ctx.diagnostic(
-                    self.code, node,
-                    f"metric '{name}' is registered in multiple modules "
-                    f"(also in {others}); merge deltas become ambiguous",
                     _REP006_HINT,
                 )
 

@@ -7,6 +7,12 @@ Handles are cheap named views onto one registry::
     _HITS = Counter("cache.hit")      # registers the series
     _HITS.inc()                       # hot-path increment
 
+Each metric name gets exactly one handle per registry: constructing a
+second ``Counter``/``Gauge``/``Histogram`` for a name already taken
+raises ``ValueError``.  Handles are module-level constants, so importing
+the module that reuses a name fails at once -- two modules feeding one
+series would make merge deltas ambiguous.
+
 The registry is deliberately *per process*.  Parallel pipeline stages
 (``ProcessPoolExecutor`` workers) each accumulate into their own copy --
 under the default ``fork`` start method that copy starts pre-seeded with
@@ -43,10 +49,22 @@ class MetricsRegistry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, dict] = {}
+        #: Names claimed by a handle.  Kept apart from the series values,
+        #: so :meth:`reset` and :meth:`merge` leave the claims alone.
+        self._handles: set[str] = set()
 
     # ------------------------------------------------------------------
     # primitive operations (handles delegate here)
     # ------------------------------------------------------------------
+    def register_handle(self, name: str) -> None:
+        """Claim ``name`` for one handle; a second claim raises ``ValueError``."""
+        if name in self._handles:
+            raise ValueError(
+                f"metric {name!r} already has a handle in this registry; "
+                "register each metric once, in one module"
+            )
+        self._handles.add(name)
+
     def ensure_counter(self, name: str) -> None:
         """Register a counter series at 0 (idempotent)."""
         self._counters.setdefault(name, 0.0)
@@ -208,6 +226,7 @@ class Counter:
     def __init__(self, name: str, registry: MetricsRegistry | None = None) -> None:
         self.name = name
         self._registry = registry if registry is not None else REGISTRY
+        self._registry.register_handle(name)
         self._registry.ensure_counter(name)
 
     def inc(self, amount: float = 1.0) -> None:
@@ -228,6 +247,7 @@ class Gauge:
     def __init__(self, name: str, registry: MetricsRegistry | None = None) -> None:
         self.name = name
         self._registry = registry if registry is not None else REGISTRY
+        self._registry.register_handle(name)
 
     def set(self, value: float) -> None:
         """Record the latest value."""
@@ -253,6 +273,7 @@ class Histogram:
         self.name = name
         self.bounds = tuple(sorted(float(b) for b in bounds))
         self._registry = registry if registry is not None else REGISTRY
+        self._registry.register_handle(name)
         self._registry.ensure_histogram(name, self.bounds)
 
     def observe(self, value: float) -> None:

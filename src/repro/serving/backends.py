@@ -252,5 +252,5 @@ class MemoryBackend(StorageBackend):
             "ring_capacity": self._ring.maxlen,
             "ring_size": len(self._ring),
             "vms": len(self._store),
-            "events": self._store.summary()["events"],
+            "events": self._store.n_events,
         }

@@ -41,11 +41,11 @@ import numpy as np
 from repro.core.correlation import subscription_region_report
 from repro.core.knowledge_base import (
     POLICY_SPOT_ADOPTION,
+    REGION_AGNOSTIC_THRESHOLD,
     WorkloadKnowledgeBase,
     build_subscription_record,
     classify_windows,
 )
-from repro.core.patterns import ClassifierConfig
 from repro.experiments.faultinject import FaultKind, plan_from_env
 from repro.management.prediction import AllocationFailurePredictor
 from repro.obs import Counter, span
@@ -111,16 +111,10 @@ class KnowledgeBaseService:
         self,
         *,
         backend: StorageBackend | None = None,
-        classifier_config: ClassifierConfig | None = None,
-        region_agnostic_threshold: float = 0.7,
-        max_classified_vms_per_subscription: int = 50,
         queue_maxsize: int = 64,
         stall_delay: float = 0.05,
     ) -> None:
         self._backend = backend or MemoryBackend()
-        self._classifier_config = classifier_config
-        self._region_agnostic_threshold = region_agnostic_threshold
-        self._max_classified_vms = max_classified_vms_per_subscription
         self._stall_delay = stall_delay
         self._last_apply_error: str | None = None
         self._kb = WorkloadKnowledgeBase()
@@ -286,7 +280,7 @@ class KnowledgeBaseService:
                     sub_id,
                     sub.service,
                     self._region_ids.get(sub_id, {}),
-                    threshold=self._region_agnostic_threshold,
+                    threshold=REGION_AGNOSTIC_THRESHOLD,
                     allowed_regions=allowed,
                 )
                 self._kb.put(
@@ -298,8 +292,6 @@ class KnowledgeBaseService:
                         region_agnostic=(
                             None if report is None else report.region_agnostic
                         ),
-                        classifier_config=self._classifier_config,
-                        max_classified_vms=self._max_classified_vms,
                     )
                 )
                 refreshed += 1
@@ -348,9 +340,7 @@ class KnowledgeBaseService:
                 raise ServiceError(
                     "unavailable", f"vm {vm_id} has an empty observation window"
                 )
-            label = classify_windows(
-                [window], self._classifier_config, sample_period=sample_period
-            )[0]
+            label = classify_windows([window], sample_period=sample_period)[0]
             self._pattern_cache[vm_id] = label
         return {"vm_id": int(vm_id), "pattern": label}
 
@@ -421,7 +411,7 @@ class KnowledgeBaseService:
         store = self._backend.store()
         return {
             "vms": len(store),
-            "events": store.summary()["events"],
+            "events": store.n_events,
             "subscriptions_known": len(store.subscriptions),
             "records": len(self._kb),
             "dirty_subscriptions": len(self._dirty),

@@ -358,6 +358,11 @@ class TraceStore:
     def __len__(self) -> int:
         return len(self._vms)
 
+    @property
+    def n_events(self) -> int:
+        """Number of lifecycle events, in O(1) (no sort, no block scan)."""
+        return len(self._events)
+
     def events(
         self,
         *,

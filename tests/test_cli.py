@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,30 @@ from repro.cli import build_parser, main
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_docs_quote_only_real_flags():
+    """Every ``--flag`` the docs mention is an option of some CLI verb."""
+    parser = build_parser()
+    (verbs,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    real = {
+        option
+        for sub in [parser, *verbs.choices.values()]
+        for action in sub._actions
+        for option in action.option_strings
+    }
+    docs = Path(__file__).resolve().parent.parent / "docs"
+    stale = sorted(
+        f"{doc.name}: {flag}"
+        for doc in sorted(docs.glob("*.md"))
+        for flag in set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", doc.read_text()))
+        if flag not in real
+    )
+    assert not stale, f"docs quote flags no CLI verb accepts: {stale}"
 
 
 def test_case_study_command(capsys):

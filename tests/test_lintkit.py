@@ -1,4 +1,4 @@
-"""Tests for repro.lintkit: rule fixtures, pragmas, baseline, CLI, self-check."""
+"""Tests for repro.lintkit: rule fixtures, pragmas, reports, CLI, self-check."""
 
 from __future__ import annotations
 
@@ -8,19 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.lintkit import (
-    Diagnostic,
-    Rule,
-    apply_baseline,
-    build_baseline,
-    lint_paths,
-    load_baseline,
-    render_json,
-    write_baseline,
-)
-from repro.lintkit.baseline import BaselineError
+from repro.lintkit import Rule, lint_paths, render_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
@@ -289,10 +277,10 @@ def test_rep006_flags_bad_names_and_double_registration(tmp_path):
             "_ALSO_HITS = Counter('cache.hit')\n"
         ),
     })
-    by_code = codes(result)
-    assert by_code.count("REP006") == 4  # 2 bad names + both duplicate sites
-    duplicate = [d for d in result.diagnostics if "multiple modules" in d.message]
-    assert {d.path for d in duplicate} == {"a.py", "b.py"}
+    # The two bad names only: duplicate registration is the metrics
+    # registry's import-time check (tests/test_obs.py), not a lint rule.
+    assert codes(result) == ["REP006", "REP006"]
+    assert {d.line for d in result.diagnostics} == {3, 5}
 
 
 def test_rep006_ignores_collections_counter(tmp_path):
@@ -367,106 +355,22 @@ def test_rep007_pragma_suppression(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# baseline workflow
+# report schemas, selection, parse errors
 # ----------------------------------------------------------------------
 
 _VIOLATION = "import time\nt = time.time()\n"
 
 
-def test_baseline_round_trip(tmp_path):
-    result = lint_snippets(tmp_path, {"mod.py": _VIOLATION})
-    assert codes(result) == ["REP002"]
-
-    baseline_path = write_baseline(result.diagnostics, tmp_path / "baseline.json")
-    baseline = load_baseline(baseline_path)
-    assert len(baseline["entries"]) == 1
-
-    rerun = lint_paths([tmp_path / "mod.py"], root=tmp_path)
-    kept, suppressed = apply_baseline(rerun.diagnostics, baseline)
-    assert kept == [] and suppressed == 1
-
-
-def test_baseline_resurfaces_changed_lines_and_caps_counts(tmp_path):
-    result = lint_snippets(tmp_path, {"mod.py": _VIOLATION})
-    baseline = build_baseline(result.diagnostics)
-
-    # The offending line changed: its fingerprint no longer matches.
-    (tmp_path / "mod.py").write_text("import time\nt = time.time() + 1\n")
-    rerun = lint_paths([tmp_path / "mod.py"], root=tmp_path)
-    kept, suppressed = apply_baseline(rerun.diagnostics, baseline)
-    assert codes(rerun) == ["REP002"] and kept == rerun.diagnostics
-
-    # Two identical offending lines, baseline budget of one: one survives.
-    (tmp_path / "mod.py").write_text(
-        "import time\nt = time.time()\nu = time.time()\n"
-    )
-    rerun = lint_paths([tmp_path / "mod.py"], root=tmp_path)
-    kept, suppressed = apply_baseline(rerun.diagnostics, baseline)
-    assert len(rerun.diagnostics) == 2 and suppressed == 1 and len(kept) == 1
-
-
-def test_baseline_survives_file_rename(tmp_path):
-    """Exact fingerprints embed the path, so a pure rename used to
-    resurface every baselined finding; the content-anchored fallback
-    (code + snippet) absorbs them -- but an edited line still surfaces."""
-    result = lint_snippets(tmp_path, {"old.py": _VIOLATION})
-    baseline = build_baseline(result.diagnostics)
-
-    (tmp_path / "old.py").rename(tmp_path / "renamed.py")
-    rerun = lint_paths([tmp_path], root=tmp_path)
-    kept, suppressed = apply_baseline(rerun.diagnostics, baseline)
-    assert kept == [] and suppressed == 1
-
-    # Rename *and* change the offending line: no grandfathering.
-    (tmp_path / "renamed.py").write_text("import time\nt = time.time() + 1\n")
-    rerun = lint_paths([tmp_path], root=tmp_path)
-    kept, suppressed = apply_baseline(rerun.diagnostics, baseline)
-    assert codes(rerun) == ["REP002"] and kept == rerun.diagnostics
-
-
-def test_baseline_rename_budget_is_shared_with_duplicates(tmp_path):
-    """A renamed finding and a pasted duplicate compete for one count."""
-    result = lint_snippets(tmp_path, {"old.py": _VIOLATION})
-    baseline = build_baseline(result.diagnostics)
-
-    (tmp_path / "old.py").unlink()
-    (tmp_path / "renamed.py").write_text(
-        "import time\nt = time.time()\nt = time.time()\n"
-    )
-    rerun = lint_paths([tmp_path], root=tmp_path)
-    assert len(rerun.diagnostics) == 2
-    kept, suppressed = apply_baseline(rerun.diagnostics, baseline)
-    assert suppressed == 1 and len(kept) == 1
-
-
-def test_baseline_rejects_malformed_documents(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{}")
-    with pytest.raises(BaselineError):
-        load_baseline(bad)
-    bad.write_text('{"schema_version": 99, "entries": {}}')
-    with pytest.raises(BaselineError):
-        load_baseline(bad)
-    with pytest.raises(BaselineError):
-        load_baseline(tmp_path / "missing.json")
-
-
-# ----------------------------------------------------------------------
-# report schemas, selection, parse errors
-# ----------------------------------------------------------------------
-
-
 def test_json_report_schema(tmp_path):
     result = lint_snippets(tmp_path, {"mod.py": _VIOLATION})
     document = json.loads(render_json(result))
-    assert document["schema_version"] == 1
+    assert document["schema_version"] == 2
     assert document["exit_code"] == 1
     assert document["counts"] == {"REP002": 1}
-    assert document["suppressed"] == {"pragma": 0, "baseline": 0}
+    assert document["suppressed"] == {"pragma": 0}
     (finding,) = document["findings"]
     assert set(finding) == {
-        "code", "message", "path", "line", "col", "snippet",
-        "fix_hint", "fingerprint",
+        "code", "message", "path", "line", "col", "snippet", "fix_hint",
     }
     assert finding["path"] == "mod.py" and finding["line"] == 2
 
@@ -488,14 +392,6 @@ def test_parse_error_reported_not_ignorable(tmp_path):
     )
     assert codes(result) == ["REP000"]
     assert result.exit_code == 1
-
-
-def test_diagnostic_fingerprint_stable_across_line_drift():
-    a = Diagnostic("REP002", "m", "mod.py", 10, 5, snippet="t = time.time()")
-    b = Diagnostic("REP002", "m", "mod.py", 99, 5, snippet="t = time.time()")
-    c = Diagnostic("REP002", "m", "mod.py", 10, 5, snippet="u = time.time()")
-    assert a.fingerprint == b.fingerprint
-    assert a.fingerprint != c.fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +422,7 @@ def test_shipped_tree_is_clean_via_cli():
 def test_standalone_module_exits_nonzero_on_violations(tmp_path):
     (tmp_path / "mod.py").write_text(_VIOLATION)
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.lintkit", str(tmp_path), "--no-baseline"],
+        [sys.executable, "-m", "repro.lintkit", str(tmp_path)],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

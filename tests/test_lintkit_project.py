@@ -8,10 +8,7 @@ catch exactly it.
 
 from __future__ import annotations
 
-import json
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 from repro.lintkit import lint_paths
@@ -322,89 +319,6 @@ def test_acceptance_injected_sleep_in_serving_handler(tmp_path):
     assert "time.sleep()" in result.diagnostics[0].message
     assert "reachable from async" in result.diagnostics[0].message
     assert "apply_records" in result.diagnostics[0].message
-
-
-# ----------------------------------------------------------------------
-# Parallel parsing and --changed
-# ----------------------------------------------------------------------
-
-
-def test_parallel_jobs_matches_serial(tmp_path):
-    files = {
-        f"mod_{i}.py": (
-            "import time\n"
-            f"async def tick_{i}():\n"
-            "    time.sleep(1)\n"
-        )
-        for i in range(6)
-    }
-    serial = lint_snippets(tmp_path, files, select=["REP008"], jobs=1)
-    parallel = lint_paths([tmp_path], root=tmp_path, select=["REP008"], jobs=3)
-    key = [
-        (d.path, d.line, d.col, d.code, d.message) for d in serial.diagnostics
-    ]
-    assert key == [
-        (d.path, d.line, d.col, d.code, d.message) for d in parallel.diagnostics
-    ]
-    assert serial.files_checked == parallel.files_checked == 6
-
-
-def _run_lint_cli(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "repro.lintkit", *args],
-        cwd=cwd, capture_output=True, text=True,
-        env={
-            "PYTHONPATH": str(REPO_ROOT / "src"),
-            "PATH": "/usr/bin:/bin",
-        },
-    )
-
-
-def _git(cwd: Path, *args: str) -> None:
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-        cwd=cwd, check=True, capture_output=True,
-        env={"PATH": "/usr/bin:/bin", "HOME": str(cwd)},
-    )
-
-
-def test_changed_lints_only_touched_files(tmp_path):
-    _git(tmp_path, "init", "-q")
-    committed = tmp_path / "old.py"
-    committed.write_text("import numpy as np\nx = np.random.rand(4)\n")
-    _git(tmp_path, "add", "old.py")
-    _git(tmp_path, "commit", "-qm", "seed")
-    untracked = tmp_path / "new.py"
-    untracked.write_text("import numpy as np\ny = np.random.rand(2)\n")
-
-    proc = _run_lint_cli(["--changed", "--no-baseline", "--format", "json"], tmp_path)
-    assert proc.returncode == 1, proc.stderr
-    report = json.loads(proc.stdout)
-    paths = {f["path"] for f in report["findings"]}
-    assert paths == {"new.py"}  # the committed, unchanged file is skipped
-
-
-def test_changed_with_no_changes_exits_zero(tmp_path):
-    _git(tmp_path, "init", "-q")
-    (tmp_path / "old.py").write_text("VALUE = 1\n")
-    _git(tmp_path, "add", "old.py")
-    _git(tmp_path, "commit", "-qm", "seed")
-    proc = _run_lint_cli(["--changed", "--no-baseline"], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "nothing to lint" in proc.stdout
-
-
-def test_changed_rejects_explicit_paths(tmp_path):
-    proc = _run_lint_cli(["--changed", "HEAD", "somefile.py"], tmp_path)
-    assert proc.returncode == 2
-    assert "mutually exclusive" in proc.stderr
-
-
-def test_changed_bad_ref_is_usage_error(tmp_path):
-    _git(tmp_path, "init", "-q")
-    proc = _run_lint_cli(["--changed", "no-such-ref"], tmp_path)
-    assert proc.returncode == 2
-    assert "no-such-ref" in proc.stderr
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import pstats
 
 import pytest
@@ -232,6 +234,40 @@ class TestMetricsRegistry:
         registry.reset()
         snap = registry.snapshot()
         assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def test_second_handle_for_a_name_raises(self):
+        registry = MetricsRegistry()
+        Counter("cache.hit", registry=registry)
+        for kind in (Counter, Gauge, Histogram):
+            with pytest.raises(ValueError, match="cache.hit"):
+                kind("cache.hit", registry=registry)
+        # Another registry keeps its own claims.
+        Counter("cache.hit", registry=MetricsRegistry())
+
+    def test_handle_survives_reset(self):
+        registry = MetricsRegistry()
+        counter = Counter("cache.hit", registry=registry)
+        counter.inc(2)
+        registry.reset()
+        assert counter.value == 0.0
+        counter.inc()
+        assert registry.snapshot()["counters"] == {"cache.hit": 1.0}
+        # reset() drops values, not claims: the name stays taken.
+        with pytest.raises(ValueError, match="cache.hit"):
+            Counter("cache.hit", registry=registry)
+
+    def test_every_module_imports_with_unique_metric_names(self):
+        """Metric handles are module constants; importing the whole tree
+        runs the registry's one-handle-per-name check on every one."""
+        import repro
+
+        names = [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        ]
+        assert len(names) > 70
+        for name in names:
+            importlib.import_module(name)
 
 
 class TestProfiling:

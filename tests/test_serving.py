@@ -26,6 +26,7 @@ from repro.serving import (
     iter_ingest_records,
     replay_trace,
 )
+from repro.telemetry.store import TraceStore
 
 pytestmark = pytest.mark.serving
 
@@ -157,6 +158,22 @@ class TestProtocolTable:
 
         sent = {op for op, _ in QUERY_MIX} | {"stats", "ingest"}
         assert sent - served == set(), "clients send an op the service does not serve"
+
+
+class TestStats:
+    def test_stats_does_not_scan_utilization_blocks(self, small_trace, monkeypatch):
+        """``stats`` is cheap: its cost must not grow with the store, so it
+        may not sum the per-VM utilization blocks."""
+        service = KnowledgeBaseService.for_trace(small_trace)
+        service.apply_records(list(iter_ingest_records(small_trace)))
+        expected = service.stats()
+        assert expected["events"] == expected["backend"]["events"] > 0
+
+        def scan(store):
+            raise AssertionError("stats summed the utilization blocks")
+
+        monkeypatch.setattr(TraceStore, "utilization_bytes", property(scan))
+        assert service.stats() == expected
 
 
 class TestProtocolErrors:
