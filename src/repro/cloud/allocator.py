@@ -81,7 +81,6 @@ class AllocationService:
         self._affinity: dict[tuple[int, str], int] = {}
         #: (deployment_id, rack_id) -> number of that deployment's VMs there.
         self._deployment_rack_count: dict[tuple[int, int], int] = defaultdict(int)
-        self._down_nodes: set[int] = set()
 
     # ------------------------------------------------------------------
     # placement
@@ -135,23 +134,6 @@ class AllocationService:
         return self._vm_node.get(vm_id)
 
     # ------------------------------------------------------------------
-    # failure injection support
-    # ------------------------------------------------------------------
-    def mark_node_down(self, node_id: int) -> list[int]:
-        """Take a node out of rotation; returns the vm ids that were on it."""
-        self._down_nodes.add(node_id)
-        node = self.topology.nodes[node_id]
-        return list(node.hosted)
-
-    def mark_node_up(self, node_id: int) -> None:
-        """Return a node to rotation."""
-        self._down_nodes.discard(node_id)
-
-    def is_down(self, node_id: int) -> bool:
-        """Whether a node is currently out of rotation."""
-        return node_id in self._down_nodes
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _choose_cluster(
@@ -181,11 +163,7 @@ class AllocationService:
     def _feasible_nodes(
         self, cluster: Cluster, cores: float, memory_gb: float
     ) -> list[Node]:
-        return [
-            node
-            for node in cluster.nodes
-            if node.node_id not in self._down_nodes and node.can_host(cores, memory_gb)
-        ]
+        return [node for node in cluster.nodes if node.can_host(cores, memory_gb)]
 
     def _choose_node(
         self,

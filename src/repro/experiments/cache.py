@@ -74,7 +74,6 @@ CACHE_KEY_FIELDS: tuple[str, ...] = (
     "synthesize_utilization",
     "placement_policy",
     "holiday_week",
-    "telemetry_batch",
 )
 
 #: Fields deliberately excluded from the cache key because they cannot
@@ -103,11 +102,7 @@ def _should_spill(config: GeneratorConfig, spill: "bool | None") -> bool:
     """Resolve the spill decision: explicit flag wins, else scale threshold."""
     if spill is not None:
         return spill
-    return (
-        config.synthesize_utilization
-        and config.telemetry_batch
-        and config.scale > SPILL_SCALE_THRESHOLD
-    )
+    return config.synthesize_utilization and config.scale > SPILL_SCALE_THRESHOLD
 
 
 def config_hash(config: GeneratorConfig) -> str:

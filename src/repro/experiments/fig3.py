@@ -21,8 +21,20 @@ from repro.telemetry.schema import Cloud, EventKind
 from repro.telemetry.store import TraceStore
 from repro.workloads.lifetime import SHORTEST_BIN_SECONDS
 
-#: Region used for the single-region panels (the paper samples one region).
-SAMPLE_REGION = "us-east"
+
+def sample_region(store: TraceStore) -> str:
+    """The region the single-region panels plot (the paper samples one).
+
+    It is the first region in topology order (``store.regions``, which
+    ``save_trace``/``load_trace`` preserve) that both clouds have VMs in,
+    so a seed whose private cloud left ``us-east`` empty still gets a plot.
+    """
+    shared = set(store.region_names(cloud=Cloud.PRIVATE))
+    shared &= set(store.region_names(cloud=Cloud.PUBLIC))
+    for region in store.regions:
+        if region in shared:
+            return region
+    raise ValueError("no region has VMs of both clouds")
 
 
 def run_fig3a(store: TraceStore) -> ExperimentResult:
@@ -77,8 +89,9 @@ def run_fig3b(store: TraceStore) -> ExperimentResult:
     the clouds, not about one lucky region.
     """
     result = ExperimentResult("fig3b", "VM counts per hour (one region)")
-    private = dep.vm_count_series(store, Cloud.PRIVATE, region=SAMPLE_REGION)
-    public = dep.vm_count_series(store, Cloud.PUBLIC, region=SAMPLE_REGION)
+    region = sample_region(store)
+    private = dep.vm_count_series(store, Cloud.PRIVATE, region=region)
+    public = dep.vm_count_series(store, Cloud.PUBLIC, region=region)
     result.series["private_counts"] = private
     result.series["public_counts"] = public
 
@@ -114,8 +127,9 @@ def run_fig3b(store: TraceStore) -> ExperimentResult:
 def run_fig3c(store: TraceStore) -> ExperimentResult:
     """Reproduce Fig. 3(c)."""
     result = ExperimentResult("fig3c", "VMs created per hour (one region)")
-    private = dep.vm_creation_series(store, Cloud.PRIVATE, region=SAMPLE_REGION)
-    public = dep.vm_creation_series(store, Cloud.PUBLIC, region=SAMPLE_REGION)
+    region = sample_region(store)
+    private = dep.vm_creation_series(store, Cloud.PRIVATE, region=region)
+    public = dep.vm_creation_series(store, Cloud.PUBLIC, region=region)
     result.series["private_creations"] = private
     result.series["public_creations"] = public
 
@@ -147,11 +161,12 @@ def run_fig3c_removals(store: TraceStore) -> ExperimentResult:
     result = ExperimentResult(
         "fig3c-removals", "VMs removed per hour (one region)"
     )
+    region = sample_region(store)
     private = dep.vm_creation_series(
-        store, Cloud.PRIVATE, region=SAMPLE_REGION, kind=EventKind.TERMINATE
+        store, Cloud.PRIVATE, region=region, kind=EventKind.TERMINATE
     )
     public = dep.vm_creation_series(
-        store, Cloud.PUBLIC, region=SAMPLE_REGION, kind=EventKind.TERMINATE
+        store, Cloud.PUBLIC, region=region, kind=EventKind.TERMINATE
     )
     result.series["private_removals"] = private
     result.series["public_removals"] = public

@@ -155,20 +155,6 @@ class LifetimePredictor:
                     return (short + self.smoothing) / (total + 2 * self.smoothing)
         return 0.5
 
-    def predict_remaining_time(
-        self, vm, *, now: float, long_estimate: float = 48 * 3600.0
-    ) -> float:
-        """Expected remaining lifetime used by the migration planner."""
-        p_short = self.predict_short_probability(
-            subscription_id=vm.subscription_id,
-            service=vm.service,
-            cloud=str(vm.cloud),
-        )
-        age = now - vm.created_at
-        if p_short > 0.5 and age < SHORTEST_BIN_SECONDS:
-            return SHORTEST_BIN_SECONDS - age
-        return long_estimate
-
     def evaluate(
         self,
         store: TraceStore,

@@ -55,12 +55,9 @@ from repro.workloads.spatial import DEFAULT_REGION_POPULARITY, choose_regions
 from repro.workloads.utilization_models import (
     diurnal_signal,
     hourly_peak_signal,
-    irregular_signal,
     irregular_signal_block,
     irregular_spike_counts,
-    mask_to_lifetime,
     mask_to_lifetime_block,
-    stable_signal,
     stable_signal_block,
     vm_series_block_from_signal,
 )
@@ -102,11 +99,6 @@ class GeneratorConfig:
     #: Section VII (threats to validity): simulate a holiday week where
     #: every day behaves like a weekend (reduced activity everywhere).
     holiday_week: bool = False
-    #: Synthesize telemetry with the vectorized batch pipeline (one
-    #: ``(n_vms, T)`` matrix per signal group) instead of the per-VM loop.
-    #: Both paths draw from the same distributions; the loop is kept for
-    #: benchmarking and as an executable specification of the batch path.
-    telemetry_batch: bool = True
 
 
 @dataclass
@@ -155,11 +147,6 @@ class TraceGenerator:
         #: deliberately *not* a GeneratorConfig field, so it never enters
         #: the trace cache key).
         self._spill_dir = spill_dir
-        if spill_dir is not None and not self.config.telemetry_batch:
-            raise ValueError(
-                "spill_dir requires telemetry_batch=True; the per-VM loop "
-                "path has no shard writer"
-            )
 
     # ------------------------------------------------------------------
     # public API
@@ -459,12 +446,6 @@ class TraceGenerator:
     # ------------------------------------------------------------------
     # telemetry synthesis
     # ------------------------------------------------------------------
-    def _synthesize_utilization(self, profile: CloudProfile, store: TraceStore) -> None:
-        if not self.config.telemetry_batch:
-            self._synthesize_utilization_loop(profile, store)
-            return
-        self._synthesize_utilization_batch(profile, store)
-
     def _telemetry_eligible(
         self, profile: CloudProfile, store: TraceStore
     ) -> "list[tuple[object, _Subscription, float]]":
@@ -496,7 +477,7 @@ class TraceGenerator:
             append((vm, sub, tz))
         return eligible
 
-    def _synthesize_utilization_batch(
+    def _synthesize_utilization(
         self, profile: CloudProfile, store: TraceStore
     ) -> None:
         """Vectorized telemetry synthesis in shard-aligned row chunks.
@@ -741,56 +722,6 @@ class TraceGenerator:
             holiday_week=self.config.holiday_week,
             clock=clock,
         )
-
-    def _synthesize_utilization_loop(
-        self, profile: CloudProfile, store: TraceStore
-    ) -> None:
-        """Reference per-VM synthesis loop (``telemetry_batch=False``)."""
-        rng = self._rng
-        times = sample_times(store.metadata.n_samples)
-        signal_cache: dict[tuple, np.ndarray] = {}
-
-        for vm, sub, tz in self._telemetry_eligible(profile, store):
-            series = self._vm_series(
-                vm.pattern, sub, tz, times, signal_cache, rng
-            )
-            series = mask_to_lifetime(
-                series, times, created_at=vm.created_at, ended_at=vm.ended_at
-            )
-            store.add_utilization(vm.vm_id, np.clip(series, 0.0, 1.0))
-            _SERIES_SYNTHESIZED.inc()
-
-    def _vm_series(
-        self,
-        pattern: str,
-        sub: _Subscription,
-        tz: float,
-        times: np.ndarray,
-        cache: dict[tuple, np.ndarray],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        noise = sub.archetype.noise
-        if pattern == PATTERN_STABLE:
-            level = float(np.clip(sub.stable_level * rng.lognormal(0.0, 0.2), 0.02, 0.6))
-            base = stable_signal(times, level=level, wobble=0.01, rng=rng)
-            return base + rng.normal(0.0, 0.006, size=times.shape[0])
-        if pattern == PATTERN_IRREGULAR:
-            base = irregular_signal(times, rng=rng)
-            return base + rng.normal(0.0, 0.01, size=times.shape[0])
-
-        key = (sub.subscription_id, pattern, round(tz, 2))
-        shared = cache.get(key)
-        if shared is None:
-            shared = self._shared_signal(pattern, sub, tz, times)
-            cache[key] = shared
-        amplitude = float(
-            np.clip(sub.amplitude_median * rng.lognormal(0.0, noise.scale_sigma + 0.35), 0.1, 1.5)
-        )
-        # Idiosyncratic noise scales with the VM's amplitude so that the
-        # signal-to-noise ratio -- and hence classifiability and node-level
-        # correlation -- is controlled per cloud, not per VM.
-        eps = rng.normal(0.0, noise.additive_sigma * amplitude, size=times.shape[0])
-        return amplitude * shared + eps
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from repro.cloud.allocator import AllocationFailure, AllocationService, Placemen
 from repro.cloud.entities import RegionSpec, TopologySpec, build_topology
 from repro.cloud.sku import NodeSku
 from repro.telemetry.schema import Cloud
+from repro.workloads.generator import GeneratorConfig, TraceGenerator
+from repro.workloads.profiles import private_profile
 
 
 def make_service(
@@ -75,6 +80,32 @@ def test_best_fit_packs_instead_of_spreading():
     assert service.deployment_rack_spread(7) == 1
 
 
+def _mean_rack_spread_of_large_deployments(policy: PlacementPolicy) -> float:
+    """Mean racks per deployment of 3+ VMs on a tight 1x3x3 private fleet."""
+    profile = replace(
+        private_profile(), clusters_per_region=1, racks_per_cluster=3, nodes_per_rack=3
+    )
+    config = GeneratorConfig(
+        seed=17, scale=0.2, synthesize_utilization=False, placement_policy=policy
+    )
+    store = TraceGenerator(profile, config).generate()
+    racks: dict[int, set[int]] = defaultdict(set)
+    sizes: Counter[int] = Counter()
+    for vm in store.vms():
+        racks[vm.deployment_id].add(vm.rack_id)
+        sizes[vm.deployment_id] += 1
+    large = [d for d, n in sizes.items() if n >= 3]
+    assert large
+    return sum(len(racks[d]) for d in large) / len(large)
+
+
+def test_spread_beats_best_fit_rack_spread_under_pressure():
+    """Insight 1: SPREAD buys fault tolerance that BEST_FIT gives up."""
+    spread = _mean_rack_spread_of_large_deployments(PlacementPolicy.SPREAD)
+    best_fit = _mean_rack_spread_of_large_deployments(PlacementPolicy.BEST_FIT)
+    assert spread > best_fit
+
+
 def test_random_policy_allocates():
     service = make_service(policy=PlacementPolicy.RANDOM, regions=("a",))
     node = service.allocate(1, 2, 8, region="a", deployment_id=1, subscription_id=1)
@@ -104,18 +135,6 @@ def test_subscriptions_per_cluster_accounting():
     service.allocate(2, 2, 8, region="a", deployment_id=2, subscription_id=2)
     counts = service.subscriptions_per_cluster()
     assert sum(counts.values()) == 2
-
-
-def test_down_node_not_used():
-    service = make_service(racks=1, nodes=2, clusters=1, regions=("a",))
-    first = service.allocate(1, 2, 8, region="a", deployment_id=1, subscription_id=1)
-    victims = service.mark_node_down(first.node_id)
-    assert victims == [1]
-    assert service.is_down(first.node_id)
-    node = service.allocate(2, 2, 8, region="a", deployment_id=1, subscription_id=1)
-    assert node.node_id != first.node_id
-    service.mark_node_up(first.node_id)
-    assert not service.is_down(first.node_id)
 
 
 def test_release_decrements_rack_count():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,59 @@ def test_docs_quote_only_real_flags():
         if flag not in real
     )
     assert not stale, f"docs quote flags no CLI verb accepts: {stale}"
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: A backticked repo path: two or more ``/``-separated segments of path
+#: characters (``*`` globs allowed) ending in a file extension or a ``/``,
+#: optionally followed by a ``::node`` test id.
+_DOC_PATH = re.compile(r"`([\w.*-]*/[\w./*-]*?(?:\.\w+|/))(?:::[^`\s]+)?`")
+
+
+def test_docs_cite_only_real_paths():
+    """Every repo path README, DESIGN and docs/ cite in backticks exists."""
+    docs = [
+        REPO_ROOT / "README.md",
+        REPO_ROOT / "DESIGN.md",
+        *sorted((REPO_ROOT / "docs").glob("*.md")),
+    ]
+    bases = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
+    missing = sorted(
+        f"{doc.name}: {path}"
+        for doc in docs
+        for path in set(_DOC_PATH.findall(doc.read_text()))
+        if not any(next(base.glob(path), None) for base in bases)
+    )
+    assert not missing, f"docs cite paths that do not exist: {missing}"
+
+
+def test_ci_requirements_cover_every_third_party_import():
+    """``.github/requirements-ci.txt`` lists every package src/ and tests/ import."""
+    first_party = {"repro", "tests"}
+    imported: dict[str, str] = {}
+    sources = [*(REPO_ROOT / "src").rglob("*.py"), *(REPO_ROOT / "tests").rglob("*.py")]
+    for source in sorted(sources):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in first_party:
+                    imported.setdefault(top, str(source.relative_to(REPO_ROOT)))
+    listed = {
+        re.split(r"[\s<>=!~;\[]", line.strip(), maxsplit=1)[0].lower().replace("-", "_")
+        for line in (REPO_ROOT / ".github" / "requirements-ci.txt").read_text().splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    }
+    unlisted = sorted(
+        f"{top} (imported by {path})" for top, path in imported.items() if top not in listed
+    )
+    assert not unlisted, f"requirements-ci.txt misses: {unlisted}"
 
 
 def test_case_study_command(capsys):

@@ -7,6 +7,8 @@ import pytest
 from repro.experiments import case_study, fig1, fig2, fig3, fig4, fig5, fig6, fig7, implications
 from repro.experiments.base import CheckResult, ExperimentResult
 from repro.experiments.runner import PAPER_ARTIFACTS, render_report, write_experiments_md
+from repro.telemetry.io import load_trace, save_trace
+from repro.workloads.generator import GeneratorConfig, generate_trace_pair
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +127,20 @@ class TestHarness:
 
 def test_fig3c_removals(store):
     _assert_all_pass(fig3.run_fig3c_removals(store))
+
+
+@pytest.mark.parametrize("seed, region", [(7, "us-east"), (6, "us-east2")])
+def test_single_region_panels_sample_a_region_both_clouds_use(tmp_path, seed, region):
+    """Seed 6 leaves private ``us-east`` empty, so its panels move to ``us-east2``.
+
+    The sample follows ``store.regions`` order, which a save/load round trip
+    must keep.
+    """
+    config = GeneratorConfig(seed=seed, scale=0.12, synthesize_utilization=False)
+    generated = generate_trace_pair(config)
+    store = load_trace(save_trace(generated, tmp_path / "trace"))
+    assert list(store.regions) == list(generated.regions)
+    assert fig3.sample_region(store) == region
+    for run in (fig3.run_fig3b, fig3.run_fig3c, fig3.run_fig3c_removals):
+        result = run(store)
+        assert result.series and result.checks

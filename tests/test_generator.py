@@ -117,27 +117,6 @@ def test_workers_bit_identical_to_sequential():
         np.testing.assert_array_equal(seq.utilization(vm_id), par.utilization(vm_id))
 
 
-def test_batch_and_loop_synthesis_agree_statistically():
-    """The vectorized fast path must preserve the loop path's statistics.
-
-    Bit-level equality is not expected (different draw order and noise law),
-    but per-pattern utilization means/stds feed every downstream analysis
-    and must match closely.
-    """
-    base = GeneratorConfig(seed=9, scale=0.05)
-    fast = TraceGenerator(private_profile(), base).generate()
-    slow = TraceGenerator(
-        private_profile(),
-        GeneratorConfig(seed=9, scale=0.05, telemetry_batch=False),
-    ).generate()
-    ids = fast.vm_ids_with_utilization()
-    assert ids == slow.vm_ids_with_utilization()
-    a = fast.utilization_matrix(ids)
-    b = slow.utilization_matrix(ids)
-    assert abs(float(a.mean()) - float(b.mean())) < 0.02
-    assert abs(float(a.std()) - float(b.std())) < 0.02
-
-
 def test_no_utilization_option():
     config = GeneratorConfig(seed=5, scale=0.05, synthesize_utilization=False)
     trace = TraceGenerator(public_profile(), config).generate()

@@ -94,12 +94,6 @@ class TestLifetimePredictor:
             subscription_id=0, service="x", cloud="y"
         ) == 0.5
 
-    def test_predict_remaining_time(self, small_trace):
-        predictor = LifetimePredictor().fit(small_trace)
-        vm = small_trace.vms(cloud=Cloud.PRIVATE)[0]
-        remaining = predictor.predict_remaining_time(vm, now=vm.created_at + 60)
-        assert remaining > 0
-
     def test_evaluate_empty_raises(self):
         with pytest.raises(ValueError):
             LifetimePredictor().evaluate(TraceStore())

@@ -87,7 +87,6 @@ def _random_config(rand) -> GeneratorConfig:
         synthesize_utilization=rand.random() < 0.5,
         placement_policy=rand.choice(list(PlacementPolicy)),
         holiday_week=rand.random() < 0.5,
-        telemetry_batch=rand.random() < 0.5,
     )
 
 
@@ -173,7 +172,6 @@ class TestConfigHashAnchors:
             {"synthesize_utilization": False},
             {"placement_policy": PlacementPolicy.BEST_FIT},
             {"holiday_week": True},
-            {"telemetry_batch": False},
         ],
     )
     def test_every_field_participates(self, override):
@@ -183,7 +181,7 @@ class TestConfigHashAnchors:
 
     def test_default_digest_is_pinned(self):
         # Moving this literal invalidates every cached trace on disk.
-        assert config_hash(GeneratorConfig()) == "7ff1557ec46c8cb97a2a"
+        assert config_hash(GeneratorConfig()) == "2478433ef5b86623400c"
 
     # config_hash refuses a config its key tables do not describe.
 

@@ -1,7 +1,7 @@
 """Stateful property test: the platform under random lifecycle sequences.
 
-Hypothesis drives random create/terminate/fail/recover sequences against a
-small fleet and checks the core safety invariants after every step:
+Hypothesis drives random create/terminate sequences against a small fleet
+and checks the core safety invariants after every step:
 
 * no node ever exceeds its core/memory capacity;
 * the trace store and the allocator agree on who is alive and where;
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.cloud.entities import RegionSpec, TopologySpec, build_topology
-from repro.cloud.faults import FailureInjector
 from repro.cloud.platform import CloudPlatform, VMRequest
 from repro.cloud.sku import NodeSku, VMSku
 from repro.telemetry.schema import Cloud
@@ -39,10 +38,8 @@ class PlatformMachine(RuleBasedStateMachine):
         self.platform = CloudPlatform(
             build_topology(spec), TraceStore(), rng=np.random.default_rng(0)
         )
-        self.injector = FailureInjector(self.platform)
         self.clock = 0.0
         self.live: set[int] = set()
-        self.down_nodes: set[int] = set()
 
     def _tick(self) -> float:
         self.clock += 60.0
@@ -75,28 +72,6 @@ class PlatformMachine(RuleBasedStateMachine):
         self.platform.terminate_vm(vm_id, self._tick())
         self.live.discard(vm_id)
 
-    @rule(pick=st.randoms(use_true_random=False))
-    def fail_node(self, pick):
-        up_nodes = [
-            n for n in self.platform.topology.nodes if n not in self.down_nodes
-        ]
-        if not up_nodes:
-            return
-        node_id = pick.choice(sorted(up_nodes))
-        outcome = self.injector.fail_node(node_id, self._tick())
-        self.down_nodes.add(node_id)
-        for vm_id, new_node in outcome.items():
-            if new_node is None:
-                self.live.discard(vm_id)  # lost: no capacity elsewhere
-
-    @rule(pick=st.randoms(use_true_random=False))
-    def recover_node(self, pick):
-        if not self.down_nodes:
-            return
-        node_id = pick.choice(sorted(self.down_nodes))
-        self.injector.recover_node(node_id)
-        self.down_nodes.discard(node_id)
-
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
@@ -125,14 +100,6 @@ class PlatformMachine(RuleBasedStateMachine):
             if vm.vm_id not in self.live:
                 assert vm.ended_at != float("inf")
                 assert self.platform.allocator.node_of(vm.vm_id) is None
-
-    @invariant()
-    def live_vms_not_on_down_nodes_after_failure(self):
-        for vm_id in self.live:
-            node = self.platform.allocator.node_of(vm_id)
-            # A node that failed had its VMs migrated off; recovered nodes
-            # may host again.
-            assert node.node_id not in self.down_nodes
 
 
 TestPlatformStateMachine = PlatformMachine.TestCase
