@@ -638,13 +638,13 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
 
+    from repro.lintkit.cli import add_lint_arguments, rule_codes
+
     p_lint = sub.add_parser(
         "lint",
-        help="run the determinism & invariant linter (REP001, REP002, "
-        "REP004-REP010, see docs/LINTING.md)",
+        help=f"run the determinism & invariant linter ({rule_codes()}, "
+        "see docs/LINTING.md)",
     )
-    from repro.lintkit.cli import add_lint_arguments
-
     add_lint_arguments(p_lint)
     p_lint.set_defaults(func=_cmd_lint)
     return parser

@@ -10,19 +10,17 @@ REP004 broad ``except`` that neither re-raises nor counts the swallow
 REP005 unsorted dict/set iteration feeding hashing/dispatch sinks
 REP006 metric/span naming convention (``group.name``)
 REP007 per-series FFT/Pearson/``np.append`` inside loops in hot paths
-REP008 blocking calls reachable from ``async def`` (incl. transitive)
-REP009 unawaited coroutines / dropped ``create_task`` handles
-REP010 instance-state mutation torn across an ``await`` without a lock
 ====== ============================================================
 
-REP001, REP002 and REP004-REP007 are per-file passes; REP008-REP010 are
-*project* rules running over a whole-program
-:class:`~repro.lintkit.project.ProjectContext` (cross-module imports,
-call graph, async coloring).  The two retired codes keep their gaps so
-existing pragmas stay valid: REP003 (cache-key coverage) is checked at
-runtime by ``repro.experiments.cache.config_hash`` and REP011
-(wire-protocol drift) by ``tests/test_serving.py``.  A metric name
-registered twice is refused at import time by
+Every rule is a per-file pass over one parsed tree.  Retired codes keep
+their gaps so existing pragmas stay valid; each became a runtime check:
+REP003 (cache-key coverage) is ``repro.experiments.cache.config_hash``,
+REP011 (wire-protocol drift) a ``tests/test_serving.py`` protocol-table
+test, and REP008-REP010 (blocking calls, dropped coroutines, state torn
+across an ``await``) are the blocking-primitive guard in
+``tests/conftest.py``, the unawaited-coroutine warnings ``pyproject.toml``
+turns into errors, and the serving batch-atomicity and lifecycle tests.
+A metric name registered twice is refused at import time by
 ``repro.obs.metrics.MetricsRegistry``.
 
 Run it as ``python -m repro lint`` or ``python -m repro.lintkit``; the
@@ -38,7 +36,6 @@ from repro.lintkit.framework import (
     Rule,
     lint_paths,
 )
-from repro.lintkit.project import ProjectContext, ProjectRule
 from repro.lintkit.report import render_json, render_text
 from repro.lintkit.rules import RULE_INDEX, default_rules
 
@@ -46,8 +43,6 @@ __all__ = [
     "Diagnostic",
     "FileContext",
     "LintResult",
-    "ProjectContext",
-    "ProjectRule",
     "RULE_INDEX",
     "Rule",
     "default_rules",

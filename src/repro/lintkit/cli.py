@@ -19,7 +19,12 @@ from pathlib import Path
 
 from repro.lintkit.framework import lint_paths
 from repro.lintkit.report import render_json, render_text
-from repro.lintkit.rules import default_rules
+from repro.lintkit.rules import RULE_INDEX, default_rules
+
+
+def rule_codes() -> str:
+    """The shipped rule codes for help text, e.g. ``REP001, REP002, ...``."""
+    return ", ".join(RULE_INDEX)
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -99,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     """Standalone entry point (``python -m repro.lintkit``)."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Determinism & invariant linter (REP001, REP002, REP004-REP010) "
+        description=f"Determinism & invariant linter ({rule_codes()}) "
         "for the repro codebase",
     )
     add_lint_arguments(parser)

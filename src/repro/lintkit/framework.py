@@ -11,10 +11,7 @@ repo-specific rules in :mod:`repro.lintkit.rules` share:
   lines and the ``# lint: allow[...]`` pragma index, handed to every rule
   so N rules never mean N parses;
 * :class:`Rule` -- the visitor-style base class.  ``check(ctx)`` yields
-  per-file findings.  Rules that need the resolved call graph subclass
-  :class:`~repro.lintkit.project.ProjectRule` instead and implement
-  ``check_project`` over the shared
-  :class:`~repro.lintkit.project.ProjectContext`;
+  per-file findings;
 * :class:`Diagnostic` -- one finding with file/line/col, the offending
   source snippet and a fix hint;
 * :func:`lint_paths` -- the runner: collect files, parse once, run every
@@ -329,14 +326,6 @@ def lint_paths(
         contexts[rel] = ctx
         for rule in rules:
             diagnostics.extend(rule.check(ctx))
-
-    from repro.lintkit.project import ProjectContext, ProjectRule
-
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    if project_rules:
-        project = ProjectContext(list(contexts.values()), root=resolved_root)
-        for rule in project_rules:
-            diagnostics.extend(rule.check_project(project))
 
     kept: list[Diagnostic] = []
     suppressed = 0

@@ -1,10 +1,7 @@
-"""The REP001, REP002, REP004-REP010 rule set: repo-specific determinism
-and invariant checks.
+"""The shipped rule set: repo-specific determinism and invariant checks.
 
 Each rule is a small :class:`~repro.lintkit.framework.Rule` subclass over
-the shared single-parse framework; REP008-REP010 are
-:class:`~repro.lintkit.project.ProjectRule` subclasses over the resolved
-call graph.  The catalog (rationale, examples, suppression guidance)
+the shared single-parse framework.  The catalog (rationale, examples, suppression guidance)
 lives in ``docs/LINTING.md``; the docstrings here are the normative
 short form.
 """
@@ -13,11 +10,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.lintkit.framework import Diagnostic, FileContext, Rule
-from repro.lintkit.project import FunctionInfo, ProjectContext, ProjectRule
 
 # ----------------------------------------------------------------------
 # shared AST helpers
@@ -562,411 +557,6 @@ class SlowIdiomRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP008: blocking calls reachable from async functions
-# ----------------------------------------------------------------------
-
-#: Canonical dotted names that block the calling thread -- poison for an
-#: event loop.  Extend freely; each entry must be a *canonical* origin
-#: (what :class:`~repro.lintkit.project.ModuleImports` resolves to).
-_BLOCKING_CALLS = frozenset({
-    "time.sleep",
-    "subprocess.run", "subprocess.call", "subprocess.check_call",
-    "subprocess.check_output", "subprocess.getoutput",
-    "subprocess.getstatusoutput", "subprocess.Popen",
-    "os.system", "os.popen", "os.wait", "os.waitpid",
-    "socket.create_connection", "socket.getaddrinfo",
-    "socket.gethostbyname", "socket.gethostbyaddr",
-    "urllib.request.urlopen",
-    "numpy.load", "numpy.save", "numpy.savez", "numpy.savez_compressed",
-    "numpy.loadtxt", "numpy.savetxt", "numpy.genfromtxt",
-    "shutil.copy", "shutil.copy2", "shutil.copyfile", "shutil.copytree",
-    "shutil.move", "shutil.rmtree",
-    "requests.get", "requests.post", "requests.put", "requests.delete",
-    "requests.head", "requests.request",
-})
-
-#: Method names that are file I/O wherever they appear (Path and friends).
-_BLOCKING_METHODS = frozenset({
-    "read_text", "write_text", "read_bytes", "write_bytes",
-})
-
-#: Builtins that block (unshadowed bare-name calls).
-_BLOCKING_BUILTINS = frozenset({"open", "input"})
-
-_REP008_HINT = (
-    "offload with 'await asyncio.to_thread(...)' or "
-    "loop.run_in_executor(...), or justify with "
-    "'# lint: allow[REP008] -- <reason>'; see docs/LINTING.md#rep008"
-)
-
-
-class BlockingCallInAsyncRule(ProjectRule):
-    """REP008: blocking calls reachable from an ``async def``.
-
-    One ``time.sleep``/``subprocess.run``/``np.load``/``open`` anywhere
-    in a coroutine's *sync* call chain stalls every connection the event
-    loop serves -- and the transitive case is invisible to per-file lint.
-    This rule walks the project call graph from every ``async def``
-    through project-internal sync calls (async callees are their own
-    roots) and flags each blocking primitive it reaches, naming the
-    chain.  Calls handed to ``asyncio.to_thread``/``run_in_executor`` as
-    references never trip the rule: only *call sites* are traversed.
-    """
-
-    code = "REP008"
-    name = "blocking-call-in-async"
-    description = "sync blocking primitives (sleep/IO/subprocess) reachable from async defs"
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        reported: set[tuple[str, int, int]] = set()
-        for qualname in sorted(project.functions):
-            root = project.functions[qualname]
-            if not root.is_async:
-                continue
-            yield from self._walk_from(project, root, reported)
-
-    def _walk_from(
-        self,
-        project: ProjectContext,
-        root: FunctionInfo,
-        reported: set[tuple[str, int, int]],
-    ) -> Iterator[Diagnostic]:
-        frontier: list[tuple[FunctionInfo, tuple[str, ...]]] = [(root, ())]
-        visited = {root.qualname}
-        while frontier:
-            current, chain = frontier.pop()
-            for call in current.calls:
-                if call.kind == "internal" and call.target is not None:
-                    callee = project.functions[call.target]
-                    if callee.is_async or callee.qualname in visited:
-                        continue  # async callees are analyzed as their own roots
-                    visited.add(callee.qualname)
-                    frontier.append((callee, chain + (callee.display,)))
-                    continue
-                reason = self._blocking_reason(call.kind, call.target, call.node)
-                if reason is None:
-                    continue
-                key = (current.ctx.rel, call.node.lineno, call.node.col_offset)
-                if key in reported:
-                    continue
-                reported.add(key)
-                if chain:
-                    via = " -> ".join(chain)
-                    message = (
-                        f"blocking call {reason} is reachable from async "
-                        f"'{root.display}' via {via}; it stalls the event loop"
-                    )
-                else:
-                    message = (
-                        f"blocking call {reason} inside async "
-                        f"'{root.display}' stalls the event loop"
-                    )
-                yield current.ctx.diagnostic(
-                    self.code, call.node, message, _REP008_HINT
-                )
-
-    @staticmethod
-    def _blocking_reason(
-        kind: str, target: str | None, node: ast.Call
-    ) -> str | None:
-        if kind == "external" and target in _BLOCKING_CALLS:
-            return f"{target}()"
-        if kind == "unknown":
-            if target in _BLOCKING_BUILTINS:
-                return f"builtin {target}()"
-            name = call_name(node)
-            if name in _BLOCKING_METHODS and isinstance(node.func, ast.Attribute):
-                return f".{name}() (file I/O)"
-        return None
-
-
-# ----------------------------------------------------------------------
-# REP009: unawaited coroutines / dropped task handles
-# ----------------------------------------------------------------------
-
-_TASK_SPAWNERS = frozenset({"asyncio.create_task", "asyncio.ensure_future"})
-_TASK_SPAWNER_METHODS = frozenset({"create_task", "ensure_future"})
-
-_REP009_HINT = (
-    "await the coroutine, or keep the create_task handle (await/cancel it "
-    "on shutdown) -- a dropped handle can be garbage-collected mid-flight "
-    "and its exceptions vanish; see docs/LINTING.md#rep009"
-)
-
-
-class DroppedCoroutineRule(ProjectRule):
-    """REP009: coroutine calls and task spawns whose result is dropped.
-
-    A bare ``coro_fn()`` statement builds a coroutine object and throws
-    it away (the body never runs -- Python warns only at GC time, at
-    runtime, maybe).  A bare ``asyncio.create_task(...)`` runs, but the
-    loop holds only a weak reference: the task can be collected mid-
-    flight and its exception is silently lost.  Both are resolved
-    statically here: the call graph knows which project functions are
-    ``async def``, so ``f()`` as an expression statement is flagged when
-    ``f`` is one, wherever ``f`` was imported from.
-    """
-
-    code = "REP009"
-    name = "dropped-coroutine"
-    description = "unawaited coroutine calls and unreferenced create_task handles"
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for qualname in sorted(project.functions):
-            fn = project.functions[qualname]
-            for call in fn.calls:
-                if not call.is_expr_stmt:
-                    continue
-                if call.kind == "internal" and call.target is not None:
-                    callee = project.functions[call.target]
-                    if callee.is_async:
-                        yield fn.ctx.diagnostic(
-                            self.code, call.node,
-                            f"coroutine '{callee.display}()' is created but "
-                            f"never awaited in '{fn.display}'",
-                            _REP009_HINT,
-                        )
-                    continue
-                if call.kind == "external" and call.target in _TASK_SPAWNERS:
-                    spawner = call.target
-                elif (
-                    call.kind == "unknown"
-                    and isinstance(call.node.func, ast.Attribute)
-                    and call.node.func.attr in _TASK_SPAWNER_METHODS
-                ):
-                    spawner = call.node.func.attr
-                else:
-                    continue
-                yield fn.ctx.diagnostic(
-                    self.code, call.node,
-                    f"task handle from {spawner}(...) is dropped in "
-                    f"'{fn.display}'",
-                    _REP009_HINT,
-                )
-
-
-# ----------------------------------------------------------------------
-# REP010: instance state torn across an await point
-# ----------------------------------------------------------------------
-
-#: Method names that mutate their receiver in place.  Deliberately
-#: conservative: ``close``/``cancel``/``write`` are lifecycle/IO verbs,
-#: not state the paper's torn-read property covers.
-_MUTATOR_METHODS = frozenset({
-    "add", "append", "appendleft", "clear", "discard", "extend", "insert",
-    "pop", "popleft", "put_nowait", "remove", "setdefault", "update",
-})
-
-_REP010_HINT = (
-    "hold an asyncio.Lock across the whole section "
-    "('async with self._lock:'), or regroup the mutations so related "
-    "fields change between awaits, not around one; "
-    "see docs/LINTING.md#rep010"
-)
-
-
-@dataclass
-class _TornState:
-    """Dataflow summary while scanning one coroutine body."""
-
-    seen_mut: bool = False
-    await_after_mut: bool = False
-
-    def copy(self) -> "_TornState":
-        return _TornState(self.seen_mut, self.await_after_mut)
-
-    def merge(self, *branches: "_TornState") -> None:
-        for branch in branches:
-            self.seen_mut = self.seen_mut or branch.seen_mut
-            self.await_after_mut = self.await_after_mut or branch.await_after_mut
-
-    def note_await(self) -> None:
-        if self.seen_mut:
-            self.await_after_mut = True
-
-
-class TornAwaitStateRule(ProjectRule):
-    """REP010: ``self`` state mutated on both sides of an ``await``.
-
-    The serving layer's concurrency story is "batches apply in
-    synchronous code, so queries never see a half-applied batch"
-    (``docs/SERVING.md``).  A coroutine that mutates instance state,
-    suspends, and mutates again has broken that story: every other task
-    on the loop can run at the suspension point and observe the first
-    half without the second.  Mutations inside an ``async with`` whose
-    context manager's name contains ``lock`` are exempt -- that is the
-    documented fix.
-    """
-
-    code = "REP010"
-    name = "torn-await-state"
-    description = "instance-state mutations straddling an await without a lock"
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for qualname in sorted(project.functions):
-            fn = project.functions[qualname]
-            if not fn.is_async:
-                continue
-            findings: list[Diagnostic] = []
-            self._scan_body(fn, fn.node.body, _TornState(), False, findings)
-            yield from findings
-
-    # -- statement walk -------------------------------------------------
-    def _scan_body(
-        self,
-        fn: FunctionInfo,
-        body: list[ast.stmt],
-        state: _TornState,
-        locked: bool,
-        out: list[Diagnostic],
-    ) -> None:
-        for stmt in body:
-            self._scan_stmt(fn, stmt, state, locked, out)
-
-    def _scan_stmt(
-        self,
-        fn: FunctionInfo,
-        stmt: ast.stmt,
-        state: _TornState,
-        locked: bool,
-        out: list[Diagnostic],
-    ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # nested scopes are scanned as their own functions
-        if isinstance(stmt, ast.AsyncWith):
-            # Entering awaits __aenter__; a lock-named manager then
-            # protects everything in its body.
-            holds_lock = any(
-                self._is_lock(item.context_expr) for item in stmt.items
-            )
-            state.note_await()
-            self._scan_body(fn, stmt.body, state, locked or holds_lock, out)
-            state.note_await()  # __aexit__ suspends too
-            return
-        if isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._scan_leaf_expr(fn, item.context_expr, state, locked, out)
-            self._scan_body(fn, stmt.body, state, locked, out)
-            return
-        if isinstance(stmt, ast.If):
-            self._scan_leaf_expr(fn, stmt.test, state, locked, out)
-            then_state, else_state = state.copy(), state.copy()
-            self._scan_body(fn, stmt.body, then_state, locked, out)
-            self._scan_body(fn, stmt.orelse, else_state, locked, out)
-            state.merge(then_state, else_state)
-            return
-        if isinstance(stmt, (ast.For, ast.While, ast.AsyncFor)):
-            header = stmt.iter if isinstance(stmt, (ast.For, ast.AsyncFor)) else stmt.test
-            self._scan_leaf_expr(fn, header, state, locked, out)
-            if isinstance(stmt, ast.AsyncFor):
-                state.note_await()  # __anext__ suspends every iteration
-            body_state, else_state = state.copy(), state.copy()
-            self._scan_body(fn, stmt.body, body_state, locked, out)
-            self._scan_body(fn, stmt.orelse, else_state, locked, out)
-            state.merge(body_state, else_state)
-            return
-        if isinstance(stmt, ast.Try):
-            self._scan_body(fn, stmt.body, state, locked, out)
-            branch_states = []
-            for handler in stmt.handlers:
-                handler_state = state.copy()
-                self._scan_body(fn, handler.body, handler_state, locked, out)
-                branch_states.append(handler_state)
-            else_state = state.copy()
-            self._scan_body(fn, stmt.orelse, else_state, locked, out)
-            branch_states.append(else_state)
-            state.merge(*branch_states)
-            self._scan_body(fn, stmt.finalbody, state, locked, out)
-            return
-        # Leaf statement: awaits suspend first, then sync stores land.
-        self._scan_leaf_expr(fn, stmt, state, locked, out)
-
-    def _scan_leaf_expr(
-        self,
-        fn: FunctionInfo,
-        node: ast.AST,
-        state: _TornState,
-        locked: bool,
-        out: list[Diagnostic],
-    ) -> None:
-        """Events of one statement/expression: awaits suspend, then stores land."""
-        awaited_calls: set[int] = set()
-        has_await = False
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(sub, ast.Await):
-                has_await = True
-                if isinstance(sub.value, ast.Call):
-                    awaited_calls.add(id(sub.value))
-        if has_await:
-            state.note_await()
-        for target, anchor in self._mutations(node, awaited_calls):
-            if locked:
-                continue
-            if state.await_after_mut:
-                out.append(
-                    fn.ctx.diagnostic(
-                        self.code, anchor,
-                        f"'{target}' is mutated after an await in async "
-                        f"'{fn.display}', and earlier mutations precede that "
-                        "await -- a concurrent task can observe the torn state",
-                        _REP010_HINT,
-                    )
-                )
-            state.seen_mut = True
-
-    def _mutations(
-        self, node: ast.AST, awaited_calls: set[int]
-    ) -> Iterator[tuple[str, ast.AST]]:
-        """(description, anchor) for every sync ``self``-state mutation."""
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                for target in self._flatten_targets(targets):
-                    if self._self_rooted(target):
-                        yield dotted_name(target) or "self attribute", sub
-            elif isinstance(sub, ast.Delete):
-                for target in sub.targets:
-                    if self._self_rooted(target):
-                        yield dotted_name(target) or "self attribute", sub
-            elif isinstance(sub, ast.Call) and id(sub) not in awaited_calls:
-                func = sub.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATOR_METHODS
-                    and self._self_rooted(func.value)
-                ):
-                    receiver = dotted_name(func.value) or "self attribute"
-                    yield f"{receiver}.{func.attr}(...)", sub
-
-    @staticmethod
-    def _flatten_targets(targets: list[ast.AST]) -> Iterator[ast.AST]:
-        for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                yield from TornAwaitStateRule._flatten_targets(list(target.elts))
-            else:
-                yield target
-
-    @staticmethod
-    def _self_rooted(node: ast.AST) -> bool:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return isinstance(node, ast.Name) and node.id in ("self", "cls")
-
-    @staticmethod
-    def _is_lock(expr: ast.AST) -> bool:
-        if isinstance(expr, ast.Call):
-            expr = expr.func
-        dotted = dotted_name(expr)
-        return dotted is not None and "lock" in dotted.lower()
-
-
-# ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
 
@@ -980,9 +570,6 @@ def default_rules() -> list[Rule]:
         UnsortedSinkIterationRule(),
         MetricNameRule(),
         SlowIdiomRule(),
-        BlockingCallInAsyncRule(),
-        DroppedCoroutineRule(),
-        TornAwaitStateRule(),
     ]
 
 

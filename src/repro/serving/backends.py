@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.telemetry.schema import Cloud, EventKind, EventRecord, VMRecord
-from repro.telemetry.store import TraceMetadata, TraceStore
+from repro.telemetry.store import TraceMetadata, TraceStore, check_vm_end
 
 
 @dataclass(frozen=True)
@@ -144,21 +144,36 @@ def apply_record(store: TraceStore, record: IngestRecord) -> None:
     :func:`repro.serving.replay.truncated_store` so the online and batch
     paths mutate state identically.  Raises (``ValueError``/``KeyError`` from
     the store) on malformed records; callers decide whether to count or
-    propagate.
+    propagate.  The store's own checks all run before the first mutation,
+    so a rejected record leaves the store exactly as it was.
     """
-    if record.vm is not None:
-        vm = record.vm
-        if record.event is not None:
-            # A CREATE delivers the censored record; the closing event (if it
-            # ever arrives) finalizes the true end time.
-            vm = replace(vm, ended_at=math.inf)
-        store.add_vm(vm)
-        if record.utilization is not None:
-            store.add_utilization(vm.vm_id, record.utilization)
-    if record.event is not None:
-        store.add_event(record.event)
-        if record.vm_end is not None and record.event.vm_id in store:
-            store.finalize_vm(record.event.vm_id, record.vm_end)
+    vm, event = record.vm, record.event
+    if vm is not None and event is not None:
+        # A CREATE delivers the censored record; the closing event (if it
+        # ever arrives) finalizes the true end time.
+        vm = replace(vm, ended_at=math.inf)
+    block = None
+    if vm is not None and record.utilization is not None:
+        block = store.check_utilization_block(
+            [vm.vm_id], np.asarray(record.utilization).reshape(1, -1)
+        )
+    closing = None
+    if event is not None and record.vm_end is not None:
+        if vm is not None and vm.vm_id == event.vm_id:
+            closing = vm
+        elif event.vm_id in store:
+            closing = store.vm(event.vm_id)
+        if closing is not None:
+            check_vm_end(closing, record.vm_end)
+
+    if vm is not None:
+        store.add_vm(vm)  # the first mutation; refuses a duplicate id itself
+        if block is not None:
+            store.add_utilization_block([vm.vm_id], block)
+    if event is not None:
+        store.add_event(event)
+        if closing is not None:
+            store.finalize_vm(event.vm_id, record.vm_end)
 
 
 def copy_topology(source: TraceStore, dest: TraceStore) -> None:

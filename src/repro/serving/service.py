@@ -134,6 +134,8 @@ class KnowledgeBaseService:
         )
         self._server: asyncio.base_events.Server | None = None
         self._ingest_task: asyncio.Task | None = None
+        #: Live client handlers and their writers; stop() closes them.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: Serializes start()/stop(): both mutate several related fields
         #: (_server, _ingest_task, host, port) across awaits, and two
         #: overlapping lifecycle transitions must never interleave --
@@ -510,17 +512,26 @@ class KnowledgeBaseService:
                 raise RuntimeError("service already started")
             self._ingest_task = asyncio.create_task(self._ingest_loop())
             self._server = await asyncio.start_server(
-                self._handle_client, host, port, limit=STREAM_LIMIT
+                self._accept, host, port, limit=STREAM_LIMIT
             )
             sockname = self._server.sockets[0].getsockname()
             self.host, self.port = sockname[0], sockname[1]
             return self.host, self.port
 
     async def stop(self) -> None:
-        """Drain pending ingest, then shut the server and consumer down."""
+        """Close every connection, drain pending ingest, then shut down.
+
+        Connections are closed first because ``Server.wait_closed()``
+        waits for all of them on Python 3.12+, so one idle client would
+        otherwise keep ``stop()`` from returning.
+        """
         async with self._lifecycle_lock:
             if self._server is not None:
                 self._server.close()
+                for writer in self._connections.values():
+                    writer.close()
+                # A closed transport feeds EOF, so each handler exits.
+                await asyncio.gather(*self._connections)
                 await self._server.wait_closed()
                 self._server = None
             if self._ingest_task is not None:
@@ -543,6 +554,16 @@ class KnowledgeBaseService:
                 self.apply_records(batch)
             finally:
                 self._queue.task_done()
+
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """``start_server`` callback: run the handler as a tracked task."""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_client(reader, writer)
+        )
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -87,6 +87,14 @@ def _event_order(event: EventRecord) -> tuple[float, str, int]:
     return (event.time, event.kind.value, event.vm_id)
 
 
+def check_vm_end(vm: VMRecord, ended_at: float) -> None:
+    """Refuse an end time before the VM's creation (:meth:`TraceStore.finalize_vm`)."""
+    if ended_at < vm.created_at:
+        raise ValueError(
+            f"vm {vm.vm_id}: ended_at {ended_at} precedes created_at {vm.created_at}"
+        )
+
+
 class TraceStore:
     """Mutable container for one trace; append during simulation, then query.
 
@@ -141,10 +149,7 @@ class TraceStore:
     def finalize_vm(self, vm_id: int, ended_at: float) -> None:
         """Replace a VM row with a terminated copy."""
         old = self._vms[vm_id]
-        if ended_at < old.created_at:
-            raise ValueError(
-                f"vm {vm_id}: ended_at {ended_at} precedes created_at {old.created_at}"
-            )
+        check_vm_end(old, ended_at)
         self._vms[vm_id] = dataclasses.replace(old, ended_at=float(ended_at))
 
     def reassign_vm_placement(
@@ -192,6 +197,20 @@ class TraceStore:
         into it.  Ids already carrying a series are re-pointed at their new
         row (the old row is simply orphaned).
         """
+        block = self.check_utilization_block(vm_ids, block)
+        for vm_id in vm_ids:
+            if vm_id not in self._vms:
+                raise KeyError(f"unknown vm_id {vm_id}")
+        self._adopt_block(vm_ids, block)
+
+    def check_utilization_block(
+        self, vm_ids: Sequence[int], block: np.ndarray
+    ) -> np.ndarray:
+        """Validate a block for :meth:`add_utilization_block`, storing nothing.
+
+        Every check but VM membership, so a caller can vet a series before
+        it adds the VM.  Returns the block as C-contiguous float32.
+        """
         block = np.ascontiguousarray(block, dtype=np.float32)
         if block.ndim != 2:
             raise ValueError(f"utilization block must be 2-D, got {block.ndim}-D")
@@ -201,9 +220,6 @@ class TraceStore:
             )
         if len(set(vm_ids)) != len(vm_ids):
             raise ValueError("duplicate vm ids in utilization block")
-        for vm_id in vm_ids:
-            if vm_id not in self._vms:
-                raise KeyError(f"unknown vm_id {vm_id}")
         if block.shape[1] != self.metadata.n_samples:
             raise ValueError(
                 f"utilization series for vms {list(vm_ids)[:3]}... has "
@@ -211,7 +227,7 @@ class TraceStore:
             )
         if block.size and (float(block.min()) < 0.0 or float(block.max()) > 1.0):
             raise ValueError("utilization values must lie in [0, 1]")
-        self._adopt_block(vm_ids, block)
+        return block
 
     def add_utilization_shard(self, vm_ids: Sequence[int], shard: ShardRef) -> None:
         """Attach an on-disk shard as one lazy storage block.

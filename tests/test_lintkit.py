@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.lintkit import Rule, lint_paths, render_json
+from repro.lintkit import RULE_INDEX, Rule, lint_paths, render_json
+from repro.lintkit.framework import PARSE_ERROR_CODE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
@@ -430,3 +432,11 @@ def test_standalone_module_exits_nonzero_on_violations(tmp_path):
     )
     assert proc.returncode == 1
     assert "REP002" in proc.stdout
+
+
+def test_docs_catalog_matches_shipped_rules():
+    """docs/LINTING.md has a ``### REPnnn`` section for exactly the shipped
+    rules plus the parse-error code."""
+    text = (REPO_ROOT / "docs" / "LINTING.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^### (REP\d{3}) ", text, re.MULTILINE)
+    assert sorted(documented) == sorted([*RULE_INDEX, PARSE_ERROR_CODE])

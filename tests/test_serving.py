@@ -11,6 +11,8 @@ drives its own loop via ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
@@ -26,6 +28,7 @@ from repro.serving import (
     iter_ingest_records,
     replay_trace,
 )
+from repro.serving.replay import batch_stream
 from repro.telemetry.store import TraceStore
 
 pytestmark = pytest.mark.serving
@@ -49,6 +52,11 @@ _DOC_OP_RE = re.compile(r"^\|\s*`([A-Za-z0-9_]+)`\s*\|", re.MULTILINE)
 
 def _sorted_sub_ids(snapshot: dict) -> list[int]:
     return [record["subscription_id"] for record in snapshot["records"]]
+
+
+@pytest.fixture(scope="module")
+def ingest_records(small_trace):
+    return list(iter_ingest_records(small_trace))
 
 
 class TestConcurrentQueries:
@@ -131,6 +139,90 @@ class TestConcurrentQueries:
         assert json.dumps(first) == json.dumps(second)
 
 
+class TestBatchAtomicity:
+    def test_stats_sees_only_batch_boundaries(self, small_trace, ingest_records):
+        """A query never observes half a batch: during paced ingest every
+        ``events_version`` a client reads is a prefix sum of batch sizes.
+
+        Ingest is paced because ``asyncio.Queue.get`` does not suspend on a
+        non-empty queue, so an unpaced backlog drains in one go and the
+        clients would only ever see the final version.
+        """
+        batches = batch_stream(ingest_records[:3000], batch_records=64)
+        boundaries = {0, *itertools.accumulate(len(b) for b in batches)}
+
+        async def scenario():
+            service = KnowledgeBaseService.for_trace(small_trace)
+            host, port = await service.start()
+            done = asyncio.Event()
+
+            async def produce():
+                for batch in batches:
+                    await service.ingest(batch)
+                    await asyncio.sleep(0.002)
+                await service.drain()
+                done.set()
+
+            async def observe() -> list[int]:
+                client = await ServiceClient.connect(host, port)
+                seen = []
+                while not done.is_set():
+                    seen.append((await client.call("stats"))["events_version"])
+                await client.close()
+                return seen
+
+            producer = asyncio.create_task(produce())
+            observed = await asyncio.gather(*(observe() for _ in range(3)))
+            await producer
+            await service.stop()
+            return [version for seen in observed for version in seen]
+
+        versions = run(scenario())
+        torn = sorted(set(versions) - boundaries)
+        assert torn == [], f"stats saw a half-applied batch: {torn[:5]}"
+        assert len(set(versions)) >= 10, "queries never interleaved with ingest"
+
+
+class TestLifecycle:
+    def test_stop_leaves_no_service_task_alive(self, small_trace):
+        """``stop()`` returns with an idle client still connected, and no
+        task the service created (consumer, connection handlers) outlives
+        it; the client sees the connection closed."""
+
+        async def scenario():
+            before = asyncio.all_tasks()
+            service = KnowledgeBaseService.for_trace(small_trace)
+            host, port = await service.start()
+            client = await ServiceClient.connect(host, port)
+            assert await client.call("ping") == {"pong": True}
+            await asyncio.wait_for(service.stop(), 10.0)
+            leaked = asyncio.all_tasks() - before
+            assert leaked == set(), leaked
+            assert await client._reader.read() == b"", "connection left open"
+            await client.close()
+
+        run(scenario())
+
+    def test_concurrent_starts_yield_one_server(self, small_trace):
+        async def scenario():
+            before = asyncio.all_tasks()
+            service = KnowledgeBaseService.for_trace(small_trace)
+            results = await asyncio.gather(
+                service.start(), service.start(), return_exceptions=True
+            )
+            client = await ServiceClient.connect(service.host, service.port)
+            pong = await client.call("ping")
+            await client.close()
+            await service.stop()
+            return results, pong, asyncio.all_tasks() - before
+
+        results, pong, leaked = run(scenario())
+        errors = [r for r in results if isinstance(r, BaseException)]
+        assert [type(e) for e in errors] == [RuntimeError]
+        assert pong == {"pong": True}
+        assert leaked == set()
+
+
 class TestProtocolTable:
     def test_handlers_methods_docs_and_clients_agree(self):
         """An op exists only when dispatch dict, method, docs and clients agree.
@@ -158,6 +250,74 @@ class TestProtocolTable:
 
         sent = {op for op, _ in QUERY_MIX} | {"stats", "ingest"}
         assert sent - served == set(), "clients send an op the service does not serve"
+
+
+class TestEveryOpOverWire:
+    @pytest.mark.parametrize("op", sorted(KnowledgeBaseService()._handlers))
+    def test_valid_call_succeeds(self, small_trace, ingest_records, op):
+        """Every op answers a valid call over TCP in this process, so the
+        blocking-call guard (tests/conftest.py) sees each handler run on
+        the event loop."""
+        prefix, spare = ingest_records[:3000], ingest_records[3000]
+        vm = next(
+            r.vm for r in prefix if r.event is not None and r.utilization is not None
+        )
+        args = {
+            "ping": {},
+            "stats": {},
+            "recent": {"limit": 5},
+            "snapshot": {},
+            "pattern_for_vm": {"vm_id": vm.vm_id},
+            "region_agnostic_candidates": {"cloud": vm.cloud.value},
+            "allocation_failure_risk": {
+                "cloud": vm.cloud.value,
+                "load_fraction": 0.8,
+                "recent_creations": 4.0,
+            },
+            "spot_eligibility": {"subscription_id": vm.subscription_id},
+            "recommend_policies": {"subscription_id": vm.subscription_id},
+            "ingest": {"records": [spare.to_wire()]},
+        }[op]
+
+        async def scenario():
+            service = KnowledgeBaseService.for_trace(small_trace)
+            service.apply_records(prefix)
+            host, port = await service.start()
+            client = await ServiceClient.connect(host, port)
+            response = await client.request(op, args)
+            await client.close()
+            await service.stop()
+            return response
+
+        response = run(scenario())
+        assert response["ok"], response
+
+
+class TestIngestValidation:
+    @pytest.mark.parametrize("fault", ["short_series", "end_before_create"])
+    def test_rejected_record_changes_nothing(self, small_trace, ingest_records, fault):
+        """A record the store refuses is refused whole: the store, ``stats``
+        and ``recent`` are unchanged, and the corrected record applies."""
+        if fault == "short_series":
+            idx, good = next(
+                (i, r) for i, r in enumerate(ingest_records)
+                if r.event is not None and r.utilization is not None
+            )
+            bad = dataclasses.replace(good, utilization=good.utilization[:3])
+        else:
+            idx, good = next(
+                (i, r) for i, r in enumerate(ingest_records) if r.vm_end is not None
+            )
+            bad = dataclasses.replace(good, vm_end=-1e9)
+        service = KnowledgeBaseService.for_trace(small_trace)
+        service.apply_records(ingest_records[:idx])
+        before = (service.stats(), service.backend.recent())
+
+        with MetricsScope() as scope:
+            assert service.apply_records([bad]) == 0
+        assert scope.delta["counters"]["serving.apply_errors"] == 1
+        assert (service.stats(), service.backend.recent()) == before
+        assert service.apply_records([good]) == 1
 
 
 class TestStats:
