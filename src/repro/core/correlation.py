@@ -101,20 +101,21 @@ def node_level_correlation(
         n_nodes += 1
         if max_nodes is not None and n_nodes > max_nodes:
             break
+        rows = [store.utilization(vm.vm_id) for vm in vms]
         total = np.zeros(store.metadata.n_samples, dtype=np.float64)
-        for vm in vms:
-            total += vm.cores * store.utilization(vm.vm_id).astype(np.float64)
+        for vm, row in zip(vms, rows):
+            total += vm.cores * row.astype(np.float64)
         node_util = np.clip(total / node.capacity_cores, 0.0, 1.0)
-        eligible: list[tuple[int, int, int]] = []  # (vm_id, lo, hi)
-        for vm in vms:
+        eligible: list[tuple[np.ndarray, int, int]] = []  # (row, lo, hi)
+        for vm, row in zip(vms, rows):
             start = max(vm.created_at, 0.0)
             end = min(vm.ended_at, duration)
             if end - start < min_alive:
                 continue
             lo = int(np.ceil(start / sample_period))
             hi = int(np.floor(end / sample_period))
-            eligible.append((vm.vm_id, lo, hi))
-        for r in _node_vm_correlations(store, node_util, eligible):
+            eligible.append((row, lo, hi))
+        for r in _node_vm_correlations(node_util, eligible):
             if np.isfinite(r):
                 correlations.append(r)
             else:
@@ -125,12 +126,13 @@ def node_level_correlation(
 
 
 def _node_vm_correlations(
-    store: TraceStore,
     node_util: np.ndarray,
-    eligible: list[tuple[int, int, int]],
+    eligible: list[tuple[np.ndarray, int, int]],
 ) -> list[float]:
     """Pearson r of each eligible VM against its node, standardization hoisted.
 
+    ``eligible`` holds each VM's utilization row and alive window
+    ``[lo, hi)``, so the caller's rows are not read from the store again.
     The scalar path (:func:`_node_level_correlation_reference`) re-centers
     the node slice and recomputes its self-product once per *pair*; here VMs
     sharing an alive window are grouped so the node slice is standardized
@@ -140,7 +142,7 @@ def _node_vm_correlations(
     Results come back in ``eligible`` order.
     """
     by_window: dict[tuple[int, int], list[int]] = {}
-    for idx, (_vm_id, lo, hi) in enumerate(eligible):
+    for idx, (_row, lo, hi) in enumerate(eligible):
         by_window.setdefault((lo, hi), []).append(idx)
     results = [float("nan")] * len(eligible)
     for (lo, hi), idxs in by_window.items():
@@ -151,7 +153,7 @@ def _node_vm_correlations(
         ss_node = np.dot(node_c, node_c)
         block = np.empty((len(idxs), hi - lo), dtype=np.float64)
         for row, idx in enumerate(idxs):
-            block[row] = store.utilization(eligible[idx][0])[lo:hi]
+            block[row] = eligible[idx][0][lo:hi]
         block -= block.mean(axis=1, keepdims=True)
         for row, idx in enumerate(idxs):
             denom = np.sqrt(np.dot(block[row], block[row]) * ss_node)

@@ -86,16 +86,9 @@ def weekly_percentiles(
     )
 
 
-def daily_percentiles(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    percentiles: tuple[float, ...] = (25.0, 50.0, 75.0, 95.0),
-    max_vms: int | None = None,
-) -> PercentileBands:
-    """Fig. 6(c, d): utilization percentile bands folded into one day."""
-    weekly = weekly_percentiles(store, cloud, percentiles=percentiles, max_vms=max_vms)
-    samples_per_day = int(SECONDS_PER_DAY // store.metadata.sample_period)
+def daily_bands(weekly: PercentileBands, sample_period: float) -> PercentileBands:
+    """Fig. 6(c, d): weekly percentile bands folded into one day."""
+    samples_per_day = int(SECONDS_PER_DAY // sample_period)
     folded = np.vstack([fold_daily(band, samples_per_day) for band in weekly.bands])
     return PercentileBands(
         percentiles=weekly.percentiles, bands=folded, n_series=weekly.n_series

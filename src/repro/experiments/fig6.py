@@ -33,8 +33,8 @@ def run(store: TraceStore, *, max_vms: int | None = 1500) -> ExperimentResult:
     sample_period = store.metadata.sample_period
     p_week = util.weekly_percentiles(store, Cloud.PRIVATE, max_vms=max_vms)
     q_week = util.weekly_percentiles(store, Cloud.PUBLIC, max_vms=max_vms)
-    p_day = util.daily_percentiles(store, Cloud.PRIVATE, max_vms=max_vms)
-    q_day = util.daily_percentiles(store, Cloud.PUBLIC, max_vms=max_vms)
+    p_day = util.daily_bands(p_week, sample_period)
+    q_day = util.daily_bands(q_week, sample_period)
     result.series["private_weekly"] = p_week
     result.series["public_weekly"] = q_week
     result.series["private_daily"] = p_day

@@ -130,12 +130,21 @@ class ChanceConstrainedOversubscriber:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         packed: list[_Candidate] = []
         reserved = 0.0
-        aggregate = np.zeros(self.store.metadata.n_samples, dtype=np.float64)
+        n = self.store.metadata.n_samples
+        aggregate = np.zeros(n, dtype=np.float64)
+        # The test is np.quantile(trial, 1 - eps, method="higher") > capacity
+        # without the partition.  "higher" is conservative: the empirical
+        # exceedance probability of the value it returns is <= epsilon.  It
+        # returns the sorted trial's element k (numpy's own index formula),
+        # which exceeds capacity iff at least n - k samples do.  A trial
+        # holding NaN has a NaN quantile, which never exceeds capacity.
+        k = int(np.ceil((n - 1) * (1.0 - epsilon)))
         for candidate in self._candidates:
             trial = aggregate + candidate.demand
-            # method="higher" is conservative: the empirical exceedance
-            # probability of the returned value is guaranteed <= epsilon.
-            if np.quantile(trial, 1.0 - epsilon, method="higher") > capacity_cores:
+            if (
+                np.count_nonzero(trial > capacity_cores) >= n - k
+                and not np.isnan(trial).any()
+            ):
                 continue
             aggregate = trial
             packed.append(candidate)

@@ -166,6 +166,14 @@ class SpotAdoptionAdvisor:
             region: self._region_pressure(region)
             for region in self.store.region_names(cloud=self.cloud)
         }
+        medians = {
+            region: np.median(pressure)
+            for region, pressure in pressures.items()
+            if pressure.size
+        }
+        # Survival depends only on the hourly window, and many short-lived
+        # VMs share one; sums still add each VM's term in VM order.
+        survival: dict[tuple[str, int, int], float] = {}
         n_candidates = 0
         n_completed = 0
         candidate_core_hours = 0.0
@@ -186,8 +194,11 @@ class SpotAdoptionAdvisor:
             first = int(vm.created_at // SECONDS_PER_HOUR)
             last = min(int(vm.ended_at // SECONDS_PER_HOUR), len(pressure) - 1)
             window = pressure[first : last + 1]
-            expected_evictions += 1.0 - self.eviction_model.survival_probability(window)
-            if window.size and window[0] < np.median(pressure):
+            key = (vm.region, first, last)
+            if key not in survival:
+                survival[key] = self.eviction_model.survival_probability(window)
+            expected_evictions += 1.0 - survival[key]
+            if window.size and window[0] < medians[vm.region]:
                 valley_starts += 1
         if total_core_hours <= 0:
             raise ValueError(f"no completed {self.cloud} VMs with core-hours")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,12 @@ from repro.management.oversubscription import (
     sweep_epsilon,
 )
 from repro.telemetry.schema import Cloud
-from repro.telemetry.store import TraceStore
+from repro.telemetry.store import TraceMetadata, TraceStore
+from repro.timebase import SAMPLE_PERIOD
 from tests.test_store import make_vm
+
+#: sweep_epsilon's default safety levels, the ones the im1 experiment runs.
+EPSILONS = inspect.signature(sweep_epsilon).parameters["epsilons"].default
 
 
 @pytest.fixture()
@@ -105,3 +111,91 @@ class TestSweep:
         )
         with pytest.raises(ValueError):
             outcome.improvement_over(zero)
+
+
+def _single_vm_packer(series) -> ChanceConstrainedOversubscriber:
+    """A packer whose one candidate demands ``series`` cores (1-core VM)."""
+    store = TraceStore(TraceMetadata(duration=len(series) * SAMPLE_PERIOD))
+    store.add_vm(make_vm(0, cores=1.0))
+    store.add_utilization(0, series)
+    return ChanceConstrainedOversubscriber(store)
+
+
+def _assert_count_rule(series, capacity: float, epsilon: float) -> None:
+    """The packer skips the VM iff numpy's "higher" quantile exceeds capacity."""
+    packer = _single_vm_packer(series)
+    demand = np.asarray(series, dtype=np.float32).astype(np.float64)
+    exceeds = np.quantile(demand, 1.0 - epsilon, method="higher") > capacity
+    outcome = packer.pack_chance_constrained(capacity, epsilon)
+    assert outcome.n_vms_packed == (0 if exceeds else 1), (list(demand), capacity)
+
+
+class TestCountRule:
+    """``count(trial > c) >= n - k`` decides what ``np.quantile(..., "higher") > c`` does."""
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    @pytest.mark.parametrize(
+        ("series", "capacity"),
+        [
+            ([0.5], 0.5),  # n = 1, capacity equal to the sample
+            ([0.5], 0.25),  # n = 1, over
+            ([0.25, 0.5], 0.25),  # n = 2, capacity equal to the lower sample
+            ([0.25, 0.5], 0.5),  # n = 2, capacity equal to the higher sample
+            ([0.5, 0.5], 0.5),  # n = 2, tie at capacity
+            ([0.5, 0.5], 0.25),  # n = 2, tie over capacity
+            ([0.5] * 7 + [0.75] * 3, 0.5),  # ties straddling capacity
+            ([0.25] * 9 + [1.0], 0.25),  # one spike over a flat floor
+            ([float("nan")], 0.5),  # n = 1, a NaN quantile never exceeds
+            ([float("nan"), 1.0], 0.5),  # n = 2, one NaN sample
+            ([1.0] * 9 + [float("nan")], 0.5),  # NaN among samples all over
+        ],
+    )
+    def test_edge_cases(self, series, capacity, epsilon):
+        _assert_count_rule(series, capacity, epsilon)
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_fuzzed_cases_match_numpy_quantile(self, epsilon):
+        rng = np.random.default_rng(int(epsilon * 1e6))
+        for _ in range(250):  # 5 epsilons x 250 = 1250 cases
+            n = int(rng.choice([1, 2, 3, rng.integers(4, 200)]))
+            # A quarter grid forces ties and is exact in float32 and
+            # float64; capacities stay positive so utilization is defined.
+            series = rng.integers(1, 5, n) / 4.0
+            if rng.random() < 0.2:
+                series[rng.integers(n)] = np.nan
+            if rng.random() < 0.5:
+                capacity = float(series[rng.integers(n)])  # equal to a sample
+            else:
+                capacity = float(rng.integers(1, 5) / 4.0 + rng.choice([-0.1, 0.0, 0.1]))
+            _assert_count_rule(series, capacity, epsilon)
+
+
+def _pack_reference(
+    packer: ChanceConstrainedOversubscriber, capacity: float, epsilon: float
+) -> OversubscriptionOutcome:
+    """The quantile packer as it was: one np.quantile per candidate."""
+    packed = []
+    reserved = 0.0
+    aggregate = np.zeros(packer.store.metadata.n_samples, dtype=np.float64)
+    for candidate in packer._candidates:
+        trial = aggregate + candidate.demand
+        if np.quantile(trial, 1.0 - epsilon, method="higher") > capacity:
+            continue
+        aggregate = trial
+        packed.append(candidate)
+        reserved += candidate.cores
+    return packer._outcome("chance-constrained", epsilon, packed, reserved, capacity)
+
+
+class TestMatchesQuantileReference:
+    @pytest.mark.parametrize("trace", ["small_trace", "medium_trace"])
+    @pytest.mark.parametrize("capacity", [96.0, 24.0])
+    def test_outcomes_identical_at_every_epsilon(self, trace, capacity, request):
+        store = request.getfixturevalue(trace)
+        packer = ChanceConstrainedOversubscriber(
+            store, cloud=Cloud.PRIVATE, max_candidates=600
+        )
+        for epsilon in EPSILONS:
+            assert packer.pack_chance_constrained(capacity, epsilon) == _pack_reference(
+                packer, capacity, epsilon
+            )

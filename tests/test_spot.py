@@ -7,10 +7,12 @@ import pytest
 
 from repro.management.spot import (
     SpotAdoptionAdvisor,
+    SpotAdoptionReport,
     SpotEvictionModel,
     SpotEvictionPredictor,
 )
 from repro.telemetry.store import TraceStore
+from repro.timebase import SECONDS_PER_HOUR
 
 
 class TestEvictionModel:
@@ -95,3 +97,55 @@ class TestAdoptionAdvisor:
         strict = SpotAdoptionAdvisor(small_trace, max_candidate_lifetime=600.0).analyze()
         loose = SpotAdoptionAdvisor(small_trace, max_candidate_lifetime=86400.0).analyze()
         assert strict.n_candidates < loose.n_candidates
+
+
+def _analyze_reference(advisor: SpotAdoptionAdvisor) -> SpotAdoptionReport:
+    """The what-if as it was: a region median and a survival product per VM."""
+    store = advisor.store
+    duration = store.metadata.duration
+    pressures = {
+        region: advisor._region_pressure(region)
+        for region in store.region_names(cloud=advisor.cloud)
+    }
+    n_candidates = n_completed = valley_starts = 0
+    candidate_core_hours = total_core_hours = expected_evictions = 0.0
+    for vm in store.vms(cloud=advisor.cloud, completed_only=True):
+        if vm.created_at < 0 or vm.ended_at > duration:
+            continue
+        n_completed += 1
+        core_hours = vm.cores * vm.lifetime / SECONDS_PER_HOUR
+        total_core_hours += core_hours
+        if vm.lifetime > advisor.max_candidate_lifetime:
+            continue
+        n_candidates += 1
+        candidate_core_hours += core_hours
+        pressure = pressures[vm.region]
+        first = int(vm.created_at // SECONDS_PER_HOUR)
+        last = min(int(vm.ended_at // SECONDS_PER_HOUR), len(pressure) - 1)
+        window = pressure[first : last + 1]
+        expected_evictions += 1.0 - advisor.eviction_model.survival_probability(window)
+        if window.size and window[0] < np.median(pressure):
+            valley_starts += 1
+    return SpotAdoptionReport(
+        n_candidates=n_candidates,
+        n_total_completed=n_completed,
+        candidate_core_hours=candidate_core_hours,
+        total_core_hours=total_core_hours,
+        cost_saving_fraction=float(
+            advisor.spot_discount * candidate_core_hours / total_core_hours
+        ),
+        expected_evictions=float(expected_evictions),
+        valley_start_fraction=valley_starts / n_candidates if n_candidates else 0.0,
+    )
+
+
+class TestMatchesPerVmReference:
+    @pytest.mark.parametrize("trace", ["small_trace", "medium_trace"])
+    def test_report_identical(self, trace, request):
+        # A low knee makes evictions likely, so the memoized survival terms
+        # carry real weight in expected_evictions.
+        for model in (SpotEvictionModel(), SpotEvictionModel(knee=0.05)):
+            advisor = SpotAdoptionAdvisor(
+                request.getfixturevalue(trace), eviction_model=model
+            )
+            assert advisor.analyze() == _analyze_reference(advisor)

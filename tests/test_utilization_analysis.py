@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.timeseries import PercentileBands, fold_daily
 from repro.core import utilization as util
+from repro.experiments import fig6
 from repro.telemetry.schema import Cloud, PATTERN_DIURNAL, PATTERN_STABLE
 from repro.telemetry.store import TraceStore
+from repro.timebase import SECONDS_PER_DAY
 
 
 class TestPatternMixAnalysis:
@@ -29,7 +32,8 @@ class TestPercentiles:
         assert np.all(bands.band(25.0) <= bands.band(75.0))
 
     def test_daily_fold_length(self, small_trace):
-        daily = util.daily_percentiles(small_trace, Cloud.PRIVATE, max_vms=200)
+        weekly = util.weekly_percentiles(small_trace, Cloud.PRIVATE, max_vms=200)
+        daily = util.daily_bands(weekly, small_trace.metadata.sample_period)
         assert daily.bands.shape[1] == 288
 
     def test_empty_store_raises(self):
@@ -42,9 +46,40 @@ class TestPercentiles:
             assert bands.band(75.0).mean() < 0.40
 
     def test_private_daily_swing_larger(self, medium_trace):
-        p = util.daily_percentiles(medium_trace, Cloud.PRIVATE, max_vms=400)
-        q = util.daily_percentiles(medium_trace, Cloud.PUBLIC, max_vms=400)
+        p, q = (
+            util.daily_bands(
+                util.weekly_percentiles(medium_trace, cloud, max_vms=400),
+                medium_trace.metadata.sample_period,
+            )
+            for cloud in (Cloud.PRIVATE, Cloud.PUBLIC)
+        )
         assert util.daily_range(p, 50.0) > util.daily_range(q, 50.0)
+
+
+def _daily_percentiles_reference(
+    store: TraceStore, cloud: Cloud, max_vms: int
+) -> PercentileBands:
+    """The daily fold as it was: weekly bands recomputed from the store."""
+    weekly = util.weekly_percentiles(store, cloud, max_vms=max_vms)
+    samples_per_day = int(SECONDS_PER_DAY // store.metadata.sample_period)
+    folded = np.vstack([fold_daily(band, samples_per_day) for band in weekly.bands])
+    return PercentileBands(
+        percentiles=weekly.percentiles, bands=folded, n_series=weekly.n_series
+    )
+
+
+class TestFig6DailyBands:
+    @pytest.mark.parametrize("trace", ["small_trace", "medium_trace"])
+    def test_daily_bands_match_store_reference(self, trace, request):
+        store = request.getfixturevalue(trace)
+        result = fig6.run(store, max_vms=1500)
+        for cloud, key in ((Cloud.PRIVATE, "private_daily"), (Cloud.PUBLIC, "public_daily")):
+            expected = _daily_percentiles_reference(store, cloud, max_vms=1500)
+            got = result.series[key]
+            assert got.percentiles == expected.percentiles
+            assert got.n_series == expected.n_series
+            assert got.bands.dtype == expected.bands.dtype
+            assert np.array_equal(got.bands, expected.bands)
 
 
 class TestSamplePatternSeries:
