@@ -29,6 +29,13 @@ Subcommands::
 
 (Also runnable as ``python -m repro ...``.)
 
+``experiments`` runs every task attempt in-process at ``--jobs 1`` and in
+its own worker process otherwise, or whenever ``--task-timeout`` or an
+armed hang/kill fault needs a process boundary to stop it; either way one
+scheduler applies the retry policy that ``--retries``, ``--task-timeout``
+and ``--fail-fast`` build (backoff is fixed: 0.1 s, doubling, capped at
+30 s).
+
 ``study`` exits nonzero when any insight fails.  ``experiments`` exits 0
 when every task completed and passed, 1 when any completed experiment
 failed its shape checks, and 3 when the run is *degraded*: every
@@ -123,7 +130,7 @@ def _manifest_path(args: argparse.Namespace) -> Path | None:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     import json
 
-    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.config import ExperimentConfig, RetryPolicy
     from repro.experiments.runner import (
         EXIT_CHECK_FAILURES,
         EXIT_DEGRADED,
@@ -135,12 +142,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     )
     from repro.obs import maybe_profile
 
-    config = ExperimentConfig(
-        seed=args.seed,
-        scale=args.scale,
+    config = ExperimentConfig(seed=args.seed, scale=args.scale)
+    policy = RetryPolicy(
         retries=args.retries,
         task_timeout_s=args.task_timeout,
-        retry_backoff_s=args.retry_backoff,
         fail_fast=args.fail_fast,
     )
     with maybe_profile(args.profile):
@@ -149,6 +154,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
+            policy=policy,
         )
     if args.profile:
         print(
@@ -472,10 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-attempt wall-clock deadline; a hung worker is killed and "
         "the task retried/marked 'timeout' (forces process isolation even "
         "at --jobs 1)",
-    )
-    p_exp.add_argument(
-        "--retry-backoff", type=float, default=0.1, metavar="SECONDS",
-        help="base exponential backoff between attempts (default 0.1s)",
     )
     p_exp.add_argument(
         "--fail-fast", action="store_true",

@@ -4,14 +4,15 @@ Every experiment returns an
 :class:`~repro.experiments.base.ExperimentResult` holding (a) the numeric
 series behind the figure, (b) shape checks comparing the measured result to
 the paper's reported values, and (c) a plain-text rendering.
-:func:`repro.experiments.runner.run_all` executes the whole evaluation and
-:func:`repro.experiments.runner.write_experiments_md` regenerates
-``EXPERIMENTS.md``.
+:func:`repro.experiments.runner.run_pipeline` executes the whole evaluation
+through the task scheduler in :mod:`repro.experiments.parallel` and builds
+the run manifest; :func:`repro.experiments.runner.write_experiments_md`
+regenerates ``EXPERIMENTS.md``.
 """
 
 from repro.experiments.base import CheckResult, ExperimentResult
 from repro.experiments.config import ExperimentConfig, get_trace
-from repro.experiments.runner import RunReport, run_all, run_pipeline, write_experiments_md
+from repro.experiments.runner import RunReport, run_pipeline, write_experiments_md
 
 __all__ = [
     "CheckResult",
@@ -19,7 +20,6 @@ __all__ = [
     "ExperimentResult",
     "RunReport",
     "get_trace",
-    "run_all",
     "run_pipeline",
     "write_experiments_md",
 ]

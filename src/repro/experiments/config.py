@@ -17,15 +17,23 @@ from repro.telemetry.store import TraceStore
 from repro.workloads.generator import GeneratorConfig
 
 
+#: Base backoff before the first retry; doubles per failed attempt.
+BACKOFF_S = 0.1
+#: Upper bound on any single backoff sleep.
+BACKOFF_MAX_S = 30.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How the executor treats a task attempt that fails, hangs, or dies.
 
     Attempt ``n`` (1-based) that fails is retried after
-    ``backoff_s * 2**(n-1)`` seconds (capped at ``backoff_max_s``) until
+    ``BACKOFF_S * 2**(n-1)`` seconds (capped at ``BACKOFF_MAX_S``) until
     ``retries`` extra attempts are exhausted; the task then lands in the
     manifest as ``failed`` (or ``timeout`` when the last attempt hit the
-    per-task deadline) while the rest of the registry completes.
+    per-task deadline) while the rest of the registry completes.  The
+    policy shapes how a run degrades, never what it computes, so it is
+    not part of the trace-cache key.
     """
 
     #: Extra attempts after the first (0 = fail immediately).
@@ -34,10 +42,6 @@ class RetryPolicy:
     #: deadline (or an armed hang/kill fault) forces process isolation
     #: even at ``jobs=1`` so a hung task can actually be killed.
     task_timeout_s: float | None = None
-    #: Base backoff before the first retry; doubles per attempt.
-    backoff_s: float = 0.1
-    #: Upper bound on any single backoff sleep.
-    backoff_max_s: float = 30.0
     #: When True, a task that exhausts its attempts marks every not-yet-
     #: started task ``skipped`` instead of running it.
     fail_fast: bool = False
@@ -47,8 +51,6 @@ class RetryPolicy:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError(f"task_timeout_s must be > 0, got {self.task_timeout_s}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
 
     @property
     def max_attempts(self) -> int:
@@ -57,16 +59,14 @@ class RetryPolicy:
 
     def backoff_for(self, failed_attempt: int) -> float:
         """Sleep before retrying after 1-based attempt ``failed_attempt`` failed."""
-        if self.backoff_s <= 0:
-            return 0.0
-        return min(self.backoff_max_s, self.backoff_s * 2 ** (failed_attempt - 1))
+        return min(BACKOFF_MAX_S, BACKOFF_S * 2 ** (failed_attempt - 1))
 
     def to_dict(self) -> dict:
         """JSON-ready rendering for the run manifest."""
         return {
             "retries": self.retries,
             "task_timeout_s": self.task_timeout_s,
-            "backoff_s": self.backoff_s,
+            "backoff_s": BACKOFF_S,
             "fail_fast": self.fail_fast,
         }
 
@@ -79,13 +79,6 @@ class ExperimentConfig:
     #: Workload scale; 0.3 keeps a laptop run under a minute while leaving
     #: enough statistics for every figure.
     scale: float = 0.3
-    #: Fault-tolerance knobs (see :class:`RetryPolicy`); they shape how a
-    #: run degrades, never what it computes, so they are deliberately
-    #: excluded from the trace-cache key.
-    retries: int = 0
-    task_timeout_s: float | None = None
-    retry_backoff_s: float = 0.1
-    fail_fast: bool = False
 
     def generator_config(self) -> GeneratorConfig:
         """The generator settings implied by this experiment config."""
@@ -94,15 +87,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """The trace-cache key for this config (see :func:`cache.config_hash`)."""
         return cache.config_hash(self.generator_config())
-
-    def retry_policy(self) -> RetryPolicy:
-        """The executor policy implied by this config."""
-        return RetryPolicy(
-            retries=self.retries,
-            task_timeout_s=self.task_timeout_s,
-            backoff_s=self.retry_backoff_s,
-            fail_fast=self.fail_fast,
-        )
 
 
 _TRACE_CACHE: dict[tuple[int, float], TraceStore] = {}

@@ -1,21 +1,26 @@
-"""Declarative experiment registry and a fault-tolerant parallel executor.
+"""Declarative experiment registry and a fault-tolerant task scheduler.
 
 Every paper artifact is a named :class:`ExperimentTask` with an explicit
 trace dependency, so the pipeline knows what each task needs instead of
 hard-coding one serial call sequence.  :func:`execute` runs a task
-selection either inline (``jobs=1`` with no timeout or armed faults --
-bit-identical to the historical ``run_all`` order) or under a supervising
-scheduler that gives **every task attempt its own worker process**.
+selection through one scheduler loop with two kinds of attempt:
 
-Per-task processes are what make the pipeline fault tolerant: a worker
-that raises, hangs past the :class:`~repro.experiments.config.RetryPolicy`
-deadline, or dies to a SIGKILL takes down only its own attempt.  The
-supervisor retries the attempt with exponential backoff, and when the
-attempts are exhausted it records a ``failed``/``timeout`` outcome while
-the rest of the registry completes -- unlike a shared
-``ProcessPoolExecutor``, where one killed worker poisons every pending
-future with ``BrokenProcessPool``.  Outcomes are always reassembled in
-registry order, so the output is deterministic at any job count.
+* **inline** -- ``run_task`` in the calling process, its exceptions
+  caught per attempt.  Chosen when ``jobs=1`` and neither a per-task
+  timeout nor an armed hang/kill fault needs a process boundary, so a
+  serial run (and ``bench-scale``'s per-phase peak RSS) stays in-process;
+* **worker** -- **every attempt in its own process**, otherwise.
+
+Both kinds share the retry, exponential-backoff, fail-fast and failure
+bookkeeping.  Per-attempt processes are what make the pipeline fault
+tolerant: a worker that raises, hangs past the
+:class:`~repro.experiments.config.RetryPolicy` deadline, or dies to a
+SIGKILL takes down only its own attempt, and once its attempts are
+exhausted the task is recorded ``failed``/``timeout`` while the rest of
+the registry completes -- unlike a shared ``ProcessPoolExecutor``, where
+one killed worker poisons every pending future with
+``BrokenProcessPool``.  Outcomes are always reassembled in registry
+order, so the output is deterministic at any job count.
 
 Worker processes get the shared trace for free: on fork start methods they
 inherit the parent's warmed in-memory memo, and on spawn they fall back to
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from multiprocessing.connection import wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -100,7 +106,7 @@ def _run_validity(
     )
 
 
-#: Every paper artifact, in the canonical (historical ``run_all``) order.
+#: Every paper artifact, in canonical order.
 REGISTRY: tuple[ExperimentTask, ...] = (
     ExperimentTask("fig1a", "Figure 1(a)", fig1.run_fig1a),
     ExperimentTask("fig1b", "Figure 1(b)", fig1.run_fig1b),
@@ -171,11 +177,6 @@ class TaskOutcome:
     #: Accumulated attempt errors for non-``ok``/``retried`` outcomes.
     error: str | None = None
 
-    @property
-    def completed(self) -> bool:
-        """Whether the task produced a result (``ok`` or ``retried``)."""
-        return self.result is not None
-
 
 def run_task(
     task_id: str,
@@ -231,7 +232,7 @@ def _select_tasks(task_ids: Sequence[str] | None) -> list[ExperimentTask]:
 def _plan_requires_isolation() -> bool:
     """Whether the armed fault plan needs per-process workers to contain.
 
-    A ``raise`` fault is an ordinary exception the inline retry loop can
+    A ``raise`` fault is an ordinary exception an inline attempt can
     catch, but a hang can only be stopped -- and a SIGKILL only survived --
     from outside the worker process.
     """
@@ -252,107 +253,43 @@ def execute(
 ) -> list[TaskOutcome]:
     """Run the selected tasks and return outcomes in registry order.
 
-    ``jobs=1`` (the default) runs in-process in exactly the historical
-    serial order, with exceptions contained per task and retried per
-    ``policy``.  With ``jobs>1`` -- or whenever a per-task timeout or a
-    hang/kill fault demands real isolation -- every attempt runs in its
-    own worker process under the supervising scheduler, so a crashed,
-    hung, or killed worker marks only its task while the rest of the
-    registry completes.  Outcomes are reassembled by registry position,
-    so results are identical to a serial run regardless of completion
-    order or worker count.
+    Every attempt goes through one scheduler loop (:func:`_schedule`),
+    which retries failed attempts per ``policy`` and records the outcome.
+    Attempts run *inline*, in this process, when ``jobs=1`` and neither a
+    per-task timeout nor an armed hang/kill fault needs a process boundary
+    to stop them; otherwise every attempt gets its own worker process, so
+    a crashed, hung, or killed worker marks only its task while the rest
+    of the registry completes.  Outcomes are reassembled by registry
+    position, so results are identical regardless of completion order or
+    worker count.
     """
     config = config or ExperimentConfig()
-    policy = policy if policy is not None else config.retry_policy()
+    policy = policy or RetryPolicy()
     selected = _select_tasks(task_ids)
-    isolate = (
-        jobs > 1
-        or policy.task_timeout_s is not None
-        or _plan_requires_isolation()
+    inline = (
+        jobs <= 1
+        and policy.task_timeout_s is None
+        and not _plan_requires_isolation()
     )
-    if not selected:
-        return []
-    if not isolate:
-        outcomes = []
-        failed = False
-        for task in selected:
-            if failed and policy.fail_fast:
-                _TASKS_SKIPPED.inc()
-                outcomes.append(
-                    TaskOutcome(
-                        task_id=task.task_id, result=None, wall_time_s=0.0,
-                        status="skipped", attempts=0,
-                        error="skipped: fail_fast after earlier failure",
-                    )
-                )
-                continue
-            outcome = _run_inline_with_retries(task, config, policy, cache_dir, use_cache)
-            failed = failed or outcome.status in DEGRADED_STATUSES
-            outcomes.append(outcome)
-    else:
-        if any(task.uses_shared_trace for task in selected):
-            # Warm once in the parent: forked workers inherit the store,
-            # spawned workers hit the disk cache this call just populated.
-            get_trace(config, cache_dir=cache_dir, use_cache=use_cache)
-        outcomes = _run_isolated(
-            selected, config, policy,
-            jobs=max(1, jobs), cache_dir=cache_dir, use_cache=use_cache,
-        )
+    if not inline and any(task.uses_shared_trace for task in selected):
+        # Warm once in the parent: forked workers inherit the store,
+        # spawned workers hit the disk cache this call just populated.
+        get_trace(config, cache_dir=cache_dir, use_cache=use_cache)
+    outcomes = _schedule(
+        selected, config, policy,
+        jobs=max(1, jobs), inline=inline, cache_dir=cache_dir, use_cache=use_cache,
+    )
+    if not inline:
         # Fold worker metric deltas into this process's registry *in
         # registry order*, not completion order, so the merged totals (and
-        # gauge values) are identical to a serial run of the same task set.
-        # Inline outcomes must NOT be merged: their increments already
-        # landed in this registry while the task ran in-process.
+        # gauge values) are identical to an inline run of the same task
+        # set, whose increments already landed here while it ran.
         for outcome in outcomes:
             if outcome.metrics:
                 _METRICS_REGISTRY.merge(outcome.metrics)
     return outcomes
 
 
-# ----------------------------------------------------------------------
-# inline execution (jobs=1, no timeout): historical serial order
-# ----------------------------------------------------------------------
-def _run_inline_with_retries(
-    task: ExperimentTask,
-    config: ExperimentConfig,
-    policy: RetryPolicy,
-    cache_dir: str | Path | None,
-    use_cache: bool,
-) -> TaskOutcome:
-    """One task, in-process, with the retry policy but no hard isolation."""
-    errors: list[str] = []
-    # lint: allow[REP002] -- retry bookkeeping clock; task timing uses spans
-    t0 = time.perf_counter()
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            outcome = run_task(
-                task.task_id, config,
-                cache_dir=cache_dir, use_cache=use_cache, attempt=attempt,
-            )
-        except Exception as exc:
-            errors.append(f"attempt {attempt}: {type(exc).__name__}: {exc}")
-            if attempt < policy.max_attempts:
-                _RETRY_ATTEMPTS.inc()
-                time.sleep(policy.backoff_for(attempt))
-            continue
-        outcome.attempts = attempt
-        if attempt > 1:
-            outcome.status = "retried"
-        return outcome
-    _TASKS_FAILED.inc()
-    return TaskOutcome(
-        task_id=task.task_id,
-        result=None,
-        wall_time_s=time.perf_counter() - t0,  # lint: allow[REP002] -- see t0 above
-        status="failed",
-        attempts=policy.max_attempts,
-        error="; ".join(errors),
-    )
-
-
-# ----------------------------------------------------------------------
-# isolated execution: one worker process per task attempt
-# ----------------------------------------------------------------------
 def _worker_entry(
     conn,
     task_id: str,
@@ -364,19 +301,19 @@ def _worker_entry(
     """Worker-process body: run one attempt, ship the outcome (or error) back.
 
     An ordinary exception is reported as a message rather than a dead
-    process, so the supervisor can retry without paying another fork for
+    process, so the scheduler can retry without paying another fork for
     the diagnosis.  Hangs and SIGKILLs never reach the ``send`` -- the
-    supervisor detects those from the outside.
+    scheduler detects those from the outside.
     """
     try:
         outcome = run_task(
             task_id, config, cache_dir=cache_dir, use_cache=use_cache, attempt=attempt
         )
         conn.send(("ok", outcome))
-    # Worker-side last resort: the error crosses the pipe and the supervisor
+    # Worker-side last resort: the error crosses the pipe and the scheduler
     # counts it on task.failed / retry.attempts.
-    # lint: allow[REP004] -- swallow is observable via supervisor counters
-    except BaseException as exc:  # noqa: BLE001 - the supervisor triages
+    # lint: allow[REP004] -- swallow is observable via scheduler counters
+    except BaseException as exc:  # noqa: BLE001 - the scheduler triages
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except (BrokenPipeError, OSError):
@@ -386,14 +323,11 @@ def _worker_entry(
 
 
 @dataclass
-class _Attempt:
-    """Supervisor-side state of one in-flight worker process."""
+class _Worker:
+    """Scheduler-side handle on one in-flight worker attempt."""
 
     proc: multiprocessing.process.BaseProcess
     conn: object
-    index: int
-    attempt: int
-    started: float
     deadline: float | None
 
     def close(self) -> None:
@@ -403,7 +337,7 @@ class _Attempt:
 
 @dataclass
 class _TaskState:
-    """Supervisor-side bookkeeping for one selected task."""
+    """Scheduler-side bookkeeping for one selected task."""
 
     task: ExperimentTask
     attempts: int = 0
@@ -411,64 +345,123 @@ class _TaskState:
     errors: list[str] = field(default_factory=list)
 
 
-def _run_isolated(
+def _schedule(
     selected: list[ExperimentTask],
     config: ExperimentConfig,
     policy: RetryPolicy,
     *,
     jobs: int,
+    inline: bool,
     cache_dir: str | Path | None,
     use_cache: bool,
 ) -> list[TaskOutcome]:
-    """Supervise one worker process per task attempt.
+    """The one retry loop: start attempts, collect their ends, retry or record.
 
-    The scheduler keeps at most ``jobs`` workers alive, enforces the
-    per-attempt deadline, retries failed/hung/killed attempts with
-    exponential backoff, and -- under ``fail_fast`` -- skips tasks that
-    have not started once any task exhausts its attempts.
+    At most ``jobs`` attempts run at once.  An inline attempt runs to its
+    end inside :func:`start`; a worker attempt is a process whose pipe and
+    sentinel the loop waits on, killed at its deadline.  A failed attempt
+    is retried after exponential backoff, its slot going to the next ready
+    task meanwhile.  A task that exhausts its attempts is recorded
+    ``failed``/``timeout`` and, under ``fail_fast``, every task not yet
+    started is skipped.
     """
     ctx = multiprocessing.get_context()
     outcomes: list[TaskOutcome | None] = [None] * len(selected)
     states = [_TaskState(task) for task in selected]
-    #: (eligible_at, index) of attempts waiting for a worker slot.
+    #: (eligible_at, index) of attempts waiting for a slot.
     ready: list[tuple[float, int]] = [(0.0, i) for i in range(len(selected))]
-    running: dict[int, _Attempt] = {}
+    running: dict[int, _Worker] = {}
 
-    def launch(index: int) -> None:
+    def start(index: int) -> None:
         state = states[index]
         state.attempts += 1
         now = time.monotonic()  # lint: allow[REP002] -- scheduler deadline clock
         if state.first_started is None:
             state.first_started = now
+        if inline:
+            try:
+                outcome = run_task(
+                    state.task.task_id, config,
+                    cache_dir=cache_dir, use_cache=use_cache, attempt=state.attempts,
+                )
+            # Contained like a worker's error: recorded on the task and
+            # counted on task.failed / retry.attempts.
+            # lint: allow[REP004] -- swallow is observable via scheduler counters
+            except Exception as exc:
+                handle_failed_attempt(index, f"{type(exc).__name__}: {exc}")
+            else:
+                finalize_success(index, outcome)
+            return
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker_entry,
             args=(send, state.task.task_id, config, cache_dir, use_cache, state.attempts),
             daemon=True,
         )
-        # No parent-side span here: inline and isolated runs must produce
+        # No parent-side span here: inline and worker runs must produce
         # identical span structure so metrics stay comparable across --jobs.
         proc.start()
         send.close()  # the parent reads; closing its write end makes EOF visible
         deadline = (
             now + policy.task_timeout_s if policy.task_timeout_s is not None else None
         )
-        running[index] = _Attempt(
-            proc=proc, conn=recv, index=index,
-            attempt=state.attempts, started=now, deadline=deadline,
+        running[index] = _Worker(proc=proc, conn=recv, deadline=deadline)
+
+    def reap(index: int, worker: _Worker) -> None:
+        # Read liveness *before* the pipe: a worker can send its outcome and
+        # exit between the two reads, and only this order still sees the
+        # outcome instead of mistaking the exit for a crash.
+        exited = not worker.proc.is_alive()
+        if worker.conn.poll(0):
+            try:
+                kind, payload = worker.conn.recv()
+            except (EOFError, OSError):
+                kind, payload = "error", None
+        elif exited:
+            kind, payload = "error", None
+        # lint: allow[REP002] -- scheduler deadline clock
+        elif worker.deadline is not None and time.monotonic() >= worker.deadline:
+            worker.proc.kill()
+            kind, payload = "timeout", f"timed out after {policy.task_timeout_s}s"
+        else:
+            return
+        del running[index]
+        worker.close()
+        if kind == "ok":
+            finalize_success(index, payload)
+            return
+        handle_failed_attempt(
+            index,
+            payload or f"worker exited with code {worker.proc.exitcode} "
+            "before returning a result",
+            timed_out=kind == "timeout",
         )
 
-    def finalize_success(index: int, outcome: TaskOutcome, attempt: int) -> None:
-        outcome.attempts = attempt
-        if attempt > 1:
+    def finalize_success(index: int, outcome: TaskOutcome) -> None:
+        outcome.attempts = states[index].attempts
+        if outcome.attempts > 1:
             outcome.status = "retried"
         outcomes[index] = outcome
 
+    def handle_failed_attempt(index: int, message: str, *, timed_out: bool = False) -> None:
+        state = states[index]
+        state.errors.append(f"attempt {state.attempts}: {message}")
+        if state.attempts < policy.max_attempts:
+            _RETRY_ATTEMPTS.inc()
+            # lint: allow[REP002] -- backoff eligibility is a scheduler deadline
+            eligible = time.monotonic() + policy.backoff_for(state.attempts)
+            ready.append((eligible, index))
+        else:
+            finalize_failure(index, "timeout" if timed_out else "failed")
+
     def finalize_failure(index: int, status: str) -> None:
         state = states[index]
-        (_TASKS_TIMEOUT if status == "timeout" else _TASKS_FAILED).inc()
+        if status == "timeout":
+            _TASKS_TIMEOUT.inc()
+        else:
+            _TASKS_FAILED.inc()
         # lint: allow[REP002] -- failure wall-time for the manifest row only
-        elapsed = time.monotonic() - (state.first_started or time.monotonic())
+        elapsed = time.monotonic() - state.first_started
         outcomes[index] = TaskOutcome(
             task_id=state.task.task_id,
             result=None,
@@ -482,84 +475,45 @@ def _run_isolated(
 
     def skip_pending(because: str) -> None:
         while ready:
-            _eligible, index = ready.pop(0)
+            _eligible, index = ready.pop()
             state = states[index]
             _TASKS_SKIPPED.inc()
             note = f"skipped after {because} exhausted its attempts (fail-fast)"
-            if state.errors:
-                note = "; ".join(state.errors + [note])
             outcomes[index] = TaskOutcome(
                 task_id=state.task.task_id,
                 result=None,
                 wall_time_s=0.0,
                 status="skipped",
                 attempts=state.attempts,
-                error=note,
+                error="; ".join(state.errors + [note]),
             )
 
-    def handle_failed_attempt(index: int, message: str, *, timed_out: bool) -> None:
-        state = states[index]
-        state.errors.append(f"attempt {state.attempts}: {message}")
-        if state.attempts < policy.max_attempts:
-            _RETRY_ATTEMPTS.inc()
-            # lint: allow[REP002] -- backoff eligibility is a scheduler deadline
-            eligible = time.monotonic() + policy.backoff_for(state.attempts)
-            ready.append((eligible, index))
-        else:
-            finalize_failure(index, "timeout" if timed_out else "failed")
-
     while ready or running:
-        now = time.monotonic()  # lint: allow[REP002] -- scheduler deadline clock
-        # Launch eligible attempts into free slots, lowest index first so
-        # cold starts follow registry order deterministically.
-        ready.sort(key=lambda item: item[1])
-        for entry in list(ready):
-            if len(running) >= jobs:
+        # Fill free slots with eligible attempts, lowest index first so
+        # cold starts follow registry order deterministically.  The clock
+        # is re-read per start because an inline attempt runs to its end
+        # in start(), during which a retry's backoff may expire.
+        while len(running) < jobs:
+            now = time.monotonic()  # lint: allow[REP002] -- scheduler deadline clock
+            eligible = [entry for entry in ready if entry[0] <= now]
+            if not eligible:
                 break
-            eligible, index = entry
-            if eligible > now:
-                continue
+            entry = min(eligible, key=lambda item: item[1])
             ready.remove(entry)
-            launch(index)
-        progressed = False
-        for index, att in list(running.items()):
-            if att.conn.poll(0):
-                del running[index]
-                try:
-                    kind, payload = att.conn.recv()
-                except (EOFError, OSError):
-                    att.close()
-                    kind, payload = "error", (
-                        f"worker exited with code {att.proc.exitcode} "
-                        "before returning a result"
-                    )
-                else:
-                    att.close()
-                if kind == "ok":
-                    finalize_success(index, payload, att.attempt)
-                else:
-                    handle_failed_attempt(index, payload, timed_out=False)
-                progressed = True
-            elif att.deadline is not None and now >= att.deadline:
-                att.proc.kill()
-                del running[index]
-                att.close()
-                handle_failed_attempt(
-                    index,
-                    f"timed out after {policy.task_timeout_s}s",
-                    timed_out=True,
-                )
-                progressed = True
-            elif not att.proc.is_alive():
-                del running[index]
-                att.close()
-                handle_failed_attempt(
-                    index,
-                    f"worker exited with code {att.proc.exitcode} "
-                    "before returning a result",
-                    timed_out=False,
-                )
-                progressed = True
-        if not progressed and (running or ready):
-            time.sleep(0.01)
+            start(entry[1])
+        for index, worker in list(running.items()):
+            reap(index, worker)
+        # Sleep until a worker reports or dies, the next deadline passes,
+        # or -- when a slot is free -- the next backoff expires.
+        wakeups = [w.deadline for w in running.values() if w.deadline is not None]
+        if len(running) < jobs:
+            wakeups += [eligible_at for eligible_at, _index in ready]
+        # lint: allow[REP002] -- scheduler deadline clock
+        timeout = max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
+        if ready or running:
+            wait(
+                [w.conn for w in running.values()]
+                + [w.proc.sentinel for w in running.values()],
+                timeout,
+            )
     return [outcome for outcome in outcomes if outcome is not None]

@@ -6,7 +6,6 @@ for the manifest), fans the registered tasks out across ``jobs`` worker
 processes, and assembles a machine-readable ``manifest.json`` describing
 every experiment — id, paper artifact, pass/fail, wall time, trace-cache
 provenance, config hash — which CI consumes to gate merges.
-:func:`run_all` keeps the historical list-of-results API on top of it.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ def run_pipeline(
     included -- so partial results always leave a machine-readable record.
     """
     config = config or ExperimentConfig()
-    policy = policy if policy is not None else config.retry_policy()
+    policy = policy or RetryPolicy()
     # Every structured timing below this goes through spans; this clock only
     # feeds the manifest's whole-run wall-time total.
     # lint: allow[REP002] -- whole-run wall time for the manifest totals
@@ -155,19 +154,6 @@ def run_pipeline(
     return RunReport(
         config=config, outcomes=outcomes, trace_info=trace_info, manifest=manifest
     )
-
-
-def run_all(
-    config: ExperimentConfig | None = None,
-    *,
-    jobs: int = 1,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-) -> list[ExperimentResult]:
-    """Execute every figure/table experiment on one shared trace."""
-    return run_pipeline(
-        config, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache
-    ).results
 
 
 def build_metrics_snapshot(
@@ -225,7 +211,7 @@ def build_manifest(
     checks.  The top-level ``degraded`` flag (and ``totals.degraded``
     count) summarize whether any task is missing from the results.
     """
-    policy = policy if policy is not None else config.retry_policy()
+    policy = policy or RetryPolicy()
     experiments = []
     for outcome in outcomes:
         task = parallel.TASKS[outcome.task_id]

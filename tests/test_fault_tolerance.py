@@ -10,10 +10,13 @@ describe what happened.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import time
 
 import pytest
 
+from repro.experiments import config as config_module
 from repro.experiments import faultinject, parallel
 from repro.experiments.cache import fetch_trace
 from repro.experiments.config import ExperimentConfig, RetryPolicy, clear_trace_cache
@@ -33,9 +36,8 @@ CONFIG = ExperimentConfig(seed=7, scale=0.05)
 #: A cheap three-task slice of the registry (in registry order).
 SUBSET = ["fig1a", "fig2", "fig5"]
 
-#: No-backoff policies keep the suite fast; backoff timing is unit-tested.
-FAST = RetryPolicy(retries=0, backoff_s=0.0)
-FAST_RETRY = RetryPolicy(retries=2, backoff_s=0.0)
+FAST = RetryPolicy(retries=0)
+FAST_RETRY = RetryPolicy(retries=2)
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +52,12 @@ def _clean_fault_state():
         os.environ[faultinject.ENV_FAULT] = previous
     clear_trace_cache()
     faultinject.reset_consumed()
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry immediately; the real backoff constants are unit-tested."""
+    monkeypatch.setattr(config_module, "BACKOFF_S", 0.0)
 
 
 def arm(plan: str) -> None:
@@ -117,12 +125,17 @@ class TestRetryPolicy:
             RetryPolicy(task_timeout_s=0)
 
     def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(retries=9, backoff_s=0.5, backoff_max_s=2.0)
+        assert (config_module.BACKOFF_S, config_module.BACKOFF_MAX_S) == (0.1, 30.0)
+        policy = RetryPolicy(retries=9)
         assert policy.max_attempts == 10
-        assert [policy.backoff_for(n) for n in (1, 2, 3, 4)] == [0.5, 1.0, 2.0, 2.0]
-        assert RetryPolicy(backoff_s=0.0).backoff_for(5) == 0.0
+        assert [policy.backoff_for(n) for n in (1, 2, 3)] == pytest.approx([0.1, 0.2, 0.4])
+        # 0.1 * 2**9 = 51.2 s is capped.
+        assert policy.backoff_for(9) == pytest.approx(25.6)
+        assert policy.backoff_for(10) == 30.0
+        assert policy.to_dict()["backoff_s"] == 0.1
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestCrashIsolation:
     """One injected failure per mode; the other tasks must complete."""
 
@@ -148,7 +161,7 @@ class TestCrashIsolation:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_hang_fault_times_out(self, tmp_path, jobs):
         arm("fig2:hang")
-        policy = RetryPolicy(retries=0, task_timeout_s=2.0, backoff_s=0.0)
+        policy = RetryPolicy(retries=0, task_timeout_s=2.0)
         outcomes = run_subset(policy, jobs=jobs, cache_dir=tmp_path)
         assert outcomes["fig2"].status == "timeout"
         assert outcomes["fig2"].attempts == 1
@@ -160,12 +173,15 @@ class TestCrashIsolation:
         reference = None
         for jobs in (1, 2):
             outcomes = run_subset(FAST_RETRY, jobs=jobs, cache_dir=tmp_path)
-            shape = [(o.task_id, o.status, o.attempts) for o in outcomes.values()]
+            shape = [
+                (o.task_id, o.status, o.attempts, o.error) for o in outcomes.values()
+            ]
             if reference is None:
                 reference = shape
             assert shape == reference
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestRetries:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_transient_fault_is_retried_to_success(self, tmp_path, jobs):
@@ -195,7 +211,7 @@ class TestRetries:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_skips_not_yet_started_tasks(self, tmp_path, jobs):
         arm("fig1a:raise")
-        policy = RetryPolicy(retries=0, backoff_s=0.0, fail_fast=True)
+        policy = RetryPolicy(retries=0, fail_fast=True)
         outcomes = run_subset(policy, jobs=jobs, cache_dir=tmp_path)
         assert outcomes["fig1a"].status == "failed"
         statuses = {o.status for tid, o in outcomes.items() if tid != "fig1a"}
@@ -207,6 +223,85 @@ class TestRetries:
             if outcome.status == "skipped":
                 assert outcome.attempts == 0
                 assert outcome.result is None
+
+
+class TestScheduler:
+    """Inline and worker attempts go through one loop; selection is observable."""
+
+    def test_jobs1_runs_every_attempt_in_the_calling_process(self, tmp_path, monkeypatch):
+        def no_workers(*args, **kwargs):
+            raise AssertionError("jobs=1 without timeout or hang/kill must not fork")
+
+        monkeypatch.setattr(multiprocessing.get_context(), "Process", no_workers)
+        pids = []
+        real_run_task = parallel.run_task
+
+        def recording_run_task(*args, **kwargs):
+            pids.append(os.getpid())
+            return real_run_task(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_task", recording_run_task)
+        arm("fig2:raise:1")
+        before = metrics.REGISTRY.snapshot()["counters"]
+        outcomes = run_subset(RetryPolicy(retries=1), jobs=1, cache_dir=tmp_path)
+        after = metrics.REGISTRY.snapshot()["counters"]
+
+        assert pids == [os.getpid()] * 4  # fig1a, fig2 twice, fig5
+        assert outcomes["fig2"].status == "retried"
+        assert outcomes["fig2"].attempts == 2
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert delta("retry.attempts") == 1
+        # The cold trace fetch is counted once while the task runs inline;
+        # merging the outcome's delta on top would count it twice.
+        task_misses = sum(
+            o.metrics.get("counters", {}).get("cache.miss", 0) for o in outcomes.values()
+        )
+        assert task_misses == 1
+        assert delta("cache.miss") == task_misses
+
+    def test_finished_worker_is_not_recorded_as_crashed(self, tmp_path, monkeypatch):
+        """A worker can send its outcome and exit between two scheduler reads.
+
+        The first ``poll(0)`` on each pipe answers as of the call but
+        returns two seconds later, after the worker has delivered and
+        exited.  A scheduler that reads the pipe before liveness then sees
+        "no message, process dead" and drops a finished result.
+        """
+        ctx = multiprocessing.get_context()
+        real_pipe = ctx.Pipe
+
+        class StaleFirstPoll:
+            def __init__(self, conn):
+                self._conn = conn
+                self._polled = False
+
+            def poll(self, timeout=0.0):
+                answer = self._conn.poll(timeout)
+                if not self._polled:
+                    self._polled = True
+                    time.sleep(2.0)
+                return answer
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        def pipe(duplex=True):
+            recv, send = real_pipe(duplex)
+            return StaleFirstPoll(recv), send
+
+        monkeypatch.setattr(ctx, "Pipe", pipe)
+        outcomes = parallel.execute(
+            CONFIG, jobs=2, cache_dir=tmp_path, task_ids=["fig1a", "fig2"],
+            policy=RetryPolicy(retries=0),
+        )
+        assert [(o.task_id, o.status, o.attempts, o.error) for o in outcomes] == [
+            ("fig1a", "ok", 1, None),
+            ("fig2", "ok", 1, None),
+        ]
+        assert all(o.result is not None for o in outcomes)
 
 
 class TestCacheCorruptionFault:
@@ -243,7 +338,7 @@ class TestDegradedManifest:
         clear_trace_cache()
         os.environ[faultinject.ENV_FAULT] = "fig3:crash"
         try:
-            policy = RetryPolicy(retries=1, backoff_s=0.0)
+            policy = RetryPolicy(retries=1)
             return run_pipeline(CONFIG, jobs=2, cache_dir=cache_dir, policy=policy)
         finally:
             os.environ.pop(faultinject.ENV_FAULT, None)
