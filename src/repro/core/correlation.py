@@ -24,7 +24,7 @@ import numpy as np
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.stats import pairwise_pearson, pearson_correlation
 from repro.obs import Counter
-from repro.telemetry.counters import subscription_region_vm_ids
+from repro.telemetry.counters import node_utilization, subscription_region_vm_ids
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_DAY
@@ -76,19 +76,15 @@ def node_level_correlation(
     """
     if min_alive is None:
         min_alive = 2 * SECONDS_PER_DAY
-    sample_period = store.metadata.sample_period
-    duration = store.metadata.duration
+    metadata = store.metadata
     vms_by_node = store.vms_by_node(cloud=cloud)
 
     correlations: list[float] = []
     n_constant = 0
     n_nodes = 0
-    # Node series are derived one node at a time rather than via
-    # all_node_utilizations(): a dict holding every node's float64 series
-    # is O(n_nodes x T) resident memory, which at paper scale is larger
-    # than the whole RSS budget.  Visiting sorted node ids and summing the
-    # hosted VMs' rows in store order reproduces exactly the series (and
-    # the max_nodes selection) the precomputed dict gave.
+    # Node series are derived one node at a time: a dict holding every
+    # node's float64 series is O(n_nodes x T) resident memory, which at
+    # paper scale is larger than the whole RSS budget.
     for node_id in sorted(vms_by_node):
         node = store.nodes.get(node_id)
         if node is None:
@@ -102,19 +98,12 @@ def node_level_correlation(
         if max_nodes is not None and n_nodes > max_nodes:
             break
         rows = [store.utilization(vm.vm_id) for vm in vms]
-        total = np.zeros(store.metadata.n_samples, dtype=np.float64)
-        for vm, row in zip(vms, rows):
-            total += vm.cores * row.astype(np.float64)
-        node_util = np.clip(total / node.capacity_cores, 0.0, 1.0)
-        eligible: list[tuple[np.ndarray, int, int]] = []  # (row, lo, hi)
-        for vm, row in zip(vms, rows):
-            start = max(vm.created_at, 0.0)
-            end = min(vm.ended_at, duration)
-            if end - start < min_alive:
-                continue
-            lo = int(np.ceil(start / sample_period))
-            hi = int(np.floor(end / sample_period))
-            eligible.append((row, lo, hi))
+        node_util = node_utilization(node, vms, rows)
+        eligible = [  # (row, lo, hi)
+            (row, *metadata.sample_window(vm))
+            for vm, row in zip(vms, rows)
+            if metadata.alive_seconds(vm) >= min_alive
+        ]
         for r in _node_vm_correlations(node_util, eligible):
             if np.isfinite(r):
                 correlations.append(r)
@@ -240,9 +229,7 @@ def region_level_correlation(
         for name, info in store.regions.items()
         if not countries or info.country in countries
     }
-    # One fleet pass groups (subscription, region) -> vm ids; the per-call
-    # scan in subscription_region_utilization would rescan every VM for
-    # every subscription.
+    # One fleet pass groups (subscription, region) -> vm ids.
     grouped = subscription_region_vm_ids(store, cloud=cloud)
     correlations: list[float] = []
     n_constant = 0
@@ -253,20 +240,34 @@ def region_level_correlation(
         regions = sorted(r for r in ids_by_region if r in allowed)
         if len(regions) < min_regions:
             continue
-        # One blocked kernel per subscription: centering and self-products
-        # are hoisted out of the pair loop (bitwise identical to the scalar
-        # per-pair path, see pairwise_pearson).
-        block = np.stack([store.utilization_mean(ids_by_region[r]) for r in regions])
-        matrix = pairwise_pearson(block)
-        for a, b in combinations(range(len(regions)), 2):
-            r = float(matrix[a, b])
-            if np.isfinite(r):
-                correlations.append(r)
-            else:
-                n_constant += 1
+        finite, constant = _region_pair_correlations(store, ids_by_region, regions)
+        correlations.extend(finite)
+        n_constant += constant
     if not correlations:
         raise ValueError(f"no multi-region {cloud} subscription with telemetry")
     return _correlation_cdf(correlations, n_constant)
+
+
+def _region_pair_correlations(
+    store: TraceStore, ids_by_region: dict[str, list[int]], regions: list[str]
+) -> tuple[list[float], int]:
+    """Pearson r of every pair of ``regions``' mean series, and the constant count.
+
+    Each region's series averages its VMs in sorted id order, so the result
+    is a pure function of the *set* of VMs per region.  One blocked kernel
+    hoists centering and self-products out of the pair loop (bitwise
+    identical to the scalar per-pair path, see ``pairwise_pearson``).
+    Returns the finite correlations of the upper-triangle pairs and how many
+    pairs were constant; callers count the latter on
+    ``correlation.constant_pairs``.
+    """
+    block = np.stack(
+        [store.utilization_mean(sorted(ids_by_region[r])) for r in regions]
+    )
+    matrix = pairwise_pearson(block)
+    pairs = [float(matrix[a, b]) for a, b in combinations(range(len(regions)), 2)]
+    finite = [r for r in pairs if np.isfinite(r)]
+    return finite, len(pairs) - len(finite)
 
 
 @dataclass(frozen=True)
@@ -307,16 +308,9 @@ def subscription_region_report(
     )
     if len(regions) < 2:
         return None
-    block = np.stack(
-        [store.utilization_mean(sorted(ids_by_region[r])) for r in regions]
-    )
-    matrix = pairwise_pearson(block)
-    pair_correlations = [
-        float(matrix[a, b]) for a, b in combinations(range(len(regions)), 2)
-    ]
-    finite = [r for r in pair_correlations if np.isfinite(r)]
-    if len(finite) < len(pair_correlations):
-        _CONSTANT_PAIRS.inc(len(pair_correlations) - len(finite))
+    finite, constant = _region_pair_correlations(store, ids_by_region, regions)
+    if constant:
+        _CONSTANT_PAIRS.inc(constant)
     if not finite:
         return None
     worst = float(min(finite))

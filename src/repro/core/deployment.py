@@ -107,11 +107,10 @@ def lifetime_cdf(store: TraceStore, cloud: Cloud) -> EmpiricalCdf:
     "Note that we only include the VMs started and ended in the week to be
     consistent with the time span of the dataset."
     """
-    duration = store.metadata.duration
     lifetimes = [
         vm.lifetime
-        for vm in store.vms(cloud=cloud, completed_only=True)
-        if vm.created_at >= 0 and vm.ended_at <= duration
+        for vm in store.vms(cloud=cloud)
+        if store.metadata.completed_in_window(vm)
     ]
     if not lifetimes:
         raise ValueError(f"no completed {cloud} VMs in the window")

@@ -24,7 +24,7 @@ import numpy as np
 from repro.analysis.stats import coefficient_of_variation
 from repro.analysis.timeseries import hourly_event_counts
 from repro.core.correlation import region_agnostic_subscriptions
-from repro.core.patterns import ClassifierConfig, classify_block
+from repro.core.patterns import ClassifierConfig, classify_windows
 from repro.telemetry.schema import (
     Cloud,
     EventKind,
@@ -63,33 +63,6 @@ class KnowledgeDrift:
     after: str
 
 
-def classify_windows(
-    windows: list[np.ndarray], *, sample_period: float
-) -> list[str]:
-    """Classify variable-length windows with the batched kernel.
-
-    Windows are grouped by length so each group runs through
-    :func:`~repro.core.patterns.classify_block` (one rFFT per block instead
-    of up to three FFTs per series); labels come back in input order.
-    ``classify_block`` is bitwise identical to the scalar classifier, so
-    grouping cannot change any label.
-    """
-    by_length: dict[int, list[int]] = {}
-    for idx, window in enumerate(windows):
-        by_length.setdefault(int(window.size), []).append(idx)
-    labels: list[str | None] = [None] * len(windows)
-    for length, idxs in by_length.items():
-        block = np.empty((len(idxs), length), dtype=np.float64)
-        for row, idx in enumerate(idxs):
-            block[row] = windows[idx]
-        for idx, label in zip(
-            idxs, classify_block(block, CLASSIFIER_CONFIG, sample_period=sample_period),
-            strict=True,
-        ):
-            labels[idx] = label
-    return labels
-
-
 def build_subscription_record(
     store,
     sub,
@@ -112,10 +85,12 @@ def build_subscription_record(
     CREATE events.  VMs and creations are processed in sorted order,
     making the record a pure function of the subscription's *content* --
     ingest order (batch generation vs. online arrival) cannot shift a
-    float sum or a ``Counter`` tie-break.
+    float sum or a ``Counter`` tie-break.  Lifetimes and windows follow
+    the window rules of :class:`~repro.telemetry.store.TraceMetadata`, and
+    patterns come from :func:`~repro.core.patterns.classify_windows`, the
+    same batched path as ``PatternClassifier.classify_store``.
     """
-    duration = store.metadata.duration
-    sample_period = store.metadata.sample_period
+    metadata = store.metadata
     vms = sorted(vms, key=lambda vm: vm.vm_id)
     record = SubscriptionKnowledge(
         subscription_id=sub.subscription_id,
@@ -127,11 +102,7 @@ def build_subscription_record(
         regions=tuple(sorted({vm.region for vm in vms})),
     )
 
-    completed = [
-        vm.lifetime
-        for vm in vms
-        if vm.completed and vm.created_at >= 0 and vm.ended_at <= duration
-    ]
+    completed = [vm.lifetime for vm in vms if metadata.completed_in_window(vm)]
     if completed:
         lifetimes = np.array(completed)
         record.lifetime_p50 = float(np.median(lifetimes))
@@ -145,17 +116,16 @@ def build_subscription_record(
         series = store.utilization(vm.vm_id)
         if series is None:
             continue
-        start = max(vm.created_at, 0.0)
-        end = min(vm.ended_at, duration)
-        lo = int(np.ceil(start / sample_period))
-        hi = int(np.floor(end / sample_period))
+        lo, hi = metadata.sample_window(vm)
         window = series[lo:hi]
         if window.size:
             utils.append(window)
         if len(to_classify) < MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION:
-            to_classify.append(np.asarray(window, dtype=np.float64).ravel())
+            to_classify.append(window)
     if to_classify:
-        labels = classify_windows(to_classify, sample_period=sample_period)
+        labels = classify_windows(
+            to_classify, CLASSIFIER_CONFIG, sample_period=metadata.sample_period
+        )
         counts = Counter(labels)
         record.pattern_mix = {
             p: counts.get(p, 0) / len(labels)
@@ -174,7 +144,7 @@ def build_subscription_record(
 
     if len(creations) >= 12:
         times = np.array([t for t, _vm_id in sorted(creations)])
-        counts_per_hour = hourly_event_counts(times, duration=duration)
+        counts_per_hour = hourly_event_counts(times, duration=metadata.duration)
         cv = coefficient_of_variation(counts_per_hour)
         if np.isfinite(cv):
             record.creation_cv = cv

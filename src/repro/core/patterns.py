@@ -19,6 +19,7 @@ ablation benchmark compares them.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +251,60 @@ def classify_block(
     return labels
 
 
+def classify_windows(
+    windows: Sequence[np.ndarray],
+    config: ClassifierConfig | None = None,
+    *,
+    sample_period: float = SAMPLE_PERIOD,
+) -> list[str]:
+    """Classify variable-length windows with the batched kernel.
+
+    Windows are grouped by length and each group runs through
+    :func:`classify_block` in chunks of at most ``_CLASSIFY_BLOCK_BYTES``
+    of float64, so paper-scale sweeps stay inside the RSS envelope.
+    ``classify_block`` is bitwise identical to :func:`classify_series`, so
+    neither grouping nor chunking can change a label; labels come back in
+    input order.  Each window is indexed twice (its length, then its chunk),
+    so ``windows`` may be a lazy sequence that reads rows on access.
+    """
+    by_length: dict[int, list[int]] = {}
+    for idx in range(len(windows)):
+        by_length.setdefault(len(windows[idx]), []).append(idx)
+    labels: list[str | None] = [None] * len(windows)
+    for length, idxs in by_length.items():
+        rows_per_chunk = max(1, _CLASSIFY_BLOCK_BYTES // (8 * max(length, 1)))
+        for i in range(0, len(idxs), rows_per_chunk):
+            chunk = idxs[i : i + rows_per_chunk]
+            block = np.empty((len(chunk), length), dtype=np.float64)
+            for row, idx in enumerate(chunk):
+                block[row] = windows[idx]
+            chunk_labels = classify_block(block, config, sample_period=sample_period)
+            for idx, label in zip(chunk, chunk_labels, strict=True):
+                labels[idx] = label
+    return labels
+
+
+class _StoreWindows(Sequence[np.ndarray]):
+    """Each VM's observed window (:meth:`TraceMetadata.sample_window`), read on access.
+
+    Lazy so a whole-cloud sweep over a sharded trace holds no row views
+    between chunks: every read goes through the store's shard-mapping LRU,
+    which releases evicted shards' pages.
+    """
+
+    def __init__(self, store: TraceStore, vm_ids: list[int]) -> None:
+        self._store = store
+        self._vm_ids = vm_ids
+
+    def __len__(self) -> int:
+        return len(self._vm_ids)
+
+    def __getitem__(self, idx: int) -> np.ndarray:
+        vm = self._store.vm(self._vm_ids[idx])
+        lo, hi = self._store.metadata.sample_window(vm)
+        return self._store.utilization(vm.vm_id)[lo:hi]
+
+
 @dataclass(frozen=True)
 class PatternMix:
     """Measured share of each pattern over a VM population (Fig. 5d)."""
@@ -305,52 +360,22 @@ class PatternClassifier:
         (truncating instead would bias the mix toward the subscriptions that
         were generated first).
         """
-        duration = store.metadata.duration
-        sample_period = store.metadata.sample_period
-        eligible: list[int] = []
-        for vm_id in store.vm_ids_with_utilization(cloud=cloud):
-            vm = store.vm(vm_id)
-            start = max(vm.created_at, 0.0)
-            end = min(vm.ended_at, duration)
-            if end - start >= self.config.min_duration:
-                eligible.append(vm_id)
+        metadata = store.metadata
+        eligible = [
+            vm_id
+            for vm_id in store.vm_ids_with_utilization(cloud=cloud)
+            if metadata.alive_seconds(store.vm(vm_id)) >= self.config.min_duration
+        ]
         if max_vms is not None and len(eligible) > max_vms:
             rng = np.random.default_rng(seed)
             chosen = rng.choice(len(eligible), size=max_vms, replace=False)
             eligible = [eligible[i] for i in sorted(chosen)]
-        # Group VMs by trimmed-series length so each group is classified as
-        # one batched block (one rFFT over the 2-D block instead of up to
-        # three FFTs per series), chunked to a fixed scratch budget so
-        # paper-scale sweeps stay inside the RSS envelope.  classify_block
-        # is bitwise identical to the per-series path, so grouping cannot
-        # change any label.
-        windows: dict[int, tuple[int, int]] = {}
-        by_length: dict[int, list[int]] = {}
-        for vm_id in eligible:
-            vm = store.vm(vm_id)
-            start = max(vm.created_at, 0.0)
-            end = min(vm.ended_at, duration)
-            lo = int(np.ceil(start / sample_period))
-            hi = int(np.floor(end / sample_period))
-            windows[vm_id] = (lo, hi)
-            by_length.setdefault(hi - lo, []).append(vm_id)
-        results: dict[int, str] = {}
-        for length, vm_ids in by_length.items():
-            rows_per_chunk = max(1, _CLASSIFY_BLOCK_BYTES // (8 * max(length, 1)))
-            for i in range(0, len(vm_ids), rows_per_chunk):
-                chunk = vm_ids[i : i + rows_per_chunk]
-                block = np.empty((len(chunk), length), dtype=np.float64)
-                for row, vm_id in enumerate(chunk):
-                    lo, hi = windows[vm_id]
-                    block[row] = store.utilization(vm_id)[lo:hi]
-                chunk_labels = classify_block(
-                    block, self.config, sample_period=sample_period
-                )
-                for vm_id, label in zip(chunk, chunk_labels, strict=True):
-                    results[vm_id] = label
-        # Emit in the original eligible order so downstream iteration order
-        # (and therefore any serialized artifact) is unchanged.
-        return {vm_id: results[vm_id] for vm_id in eligible}
+        labels = classify_windows(
+            _StoreWindows(store, eligible),
+            self.config,
+            sample_period=metadata.sample_period,
+        )
+        return dict(zip(eligible, labels, strict=True))
 
     def pattern_mix(
         self,

@@ -35,12 +35,10 @@ def _long_lived_ids(
     are dead for part of the window would mix "off" zeros into the
     distribution, which the paper's inventory-joined telemetry does not do.
     """
-    duration = store.metadata.duration
+    metadata = store.metadata
     ids = []
     for vm_id in store.vm_ids_with_utilization(cloud=cloud):
-        vm = store.vm(vm_id)
-        alive = min(vm.ended_at, duration) - max(vm.created_at, 0.0)
-        if alive >= min_alive_fraction * duration:
+        if metadata.alive_seconds(store.vm(vm_id)) >= min_alive_fraction * metadata.duration:
             ids.append(vm_id)
         if max_vms is not None and len(ids) >= max_vms:
             break

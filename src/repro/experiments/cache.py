@@ -38,7 +38,6 @@ from repro.telemetry.io import (
     is_trace_dir,
     load_trace,
     save_trace_atomic,
-    verify_trace_dir,
 )
 from repro.telemetry.store import TraceStore
 from repro.workloads.generator import GENERATOR_VERSION, GeneratorConfig, generate_trace_pair
@@ -178,8 +177,8 @@ def fetch_trace(
 ) -> tuple[TraceStore, TraceCacheInfo]:
     """Return the trace pair for ``config`` and where it came from.
 
-    A cached entry is integrity-checked before use; truncated or
-    checksum-mismatched entries are evicted (counted on
+    A cached entry is integrity-checked once, by :func:`load_trace`;
+    truncated, torn or checksum-mismatched entries are evicted (counted on
     ``cache.corrupt_evicted``) and the trace falls back to re-synthesis,
     so a torn write or disk fault degrades a run to a cache miss instead
     of aborting it.  On a miss the pair is generated (``workers``
@@ -202,7 +201,7 @@ def fetch_trace(
         # entry here, exercising the eviction path below deterministically.
         faultinject.maybe_corrupt_cache(path)
         try:
-            verify_trace_dir(path)
+            # load_trace verifies the entry (once) before parsing it.
             with span("cache.load", key=key):
                 store = load_trace(path)
         except TraceCorruptionError as exc:

@@ -81,7 +81,7 @@ class ChanceConstrainedOversubscriber:
         max_candidates: int | None,
         seed: int,
     ) -> list[_Candidate]:
-        duration = self.store.metadata.duration
+        metadata = self.store.metadata
         # Select ids first, materialize demand after: sampling depends only
         # on the eligible count, so the chosen VMs are identical, but the
         # float64 demand series are built for max_candidates VMs instead of
@@ -89,8 +89,7 @@ class ChanceConstrainedOversubscriber:
         eligible: list[tuple[int, float]] = []
         for vm_id in self.store.vm_ids_with_utilization(cloud=cloud):
             vm = self.store.vm(vm_id)
-            alive = min(vm.ended_at, duration) - max(vm.created_at, 0.0)
-            if alive < min_alive_fraction * duration:
+            if metadata.alive_seconds(vm) < min_alive_fraction * metadata.duration:
                 continue
             eligible.append((vm_id, vm.cores))
         if max_candidates is not None and len(eligible) > max_candidates:

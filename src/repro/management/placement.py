@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.correlation import region_agnostic_subscriptions
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
@@ -87,10 +85,7 @@ class RegionShiftPlanner:
         series = self.store.utilization(vm_id)
         if series is None:
             return None
-        vm = self.store.vm(vm_id)
-        period = self.store.metadata.sample_period
-        lo = int(np.ceil(max(vm.created_at, 0.0) / period))
-        hi = int(np.floor(min(vm.ended_at, self.store.metadata.duration) / period))
+        lo, hi = self.store.metadata.sample_window(self.store.vm(vm_id))
         window = series[lo:hi]
         if window.size == 0:
             return None

@@ -160,8 +160,7 @@ class SpotAdoptionAdvisor:
         return (alive @ cores) / capacity
 
     def analyze(self) -> SpotAdoptionReport:
-        """Run the what-if over every completed VM of the target cloud."""
-        duration = self.store.metadata.duration
+        """Run the what-if over the target cloud's VMs completed in the window."""
         pressures = {
             region: self._region_pressure(region)
             for region in self.store.region_names(cloud=self.cloud)
@@ -180,8 +179,8 @@ class SpotAdoptionAdvisor:
         total_core_hours = 0.0
         expected_evictions = 0.0
         valley_starts = 0
-        for vm in self.store.vms(cloud=self.cloud, completed_only=True):
-            if vm.created_at < 0 or vm.ended_at > duration:
+        for vm in self.store.vms(cloud=self.cloud):
+            if not self.store.metadata.completed_in_window(vm):
                 continue
             n_completed += 1
             core_hours = vm.cores * vm.lifetime / SECONDS_PER_HOUR

@@ -36,16 +36,15 @@ import inspect
 import json
 import math
 
-import numpy as np
-
 from repro.core.correlation import subscription_region_report
 from repro.core.knowledge_base import (
+    CLASSIFIER_CONFIG,
     POLICY_SPOT_ADOPTION,
     REGION_AGNOSTIC_THRESHOLD,
     WorkloadKnowledgeBase,
     build_subscription_record,
-    classify_windows,
 )
+from repro.core.patterns import classify_windows
 from repro.experiments.faultinject import FaultKind, plan_from_env
 from repro.management.prediction import AllocationFailurePredictor
 from repro.obs import Counter, span
@@ -331,18 +330,17 @@ class KnowledgeBaseService:
             series = store.utilization(vm_id)
             if series is None:
                 raise ServiceError("not_found", f"vm {vm_id} has no telemetry")
-            vm = store.vm(vm_id)
-            sample_period = store.metadata.sample_period
-            start = max(vm.created_at, 0.0)
-            end = min(vm.ended_at, store.metadata.duration)
-            lo = int(np.ceil(start / sample_period))
-            hi = int(np.floor(end / sample_period))
-            window = np.asarray(series[lo:hi], dtype=np.float64).ravel()
+            lo, hi = store.metadata.sample_window(store.vm(vm_id))
+            window = series[lo:hi]
             if not window.size:
                 raise ServiceError(
                     "unavailable", f"vm {vm_id} has an empty observation window"
                 )
-            label = classify_windows([window], sample_period=sample_period)[0]
+            label = classify_windows(
+                [window],
+                CLASSIFIER_CONFIG,
+                sample_period=store.metadata.sample_period,
+            )[0]
             self._pattern_cache[vm_id] = label
         return {"vm_id": int(vm_id), "pattern": label}
 

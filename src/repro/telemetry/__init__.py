@@ -11,10 +11,8 @@ is our equivalent artifact: three logical tables (``vms``, ``events``,
 from repro.telemetry.schema import Cloud, EventKind, EventRecord, VMRecord
 from repro.telemetry.store import TraceMetadata, TraceStore
 from repro.telemetry.counters import (
-    all_node_utilizations,
     node_utilization,
     region_average_utilization,
-    subscription_region_utilization,
 )
 from repro.telemetry.io import TraceCorruptionError, load_trace, save_trace
 
@@ -26,10 +24,8 @@ __all__ = [
     "TraceMetadata",
     "TraceStore",
     "VMRecord",
-    "all_node_utilizations",
     "load_trace",
     "node_utilization",
     "region_average_utilization",
     "save_trace",
-    "subscription_region_utilization",
 ]

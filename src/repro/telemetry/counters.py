@@ -4,70 +4,35 @@ The node-level and region-level similarity studies of Section IV-B do not
 operate on raw VM counters: the node series is the (core-weighted) sum of its
 hosted VMs' usage, and the region series of a subscription is "the averaged
 utilization computed at the region level for each studied subscription".
-This module derives both from a :class:`~repro.telemetry.store.TraceStore`.
+This module holds the node-series rule (from rows the caller has already
+read) and the population averages and groupings the region studies run on.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.telemetry.schema import Cloud
+from repro.telemetry.schema import Cloud, NodeInfo, VMRecord
 from repro.telemetry.store import TraceStore
 
 
-def node_utilization(store: TraceStore, node_id: int) -> np.ndarray | None:
+def node_utilization(
+    node: NodeInfo, vms: Sequence[VMRecord], rows: Sequence[np.ndarray]
+) -> np.ndarray:
     """CPU utilization series of a node, in ``[0, 1]``.
 
-    Computed as the core-weighted sum of hosted VM utilizations divided by
-    the node's core capacity ("the node CPU utilization mostly originates
-    from the usage of VMs", Section IV-B).  Returns ``None`` when no hosted
-    VM has telemetry.
+    ``rows[i]`` is the utilization series of ``vms[i]``, already read by the
+    caller (which typically reuses them, e.g. to correlate each VM with its
+    node).  The node series is the core-weighted sum of its hosted VMs'
+    usage divided by the node's core capacity ("the node CPU utilization
+    mostly originates from the usage of VMs", Section IV-B).
     """
-    node = store.nodes.get(node_id)
-    if node is None:
-        raise KeyError(f"unknown node_id {node_id}")
-    total = np.zeros(store.metadata.n_samples, dtype=np.float64)
-    found = False
-    for vm in store.vms():
-        if vm.node_id != node_id:
-            continue
-        series = store.utilization(vm.vm_id)
-        if series is None:
-            continue
-        total += vm.cores * series.astype(np.float64)
-        found = True
-    if not found:
-        return None
+    total = np.zeros(rows[0].shape, dtype=np.float64)
+    for vm, row in zip(vms, rows, strict=True):
+        total += vm.cores * row.astype(np.float64)
     return np.clip(total / node.capacity_cores, 0.0, 1.0)
-
-
-def all_node_utilizations(
-    store: TraceStore, *, cloud: Cloud | None = None
-) -> dict[int, np.ndarray]:
-    """Utilization series for every node with telemetry, grouped in one pass.
-
-    Prefer this over calling :func:`node_utilization` per node when scanning
-    a fleet: it groups VMs by node once instead of per call.  Note the
-    result holds one float64 series *per node* -- at paper scale that dict
-    alone exceeds the memory budget, so fleet-wide consumers (e.g. the
-    Fig. 7a study) derive each node's series on demand instead.
-    """
-    sums: dict[int, np.ndarray] = {}
-    for node_id, vms in store.vms_by_node(cloud=cloud).items():
-        node = store.nodes.get(node_id)
-        if node is None:
-            continue
-        total = np.zeros(store.metadata.n_samples, dtype=np.float64)
-        found = False
-        for vm in vms:
-            series = store.utilization(vm.vm_id)
-            if series is None:
-                continue
-            total += vm.cores * series.astype(np.float64)
-            found = True
-        if found:
-            sums[node_id] = np.clip(total / node.capacity_cores, 0.0, 1.0)
-    return sums
 
 
 def region_average_utilization(
@@ -102,9 +67,9 @@ def subscription_region_vm_ids(
 
     One pass over the fleet.  The Fig. 7(b) and region-agnostic studies
     need this grouping for *every* subscription; deriving it per
-    subscription (as :func:`subscription_region_utilization` does) rescans
-    all VMs each time, which is O(n_subscriptions x n_vms) across a fleet
-    scan -- prohibitive at paper scale.
+    subscription would rescan all VMs each time, which is
+    O(n_subscriptions x n_vms) across a fleet scan -- prohibitive at paper
+    scale.
     """
     grouped: dict[int, dict[str, list[int]]] = {}
     for vm in store.vms(cloud=cloud):
@@ -114,26 +79,3 @@ def subscription_region_vm_ids(
             vm.region, []
         ).append(vm.vm_id)
     return grouped
-
-
-def subscription_region_utilization(
-    store: TraceStore, subscription_id: int
-) -> dict[str, np.ndarray]:
-    """Per-region average utilization series of one subscription.
-
-    This is the exact construction behind Fig. 7(b): for each region the
-    subscription deploys into, average the utilization of its VMs there.
-    Regions where no VM has telemetry are omitted.  When iterating many
-    subscriptions, group once with :func:`subscription_region_vm_ids`
-    instead of calling this in a loop.
-    """
-    by_region: dict[str, list[int]] = {}
-    for vm in store.vms():
-        if vm.subscription_id != subscription_id:
-            continue
-        if not store.has_utilization(vm.vm_id):
-            continue
-        by_region.setdefault(vm.region, []).append(vm.vm_id)
-    return {
-        region: store.utilization_mean(ids) for region, ids in by_region.items()
-    }

@@ -12,7 +12,8 @@ A trace saves to a directory:
   reads only its metadata and workers attach telemetry zero-copy by
   path;
 * ``checksums.json`` -- sha256 + byte size of every other file, written
-  last so readers can detect truncated or bit-rotted entries.  Shard
+  last so readers can detect truncated or bit-rotted entries.  It is
+  required: a directory without it is a torn save, not a valid trace.  Shard
   payloads record full digests too, but routine verification checks them
   shallowly (existence + size) -- hashing gigabytes of telemetry on every
   load would defeat lazy mapping; pass ``deep=True`` to
@@ -68,9 +69,8 @@ TRACE_FORMAT_VERSION = 2
 #: Subdirectory holding utilization shards and their index.
 UTIL_DIR = "utilization"
 
-#: Integrity sidecar written last by :func:`save_trace`; absent from
-#: traces saved by older versions (integrity then degrades to existence
-#: and non-emptiness checks).
+#: Integrity sidecar written last by :func:`save_trace`.  Every format-2
+#: trace has one, so a directory without it is a torn (non-atomic) save.
 CHECKSUM_FILE = "checksums.json"
 
 _BYTES_WRITTEN = Counter("io.bytes_written")
@@ -103,33 +103,25 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def is_trace_dir(directory: str | Path, *, check_integrity: bool = False) -> bool:
-    """Whether ``directory`` holds a complete saved trace.
+def is_trace_dir(directory: str | Path) -> bool:
+    """Whether ``directory`` holds a saved trace's required files.
 
-    The default is a cheap presence check (False for missing files, never
-    raises).  With ``check_integrity=True`` a structurally complete
-    directory is additionally verified via :func:`verify_trace_dir`, so
-    truncated or checksum-mismatched entries raise
-    :class:`TraceCorruptionError` instead of passing as valid.
+    A cheap presence check (False for missing files, never raises);
+    :func:`verify_trace_dir` and :func:`load_trace` check integrity.
     """
     directory = Path(directory)
-    if not all((directory / name).is_file() for name in TRACE_FILES):
-        return False
-    if check_integrity:
-        verify_trace_dir(directory)
-    return True
+    return all((directory / name).is_file() for name in TRACE_FILES)
 
 
 def verify_trace_dir(directory: str | Path, *, deep: bool = False) -> Path:
     """Check a saved trace's integrity; raises :class:`TraceCorruptionError`.
 
-    Every required file must exist and be non-empty; when the
-    ``checksums.json`` sidecar is present (traces saved by this version),
-    every recorded file must also match its byte size, and -- except for
-    utilization shard payloads, which are only size-checked unless
-    ``deep=True`` (hashing GBs of telemetry on every load would defeat
-    lazy mapping) -- its sha256 digest.  Returns the directory so callers
-    can chain into :func:`load_trace`.
+    Every required file must exist and be non-empty, the
+    ``checksums.json`` sidecar must exist, and every file it records must
+    match its byte size and -- except for utilization shard payloads,
+    which are only size-checked unless ``deep=True`` (hashing GBs of
+    telemetry on every load would defeat lazy mapping) -- its sha256
+    digest.  :func:`load_trace` calls this, so a load verifies once.
     """
     directory = Path(directory)
     for name in TRACE_FILES:
@@ -142,7 +134,7 @@ def verify_trace_dir(directory: str | Path, *, deep: bool = False) -> Path:
             raise TraceCorruptionError(f"trace {directory} has empty {name}")
     sidecar = directory / CHECKSUM_FILE
     if not sidecar.is_file():
-        return directory
+        raise TraceCorruptionError(f"trace {directory} is missing {CHECKSUM_FILE}")
     try:
         recorded = json.loads(sidecar.read_text())["files"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:

@@ -70,6 +70,39 @@ class TraceMetadata:
         """Number of utilization samples spanning the window."""
         return int(self.duration // self.sample_period)
 
+    # The per-VM observation rules below are the one statement of "which
+    # part of a VM's life the window saw"; every analysis uses them.
+
+    def alive_span(self, vm: VMRecord) -> tuple[float, float]:
+        """``(start, end)`` seconds of ``vm``'s life clipped to the window."""
+        return max(vm.created_at, 0.0), min(vm.ended_at, self.duration)
+
+    def alive_seconds(self, vm: VMRecord) -> float:
+        """Seconds of ``vm``'s life inside the window."""
+        start, end = self.alive_span(vm)
+        return end - start
+
+    def sample_window(self, vm: VMRecord) -> tuple[int, int]:
+        """``[lo, hi)`` indices of the samples taken while ``vm`` was alive.
+
+        Only whole samples count: a VM created mid-sample starts at the
+        next one, and ``lo >= hi`` (an empty slice) for a VM that lived
+        less than one sample.
+        """
+        start, end = self.alive_span(vm)
+        return (
+            int(np.ceil(start / self.sample_period)),
+            int(np.floor(end / self.sample_period)),
+        )
+
+    def completed_in_window(self, vm: VMRecord) -> bool:
+        """Whether ``vm`` both started and ended inside the window.
+
+        The lifetime population of Fig. 3(a): "we only include the VMs
+        started and ended in the week".
+        """
+        return vm.completed and vm.created_at >= 0 and vm.ended_at <= self.duration
+
 
 _BLOCKS_ADDED = Counter("store.utilization_blocks")
 _BLOCK_BYTES = Counter("store.utilization_bytes")

@@ -456,17 +456,12 @@ class TraceGenerator:
         """
         tz_by_region = {spec.name: spec.tz_offset_hours for spec in profile.regions}
         subs_by_id = {sub.subscription_id: sub for sub in self._subscriptions}
-        duration = self.config.duration
+        alive_seconds = store.metadata.alive_seconds
         min_overlap = profile.telemetry_min_overlap
         eligible = []
         append = eligible.append
         for vm in store.vms():
-            created = vm.created_at
-            ended = vm.ended_at
-            overlap = (duration if ended > duration else ended) - (
-                created if created > 0.0 else 0.0
-            )
-            if overlap < min_overlap:
+            if alive_seconds(vm) < min_overlap:
                 continue
             sub = subs_by_id[vm.subscription_id]
             tz = (

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.telemetry.counters import (
-    all_node_utilizations,
-    node_utilization,
-    region_average_utilization,
-    subscription_region_utilization,
-)
+from repro.telemetry.counters import node_utilization, region_average_utilization
 from repro.telemetry.schema import Cloud, NodeInfo
 from repro.telemetry.store import TraceStore
 from tests.test_store import make_vm
@@ -31,31 +26,16 @@ def store_with_node():
     return store
 
 
+def hosted(store, node_id):
+    """A node's hosted VMs and their rows, as the node series consumes them."""
+    vms = store.vms_by_node()[node_id]
+    return store.nodes[node_id], vms, [store.utilization(vm.vm_id) for vm in vms]
+
+
 def test_node_utilization_core_weighted(store_with_node):
-    series = node_utilization(store_with_node, 0)
+    series = node_utilization(*hosted(store_with_node, 0))
     # (4*0.5 + 8*0.25) / 16 = 0.25
     assert np.allclose(series, 0.25)
-
-
-def test_node_utilization_unknown_node(store_with_node):
-    with pytest.raises(KeyError):
-        node_utilization(store_with_node, 42)
-
-
-def test_node_utilization_none_without_telemetry():
-    store = TraceStore()
-    store.add_node(
-        NodeInfo(node_id=0, cluster_id=0, rack_id=0, region="r",
-                 cloud=Cloud.PRIVATE, capacity_cores=16, capacity_memory_gb=64)
-    )
-    store.add_vm(make_vm(1, node_id=0))
-    assert node_utilization(store, 0) is None
-
-
-def test_all_node_utilizations_matches_single(store_with_node):
-    bulk = all_node_utilizations(store_with_node)
-    assert set(bulk) == {0}
-    assert np.allclose(bulk[0], node_utilization(store_with_node, 0))
 
 
 def test_node_utilization_clipped():
@@ -67,7 +47,7 @@ def test_node_utilization_clipped():
     n = store.metadata.n_samples
     store.add_vm(make_vm(1, node_id=0, cores=4.0))
     store.add_utilization(1, np.full(n, 1.0))
-    series = node_utilization(store, 0)
+    series = node_utilization(*hosted(store, 0))
     assert series.max() <= 1.0
 
 
@@ -79,19 +59,3 @@ def test_region_average_utilization(store_with_node):
 def test_region_average_no_match_raises(store_with_node):
     with pytest.raises(ValueError):
         region_average_utilization(store_with_node, cloud=Cloud.PUBLIC)
-
-
-def test_subscription_region_utilization():
-    store = TraceStore()
-    n = store.metadata.n_samples
-    store.add_vm(make_vm(1, region="a", subscription_id=7))
-    store.add_vm(make_vm(2, region="b", subscription_id=7))
-    store.add_vm(make_vm(3, region="b", subscription_id=8))
-    store.add_utilization(1, np.full(n, 0.2))
-    store.add_utilization(2, np.full(n, 0.6))
-    by_region = subscription_region_utilization(store, 7)
-    assert set(by_region) == {"a", "b"}
-    assert np.allclose(by_region["a"], 0.2)
-    assert np.allclose(by_region["b"], 0.6)
-    # VM 3 has no telemetry -> subscription 8 has no regions.
-    assert subscription_region_utilization(store, 8) == {}

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import cache
 from repro.experiments.config import ExperimentConfig, clear_trace_cache, get_trace
+from repro.telemetry import io as telemetry_io
 from repro.telemetry.io import is_trace_dir, load_trace, save_trace_atomic
 from repro.workloads.generator import GeneratorConfig
 
@@ -61,6 +62,21 @@ class TestFetchTrace:
         assert warm_info.key == info.key
         assert len(warm) == len(store)
         assert warm.summary() == store.summary()
+
+    def test_hit_verifies_once(self, tmp_path, monkeypatch):
+        """A hit hashes each checksummed payload once (load_trace verifies)."""
+        _, info = cache.fetch_trace(SMALL, cache_dir=tmp_path)
+        hashed = []
+        file_sha256 = telemetry_io._file_sha256
+
+        def counting_sha256(path):
+            hashed.append(path)
+            return file_sha256(path)
+
+        monkeypatch.setattr(telemetry_io, "_file_sha256", counting_sha256)
+        _, warm_info = cache.fetch_trace(SMALL, cache_dir=tmp_path)
+        assert warm_info.hit
+        assert hashed and len(hashed) == len(set(hashed))
 
     def test_round_trip_preserves_utilization(self, tmp_path):
         store, _ = cache.fetch_trace(SMALL, cache_dir=tmp_path)

@@ -95,11 +95,8 @@ class TestTypedCorruptionErrors:
             verify_trace_dir(trace_dir)
         with pytest.raises(TraceCorruptionError):
             load_trace(trace_dir)
-        # Presence-only probe still says "looks like a trace" ...
+        # The presence-only probe still says "looks like a trace".
         assert is_trace_dir(trace_dir)
-        # ... but the integrity-checking probe raises the same typed error.
-        with pytest.raises(TraceCorruptionError):
-            is_trace_dir(trace_dir, check_integrity=True)
 
     @pytest.mark.parametrize("filename", TRACE_FILES)
     def test_missing_file_is_not_a_trace_dir(self, trace_dir, filename):
@@ -118,16 +115,20 @@ class TestTypedCorruptionErrors:
         with pytest.raises(TraceCorruptionError, match=CHECKSUM_FILE):
             verify_trace_dir(trace_dir)
 
-    def test_legacy_trace_without_sidecar_still_loads(self, trace_dir):
-        (trace_dir / CHECKSUM_FILE).unlink()
-        verify_trace_dir(trace_dir)
-        assert len(load_trace(trace_dir)) == 2
+    @pytest.mark.parametrize(
+        "also_missing", [(), ("utilization/index.json",)], ids=["sidecar", "sidecar+index"]
+    )
+    def test_missing_sidecar_is_corrupt(self, trace_dir, also_missing):
+        """Every format-2 save writes the sidecar last, so only a torn save lacks it.
 
-    def test_legacy_trace_truncation_caught_by_parser(self, trace_dir):
-        """Without a sidecar, parse failure still maps to the typed error."""
-        (trace_dir / CHECKSUM_FILE).unlink()
-        corrupt_trace_dir(trace_dir, "metadata.json")
-        with pytest.raises(TraceCorruptionError):
+        Without the sidecar nothing records that ``index.json`` existed: a
+        torn save missing both would otherwise load its VMs with no telemetry.
+        """
+        for name in (CHECKSUM_FILE, *also_missing):
+            (trace_dir / name).unlink()
+        with pytest.raises(TraceCorruptionError, match=f"missing {CHECKSUM_FILE}"):
+            verify_trace_dir(trace_dir)
+        with pytest.raises(TraceCorruptionError, match=f"missing {CHECKSUM_FILE}"):
             load_trace(trace_dir)
 
     @pytest.mark.parametrize("fmt", [1, None, TRACE_FORMAT_VERSION + 1])
