@@ -510,7 +510,6 @@ def _phase_kernels() -> dict:
     block[8:16] = 0.4  # constant rows, the idle-VM case
 
     with span("bench.kernel", kernel="detect_periods.scalar") as scalar_t:
-        # lint: allow[REP007] -- scalar reference side of the kernel microbench
         scalar_periods = [detect_periods(row) for row in block]
     with span("bench.kernel", kernel="detect_periods.block") as block_t:
         block_periods = detect_periods_block(block)
@@ -530,7 +529,6 @@ def _phase_kernels() -> dict:
         scalar_r = np.full((m, m), np.nan)
         for i in range(m):
             for j in range(i, m):
-                # lint: allow[REP007] -- scalar reference side of the microbench
                 scalar_r[i, j] = scalar_r[j, i] = pearson_correlation(
                     corr_block[i], corr_block[j]
                 )
@@ -579,9 +577,9 @@ async def _client_worker(host: str, port: int, ops: list, samples: dict) -> None
     client = await ServiceClient.connect(host, port)
     try:
         for op, args in ops:
-            t0 = time.perf_counter()  # lint: allow[REP002] -- client latency probe
+            t0 = time.perf_counter()
             response = await client.request(op, args)
-            t1 = time.perf_counter()  # lint: allow[REP002] -- client latency probe
+            t1 = time.perf_counter()
             bucket = samples.setdefault(
                 op, {"latencies": [], "ok": 0, "not_found": 0, "errors": 0}
             )
@@ -613,14 +611,14 @@ async def _drive(store, *, clients: int, requests_per_client: int, seed: int) ->
         for idx in range(clients)
     ]
 
-    replay_t0 = time.perf_counter()  # lint: allow[REP002] -- phase wall probe
+    replay_t0 = time.perf_counter()
     replay_task = asyncio.create_task(replay_trace(store, service, speedup=SERVE_SPEEDUP))
     samples: dict = {}
-    query_t0 = time.perf_counter()  # lint: allow[REP002] -- phase wall probe
+    query_t0 = time.perf_counter()
     await asyncio.gather(*(_client_worker(host, port, plan, samples) for plan in plans))
-    query_wall = time.perf_counter() - query_t0  # lint: allow[REP002] -- probe
+    query_wall = time.perf_counter() - query_t0
     replay_stats = await replay_task
-    replay_wall = time.perf_counter() - replay_t0  # lint: allow[REP002] -- probe
+    replay_wall = time.perf_counter() - replay_t0
     await service.drain()
 
     # One post-drain pass: the replayed state must serve a coherent

@@ -24,8 +24,6 @@ Subcommands::
                             [--requests-per-client 400] [--check]
                             [--baseline BENCH_serve.json] [--write-baseline]
                             [--out BENCH_serve.candidate.json]
-    repro-cloud lint        [paths...] [--format text|json] [--output PATH]
-                            [--select/--ignore CODES] [--list-rules]
 
 (Also runnable as ``python -m repro ...``.)
 
@@ -78,8 +76,8 @@ def _load_or_generate(args: argparse.Namespace):
 
     if args.trace:
         return load_trace(args.trace)
-    # Timing goes through an obs span (REP002): the CLI reads the elapsed
-    # wall time off the span record instead of touching the clock itself.
+    # The CLI reads the elapsed wall time off the obs span record instead
+    # of touching the clock itself.
     with span("cli.generate_trace", seed=args.seed, scale=args.scale) as timing:
         store = generate_trace_pair(
             GeneratorConfig(seed=args.seed, scale=args.scale),
@@ -300,12 +298,6 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
     result = case_study.run(seed=args.seed)
     print(result.render())
     return 0 if result.passed else 1
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lintkit.cli import run_lint
-
-    return run_lint(args)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -639,16 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
             )),
         ],
     )
-
-    from repro.lintkit.cli import add_lint_arguments, rule_codes
-
-    p_lint = sub.add_parser(
-        "lint",
-        help=f"run the determinism & invariant linter ({rule_codes()}, "
-        "see docs/LINTING.md)",
-    )
-    add_lint_arguments(p_lint)
-    p_lint.set_defaults(func=_cmd_lint)
     return parser
 
 

@@ -198,7 +198,6 @@ def _node_level_correlation_reference(
                 continue
             lo = int(np.ceil(start / sample_period))
             hi = int(np.floor(end / sample_period))
-            # lint: allow[REP007] -- scalar reference path for bit-compat tests
             r = pearson_correlation(
                 store.utilization(vm.vm_id)[lo:hi], node_util[lo:hi]
             )

@@ -75,7 +75,6 @@ def periodogram_candidates(
     shuffled = x.copy()
     for i in range(n_surrogates):
         rng.shuffle(shuffled)
-        # lint: allow[REP007] -- scalar reference path for the bit-compat tests
         surrogate_spectrum = np.abs(np.fft.rfft(shuffled)) ** 2 / n
         surrogate_spectrum[0] = 0.0
         surrogate_maxima[i] = surrogate_spectrum.max()
@@ -269,7 +268,7 @@ def periodogram_candidates_block(
     perms = _surrogate_permutations(n, n_surrogates, np.random.default_rng(0))
     maxima = np.empty((n_series, n_surrogates))
     for i in range(n_surrogates):
-        # lint: allow[REP007] -- one batched FFT per surrogate (20), not per series
+        # One batched FFT per surrogate, not one per series.
         surrogate = np.abs(np.fft.rfft(xc[:, perms[i]], axis=1)) ** 2 / n
         surrogate[:, 0] = 0.0
         maxima[:, i] = surrogate.max(axis=1)

@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any
+
+
+def _jsonable(value: Any) -> Any:
+    """JSON fallback for series payloads: arrays as lists, records as dicts."""
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    return repr(value)
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,20 @@ class ExperimentResult:
         if self.notes:
             lines.append(f"  note: {self.notes}")
         return "\n".join(lines)
+
+    def digest(self) -> str:
+        """sha256 of the canonical JSON of the checks and series.
+
+        Two results with equal digests gave the same answers: every check
+        (name, verdict, paper and measured text) and every series value.
+        The manifest records it per row.
+        """
+        payload = {
+            "checks": [check.to_dict() for check in self.checks],
+            "series": self.series,
+        }
+        blob = json.dumps(payload, sort_keys=True, default=_jsonable)
+        return hashlib.sha256(blob.encode()).hexdigest()
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready rendering (used by the run manifest).

@@ -177,8 +177,8 @@ def _hang() -> None:
     Capped at one hour as a backstop so an accidentally armed hang in an
     un-supervised run cannot wedge a machine forever.
     """
-    deadline = time.monotonic() + 3600.0  # lint: allow[REP002] -- backstop timer
-    while time.monotonic() < deadline:  # lint: allow[REP002] -- backstop timer
+    deadline = time.monotonic() + 3600.0
+    while time.monotonic() < deadline:
         time.sleep(0.05)
     raise FaultInjected("injected hang exceeded the 1h backstop")
 

@@ -312,8 +312,7 @@ def _worker_entry(
         conn.send(("ok", outcome))
     # Worker-side last resort: the error crosses the pipe and the scheduler
     # counts it on task.failed / retry.attempts.
-    # lint: allow[REP004] -- swallow is observable via scheduler counters
-    except BaseException as exc:  # noqa: BLE001 - the scheduler triages
+    except BaseException as exc:
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except (BrokenPipeError, OSError):
@@ -375,7 +374,7 @@ def _schedule(
     def start(index: int) -> None:
         state = states[index]
         state.attempts += 1
-        now = time.monotonic()  # lint: allow[REP002] -- scheduler deadline clock
+        now = time.monotonic()
         if state.first_started is None:
             state.first_started = now
         if inline:
@@ -386,7 +385,6 @@ def _schedule(
                 )
             # Contained like a worker's error: recorded on the task and
             # counted on task.failed / retry.attempts.
-            # lint: allow[REP004] -- swallow is observable via scheduler counters
             except Exception as exc:
                 handle_failed_attempt(index, f"{type(exc).__name__}: {exc}")
             else:
@@ -419,7 +417,6 @@ def _schedule(
                 kind, payload = "error", None
         elif exited:
             kind, payload = "error", None
-        # lint: allow[REP002] -- scheduler deadline clock
         elif worker.deadline is not None and time.monotonic() >= worker.deadline:
             worker.proc.kill()
             kind, payload = "timeout", f"timed out after {policy.task_timeout_s}s"
@@ -448,7 +445,6 @@ def _schedule(
         state.errors.append(f"attempt {state.attempts}: {message}")
         if state.attempts < policy.max_attempts:
             _RETRY_ATTEMPTS.inc()
-            # lint: allow[REP002] -- backoff eligibility is a scheduler deadline
             eligible = time.monotonic() + policy.backoff_for(state.attempts)
             ready.append((eligible, index))
         else:
@@ -460,7 +456,6 @@ def _schedule(
             _TASKS_TIMEOUT.inc()
         else:
             _TASKS_FAILED.inc()
-        # lint: allow[REP002] -- failure wall-time for the manifest row only
         elapsed = time.monotonic() - state.first_started
         outcomes[index] = TaskOutcome(
             task_id=state.task.task_id,
@@ -494,7 +489,7 @@ def _schedule(
         # is re-read per start because an inline attempt runs to its end
         # in start(), during which a retry's backoff may expire.
         while len(running) < jobs:
-            now = time.monotonic()  # lint: allow[REP002] -- scheduler deadline clock
+            now = time.monotonic()
             eligible = [entry for entry in ready if entry[0] <= now]
             if not eligible:
                 break
@@ -508,7 +503,6 @@ def _schedule(
         wakeups = [w.deadline for w in running.values() if w.deadline is not None]
         if len(running) < jobs:
             wakeups += [eligible_at for eligible_at, _index in ready]
-        # lint: allow[REP002] -- scheduler deadline clock
         timeout = max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
         if ready or running:
             wait(

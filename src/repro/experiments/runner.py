@@ -30,8 +30,8 @@ PAPER_ARTIFACTS = {task.task_id: task.paper_artifact for task in parallel.REGIST
 #: v2 added the ``metrics`` section (counters/gauges/histograms + spans).
 #: v3 added fault tolerance: per-row ``status``/``attempts``/``error``,
 #: the top-level ``degraded`` flag, ``policy``, ``faults``, and
-#: ``totals.degraded``.
-MANIFEST_SCHEMA_VERSION = 3
+#: ``totals.degraded``.  v4 added the per-row result ``digest``.
+MANIFEST_SCHEMA_VERSION = 4
 
 #: Version of the standalone metrics snapshot layout (``--metrics`` file,
 #: also embedded as the manifest's ``metrics`` section).
@@ -73,6 +73,7 @@ _MANIFEST_ROW_KEYS = (
     "wall_time_s",
     "trace_cache",
     "config_hash",
+    "digest",
 )
 
 
@@ -125,7 +126,6 @@ def run_pipeline(
     policy = policy or RetryPolicy()
     # Every structured timing below this goes through spans; this clock only
     # feeds the manifest's whole-run wall-time total.
-    # lint: allow[REP002] -- whole-run wall time for the manifest totals
     t0 = time.perf_counter()
     span_mark = mark()
     with MetricsScope() as scope:
@@ -147,7 +147,7 @@ def run_pipeline(
         trace_info=trace_info,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        elapsed_s=time.perf_counter() - t0,  # lint: allow[REP002] -- see t0 above
+        elapsed_s=time.perf_counter() - t0,
         metrics=metrics,
         policy=policy,
     )
@@ -203,13 +203,14 @@ def build_manifest(
     metrics: dict | None = None,
     policy: RetryPolicy | None = None,
 ) -> dict:
-    """The machine-readable record of one pipeline run (schema v3).
+    """The machine-readable record of one pipeline run (schema v4).
 
     Every task lands in a row whether or not it completed: a task that
     failed, timed out, or was skipped carries its ``status``, consumed
-    ``attempts``, and accumulated ``error`` with ``passed: false`` and no
-    checks.  The top-level ``degraded`` flag (and ``totals.degraded``
-    count) summarize whether any task is missing from the results.
+    ``attempts``, and accumulated ``error`` with ``passed: false``, no
+    checks and a ``null`` ``digest``.  The top-level ``degraded`` flag
+    (and ``totals.degraded`` count) summarize whether any task is missing
+    from the results.
     """
     policy = policy or RetryPolicy()
     experiments = []
@@ -230,6 +231,7 @@ def build_manifest(
             "wall_time_s": round(outcome.wall_time_s, 3),
             "trace_cache": ("hit" if trace_info.hit else "miss") if shared else "n/a",
             "config_hash": trace_info.key,
+            "digest": result.digest() if result is not None else None,
             "checks": [check.to_dict() for check in result.checks] if result else [],
         }
         if outcome.error is not None:

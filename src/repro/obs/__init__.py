@@ -6,8 +6,8 @@ platform can introspect its own tooling.  This package provides the three
 primitives the pipeline uses to do that:
 
 * :mod:`repro.obs.tracing` -- nested wall-time (and peak-RSS) **spans**
-  via the ``with span("synthesize", vms=n):`` context manager, exportable
-  as a flat JSON list;
+  via the ``with span("generate.synthesize", vms=n):`` context manager,
+  exportable as a flat JSON list;
 * :mod:`repro.obs.metrics` -- a process-global **metrics registry** with
   ``Counter("cache.hit")``-style handles plus a snapshot/diff/merge API
   that stays deterministic under ``ProcessPoolExecutor`` fan-out (child

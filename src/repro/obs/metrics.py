@@ -9,9 +9,11 @@ Handles are cheap named views onto one registry::
 
 Each metric name gets exactly one handle per registry: constructing a
 second ``Counter``/``Gauge``/``Histogram`` for a name already taken
-raises ``ValueError``.  Handles are module-level constants, so importing
-the module that reuses a name fails at once -- two modules feeding one
-series would make merge deltas ambiguous.
+raises ``ValueError``, as does a name outside the lowercase dotted
+``group.name`` convention (:data:`NAME_RE`, shared with spans).
+Handles are module-level constants, so importing the module that reuses
+or misspells a name fails at once -- two modules feeding one series
+would make merge deltas ambiguous.
 
 The registry is deliberately *per process*.  Parallel pipeline stages
 (``ProcessPoolExecutor`` workers) each accumulate into their own copy --
@@ -34,8 +36,21 @@ Snapshots render with sorted keys so serialized output is stable too.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from typing import Mapping
+
+#: Metric and span names: lowercase dotted ``group.name`` pairs.
+NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
+
+
+def check_name(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` follows :data:`NAME_RE`."""
+    if not NAME_RE.match(name):
+        raise ValueError(
+            f"metric/span name {name!r} does not follow the lowercase dotted "
+            "'group.name' convention"
+        )
 
 #: Default histogram bucket upper bounds (an implicit +inf overflow bucket
 #: is always appended).  Tuned for seconds-scale durations and small counts.
@@ -57,7 +72,12 @@ class MetricsRegistry:
     # primitive operations (handles delegate here)
     # ------------------------------------------------------------------
     def register_handle(self, name: str) -> None:
-        """Claim ``name`` for one handle; a second claim raises ``ValueError``."""
+        """Claim ``name`` for one handle.
+
+        Raises ``ValueError`` on a second claim or on a name outside the
+        ``group.name`` convention.
+        """
+        check_name(name)
         if name in self._handles:
             raise ValueError(
                 f"metric {name!r} already has a handle in this registry; "

@@ -4,7 +4,7 @@ A *span* measures one named stretch of work::
 
     from repro.obs import span
 
-    with span("synthesize", vms=n_vms) as record:
+    with span("generate.synthesize", vms=n_vms) as record:
         ...
     record.wall_s  # seconds spent inside the block
 
@@ -30,6 +30,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.obs.metrics import check_name
 
 try:  # pragma: no cover - resource exists on every POSIX platform
     import resource
@@ -77,11 +79,20 @@ class SpanRecord:
 _SPANS: list[SpanRecord] = []
 #: Indexes of currently open spans (innermost last).
 _STACK: list[int] = []
+#: Span names already checked against the ``group.name`` convention.
+_CHECKED_NAMES: set[str] = set()
 
 
 @contextmanager
 def span(name: str, **attrs: object) -> Iterator[SpanRecord]:
-    """Open a named span around a block; attributes are free-form JSON scalars."""
+    """Open a named span around a block; attributes are free-form JSON scalars.
+
+    ``name`` must follow the metrics' lowercase dotted ``group.name``
+    convention (``ValueError`` otherwise).
+    """
+    if name not in _CHECKED_NAMES:
+        check_name(name)
+        _CHECKED_NAMES.add(name)
     record = SpanRecord(
         index=len(_SPANS),
         parent=_STACK[-1] if _STACK else None,

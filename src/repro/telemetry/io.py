@@ -256,12 +256,12 @@ def _save_trace(store: TraceStore, directory: Path) -> "list[tuple[ShardRef, str
     # deterministic function of the simulated week -- so these writes keep
     # it deliberately instead of re-sorting entities by id.
     topology = {
-        "regions": [_record_dict(r) for r in store.regions.values()],  # lint: allow[REP005]
-        "clusters": [_plain(_record_dict(c)) for c in store.clusters.values()],  # lint: allow[REP005]
-        "nodes": [_plain(_record_dict(n)) for n in store.nodes.values()],  # lint: allow[REP005]
+        "regions": [_record_dict(r) for r in store.regions.values()],
+        "clusters": [_plain(_record_dict(c)) for c in store.clusters.values()],
+        "nodes": [_plain(_record_dict(n)) for n in store.nodes.values()],
         "subscriptions": [
             {**_plain(_record_dict(s)), "regions": list(s.regions)}
-            for s in store.subscriptions.values()  # lint: allow[REP005]
+            for s in store.subscriptions.values()
         ],
     }
     (directory / "topology.json").write_text(json.dumps(topology, indent=2))

@@ -54,7 +54,7 @@ def _release_pages(array: np.ndarray) -> None:
         return
     try:
         mapped.madvise(_mmap.MADV_DONTNEED)
-    except (AttributeError, ValueError, OSError):  # lint: allow[REP004] -- advisory page release; failure only costs residency
+    except (AttributeError, ValueError, OSError):
         pass
 
 

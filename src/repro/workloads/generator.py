@@ -495,11 +495,12 @@ class TraceGenerator:
         bit generator numpy ships, and the fills dominate the draw count.
         """
         rng = self._rng
-        # REP001 audit verdict (kept): a bit generator constructed with an
-        # explicit seed is the approved fast-fill pattern -- this SFC64 is
-        # seeded from the config-seeded PCG64 stream, so the whole draw
-        # sequence remains a pure function of GeneratorConfig.  An unseeded
-        # ``np.random.SFC64()`` would be flagged by the linter.
+        # A bit generator constructed with an explicit seed is the approved
+        # fast-fill pattern -- this SFC64 is seeded from the config-seeded
+        # PCG64 stream, so the whole draw sequence remains a pure function
+        # of GeneratorConfig.  An unseeded ``np.random.SFC64()`` would make
+        # every trace digest differ between processes, which
+        # tests/test_determinism.py catches.
         fill_rng = np.random.Generator(
             np.random.SFC64(int(rng.integers(np.iinfo(np.int64).max)))
         )

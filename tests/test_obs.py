@@ -33,82 +33,89 @@ def _clean_spans():
 
 class TestSpans:
     def test_nesting_records_parent_and_depth(self):
-        with span("outer", kind="test"):
-            with span("inner"):
+        with span("test.outer", kind="test"):
+            with span("test.inner"):
                 pass
-            with span("sibling"):
+            with span("test.sibling"):
                 pass
         spans = export_spans()
         by_name = {row["name"]: row for row in spans}
-        assert [row["name"] for row in spans] == ["outer", "inner", "sibling"]
-        assert by_name["outer"]["parent"] is None
-        assert by_name["outer"]["depth"] == 0
-        assert by_name["outer"]["attrs"] == {"kind": "test"}
-        for child in ("inner", "sibling"):
-            assert by_name[child]["parent"] == by_name["outer"]["index"]
+        assert [row["name"] for row in spans] == ["test.outer", "test.inner", "test.sibling"]
+        assert by_name["test.outer"]["parent"] is None
+        assert by_name["test.outer"]["depth"] == 0
+        assert by_name["test.outer"]["attrs"] == {"kind": "test"}
+        for child in ("test.inner", "test.sibling"):
+            assert by_name[child]["parent"] == by_name["test.outer"]["index"]
             assert by_name[child]["depth"] == 1
 
     def test_wall_time_measured_and_contains_children(self):
-        with span("outer") as outer:
-            with span("inner") as inner:
+        with span("test.outer") as outer:
+            with span("test.inner") as inner:
                 # Enough work to register on perf_counter.
                 sum(range(10_000))
         assert inner.wall_s > 0
         assert outer.wall_s >= inner.wall_s
 
     def test_record_closed_after_block(self):
-        with span("s") as record:
+        with span("test.s") as record:
             assert not record.closed
         assert record.closed
 
     def test_exception_still_closes_span(self):
         with pytest.raises(RuntimeError):
-            with span("failing"):
+            with span("test.failing"):
                 raise RuntimeError("boom")
         (row,) = export_spans()
-        assert row["name"] == "failing"
+        assert row["name"] == "test.failing"
         assert row["wall_s"] >= 0
         # The stack unwound: a new span starts back at depth 0.
-        with span("after"):
+        with span("test.after"):
             pass
         assert export_spans()[-1]["depth"] == 0
 
     def test_export_since_rebases_indexes(self):
-        with span("before"):
+        with span("test.before"):
             pass
         bookmark = mark()
-        with span("a"):
-            with span("b"):
+        with span("test.a"):
+            with span("test.b"):
                 pass
         exported = export_spans(since=bookmark)
-        assert [row["name"] for row in exported] == ["a", "b"]
+        assert [row["name"] for row in exported] == ["test.a", "test.b"]
         assert exported[0]["index"] == 0
         assert exported[0]["parent"] is None
         assert exported[1]["parent"] == 0
 
     def test_parent_outside_slice_reported_as_none(self):
-        with span("outer"):
+        with span("test.outer"):
             bookmark = mark()
-            with span("inner"):
+            with span("test.inner"):
                 pass
             exported = export_spans(since=bookmark)
-        assert exported[0]["name"] == "inner"
+        assert exported[0]["name"] == "test.inner"
         assert exported[0]["parent"] is None
         assert exported[0]["depth"] == 1  # depth is absolute, parent re-based
 
     def test_drain_removes_spans(self):
-        with span("keep"):
+        with span("test.keep"):
             pass
         bookmark = mark()
-        with span("drop"):
+        with span("test.drop"):
             pass
         drained = drain_spans(since=bookmark)
-        assert [row["name"] for row in drained] == ["drop"]
-        assert [row["name"] for row in export_spans()] == ["keep"]
+        assert [row["name"] for row in drained] == ["test.drop"]
+        assert [row["name"] for row in export_spans()] == ["test.keep"]
+
+    @pytest.mark.parametrize("name", ["BadName", "synthesize", "task..run"])
+    def test_undotted_or_uppercase_name_rejected(self, name):
+        with pytest.raises(ValueError, match="group.name"):
+            with span(name):
+                pass
+        assert export_spans() == []
 
     def test_drain_refuses_open_spans(self):
         bookmark = mark()
-        with span("open"):
+        with span("test.open"):
             with pytest.raises(RuntimeError, match="still open"):
                 drain_spans(since=bookmark)
 
@@ -133,10 +140,10 @@ class TestMetricsRegistry:
 
     def test_histogram_buckets(self):
         registry = MetricsRegistry()
-        hist = Histogram("latency", bounds=(1.0, 10.0), registry=registry)
+        hist = Histogram("task.latency", bounds=(1.0, 10.0), registry=registry)
         for value in (0.5, 1.0, 5.0, 100.0):
             hist.observe(value)
-        snap = registry.snapshot()["histograms"]["latency"]
+        snap = registry.snapshot()["histograms"]["task.latency"]
         assert snap["bounds"] == [1.0, 10.0]
         # bucket i holds values <= bounds[i]; the last bucket is +inf overflow
         assert snap["counts"] == [2, 1, 1]
@@ -243,6 +250,14 @@ class TestMetricsRegistry:
                 kind("cache.hit", registry=registry)
         # Another registry keeps its own claims.
         Counter("cache.hit", registry=MetricsRegistry())
+
+    @pytest.mark.parametrize("kind", [Counter, Gauge, Histogram])
+    @pytest.mark.parametrize("name", ["BadName", "synthesize"])
+    def test_handle_name_outside_convention_raises(self, kind, name):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="group.name"):
+            kind(name, registry=registry)
+        assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_handle_survives_reset(self):
         registry = MetricsRegistry()

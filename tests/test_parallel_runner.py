@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments import parallel
@@ -44,8 +45,9 @@ def reports(tmp_path_factory):
     return serial, parallel_report, serial_warm
 
 
-def _comparable(results: list[ExperimentResult]) -> list[dict]:
-    return [result.to_dict() for result in results]
+def _comparable(results: list[ExperimentResult]) -> list[tuple[str, str]]:
+    """Each result's id and digest, which covers its checks *and* series."""
+    return [(result.experiment_id, result.digest()) for result in results]
 
 
 class TestRegistry:
@@ -159,6 +161,7 @@ class TestManifest:
             assert row["checks_passed"] <= row["checks_total"]
             assert row["wall_time_s"] >= 0
             assert (row["checks_passed"] == row["checks_total"]) == row["passed"]
+            assert len(row["digest"]) == 64
 
     def test_round_trip(self, reports, tmp_path):
         serial, _, _ = reports
@@ -196,6 +199,17 @@ class TestManifest:
 
 
 class TestResultSerialization:
+    def test_digest_covers_checks_and_series(self):
+        def result(measured: str, value: float) -> ExperimentResult:
+            r = ExperimentResult("x", "t", series={"cdf": np.array([0.5, value])})
+            r.check("c", True, "p", measured)
+            return r
+
+        base = result("1.0", 1.0).digest()
+        assert result("1.0", 1.0).digest() == base
+        assert result("1.0", 0.9).digest() != base
+        assert result("1.1", 1.0).digest() != base
+
     def test_experiment_result_round_trip(self, reports):
         serial, _, _ = reports
         for result in serial.results:

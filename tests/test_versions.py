@@ -16,7 +16,6 @@ import pytest
 
 from repro.bench import SCHEMA_VERSION
 from repro.experiments.runner import MANIFEST_SCHEMA_VERSION
-from repro.lintkit.report import REPORT_SCHEMA_VERSION
 from repro.telemetry.io import TRACE_FORMAT_VERSION
 from repro.workloads.generator import GENERATOR_VERSION
 
@@ -42,7 +41,6 @@ def test_committed_artifact_records_the_code_version(artifact, version):
         ("docs/PIPELINE.md", r'"schema_version":\s*(\d+)', MANIFEST_SCHEMA_VERSION),
         ("docs/PIPELINE.md", r'"generator_version":\s*"([^"]+)"', GENERATOR_VERSION),
         ("docs/TRACE_FORMAT.md", r"format v(\d+) \(current\)", TRACE_FORMAT_VERSION),
-        ("docs/LINTING.md", r"report schema_version (\d+)", REPORT_SCHEMA_VERSION),
     ],
 )
 def test_docs_quote_the_code_version(doc, pattern, version):
