@@ -29,9 +29,8 @@ def main() -> None:
         f"({time.time() - t0:.1f}s)\n"
     )
 
-    print("Running the full characterization study (Sections III & IV) ...\n")
-    study = run_study(trace)
-    print(study.report())
+    print("Re-evaluating the paper's four insights (Sections III & IV) ...\n")
+    print(run_study(trace).render())
 
 
 if __name__ == "__main__":

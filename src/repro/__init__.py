@@ -16,24 +16,20 @@ Azure-like telemetry:
   chance-constrained over-subscription, region shifting, predictors,
   valley scheduling);
 * :mod:`repro.experiments` -- one module per paper figure/table, emitting
-  paper-vs-measured comparisons.
+  paper-vs-measured checks; ``run_study`` and ``validate_trace``
+  (:mod:`repro.experiments.claims`) report named groups of those checks.
 
 Quickstart::
 
     from repro import GeneratorConfig, generate_trace_pair, run_study
 
     trace = generate_trace_pair(GeneratorConfig(seed=7, scale=0.3))
-    study = run_study(trace)
-    print(study.report())
+    report = run_study(trace)
+    print(report.render())
 """
 
-from repro.core import (
-    CharacterizationStudy,
-    ClassifierConfig,
-    PatternClassifier,
-    WorkloadKnowledgeBase,
-    run_study,
-)
+from repro.core import ClassifierConfig, PatternClassifier, WorkloadKnowledgeBase
+from repro.experiments.claims import run_study
 from repro.telemetry import Cloud, TraceStore, load_trace, save_trace
 from repro.workloads import (
     GeneratorConfig,
@@ -46,7 +42,6 @@ from repro.workloads import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "CharacterizationStudy",
     "ClassifierConfig",
     "Cloud",
     "GeneratorConfig",

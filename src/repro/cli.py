@@ -4,6 +4,9 @@ Subcommands::
 
     repro-cloud generate    --seed 7 --scale 0.3 --out trace_dir
     repro-cloud study       [--trace trace_dir | --seed 7 --scale 0.3]
+                            [--markdown report.md]
+    repro-cloud validate    [--trace trace_dir | --seed 7 --scale 0.3]
+    repro-cloud summary     [--trace trace_dir | --seed 7 --scale 0.3]
     repro-cloud experiments [--jobs 4] [--manifest [PATH]] [--cache-dir DIR]
                             [--write-md EXPERIMENTS.md] [--seed 7 --scale 0.3]
                             [--retries N] [--task-timeout S] [--fail-fast]
@@ -34,11 +37,16 @@ scheduler applies the retry policy that ``--retries``, ``--task-timeout``
 and ``--fail-fast`` build (backoff is fixed: 0.1 s, doubling, capped at
 30 s).
 
-``study`` exits nonzero when any insight fails.  ``experiments`` exits 0
-when every task completed and passed, 1 when any completed experiment
-failed its shape checks, and 3 when the run is *degraded*: every
-completed experiment passed but some task failed, timed out, or was
-skipped (see docs/PIPELINE.md), so CI can gate directly on the command.
+``study`` and ``validate`` re-read checks the experiment registry already
+runs (:mod:`repro.experiments.claims`): ``study`` exits nonzero when any
+of the paper's four insight groups fails, ``validate`` when any of the
+calibration anchors does.
+
+``experiments`` exits 0 when every task completed and passed, 1 when any
+completed experiment failed its shape checks, and 3 when the run is
+*degraded*: every completed experiment passed but some task failed, timed
+out, or was skipped (see docs/PIPELINE.md), so CI can gate directly on the
+command.
 
 The three ``bench-*`` verbs share one handler over :mod:`repro.bench`:
 each exits 1 when the run itself failed (a task not ok, a query error,
@@ -102,17 +110,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    from repro.core.study import run_study
+    from repro.experiments.claims import run_study
 
     store = _load_or_generate(args)
-    study = run_study(store)
-    print(study.report())
+    report = run_study(store)
+    print(report.render())
     if args.markdown:
-        from repro.core.reporting import write_study_report
-
-        out = write_study_report(study, args.markdown, store=store)
+        out = Path(args.markdown)
+        out.write_text(report.markdown(store))
         print(f"markdown report written to {out}")
-    return 0 if all(holds for _i, holds, _e in study.insights()) else 1
+    return 0 if report.passed else 1
 
 
 def _manifest_path(args: argparse.Namespace) -> Path | None:
@@ -242,12 +249,12 @@ def _cmd_kb(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.workloads.validation import validate_trace
+    from repro.experiments.claims import validate_trace
 
     store = _load_or_generate(args)
-    scorecard = validate_trace(store)
-    print(scorecard.render())
-    return 0 if scorecard.passed else 1
+    report = validate_trace(store)
+    print(report.render())
+    return 0 if report.passed else 1
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
@@ -260,35 +267,22 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    from repro.analysis.render import cdf_strip, mix_table, sparkline
+    from repro.analysis.render import cdf_strip
     from repro.core import deployment as dep
-    from repro.core import utilization as util
+    from repro.experiments.claims import pattern_mix_table, shape_lines
+    from repro.experiments.parallel import TASKS
     from repro.telemetry.schema import Cloud
 
     store = _load_or_generate(args)
     print(f"trace: {store.summary()}\n")
+    print("\n".join(shape_lines(store)))
     for cloud in (Cloud.PRIVATE, Cloud.PUBLIC):
-        if not store.vms(cloud=cloud):
-            continue
-        print(f"== {cloud} cloud ==")
-        counts = dep.vm_count_series(store, cloud)
-        creations = dep.vm_creation_series(store, cloud)
-        print(f"  VM count/hour     {sparkline(counts)}")
-        print(f"  creations/hour    {sparkline(creations)}")
-        lifetime = dep.lifetime_cdf(store, cloud)
-        xs, ps = lifetime.points()
-        print(f"  lifetime seconds  {cdf_strip(xs, ps)}")
-    mixes = {}
-    for cloud in (Cloud.PRIVATE, Cloud.PUBLIC):
-        try:
-            mixes[str(cloud)] = util.pattern_mix(
-                store, cloud, max_vms=args.max_pattern_vms
-            ).as_fractions()
-        except ValueError:
-            continue
-    if mixes:
+        if store.vms(cloud=cloud):
+            xs, ps = dep.lifetime_cdf(store, cloud).points()
+            print(f"{cloud} lifetime seconds  {cdf_strip(xs, ps)}")
+    if store.vm_ids_with_utilization():
         print("\nutilization pattern mix")
-        print(mix_table(mixes))
+        print(pattern_mix_table(TASKS["fig5"].runner(store)))
     return 0
 
 
@@ -527,10 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_summary = sub.add_parser("summary", help="terminal summary with sparklines")
     _add_trace_args(p_summary)
-    p_summary.add_argument(
-        "--max-pattern-vms", type=int, default=300,
-        help="VMs to classify for the pattern-mix table",
-    )
     p_summary.set_defaults(func=_cmd_summary)
 
     p_case = sub.add_parser("case-study", help="run the Canada region-shift pilot")

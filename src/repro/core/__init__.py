@@ -11,9 +11,10 @@ Each module maps to a section of the paper:
 * :mod:`repro.core.correlation` -- Section IV-B's node-level and
   region-level similarity studies and region-agnosticism detection;
 * :mod:`repro.core.knowledge_base` -- the centralized workload knowledge
-  base the paper motivates in Section V;
-* :mod:`repro.core.study` -- the one-call orchestration that runs the whole
-  characterization and renders a comparison report.
+  base the paper motivates in Section V.
+
+The paper's claims about these analyses are checked once, by the
+experiment registry (:mod:`repro.experiments`).
 """
 
 from repro.core.knowledge_base import SubscriptionKnowledge, WorkloadKnowledgeBase
@@ -30,12 +31,9 @@ from repro.core.periodicity import (
     periodogram_candidates,
     periodogram_candidates_block,
 )
-from repro.core.study import CharacterizationStudy, CloudCharacterization, run_study
 
 __all__ = [
-    "CharacterizationStudy",
     "ClassifierConfig",
-    "CloudCharacterization",
     "PatternClassifier",
     "PatternMix",
     "SubscriptionKnowledge",
@@ -46,5 +44,4 @@ __all__ = [
     "detect_periods_block",
     "periodogram_candidates",
     "periodogram_candidates_block",
-    "run_study",
 ]

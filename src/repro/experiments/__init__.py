@@ -7,7 +7,8 @@ the paper's reported values, and (c) a plain-text rendering.
 :func:`repro.experiments.runner.run_pipeline` executes the whole evaluation
 through the task scheduler in :mod:`repro.experiments.parallel` and builds
 the run manifest; :func:`repro.experiments.runner.write_experiments_md`
-regenerates ``EXPERIMENTS.md``.
+regenerates ``EXPERIMENTS.md``.  :mod:`repro.experiments.claims` names the
+checks that ``repro study`` and ``repro validate`` report.
 """
 
 from repro.experiments.base import CheckResult, ExperimentResult

@@ -41,6 +41,15 @@ def run_fig1a(store: TraceStore) -> ExperimentResult:
         "public curve left/above private",
         f"dominance on {dominance:.0%} of the grid",
     )
+    n_private = len(store.vms(cloud=Cloud.PRIVATE))
+    n_public = len(store.vms(cloud=Cloud.PUBLIC))
+    population_ratio = n_private / max(1, n_public)
+    result.check(
+        "similar VM populations in both clouds",
+        0.3 <= population_ratio <= 3.0,
+        "similar populations (Section II)",
+        f"private/public {population_ratio:.2f} ({n_private} vs {n_public} VMs)",
+    )
     return result
 
 

@@ -10,16 +10,12 @@ statistics are calibrated to every quantitative anchor the paper reports
 
 from repro.workloads.generator import GeneratorConfig, TraceGenerator, generate_trace, generate_trace_pair
 from repro.workloads.profiles import CloudProfile, SpotConfig, private_profile, public_profile
-from repro.workloads.validation import CalibrationScorecard, validate_generator, validate_trace
 
 __all__ = [
     "CloudProfile",
     "GeneratorConfig",
     "SpotConfig",
-    "CalibrationScorecard",
     "TraceGenerator",
-    "validate_generator",
-    "validate_trace",
     "generate_trace",
     "generate_trace_pair",
     "private_profile",

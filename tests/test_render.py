@@ -85,9 +85,9 @@ class TestSideBySide:
 def test_summary_cli_command(capsys):
     from repro.cli import main
 
-    code = main(["summary", "--seed", "3", "--scale", "0.08", "--max-pattern-vms", "60"])
+    code = main(["summary", "--seed", "3", "--scale", "0.08"])
     assert code == 0
     out = capsys.readouterr().out
     assert "VM count/hour" in out
-    assert "utilization pattern mix" in out
-    assert "private" in out and "public" in out
+    assert "utilization pattern mix" in out and "diurnal" in out
+    assert "private VM count/hour" in out and "public VM count/hour" in out

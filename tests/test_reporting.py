@@ -1,48 +1,40 @@
-"""Tests for the markdown study reporter."""
+"""Tests for the markdown rendering of ``repro study``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.reporting import study_report_markdown, write_study_report
-from repro.core.study import run_study
+from repro.experiments.claims import run_study
 
 
 @pytest.fixture(scope="module")
 def study(medium_trace):
-    return run_study(medium_trace, max_pattern_vms=250)
+    return run_study(medium_trace)
 
 
-def test_markdown_structure(study):
-    text = study_report_markdown(study)
+@pytest.fixture(scope="module")
+def text(study, medium_trace):
+    return study.markdown(medium_trace)
+
+
+def test_markdown_structure(text):
     assert text.startswith("# Cloud workload characterization")
-    assert "## Headline metrics" in text
-    assert "| Metric | Private | Public |" in text
-    assert "## The paper's insights, re-evaluated" in text
-    assert "## Utilization pattern mix" in text
+    assert "## ✅ Insight 1: private deployments are larger" in text
+    assert "| Task | Check | Paper | Measured | Status |" in text
+    assert "| fig3d | private CVs larger across regions |" in text
+    assert "## Utilization pattern mix (Fig. 5d)" in text
 
 
-def test_all_insights_marked_passing(study):
-    text = study_report_markdown(study)
+def test_all_insights_marked_passing(text):
     # All four insights hold on the calibrated trace.
     assert text.count("✅") == 4
     assert "❌" not in text
+    assert "| FAIL |" not in text
 
 
-def test_sparklines_with_store(study, medium_trace):
-    text = study_report_markdown(study, store=medium_trace)
+def test_sparklines_with_store(text):
     assert "## Temporal shapes" in text
-    assert "VM count" in text
-
-
-def test_no_sparklines_without_store(study):
-    assert "## Temporal shapes" not in study_report_markdown(study)
-
-
-def test_write_to_file(study, tmp_path):
-    out = write_study_report(study, tmp_path / "report.md")
-    assert out.exists()
-    assert "Headline metrics" in out.read_text()
+    assert "private VM count/hour" in text and "public creations/hour" in text
 
 
 def test_study_cli_markdown_flag(tmp_path, capsys):
@@ -51,5 +43,5 @@ def test_study_cli_markdown_flag(tmp_path, capsys):
     out = tmp_path / "study.md"
     code = main(["study", "--seed", "3", "--scale", "0.12", "--markdown", str(out)])
     assert code == 0
-    assert out.exists()
+    assert "## Temporal shapes" in out.read_text()
     assert "markdown report written" in capsys.readouterr().out

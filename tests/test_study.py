@@ -1,45 +1,27 @@
-"""Integration tests for the one-call characterization study."""
+"""Tests for ``repro study``: the paper's four insights over registry checks."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.study import characterize_cloud, run_study
-from repro.telemetry.schema import Cloud
+from repro.experiments.claims import INSIGHTS, run_study
 
 
 @pytest.fixture(scope="module")
 def study(medium_trace):
-    return run_study(medium_trace, max_pattern_vms=300)
-
-
-def test_characterize_cloud_fields(medium_trace):
-    result = characterize_cloud(medium_trace, Cloud.PRIVATE, max_pattern_vms=150)
-    assert result.cloud is Cloud.PRIVATE
-    assert 0 <= result.shortest_bin_fraction <= 1
-    assert 0 <= result.single_region_core_share <= 1
-    assert result.pattern_mix.total > 0
-    assert len(result.vms_per_subscription) > 0
+    return run_study(medium_trace)
 
 
 def test_all_four_insights_hold(study):
-    insights = study.insights()
-    assert len(insights) == 4
-    for insight, holds, evidence in insights:
-        assert holds, f"{insight}: {evidence}"
+    assert [group.name for group in study.groups] == list(INSIGHTS)
+    assert len(study.groups) == 4
+    for group in study.groups:
+        assert group.passed, study.render()
+    assert study.passed
 
 
 def test_report_renders(study):
-    report = study.report()
-    assert "private" in report
-    assert "HOLDS" in report
-    assert "Insight 1" in report and "Insight 4" in report
-
-
-def test_headline_numbers_in_paper_direction(study):
-    assert study.public.shortest_bin_fraction > study.private.shortest_bin_fraction
-    assert study.private.creation_cv.median > study.public.creation_cv.median
-    assert (
-        study.private.node_correlation.median > study.public.node_correlation.median
-    )
-    assert study.private.single_region_core_share < study.public.single_region_core_share
+    report = study.render()
+    assert report.startswith("Cloud workload characterization: 8/8 checks pass")
+    assert "[HOLDS] Insight 1" in report and "[HOLDS] Insight 4" in report
+    assert "fig7a [PASS] private median correlation much higher" in report

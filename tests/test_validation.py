@@ -1,35 +1,21 @@
-"""Tests for the calibration scorecard."""
+"""Tests for ``repro validate``: the calibration anchors over registry checks."""
 
 from __future__ import annotations
 
-
-from repro.workloads.validation import (
-    AnchorResult,
-    validate_trace,
-)
-
-
-class TestAnchorResult:
-    def test_pass_and_fail(self):
-        inside = AnchorResult("a", "p", measured=0.5, lower=0.4, upper=0.6)
-        outside = AnchorResult("a", "p", measured=0.7, lower=0.4, upper=0.6)
-        assert inside.passed
-        assert not outside.passed
-        assert "ok" in inside.render()
-        assert "OFF" in outside.render()
+from repro.experiments.claims import ANCHORS, TELEMETRY_TASKS, validate_trace
 
 
 class TestScorecard:
     def test_default_trace_passes(self, medium_trace):
         scorecard = validate_trace(medium_trace)
-        assert len(scorecard.anchors) >= 10
+        (group,) = scorecard.groups
+        assert [(task, check.name) for task, check in group.claims] == list(ANCHORS)
         assert scorecard.passed, scorecard.render()
-        assert scorecard.failures == ()
 
     def test_render(self, medium_trace):
         text = validate_trace(medium_trace).render()
-        assert "Calibration scorecard" in text
-        assert "Fig. 3a" in text
+        assert text.startswith(f"Calibration scorecard: {len(ANCHORS)}/{len(ANCHORS)}")
+        assert "fig3a [PASS] private shortest-bin fraction ~49%" in text
 
     def test_without_utilization_anchors(self):
         from repro.workloads.generator import GeneratorConfig, generate_trace_pair
@@ -37,9 +23,9 @@ class TestScorecard:
         trace = generate_trace_pair(
             GeneratorConfig(seed=5, scale=0.15, synthesize_utilization=False)
         )
-        scorecard = validate_trace(trace, with_utilization_anchors=False)
-        names = {a.name for a in scorecard.anchors}
-        assert not any("correlation" in n for n in names)
+        scorecard = validate_trace(trace)
+        assert set(scorecard.results) == {"fig1a", "fig1b", "fig3a", "fig3d", "fig4b"}
+        assert not set(scorecard.results) & TELEMETRY_TASKS
         assert scorecard.passed, scorecard.render()
 
     def test_detects_broken_profile(self):
@@ -63,7 +49,12 @@ class TestScorecard:
         merged = TraceStore(TraceMetadata(label="broken"))
         merged.merge(private)
         merged.merge(public)
-        scorecard = validate_trace(merged, with_utilization_anchors=False)
+        scorecard = validate_trace(merged)
         assert not scorecard.passed
-        failed_names = {a.name for a in scorecard.failures}
-        assert any("private shortest-bin" in n for n in failed_names)
+        failed = {
+            (task, check.name)
+            for group in scorecard.groups
+            for task, check in group.claims
+            if not check.passed
+        }
+        assert ("fig3a", "private shortest-bin fraction ~49%") in failed
