@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cloud.entities import Cluster, Node, Topology
+from repro.cloud.entities import FIT_TOLERANCE, Cluster, Node, Topology
+
+
+#: VM core sizes must be whole multiples of this binary fraction.  Sums and
+#: differences of such sizes are exact in float64 (below 2**43 cores), so
+#: the allocator's running per-cluster core sums never round away from a
+#: fresh re-sum of the nodes.  Every SKU size is a whole core count.
+CORE_QUANTUM = 2.0**-10
 
 
 class PlacementPolicy(str, enum.Enum):
@@ -79,8 +86,19 @@ class AllocationService:
         self._vm_node: dict[int, Node] = {}
         #: (subscription_id, region) -> preferred cluster id.
         self._affinity: dict[tuple[int, str], int] = {}
-        #: (deployment_id, rack_id) -> number of that deployment's VMs there.
-        self._deployment_rack_count: dict[tuple[int, int], int] = defaultdict(int)
+        #: (deployment_id, rack_id) -> number of that deployment's VMs there;
+        #: a pair whose count falls to zero is dropped.
+        self._deployment_rack_count: dict[tuple[int, int], int] = {}
+        #: cluster_id -> allocated cores, kept in step by ``allocate`` and
+        #: ``release`` so ranking clusters never re-sums their nodes.  The
+        #: running sums equal a fresh ``Cluster.used_cores`` exactly, because
+        #: ``allocate`` admits only whole multiples of ``CORE_QUANTUM``.
+        self._cluster_used: dict[int, float] = {
+            cid: cluster.used_cores for cid, cluster in topology.clusters.items()
+        }
+        self._cluster_capacity: dict[int, float] = {
+            cid: cluster.capacity_cores for cid, cluster in topology.clusters.items()
+        }
 
     # ------------------------------------------------------------------
     # placement
@@ -96,6 +114,8 @@ class AllocationService:
         subscription_id: int,
     ) -> Node:
         """Place a VM; returns the chosen node or raises AllocationFailure."""
+        if not (cores / CORE_QUANTUM).is_integer():
+            raise ValueError(f"{cores} cores is not a whole multiple of {CORE_QUANTUM}")
         self.stats.attempts += 1
         cluster = self._choose_cluster(
             region, cores, memory_gb, subscription_id=subscription_id
@@ -116,17 +136,22 @@ class AllocationService:
 
         node.host(vm_id, cores, memory_gb)
         self._vm_node[vm_id] = node
-        self._deployment_rack_count[(deployment_id, node.rack_id)] += 1
+        self._cluster_used[node.cluster_id] += cores
+        key = (deployment_id, node.rack_id)
+        self._deployment_rack_count[key] = self._deployment_rack_count.get(key, 0) + 1
         return node
 
     def release(self, vm_id: int, *, deployment_id: int | None = None) -> Node:
         """Free the resources of a VM; returns the node it ran on."""
         node = self._vm_node.pop(vm_id)
+        cores, _memory_gb = node.hosted[vm_id]
         node.release(vm_id)
+        self._cluster_used[node.cluster_id] -= cores
         if deployment_id is not None:
             key = (deployment_id, node.rack_id)
-            if self._deployment_rack_count.get(key, 0) > 0:
-                self._deployment_rack_count[key] -= 1
+            count = self._deployment_rack_count.pop(key, 0)
+            if count > 1:
+                self._deployment_rack_count[key] = count - 1
         return node
 
     def node_of(self, vm_id: int) -> Node | None:
@@ -158,12 +183,12 @@ class AllocationService:
 
     def _clusters_by_headroom(self, region: str) -> list[Cluster]:
         clusters = self.topology.regions[region].clusters if region in self.topology.regions else []
-        return sorted(clusters, key=lambda c: c.utilization)
+        return sorted(clusters, key=self._utilization)
 
-    def _feasible_nodes(
-        self, cluster: Cluster, cores: float, memory_gb: float
-    ) -> list[Node]:
-        return [node for node in cluster.nodes if node.can_host(cores, memory_gb)]
+    def _utilization(self, cluster: Cluster) -> float:
+        """``cluster.utilization`` from the running core sums."""
+        capacity = self._cluster_capacity[cluster.cluster_id]
+        return self._cluster_used[cluster.cluster_id] / capacity if capacity else 0.0
 
     def _choose_node(
         self,
@@ -172,31 +197,41 @@ class AllocationService:
         memory_gb: float,
         deployment_id: int,
     ) -> Node | None:
-        feasible = self._feasible_nodes(cluster, cores, memory_gb)
-        if not feasible:
-            return None
         if self.policy is PlacementPolicy.RANDOM:
+            feasible = [node for node in cluster.nodes if node.can_host(cores, memory_gb)]
+            if not feasible:
+                return None
             return feasible[int(self._rng.integers(len(feasible)))]
-        if self.policy is PlacementPolicy.BEST_FIT:
-            return min(feasible, key=lambda n: (n.free_cores - cores, n.node_id))
-        # SPREAD: least-loaded rack w.r.t. this deployment, then best-fit.
-        def rack_load(node: Node) -> int:
-            return self._deployment_rack_count.get((deployment_id, node.rack_id), 0)
-
-        min_load = min(rack_load(node) for node in feasible)
-        candidates = [node for node in feasible if rack_load(node) == min_load]
-        return min(candidates, key=lambda n: (n.free_cores - cores, n.node_id))
+        # SPREAD: least-loaded rack w.r.t. this deployment, then best-fit;
+        # BEST_FIT: every rack counts as unloaded.  One pass keeps the
+        # feasible node that is least in (rack load, leftover cores, node id).
+        spread = self.policy is PlacementPolicy.SPREAD
+        rack_count = self._deployment_rack_count
+        best: Node | None = None
+        best_key: tuple[int, float, int] | None = None
+        for rack in cluster.racks:
+            load = rack_count.get((deployment_id, rack.rack_id), 0) if spread else 0
+            if best_key is not None and load > best_key[0]:
+                continue
+            for node in rack.nodes:
+                # ``Node.can_host`` written out: the call per node costs ~9%
+                # of ``perfbench generate`` latency.
+                free_cores = node.capacity_cores - node.used_cores
+                if (
+                    cores <= free_cores + FIT_TOLERANCE
+                    and memory_gb <= node.capacity_memory_gb - node.used_memory_gb + FIT_TOLERANCE
+                ):
+                    key = (load, free_cores - cores, node.node_id)
+                    if best_key is None or key < best_key:
+                        best, best_key = node, key
+        return best
 
     # ------------------------------------------------------------------
     # introspection used by tests and the ablation benchmark
     # ------------------------------------------------------------------
     def deployment_rack_spread(self, deployment_id: int) -> int:
         """Number of distinct racks a deployment currently occupies."""
-        return sum(
-            1
-            for (dep, _rack), count in self._deployment_rack_count.items()
-            if dep == deployment_id and count > 0
-        )
+        return sum(1 for dep, _rack in self._deployment_rack_count if dep == deployment_id)
 
     def subscriptions_per_cluster(self) -> dict[int, int]:
         """How many subscriptions have affinity to each cluster."""

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 from repro.cloud.sku import DEFAULT_NODE_SKU, NodeSku
 from repro.telemetry.schema import Cloud, ClusterInfo, NodeInfo, RegionInfo
 
+#: Float slack in the fit test, so a VM that exactly fills a node fits.
+#: ``AllocationService._choose_node`` writes ``Node.can_host`` out with it.
+FIT_TOLERANCE = 1e-9
+
 
 @dataclass
 class Node:
@@ -45,8 +49,10 @@ class Node:
 
     def can_host(self, cores: float, memory_gb: float) -> bool:
         """Whether a VM of the given size fits (with float tolerance)."""
-        eps = 1e-9
-        return cores <= self.free_cores + eps and memory_gb <= self.free_memory_gb + eps
+        return (
+            cores <= self.free_cores + FIT_TOLERANCE
+            and memory_gb <= self.free_memory_gb + FIT_TOLERANCE
+        )
 
     def host(self, vm_id: int, cores: float, memory_gb: float) -> None:
         """Place a VM on this node."""

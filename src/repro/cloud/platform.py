@@ -143,7 +143,7 @@ class CloudPlatform:
 
     def terminate_vm(self, vm_id: int, time: float) -> None:
         """Terminate a VM: free its node, close its record, log the event."""
-        deployment_id = self._vm_deployment.get(vm_id)
+        deployment_id = self._vm_deployment.pop(vm_id)
         self.allocator.release(vm_id, deployment_id=deployment_id)
         self.store.finalize_vm(vm_id, time)
         vm = self.store.vm(vm_id)
@@ -159,7 +159,7 @@ class CloudPlatform:
 
     def evict_vm(self, vm_id: int, time: float, *, reason: str = "") -> None:
         """Evict a VM (spot reclamation or node failure): frees capacity."""
-        deployment_id = self._vm_deployment.get(vm_id)
+        deployment_id = self._vm_deployment.pop(vm_id)
         self.allocator.release(vm_id, deployment_id=deployment_id)
         self.store.finalize_vm(vm_id, time)
         vm = self.store.vm(vm_id)

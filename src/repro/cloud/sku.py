@@ -14,8 +14,11 @@ SKUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from repro.sampling import draw_index, weighted_cdf
 
 
 @dataclass(frozen=True)
@@ -59,11 +62,14 @@ class SkuCatalog:
         if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
             raise ValueError("weights must be non-negative with positive sum")
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        probabilities = np.asarray(self.weights, dtype=np.float64)
+        return weighted_cdf(probabilities / probabilities.sum())
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw one SKU (or ``size`` SKUs) according to the catalog weights."""
-        probabilities = np.asarray(self.weights, dtype=np.float64)
-        probabilities = probabilities / probabilities.sum()
-        idx = rng.choice(len(self.skus), size=size, p=probabilities)
+        idx = draw_index(rng, self._cdf, size)
         if size is None:
             return self.skus[int(idx)]
         return [self.skus[int(i)] for i in np.atleast_1d(idx)]

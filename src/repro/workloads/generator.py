@@ -30,6 +30,7 @@ from repro.cloud.spot_market import SpotMarket
 from repro.cloud.entities import build_topology
 from repro.cloud.platform import CloudPlatform, VMRequest
 from repro.cloud.simulation import Simulator
+from repro.sampling import draw_index, weighted_cdf
 from repro.telemetry.schema import (
     Cloud,
     PATTERN_HOURLY_PEAK,
@@ -342,9 +343,9 @@ class TraceGenerator:
                 [sub.pool_sizes.get(region, 1) for sub in candidates],
                 dtype=np.float64,
             )
-            weights = weights / weights.sum()
+            cdf = weighted_cdf(weights / weights.sum())
             for time in arrivals:
-                sub = candidates[int(rng.choice(len(candidates), p=weights))]
+                sub = candidates[int(draw_index(rng, cdf))]
                 batch = 1 + int(rng.geometric(1.0 / max(1.0, churn.batch_mean)) - 1)
                 deployment_id = self._new_deployment()
                 model = sub.lifetime_model or profile.lifetime

@@ -11,9 +11,11 @@ calibration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from repro.sampling import draw_index, weighted_cdf
 from repro.timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_MINUTE
 
 #: Boundary of the "shortest lifetime bin" used throughout the reproduction
@@ -56,11 +58,14 @@ class LifetimeModel:
         if min(self.weight_short, self.weight_medium, self.weight_long) < 0:
             raise ValueError("mixture weights must be non-negative")
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return weighted_cdf((self.weight_short, self.weight_medium, self.weight_long))
+
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` lifetimes (seconds), never below one minute."""
         components = (SHORT, MEDIUM, LONG)
-        weights = (self.weight_short, self.weight_medium, self.weight_long)
-        choice = rng.choice(3, size=size, p=weights)
+        choice = draw_index(rng, self._cdf, size)
         out = np.empty(size, dtype=np.float64)
         for idx, component in enumerate(components):
             mask = choice == idx

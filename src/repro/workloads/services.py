@@ -12,9 +12,11 @@ and noise levels controlling node-level similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from repro.sampling import draw_index, weighted_cdf
 from repro.telemetry.schema import (
     PATTERN_DIURNAL,
     PATTERN_HOURLY_PEAK,
@@ -22,6 +24,9 @@ from repro.telemetry.schema import (
     PATTERN_STABLE,
 )
 from repro.workloads.utilization_models import NoiseParams
+
+#: Service models, in the order of :attr:`ServiceArchetype.offering_weights`.
+OFFERINGS = ("iaas", "paas", "saas")
 
 
 @dataclass(frozen=True)
@@ -46,19 +51,36 @@ class ServiceArchetype:
     #: VMs", Section II).
     offering_weights: tuple[float, float, float] = (0.5, 0.3, 0.2)
 
+    def __post_init__(self) -> None:
+        # The cached CDFs skip the check ``Generator.choice`` made per draw.
+        for name, weights in (
+            ("pattern_weights", tuple(self.pattern_weights.values())),
+            ("offering_weights", self.offering_weights),
+        ):
+            if not weights or any(w < 0 for w in weights) or sum(weights) <= 0:
+                raise ValueError(f"{name} must be non-negative with positive sum")
+        if len(self.offering_weights) != len(OFFERINGS):
+            raise ValueError(f"offering_weights must have {len(OFFERINGS)} entries")
+
+    @cached_property
+    def _offering_cdf(self) -> np.ndarray:
+        weights = np.asarray(self.offering_weights, dtype=np.float64)
+        return weighted_cdf(weights / weights.sum())
+
+    @cached_property
+    def _patterns(self) -> tuple[tuple[str, ...], np.ndarray]:
+        patterns = tuple(self.pattern_weights)
+        weights = np.array([self.pattern_weights[p] for p in patterns], dtype=np.float64)
+        return patterns, weighted_cdf(weights / weights.sum())
+
     def sample_offering(self, rng: np.random.Generator) -> str:
         """Draw the service model (iaas/paas/saas) for one subscription."""
-        labels = ("iaas", "paas", "saas")
-        weights = np.asarray(self.offering_weights, dtype=np.float64)
-        weights = weights / weights.sum()
-        return labels[int(rng.choice(3, p=weights))]
+        return OFFERINGS[int(draw_index(rng, self._offering_cdf))]
 
     def sample_pattern(self, rng: np.random.Generator) -> str:
         """Draw a utilization pattern for one VM of this service."""
-        patterns = list(self.pattern_weights)
-        weights = np.array([self.pattern_weights[p] for p in patterns], dtype=np.float64)
-        weights = weights / weights.sum()
-        return patterns[int(rng.choice(len(patterns), p=weights))]
+        patterns, cdf = self._patterns
+        return patterns[int(draw_index(rng, cdf))]
 
 
 # ----------------------------------------------------------------------

@@ -83,6 +83,17 @@ def test_evict_vm_records_evict_event(platform):
     assert platform.store.vm(vm_id).ended_at == 200.0
 
 
+def test_ended_vms_leave_no_bookkeeping(platform):
+    """Per-VM state shrinks with the live VMs, not with every VM ever created."""
+    vm_ids = [platform.create_vm(request(deployment_id=d), 0.0) for d in (1, 1, 2)]
+    platform.terminate_vm(vm_ids[0], 10.0)
+    platform.evict_vm(vm_ids[1], 20.0)
+    assert set(platform._vm_deployment) == {vm_ids[2]}
+    platform.terminate_vm(vm_ids[2], 30.0)
+    assert not platform._vm_deployment
+    assert not platform.allocator._deployment_rack_count
+
+
 def test_allocation_failure_recorded_not_raised(platform):
     # Region 'a' has 4 nodes x 16 cores; a 16-core request fills one node.
     for _ in range(4):
