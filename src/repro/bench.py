@@ -18,10 +18,9 @@ The three benches:
   one warm-up pass fills the trace cache, then ``repeats`` measured passes
   record each task's ``task.run`` span.  That span excludes the trace
   fetch, so cache hits cannot masquerade as analysis regressions.  The
-  artifact also embeds a microbenchmark of the two batched kernels
-  (:func:`~repro.core.periodicity.detect_periods_block`,
-  :func:`~repro.analysis.stats.pairwise_pearson`) against their scalar
-  reference paths, with a bitwise ``outputs_identical`` check.
+  artifact also embeds a microbenchmark of the batched
+  :func:`~repro.analysis.stats.pairwise_pearson` kernel against its scalar
+  reference path, with a bitwise ``outputs_identical`` check.
 * ``scale`` generates a trace (spilled to shards) and analyzes it with the
   full registry, each phase in its own child so that
   ``getrusage(RUSAGE_SELF).ru_maxrss`` is a clean per-phase high-water
@@ -492,36 +491,19 @@ def _phase_measure(
 
 
 def _phase_kernels() -> dict:
-    """Microbench the batched kernels against their scalar reference paths.
+    """Microbench the batched kernel against its scalar reference path.
 
-    Fixtures are seeded and week-shaped (2016 samples = 7 days at 5
-    minutes).  Each kernel reports both wall-times *and* whether the
+    The fixture is seeded and week-shaped (2016 samples = 7 days at 5
+    minutes).  The kernel reports both wall-times *and* whether the
     outputs are identical -- the evidence that the speedup did not buy a
     different answer.
     """
     from repro.analysis.stats import pairwise_pearson, pearson_correlation
-    from repro.core.periodicity import detect_periods, detect_periods_block
 
     rng = np.random.default_rng(0)
     n = 2016
     t = np.arange(n, dtype=np.float64)
     daily = np.sin(2 * np.pi * t / 288.0)
-    block = 0.3 + 0.2 * daily[None, :] + 0.05 * rng.standard_normal((48, n))
-    block[8:16] = 0.4  # constant rows, the idle-VM case
-
-    with span("bench.kernel", kernel="detect_periods.scalar") as scalar_t:
-        scalar_periods = [detect_periods(row) for row in block]
-    with span("bench.kernel", kernel="detect_periods.block") as block_t:
-        block_periods = detect_periods_block(block)
-    periods = {
-        "name": "detect_periods",
-        "rows": int(block.shape[0]),
-        "scalar_s": scalar_t.wall_s,
-        "batched_s": block_t.wall_s,
-        "speedup": scalar_t.wall_s / block_t.wall_s,
-        "outputs_identical": block_periods == scalar_periods,
-    }
-
     corr_block = 0.3 + 0.2 * daily[None, :] + 0.05 * rng.standard_normal((96, n))
     corr_block[4:8] = 0.7
     m = corr_block.shape[0]
@@ -543,7 +525,7 @@ def _phase_kernels() -> dict:
         "speedup": scalar_t.wall_s / block_t.wall_s,
         "outputs_identical": bool(np.all((scalar_r == blocked_r) | both_nan)),
     }
-    return {"phase": "kernels", "kernels": [periods, correlation]}
+    return {"phase": "kernels", "kernels": [correlation]}
 
 
 def _build_ops(rng: np.random.Generator, n: int, vm_ids, sub_ids) -> list:

@@ -3,8 +3,8 @@
 Each module maps to a section of the paper:
 
 * :mod:`repro.core.deployment` -- Section III (deployment characteristics);
-* :mod:`repro.core.periodicity` -- the period-detection primitive
-  (Vlachos et al., ICDM'05) used by the pattern classifier;
+* :mod:`repro.core.periodicity` -- the autocorrelation the pattern
+  classifier validates periods on (Vlachos et al., ICDM'05);
 * :mod:`repro.core.patterns` -- Section IV-A's four-way utilization
   pattern classification;
 * :mod:`repro.core.utilization` -- Section IV-A's distribution analyses;
@@ -25,12 +25,6 @@ from repro.core.patterns import (
     classify_block,
     classify_series,
 )
-from repro.core.periodicity import (
-    detect_periods,
-    detect_periods_block,
-    periodogram_candidates,
-    periodogram_candidates_block,
-)
 
 __all__ = [
     "ClassifierConfig",
@@ -40,8 +34,4 @@ __all__ = [
     "WorkloadKnowledgeBase",
     "classify_block",
     "classify_series",
-    "detect_periods",
-    "detect_periods_block",
-    "periodogram_candidates",
-    "periodogram_candidates_block",
 ]

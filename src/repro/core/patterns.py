@@ -5,15 +5,16 @@ The paper buckets VM CPU utilization series into *diurnal*, *stable*,
 
 * stable   -- "extracted by restricting the standard deviation";
 * diurnal  -- daily periodicity "detected using the approach discussed in
-  [18]" (AUTOPERIOD, see :mod:`repro.core.periodicity`);
+  [18]" (AUTOPERIOD, Vlachos et al., ICDM'05);
 * hourly-peak -- "a special diurnal pattern ... period equal to one hour";
 * irregular -- everything else.
 
-Two classification backends are provided: the default ``targeted`` backend
-tests exactly the two periods of interest (1 hour, 1 day) on the ACF and
-periodogram, which is fast enough to sweep whole traces; the ``autoperiod``
-backend runs the full Vlachos et al. candidate+validation pipeline.  The
-ablation benchmark compares them.
+The periodic classes run AUTOPERIOD's two stages -- a periodogram-power
+test and validation on an autocorrelation hill
+(:mod:`repro.core.periodicity`) -- only at the two periods the four classes
+ask about (1 hour, 1 day), not over every candidate period, which keeps a
+whole-trace sweep cheap.  :func:`classify_series` is the scalar reference
+and :func:`classify_block` its bitwise-identical batched form.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.periodicity import (
-    autocorrelation,
-    autocorrelation_block,
-    detect_periods,
-    detect_periods_block,
-)
+from repro.core.periodicity import autocorrelation, autocorrelation_block
 from repro.telemetry.schema import (
     Cloud,
     PATTERN_DIURNAL,
@@ -58,8 +54,6 @@ class ClassifierConfig:
     lag_tolerance: float = 0.15
     #: Series shorter than this (seconds) cannot be classified reliably.
     min_duration: float = 2 * SECONDS_PER_DAY
-    #: "targeted" (fast, default) or "autoperiod" (full Vlachos pipeline).
-    method: str = "targeted"
 
 
 def _power_ratio_from_spectrum(
@@ -123,9 +117,6 @@ def classify_series(
     hourly_lag = max(2, int(round(3600.0 / sample_period)))
     daily_lag = int(round(24 * 3600.0 / sample_period))
 
-    if config.method == "autoperiod":
-        return _classify_autoperiod(x, config, hourly_lag, daily_lag)
-
     acf = autocorrelation(x, max_lag=min(x.size // 2, daily_lag * 2))
     hourly_acf = _acf_hill_value(acf, hourly_lag, config.lag_tolerance)
     if (
@@ -140,29 +131,6 @@ def classify_series(
             daily_acf >= config.diurnal_min_acf
             and _power_ratio(x, daily_lag) >= config.min_power_ratio
         ):
-            return PATTERN_DIURNAL
-    return PATTERN_IRREGULAR
-
-
-def _classify_autoperiod(
-    x: np.ndarray, config: ClassifierConfig, hourly_lag: int, daily_lag: int
-) -> str:
-    periods = detect_periods(
-        x,
-        min_acf=min(config.hourly_min_acf, config.diurnal_min_acf),
-        max_candidates=16,
-    )
-    return _label_from_periods(periods, config, hourly_lag, daily_lag)
-
-
-def _label_from_periods(
-    periods, config: ClassifierConfig, hourly_lag: int, daily_lag: int
-) -> str:
-    for detected in periods:
-        if abs(detected.period_samples - hourly_lag) <= config.lag_tolerance * hourly_lag:
-            return PATTERN_HOURLY_PEAK
-    for detected in periods:
-        if abs(detected.period_samples - daily_lag) <= config.lag_tolerance * daily_lag:
             return PATTERN_DIURNAL
     return PATTERN_IRREGULAR
 
@@ -207,16 +175,6 @@ def classify_block(
 
     hourly_lag = max(2, int(round(3600.0 / sample_period)))
     daily_lag = int(round(24 * 3600.0 / sample_period))
-
-    if config.method == "autoperiod":
-        periods_per_row = detect_periods_block(
-            x[active],
-            min_acf=min(config.hourly_min_acf, config.diurnal_min_acf),
-            max_candidates=16,
-        )
-        for row, periods in zip(active, periods_per_row, strict=True):
-            labels[row] = _label_from_periods(periods, config, hourly_lag, daily_lag)
-        return labels
 
     sub = x[active]
     acf_block = autocorrelation_block(sub, max_lag=min(n // 2, daily_lag * 2))

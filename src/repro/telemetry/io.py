@@ -218,8 +218,7 @@ def _cleanup_tmp_dir(tmp: Path) -> None:
 def save_trace(store: TraceStore, directory: str | Path) -> Path:
     """Write ``store`` to ``directory`` (created if missing); returns the path.
 
-    Utilization is written as shards; orphaned rows are never written, so
-    a save/load round trip implicitly compacts.
+    Utilization is written as shards, in the store's VM order.
     Lazy shard blocks whose layout already matches the save order are
     adopted -- hard-linked (or copied) into place without decompressing or
     rewriting their bytes -- and the store's references are re-pointed at
@@ -307,10 +306,10 @@ def _link_or_copy(source: Path, target: Path) -> None:
 def _save_utilization(
     store: TraceStore, directory: Path
 ) -> "list[tuple[ShardRef, str]]":
-    """Write live utilization rows as fixed-size shards + index.
+    """Write utilization rows as fixed-size shards + index.
 
     Rows are emitted in attachment (``iter_utilization``) order.  A lazy
-    shard block whose rows are all live and contiguous in that order is
+    shard block whose rows are contiguous in that order is
     *adopted*: its file is hard-linked into the trace instead of being
     read and rewritten, which is what makes saving a freshly spilled
     paper-scale trace an O(metadata) operation.  Returns the adopted

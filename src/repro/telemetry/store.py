@@ -28,9 +28,8 @@ on first touch); every internal access resolves through
 :meth:`TraceStore._block`, so the two kinds are indistinguishable to
 callers.  Reads hand out **read-only** views -- mutating a returned series
 raises instead of silently corrupting every other reader of the shared
-block.  Re-attaching a series orphans its old row; the store accounts for
-orphaned rows and dead bytes (see :meth:`~TraceStore.summary`) and
-:meth:`~TraceStore.compact` rewrites the affected blocks to reclaim them.
+block.  A VM's series is attached once: every row of every block is
+reachable, so no dead bytes can accumulate.
 """
 
 from __future__ import annotations
@@ -146,9 +145,6 @@ class TraceStore:
         #: addressed through ``_util_index``.
         self._util_blocks: list[np.ndarray | ShardRef] = []
         self._util_index: dict[int, tuple[int, int]] = {}
-        #: Rows orphaned by re-attachment; their bytes stay allocated in
-        #: the owning block until :meth:`compact` rewrites it.
-        self._orphan_rows = 0
         self.regions: dict[str, RegionInfo] = {}
         self.clusters: dict[int, ClusterInfo] = {}
         self.nodes: dict[int, NodeInfo] = {}
@@ -212,10 +208,7 @@ class TraceStore:
         self._events.append(event)
 
     def add_utilization(self, vm_id: int, series: np.ndarray) -> None:
-        """Attach a 5-minute CPU utilization series (values in ``[0, 1]``).
-
-        Re-attaching replaces the VM's previous series.
-        """
+        """Attach a 5-minute CPU utilization series (values in ``[0, 1]``)."""
         series = np.asarray(series, dtype=np.float32).ravel()
         self.add_utilization_block([vm_id], series.reshape(1, -1))
 
@@ -227,8 +220,8 @@ class TraceStore:
         Row ``i`` of ``block`` becomes the series of ``vm_ids[i]``.  The
         matrix is kept as a single float32 block (copied only if the input
         is not already float32 and C-contiguous); per-VM reads return views
-        into it.  Ids already carrying a series are re-pointed at their new
-        row (the old row is simply orphaned).
+        into it.  An id that already carries a series is refused, as
+        :meth:`add_vm` refuses a duplicate id.
         """
         block = self.check_utilization_block(vm_ids, block)
         for vm_id in vm_ids:
@@ -291,10 +284,10 @@ class TraceStore:
     def _adopt_block(
         self, vm_ids: Sequence[int], block: "np.ndarray | ShardRef"
     ) -> None:
-        """Register a validated block and re-point (orphaning) old rows."""
+        """Register a validated block; no id may already carry a series."""
         for vm_id in vm_ids:
             if vm_id in self._util_index:
-                self._orphan_rows += 1
+                raise ValueError(f"vm {vm_id} already has a utilization series")
         block_idx = len(self._util_blocks)
         self._util_blocks.append(block)
         for row, vm_id in enumerate(vm_ids):
@@ -312,70 +305,10 @@ class TraceStore:
             return block.open()
         return block
 
-    def _block_rows(self, block_idx: int) -> int:
-        """Row count of a block without materializing lazy shards."""
-        return self._util_blocks[block_idx].shape[0]
-
     @property
     def utilization_bytes(self) -> int:
-        """Total bytes held by utilization blocks, dead rows included."""
+        """Total bytes held by utilization blocks."""
         return sum(block.nbytes for block in self._util_blocks)
-
-    @property
-    def utilization_live_bytes(self) -> int:
-        """Bytes of rows still reachable through the index."""
-        return self.utilization_bytes - self.utilization_orphaned_bytes
-
-    @property
-    def utilization_orphaned_rows(self) -> int:
-        """Rows orphaned by re-attachment and not yet compacted."""
-        return self._orphan_rows
-
-    @property
-    def utilization_orphaned_bytes(self) -> int:
-        """Bytes pinned by orphaned rows (reclaimable via :meth:`compact`)."""
-        return self._orphan_rows * self.metadata.n_samples * 4
-
-    def compact(self) -> int:
-        """Rewrite blocks containing orphaned rows; returns rows reclaimed.
-
-        Blocks with no dead rows are kept as-is (lazy shards stay lazy);
-        blocks with dead rows are rewritten to hold only their live rows,
-        and fully dead blocks are dropped.  The index is renumbered in
-        place, preserving each VM's attachment order.
-        """
-        if self._orphan_rows == 0:
-            return 0
-        live_by_block: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for vm_id, (block_idx, row) in self._util_index.items():
-            live_by_block[block_idx].append((row, vm_id))
-        new_blocks: list[np.ndarray | ShardRef] = []
-        relocation: dict[int, tuple[int, dict[int, int]]] = {}
-        for block_idx in range(len(self._util_blocks)):
-            live = live_by_block.get(block_idx)
-            if not live:
-                continue  # fully dead: drop the block
-            new_idx = len(new_blocks)
-            if len(live) == self._block_rows(block_idx):
-                new_blocks.append(self._util_blocks[block_idx])
-                relocation[block_idx] = (new_idx, {})
-            else:
-                live.sort()
-                rows = np.fromiter(
-                    (row for row, _ in live), dtype=np.intp, count=len(live)
-                )
-                new_blocks.append(np.ascontiguousarray(self._block(block_idx)[rows]))
-                relocation[block_idx] = (
-                    new_idx,
-                    {row: i for i, (row, _) in enumerate(live)},
-                )
-        reclaimed = self._orphan_rows
-        self._util_blocks = new_blocks
-        for vm_id, (block_idx, row) in self._util_index.items():
-            new_idx, row_map = relocation[block_idx]
-            self._util_index[vm_id] = (new_idx, row_map.get(row, row))
-        self._orphan_rows = 0
-        return reclaimed
 
     # ------------------------------------------------------------------
     # queries
@@ -628,7 +561,6 @@ class TraceStore:
         self._util_blocks.extend(other._util_blocks)
         for vm_id, (block_idx, row) in other._util_index.items():
             self._util_index[vm_id] = (block_idx + block_offset, row)
-        self._orphan_rows += other._orphan_rows
         self.regions.update(other.regions)
         self.clusters.update(other.clusters)
         self.nodes.update(other.nodes)
@@ -638,17 +570,13 @@ class TraceStore:
         """Cheap size summary for logging and reports.
 
         Byte figures come from block metadata only -- lazy shards are not
-        touched -- and ``utilization_orphaned_rows``/``_bytes`` expose the
-        storage pinned by re-attached series until :meth:`compact` runs.
+        touched.
         """
         return {
             "vms": len(self._vms),
             "events": len(self._events),
             "utilization_series": len(self._util_index),
             "utilization_bytes": self.utilization_bytes,
-            "utilization_live_bytes": self.utilization_live_bytes,
-            "utilization_orphaned_rows": self.utilization_orphaned_rows,
-            "utilization_orphaned_bytes": self.utilization_orphaned_bytes,
             "regions": len(self.regions),
             "clusters": len(self.clusters),
             "nodes": len(self.nodes),

@@ -168,9 +168,7 @@ class TestRunBenchPerf:
                 "bench", "schema_version", "seed", "scale", "repeats",
                 "machine", "calibration_s", "tasks", "total_s", "kernels",
             }
-            assert [k["name"] for k in payload["kernels"]] == [
-                "detect_periods", "pairwise_pearson",
-            ]
+            assert [k["name"] for k in payload["kernels"]] == ["pairwise_pearson"]
             assert all(k["outputs_identical"] for k in payload["kernels"])
         assert [t["id"] for t in first["tasks"]] == ["fig1a"]
         assert [t["id"] for t in first["tasks"]] == [t["id"] for t in second["tasks"]]
@@ -202,7 +200,7 @@ class TestWriteBaseline:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"kernels": [{"name": "detect_periods", "scalar_s": 1.0, "batched_s": 0.5,
+            {"kernels": [{"name": "pairwise_pearson", "scalar_s": 1.0, "batched_s": 0.5,
                           "speedup": 2.0, "outputs_identical": False}]},
             {"tasks": [{"id": "fig1a", "status": "failed", "median_s": 1.0,
                         "samples_s": [1.0]}], "total_s": 1.0},

@@ -1,24 +1,15 @@
-"""Unit tests for the AUTOPERIOD-style period detector."""
+"""Unit tests for the scalar and batched autocorrelation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.periodicity import (
-    autocorrelation,
-    autocorrelation_block,
-    detect_periods,
-    detect_periods_block,
-    has_period,
-    periodogram_candidates,
-    periodogram_candidates_block,
-)
+from repro.core.periodicity import autocorrelation, autocorrelation_block
 
 
-def sine(period: int, n: int = 2016, amplitude: float = 1.0) -> np.ndarray:
-    t = np.arange(n)
-    return amplitude * np.sin(2 * np.pi * t / period)
+def sine(period: int, n: int = 2016) -> np.ndarray:
+    return np.sin(2 * np.pi * np.arange(n) / period)
 
 
 class TestAutocorrelation:
@@ -42,49 +33,6 @@ class TestAutocorrelation:
     def test_white_noise_decorrelates(self, rng):
         acf = autocorrelation(rng.normal(size=2000), max_lag=50)
         assert np.all(np.abs(acf[1:]) < 0.15)
-
-
-class TestPeriodogramCandidates:
-    def test_finds_dominant_period(self, rng):
-        x = sine(48) + 0.1 * rng.normal(size=2016)
-        candidates = periodogram_candidates(x, rng=rng)
-        periods = [p for p, _power in candidates]
-        assert any(abs(p - 48) < 3 for p in periods)
-
-    def test_white_noise_has_few_candidates(self, rng):
-        candidates = periodogram_candidates(rng.normal(size=2016), rng=rng)
-        assert len(candidates) <= 3
-
-    def test_constant_series_no_candidates(self, rng):
-        assert periodogram_candidates(np.ones(256), rng=rng) == []
-
-    def test_too_short_series(self, rng):
-        assert periodogram_candidates(np.ones(4), rng=rng) == []
-
-
-class TestDetectPeriods:
-    def test_single_period_detected_and_refined(self, rng):
-        x = sine(96) + 0.05 * rng.normal(size=2016)
-        periods = detect_periods(x, rng=rng)
-        assert periods
-        assert abs(periods[0].period_samples - 96) <= 5
-        assert periods[0].acf_value > 0.5
-
-    def test_two_periods_detected(self, rng):
-        x = sine(288) + 0.7 * sine(12) + 0.05 * rng.normal(size=2016)
-        periods = detect_periods(x, rng=rng, max_candidates=16)
-        found = {round(p.period_samples) for p in periods}
-        assert any(abs(p - 288) <= 10 for p in found)
-        assert any(abs(p - 12) <= 2 for p in found)
-
-    def test_noise_yields_nothing(self, rng):
-        assert detect_periods(rng.normal(size=1024), rng=rng) == []
-
-    def test_sorted_by_power(self, rng):
-        x = sine(288, amplitude=1.0) + sine(12, amplitude=0.3) + 0.02 * rng.normal(size=2016)
-        periods = detect_periods(x, rng=rng, max_candidates=16)
-        if len(periods) >= 2:
-            assert periods[0].power >= periods[1].power
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -118,7 +66,7 @@ def mixed_block():
 
 
 class TestBatchedBitCompat:
-    """The *_block variants must match the scalar path bit for bit."""
+    """autocorrelation_block must match the scalar path bit for bit."""
 
     def test_autocorrelation_block(self, mixed_block):
         batched = autocorrelation_block(mixed_block)
@@ -135,46 +83,10 @@ class TestBatchedBitCompat:
         with pytest.raises(ValueError):
             autocorrelation_block(np.ones(16))
 
-    def test_periodogram_candidates_block(self, mixed_block):
-        batched = periodogram_candidates_block(mixed_block)
-        for row, series in enumerate(mixed_block):
-            # The scalar default is a fresh seed-0 generator per call, which
-            # is exactly what the block path replays per row.
-            scalar = periodogram_candidates(series, rng=np.random.default_rng(0))
-            assert batched[row] == scalar, row
-
-    def test_detect_periods_block(self, mixed_block):
-        batched = detect_periods_block(mixed_block)
-        for row, series in enumerate(mixed_block):
-            scalar = detect_periods(series, rng=np.random.default_rng(0))
-            # DetectedPeriod is a frozen dataclass: == is exact float equality.
-            assert batched[row] == scalar, row
-
-    def test_detect_periods_block_even_week_length(self, rng):
-        t = np.arange(2016, dtype=np.float64)
-        block = 0.3 + 0.2 * np.sin(2 * np.pi * t / 288)[None, :]
-        block = block + 0.05 * rng.normal(size=(5, 2016))
-        block[2] = 0.4
-        batched = detect_periods_block(block)
-        for row, series in enumerate(block):
-            assert batched[row] == detect_periods(series, rng=np.random.default_rng(0))
-
     def test_single_row_block(self, mixed_block):
         one = mixed_block[1:2]
-        assert detect_periods_block(one)[0] == detect_periods(
-            one[0], rng=np.random.default_rng(0)
-        )
+        assert bitwise_equal(autocorrelation_block(one)[0], autocorrelation(one[0]))
 
     def test_empty_block(self):
-        assert detect_periods_block(np.empty((0, 64))) == []
+        assert autocorrelation_block(np.empty((0, 64))).shape == (0, 33)
 
-
-class TestHasPeriod:
-    def test_match_within_tolerance(self, rng):
-        x = sine(288) + 0.05 * rng.normal(size=2016)
-        assert has_period(x, 288, rng=rng)
-        assert has_period(x, 300, tolerance=0.1, rng=rng)
-        assert not has_period(x, 12, rng=rng)
-
-    def test_no_period_in_noise(self, rng):
-        assert not has_period(rng.normal(size=1024), 24, rng=rng)

@@ -1,4 +1,4 @@
-"""Extra property-based tests on management and periodicity invariants."""
+"""Extra property-based tests on management invariants."""
 
 from __future__ import annotations
 
@@ -7,31 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.periodicity import detect_periods
 from repro.management.scheduling import DeferrableJob, ValleyScheduler
-
-
-class TestPeriodicityProperties:
-    @given(st.integers(16, 200), st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_detects_planted_period(self, period, seed):
-        """A clean sine of any period in range is found within tolerance."""
-        n = 2016
-        rng = np.random.default_rng(seed)
-        t = np.arange(n)
-        x = np.sin(2 * np.pi * t / period) + 0.05 * rng.normal(size=n)
-        periods = detect_periods(x, rng=rng)
-        assert periods, f"no period found for planted {period}"
-        best = min(periods, key=lambda p: abs(p.period_samples - period))
-        assert abs(best.period_samples - period) <= max(2, 0.1 * period)
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_no_false_positives_on_noise(self, seed):
-        rng = np.random.default_rng(seed)
-        periods = detect_periods(rng.normal(size=1024), rng=rng)
-        # White noise may rarely produce a spurious weak hit; never a strong one.
-        assert all(p.acf_value < 0.4 for p in periods)
 
 
 class TestSchedulerProperties:

@@ -8,8 +8,7 @@
   body or comprehension element may not call ``np.fft.*``,
   ``np.corrcoef``, ``np.append`` or ``pearson_correlation``: the batched
   kernels (``pairwise_pearson``, ``autocorrelation_block``,
-  ``detect_periods_block``, ``classify_block``) replaced exactly those
-  per-series shapes.
+  ``classify_block``) replaced exactly those per-series shapes.
 
 Each site that may break a rule is listed below, keyed by module and
 function, with its reason.  A new site fails the test until it is fixed
@@ -36,12 +35,6 @@ SILENT_EXCEPT_ALLOWED = {
 }
 
 SLOW_IN_LOOP_ALLOWED = {
-    ("repro.core.periodicity", "periodogram_candidates"): (
-        "scalar reference path the batched kernel is tested against"
-    ),
-    ("repro.core.periodicity", "periodogram_candidates_block"): (
-        "one batched FFT per surrogate (20), not one per series"
-    ),
     ("repro.core.correlation", "_node_level_correlation_reference"): (
         "scalar reference path the batched node correlation is tested against"
     ),

@@ -15,6 +15,7 @@ from repro.telemetry.schema import (
     SubscriptionInfo,
     VMRecord,
 )
+from repro.telemetry.shards import write_shard
 from repro.telemetry.store import TraceMetadata, TraceStore
 
 
@@ -233,6 +234,19 @@ class TestTraceStore:
         assert a.vm_ids_with_utilization() == [1, 2, 3]
         assert float(a.utilization(3)[0]) == 0.5
 
+    def test_merge_then_mutating_source_block_list_is_safe(self):
+        # merge() must not leave the destination aliasing the source's
+        # *block list*: clearing the source store afterwards (as a spilling
+        # caller would) must not disturb the merged reads.
+        a, b = TraceStore(), TraceStore()
+        n = a.metadata.n_samples
+        b.add_vm(make_vm(7))
+        b.add_utilization(7, np.full(n, 0.35))
+        a.merge(b)
+        b._util_blocks.clear()
+        b._util_index.clear()
+        assert float(a.utilization(7)[0]) == np.float32(0.35)
+
     def test_event_time_ties_broken_by_kind_then_vm_id(self):
         store = TraceStore()
         # Insert in scrambled order: the sorted output must not depend on it.
@@ -264,9 +278,30 @@ class TestTraceStore:
             store.add_utilization_block([3], np.zeros((2, n)))  # row mismatch
         with pytest.raises(KeyError):
             store.add_utilization_block([99], np.zeros((1, n)))
-        # Re-attaching re-points a VM at its newest series.
-        store.add_utilization(1, np.full(n, 0.9))
-        assert float(store.utilization(1)[0]) == np.float32(0.9)
+
+    def test_reattaching_a_series_is_refused_before_any_mutation(self, tmp_path):
+        store = TraceStore()
+        n = store.metadata.n_samples
+        for vm_id in (1, 2, 3):
+            store.add_vm(make_vm(vm_id))
+        store.add_utilization_block([1, 2], np.full((2, n), 0.25, dtype=np.float32))
+        reads = {vm_id: store.utilization(vm_id).copy() for vm_id in (1, 2)}
+        summary = store.summary()
+        # Each block pairs a fresh id (3) with an attached one (2): neither
+        # may register, whether the rows are in memory or in a shard.
+        rows = np.full((2, n), 0.75, dtype=np.float32)
+        shard = write_shard(tmp_path / "rows.npy", rows)
+        for attach in (
+            lambda: store.add_utilization_block([3, 2], rows),
+            lambda: store.add_utilization_shard([3, 2], shard),
+            lambda: store.add_utilization(2, rows[0]),
+        ):
+            with pytest.raises(ValueError, match="already has"):
+                attach()
+            assert store.summary() == summary
+            assert store.vm_ids_with_utilization() == [1, 2]
+            for vm_id, expected in reads.items():
+                np.testing.assert_array_equal(store.utilization(vm_id), expected)
 
     def test_summary(self):
         store = TraceStore()
@@ -363,84 +398,6 @@ class TestReadOnlyViews:
             mean, block.astype(np.float64).mean(axis=0), rtol=0, atol=1e-12
         )
         assert mean.dtype == np.float64
-
-
-class TestOrphanAccountingAndCompact:
-    def _store(self, n_vms=4):
-        store = TraceStore()
-        n = store.metadata.n_samples
-        for vm_id in range(1, n_vms + 1):
-            store.add_vm(make_vm(vm_id))
-        store.add_utilization_block(
-            list(range(1, n_vms + 1)),
-            np.full((n_vms, n), 0.25, dtype=np.float32),
-        )
-        return store, n
-
-    def test_reattach_counts_orphans(self):
-        store, n = self._store()
-        assert store.utilization_orphaned_rows == 0
-        store.add_utilization(2, np.full(n, 0.75))
-        assert store.utilization_orphaned_rows == 1
-        assert store.utilization_orphaned_bytes == n * 4
-        assert (
-            store.utilization_live_bytes
-            == store.utilization_bytes - store.utilization_orphaned_bytes
-        )
-        assert store.summary()["utilization_orphaned_rows"] == 1
-
-    def test_compact_reclaims_orphans_and_preserves_reads(self):
-        store, n = self._store()
-        store.add_utilization(2, np.full(n, 0.75))
-        store.add_utilization(4, np.full(n, 0.9))
-        before = {
-            vm_id: store.utilization(vm_id).copy() for vm_id in (1, 2, 3, 4)
-        }
-        reclaimed = store.compact()
-        assert reclaimed == 2
-        assert store.utilization_orphaned_rows == 0
-        assert store.utilization_bytes == store.utilization_live_bytes
-        for vm_id, expected in before.items():
-            np.testing.assert_array_equal(store.utilization(vm_id), expected)
-
-    def test_compact_drops_fully_dead_blocks(self):
-        store, n = self._store(n_vms=2)
-        # Re-attach every row of the first block; it is then fully dead.
-        store.add_utilization_block(
-            [1, 2], np.full((2, n), 0.6, dtype=np.float32)
-        )
-        assert store.utilization_orphaned_rows == 2
-        store.compact()
-        assert store.utilization_orphaned_rows == 0
-        assert len(store._util_blocks) == 1
-        assert float(store.utilization(1)[0]) == np.float32(0.6)
-
-    def test_compact_noop_when_all_live(self):
-        store, _n = self._store()
-        assert store.compact() == 0
-
-    def test_merge_carries_orphans(self):
-        a, b = TraceStore(), TraceStore()
-        n = a.metadata.n_samples
-        b.add_vm(make_vm(5))
-        b.add_utilization(5, np.full(n, 0.1))
-        b.add_utilization(5, np.full(n, 0.2))
-        assert b.utilization_orphaned_rows == 1
-        a.merge(b)
-        assert a.utilization_orphaned_rows == 1
-
-    def test_merge_then_mutating_source_block_list_is_safe(self):
-        # merge() must not leave the destination aliasing the source's
-        # *block list*: clearing the source store afterwards (as a spilling
-        # caller would) must not disturb the merged reads.
-        a, b = TraceStore(), TraceStore()
-        n = a.metadata.n_samples
-        b.add_vm(make_vm(7))
-        b.add_utilization(7, np.full(n, 0.35))
-        a.merge(b)
-        b._util_blocks.clear()
-        b._util_index.clear()
-        assert float(a.utilization(7)[0]) == np.float32(0.35)
 
 
 class TestTraceMetadataSampleGrid:
