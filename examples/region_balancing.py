@@ -7,7 +7,7 @@ Reproduces the workflow behind the paper's Canada pilot (Section IV-B):
 2. measure per-region capacity health (core utilization rate, underutilized
    core percentage);
 3. plan a shift out of the unhealthiest region and evaluate the
-   counterfactual, including sustainability-aware target selection.
+   counterfactual.
 
 Run:
     python examples/region_balancing.py
@@ -74,8 +74,6 @@ def main() -> None:
             f"{t_before.core_utilization_rate:.0%} -> "
             f"{t_after.core_utilization_rate:.0%} (minor, has idle capacity)"
         )
-
-    print("\n   sustainability-preferred targets:", planner.sustainability_targets())
 
 
 if __name__ == "__main__":

@@ -2,12 +2,9 @@
 
 The paper observes that 81% of public-cloud VMs are short-lived and suggests
 running them as spot VMs "to reduce cost and improve platform resource
-utilization, especially during valley hours".  This example:
-
-1. runs the what-if: which completed public VMs could have been spot, and
-   what does that save;
-2. trains the eviction-risk predictor ([15]) on simulated spot history and
-   shows how risk varies with capacity pressure.
+utilization, especially during valley hours".  This example runs the
+what-if: which completed public VMs could have been spot, what that saves,
+and how many evictions the capacity-pressure model expects.
 
 Run:
     python examples/spot_savings.py
@@ -15,23 +12,13 @@ Run:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import GeneratorConfig, generate_trace_pair
-from repro.management.spot import (
-    SpotAdoptionAdvisor,
-    SpotEvictionModel,
-    SpotEvictionPredictor,
-)
+from repro.management.spot import SpotAdoptionAdvisor
 
 
 def main() -> None:
     trace = generate_trace_pair(GeneratorConfig(seed=5, scale=0.2))
-
-    # ------------------------------------------------------------------
-    # 1. The what-if analysis.
-    # ------------------------------------------------------------------
-    print("1) Spot adoption what-if (public cloud)")
+    print("Spot adoption what-if (public cloud)")
     advisor = SpotAdoptionAdvisor(trace, spot_discount=0.7)
     report = advisor.analyze()
     print(f"   completed public VMs: {report.n_total_completed}")
@@ -46,29 +33,6 @@ def main() -> None:
     print(f"   bill reduction:       {report.cost_saving_fraction:.1%}")
     print(f"   expected evictions:   {report.expected_evictions:.1f}")
     print(f"   valley-hour starts:   {report.valley_start_fraction:.0%}")
-
-    # ------------------------------------------------------------------
-    # 2. Eviction-risk predictor on synthetic spot history.
-    # ------------------------------------------------------------------
-    print("\n2) Eviction-risk predictor (trained on simulated history)")
-    rng = np.random.default_rng(0)
-    model = SpotEvictionModel(knee=0.7, max_rate=0.35)
-    n = 20_000
-    pressures = rng.uniform(0.3, 1.0, n)
-    cores = rng.choice([1, 2, 4, 8, 16], n).astype(float)
-    hours = rng.uniform(0, 24, n)
-    evicted = np.array(
-        [rng.random() < model.hourly_eviction_probability(p) for p in pressures],
-        dtype=float,
-    )
-    predictor = SpotEvictionPredictor().fit(pressures, cores, hours, evicted)
-    for pressure in (0.5, 0.75, 0.9, 0.98):
-        risk = predictor.predict_risk(pressure, cores=4, hour_of_day=14)
-        truth = model.hourly_eviction_probability(pressure)
-        print(
-            f"   pressure={pressure:.0%}: predicted {risk:.1%} "
-            f"(generating model {truth:.1%})"
-        )
 
 
 if __name__ == "__main__":

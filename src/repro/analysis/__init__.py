@@ -8,10 +8,8 @@ these primitives.
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.analysis.distributions import (
-    cdf_summary,
     ks_statistic,
     stochastic_dominance_fraction,
-    wasserstein_distance,
 )
 from repro.analysis.heatmap import Heatmap2D, build_heatmap
 from repro.analysis.stats import (
@@ -20,13 +18,11 @@ from repro.analysis.stats import (
     coefficient_of_variation_rows,
     pairwise_pearson,
     pearson_correlation,
-    summarize,
 )
 from repro.analysis.timeseries import (
     PercentileBands,
     hourly_event_counts,
     hourly_occupancy,
-    moving_average,
     percentile_bands,
 )
 
@@ -36,17 +32,13 @@ __all__ = [
     "Heatmap2D",
     "PercentileBands",
     "build_heatmap",
-    "cdf_summary",
     "ks_statistic",
     "stochastic_dominance_fraction",
-    "wasserstein_distance",
     "coefficient_of_variation",
     "coefficient_of_variation_rows",
     "hourly_event_counts",
     "pairwise_pearson",
     "hourly_occupancy",
-    "moving_average",
     "pearson_correlation",
     "percentile_bands",
-    "summarize",
 ]

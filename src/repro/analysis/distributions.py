@@ -5,9 +5,6 @@ helpers quantify that separation so experiments can report effect sizes:
 
 * :func:`ks_statistic` -- the Kolmogorov-Smirnov distance (max vertical gap
   between two empirical CDFs);
-* :func:`wasserstein_distance` -- the earth-mover distance (area between
-  the CDFs), which weighs *how far* mass must move, not just where the
-  curves differ most;
 * :func:`stochastic_dominance_fraction` -- the share of the support on
   which one CDF lies above the other (1.0 = first-order dominance).
 """
@@ -29,21 +26,6 @@ def ks_statistic(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
     return float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid))))
 
 
-def wasserstein_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
-    """1-Wasserstein (earth mover) distance between two empirical CDFs.
-
-    Computed as the integral of ``|F_a - F_b|`` over the joint support.
-    """
-    grid = _joint_grid(a, b)
-    if grid.size < 2:
-        return 0.0
-    gaps = np.abs(a.evaluate(grid) - b.evaluate(grid))
-    # Right-continuous step functions: the gap at grid[i] holds on
-    # [grid[i], grid[i+1]).
-    widths = np.diff(grid)
-    return float(np.sum(gaps[:-1] * widths))
-
-
 def stochastic_dominance_fraction(
     upper: EmpiricalCdf, lower: EmpiricalCdf, *, tolerance: float = 0.0
 ) -> float:
@@ -56,12 +38,3 @@ def stochastic_dominance_fraction(
     """
     grid = _joint_grid(upper, lower)
     return float(np.mean(upper.evaluate(grid) >= lower.evaluate(grid) - tolerance))
-
-
-def cdf_summary(a: EmpiricalCdf, b: EmpiricalCdf) -> dict[str, float]:
-    """All three distances in one call (for experiment reports)."""
-    return {
-        "ks": ks_statistic(a, b),
-        "wasserstein": wasserstein_distance(a, b),
-        "dominance_a_over_b": stochastic_dominance_fraction(a, b),
-    }

@@ -93,17 +93,3 @@ def cdf_strip(
         idx = min(idx, values.size - 1)
         parts.append(f"p{int(q * 100)}={values[idx]:g}")
     return "  ".join(parts)
-
-
-def side_by_side(left: str, right: str, *, gap: int = 4) -> str:
-    """Join two multi-line blocks horizontally."""
-    left_lines = left.splitlines() or [""]
-    right_lines = right.splitlines() or [""]
-    height = max(len(left_lines), len(right_lines))
-    left_lines += [""] * (height - len(left_lines))
-    right_lines += [""] * (height - len(right_lines))
-    width = max((len(line) for line in left_lines), default=0)
-    return "\n".join(
-        f"{l.ljust(width)}{' ' * gap}{r}"
-        for l, r in zip(left_lines, right_lines, strict=True)
-    )

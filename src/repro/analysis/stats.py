@@ -35,9 +35,9 @@ def coefficient_of_variation(samples: np.ndarray) -> float:
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation coefficient, returning ``nan`` for constant input.
 
-    ``scipy.stats.pearsonr`` raises on constant input and emits warnings on
-    near-constant input; telemetry series are frequently constant (idle VMs),
-    so we implement the textbook estimator with an explicit guard.
+    A constant series has no defined correlation, and telemetry series are
+    frequently constant (idle VMs), so the textbook estimator here guards
+    that case explicitly instead of dividing by a zero deviation.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -157,38 +157,3 @@ class BoxplotStats:
             n_outliers=int(samples.size - inside.size),
             n_samples=int(samples.size),
         )
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """General-purpose distribution summary used in reports."""
-
-    mean: float
-    std: float
-    minimum: float
-    p25: float
-    median: float
-    p75: float
-    p95: float
-    maximum: float
-    n_samples: int
-
-
-def summarize(samples: np.ndarray) -> SummaryStats:
-    """Return a :class:`SummaryStats` over ``samples`` (NaNs dropped)."""
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    samples = samples[~np.isnan(samples)]
-    if samples.size == 0:
-        raise ValueError("cannot summarize zero samples")
-    p25, median, p75, p95 = np.percentile(samples, [25, 50, 75, 95])
-    return SummaryStats(
-        mean=float(samples.mean()),
-        std=float(samples.std()),
-        minimum=float(samples.min()),
-        p25=float(p25),
-        median=float(median),
-        p75=float(p75),
-        p95=float(p95),
-        maximum=float(samples.max()),
-        n_samples=int(samples.size),
-    )

@@ -72,36 +72,6 @@ def hourly_occupancy(
     return n_started - n_ended
 
 
-def moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with edge shrinkage (output length preserved).
-
-    Even windows use the classic centered-MA kernel ``[0.5, 1, ..., 1, 0.5]``
-    of length ``window + 1``: an even box has no middle element, so a plain
-    even-length kernel is forced half a step off center (``np.convolve``
-    breaks the tie toward the past), which skews every smoothed value and
-    makes the output depend on the direction of time.  The half-weight
-    endpoints restore an odd, symmetric kernel with the same total weight,
-    so ``moving_average(x[::-1], w) == moving_average(x, w)[::-1]``.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window == 1 or values.size == 0:
-        return values.copy()
-    if window % 2:
-        kernel = np.ones(window)
-    else:
-        kernel = np.ones(window + 1)
-        kernel[0] = kernel[-1] = 0.5
-    # mode="full" sliced at the kernel midpoint is mode="same" for odd
-    # kernels, but stays well-defined when the kernel outgrows the signal.
-    half = (kernel.size - 1) // 2
-    n = values.size
-    sums = np.convolve(values, kernel, mode="full")[half : half + n]
-    norm = np.convolve(np.ones(n), kernel, mode="full")[half : half + n]
-    return sums / norm
-
-
 @dataclass(frozen=True)
 class PercentileBands:
     """Per-timestamp percentiles across a population of series (Fig. 6)."""

@@ -12,7 +12,6 @@ from repro.cloud.entities import Cluster, Node, Rack, Region, Topology, Topology
 from repro.cloud.autoscale import Autoscaler, diurnal_demand
 from repro.cloud.platform import CloudPlatform, VMRequest
 from repro.cloud.simulation import Simulator
-from repro.cloud.spot_market import SpotMarket, SpotObservation
 from repro.cloud.sku import NodeSku, VMSku, private_sku_catalog, public_sku_catalog
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "Rack",
     "Region",
     "Simulator",
-    "SpotMarket",
-    "SpotObservation",
     "Topology",
     "TopologySpec",
     "VMRequest",

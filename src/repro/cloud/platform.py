@@ -145,8 +145,7 @@ class CloudPlatform:
         """Terminate a VM: free its node, close its record, log the event."""
         deployment_id = self._vm_deployment.pop(vm_id)
         self.allocator.release(vm_id, deployment_id=deployment_id)
-        self.store.finalize_vm(vm_id, time)
-        vm = self.store.vm(vm_id)
+        vm = self.store.finalize_vm(vm_id, time)
         self.store.add_event(
             EventRecord(
                 time=float(time),
@@ -157,23 +156,6 @@ class CloudPlatform:
             )
         )
 
-    def evict_vm(self, vm_id: int, time: float, *, reason: str = "") -> None:
-        """Evict a VM (spot reclamation or node failure): frees capacity."""
-        deployment_id = self._vm_deployment.pop(vm_id)
-        self.allocator.release(vm_id, deployment_id=deployment_id)
-        self.store.finalize_vm(vm_id, time)
-        vm = self.store.vm(vm_id)
-        self.store.add_event(
-            EventRecord(
-                time=float(time),
-                kind=EventKind.EVICT,
-                vm_id=vm_id,
-                cloud=self.cloud,
-                region=vm.region,
-                detail=reason,
-            )
-        )
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -181,9 +163,3 @@ class CloudPlatform:
     def allocated_vm_count(self) -> int:
         """VMs currently holding capacity."""
         return sum(len(node.hosted) for node in self.topology.nodes.values())
-
-    def region_allocated_cores(self, region: str) -> float:
-        """Cores currently allocated in ``region``."""
-        return sum(
-            cluster.used_cores for cluster in self.topology.regions[region].clusters
-        )

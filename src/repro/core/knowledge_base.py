@@ -53,16 +53,6 @@ REGION_AGNOSTIC_THRESHOLD = 0.7
 MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION = 50
 
 
-@dataclass(frozen=True)
-class KnowledgeDrift:
-    """One detected change between two knowledge-base snapshots."""
-
-    subscription_id: int
-    field: str
-    before: str
-    after: str
-
-
 def build_subscription_record(
     store,
     sub,
@@ -324,84 +314,6 @@ class WorkloadKnowledgeBase:
         if record.dominant_pattern == PATTERN_IRREGULAR:
             policies.append(POLICY_CONSERVATIVE)
         return policies
-
-    # ------------------------------------------------------------------
-    # drift tracking ("continuously extracts workload knowledge")
-    # ------------------------------------------------------------------
-    def diff(
-        self,
-        newer: "WorkloadKnowledgeBase",
-        *,
-        utilization_tolerance: float = 0.05,
-        short_fraction_tolerance: float = 0.15,
-    ) -> list["KnowledgeDrift"]:
-        """Knowledge drift from this (older) snapshot to ``newer``.
-
-        Section V motivates a knowledge base that *continuously* extracts
-        workload knowledge; drift records are what a refresh would feed to
-        the downstream optimization policies (e.g. a subscription whose
-        dominant pattern changed should have its policies re-derived).
-        """
-        drifts: list[KnowledgeDrift] = []
-        for sub_id, old in self._records.items():
-            if sub_id not in newer:
-                drifts.append(
-                    KnowledgeDrift(sub_id, "presence", "known", "disappeared")
-                )
-                continue
-            new = newer.get(sub_id)
-            if old.dominant_pattern and new.dominant_pattern and (
-                old.dominant_pattern != new.dominant_pattern
-            ):
-                drifts.append(
-                    KnowledgeDrift(
-                        sub_id, "dominant_pattern",
-                        old.dominant_pattern, new.dominant_pattern,
-                    )
-                )
-            if old.regions != new.regions:
-                drifts.append(
-                    KnowledgeDrift(
-                        sub_id, "regions",
-                        ",".join(old.regions), ",".join(new.regions),
-                    )
-                )
-            if (
-                np.isfinite(old.mean_utilization)
-                and np.isfinite(new.mean_utilization)
-                and abs(new.mean_utilization - old.mean_utilization)
-                > utilization_tolerance
-            ):
-                drifts.append(
-                    KnowledgeDrift(
-                        sub_id, "mean_utilization",
-                        f"{old.mean_utilization:.3f}", f"{new.mean_utilization:.3f}",
-                    )
-                )
-            if (
-                np.isfinite(old.short_lived_fraction)
-                and np.isfinite(new.short_lived_fraction)
-                and abs(new.short_lived_fraction - old.short_lived_fraction)
-                > short_fraction_tolerance
-            ):
-                drifts.append(
-                    KnowledgeDrift(
-                        sub_id, "short_lived_fraction",
-                        f"{old.short_lived_fraction:.2f}",
-                        f"{new.short_lived_fraction:.2f}",
-                    )
-                )
-            if old.region_agnostic != new.region_agnostic:
-                drifts.append(
-                    KnowledgeDrift(
-                        sub_id, "region_agnostic",
-                        str(old.region_agnostic), str(new.region_agnostic),
-                    )
-                )
-        for sub_id in newer._records:
-            if sub_id not in self._records:
-                drifts.append(KnowledgeDrift(sub_id, "presence", "unknown", "appeared"))
-        return drifts
 
     # ------------------------------------------------------------------
     # persistence

@@ -168,7 +168,7 @@ class TaskOutcome:
     #: Flat span list recorded while this task ran (drained from the
     #: executing process's collector, so fork-inherited spans never leak in).
     spans: list[dict] = field(default_factory=list)
-    #: Registry delta (counters/gauges/histograms) scoped to this task.
+    #: Registry delta (counters/histograms) scoped to this task.
     metrics: dict = field(default_factory=dict)
     #: One of :data:`TASK_STATUSES`.
     status: str = "ok"
@@ -281,9 +281,9 @@ def execute(
     )
     if not inline:
         # Fold worker metric deltas into this process's registry *in
-        # registry order*, not completion order, so the merged totals (and
-        # gauge values) are identical to an inline run of the same task
-        # set, whose increments already landed here while it ran.
+        # registry order*, not completion order, so the merged totals are
+        # identical to an inline run of the same task set, whose increments
+        # already landed here while it ran.
         for outcome in outcomes:
             if outcome.metrics:
                 _METRICS_REGISTRY.merge(outcome.metrics)

@@ -27,15 +27,17 @@ from repro.workloads.generator import GENERATOR_VERSION
 PAPER_ARTIFACTS = {task.task_id: task.paper_artifact for task in parallel.REGISTRY}
 
 #: Version of the ``manifest.json`` layout; bump on breaking field changes.
-#: v2 added the ``metrics`` section (counters/gauges/histograms + spans).
+#: v2 added the ``metrics`` section (counters/histograms + spans).
 #: v3 added fault tolerance: per-row ``status``/``attempts``/``error``,
 #: the top-level ``degraded`` flag, ``policy``, ``faults``, and
-#: ``totals.degraded``.  v4 added the per-row result ``digest``.
-MANIFEST_SCHEMA_VERSION = 4
+#: ``totals.degraded``.  v4 added the per-row result ``digest``.  v5
+#: embeds metrics v2.
+MANIFEST_SCHEMA_VERSION = 5
 
 #: Version of the standalone metrics snapshot layout (``--metrics`` file,
-#: also embedded as the manifest's ``metrics`` section).
-METRICS_SCHEMA_VERSION = 1
+#: also embedded as the manifest's ``metrics`` section).  v2 dropped the
+#: ``gauges`` key: no metric was ever a gauge.
+METRICS_SCHEMA_VERSION = 2
 
 #: CLI exit codes: every shape check passed and every task completed.
 EXIT_OK = 0
@@ -61,7 +63,7 @@ _MANIFEST_TOP_KEYS = (
     "experiments",
 )
 
-_METRICS_KEYS = ("schema_version", "counters", "gauges", "histograms", "spans", "tasks")
+_METRICS_KEYS = ("schema_version", "counters", "histograms", "spans", "tasks")
 _MANIFEST_ROW_KEYS = (
     "id",
     "paper_artifact",
@@ -164,7 +166,7 @@ def build_metrics_snapshot(
 ) -> dict:
     """Assemble the run's observability snapshot.
 
-    ``registry_delta`` is the pipeline-scoped counters/gauges/histograms
+    ``registry_delta`` is the pipeline-scoped counters/histograms
     delta (worker deltas already merged in registry order by
     :func:`repro.experiments.parallel.execute`); ``spans`` are the
     parent-process spans (trace fetch, cache load/save, synthesis).  Each
@@ -176,7 +178,6 @@ def build_metrics_snapshot(
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "counters": registry_delta.get("counters", {}),
-        "gauges": registry_delta.get("gauges", {}),
         "histograms": registry_delta.get("histograms", {}),
         "spans": spans or [],
         "tasks": {
@@ -203,7 +204,7 @@ def build_manifest(
     metrics: dict | None = None,
     policy: RetryPolicy | None = None,
 ) -> dict:
-    """The machine-readable record of one pipeline run (schema v4).
+    """The machine-readable record of one pipeline run (schema v5).
 
     Every task lands in a row whether or not it completed: a task that
     failed, timed out, or was skipped carries its ``status``, consumed

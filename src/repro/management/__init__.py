@@ -6,12 +6,11 @@ Each module operationalizes one implication:
   over-subscription (Section III-B implication; the 20-86% utilization-gain
   band of [17]);
 * :mod:`repro.management.spot` -- spot-VM adoption for short-lived public
-  workloads, with an eviction model and predictor ([15], [16]);
+  workloads, with a capacity-pressure eviction model ([15], [16]);
 * :mod:`repro.management.placement` -- region-agnostic workload shifting
-  between hot and cold regions (the Canada case study) and
-  sustainability-aware placement;
-* :mod:`repro.management.prediction` -- VM lifetime and allocation-failure
-  predictors built from workload knowledge ([8]);
+  between hot and cold regions (the Canada case study);
+* :mod:`repro.management.prediction` -- an allocation-failure predictor
+  built from workload knowledge ([8]);
 * :mod:`repro.management.scheduling` -- deferrable-workload scheduling into
   diurnal valleys (Section IV-A implication).
 """
@@ -24,24 +23,18 @@ from repro.management.oversubscription import (
 )
 from repro.management.peaks import PeakAbsorber, PeakAbsorptionOutcome, compare_strategies
 from repro.management.placement import RegionShiftPlanner, RegionSnapshot, ShiftRecommendation
-from repro.management.prediction import (
-    AllocationFailurePredictor,
-    LifetimePredictor,
-    LogisticRegression,
-)
+from repro.management.prediction import AllocationFailurePredictor, LogisticRegression
 from repro.management.scheduling import DeferrableJob, ScheduleOutcome, ValleyScheduler
 from repro.management.spot import (
     SpotAdoptionAdvisor,
     SpotAdoptionReport,
     SpotEvictionModel,
-    SpotEvictionPredictor,
 )
 
 __all__ = [
     "AllocationFailurePredictor",
     "ChanceConstrainedOversubscriber",
     "DeferrableJob",
-    "LifetimePredictor",
     "LogisticRegression",
     "OptimizationReport",
     "PolicyOutcome",
@@ -57,7 +50,6 @@ __all__ = [
     "SpotAdoptionAdvisor",
     "SpotAdoptionReport",
     "SpotEvictionModel",
-    "SpotEvictionPredictor",
     "ValleyScheduler",
     "sweep_epsilon",
 ]

@@ -12,7 +12,8 @@ decreased from 23% to 16%, and the core utilization rate reduced from 42% to
 
 :class:`RegionShiftPlanner` measures the same two health metrics per region,
 recommends shifting region-agnostic services out of unhealthy regions, and
-evaluates the counterfactual trace after the shift.
+evaluates the counterfactual trace after the shift.  It does not model the
+renewable-energy half of the implication.
 """
 
 from __future__ import annotations
@@ -245,80 +246,3 @@ class RegionShiftPlanner:
                 extra_underutilized_cores=moved_underutilized,
             ),
         }
-
-    def apply_shift(self, recommendation: ShiftRecommendation) -> int:
-        """Execute a shift by *mutating the trace*: re-place the moved VMs.
-
-        Unlike :meth:`evaluate_shift` (a counterfactual), this performs the
-        migration on the store itself: each moved VM is first-fit onto a
-        node of the target region (respecting capacity at the snapshot
-        time), its record is updated, and a MIGRATE event is logged -- so
-        every downstream analysis re-run on the store sees the new world.
-        Returns the number of VMs moved; VMs that do not fit stay put.
-        """
-        from repro.telemetry.schema import EventKind, EventRecord
-
-        moved_ids = self._moved_vms(
-            list(recommendation.subscription_ids), recommendation.source_region
-        )
-        # Free capacity per target node at the snapshot time.
-        target_nodes = [
-            node
-            for node in self.store.nodes.values()
-            if node.region == recommendation.target_region and node.cloud == self.cloud
-        ]
-        used: dict[int, float] = {node.node_id: 0.0 for node in target_nodes}
-        for vm in self.store.vms(cloud=self.cloud, region=recommendation.target_region):
-            if vm.created_at <= self.snapshot_time < vm.ended_at:
-                used[vm.node_id] = used.get(vm.node_id, 0.0) + vm.cores
-
-        n_moved = 0
-        for vm_id in moved_ids:
-            vm = self.store.vm(vm_id)
-            placed = False
-            for node in target_nodes:
-                if used.get(node.node_id, 0.0) + vm.cores <= node.capacity_cores:
-                    used[node.node_id] = used.get(node.node_id, 0.0) + vm.cores
-                    self.store.reassign_vm_placement(
-                        vm_id,
-                        node_id=node.node_id,
-                        rack_id=node.rack_id,
-                        cluster_id=node.cluster_id,
-                        region=node.region,
-                    )
-                    self.store.add_event(
-                        EventRecord(
-                            time=self.snapshot_time,
-                            kind=EventKind.MIGRATE,
-                            vm_id=vm_id,
-                            cloud=self.cloud,
-                            region=node.region,
-                            detail=(
-                                f"region shift {recommendation.source_region} -> "
-                                f"{recommendation.target_region}"
-                            ),
-                        )
-                    )
-                    placed = True
-                    n_moved += 1
-                    break
-            if not placed:
-                continue
-        return n_moved
-
-    def sustainability_targets(self, *, top_k: int = 3) -> list[str]:
-        """Regions with the best renewable-energy accessibility and headroom.
-
-        Implements the paper's sustainability suggestion: prefer shifting
-        region-agnostic workloads toward renewable-rich regions.
-        """
-        snapshots = self.all_snapshots()
-        scored = []
-        for region, snap in snapshots.items():
-            info = self.store.regions.get(region)
-            if info is None:
-                continue
-            headroom = max(0.0, 1.0 - snap.core_utilization_rate)
-            scored.append((info.renewable_score * headroom, region))
-        scored.sort(reverse=True)
-        return [region for _score, region in scored[:top_k]]

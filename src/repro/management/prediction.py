@@ -1,29 +1,18 @@
-"""Workload predictors built on knowledge-base features.
+"""Allocation-failure prediction built on knowledge-base features.
 
-Two predictors from the paper's motivation and implications:
-
-* :class:`LifetimePredictor` -- "With knowledge of the lifetime of VMs
-  running on this node, the cloud platform can optimize [migration] by only
-  migrating out VMs with long remaining time" (Section I).  Follows the
-  Resource Central recipe [8]: per-subscription historical lifetime
-  statistics with hierarchical fallback (subscription -> service -> cloud).
-* :class:`AllocationFailurePredictor` -- "a better workload-aware allocation
-  failure prediction method ... can be critical for improving the efficiency
-  of capacity management for the private cloud workloads" (Section III-B).
-  A from-scratch logistic regression over (allocation level, arrival burst)
-  features.
+:class:`AllocationFailurePredictor` follows the paper's Section III-B
+implication: "a better workload-aware allocation failure prediction method
+... can be critical for improving the efficiency of capacity management for
+the private cloud workloads".  It is a from-scratch logistic regression
+over (allocation level, arrival burst) features.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
-from repro.workloads.lifetime import SHORTEST_BIN_SECONDS
 
 
 class LogisticRegression:
@@ -82,115 +71,6 @@ class LogisticRegression:
     def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Binary predictions at ``threshold``."""
         return (self.predict_proba(features) >= threshold).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class LifetimeEvaluation:
-    """Holdout evaluation of the lifetime predictor."""
-
-    accuracy: float
-    base_rate: float
-    n_train: int
-    n_test: int
-
-
-class LifetimePredictor:
-    """Predicts whether a new VM will be short-lived (Resource Central style).
-
-    Training data is the VMs created in the first part of the window; each
-    subscription's observed short-lived fraction (with Laplace smoothing and
-    fallback to its service, then its cloud) is the predicted probability
-    for its future VMs.
-    """
-
-    def __init__(self, *, smoothing: float = 2.0) -> None:
-        self.smoothing = smoothing
-        self._sub_stats: dict[int, tuple[int, int]] = {}
-        self._service_stats: dict[str, tuple[int, int]] = {}
-        self._cloud_stats: dict[str, tuple[int, int]] = {}
-
-    def fit(
-        self,
-        store: TraceStore,
-        *,
-        train_until: float | None = None,
-    ) -> "LifetimePredictor":
-        """Learn per-subscription short-lived rates from completed VMs."""
-        duration = store.metadata.duration
-        if train_until is None:
-            train_until = duration / 2
-        sub_counts: dict[int, list[int]] = defaultdict(lambda: [0, 0])
-        service_counts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-        cloud_counts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-        for vm in store.vms(completed_only=True):
-            if vm.created_at < 0 or vm.created_at >= train_until:
-                continue
-            if vm.ended_at > train_until:
-                continue  # not yet observable at training time
-            short = int(vm.lifetime <= SHORTEST_BIN_SECONDS)
-            for counts, key in (
-                (sub_counts, vm.subscription_id),
-                (service_counts, vm.service),
-                (cloud_counts, str(vm.cloud)),
-            ):
-                counts[key][0] += short
-                counts[key][1] += 1
-        self._sub_stats = {k: (v[0], v[1]) for k, v in sub_counts.items()}
-        self._service_stats = {k: (v[0], v[1]) for k, v in service_counts.items()}
-        self._cloud_stats = {k: (v[0], v[1]) for k, v in cloud_counts.items()}
-        return self
-
-    def predict_short_probability(
-        self, *, subscription_id: int, service: str, cloud: str
-    ) -> float:
-        """P(lifetime <= shortest bin) for a new VM, with fallback."""
-        for stats, key, min_n in (
-            (self._sub_stats, subscription_id, 5),
-            (self._service_stats, service, 20),
-            (self._cloud_stats, cloud, 1),
-        ):
-            if key in stats:
-                short, total = stats[key]
-                if total >= min_n:
-                    return (short + self.smoothing) / (total + 2 * self.smoothing)
-        return 0.5
-
-    def evaluate(
-        self,
-        store: TraceStore,
-        *,
-        train_until: float | None = None,
-        threshold: float = 0.5,
-    ) -> LifetimeEvaluation:
-        """Holdout accuracy on VMs created after the training cut."""
-        duration = store.metadata.duration
-        if train_until is None:
-            train_until = duration / 2
-        self.fit(store, train_until=train_until)
-        correct = 0
-        total = 0
-        positives = 0
-        for vm in store.vms(completed_only=True):
-            if vm.created_at < train_until or vm.ended_at > duration:
-                continue
-            p = self.predict_short_probability(
-                subscription_id=vm.subscription_id,
-                service=vm.service,
-                cloud=str(vm.cloud),
-            )
-            truth = int(vm.lifetime <= SHORTEST_BIN_SECONDS)
-            positives += truth
-            correct += int((p >= threshold) == bool(truth))
-            total += 1
-        if total == 0:
-            raise ValueError("no completed test VMs after the training cut")
-        n_train = sum(v[1] for v in self._sub_stats.values())
-        return LifetimeEvaluation(
-            accuracy=correct / total,
-            base_rate=max(positives / total, 1 - positives / total),
-            n_train=n_train,
-            n_test=total,
-        )
 
 
 class AllocationFailurePredictor:

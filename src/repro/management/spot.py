@@ -6,12 +6,10 @@ platform resource utilization, especially during valley hours.  The previous
 observation that 81% of public cloud VMs fall into the shortest lifetime bin
 shows the considerable number of candidate VMs for this adoption."
 
-Three pieces, mirroring the cited systems:
+Two pieces, mirroring the cited systems:
 
 * :class:`SpotEvictionModel` -- evictions are driven by capacity pressure:
   the fuller a region, the likelier a spot VM is reclaimed;
-* :class:`SpotEvictionPredictor` -- logistic model of eviction risk from
-  (capacity pressure, requested cores, hour of day), as in [15];
 * :class:`SpotAdoptionAdvisor` -- the what-if analysis: which VMs of a trace
   could have run as spot, what that saves, and how many evictions to expect.
 """
@@ -22,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.management.prediction import LogisticRegression
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_HOUR
@@ -53,48 +50,6 @@ class SpotEvictionModel:
         """P(not evicted) across consecutive hourly ``pressures``."""
         probs = [1.0 - self.hourly_eviction_probability(p) for p in np.atleast_1d(pressures)]
         return float(np.prod(probs))
-
-
-class SpotEvictionPredictor:
-    """Learns eviction risk from simulated spot history ([15])."""
-
-    def __init__(self) -> None:
-        self.model = LogisticRegression(n_iterations=600)
-
-    def fit(
-        self,
-        pressures: np.ndarray,
-        cores: np.ndarray,
-        hours_of_day: np.ndarray,
-        evicted: np.ndarray,
-    ) -> "SpotEvictionPredictor":
-        """Train on per-VM-hour observations."""
-        features = np.column_stack(
-            [
-                np.asarray(pressures, dtype=np.float64),
-                np.asarray(cores, dtype=np.float64),
-                np.cos(2 * np.pi * np.asarray(hours_of_day) / 24.0),
-                np.sin(2 * np.pi * np.asarray(hours_of_day) / 24.0),
-            ]
-        )
-        self.model.fit(features, np.asarray(evicted, dtype=np.float64))
-        return self
-
-    def predict_risk(
-        self, pressure: float, cores: float, hour_of_day: float
-    ) -> float:
-        """Eviction probability for one VM-hour."""
-        features = np.array(
-            [
-                [
-                    pressure,
-                    cores,
-                    np.cos(2 * np.pi * hour_of_day / 24.0),
-                    np.sin(2 * np.pi * hour_of_day / 24.0),
-                ]
-            ]
-        )
-        return float(self.model.predict_proba(features)[0])
 
 
 @dataclass(frozen=True)

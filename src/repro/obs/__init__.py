@@ -23,7 +23,6 @@ See ``docs/OBSERVABILITY.md`` for naming conventions and schemas.
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsScope,
@@ -42,7 +41,6 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsScope",

@@ -1,4 +1,4 @@
-"""Process-global metrics registry: counters, gauges, histograms.
+"""Process-global metrics registry: counters and histograms.
 
 Handles are cheap named views onto one registry::
 
@@ -8,7 +8,7 @@ Handles are cheap named views onto one registry::
     _HITS.inc()                       # hot-path increment
 
 Each metric name gets exactly one handle per registry: constructing a
-second ``Counter``/``Gauge``/``Histogram`` for a name already taken
+second ``Counter``/``Histogram`` for a name already taken
 raises ``ValueError``, as does a name outside the lowercase dotted
 ``group.name`` convention (:data:`NAME_RE`, shared with spans).
 Handles are module-level constants, so importing the module that reuses
@@ -29,9 +29,9 @@ supported pattern is **scoped deltas**:
   ``repro.experiments.parallel.REGISTRY``), so the merged totals are a
   pure function of the task set -- identical at any job count.
 
-Counter and histogram merges are additive (commutative), and gauge merges
-are last-write-wins, which the fixed merge order makes deterministic.
-Snapshots render with sorted keys so serialized output is stable too.
+Counter and histogram merges are additive, and the fixed merge order keeps
+even their floating-point sums bit-identical.  Snapshots render with sorted
+keys so serialized output is stable too.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, dict] = {}
         #: Names claimed by a handle.  Kept apart from the series values,
         #: so :meth:`reset` and :meth:`merge` leave the claims alone.
@@ -110,14 +109,6 @@ class MetricsRegistry:
             if name.startswith(prefix)
         }
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        self._gauges[name] = float(value)
-
-    def gauge_value(self, name: str) -> float | None:
-        """Current gauge value, or ``None`` if never set."""
-        return self._gauges.get(name)
-
     def ensure_histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS
     ) -> dict:
@@ -151,7 +142,6 @@ class MetricsRegistry:
         """A JSON-ready deep copy of the current state, keys sorted."""
         return {
             "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
             "histograms": {
                 k: {
                     "bounds": list(h["bounds"]),
@@ -166,13 +156,11 @@ class MetricsRegistry:
     def merge(self, delta: Mapping) -> None:
         """Absorb a snapshot/delta from another process (or scope).
 
-        Counters and histograms add; gauges overwrite.  Call in a fixed
-        order (registry task order) to keep gauge merges deterministic.
+        Counters and histograms add.  Call in a fixed order (registry task
+        order) so floating-point sums round the same way on every run.
         """
         for name, value in delta.get("counters", {}).items():
             self.inc(name, value)
-        for name, value in delta.get("gauges", {}).items():
-            self.set_gauge(name, value)
         for name, other in delta.get("histograms", {}).items():
             hist = self.ensure_histogram(name, tuple(other["bounds"]))
             if tuple(other["bounds"]) != hist["bounds"]:
@@ -188,7 +176,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Zero every registered series and forget unregistered ones."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
 
@@ -196,7 +183,7 @@ def diff_snapshots(before: Mapping, after: Mapping) -> dict:
     """The metric activity between two snapshots of the *same* registry.
 
     Returns a snapshot-shaped delta containing only series that changed:
-    counter differences, new gauge values, and histogram bucket/count/sum
+    counter differences and histogram bucket/count/sum
     differences.  Under ``fork`` this cancels out whatever state a worker
     inherited from its parent.
     """
@@ -205,11 +192,6 @@ def diff_snapshots(before: Mapping, after: Mapping) -> dict:
         change = value - before.get("counters", {}).get(name, 0.0)
         if change != 0.0:
             counters[name] = change
-    gauges = {
-        name: value
-        for name, value in after.get("gauges", {}).items()
-        if before.get("gauges", {}).get(name) != value
-    }
     histograms = {}
     for name, hist in after.get("histograms", {}).items():
         prior = before.get("histograms", {}).get(name)
@@ -231,7 +213,7 @@ def diff_snapshots(before: Mapping, after: Mapping) -> dict:
                 "count": hist["count"] - prior["count"],
                 "sum": hist["sum"] - prior["sum"],
             }
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
+    return {"counters": counters, "histograms": histograms}
 
 
 #: The process-global registry every handle binds to by default.
@@ -257,26 +239,6 @@ class Counter:
     def value(self) -> float:
         """Current value."""
         return self._registry.counter_value(self.name)
-
-
-class Gauge:
-    """Point-in-time value handle (last write wins)."""
-
-    __slots__ = ("name", "_registry")
-
-    def __init__(self, name: str, registry: MetricsRegistry | None = None) -> None:
-        self.name = name
-        self._registry = registry if registry is not None else REGISTRY
-        self._registry.register_handle(name)
-
-    def set(self, value: float) -> None:
-        """Record the latest value."""
-        self._registry.set_gauge(self.name, value)
-
-    @property
-    def value(self) -> float | None:
-        """Current value, or ``None`` if never set."""
-        return self._registry.gauge_value(self.name)
 
 
 class Histogram:
@@ -311,7 +273,7 @@ class MetricsScope:
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._registry = registry if registry is not None else REGISTRY
-        self.delta: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+        self.delta: dict = {"counters": {}, "histograms": {}}
 
     def __enter__(self) -> "MetricsScope":
         self._before = self._registry.snapshot()

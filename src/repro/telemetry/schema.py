@@ -39,7 +39,12 @@ class Cloud(str, enum.Enum):
 
 
 class EventKind(str, enum.Enum):
-    """VM lifecycle and platform events recorded in the trace."""
+    """VM lifecycle and platform events recorded in the trace.
+
+    The simulator emits ``CREATE``, ``TERMINATE`` and ``ALLOCATION_FAILURE``.
+    ``EVICT`` and ``MIGRATE`` have no producer here; saved traces and the
+    ingest protocol accept them from outside the program.
+    """
 
     CREATE = "create"
     TERMINATE = "terminate"
@@ -144,8 +149,9 @@ class RegionInfo:
     name: str
     tz_offset_hours: float
     country: str = ""
-    #: Per-cloud renewable-energy accessibility score in [0, 1]; used by the
-    #: sustainability-aware placement optimizer (Section IV-B implication).
+    #: Per-cloud renewable-energy accessibility score in [0, 1] (Section IV-B
+    #: implication).  No analysis reads it; the trace format and ingest
+    #: keep it so saved traces stay byte-stable.
     renewable_score: float = 0.5
 
 

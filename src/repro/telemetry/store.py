@@ -175,31 +175,13 @@ class TraceStore:
             raise ValueError(f"duplicate vm_id {vm.vm_id}")
         self._vms[vm.vm_id] = vm
 
-    def finalize_vm(self, vm_id: int, ended_at: float) -> None:
-        """Replace a VM row with a terminated copy."""
+    def finalize_vm(self, vm_id: int, ended_at: float) -> VMRecord:
+        """Replace a VM row with a terminated copy and return that copy."""
         old = self._vms[vm_id]
         check_vm_end(old, ended_at)
-        self._vms[vm_id] = dataclasses.replace(old, ended_at=float(ended_at))
-
-    def reassign_vm_placement(
-        self,
-        vm_id: int,
-        *,
-        node_id: int,
-        rack_id: int,
-        cluster_id: int,
-        region: str | None = None,
-    ) -> None:
-        """Update a VM's placement after a live (possibly cross-region) migration."""
-        old = self._vms[vm_id]
-        updates: dict[str, object] = {
-            "node_id": int(node_id),
-            "rack_id": int(rack_id),
-            "cluster_id": int(cluster_id),
-        }
-        if region is not None:
-            updates["region"] = region
-        self._vms[vm_id] = dataclasses.replace(old, **updates)
+        closed = dataclasses.replace(old, ended_at=float(ended_at))
+        self._vms[vm_id] = closed
+        return closed
 
     def add_event(self, event: EventRecord) -> None:
         """Append a lifecycle event."""

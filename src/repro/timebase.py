@@ -29,10 +29,6 @@ SAMPLES_PER_WEEK = SECONDS_PER_WEEK // SAMPLE_PERIOD
 SAMPLES_PER_DAY = SECONDS_PER_DAY // SAMPLE_PERIOD
 SAMPLES_PER_HOUR = SECONDS_PER_HOUR // SAMPLE_PERIOD
 
-#: Day index (0 = Monday) of the weekend days within the window.
-WEEKEND_DAYS = (5, 6)
-
-
 def sample_times(n_samples: int = SAMPLES_PER_WEEK, *, offset: float = 0.0) -> np.ndarray:
     """Return the UTC timestamps (seconds) of ``n_samples`` telemetry samples.
 
@@ -55,29 +51,3 @@ def day_of_week(times: np.ndarray, *, tz_offset_hours: float = 0.0) -> np.ndarra
     """
     local = np.asarray(times, dtype=np.float64) + tz_offset_hours * SECONDS_PER_HOUR
     return (np.floor_divide(local, SECONDS_PER_DAY)).astype(np.int64) % 7
-
-
-def is_weekend(times: np.ndarray, *, tz_offset_hours: float = 0.0) -> np.ndarray:
-    """Boolean mask of samples that fall on Saturday/Sunday local time."""
-    days = day_of_week(times, tz_offset_hours=tz_offset_hours)
-    return np.isin(days, WEEKEND_DAYS)
-
-
-def hour_index(time_seconds: float) -> int:
-    """Index of the UTC hour bucket containing ``time_seconds``."""
-    return int(time_seconds // SECONDS_PER_HOUR)
-
-
-def format_duration(seconds: float) -> str:
-    """Human-readable rendering of a duration, e.g. ``'2d 03h'``."""
-    seconds = float(seconds)
-    if seconds < SECONDS_PER_MINUTE:
-        return f"{seconds:.0f}s"
-    if seconds < SECONDS_PER_HOUR:
-        return f"{seconds / SECONDS_PER_MINUTE:.0f}m"
-    if seconds < SECONDS_PER_DAY:
-        hours = seconds / SECONDS_PER_HOUR
-        return f"{hours:.1f}h"
-    days = int(seconds // SECONDS_PER_DAY)
-    rem_hours = (seconds - days * SECONDS_PER_DAY) / SECONDS_PER_HOUR
-    return f"{days}d {rem_hours:02.0f}h"

@@ -9,12 +9,11 @@ statistics are calibrated to every quantitative anchor the paper reports
 """
 
 from repro.workloads.generator import GeneratorConfig, TraceGenerator, generate_trace, generate_trace_pair
-from repro.workloads.profiles import CloudProfile, SpotConfig, private_profile, public_profile
+from repro.workloads.profiles import CloudProfile, private_profile, public_profile
 
 __all__ = [
     "CloudProfile",
     "GeneratorConfig",
-    "SpotConfig",
     "TraceGenerator",
     "generate_trace",
     "generate_trace_pair",

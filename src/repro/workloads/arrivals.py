@@ -134,10 +134,3 @@ def sample_burst_episodes(
         episodes.append(BurstEpisode(time=time, size=size))
     episodes.sort(key=lambda e: e.time)
     return episodes
-
-
-def business_hours_mask(times: np.ndarray, *, tz_offset_hours: float) -> np.ndarray:
-    """Boolean mask of times inside 8:00-18:00 local, Monday-Friday."""
-    hours = hour_of_day(times, tz_offset_hours=tz_offset_hours)
-    days = day_of_week(times, tz_offset_hours=tz_offset_hours)
-    return (hours >= 8) & (hours < 18) & (days < 5)

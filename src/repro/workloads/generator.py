@@ -26,7 +26,6 @@ import numpy as np
 from repro.obs import Counter, Histogram, span
 from repro.cloud.allocator import PlacementPolicy
 from repro.cloud.autoscale import Autoscaler, diurnal_demand
-from repro.cloud.spot_market import SpotMarket
 from repro.cloud.entities import build_topology
 from repro.cloud.platform import CloudPlatform, VMRequest
 from repro.cloud.simulation import Simulator
@@ -180,20 +179,6 @@ class TraceGenerator:
             vm_id_offset=self._offset,
         )
         simulator = Simulator()
-
-        self._spot_market = None
-        if profile.spot is not None:
-            self._spot_market = SpotMarket(
-                platform,
-                pressure_threshold=profile.spot.pressure_threshold,
-                evaluation_interval=profile.spot.evaluation_interval,
-                rng=self._rng,
-            )
-            self._spot_market.install(
-                simulator,
-                start=profile.spot.evaluation_interval,
-                until=self.config.duration,
-            )
 
         self._subscriptions = self._build_subscriptions(profile, store)
         self._bootstrap_base_pools(profile, platform, simulator)
@@ -737,19 +722,11 @@ def _batch_creator(
 ):
     def action() -> None:
         now = simulator.now
-        market = getattr(generator, "_spot_market", None)
-        spot_cfg = profile.spot
         for lifetime in lifetimes:
             request = generator._make_request(sub, region, deployment_id, profile)
             vm_id = platform.create_vm(request, now)
             if vm_id is None:
                 continue
-            if (
-                market is not None
-                and spot_cfg is not None
-                and generator._rng.random() < spot_cfg.churn_fraction
-            ):
-                market.register(vm_id)
             end = now + float(lifetime)
             if np.isfinite(end) and end < duration:
                 simulator.schedule(end, _timed_terminator(platform, simulator, vm_id))
@@ -759,8 +736,9 @@ def _batch_creator(
 
 def _timed_terminator(platform: CloudPlatform, simulator: Simulator, vm_id: int):
     def action() -> None:
-        # The VM may already be gone: spot reclaim or node failure beat the
-        # scheduled termination to it.
+        # Each pool and churn VM gets one terminator and the autoscaler
+        # retires only its own fleet, so the VM should still be placed; a
+        # VM that is not is skipped rather than ended twice.
         if platform.allocator.node_of(vm_id) is None:
             return
         platform.terminate_vm(vm_id, simulator.now)

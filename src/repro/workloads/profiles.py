@@ -68,18 +68,6 @@ class BurstConfig:
 
 
 @dataclass(frozen=True)
-class SpotConfig:
-    """Run a share of churn VMs as spot instances (Section III-B)."""
-
-    #: Fraction of churn VMs created as spot.
-    churn_fraction: float
-    #: Region pressure above which the spot market reclaims capacity.
-    pressure_threshold: float = 0.85
-    #: Seconds between market evaluations.
-    evaluation_interval: float = 3600.0
-
-
-@dataclass(frozen=True)
 class AutoscaleConfig:
     """Autoscaled scale sets (public cloud's diurnal deployments)."""
 
@@ -107,9 +95,6 @@ class CloudProfile:
     churn: ChurnConfig
     burst: BurstConfig | None
     autoscale: AutoscaleConfig | None
-    #: Optional spot market; None = all VMs on-demand (default, so the
-    #: calibration anchors are unaffected unless explicitly enabled).
-    spot: SpotConfig | None = None
     regions: tuple[RegionSpec, ...] = DEFAULT_REGIONS
     clusters_per_region: int = 2
     racks_per_cluster: int = 6

@@ -1,6 +1,6 @@
 """Hypothesis-optional property-testing helpers.
 
-CI environments install only ``numpy scipy pytest``, so property-based
+CI environments install only ``numpy pytest``, so property-based
 tests must not *require* hypothesis.  Import ``given``/``settings``/``st``
 from here and branch on :data:`HAVE_HYPOTHESIS`: when hypothesis is
 available the real strategies run; otherwise tests fall back to

@@ -7,7 +7,6 @@ import pytest
 
 from repro.timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from repro.workloads.arrivals import (
-    business_hours_mask,
     diurnal_rate_curve,
     homogeneous_poisson,
     nhpp,
@@ -114,15 +113,3 @@ class TestBurstEpisodes:
             duration=SECONDS_PER_WEEK, rng=rng, max_size=100,
         )
         assert all(e.size <= 100 for e in episodes)
-
-
-def test_business_hours_mask():
-    times = np.array(
-        [
-            10 * SECONDS_PER_HOUR,            # Monday 10:00
-            3 * SECONDS_PER_HOUR,             # Monday 03:00
-            5 * SECONDS_PER_DAY + 10 * SECONDS_PER_HOUR,  # Saturday 10:00
-        ]
-    )
-    mask = business_hours_mask(times, tz_offset_hours=0)
-    assert list(mask) == [True, False, False]

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.distributions import (
-    cdf_summary,
-    ks_statistic,
-    stochastic_dominance_fraction,
-    wasserstein_distance,
-)
+from repro.analysis.distributions import ks_statistic, stochastic_dominance_fraction
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 arrays = hnp.arrays(dtype=np.float64, shape=st.integers(1, 80), elements=finite)
@@ -45,32 +40,6 @@ class TestKs:
         assert d == pytest.approx(ks_statistic(b, a))
 
 
-class TestWasserstein:
-    def test_identical_is_zero(self):
-        a = cdf([1, 5, 9])
-        assert wasserstein_distance(a, a) == 0.0
-
-    def test_known_shift(self):
-        # Point masses at 0 and at 3: distance 3.
-        assert wasserstein_distance(cdf([0.0]), cdf([3.0])) == pytest.approx(3.0)
-
-    def test_matches_scipy(self, rng):
-        from scipy.stats import wasserstein_distance as scipy_wd
-
-        x = rng.normal(size=200)
-        y = rng.normal(loc=1.0, size=150)
-        ours = wasserstein_distance(cdf(x), cdf(y))
-        assert ours == pytest.approx(scipy_wd(x, y), rel=1e-9)
-
-    @given(arrays, arrays)
-    @settings(max_examples=30)
-    def test_nonnegative_symmetric(self, x, y):
-        a, b = cdf(x), cdf(y)
-        d = wasserstein_distance(a, b)
-        assert d >= 0.0
-        assert d == pytest.approx(wasserstein_distance(b, a))
-
-
 class TestDominance:
     def test_full_dominance(self):
         small = cdf([1, 2, 3])
@@ -87,8 +56,3 @@ class TestDominance:
         private = lifetime_cdf(medium_trace, Cloud.PRIVATE)
         assert stochastic_dominance_fraction(public, private, tolerance=0.02) > 0.95
         assert ks_statistic(public, private) > 0.2
-
-
-def test_cdf_summary_keys():
-    summary = cdf_summary(cdf([1, 2]), cdf([2, 3]))
-    assert set(summary) == {"ks", "wasserstein", "dominance_a_over_b"}

@@ -145,50 +145,3 @@ class TestPersistence:
     def test_from_json_string(self, kb):
         restored = WorkloadKnowledgeBase.from_json(kb.to_json())
         assert len(restored) == len(kb)
-
-
-class TestDrift:
-    def test_identical_snapshots_no_drift(self, kb):
-        assert kb.diff(kb) == []
-
-    def test_presence_drift(self, kb):
-        empty = WorkloadKnowledgeBase()
-        drifts = kb.diff(empty)
-        assert len(drifts) == len(kb)
-        assert all(d.field == "presence" and d.after == "disappeared" for d in drifts)
-        reverse = empty.diff(kb)
-        assert all(d.after == "appeared" for d in reverse)
-
-    def test_field_drift_detected(self, kb):
-        record = kb.subscriptions()[0]
-        newer = WorkloadKnowledgeBase.from_json(kb.to_json())
-        changed = newer.get(record.subscription_id)
-        changed.dominant_pattern = "irregular" if record.dominant_pattern != "irregular" else "stable"
-        changed.regions = changed.regions + ("made-up-region",)
-        drifts = kb.diff(newer)
-        fields = {d.field for d in drifts if d.subscription_id == record.subscription_id}
-        assert "dominant_pattern" in fields
-        assert "regions" in fields
-
-    def test_utilization_drift_threshold(self, kb):
-        newer = WorkloadKnowledgeBase.from_json(kb.to_json())
-        record = next(
-            r for r in newer.subscriptions() if np.isfinite(r.mean_utilization)
-        )
-        record.mean_utilization += 0.5
-        drifts = kb.diff(newer)
-        assert any(
-            d.field == "mean_utilization"
-            and d.subscription_id == record.subscription_id
-            for d in drifts
-        )
-
-    def test_different_workloads_drift(self, small_trace):
-        """Two different weeks produce substantial drift."""
-        from repro.workloads.generator import GeneratorConfig, generate_trace_pair
-
-        other = generate_trace_pair(GeneratorConfig(seed=99, scale=0.12))
-        kb_a = WorkloadKnowledgeBase.from_trace(small_trace)
-        kb_b = WorkloadKnowledgeBase.from_trace(other)
-        drifts = kb_a.diff(kb_b)
-        assert len(drifts) > 10

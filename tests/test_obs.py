@@ -10,7 +10,6 @@ import pytest
 
 from repro.obs import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsScope,
@@ -130,14 +129,6 @@ class TestMetricsRegistry:
         assert counter.value == 3.0
         assert registry.snapshot()["counters"] == {"cache.hit": 3.0}
 
-    def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        gauge = Gauge("pool.size", registry=registry)
-        assert gauge.value is None
-        gauge.set(4)
-        gauge.set(2)
-        assert gauge.value == 2.0
-
     def test_histogram_buckets(self):
         registry = MetricsRegistry()
         hist = Histogram("task.latency", bounds=(1.0, 10.0), registry=registry)
@@ -173,7 +164,6 @@ class TestMetricsRegistry:
         parent.observe("h", 0.2)
         delta = {
             "counters": {"n": 2.0},
-            "gauges": {"g": 7.0},
             "histograms": {
                 "h": {
                     "bounds": list(parent.snapshot()["histograms"]["h"]["bounds"]),
@@ -188,19 +178,7 @@ class TestMetricsRegistry:
         parent.merge(delta)
         snap = parent.snapshot()
         assert snap["counters"]["n"] == 3.0
-        assert snap["gauges"]["g"] == 7.0
         assert snap["histograms"]["h"]["count"] == 2
-
-    def test_merge_order_determines_gauges(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        deltas = [{"gauges": {"g": 1.0}}, {"gauges": {"g": 2.0}}]
-        for delta in deltas:
-            a.merge(delta)
-        for delta in reversed(deltas):
-            b.merge(delta)
-        assert a.snapshot()["gauges"]["g"] == 2.0
-        assert b.snapshot()["gauges"]["g"] == 1.0
 
     def test_merge_rejects_mismatched_buckets(self):
         registry = MetricsRegistry()
@@ -236,28 +214,27 @@ class TestMetricsRegistry:
     def test_reset(self):
         registry = MetricsRegistry()
         registry.inc("n")
-        registry.set_gauge("g", 1.0)
         registry.observe("h", 0.1)
         registry.reset()
         snap = registry.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert snap == {"counters": {}, "histograms": {}}
 
     def test_second_handle_for_a_name_raises(self):
         registry = MetricsRegistry()
         Counter("cache.hit", registry=registry)
-        for kind in (Counter, Gauge, Histogram):
+        for kind in (Counter, Histogram):
             with pytest.raises(ValueError, match="cache.hit"):
                 kind("cache.hit", registry=registry)
         # Another registry keeps its own claims.
         Counter("cache.hit", registry=MetricsRegistry())
 
-    @pytest.mark.parametrize("kind", [Counter, Gauge, Histogram])
+    @pytest.mark.parametrize("kind", [Counter, Histogram])
     @pytest.mark.parametrize("name", ["BadName", "synthesize"])
     def test_handle_name_outside_convention_raises(self, kind, name):
         registry = MetricsRegistry()
         with pytest.raises(ValueError, match="group.name"):
             kind(name, registry=registry)
-        assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert registry.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_handle_survives_reset(self):
         registry = MetricsRegistry()

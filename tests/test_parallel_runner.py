@@ -104,7 +104,7 @@ class TestParallelDeterminism:
         """Warm jobs=2 and warm jobs=1 runs emit identical metrics modulo timing.
 
         Worker deltas are merged into the parent registry in registry order,
-        so the counters/gauges/histograms (and the span *structure*) must be
+        so the counters/histograms (and the span *structure*) must be
         byte-identical between job counts once the trace cache is warm.
         """
         _, parallel_report, serial_warm = reports

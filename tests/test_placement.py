@@ -75,12 +75,6 @@ class TestRecommendation:
         t_before, t_after = outcome["target_before"], outcome["target_after"]
         assert t_after.allocated_cores > t_before.allocated_cores
 
-    def test_sustainability_targets(self, planner):
-        targets = planner.sustainability_targets(top_k=1)
-        # Canada-B: high renewable score AND plenty of headroom.
-        assert targets == ["canada-b"]
-
-
 class TestOnGeneratedTrace:
     def test_recommend_runs_on_full_trace(self, medium_trace):
         planner = RegionShiftPlanner(medium_trace, cloud=Cloud.PRIVATE)
@@ -94,45 +88,3 @@ class TestOnGeneratedTrace:
                 outcome["source_after"].allocated_cores
                 <= outcome["source_before"].allocated_cores
             )
-
-
-class TestApplyShift:
-    def test_apply_mutates_trace(self):
-        from repro.telemetry.schema import EventKind
-
-        store = build_canada_scenario(seed=11)
-        planner = RegionShiftPlanner(store, cloud=Cloud.PRIVATE)
-        rec = planner.recommend(
-            source_region="canada-a", target_region="canada-b"
-        )[0]
-        before = planner.snapshot("canada-a")
-        n_moved = planner.apply_shift(rec)
-        assert n_moved == 12  # all Service-X VMs in Canada-A
-
-        # The store itself changed: re-measuring shows the paper's deltas.
-        after = planner.snapshot("canada-a")
-        assert after.core_utilization_rate < before.core_utilization_rate
-        migrations = store.events(kind=EventKind.MIGRATE)
-        assert len(migrations) == n_moved
-        assert all("region shift" in e.detail for e in migrations)
-
-        # Moved VMs now live in canada-b on real nodes.
-        for event in migrations:
-            vm = store.vm(event.vm_id)
-            assert vm.region == "canada-b"
-            assert store.nodes[vm.node_id].region == "canada-b"
-
-    def test_apply_respects_target_capacity(self):
-        store = build_canada_scenario(seed=11)
-        planner = RegionShiftPlanner(store, cloud=Cloud.PRIVATE)
-        rec = planner.recommend(
-            source_region="canada-a", target_region="canada-b"
-        )[0]
-        planner.apply_shift(rec)
-        # Node capacities in the target region are never exceeded.
-        used = {}
-        for vm in store.vms(region="canada-b"):
-            if vm.created_at <= planner.snapshot_time < vm.ended_at:
-                used[vm.node_id] = used.get(vm.node_id, 0.0) + vm.cores
-        for node_id, cores in used.items():
-            assert cores <= store.nodes[node_id].capacity_cores + 1e-9

@@ -72,22 +72,14 @@ def test_terminate_vm(platform):
     assert platform.allocated_vm_count == 0
     events = platform.store.events(kind=EventKind.TERMINATE)
     assert len(events) == 1
-
-
-def test_evict_vm_records_evict_event(platform):
-    vm_id = platform.create_vm(request(), 0.0)
-    platform.evict_vm(vm_id, 200.0, reason="spot reclaim")
-    events = platform.store.events(kind=EventKind.EVICT)
-    assert len(events) == 1
-    assert events[0].detail == "spot reclaim"
-    assert platform.store.vm(vm_id).ended_at == 200.0
+    assert events[0].region == vm.region == "a"
 
 
 def test_ended_vms_leave_no_bookkeeping(platform):
     """Per-VM state shrinks with the live VMs, not with every VM ever created."""
     vm_ids = [platform.create_vm(request(deployment_id=d), 0.0) for d in (1, 1, 2)]
     platform.terminate_vm(vm_ids[0], 10.0)
-    platform.evict_vm(vm_ids[1], 20.0)
+    platform.terminate_vm(vm_ids[1], 20.0)
     assert set(platform._vm_deployment) == {vm_ids[2]}
     platform.terminate_vm(vm_ids[2], 30.0)
     assert not platform._vm_deployment
@@ -103,13 +95,6 @@ def test_allocation_failure_recorded_not_raised(platform):
     failures = platform.store.events(kind=EventKind.ALLOCATION_FAILURE)
     assert len(failures) == 1
     assert failures[0].vm_id == -1
-
-
-def test_region_allocated_cores(platform):
-    platform.create_vm(request(region="a"), 0.0)
-    platform.create_vm(request(region="b"), 0.0)
-    assert platform.region_allocated_cores("a") == 4
-    assert platform.region_allocated_cores("b") == 4
 
 
 def test_vm_ids_monotonic_with_offset():

@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.management.prediction import (
-    AllocationFailurePredictor,
-    LifetimePredictor,
-    LogisticRegression,
-)
+from repro.management.prediction import AllocationFailurePredictor, LogisticRegression
 from repro.telemetry.schema import Cloud
-from repro.telemetry.store import TraceStore
 
 
 class TestLogisticRegression:
@@ -52,51 +47,6 @@ class TestLogisticRegression:
         y = (rng.random(2000) < 0.3).astype(float)
         model = LogisticRegression().fit(x, y)
         assert model.predict_proba(x).mean() == pytest.approx(0.3, abs=0.05)
-
-
-class TestLifetimePredictor:
-    def test_fit_and_predict_on_trace(self, small_trace):
-        predictor = LifetimePredictor().fit(small_trace)
-        p = predictor.predict_short_probability(
-            subscription_id=-1, service="unknown", cloud="public"
-        )
-        assert 0 <= p <= 1
-
-    def test_holdout_beats_base_rate(self, medium_trace):
-        evaluation = LifetimePredictor().evaluate(medium_trace)
-        assert evaluation.n_test > 100
-        assert evaluation.accuracy >= evaluation.base_rate - 0.02
-
-    def test_fallback_hierarchy(self):
-        predictor = LifetimePredictor()
-        predictor._sub_stats = {1: (9, 10)}
-        predictor._service_stats = {"svc": (1, 100)}
-        predictor._cloud_stats = {"private": (50, 100)}
-        # Known subscription with enough history -> subscription rate.
-        p_sub = predictor.predict_short_probability(
-            subscription_id=1, service="svc", cloud="private"
-        )
-        assert p_sub > 0.7
-        # Unknown subscription -> service rate.
-        p_service = predictor.predict_short_probability(
-            subscription_id=2, service="svc", cloud="private"
-        )
-        assert p_service < 0.1
-        # Unknown everything -> cloud rate.
-        p_cloud = predictor.predict_short_probability(
-            subscription_id=2, service="other", cloud="private"
-        )
-        assert p_cloud == pytest.approx(0.5, abs=0.1)
-
-    def test_unseen_everything_is_half(self):
-        predictor = LifetimePredictor()
-        assert predictor.predict_short_probability(
-            subscription_id=0, service="x", cloud="y"
-        ) == 0.5
-
-    def test_evaluate_empty_raises(self):
-        with pytest.raises(ValueError):
-            LifetimePredictor().evaluate(TraceStore())
 
 
 class TestAllocationFailurePredictor:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.render import bar, cdf_strip, mix_table, side_by_side, sparkline
+from repro.analysis.render import bar, cdf_strip, mix_table, sparkline
 
 
 class TestSparkline:
@@ -71,15 +71,6 @@ class TestCdfStrip:
 
     def test_empty(self):
         assert cdf_strip(np.array([]), np.array([])) == ""
-
-
-class TestSideBySide:
-    def test_alignment(self):
-        joined = side_by_side("a\nbb", "X\nY\nZ")
-        lines = joined.splitlines()
-        assert len(lines) == 3
-        assert lines[0].endswith("X")
-        assert lines[2].strip() == "Z"
 
 
 def test_summary_cli_command(capsys):

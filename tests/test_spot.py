@@ -9,7 +9,6 @@ from repro.management.spot import (
     SpotAdoptionAdvisor,
     SpotAdoptionReport,
     SpotEvictionModel,
-    SpotEvictionPredictor,
 )
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_HOUR
@@ -45,20 +44,6 @@ class TestEvictionModel:
     def test_invalid_knee(self):
         with pytest.raises(ValueError):
             SpotEvictionModel(knee=1.5)
-
-
-class TestEvictionPredictor:
-    def test_learns_pressure_relationship(self, rng):
-        model = SpotEvictionModel(knee=0.6, max_rate=0.5)
-        n = 8000
-        pressures = rng.uniform(0.2, 1.0, n)
-        cores = rng.choice([1.0, 4.0], n)
-        hours = rng.uniform(0, 24, n)
-        evicted = np.array(
-            [float(rng.random() < model.hourly_eviction_probability(p)) for p in pressures]
-        )
-        predictor = SpotEvictionPredictor().fit(pressures, cores, hours, evicted)
-        assert predictor.predict_risk(0.98, 4, 12) > predictor.predict_risk(0.4, 4, 12)
 
 
 class TestAdoptionAdvisor:

@@ -14,7 +14,6 @@ from repro.analysis.stats import (
     coefficient_of_variation_rows,
     pairwise_pearson,
     pearson_correlation,
-    summarize,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -206,20 +205,3 @@ class TestBoxplotStats:
         assert stats.whisker_high <= stats.q3 + 1.5 * stats.iqr + 1e-9
         assert stats.iqr >= 0
         assert 0 <= stats.n_outliers < stats.n_samples or stats.n_outliers == 0
-
-
-class TestSummarize:
-    def test_basic(self):
-        stats = summarize(np.arange(1, 101, dtype=float))
-        assert stats.minimum == 1.0
-        assert stats.maximum == 100.0
-        assert stats.mean == pytest.approx(50.5)
-        assert stats.n_samples == 100
-
-    def test_percentile_ordering(self):
-        stats = summarize(np.random.default_rng(0).normal(size=500))
-        assert stats.minimum <= stats.p25 <= stats.median <= stats.p75 <= stats.p95 <= stats.maximum
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize(np.array([]))

@@ -69,7 +69,8 @@ class TestTraceStore:
     def test_finalize_vm(self):
         store = TraceStore()
         store.add_vm(make_vm(1, created_at=50.0))
-        store.finalize_vm(1, 500.0)
+        closed = store.finalize_vm(1, 500.0)
+        assert closed is store.vm(1)
         assert store.vm(1).ended_at == 500.0
         assert store.vm(1).completed
 
@@ -78,13 +79,6 @@ class TestTraceStore:
         store.add_vm(make_vm(1, created_at=100.0))
         with pytest.raises(ValueError):
             store.finalize_vm(1, 50.0)
-
-    def test_reassign_placement(self):
-        store = TraceStore()
-        store.add_vm(make_vm(1))
-        store.reassign_vm_placement(1, node_id=9, rack_id=8, cluster_id=7)
-        vm = store.vm(1)
-        assert (vm.node_id, vm.rack_id, vm.cluster_id) == (9, 8, 7)
 
     def test_vm_filters(self):
         store = TraceStore()

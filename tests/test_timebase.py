@@ -49,34 +49,3 @@ def test_day_of_week_starts_monday():
 def test_day_of_week_negative_times_wrap():
     # One hour before the window is Sunday.
     assert timebase.day_of_week(np.array([-3600.0]))[0] == 6
-
-
-def test_is_weekend():
-    times = np.array([0.0, 5 * 86400.0, 6 * 86400.0])
-    assert list(timebase.is_weekend(times)) == [False, True, True]
-
-
-def test_is_weekend_respects_timezone():
-    # Saturday 02:00 UTC is still Friday in UTC-5.
-    saturday_2am = np.array([5 * 86400.0 + 2 * 3600])
-    assert timebase.is_weekend(saturday_2am)[0]
-    assert not timebase.is_weekend(saturday_2am, tz_offset_hours=-5)[0]
-
-
-def test_hour_index():
-    assert timebase.hour_index(0.0) == 0
-    assert timebase.hour_index(3599.9) == 0
-    assert timebase.hour_index(3600.0) == 1
-
-
-@pytest.mark.parametrize(
-    "seconds,expected",
-    [
-        (30, "30s"),
-        (120, "2m"),
-        (7200, "2.0h"),
-        (90000, "1d 01h"),
-    ],
-)
-def test_format_duration(seconds, expected):
-    assert timebase.format_duration(seconds) == expected

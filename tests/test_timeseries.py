@@ -11,7 +11,6 @@ from repro.analysis.timeseries import (
     fold_daily,
     hourly_event_counts,
     hourly_occupancy,
-    moving_average,
     percentile_bands,
 )
 
@@ -150,59 +149,6 @@ class TestHourlyOccupancy:
             tracemalloc.stop()
         assert counts.shape == (168,)
         assert peak < 8 * 1024 * 1024
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        values = np.array([1.0, 5.0, 3.0])
-        assert list(moving_average(values, 1)) == [1.0, 5.0, 3.0]
-
-    def test_constant_preserved(self):
-        assert np.allclose(moving_average(np.full(10, 2.0), 3), 2.0)
-
-    def test_length_preserved(self):
-        assert moving_average(np.arange(7, dtype=float), 3).shape == (7,)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            moving_average(np.ones(3), 0)
-
-    def test_odd_window_interior_is_plain_mean(self):
-        values = np.array([1.0, 2.0, 6.0, 2.0, 1.0])
-        out = moving_average(values, 3)
-        assert out[2] == pytest.approx((2.0 + 6.0 + 2.0) / 3)
-
-    def test_even_window_centered_kernel(self):
-        """Even windows use the half-weight [0.5, 1, ..., 1, 0.5] kernel.
-
-        Pins the edge values so a regression back to the off-center
-        np.convolve(mode="same") behaviour (which skewed every smoothed
-        value toward the past) fails loudly.
-        """
-        values = np.arange(1.0, 7.0)  # 1..6
-        out = moving_average(values, 4)
-        # out[0] = (1*1 + 2*1 + 3*0.5) / (1 + 1 + 0.5)
-        assert out[0] == pytest.approx(1.8)
-        # interior: full kernel (0.5*1 + 2 + 3 + 4 + 0.5*5) / 4
-        assert out[2] == pytest.approx((0.5 * 1 + 2 + 3 + 4 + 0.5 * 5) / 4)
-
-    def test_even_window_constant_preserved(self):
-        assert np.allclose(moving_average(np.full(10, 2.0), 4), 2.0)
-
-    @pytest.mark.parametrize("window", [2, 3, 4, 5, 8])
-    def test_time_reversal_symmetry(self, rng, window):
-        """A centered smoother must commute with reversing time."""
-        values = rng.uniform(0, 1, 30)
-        forward = moving_average(values, window)
-        backward = moving_average(values[::-1], window)[::-1]
-        assert np.allclose(forward, backward)
-
-    @pytest.mark.parametrize("window", [2, 4, 6])
-    def test_window_longer_than_signal(self, window):
-        values = np.array([1.0, 3.0])
-        out = moving_average(values, window)
-        assert out.shape == values.shape
-        assert np.all(np.isfinite(out))
 
 
 class TestPercentileBands:
