@@ -108,21 +108,30 @@ def percentile_bands(
     every percentile at that timestamp into NaN.  A column where *every*
     series is NaN has no distribution to summarize and stays NaN in all
     bands (no RuntimeWarning is emitted for it).
+
+    Each time column is sorted first, in the input dtype and a contiguous
+    ``(T, n)`` layout, and the sorted float64 rows go to ``np.percentile``
+    along axis 1.  A quantile depends only on its column's multiset of
+    values, so the bands are bitwise those of the float64 matrix along
+    axis 0, without selecting over a strided float64 copy.
     """
-    matrix = np.asarray(series_matrix, dtype=np.float64)
+    matrix = np.asarray(series_matrix)
     if matrix.ndim != 2:
         raise ValueError("series_matrix must be 2-D (series x time)")
     if matrix.shape[0] == 0:
         raise ValueError("need at least one series")
-    if np.isnan(matrix).any():
-        bands = np.full((len(percentiles), matrix.shape[1]), np.nan)
-        has_data = ~np.all(np.isnan(matrix), axis=0)
+    columns = np.array(matrix.T, order="C")  # a copy: sorted in place below
+    columns.sort(axis=1)  # NaN sorts last
+    columns = columns.astype(np.float64, copy=False)
+    if np.isnan(columns[:, -1]).any():
+        bands = np.full((len(percentiles), columns.shape[0]), np.nan)
+        has_data = ~np.isnan(columns[:, 0])
         if has_data.any():
             bands[:, has_data] = np.nanpercentile(
-                matrix[:, has_data], percentiles, axis=0
+                columns[has_data], percentiles, axis=1
             )
     else:
-        bands = np.percentile(matrix, percentiles, axis=0)
+        bands = np.percentile(columns, percentiles, axis=1)
     return PercentileBands(
         percentiles=tuple(float(p) for p in percentiles),
         bands=bands,

@@ -222,12 +222,17 @@ def classify_windows(
     of float64, so paper-scale sweeps stay inside the RSS envelope.
     ``classify_block`` is bitwise identical to :func:`classify_series`, so
     neither grouping nor chunking can change a label; labels come back in
-    input order.  Each window is indexed twice (its length, then its chunk),
-    so ``windows`` may be a lazy sequence that reads rows on access.
+    input order.  A store sweep passes a lazy :class:`_StoreWindows`, which
+    knows every window's length without reading it, so each of its rows is
+    read once, when its chunk is filled.
     """
+    if isinstance(windows, _StoreWindows):
+        lengths = windows.lengths
+    else:
+        lengths = [len(window) for window in windows]
     by_length: dict[int, list[int]] = {}
-    for idx in range(len(windows)):
-        by_length.setdefault(len(windows[idx]), []).append(idx)
+    for idx, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(idx)
     labels: list[str | None] = [None] * len(windows)
     for length, idxs in by_length.items():
         rows_per_chunk = max(1, _CLASSIFY_BLOCK_BYTES // (8 * max(length, 1)))
@@ -253,14 +258,18 @@ class _StoreWindows(Sequence[np.ndarray]):
     def __init__(self, store: TraceStore, vm_ids: list[int]) -> None:
         self._store = store
         self._vm_ids = vm_ids
+        samples = range(store.metadata.n_samples)
+        self._windows = [
+            slice(*store.metadata.sample_window(store.vm(vm_id))) for vm_id in vm_ids
+        ]
+        #: ``len(self[idx])`` for every window, computed without a read.
+        self.lengths = [len(samples[window]) for window in self._windows]
 
     def __len__(self) -> int:
         return len(self._vm_ids)
 
     def __getitem__(self, idx: int) -> np.ndarray:
-        vm = self._store.vm(self._vm_ids[idx])
-        lo, hi = self._store.metadata.sample_window(vm)
-        return self._store.utilization(vm.vm_id)[lo:hi]
+        return self._store.utilization(self._vm_ids[idx])[self._windows[idx]]
 
 
 @dataclass(frozen=True)

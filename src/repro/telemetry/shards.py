@@ -12,6 +12,10 @@ Three pieces live here:
 * :class:`ShardRef` -- a lazy handle to one shard.  Opening it goes through
   :func:`np.load` with ``mmap_mode="r"``, so bytes are paged in only when
   rows are actually touched and the kernel can drop them under pressure.
+  It hands out a read-only plain ``np.ndarray`` view of the mapping, not
+  the ``np.memmap`` itself: row slices of a memmap are memmaps too, and
+  every index, ufunc and ``astype`` on them pays the subclass's Python
+  hooks (``__array_finalize__``, ``__array_wrap__``).
 * :class:`ShardMmapCache` -- a small LRU of open shard mappings.  Resident
   file-backed pages count toward the process RSS high-water mark that the
   obs layer's peak-RSS spans measure, so eviction both drops the mapping
@@ -59,7 +63,12 @@ def _release_pages(array: np.ndarray) -> None:
 
 
 class ShardMmapCache:
-    """LRU of open shard memmaps with page release on eviction."""
+    """LRU of open shard mappings with page release on eviction.
+
+    Each entry is a read-only plain ``np.ndarray`` view whose ``base`` is
+    the shard's ``np.memmap``; the memmap is kept only so eviction can
+    ``madvise`` its pages away.
+    """
 
     def __init__(self, capacity: int = DEFAULT_MMAP_CAPACITY) -> None:
         self.capacity = capacity
@@ -69,16 +78,17 @@ class ShardMmapCache:
         key = str(path)
         array = self._open.get(key)
         if array is None:
-            array = np.load(path, mmap_mode="r")
-            if array.dtype != np.float32 or array.shape != shape:
+            mapped = np.load(path, mmap_mode="r")
+            if mapped.dtype != np.float32 or mapped.shape != shape:
                 raise ValueError(
-                    f"shard {path} has dtype {array.dtype} shape {array.shape}, "
+                    f"shard {path} has dtype {mapped.dtype} shape {mapped.shape}, "
                     f"expected float32 {shape}"
                 )
+            array = mapped.view(np.ndarray)
             self._open[key] = array
             while len(self._open) > self.capacity:
                 _, evicted = self._open.popitem(last=False)
-                _release_pages(evicted)
+                _release_pages(evicted.base)
         else:
             self._open.move_to_end(key)
         return array
@@ -90,13 +100,13 @@ class ShardMmapCache:
         """Drop one mapping (and its resident pages) if currently open."""
         array = self._open.pop(str(path), None)
         if array is not None:
-            _release_pages(array)
+            _release_pages(array.base)
 
     def clear(self) -> None:
         """Drop every mapping; analyses call this between heavy passes."""
         while self._open:
             _, evicted = self._open.popitem(last=False)
-            _release_pages(evicted)
+            _release_pages(evicted.base)
 
 
 #: Process-wide cache; all :class:`ShardRef` opens go through it so the
@@ -135,7 +145,7 @@ class ShardRef:
         return self.n_rows * self.n_cols * 4
 
     def open(self) -> np.ndarray:
-        """Memory-map the shard read-only (cached process-wide)."""
+        """The shard as a read-only plain-array view of its mapping (cached process-wide)."""
         return _MMAPS.get(self.path, self.shape)
 
     def release(self) -> None:

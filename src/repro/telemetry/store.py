@@ -26,10 +26,21 @@ A block may be resident (an ``np.ndarray``) or lazy (a
 :class:`~repro.telemetry.shards.ShardRef` memory-mapping a v2 trace shard
 on first touch); every internal access resolves through
 :meth:`TraceStore._block`, so the two kinds are indistinguishable to
-callers.  Reads hand out **read-only** views -- mutating a returned series
-raises instead of silently corrupting every other reader of the shared
-block.  A VM's series is attached once: every row of every block is
-reachable, so no dead bytes can accumulate.
+callers.  Reads hand out **read-only** plain ``np.ndarray`` views (of the
+resident block, or of the shard's mapping -- never an ``np.memmap``) --
+mutating a returned series raises instead of silently corrupting every
+other reader of the shared block.  A VM's series is attached once: every
+row of every block is reachable, so no dead bytes can accumulate.
+
+Filtered queries (:meth:`~TraceStore.vms`, :meth:`~TraceStore.events`,
+:meth:`~TraceStore.vm_ids_with_utilization` and the ``vms_by_*``
+groupings) read a lazily built index: the first query on a set of fields
+groups the whole table by those fields in one pass, and later queries on
+the same fields -- any values -- are dict lookups.  Every mutation
+(``add_vm``, ``finalize_vm``, ``add_event``, attaching utilization,
+``merge``) only bumps a version counter; the next query drops the stale
+index.  Queries return the rows in table order, as a fresh list on every
+call.
 """
 
 from __future__ import annotations
@@ -37,7 +48,8 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -103,6 +115,8 @@ class TraceMetadata:
         return vm.completed and vm.created_at >= 0 and vm.ended_at <= self.duration
 
 
+_T = TypeVar("_T")
+
 _BLOCKS_ADDED = Counter("store.utilization_blocks")
 _BLOCK_BYTES = Counter("store.utilization_bytes")
 
@@ -117,6 +131,15 @@ def _event_order(event: EventRecord) -> tuple[float, str, int]:
     of the event *set*.
     """
     return (event.time, event.kind.value, event.vm_id)
+
+
+def _group(rows: Iterable[_T], fields: tuple[str, ...]) -> dict[Hashable, list[_T]]:
+    """``rows`` grouped by their ``fields`` values (a tuple for several), in order."""
+    key = attrgetter(*fields)
+    groups: dict[Hashable, list[_T]] = defaultdict(list)
+    for row in rows:
+        groups[key(row)].append(row)
+    return dict(groups)
 
 
 def check_vm_end(vm: VMRecord, ended_at: float) -> None:
@@ -149,6 +172,11 @@ class TraceStore:
         self.clusters: dict[int, ClusterInfo] = {}
         self.nodes: dict[int, NodeInfo] = {}
         self.subscriptions: dict[int, SubscriptionInfo] = {}
+        #: Query index (see :meth:`_indexed`), valid while ``_index_version``
+        #: equals ``_version``; every mutation bumps ``_version``.
+        self._index: dict[Hashable, Any] = {}
+        self._version = 0
+        self._index_version = 0
 
     # ------------------------------------------------------------------
     # ingestion
@@ -174,6 +202,7 @@ class TraceStore:
         if vm.vm_id in self._vms:
             raise ValueError(f"duplicate vm_id {vm.vm_id}")
         self._vms[vm.vm_id] = vm
+        self._version += 1
 
     def finalize_vm(self, vm_id: int, ended_at: float) -> VMRecord:
         """Replace a VM row with a terminated copy and return that copy."""
@@ -181,6 +210,7 @@ class TraceStore:
         check_vm_end(old, ended_at)
         closed = dataclasses.replace(old, ended_at=float(ended_at))
         self._vms[vm_id] = closed
+        self._version += 1
         return closed
 
     def add_event(self, event: EventRecord) -> None:
@@ -188,6 +218,7 @@ class TraceStore:
         if self._events and _event_order(event) < _event_order(self._events[-1]):
             self._events_sorted = False
         self._events.append(event)
+        self._version += 1
 
     def add_utilization(self, vm_id: int, series: np.ndarray) -> None:
         """Attach a 5-minute CPU utilization series (values in ``[0, 1]``)."""
@@ -274,6 +305,7 @@ class TraceStore:
         self._util_blocks.append(block)
         for row, vm_id in enumerate(vm_ids):
             self._util_index[vm_id] = (block_idx, row)
+        self._version += 1
         _BLOCKS_ADDED.inc()
         _BLOCK_BYTES.inc(block.nbytes)
 
@@ -293,6 +325,33 @@ class TraceStore:
         return sum(block.nbytes for block in self._util_blocks)
 
     # ------------------------------------------------------------------
+    # query index
+    # ------------------------------------------------------------------
+    def _indexed(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """Index entry ``key``, built by ``build()`` once per store version."""
+        if self._index_version != self._version:
+            self._index = {}
+            self._index_version = self._version
+        if key not in self._index:
+            self._index[key] = build()
+        return self._index[key]
+
+    def _select(self, table: str, **filters: object) -> list:
+        """Rows of ``table`` whose fields equal every non-``None`` filter.
+
+        One pass groups the whole table by the filtered fields, so every
+        later query on the same fields is a lookup.  Rows keep table order
+        and the list is the caller's to keep.
+        """
+        fields = tuple(name for name, value in filters.items() if value is not None)
+        rows = self._vms.values() if table == "vms" else self._sorted_events()
+        if not fields:
+            return list(rows)
+        groups = self._indexed((table, fields), lambda: _group(rows, fields))
+        values = tuple(filters[name] for name in fields)
+        return list(groups.get(values if len(fields) > 1 else values[0], ()))
+
+    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def vms(
@@ -302,15 +361,10 @@ class TraceStore:
         region: str | None = None,
         completed_only: bool = False,
     ) -> list[VMRecord]:
-        """Return VM rows, optionally filtered."""
-        rows: Iterable[VMRecord] = self._vms.values()
-        if cloud is not None:
-            rows = (vm for vm in rows if vm.cloud == cloud)
-        if region is not None:
-            rows = (vm for vm in rows if vm.region == region)
-        if completed_only:
-            rows = (vm for vm in rows if vm.completed)
-        return list(rows)
+        """Return VM rows in insertion order, optionally filtered."""
+        return self._select(
+            "vms", cloud=cloud, region=region, completed=True if completed_only else None
+        )
 
     def vm(self, vm_id: int) -> VMRecord:
         """Return one VM row by id."""
@@ -339,17 +393,13 @@ class TraceStore:
         Ties on ``time`` are broken by event kind (alphabetical) and then vm
         id, so the order is reproducible no matter how events were appended.
         """
+        return self._select("events", kind=kind, cloud=cloud, region=region)
+
+    def _sorted_events(self) -> list[EventRecord]:
         if not self._events_sorted:
             self._events.sort(key=_event_order)
             self._events_sorted = True
-        rows: Iterable[EventRecord] = self._events
-        if kind is not None:
-            rows = (e for e in rows if e.kind == kind)
-        if cloud is not None:
-            rows = (e for e in rows if e.cloud == cloud)
-        if region is not None:
-            rows = (e for e in rows if e.region == region)
-        return list(rows)
+        return self._events
 
     def event_times(
         self,
@@ -459,29 +509,33 @@ class TraceStore:
 
     def vm_ids_with_utilization(self, *, cloud: Cloud | None = None) -> list[int]:
         """Ids of VMs that have a utilization series attached."""
-        if cloud is None:
-            return sorted(self._util_index)
-        return sorted(
-            vm_id
-            for vm_id in self._util_index
-            if self._vms[vm_id].cloud == cloud
+        ids = self._indexed(
+            ("util_ids", cloud),
+            lambda: sorted(
+                vm_id
+                for vm_id in self._util_index
+                if cloud is None or self._vms[vm_id].cloud == cloud
+            ),
         )
+        return list(ids)
 
     def vms_by_node(self, *, cloud: Cloud | None = None) -> dict[int, list[VMRecord]]:
         """Group VM rows by hosting node."""
-        groups: dict[int, list[VMRecord]] = defaultdict(list)
-        for vm in self.vms(cloud=cloud):
-            groups[vm.node_id].append(vm)
-        return dict(groups)
+        return self._grouped_vms("node_id", cloud)
 
     def vms_by_subscription(
         self, *, cloud: Cloud | None = None
     ) -> dict[int, list[VMRecord]]:
         """Group VM rows by subscription."""
-        groups: dict[int, list[VMRecord]] = defaultdict(list)
-        for vm in self.vms(cloud=cloud):
-            groups[vm.subscription_id].append(vm)
-        return dict(groups)
+        return self._grouped_vms("subscription_id", cloud)
+
+    def _grouped_vms(
+        self, field: str, cloud: Cloud | None
+    ) -> dict[int, list[VMRecord]]:
+        groups = self._indexed(
+            ("by", field, cloud), lambda: _group(self.vms(cloud=cloud), (field,))
+        )
+        return {key: list(rows) for key, rows in groups.items()}
 
     def region_names(self, *, cloud: Cloud | None = None) -> list[str]:
         """Names of regions with at least one VM of the given cloud."""
@@ -547,6 +601,7 @@ class TraceStore:
         self.clusters.update(other.clusters)
         self.nodes.update(other.nodes)
         self.subscriptions.update(other.subscriptions)
+        self._version += 1
 
     def summary(self) -> dict[str, int]:
         """Cheap size summary for logging and reports.

@@ -735,12 +735,9 @@ def _batch_creator(
 
 
 def _timed_terminator(platform: CloudPlatform, simulator: Simulator, vm_id: int):
+    # Each pool and churn VM gets one terminator and the autoscaler retires
+    # only its own fleet, so ending a VM twice is a bug and raises.
     def action() -> None:
-        # Each pool and churn VM gets one terminator and the autoscaler
-        # retires only its own fleet, so the VM should still be placed; a
-        # VM that is not is skipped rather than ended twice.
-        if platform.allocator.node_of(vm_id) is None:
-            return
         platform.terminate_vm(vm_id, simulator.now)
 
     return action

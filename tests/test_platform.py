@@ -7,9 +7,11 @@ import pytest
 
 from repro.cloud.entities import RegionSpec, TopologySpec, build_topology
 from repro.cloud.platform import CloudPlatform, VMRequest
+from repro.cloud.simulation import Simulator
 from repro.cloud.sku import NodeSku, VMSku
 from repro.telemetry.schema import Cloud, EventKind
 from repro.telemetry.store import TraceStore
+from repro.workloads.generator import _timed_terminator
 
 
 @pytest.fixture()
@@ -73,6 +75,19 @@ def test_terminate_vm(platform):
     events = platform.store.events(kind=EventKind.TERMINATE)
     assert len(events) == 1
     assert events[0].region == vm.region == "a"
+
+
+def test_timed_terminator_ends_a_vm_once(platform):
+    """A second scheduled end of the same VM raises instead of being skipped."""
+    simulator = Simulator()
+    vm_id = platform.create_vm(request(), 0.0)
+    simulator.schedule(100.0, _timed_terminator(platform, simulator, vm_id))
+    simulator.schedule(200.0, _timed_terminator(platform, simulator, vm_id))
+    with pytest.raises(KeyError):
+        simulator.run()
+    assert simulator.now == 200.0
+    assert platform.store.vm(vm_id).ended_at == 100.0
+    assert len(platform.store.events(kind=EventKind.TERMINATE)) == 1
 
 
 def test_ended_vms_leave_no_bookkeeping(platform):

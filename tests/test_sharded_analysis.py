@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import correlation as corr
 from repro.core import utilization as util
+from repro.experiments.parallel import REGISTRY
 from repro.telemetry.io import load_trace, save_trace
 from repro.telemetry.schema import Cloud
 from repro.telemetry.shards import ShardRef
@@ -71,3 +72,29 @@ def test_region_level_correlation_bitwise_equal(resident_and_sharded):
     b = corr.region_level_correlation(sharded, Cloud.PUBLIC)
     np.testing.assert_array_equal(a.values, b.values)
     assert a.n_constant_pairs == b.n_constant_pairs
+
+
+def _digest_or_error(task, store) -> str:
+    try:
+        return task.runner(store).digest()
+    except ValueError:
+        return "ValueError"
+
+
+@pytest.mark.parametrize(
+    "task", [task for task in REGISTRY if task.uses_shared_trace], ids=lambda t: t.task_id
+)
+def test_registry_task_digest_equal(resident_and_sharded, task):
+    """Every shared-trace task answers the same over resident and loaded telemetry."""
+    resident, sharded = resident_and_sharded
+    assert _digest_or_error(task, sharded) == _digest_or_error(task, resident)
+
+
+def test_loaded_rows_are_read_only_plain_arrays(resident_and_sharded):
+    _, sharded = resident_and_sharded
+    vm_id = sharded.vm_ids_with_utilization()[0]
+    row = sharded.utilization(vm_id)
+    assert type(row) is np.ndarray
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0] = 0.5

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.telemetry import shards
 from repro.telemetry.shards import (
     DEFAULT_SHARD_ROWS,
     ShardMmapCache,
@@ -22,13 +24,21 @@ def _rows(n, t, *, seed=0):
 
 
 class TestShardRef:
-    def test_open_returns_mmap_with_expected_shape(self, tmp_path):
+    def test_open_returns_readonly_view_of_mapping(self, tmp_path):
         data = _rows(5, 7)
         ref = write_shard(tmp_path / "s.npy", data)
         arr = ref.open()
         assert arr.shape == (5, 7)
-        np.testing.assert_array_equal(np.asarray(arr), data)
-        assert isinstance(arr, np.memmap)
+        np.testing.assert_array_equal(arr, data)
+        # A plain ndarray, so row reads and ufuncs skip np.memmap's hooks ...
+        assert type(arr) is np.ndarray and type(arr[2]) is np.ndarray
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+        # ... that views the shard's mapping instead of a copy of it.
+        assert isinstance(arr.base, np.memmap)
+        assert Path(arr.base.filename) == ref.path.resolve()
+        assert np.shares_memory(arr, arr.base)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         ref = write_shard(tmp_path / "s.npy", _rows(5, 7))
@@ -79,6 +89,29 @@ class TestShardMmapCache:
         cache.get(ref.path, (3, 4))
         cache.get(other.path, (3, 4))  # evicts a.npy
         np.testing.assert_array_equal(np.asarray(cache.get(ref.path, (3, 4))), data)
+
+    def test_eviction_releases_the_evicted_mapping_pages(self, tmp_path, monkeypatch):
+        released = []
+        release = shards._release_pages
+
+        def recording_release(mapping):
+            released.append(mapping)
+            release(mapping)
+
+        monkeypatch.setattr(shards, "_release_pages", recording_release)
+        cache = ShardMmapCache(capacity=1)
+        first = write_shard(tmp_path / "a.npy", _rows(3, 4))
+        second = write_shard(tmp_path / "b.npy", _rows(3, 4, seed=1))
+        view = cache.get(first.path, (3, 4))
+        cache.get(second.path, (3, 4))  # evicts a.npy
+        assert len(released) == 1
+        mapping = released[0]
+        assert isinstance(mapping, np.memmap) and mapping is view.base
+        # The mmap object that _release_pages advises MADV_DONTNEED on.
+        assert getattr(mapping, "_mmap", None) is not None
+        assert Path(mapping.filename) == first.path.resolve()
+        cache.release(second.path)
+        assert [Path(m.filename) for m in released[1:]] == [second.path.resolve()]
 
     def test_process_cache_accessor(self):
         assert isinstance(mmap_cache(), ShardMmapCache)

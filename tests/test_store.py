@@ -327,6 +327,139 @@ class TestTraceStore:
         assert store.region_names(cloud=Cloud.PRIVATE) == ["a"]
 
 
+_QUERY_REGIONS = (None, "a", "b", "nowhere")
+
+
+def _indexed_answers(store: TraceStore) -> dict:
+    """Every filtered query, answered through the store's index."""
+    answers = {}
+    for cloud in (None, *Cloud):
+        for region in _QUERY_REGIONS:
+            for completed in (False, True):
+                answers["vms", cloud, region, completed] = store.vms(
+                    cloud=cloud, region=region, completed_only=completed
+                )
+            for kind in (None, *EventKind):
+                answers["events", kind, cloud, region] = store.events(
+                    kind=kind, cloud=cloud, region=region
+                )
+        answers["util", cloud] = store.vm_ids_with_utilization(cloud=cloud)
+        answers["by_node", cloud] = store.vms_by_node(cloud=cloud)
+        answers["by_sub", cloud] = store.vms_by_subscription(cloud=cloud)
+        answers["regions", cloud] = store.region_names(cloud=cloud)
+    return answers
+
+
+def _scanned_answers(store: TraceStore) -> dict:
+    """The same queries, answered by scanning ``_vms`` and ``_events``."""
+    vms = list(store._vms.values())
+    events = sorted(store._events, key=lambda e: (e.time, e.kind.value, e.vm_id))
+
+    def matches(row, **filters):
+        return all(v is None or getattr(row, k) == v for k, v in filters.items())
+
+    def grouped(rows, field):
+        groups = {}
+        for row in rows:
+            groups.setdefault(getattr(row, field), []).append(row)
+        return groups
+
+    answers = {}
+    for cloud in (None, *Cloud):
+        for region in _QUERY_REGIONS:
+            for completed in (False, True):
+                answers["vms", cloud, region, completed] = [
+                    vm
+                    for vm in vms
+                    if matches(vm, cloud=cloud, region=region)
+                    and (vm.completed or not completed)
+                ]
+            for kind in (None, *EventKind):
+                answers["events", kind, cloud, region] = [
+                    e for e in events if matches(e, kind=kind, cloud=cloud, region=region)
+                ]
+        in_cloud = [vm for vm in vms if matches(vm, cloud=cloud)]
+        answers["util", cloud] = sorted(
+            vm_id for vm_id in store._util_index if matches(store._vms[vm_id], cloud=cloud)
+        )
+        answers["by_node", cloud] = grouped(in_cloud, "node_id")
+        answers["by_sub", cloud] = grouped(in_cloud, "subscription_id")
+        answers["regions", cloud] = (
+            sorted(store.regions) if cloud is None else sorted({vm.region for vm in in_cloud})
+        )
+    return answers
+
+
+class TestQueryIndex:
+    """Indexed queries equal a brute-force scan after every kind of mutation."""
+
+    @staticmethod
+    def assert_matches_scan(store: TraceStore) -> None:
+        expected = _scanned_answers(store)
+        for _ in range(2):  # the second round reads the built index
+            answers = _indexed_answers(store)
+            assert answers == expected
+            for key, rows in answers.items():  # same rows, not equal copies
+                if isinstance(rows, list) and rows and not isinstance(rows[0], (int, str)):
+                    assert all(a is b for a, b in zip(rows, expected[key], strict=True))
+
+    def test_every_mutation_invalidates_the_index(self):
+        store = TraceStore()
+        n = store.metadata.n_samples
+        self.assert_matches_scan(store)
+        for vm_id, cloud, region, node, sub in [
+            (1, Cloud.PRIVATE, "a", 0, 10),
+            (2, Cloud.PUBLIC, "a", 1, 11),
+            (3, Cloud.PRIVATE, "b", 0, 10),
+            (4, Cloud.PUBLIC, "b", 2, 12),
+        ]:
+            store.add_vm(make_vm(vm_id, cloud=cloud, region=region, node_id=node,
+                                 subscription_id=sub))
+            self.assert_matches_scan(store)
+
+        store.finalize_vm(3, 50.0)
+        self.assert_matches_scan(store)
+
+        store.add_event(EventRecord(10.0, EventKind.CREATE, 1, Cloud.PRIVATE, "a"))
+        self.assert_matches_scan(store)
+        store.add_event(EventRecord(5.0, EventKind.CREATE, 2, Cloud.PUBLIC, "a"))  # out of order
+        self.assert_matches_scan(store)
+        store.add_event(EventRecord(50.0, EventKind.TERMINATE, 3, Cloud.PRIVATE, "b"))
+        self.assert_matches_scan(store)
+
+        store.add_utilization_block([4, 1], np.full((2, n), 0.25))
+        self.assert_matches_scan(store)
+
+        other = TraceStore()
+        other.add_region(RegionInfo(name="c", tz_offset_hours=0))
+        other.add_vm(make_vm(9, cloud=Cloud.PUBLIC, region="b", node_id=2, subscription_id=11))
+        other.add_vm(make_vm(8, cloud=Cloud.PRIVATE, region="a", node_id=5, ended_at=7.0))
+        other.add_event(EventRecord(1.0, EventKind.CREATE, 9, Cloud.PUBLIC, "b"))
+        other.add_event(EventRecord(7.0, EventKind.TERMINATE, 8, Cloud.PRIVATE, "a"))
+        other.add_utilization(8, np.full(n, 0.5))
+        self.assert_matches_scan(other)
+        store.merge(other)
+        self.assert_matches_scan(store)
+
+    def test_returned_lists_are_the_callers(self):
+        store = TraceStore()
+        n = store.metadata.n_samples
+        for vm_id in (1, 2, 3):
+            store.add_vm(make_vm(vm_id, region="a", node_id=vm_id % 2))
+        store.add_event(EventRecord(1.0, EventKind.CREATE, 1, Cloud.PRIVATE, "a"))
+        store.add_utilization(2, np.zeros(n))
+        store.add_region(RegionInfo(name="a", tz_offset_hours=0))
+        before = _indexed_answers(store)
+        for rows in _indexed_answers(store).values():
+            if isinstance(rows, dict):
+                for group in rows.values():
+                    group.append(None)
+                rows.clear()
+            else:
+                rows.append(None)
+        assert _indexed_answers(store) == before == _scanned_answers(store)
+
+
 class TestClusterInfo:
     def test_capacity(self):
         cluster = ClusterInfo(

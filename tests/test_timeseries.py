@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,57 @@ class TestPercentileBands:
         assert np.array_equal(
             with_nan_path.bands, np.percentile(matrix, (25.0, 50.0, 75.0, 95.0), axis=0)
         )
+
+
+def _float64_reference_bands(matrix, percentiles):
+    """Percentiles of the float64 matrix along axis 0, NaN-aware per column."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if not np.isnan(m).any():
+        return np.percentile(m, percentiles, axis=0)
+    bands = np.full((len(percentiles), m.shape[1]), np.nan)
+    has_data = ~np.all(np.isnan(m), axis=0)
+    bands[:, has_data] = np.nanpercentile(m[:, has_data], percentiles, axis=0)
+    return bands
+
+
+def _with_nans(m, rng, share):
+    m = m.copy()
+    m[rng.random(m.shape) < share] = np.nan
+    return m
+
+
+_BAND_CASES = {
+    "random": lambda rng: rng.random((50, 37)),
+    "ties_and_zeros": lambda rng: np.floor(rng.random((60, 30)) * 4) / 4,
+    "mostly_zero": lambda rng: np.where(rng.random((40, 25)) < 0.8, 0.0, rng.random((40, 25))),
+    "constant_columns": lambda rng: np.tile(rng.random(12), (9, 1)),
+    "one_row": lambda rng: rng.random((1, 20)),
+    "two_rows": lambda rng: rng.random((2, 20)),
+    "nan_gaps": lambda rng: _with_nans(rng.random((45, 33)), rng, 0.2),
+    "nan_gaps_two_rows": lambda rng: _with_nans(rng.random((2, 40)), rng, 0.4),
+    "all_nan_columns": lambda rng: np.where(
+        np.arange(18) % 5 == 0, np.nan, _with_nans(rng.random((30, 18)), rng, 0.3)
+    ),
+}
+
+
+class TestPercentileBandsBitwise:
+    """Sort-first bands are byte-equal to float64 ``np.percentile`` along axis 0."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(_BAND_CASES))
+    def test_bytes_equal_reference(self, case, dtype):
+        matrix = _BAND_CASES[case](np.random.default_rng(3)).astype(dtype)
+        original = matrix.copy()
+        for percentiles in [(25.0, 50.0, 75.0, 95.0), (0.0, 1.0, 33.3, 99.9, 100.0)]:
+            expected = _float64_reference_bands(matrix, percentiles)
+            for layout in (matrix, np.asfortranarray(matrix)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    bands = percentile_bands(layout, percentiles).bands
+                assert bands.dtype == np.float64
+                assert bands.tobytes() == expected.tobytes()
+                assert layout.tobytes() == original.tobytes()  # input left as it was
 
 
 class TestFoldDaily:
