@@ -47,10 +47,13 @@ def _long_lived_ids(
     return ids
 
 
-#: Scratch budget for one windowed percentile pass, in bytes.  The window
-#: width adapts so the gathered float32 slab plus its float64 copy stay
-#: under this, independent of how many VMs qualify.
+#: Scratch budget for one windowed percentile pass, in bytes, and what one
+#: window element costs at peak: its gathered float32 slab (4) plus what
+#: ``percentile_bands`` allocates beyond its input (a sorted copy, its
+#: float64 cast and ``np.percentile``'s own float64 copy: 16.25 under
+#: tracemalloc), rounded up.  The window width adapts to stay under budget.
 _BAND_WINDOW_BYTES = 256 * 1024 * 1024
+_BAND_BYTES_PER_ELEMENT = 21
 
 
 def weekly_percentiles(
@@ -69,7 +72,7 @@ def weekly_percentiles(
     """
     ids = _long_lived_ids(store, cloud, max_vms=max_vms)
     n_samples = store.metadata.n_samples
-    window = max(16, _BAND_WINDOW_BYTES // (12 * len(ids)))
+    window = max(16, _BAND_WINDOW_BYTES // (_BAND_BYTES_PER_ELEMENT * len(ids)))
     if window >= n_samples:
         return percentile_bands(store.utilization_matrix(ids), percentiles)
     bands = np.empty((len(percentiles), n_samples), dtype=np.float64)

@@ -35,7 +35,6 @@ from repro.obs import Counter, span
 from repro.experiments import faultinject
 from repro.telemetry.io import (
     TraceCorruptionError,
-    is_trace_dir,
     load_trace,
     save_trace_atomic,
 )
@@ -188,7 +187,7 @@ def fetch_trace(
     ``spill`` controls shard-spilled synthesis on a miss: ``True``/``False``
     force it, ``None`` (default) turns it on above
     :data:`SPILL_SCALE_THRESHOLD`.  Spill scratch lives under the cache
-    root (same filesystem, so the v2 save hard-links shards instead of
+    root (same filesystem, so the save hard-links shards instead of
     rewriting them) and is deleted once the saved trace owns the shards;
     with ``use_cache=False`` it is kept alive until the store is garbage
     collected.  Spilling never changes the trace bytes or the cache key.
@@ -196,7 +195,7 @@ def fetch_trace(
     key = config_hash(config)
     path = trace_cache_path(config, cache_dir)
     evicted_corrupt = False
-    if use_cache and is_trace_dir(path):
+    if use_cache and path.exists():
         # Test/CI seam: an armed REPRO_FAULT=cache:corrupt truncates the
         # entry here, exercising the eviction path below deterministically.
         faultinject.maybe_corrupt_cache(path)

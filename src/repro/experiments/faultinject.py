@@ -210,12 +210,12 @@ def maybe_corrupt_cache(trace_dir: str | Path) -> bool:
     return False
 
 
-def corrupt_trace_dir(trace_dir: str | Path, filename: str = "vms.jsonl") -> Path:
+def corrupt_trace_dir(trace_dir: str | Path, filename: str = "vms/vm_id.npy") -> Path:
     """Deterministically truncate one file of a saved trace directory.
 
     The file is cut to half its size, which both breaks its checksum and
-    (for JSONL/JSON payloads) leaves an unparseable tail -- exactly the
-    shape a torn write or partial download produces.
+    leaves an unparseable tail (a short ``.npy`` column, torn JSON) --
+    exactly the shape a torn write or partial download produces.
     """
     target = Path(trace_dir) / filename
     data = target.read_bytes()

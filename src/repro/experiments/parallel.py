@@ -26,7 +26,7 @@ Worker processes get the shared trace for free: on fork start methods they
 inherit the parent's warmed in-memory memo, and on spawn they fall back to
 the content-addressed on-disk cache (:mod:`repro.experiments.cache`), so
 no job count ever re-synthesizes a trace another process already built.
-With a format-v2 trace this hand-off is zero-copy for telemetry either
+With a saved (format v3) trace this hand-off is zero-copy for telemetry either
 way: the store's utilization blocks are
 :class:`~repro.telemetry.shards.ShardRef` entries that pickle (and load)
 as *paths* into the cached trace directory, so each worker memory-maps

@@ -6,8 +6,8 @@ same knowledge warm *online*: a long-running asyncio service
 (:class:`~repro.serving.service.KnowledgeBaseService`) ingests telemetry
 incrementally through a bounded queue, maintains per-subscription and
 per-region characterizations via dirty-set refresh, and answers concurrent
-queries over a newline-JSON TCP protocol.  Storage is pluggable
-(:mod:`repro.serving.backends`), arrival traffic comes from a timed trace
+queries over a newline-JSON TCP protocol.  Storage lives in
+:mod:`repro.serving.backends`, arrival traffic comes from a timed trace
 replayer (:mod:`repro.serving.replay`), and sustained QPS / tail latency is
 benchmarked and CI-gated by ``bench-serve`` in :mod:`repro.bench`.
 
@@ -18,14 +18,13 @@ ingest prefix.  Online and batch paths share one record builder
 (:func:`~repro.core.knowledge_base.build_subscription_record`), so they
 cannot drift.
 
-See ``docs/SERVING.md`` for the protocol, the backend seam, and the bench
+See ``docs/SERVING.md`` for the protocol, the backend, and the bench
 schema/tolerance policy.
 """
 
 from repro.serving.backends import (
     IngestRecord,
     MemoryBackend,
-    StorageBackend,
     apply_record,
     copy_topology,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "ReplayStats",
     "ServiceClient",
     "ServiceError",
-    "StorageBackend",
     "apply_record",
     "copy_topology",
     "iter_ingest_records",

@@ -1,12 +1,10 @@
-"""Pluggable storage backends for the online knowledge-base service.
+"""Storage for the online knowledge-base service.
 
-The service is storage-agnostic: it talks to a :class:`StorageBackend`, which
-owns a :class:`~repro.telemetry.store.TraceStore` and applies
-:class:`IngestRecord` deltas to it.  :class:`MemoryBackend` is the in-process
-implementation shipped today — a plain TraceStore plus a bounded ring buffer
-of recent ingest activity.  An external column store plugs into the same seam
-later by implementing the four abstract methods; the service and the
-equivalence tests never look past them.
+The service talks to a :class:`MemoryBackend`, which owns a
+:class:`~repro.telemetry.store.TraceStore` and applies :class:`IngestRecord`
+deltas to it, plus a bounded ring buffer of recent ingest activity.  The
+service and the equivalence tests use only its four methods (``store``,
+``apply``, ``recent``, ``describe``).
 
 ``apply_record`` is module-level on purpose: the replay truncation helper
 (:func:`repro.serving.replay.truncated_store`) applies the *same* function to
@@ -192,37 +190,7 @@ def copy_topology(source: TraceStore, dest: TraceStore) -> None:
         dest.add_subscription(subscription)
 
 
-class StorageBackend:
-    """Seam between the service and whatever holds the telemetry.
-
-    Contract:
-
-    - ``store()`` returns a TraceStore-compatible view the analysis kernels
-      read (``vm``/``utilization``/``events``/``subscriptions``/``regions``);
-      for out-of-process backends this is a local materialization.
-    - ``apply(record)`` durably applies one :class:`IngestRecord`; it must be
-      equivalent to :func:`apply_record` on the returned store.
-    - ``recent(limit)`` returns summaries of the most recently applied
-      records, newest last (best-effort; bounded).
-    - ``describe()`` returns a JSON-safe dict for the ``stats`` query.
-    """
-
-    name = "abstract"
-
-    def store(self) -> TraceStore:
-        raise NotImplementedError
-
-    def apply(self, record: IngestRecord) -> None:
-        raise NotImplementedError
-
-    def recent(self, limit: int | None = None) -> list[dict]:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-
-class MemoryBackend(StorageBackend):
+class MemoryBackend:
     """In-memory backend: a TraceStore plus a ring buffer of recent ingest."""
 
     name = "memory"

@@ -1,7 +1,7 @@
 """The online workload-knowledge-base service (Section V, kept warm).
 
 :class:`KnowledgeBaseService` is a single-event-loop asyncio server around a
-:class:`~repro.serving.backends.StorageBackend`:
+:class:`~repro.serving.backends.MemoryBackend`:
 
 * **Ingest** arrives in :class:`~repro.serving.backends.IngestRecord`
   batches through a *bounded* queue (producers feel backpressure when the
@@ -51,7 +51,6 @@ from repro.obs import Counter, span
 from repro.serving.backends import (
     IngestRecord,
     MemoryBackend,
-    StorageBackend,
     copy_topology,
 )
 from repro.telemetry.schema import Cloud, EventKind
@@ -109,7 +108,7 @@ class KnowledgeBaseService:
     def __init__(
         self,
         *,
-        backend: StorageBackend | None = None,
+        backend: MemoryBackend | None = None,
         queue_maxsize: int = 64,
         stall_delay: float = 0.05,
     ) -> None:
@@ -179,7 +178,7 @@ class KnowledgeBaseService:
             copy_topology(source, self._backend.store())
 
     @property
-    def backend(self) -> StorageBackend:
+    def backend(self) -> MemoryBackend:
         return self._backend
 
     # ------------------------------------------------------------------

@@ -3,32 +3,36 @@
 A trace saves to a directory:
 
 * ``metadata.json`` -- window duration, sample period, label, format;
-* ``topology.json`` -- regions, clusters, nodes, subscriptions;
-* ``vms.jsonl`` / ``events.jsonl`` -- one JSON object per row;
+* ``<table>/<field>.npy`` -- one column per field of each record table
+  (:data:`TABLES`), rows in store order, and ``dictionary.json``, the
+  value table of every coded column (below);
 * ``utilization/`` -- telemetry as fixed-size float32 ``.npy`` row
   shards plus an ``index.json`` mapping each shard to its VM ids in row
   order.  Shards are loaded lazily via ``np.load(..., mmap_mode="r")``
-  (see :mod:`repro.telemetry.shards`), so opening a paper-scale trace
-  reads only its metadata and workers attach telemetry zero-copy by
-  path;
+  (see :mod:`repro.telemetry.shards`), so workers attach telemetry
+  zero-copy by path;
 * ``checksums.json`` -- sha256 + byte size of every other file, written
   last so readers can detect truncated or bit-rotted entries.  It is
-  required: a directory without it is a torn save, not a valid trace.  Shard
-  payloads record full digests too, but routine verification checks them
-  shallowly (existence + size) -- hashing gigabytes of telemetry on every
-  load would defeat lazy mapping; pass ``deep=True`` to
-  :func:`verify_trace_dir` for a full audit.
+  required: a directory without it is a torn save, not a valid trace.
+  Shard payloads are verified shallowly (existence + size) -- hashing
+  gigabytes of telemetry on every load would defeat lazy mapping; pass
+  ``deep=True`` to :func:`verify_trace_dir` for a full audit.
 
-``ended_at = inf`` (right-censored VMs) is encoded as JSON ``null``.
+A field whose values are all ``int`` (not ``bool``) is an int64 column,
+one whose values are all ``float`` (``np.float64`` too) a float64 column,
+so ``ended_at = inf`` is stored as is.  Any other field (strings, enums,
+tuples, ints mixed with floats) is an int32 column of codes into the
+dictionary, a list of ``[type, value]`` pairs in first-appearance order.
+Keyed by type as well as value, it keeps ``2`` and ``2.0`` apart: every
+loaded value has the Python type it was saved with.
 
 Corruption handling: :func:`verify_trace_dir` (and :func:`load_trace`,
 which calls it) raise the typed :class:`TraceCorruptionError` on missing,
-truncated, unparseable, or checksum-mismatched files instead of leaking
-``KeyError``/``EOFError`` from whichever parser happened to trip first.
-:func:`load_trace` also raises it for any ``format`` other than
-:data:`TRACE_FORMAT_VERSION` rather than load another layout without its
-telemetry.  Callers like the trace cache catch that one type, evict the
-entry, and fall back to re-synthesis.
+truncated, unparseable, or checksum-mismatched files, on any ``format``
+other than :data:`TRACE_FORMAT_VERSION`, and on columns that are not 1-D
+int64/float64/int32, differ in length within a table or hold codes
+outside the dictionary.  Callers like the trace cache catch that one
+type, evict the entry, and fall back to re-synthesis.
 """
 
 from __future__ import annotations
@@ -36,11 +40,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import shutil
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from repro.obs import Counter, span
 from repro.telemetry.schema import (
@@ -57,19 +62,46 @@ from repro.telemetry.shards import DEFAULT_SHARD_ROWS, ShardRef, write_shard
 from repro.telemetry.store import TraceMetadata, TraceStore
 
 
+#: Record tables in save order, each a directory of one column per field.
+TABLES = {
+    "regions": RegionInfo,
+    "clusters": ClusterInfo,
+    "nodes": NodeInfo,
+    "subscriptions": SubscriptionInfo,
+    "vms": VMRecord,
+    "events": EventRecord,
+}
+
+#: The value table of every dictionary-coded column.
+DICTIONARY_FILE = "dictionary.json"
+
 #: Files every saved trace directory must contain (utilization payloads are
 #: optional: traces generated without telemetry omit them).
-TRACE_FILES = ("metadata.json", "topology.json", "vms.jsonl", "events.jsonl")
+TRACE_FILES = ("metadata.json", DICTIONARY_FILE) + tuple(
+    f"{table}/{field.name}.npy"
+    for table, record in TABLES.items()
+    for field in dataclasses.fields(record)
+)
 
 #: The one trace directory format this module writes and reads.  Any other
 #: ``format`` raises :class:`TraceCorruptionError`, so the content-addressed
 #: trace cache evicts such an entry and re-synthesizes it.
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
+
+#: Dictionary entry types by tag.  A value is tagged by its exact type, and
+#: ``np.float64`` as ``float`` (JSON wrote it as one).
+_DECODERS = {
+    "str": str, "int": int, "float": float, "bool": bool,
+    "cloud": Cloud, "event": EventKind, "tuple": tuple,
+}
+_TAGS = {kind: tag for tag, kind in _DECODERS.items()} | {np.float64: "float"}
+_CODE_DTYPE = np.dtype(np.int32)
+_COLUMN_DTYPES = (np.dtype(np.int64), np.dtype(np.float64), _CODE_DTYPE)
 
 #: Subdirectory holding utilization shards and their index.
 UTIL_DIR = "utilization"
 
-#: Integrity sidecar written last by :func:`save_trace`.  Every format-2
+#: Integrity sidecar written last by :func:`save_trace`.  Every format-3
 #: trace has one, so a directory without it is a torn (non-atomic) save.
 CHECKSUM_FILE = "checksums.json"
 
@@ -128,8 +160,8 @@ def verify_trace_dir(directory: str | Path, *, deep: bool = False) -> Path:
         path = directory / name
         if not path.is_file():
             raise TraceCorruptionError(f"trace {directory} is missing {name}")
-        # An empty JSON document is always torn; empty *.jsonl files are
-        # legitimate (a trace with no VMs or events).
+        # An empty JSON document is always torn (an empty column still
+        # has its .npy header).
         if name.endswith(".json") and path.stat().st_size == 0:
             raise TraceCorruptionError(f"trace {directory} has empty {name}")
     sidecar = directory / CHECKSUM_FILE
@@ -181,17 +213,13 @@ def save_trace_atomic(store: TraceStore, directory: str | Path) -> Path:
     try:
         with span("io.save_trace", vms=len(store)):
             adopted = _save_trace(store, tmp)
-        won = True
         try:
             tmp.rename(directory)
         except OSError:
-            won = False
             if not is_trace_dir(directory):
                 raise
-        if won:
-            _repoint_shards(adopted, directory)
-            _TRACES_WRITTEN.inc()
-            _BYTES_WRITTEN.inc(_trace_bytes(directory))
+        else:
+            _saved(adopted, directory)
     finally:
         _cleanup_tmp_dir(tmp)
     return directory
@@ -228,16 +256,16 @@ def save_trace(store: TraceStore, directory: str | Path) -> Path:
     directory = Path(directory)
     with span("io.save_trace", vms=len(store)):
         adopted = _save_trace(store, directory)
-    _repoint_shards(adopted, directory)
-    _TRACES_WRITTEN.inc()
-    _BYTES_WRITTEN.inc(_trace_bytes(directory))
+    _saved(adopted, directory)
     return directory
 
 
-def _repoint_shards(adopted: "list[tuple[ShardRef, str]]", directory: Path) -> None:
-    """Point adopted shard refs at their saved copies under ``directory``."""
+def _saved(adopted: "list[tuple[ShardRef, str]]", directory: Path) -> None:
+    """Point adopted shard refs at their copies under ``directory``; count the save."""
     for ref, relative in adopted:
         ref.path = directory / relative
+    _TRACES_WRITTEN.inc()
+    _BYTES_WRITTEN.inc(_trace_bytes(directory))
 
 
 def _save_trace(store: TraceStore, directory: Path) -> "list[tuple[ShardRef, str]]":
@@ -254,27 +282,15 @@ def _save_trace(store: TraceStore, directory: Path) -> "list[tuple[ShardRef, str
     # Store insertion order *is* the canonical trace-file order -- it is a
     # deterministic function of the simulated week -- so these writes keep
     # it deliberately instead of re-sorting entities by id.
-    topology = {
-        "regions": [_record_dict(r) for r in store.regions.values()],
-        "clusters": [_plain(_record_dict(c)) for c in store.clusters.values()],
-        "nodes": [_plain(_record_dict(n)) for n in store.nodes.values()],
-        "subscriptions": [
-            {**_plain(_record_dict(s)), "regions": list(s.regions)}
-            for s in store.subscriptions.values()
-        ],
-    }
-    (directory / "topology.json").write_text(json.dumps(topology, indent=2))
-
-    with (directory / "vms.jsonl").open("w") as fh:
-        for vm in store.vms():
-            row = _plain(_record_dict(vm))
-            if math.isinf(vm.ended_at):
-                row["ended_at"] = None
-            fh.write(json.dumps(row) + "\n")
-
-    with (directory / "events.jsonl").open("w") as fh:
-        for event in store.events():
-            fh.write(json.dumps(_plain(_record_dict(event))) + "\n")
+    codes: dict = {}
+    for table, record in TABLES.items():
+        rows = getattr(store, table)  # a topology dict, or vms()/events()
+        rows = rows() if callable(rows) else list(rows.values())
+        (directory / table).mkdir(exist_ok=True)
+        for field in dataclasses.fields(record):
+            column = _encode_column([getattr(row, field.name) for row in rows], codes)
+            np.save(directory / table / f"{field.name}.npy", column, allow_pickle=False)
+    (directory / DICTIONARY_FILE).write_text(json.dumps([list(key) for key in codes]))
 
     adopted = _save_utilization(store, directory)
 
@@ -293,6 +309,18 @@ def _save_trace(store: TraceStore, directory: Path) -> "list[tuple[ShardRef, str
     }
     (directory / CHECKSUM_FILE).write_text(json.dumps(payload, indent=2))
     return adopted
+
+
+def _encode_column(values: list, codes: dict) -> np.ndarray:
+    """One field's values as an int64, float64 or ``codes`` column (new keys join it)."""
+    if all(type(value) is int for value in values):
+        return np.array(values, dtype=np.int64)
+    if all(isinstance(value, float) for value in values):
+        return np.array(values, dtype=np.float64)
+    return np.array(
+        [codes.setdefault((_TAGS[type(value)], value), len(codes)) for value in values],
+        dtype=_CODE_DTYPE,
+    )
 
 
 def _link_or_copy(source: Path, target: Path) -> None:
@@ -391,14 +419,7 @@ def load_trace(directory: str | Path) -> TraceStore:
     with span("io.load_trace", path=str(directory)):
         try:
             store = _load_trace(directory)
-        except (
-            json.JSONDecodeError,
-            KeyError,
-            TypeError,
-            ValueError,
-            EOFError,
-            OSError,
-        ) as exc:
+        except (KeyError, TypeError, ValueError, EOFError, OSError) as exc:  # JSON errors too
             raise TraceCorruptionError(
                 f"trace {directory} failed to parse: {type(exc).__name__}: {exc}"
             ) from exc
@@ -416,69 +437,65 @@ def _load_trace(directory: Path) -> TraceStore:
             f"{TRACE_FORMAT_VERSION} is readable (re-save or re-synthesize it)"
         )
     store = TraceStore(
-        TraceMetadata(
-            duration=meta["duration"],
-            sample_period=meta["sample_period"],
-            label=meta.get("label", ""),
-        )
+        TraceMetadata(meta["duration"], meta["sample_period"], meta.get("label", ""))
     )
 
-    topology = json.loads((directory / "topology.json").read_text())
-    for row in topology.get("regions", []):
-        store.add_region(RegionInfo(**row))
-    for row in topology.get("clusters", []):
-        row["cloud"] = Cloud(row["cloud"])
-        store.add_cluster(ClusterInfo(**row))
-    for row in topology.get("nodes", []):
-        row["cloud"] = Cloud(row["cloud"])
-        store.add_node(NodeInfo(**row))
-    for row in topology.get("subscriptions", []):
-        row["cloud"] = Cloud(row["cloud"])
-        row["regions"] = tuple(row.get("regions", ()))
-        store.add_subscription(SubscriptionInfo(**row))
-
-    with (directory / "vms.jsonl").open() as fh:
-        for line in fh:
-            row = json.loads(line)
-            row["cloud"] = Cloud(row["cloud"])
-            if row.get("ended_at") is None:
-                row["ended_at"] = float("inf")
-            store.add_vm(VMRecord(**row))
-
-    with (directory / "events.jsonl").open() as fh:
-        for line in fh:
-            row = json.loads(line)
-            row["cloud"] = Cloud(row["cloud"])
-            row["kind"] = EventKind(row["kind"])
-            store.add_event(EventRecord(**row))
+    dictionary = [
+        _DECODERS[tag](value)
+        for tag, value in json.loads((directory / DICTIONARY_FILE).read_text())
+    ]
+    tables = {table: _load_columns(directory, table, dictionary) for table in TABLES}
+    rows = {table: list(map(TABLES[table], *tables[table].values())) for table in TABLES}
+    for table, add in (
+        ("regions", store.add_region),
+        ("clusters", store.add_cluster),
+        ("nodes", store.add_node),
+        ("subscriptions", store.add_subscription),
+        ("vms", store.add_vm),
+    ):
+        for row in rows[table]:
+            add(row)
+    # One vectorized (time, kind, vm_id) order check instead of one per row.
+    events = tables["events"]
+    order = np.lexsort((
+        np.array(events["vm_id"]),
+        np.array([kind.value for kind in events["kind"]], dtype=str),
+        np.array(events["time"]),
+    ))
+    store.add_events(rows["events"], ordered=bool((order == np.arange(len(order))).all()))
 
     index_path = directory / UTIL_DIR / "index.json"
     if index_path.exists():
-        index = json.loads(index_path.read_text())
-        n_samples = store.metadata.n_samples
-        for entry in index["shards"]:
-            # Shards attach lazily: no telemetry byte is read here, and
-            # worker processes loading the same trace share the bytes
-            # through the page cache (zero-copy attach by path).
+        # Shards attach lazily: no telemetry byte is read here, and worker
+        # processes loading the same trace share the bytes through the page
+        # cache (zero-copy attach by path).
+        for entry in json.loads(index_path.read_text())["shards"]:
             store.add_utilization_shard(
                 [int(vm_id) for vm_id in entry["vm_ids"]],
                 ShardRef(
                     directory / UTIL_DIR / entry["file"],
                     int(entry["rows"]),
-                    n_samples,
+                    store.metadata.n_samples,
                 ),
             )
     return store
 
 
-def _record_dict(record) -> dict:
-    """Field dict of a (possibly slotted) dataclass record, in field order."""
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-
-
-def _plain(row: dict) -> dict:
-    """Render enum values as their string payloads for JSON."""
-    return {
-        key: (value.value if isinstance(value, (Cloud, EventKind)) else value)
-        for key, value in row.items()
-    }
+def _load_columns(directory: Path, table: str, dictionary: list) -> dict[str, list]:
+    """One table's decoded columns, by field name, in field order."""
+    columns = {}
+    for field in dataclasses.fields(TABLES[table]):
+        name = f"{table}/{field.name}.npy"
+        column = np.load(directory / name, allow_pickle=False)
+        if column.ndim != 1 or column.dtype not in _COLUMN_DTYPES:
+            shape = f"{column.dtype} {column.shape}"
+            raise TraceCorruptionError(f"trace {directory}: {name} is {shape}")
+        values = column.tolist()
+        if column.dtype == _CODE_DTYPE:
+            if values and not (0 <= column.min() and column.max() < len(dictionary)):
+                raise TraceCorruptionError(f"trace {directory}: {name} has unknown codes")
+            values = [dictionary[code] for code in values]
+        columns[field.name] = values
+    if len({len(values) for values in columns.values()}) > 1:
+        raise TraceCorruptionError(f"trace {directory}: {table} columns differ in length")
+    return columns

@@ -1,8 +1,8 @@
-"""Sharded, memory-mapped utilization storage (trace format v2).
+"""Sharded, memory-mapped utilization storage of saved traces.
 
 Utilization telemetry is the only part of a trace that outgrows RAM: at
 paper scale it is a ``(n_vms, n_samples)`` float32 matrix of several GB.
-Format v2 stores it as fixed-size row shards -- plain ``.npy`` files of at
+A saved trace stores it as fixed-size row shards -- plain ``.npy`` files of at
 most :data:`DEFAULT_SHARD_ROWS` rows each -- under ``<trace>/utilization/``,
 described by an ``index.json`` mapping every shard to its VM ids in row
 order.
@@ -176,7 +176,7 @@ def write_shard(path: Path, rows: np.ndarray) -> ShardRef:
 
 
 class ShardSpiller:
-    """Sequential row writer that lands directly in v2 shard files.
+    """Sequential row writer that lands directly in trace shard files.
 
     The generator asks for writable views of global row ranges (which must
     not cross shard boundaries -- see :meth:`chunk_ranges`), fills them with

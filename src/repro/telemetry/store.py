@@ -23,7 +23,7 @@ wrapping the series in a single-row block.  All reads
 the index, so callers never see the physical layout.
 
 A block may be resident (an ``np.ndarray``) or lazy (a
-:class:`~repro.telemetry.shards.ShardRef` memory-mapping a v2 trace shard
+:class:`~repro.telemetry.shards.ShardRef` memory-mapping a saved trace's shard
 on first touch); every internal access resolves through
 :meth:`TraceStore._block`, so the two kinds are indistinguishable to
 callers.  Reads hand out **read-only** plain ``np.ndarray`` views (of the
@@ -220,6 +220,17 @@ class TraceStore:
         self._events.append(event)
         self._version += 1
 
+    def add_events(self, events: Sequence[EventRecord], *, ordered: bool) -> None:
+        """Append events; ``ordered`` vouches they are in :func:`_event_order`.
+
+        Only the seam with the events already stored is keyed here.
+        """
+        if events and self._events and _event_order(events[0]) < _event_order(self._events[-1]):
+            ordered = False
+        self._events.extend(events)
+        self._events_sorted = self._events_sorted and ordered
+        self._version += 1
+
     def add_utilization(self, vm_id: int, series: np.ndarray) -> None:
         """Attach a 5-minute CPU utilization series (values in ``[0, 1]``)."""
         series = np.asarray(series, dtype=np.float32).ravel()
@@ -274,7 +285,7 @@ class TraceStore:
         Row ``i`` of the shard becomes the series of ``vm_ids[i]``, exactly
         like :meth:`add_utilization_block`, but the shard's bytes are *not*
         read -- they are memory-mapped on first access.  Value-range
-        validation is the shard writer's responsibility (the v2 loader
+        validation is the shard writer's responsibility (the trace loader
         relies on checksums instead of a full scan, which would defeat lazy
         loading).
         """

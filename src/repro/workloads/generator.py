@@ -78,7 +78,7 @@ _SERIES_SYNTHESIZED = Counter("generator.telemetry_series")
 #: Size distribution of periodic synthesis groups (deterministic per config).
 _GROUP_SIZES = Histogram("generator.group_size", bounds=(1, 4, 16, 64, 256, 1024, 4096))
 
-#: Rows per vectorized synthesis chunk.  Matches the v2 shard size so the
+#: Rows per vectorized synthesis chunk.  Matches the trace shard size so the
 #: spill path's chunks never cross shard boundaries; every bulk fill is a
 #: single logical RNG draw split row-wise, which numpy's Generators stream
 #: identically however the split falls -- chunked output is bit-identical
@@ -141,7 +141,7 @@ class TraceGenerator:
         self._rng = np.random.default_rng([self.config.seed, seed_key])
         self._next_deployment = self._offset
         self._subscriptions: list[_Subscription] = []
-        #: When set, synthesized telemetry spills straight into v2 shard
+        #: When set, synthesized telemetry spills straight into trace shard
         #: files under this directory instead of one in-RAM matrix; the
         #: generated values are bit-identical either way (``spill_dir`` is
         #: deliberately *not* a GeneratorConfig field, so it never enters
@@ -469,7 +469,7 @@ class TraceGenerator:
         Per-VM parameters are drawn once per group; the bulk fills run in
         fixed row chunks into either one preallocated ``(n_vms, T)`` matrix
         (registered as a single storage block) or, with ``spill_dir`` set,
-        directly into on-disk v2 shards attached lazily -- paper-scale
+        directly into on-disk trace shards attached lazily -- paper-scale
         telemetry then never exists in RAM at once.  Chunking never changes
         the output: each pass is one logical RNG fill split row-wise, which
         numpy Generators stream identically however the split falls.
@@ -513,7 +513,7 @@ class TraceGenerator:
                 periodic.setdefault(key, []).append(entry)
 
         # Groups are laid out contiguously in row order -- either in one
-        # preallocated float32 matrix (resident path) or directly in v2
+        # preallocated float32 matrix (resident path) or directly in trace
         # shard files on disk (spill path).  Every bulk fill runs in
         # shard-aligned row chunks; each chunked pass is one logical RNG
         # draw split row-wise, so both paths emit the exact bytes the old
@@ -788,7 +788,7 @@ def generate_trace_pair(
     the sequential ``workers=1`` run.  Falls back to sequential generation
     when a process pool cannot be started.
 
-    ``spill_dir`` routes telemetry synthesis straight to on-disk v2 shards
+    ``spill_dir`` routes telemetry synthesis straight to on-disk trace shards
     (the two clouds share the directory under distinct file prefixes, and
     worker processes hand shards back by path); the trace's values are
     bit-identical with or without it.

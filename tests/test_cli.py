@@ -110,7 +110,7 @@ def test_generate_and_study_round_trip(tmp_path, capsys):
         ["generate", "--seed", "3", "--scale", "0.05", "--out", str(trace_dir)]
     )
     assert code == 0
-    assert (trace_dir / "vms.jsonl").exists()
+    assert (trace_dir / "vms" / "vm_id.npy").exists()
 
     # Reuse the saved trace for the knowledge-base command.
     kb_path = tmp_path / "kb.json"

@@ -81,8 +81,8 @@ def test_round_trip_preserves_summary(populated_store, tmp_path):
 def test_save_creates_directory(populated_store, tmp_path):
     target = tmp_path / "deep" / "nested" / "dir"
     save_trace(populated_store, target)
-    assert (target / "vms.jsonl").exists()
-    # Format v2: a sharded utilization directory.
+    assert (target / "vms" / "vm_id.npy").exists()
+    # A sharded utilization directory.
     assert (target / "utilization" / "index.json").exists()
     assert list((target / "utilization").glob("*.npy"))
 
@@ -183,7 +183,7 @@ else:
 
 
 # ----------------------------------------------------------------------
-# trace-format v2 (sharded utilization)
+# sharded utilization
 # ----------------------------------------------------------------------
 from repro.telemetry.io import save_trace_atomic, verify_trace_dir  # noqa: E402
 from repro.telemetry.shards import ShardRef, mmap_cache  # noqa: E402
@@ -191,7 +191,7 @@ from repro.telemetry.store import TraceStore as _TraceStore  # noqa: E402
 
 
 def test_v2_load_is_lazy(populated_store, tmp_path):
-    """Loading a v2 trace attaches shards by path without reading them."""
+    """Loading a trace attaches shards by path without reading them."""
     save_trace(populated_store, tmp_path / "v2")
     mmap_cache().clear()
     loaded = load_trace(tmp_path / "v2")
@@ -280,3 +280,135 @@ def test_v2_atomic_save_round_trip(populated_store, tmp_path):
     np.testing.assert_array_equal(
         loaded.utilization(1), populated_store.utilization(1)
     )
+
+
+# ----------------------------------------------------------------------
+# exact row identity through the column codec
+# ----------------------------------------------------------------------
+import dataclasses  # noqa: E402
+
+from repro.telemetry.io import CHECKSUM_FILE, TABLES  # noqa: E402
+
+
+def _table_reprs(store: TraceStore) -> dict[str, list[str]]:
+    """Every table's rows as ``repr(astuple(row))`` (values and types), in table order."""
+    rows = {
+        "regions": store.regions.values(),
+        "clusters": store.clusters.values(),
+        "nodes": store.nodes.values(),
+        "subscriptions": store.subscriptions.values(),
+        "vms": store.vms(),
+        "events": store.events(),
+    }
+    assert set(rows) == set(TABLES)
+    return {table: [repr(dataclasses.astuple(row)) for row in rows[table]] for table in rows}
+
+
+def _assert_rows_identical(store: TraceStore, directory) -> TraceStore:
+    save_trace(store, directory)
+    loaded = load_trace(directory)
+    assert _table_reprs(loaded) == _table_reprs(store)
+    return loaded
+
+
+def _awkward_store() -> TraceStore:
+    """Every value shape the codec must keep exactly."""
+    store = TraceStore()
+    store.add_region(RegionInfo(name="são-paulo", tz_offset_hours=-3, country="BR"))
+    store.add_region(RegionInfo(name="us-east", tz_offset_hours=-5.5, renewable_score=1))
+    store.add_cluster(ClusterInfo(1, "são-paulo", Cloud.PUBLIC, 2, 96, 768.0))
+    store.add_node(NodeInfo(3, 1, 2, "são-paulo", Cloud.PUBLIC, 96.0, 768))
+    store.add_subscription(SubscriptionInfo(10, Cloud.PUBLIC, "サービス", regions=()))
+    store.add_subscription(
+        SubscriptionInfo(11, Cloud.PRIVATE, "svc", "first", ("us-east", "são-paulo"))
+    )
+    # int and float sizes share one column; "" patterns; -inf..inf times.
+    store.add_vm(make_vm(1, region="são-paulo", service="サービス", cores=2, memory_gb=8,
+                         created_at=-50.0, pattern=""))
+    store.add_vm(make_vm(2, cores=2.0, memory_gb=3.5, ended_at=3600.0))
+    store.add_vm(make_vm(3, cores=0.5, memory_gb=8, created_at=-1, ended_at=7200))
+    store.add_event(EventRecord(0.0, EventKind.CREATE, 2, Cloud.PRIVATE, "us-east"))
+    store.add_event(
+        EventRecord(10.0, EventKind.ALLOCATION_FAILURE, -1, Cloud.PUBLIC, "são-paulo",
+                    detail="no capacity ⚠")
+    )
+    store.add_event(EventRecord(5, EventKind.TERMINATE, 3, Cloud.PRIVATE, "us-east"))
+    return store
+
+
+def test_small_trace_rows_identical(small_trace, tmp_path):
+    _assert_rows_identical(small_trace, tmp_path / "t")
+
+
+def test_awkward_values_keep_value_and_type(tmp_path):
+    loaded = _assert_rows_identical(_awkward_store(), tmp_path / "t")
+    assert [type(vm.cores) for vm in loaded.vms()] == [int, float, float]
+    assert loaded.vm(1).ended_at == float("inf")
+    assert loaded.subscriptions[10].regions == ()
+    assert loaded.events()[0].detail == ""
+    assert loaded.events(kind=EventKind.ALLOCATION_FAILURE)[0].vm_id == -1
+
+
+@pytest.mark.parametrize("drop", ["vms", "events", "topology"])
+def test_partial_stores_round_trip(tmp_path, drop):
+    store = _awkward_store()
+    if drop == "vms":
+        store._vms.clear()
+    elif drop == "events":
+        store._events.clear()
+    else:
+        for table in (store.regions, store.clusters, store.nodes, store.subscriptions):
+            table.clear()
+    _assert_rows_identical(store, tmp_path / "t")
+
+
+def test_numpy_floats_load_as_python_floats(tmp_path):
+    store = TraceStore()
+    store.add_vm(make_vm(1, cores=np.float64(2.0), created_at=np.float64(-1.5)))
+    store.add_vm(make_vm(2, cores=4, memory_gb=np.float64(3.5)))
+    save_trace(store, tmp_path / "t")
+    loaded = load_trace(tmp_path / "t")
+    assert repr(dataclasses.astuple(loaded.vm(1))[9:13]) == "(2.0, 16.0, -1.5, inf)"
+    assert repr(dataclasses.astuple(loaded.vm(2))[9:11]) == "(4, 3.5)"
+
+
+def test_loaded_event_order_check(tmp_path):
+    """The loader's one-pass order check compares kinds by value, not by code."""
+    from tests.test_trace_corruption import npy_bytes, rewrite_file
+
+    store = TraceStore()
+    for time, kind, vm_id in [
+        (0.0, EventKind.TERMINATE, 1),  # TERMINATE takes the smaller code
+        (1.0, EventKind.CREATE, 2),
+        (1.0, EventKind.TERMINATE, 3),
+        (1.0, EventKind.TERMINATE, 4),
+    ]:
+        store.add_event(EventRecord(time, kind, vm_id, Cloud.PRIVATE, "us-east"))
+    directory = tmp_path / "t"
+    save_trace(store, directory)
+    assert load_trace(directory)._events_sorted
+    # Out of order on the last key only.
+    rewrite_file(directory, "events/vm_id.npy", npy_bytes(np.array([1, 2, 4, 3])))
+    loaded = load_trace(directory)
+    assert not loaded._events_sorted
+    assert [e.vm_id for e in loaded.events()] == [1, 2, 3, 4]
+
+
+def test_add_events_keys_the_seam(populated_store):
+    """Bulk events that start before the last stored one unset the order flag."""
+    populated_store.add_events(
+        [EventRecord(4000.0, EventKind.CREATE, 9, Cloud.PRIVATE, "us-east")], ordered=True
+    )
+    assert populated_store._events_sorted
+    populated_store.add_events(
+        [EventRecord(1.0, EventKind.CREATE, 8, Cloud.PRIVATE, "us-east")], ordered=True
+    )
+    assert not populated_store._events_sorted
+    assert [e.time for e in populated_store.events()] == [1.0, 3600.0, 4000.0]
+
+
+def test_saving_twice_is_byte_identical(small_trace, tmp_path):
+    save_trace(small_trace, tmp_path / "a")
+    save_trace(small_trace, tmp_path / "b")
+    first = (tmp_path / "a" / CHECKSUM_FILE).read_bytes()
+    assert first == (tmp_path / "b" / CHECKSUM_FILE).read_bytes()

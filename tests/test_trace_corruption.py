@@ -9,8 +9,12 @@ miss: evict, re-synthesize, re-save.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import io
 import json
+import pickle
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,8 @@ from repro.experiments.faultinject import corrupt_trace_dir
 from repro.obs import metrics
 from repro.telemetry.io import (
     CHECKSUM_FILE,
+    DICTIONARY_FILE,
+    TABLES,
     TRACE_FILES,
     TRACE_FORMAT_VERSION,
     TraceCorruptionError,
@@ -37,30 +43,53 @@ from tests.test_store import make_vm
 
 SMALL = GeneratorConfig(seed=3, scale=0.05)
 
-#: Everything a fresh (format v2) save writes, sidecar excluded.  Both
+#: Everything a fresh (format v3) save writes, sidecar excluded.  Both
 #: fixture traces are small enough to pack into a single shard.
 ALL_FILES = TRACE_FILES + ("utilization/index.json", "utilization/00000.npy")
 
+#: The files a cache entry is corrupted through: both JSON documents, one
+#: column of every table and the telemetry shard and its index.  (Each case
+#: synthesizes a trace twice, so the full file set is left to the fast
+#: ``TestTypedCorruptionErrors``.)
+RECOVERY_FILES = (
+    "metadata.json",
+    DICTIONARY_FILE,
+    *(f"{table}/{dataclasses.fields(record)[0].name}.npy" for table, record in TABLES.items()),
+    "utilization/index.json",
+    "utilization/00000.npy",
+)
+
+
+def rewrite_file(directory, name, data: bytes) -> None:
+    """Replace one file of a saved trace and re-record it in the sidecar.
+
+    The checksum then matches, so only the loader's own checks can reject
+    the new payload.
+    """
+    path = directory / name
+    path.write_bytes(data)
+    sidecar = directory / CHECKSUM_FILE
+    recorded = json.loads(sidecar.read_text())
+    recorded["files"][name] = {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "bytes": len(data),
+    }
+    sidecar.write_text(json.dumps(recorded))
+
 
 def rewrite_format(directory, fmt) -> None:
-    """Stamp ``metadata.json`` with another ``format`` (``None`` drops the key).
-
-    The checksum sidecar is updated to match, so only the format check
-    can reject the directory.
-    """
-    meta_path = directory / "metadata.json"
-    meta = json.loads(meta_path.read_text())
+    """Stamp ``metadata.json`` with another ``format`` (``None`` drops the key)."""
+    meta = json.loads((directory / "metadata.json").read_text())
     meta.pop("format")
     if fmt is not None:
         meta["format"] = fmt
-    meta_path.write_text(json.dumps(meta))
-    sidecar = directory / CHECKSUM_FILE
-    recorded = json.loads(sidecar.read_text())
-    recorded["files"]["metadata.json"] = {
-        "sha256": hashlib.sha256(meta_path.read_bytes()).hexdigest(),
-        "bytes": meta_path.stat().st_size,
-    }
-    sidecar.write_text(json.dumps(recorded))
+    rewrite_file(directory, "metadata.json", json.dumps(meta).encode())
+
+
+def npy_bytes(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)  # allow_pickle defaults on: object arrays save
+    return buffer.getvalue()
 
 
 @pytest.fixture(autouse=True)
@@ -119,7 +148,7 @@ class TestTypedCorruptionErrors:
         "also_missing", [(), ("utilization/index.json",)], ids=["sidecar", "sidecar+index"]
     )
     def test_missing_sidecar_is_corrupt(self, trace_dir, also_missing):
-        """Every format-2 save writes the sidecar last, so only a torn save lacks it.
+        """Every format-3 save writes the sidecar last, so only a torn save lacks it.
 
         Without the sidecar nothing records that ``index.json`` existed: a
         torn save missing both would otherwise load its VMs with no telemetry.
@@ -131,12 +160,54 @@ class TestTypedCorruptionErrors:
         with pytest.raises(TraceCorruptionError, match=f"missing {CHECKSUM_FILE}"):
             load_trace(trace_dir)
 
-    @pytest.mark.parametrize("fmt", [1, None, TRACE_FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("fmt", [1, 2, None, TRACE_FORMAT_VERSION + 1])
     def test_other_format_is_corrupt(self, trace_dir, fmt):
-        """Format 1 (``utilization.npz``) must not load without its telemetry."""
+        """Formats 1 (``utilization.npz``) and 2 (JSONL rows) are not read."""
         rewrite_format(trace_dir, fmt)
         verify_trace_dir(trace_dir)
         with pytest.raises(TraceCorruptionError, match=f"has format {fmt!r}"):
+            load_trace(trace_dir)
+
+    @pytest.mark.parametrize(
+        ("name", "payload"),
+        [
+            ("vms/created_at.npy", lambda data: data[:-4]),
+            ("vms/cores.npy", lambda _: npy_bytes(np.array([4.0, 4.0, 4.0]))),
+            ("vms/region.npy", lambda _: npy_bytes(np.array([0, 99], dtype=np.int32))),
+            ("vms/region.npy", lambda _: npy_bytes(np.array([-1, 0], dtype=np.int32))),
+            ("vms/vm_id.npy", lambda _: npy_bytes(np.array([1, 2], dtype=np.float32))),
+            ("vms/vm_id.npy", lambda _: npy_bytes(np.array([[1], [2]]))),
+            ("vms/service.npy", lambda _: npy_bytes(np.array(["svc", "svc"], dtype=object))),
+            (DICTIONARY_FILE, lambda _: b'[["pickle", "svc"]]'),
+            (DICTIONARY_FILE, lambda _: b'{"str": "svc"}'),
+        ],
+        ids=[
+            "truncated-column",
+            "uneven-lengths",
+            "code-past-dictionary",
+            "negative-code",
+            "wrong-dtype",
+            "two-d-column",
+            "object-dtype",
+            "unknown-type-tag",
+            "dictionary-not-a-list",
+        ],
+    )
+    def test_rotten_column_is_corrupt(self, trace_dir, monkeypatch, name, payload):
+        """A checksum-valid column the codec cannot read raises the typed error.
+
+        Never an ``IndexError`` from a dictionary lookup, a silently
+        shortened table, or a pickle load of an object array.
+        """
+
+        def no_pickle(*args, **kwargs):
+            raise AssertionError("load_trace must never unpickle")
+
+        monkeypatch.setattr(pickle, "load", no_pickle)
+        monkeypatch.setattr(pickle, "loads", no_pickle)
+        rewrite_file(trace_dir, name, payload((trace_dir / name).read_bytes()))
+        verify_trace_dir(trace_dir)
+        with pytest.raises(TraceCorruptionError):
             load_trace(trace_dir)
 
     def test_sidecar_records_all_payload_files(self, trace_dir):
@@ -148,7 +219,7 @@ class TestTypedCorruptionErrors:
 
 
 class TestFetchTraceRecovery:
-    @pytest.mark.parametrize("filename", ALL_FILES)
+    @pytest.mark.parametrize("filename", RECOVERY_FILES)
     def test_recovers_from_any_corrupted_file(self, tmp_path, filename):
         store, cold = cache.fetch_trace(SMALL, cache_dir=tmp_path)
         corrupt_trace_dir(cold.path, filename)
@@ -171,6 +242,23 @@ class TestFetchTraceRecovery:
         assert load_trace(cold.path).vm_ids_with_utilization() == (
             store.vm_ids_with_utilization()
         )
+
+    def test_format_2_entry_is_evicted_and_resynthesized(self, tmp_path):
+        """An older cache's JSONL entry lacks the column files: evicted, not a crash."""
+        store, cold = cache.fetch_trace(SMALL, cache_dir=tmp_path)
+        path = Path(cold.path)
+        for table in TABLES:
+            shutil.rmtree(path / table)
+        (path / DICTIONARY_FILE).unlink()
+        for name in ("topology.json", "vms.jsonl", "events.jsonl"):
+            (path / name).write_text("{}\n")
+        rewrite_format(path, 2)
+
+        recovered, info = cache.fetch_trace(SMALL, cache_dir=tmp_path)
+        assert info.evicted_corrupt and not info.hit
+        assert recovered.summary() == store.summary()
+        verify_trace_dir(path)
+        assert not (path / "vms.jsonl").exists()
 
     def test_recovery_rewrites_a_valid_entry(self, tmp_path):
         _, cold = cache.fetch_trace(SMALL, cache_dir=tmp_path)

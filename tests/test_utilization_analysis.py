@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.timeseries import PercentileBands, fold_daily
+from repro.analysis.timeseries import PercentileBands, fold_daily, percentile_bands
 from repro.core import utilization as util
 from repro.experiments import fig6
 from repro.telemetry.schema import Cloud, PATTERN_DIURNAL, PATTERN_STABLE
@@ -44,6 +44,39 @@ class TestPercentiles:
         for cloud in (Cloud.PRIVATE, Cloud.PUBLIC):
             bands = util.weekly_percentiles(small_trace, cloud, max_vms=300)
             assert bands.band(75.0).mean() < 0.40
+
+    def test_window_peak_stays_under_budget(self, monkeypatch):
+        """One band window's tracemalloc peak fits the module budget.
+
+        The budget is shrunk so 2,000 series split into ~400-column
+        windows; the bands equal one unwindowed pass bit for bit.
+        """
+        import tracemalloc
+
+        from tests.test_store import make_vm
+
+        store = TraceStore()
+        n_vms, n_samples = 2000, store.metadata.n_samples
+        for vm_id in range(n_vms):
+            store.add_vm(make_vm(vm_id))
+        rng = np.random.default_rng(0)
+        store.add_utilization_block(
+            list(range(n_vms)), rng.random((n_vms, n_samples), dtype=np.float32)
+        )
+        budget = util._BAND_BYTES_PER_ELEMENT * n_vms * 400
+        monkeypatch.setattr(util, "_BAND_WINDOW_BYTES", budget)
+        # Untraced first: the query index, and numpy's one-off first-call state.
+        store.vm_ids_with_utilization(cloud=Cloud.PRIVATE)
+        whole = percentile_bands(store.utilization_matrix(range(n_vms)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bands = util.weekly_percentiles(store, Cloud.PRIVATE)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+        assert bands.bands.tobytes() == whole.bands.tobytes()
 
     def test_private_daily_swing_larger(self, medium_trace):
         p, q = (
