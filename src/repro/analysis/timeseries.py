@@ -113,7 +113,9 @@ def percentile_bands(
     ``(T, n)`` layout, and the sorted float64 rows go to ``np.percentile``
     along axis 1.  A quantile depends only on its column's multiset of
     values, so the bands are bitwise those of the float64 matrix along
-    axis 0, without selecting over a strided float64 copy.
+    axis 0, without selecting over a strided float64 copy.  The sorted
+    rows are this function's own, so ``np.percentile`` may partition them
+    in place (``overwrite_input``) instead of copying them once more.
     """
     matrix = np.asarray(series_matrix)
     if matrix.ndim != 2:
@@ -128,10 +130,10 @@ def percentile_bands(
         has_data = ~np.isnan(columns[:, 0])
         if has_data.any():
             bands[:, has_data] = np.nanpercentile(
-                columns[has_data], percentiles, axis=1
+                columns[has_data], percentiles, axis=1, overwrite_input=True
             )
     else:
-        bands = np.percentile(columns, percentiles, axis=1)
+        bands = np.percentile(columns, percentiles, axis=1, overwrite_input=True)
     return PercentileBands(
         percentiles=tuple(float(p) for p in percentiles),
         bands=bands,

@@ -104,7 +104,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.telemetry.io import save_trace
 
     store = _load_or_generate(args)
-    path = save_trace(store, args.out)
+    try:
+        path = save_trace(store, args.out)
+    except FileExistsError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     print(f"trace written to {path}")
     return 0
 

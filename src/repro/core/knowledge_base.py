@@ -24,7 +24,7 @@ import numpy as np
 from repro.analysis.stats import coefficient_of_variation
 from repro.analysis.timeseries import hourly_event_counts
 from repro.core.correlation import region_agnostic_subscriptions
-from repro.core.patterns import ClassifierConfig, classify_windows
+from repro.core.patterns import ClassifierConfig, classify_vm_windows
 from repro.telemetry.schema import (
     Cloud,
     EventKind,
@@ -53,15 +53,8 @@ REGION_AGNOSTIC_THRESHOLD = 0.7
 MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION = 50
 
 
-def build_subscription_record(
-    store,
-    sub,
-    vms,
-    *,
-    creations: "list[tuple[float, int]] | tuple" = (),
-    region_agnostic: bool | None = None,
-) -> "SubscriptionKnowledge":
-    """Distill one subscription's telemetry into a knowledge record.
+def build_subscription_records(store, subscriptions) -> "list[SubscriptionKnowledge]":
+    """Distill subscriptions' telemetry into knowledge records, in input order.
 
     The shared record builder behind both the batch
     :meth:`WorkloadKnowledgeBase.from_trace` path and the online
@@ -69,17 +62,36 @@ def build_subscription_record(
     the two must stay byte-identical at every flush point, so there is
     exactly one implementation.
 
-    ``store`` only needs ``metadata`` and ``utilization(vm_id)``, so any
-    :class:`~repro.telemetry.store.TraceStore`-shaped state works.
-    ``creations`` holds ``(time, vm_id)`` pairs of the subscription's
-    CREATE events.  VMs and creations are processed in sorted order,
-    making the record a pure function of the subscription's *content* --
-    ingest order (batch generation vs. online arrival) cannot shift a
-    float sum or a ``Counter`` tie-break.  Lifetimes and windows follow
-    the window rules of :class:`~repro.telemetry.store.TraceMetadata`, and
-    patterns come from :func:`~repro.core.patterns.classify_windows`, the
-    same batched path as ``PatternClassifier.classify_store``.
+    ``subscriptions`` holds one ``(sub, vms, creations, region_agnostic)``
+    tuple per subscription, ``creations`` being the ``(time, vm_id)`` pairs
+    of its CREATE events.  ``store`` only needs ``metadata``, ``vm(vm_id)``
+    and ``utilization(vm_id)``, so any
+    :class:`~repro.telemetry.store.TraceStore`-shaped state works.  VMs and
+    creations are processed in sorted order, making each record a pure
+    function of its subscription's *content* -- ingest order (batch
+    generation vs. online arrival) cannot shift a float sum or a
+    ``Counter`` tie-break.  Lifetimes and windows follow the window rules
+    of :class:`~repro.telemetry.store.TraceMetadata`.  Patterns come from
+    one :func:`~repro.core.patterns.classify_vm_windows` call over every
+    subscription's windows, the batched path of
+    ``PatternClassifier.classify_store``; labels do not depend on how
+    windows are batched, so a record is the same built alone or with others.
     """
+    collected = [_collect_record(store, *entry) for entry in subscriptions]
+    labels = classify_vm_windows(
+        store, [vm_id for _record, vm_ids in collected for vm_id in vm_ids], CLASSIFIER_CONFIG
+    )
+    at = 0
+    for record, vm_ids in collected:
+        _finish_record(record, labels[at : at + len(vm_ids)])
+        at += len(vm_ids)
+    return [record for record, _vm_ids in collected]
+
+
+def _collect_record(
+    store, sub, vms, creations, region_agnostic
+) -> "tuple[SubscriptionKnowledge, list[int]]":
+    """Everything of one record but its patterns, and the VMs to classify."""
     metadata = store.metadata
     vms = sorted(vms, key=lambda vm: vm.vm_id)
     record = SubscriptionKnowledge(
@@ -100,7 +112,7 @@ def build_subscription_record(
             np.mean(lifetimes <= SHORTEST_BIN_SECONDS)
         )
 
-    to_classify: list[np.ndarray] = []
+    to_classify: list[int] = []
     utils = []
     for vm in vms:
         series = store.utilization(vm.vm_id)
@@ -111,22 +123,7 @@ def build_subscription_record(
         if window.size:
             utils.append(window)
         if len(to_classify) < MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION:
-            to_classify.append(window)
-    if to_classify:
-        labels = classify_windows(
-            to_classify, CLASSIFIER_CONFIG, sample_period=metadata.sample_period
-        )
-        counts = Counter(labels)
-        record.pattern_mix = {
-            p: counts.get(p, 0) / len(labels)
-            for p in (
-                PATTERN_DIURNAL,
-                PATTERN_STABLE,
-                PATTERN_IRREGULAR,
-                PATTERN_HOURLY_PEAK,
-            )
-        }
-        record.dominant_pattern = counts.most_common(1)[0][0]
+            to_classify.append(vm.vm_id)
     if utils:
         stacked = np.concatenate(utils)
         record.mean_utilization = float(stacked.mean())
@@ -140,7 +137,24 @@ def build_subscription_record(
             record.creation_cv = cv
 
     record.region_agnostic = region_agnostic
-    return record
+    return record, to_classify
+
+
+def _finish_record(record: "SubscriptionKnowledge", labels: list[str]) -> None:
+    """Fill in ``record``'s pattern mix from its classified windows' labels."""
+    if not labels:
+        return
+    counts = Counter(labels)
+    record.pattern_mix = {
+        p: counts.get(p, 0) / len(labels)
+        for p in (
+            PATTERN_DIURNAL,
+            PATTERN_STABLE,
+            PATTERN_IRREGULAR,
+            PATTERN_HOURLY_PEAK,
+        )
+    }
+    record.dominant_pattern = counts.most_common(1)[0][0]
 
 
 @dataclass
@@ -188,7 +202,7 @@ class WorkloadKnowledgeBase:
         """Extract knowledge from telemetry, like the paper's pipeline.
 
         Per-subscription distillation lives in
-        :func:`build_subscription_record`, shared with the online
+        :func:`build_subscription_records`, shared with the online
         :class:`~repro.serving.service.KnowledgeBaseService` so the two
         paths cannot drift.
         """
@@ -212,17 +226,13 @@ class WorkloadKnowledgeBase:
                 continue
 
         vms_by_sub = store.vms_by_subscription()
-        for sub_id, sub in store.subscriptions.items():
-            vms = vms_by_sub.get(sub_id, [])
-            if not vms:
-                continue
-            kb._records[sub_id] = build_subscription_record(
-                store,
-                sub,
-                vms,
-                creations=creations_by_sub.get(sub_id, ()),
-                region_agnostic=agnostic.get(sub_id),
-            )
+        entries = [
+            (sub, vms_by_sub[sub_id], creations_by_sub.get(sub_id, ()), agnostic.get(sub_id))
+            for sub_id, sub in store.subscriptions.items()
+            if vms_by_sub.get(sub_id)
+        ]
+        for record in build_subscription_records(store, entries):
+            kb._records[record.subscription_id] = record
         return kb
 
     def put(self, record: SubscriptionKnowledge) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.periodicity import autocorrelation, autocorrelation_block
+from repro.core.periodicity import autocorrelation, autocorrelation_centered
 from repro.telemetry.schema import (
     Cloud,
     PATTERN_DIURNAL,
@@ -135,9 +135,14 @@ def classify_series(
     return PATTERN_IRREGULAR
 
 
-#: Scratch ceiling for one classification block: the float64 block plus the
-#: padded complex FFT work arrays stay within a few multiples of this.
-_CLASSIFY_BLOCK_BYTES = 64 * 1024 * 1024
+#: Float64 input bytes of one classifier tile: 32 rows of a week at 300 s
+#: samples.  A tile sized to the cache, so a tile's FFT work arrays stay
+#: near the L2 cache; labels are independent of the tile size.
+_CLASSIFY_TILE_BYTES = 512 * 1024
+
+
+def _rows_per_tile(length: int) -> int:
+    return max(1, _CLASSIFY_TILE_BYTES // (8 * max(length, 1)))
 
 
 def classify_block(
@@ -153,8 +158,9 @@ def classify_block(
     fixtures): the row means/stds, broadcast centering and batched rFFTs
     reproduce the scalar operations exactly, and the per-row hill search and
     threshold decisions reuse the scalar helpers.  The win is one rFFT over
-    the 2-D block -- and one shared power spectrum for the hourly *and*
-    daily tests -- instead of up to three FFTs per series.
+    each tile of ``_CLASSIFY_TILE_BYTES`` -- and one shared power spectrum
+    for the hourly *and* daily tests, taken only for rows with an ACF hill
+    that passes -- instead of up to three FFTs per series.
     """
     config = config or ClassifierConfig()
     x = np.asarray(block, dtype=np.float64)
@@ -163,49 +169,73 @@ def classify_block(
     n_series, n = x.shape
     if n * sample_period < config.min_duration:
         return [PATTERN_IRREGULAR] * n_series
+    step = _rows_per_tile(n)
+    labels: list[str] = []
+    for start in range(0, n_series, step):
+        labels += _classify_tile(x[start : start + step], config, sample_period)
+    return labels
 
-    labels: list[str | None] = [None] * n_series
-    stds = x.std(axis=1)
-    for row in range(n_series):
-        if float(stds[row]) < config.stable_std_threshold:
-            labels[row] = PATTERN_STABLE
-    active = [row for row in range(n_series) if labels[row] is None]
+
+def _centered_stds(xc: np.ndarray) -> np.ndarray:
+    """Bitwise ``x.std(axis=1)``, given ``xc``: the rows of ``x`` minus their means.
+
+    ``np.std`` centers, squares, sums and divides exactly like this, so a
+    tile is centered only once for its std, ACF and spectrum.
+    """
+    return np.sqrt(np.sum(xc * xc, axis=1) / xc.shape[1])
+
+
+def _classify_tile(
+    x: np.ndarray, config: ClassifierConfig, sample_period: float
+) -> list[str]:
+    """:func:`classify_block` on one tile of rows long enough to judge."""
+    n = x.shape[1]
+    xc = x - x.mean(axis=1, keepdims=True)
+    stds = _centered_stds(xc)
+    labels = [
+        PATTERN_STABLE if std < config.stable_std_threshold else PATTERN_IRREGULAR
+        for std in stds.tolist()
+    ]
+    active = [row for row, label in enumerate(labels) if label != PATTERN_STABLE]
     if not active:
         return labels
 
     hourly_lag = max(2, int(round(3600.0 / sample_period)))
     daily_lag = int(round(24 * 3600.0 / sample_period))
-
-    sub = x[active]
-    acf_block = autocorrelation_block(sub, max_lag=min(n // 2, daily_lag * 2))
-    xc = sub - sub.mean(axis=1, keepdims=True)
-    spectra = np.abs(np.fft.rfft(xc, axis=1)) ** 2 / n
+    max_lag = min(n // 2, daily_lag * 2)
+    acf_block = autocorrelation_centered(xc[active], max_lag)
+    # The hill tests are cheap and decide most rows alone: only a row with a
+    # passing hill needs its length-n power spectrum.
+    checks: list[tuple[int, bool, bool]] = []
+    for row, acf in zip(active, acf_block):
+        hourly = (
+            _acf_hill_value(acf, hourly_lag, config.lag_tolerance)
+            >= config.hourly_min_acf
+        )
+        daily = daily_lag <= max_lag and (
+            _acf_hill_value(acf, daily_lag, config.lag_tolerance)
+            >= config.diurnal_min_acf
+        )
+        if hourly or daily:
+            checks.append((row, hourly, daily))
+    if not checks:
+        return labels
+    spectra = np.abs(np.fft.rfft(xc[[row for row, _, _ in checks]], axis=1)) ** 2 / n
     spectra[:, 0] = 0.0
     mean_powers = spectra.mean(axis=1)
-    for i, row in enumerate(active):
-        acf = acf_block[i]
-        hourly_acf = _acf_hill_value(acf, hourly_lag, config.lag_tolerance)
-        if (
-            hourly_acf >= config.hourly_min_acf
-            and _power_ratio_from_spectrum(
-                spectra[i], float(mean_powers[i]), hourly_lag, n
-            )
+    for (row, hourly, daily), spectrum, mean_power in zip(
+        checks, spectra, mean_powers.tolist()
+    ):
+        if hourly and (
+            _power_ratio_from_spectrum(spectrum, mean_power, hourly_lag, n)
             >= config.min_power_ratio
         ):
             labels[row] = PATTERN_HOURLY_PEAK
-            continue
-        if daily_lag < acf.size:
-            daily_acf = _acf_hill_value(acf, daily_lag, config.lag_tolerance)
-            if (
-                daily_acf >= config.diurnal_min_acf
-                and _power_ratio_from_spectrum(
-                    spectra[i], float(mean_powers[i]), daily_lag, n
-                )
-                >= config.min_power_ratio
-            ):
-                labels[row] = PATTERN_DIURNAL
-                continue
-        labels[row] = PATTERN_IRREGULAR
+        elif daily and (
+            _power_ratio_from_spectrum(spectrum, mean_power, daily_lag, n)
+            >= config.min_power_ratio
+        ):
+            labels[row] = PATTERN_DIURNAL
     return labels
 
 
@@ -218,13 +248,13 @@ def classify_windows(
     """Classify variable-length windows with the batched kernel.
 
     Windows are grouped by length and each group runs through
-    :func:`classify_block` in chunks of at most ``_CLASSIFY_BLOCK_BYTES``
-    of float64, so paper-scale sweeps stay inside the RSS envelope.
-    ``classify_block`` is bitwise identical to :func:`classify_series`, so
-    neither grouping nor chunking can change a label; labels come back in
-    input order.  A store sweep passes a lazy :class:`_StoreWindows`, which
-    knows every window's length without reading it, so each of its rows is
-    read once, when its chunk is filled.
+    :func:`classify_block` one tile at a time: a tile sized to the cache,
+    ``_CLASSIFY_TILE_BYTES`` of float64, filled just before it is
+    classified.  ``classify_block`` is bitwise identical to
+    :func:`classify_series`, so neither grouping nor tiling can change a
+    label; labels come back in input order.  A store sweep passes a lazy
+    :class:`_StoreWindows`, which knows every window's length without
+    reading it, so each of its rows is read once, when its tile is filled.
     """
     if isinstance(windows, _StoreWindows):
         lengths = windows.lengths
@@ -235,14 +265,14 @@ def classify_windows(
         by_length.setdefault(length, []).append(idx)
     labels: list[str | None] = [None] * len(windows)
     for length, idxs in by_length.items():
-        rows_per_chunk = max(1, _CLASSIFY_BLOCK_BYTES // (8 * max(length, 1)))
-        for i in range(0, len(idxs), rows_per_chunk):
-            chunk = idxs[i : i + rows_per_chunk]
-            block = np.empty((len(chunk), length), dtype=np.float64)
-            for row, idx in enumerate(chunk):
+        step = _rows_per_tile(length)
+        for i in range(0, len(idxs), step):
+            tile = idxs[i : i + step]
+            block = np.empty((len(tile), length), dtype=np.float64)
+            for row, idx in enumerate(tile):
                 block[row] = windows[idx]
-            chunk_labels = classify_block(block, config, sample_period=sample_period)
-            for idx, label in zip(chunk, chunk_labels, strict=True):
+            tile_labels = classify_block(block, config, sample_period=sample_period)
+            for idx, label in zip(tile, tile_labels, strict=True):
                 labels[idx] = label
     return labels
 
@@ -270,6 +300,19 @@ class _StoreWindows(Sequence[np.ndarray]):
 
     def __getitem__(self, idx: int) -> np.ndarray:
         return self._store.utilization(self._vm_ids[idx])[self._windows[idx]]
+
+
+def classify_vm_windows(
+    store: TraceStore, vm_ids: list[int], config: ClassifierConfig | None = None
+) -> list[str]:
+    """:func:`classify_windows` over each VM's observed window in ``store``.
+
+    The windows are read lazily (:class:`_StoreWindows`), one tile at a
+    time, so a sweep over many VMs holds no row views between tiles.
+    """
+    return classify_windows(
+        _StoreWindows(store, vm_ids), config, sample_period=store.metadata.sample_period
+    )
 
 
 @dataclass(frozen=True)
@@ -337,11 +380,7 @@ class PatternClassifier:
             rng = np.random.default_rng(seed)
             chosen = rng.choice(len(eligible), size=max_vms, replace=False)
             eligible = [eligible[i] for i in sorted(chosen)]
-        labels = classify_windows(
-            _StoreWindows(store, eligible),
-            self.config,
-            sample_period=metadata.sample_period,
-        )
+        labels = classify_vm_windows(store, eligible, self.config)
         return dict(zip(eligible, labels, strict=True))
 
     def pattern_mix(

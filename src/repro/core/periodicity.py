@@ -69,7 +69,17 @@ def autocorrelation_block(
         raise ValueError("series too short for autocorrelation")
     if max_lag is None:
         max_lag = n // 2
-    xc = x - x.mean(axis=1, keepdims=True)
+    return autocorrelation_centered(x - x.mean(axis=1, keepdims=True), max_lag)
+
+
+def autocorrelation_centered(xc: np.ndarray, max_lag: int) -> np.ndarray:
+    """:func:`autocorrelation_block` of rows already centered on their means.
+
+    The body :func:`autocorrelation_block` runs after centering, exposed so
+    the pattern classifier, which centers each tile once for its std and
+    spectrum tests too, can hand over its centered rows.
+    """
+    n = xc.shape[1]
     variance = _row_self_dots(xc)
     n_fft = int(2 ** np.ceil(np.log2(2 * n)))
     spectrum = np.fft.rfft(xc, n_fft, axis=1)
@@ -82,7 +92,7 @@ def autocorrelation_block(
     for row in range(spectrum.shape[0]):
         power[row] = spectrum[row] * np.conj(spectrum[row])
     acov = np.fft.irfft(power, axis=1)[:, : max_lag + 1]
-    out = np.zeros((x.shape[0], max_lag + 1))
+    out = np.zeros((xc.shape[0], max_lag + 1))
     live = variance != 0
     out[live] = acov[live] / variance[live, None]
     return out

@@ -39,17 +39,19 @@ class SpotEvictionModel:
         self.knee = knee
         self.max_rate = max_rate
 
-    def hourly_eviction_probability(self, pressure: float) -> float:
-        """P(evicted within the hour) at allocated fraction ``pressure``."""
-        pressure = float(np.clip(pressure, 0.0, 1.0))
-        if pressure <= self.knee:
-            return 0.0
-        return self.max_rate * ((pressure - self.knee) / (1.0 - self.knee)) ** 2
+    def hourly_survival(self, pressures: np.ndarray) -> np.ndarray:
+        """P(not evicted within the hour) at each allocated fraction of ``pressures``.
 
-    def survival_probability(self, pressures: np.ndarray) -> float:
-        """P(not evicted) across consecutive hourly ``pressures``."""
-        probs = [1.0 - self.hourly_eviction_probability(p) for p in np.atleast_1d(pressures)]
-        return float(np.prod(probs))
+        A VM's survival across consecutive hours is the product of their
+        factors.  The rate is squared per element with Python's ``** 2``
+        (libm ``pow``), which rounds a few squares differently from numpy's
+        ``x * x``; the rest is elementwise numpy, whose ``-``, ``/`` and
+        ``*`` round exactly like the scalar operations.
+        """
+        clipped = np.clip(np.asarray(pressures, dtype=np.float64), 0.0, 1.0)
+        excess = (clipped - self.knee) / (1.0 - self.knee)
+        squared = np.array([value**2 for value in excess.tolist()], dtype=np.float64)
+        return 1.0 - np.where(clipped <= self.knee, 0.0, self.max_rate * squared)
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,10 @@ class SpotAdoptionAdvisor:
             for region, pressure in pressures.items()
             if pressure.size
         }
+        factors = {
+            region: self.eviction_model.hourly_survival(pressure)
+            for region, pressure in pressures.items()
+        }
         # Survival depends only on the hourly window, and many short-lived
         # VMs share one; sums still add each VM's term in VM order.
         survival: dict[tuple[str, int, int], float] = {}
@@ -147,12 +153,11 @@ class SpotAdoptionAdvisor:
             pressure = pressures[vm.region]
             first = int(vm.created_at // SECONDS_PER_HOUR)
             last = min(int(vm.ended_at // SECONDS_PER_HOUR), len(pressure) - 1)
-            window = pressure[first : last + 1]
             key = (vm.region, first, last)
             if key not in survival:
-                survival[key] = self.eviction_model.survival_probability(window)
+                survival[key] = float(np.prod(factors[vm.region][first : last + 1]))
             expected_evictions += 1.0 - survival[key]
-            if window.size and window[0] < medians[vm.region]:
+            if first <= last and pressure[first] < medians[vm.region]:
                 valley_starts += 1
         if total_core_hours <= 0:
             raise ValueError(f"no completed {self.cloud} VMs with core-hours")

@@ -15,7 +15,7 @@ The load-bearing invariant, enforced by ``tests/test_serving_equivalence.py``:
 at every flush point, :meth:`~repro.serving.service.KnowledgeBaseService.snapshot_json`
 is byte-identical to a batch rebuild from a trace truncated at the same
 ingest prefix.  Online and batch paths share one record builder
-(:func:`~repro.core.knowledge_base.build_subscription_record`), so they
+(:func:`~repro.core.knowledge_base.build_subscription_records`), so they
 cannot drift.
 
 See ``docs/SERVING.md`` for the protocol, the backend, and the bench

@@ -12,7 +12,7 @@
 * **Refresh** is lazy and incremental: ingest only marks subscriptions
   dirty; the next query that needs knowledge records rebuilds *only* the
   dirty ones via the shared batch builder
-  (:func:`~repro.core.knowledge_base.build_subscription_record` and
+  (:func:`~repro.core.knowledge_base.build_subscription_records` and
   :func:`~repro.core.correlation.subscription_region_report`).  Because a
   subscription's record is a pure function of its current content, the
   refreshed state is byte-identical to a full batch rebuild -- the
@@ -42,7 +42,7 @@ from repro.core.knowledge_base import (
     POLICY_SPOT_ADOPTION,
     REGION_AGNOSTIC_THRESHOLD,
     WorkloadKnowledgeBase,
-    build_subscription_record,
+    build_subscription_records,
 )
 from repro.core.patterns import classify_windows
 from repro.experiments.faultinject import FaultKind, plan_from_env
@@ -266,8 +266,8 @@ class KnowledgeBaseService:
             return 0
         store = self._backend.store()
         allowed = set(store.regions)
-        refreshed = 0
         with span("serving.refresh", subscriptions=len(self._dirty)):
+            entries = []
             for sub_id in sorted(self._dirty):
                 sub = store.subscriptions.get(sub_id)
                 if sub is None:
@@ -283,18 +283,17 @@ class KnowledgeBaseService:
                     threshold=REGION_AGNOSTIC_THRESHOLD,
                     allowed_regions=allowed,
                 )
-                self._kb.put(
-                    build_subscription_record(
-                        store,
+                entries.append(
+                    (
                         sub,
                         vms,
-                        creations=self._creations.get(sub_id, ()),
-                        region_agnostic=(
-                            None if report is None else report.region_agnostic
-                        ),
+                        self._creations.get(sub_id, ()),
+                        None if report is None else report.region_agnostic,
                     )
                 )
-                refreshed += 1
+            for record in build_subscription_records(store, entries):
+                self._kb.put(record)
+            refreshed = len(entries)
             self._dirty.clear()
         _REFRESHED_SUBS.inc(refreshed)
         return refreshed

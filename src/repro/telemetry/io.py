@@ -246,6 +246,9 @@ def _cleanup_tmp_dir(tmp: Path) -> None:
 def save_trace(store: TraceStore, directory: str | Path) -> Path:
     """Write ``store`` to ``directory`` (created if missing); returns the path.
 
+    Raises :class:`FileExistsError`, before writing anything, when
+    ``directory`` exists and is not empty.
+
     Utilization is written as shards, in the store's VM order.
     Lazy shard blocks whose layout already matches the save order are
     adopted -- hard-linked (or copied) into place without decompressing or
@@ -270,6 +273,10 @@ def _saved(adopted: "list[tuple[ShardRef, str]]", directory: Path) -> None:
 
 def _save_trace(store: TraceStore, directory: Path) -> "list[tuple[ShardRef, str]]":
     directory.mkdir(parents=True, exist_ok=True)
+    # The checksum sidecar hashes every file under ``directory``, so a file
+    # left from an earlier trace would be recorded and carried as this one's.
+    if any(directory.iterdir()):
+        raise FileExistsError(f"{directory} is not empty; save a trace into a new directory")
 
     meta = {
         "duration": store.metadata.duration,

@@ -122,6 +122,16 @@ def test_generate_and_study_round_trip(tmp_path, capsys):
     assert "private" in out
 
 
+def test_generate_refuses_an_old_trace_directory(tmp_path, capsys):
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    (trace_dir / "vms.jsonl").write_text("{}\n")  # a format-2 trace's file
+    code = main(["generate", "--seed", "3", "--scale", "0.05", "--out", str(trace_dir)])
+    assert code == 1
+    assert "is not empty" in capsys.readouterr().err
+    assert [path.name for path in trace_dir.iterdir()] == ["vms.jsonl"]
+
+
 def test_kb_sample_flag(tmp_path, capsys):
     code = main(["kb", "--seed", "3", "--scale", "0.05", "--sample", "2"])
     assert code == 0

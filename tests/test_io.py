@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -412,3 +414,21 @@ def test_saving_twice_is_byte_identical(small_trace, tmp_path):
     save_trace(small_trace, tmp_path / "b")
     first = (tmp_path / "a" / CHECKSUM_FILE).read_bytes()
     assert first == (tmp_path / "b" / CHECKSUM_FILE).read_bytes()
+
+
+def test_save_refuses_a_non_empty_directory(populated_store, tmp_path):
+    target = tmp_path / "old"
+    target.mkdir()
+    (target / "vms.jsonl").write_text("{}\n")  # left by a format-2 trace
+    with pytest.raises(FileExistsError, match="not empty"):
+        save_trace(populated_store, target)
+    assert [path.name for path in target.iterdir()] == ["vms.jsonl"]  # nothing written
+
+
+def test_sidecar_lists_exactly_the_saved_files(populated_store, tmp_path):
+    target = tmp_path / "fresh"
+    target.mkdir()  # an existing empty directory is fine
+    save_trace(populated_store, target)
+    listed = set(json.loads((target / CHECKSUM_FILE).read_text())["files"])
+    on_disk = {path.relative_to(target).as_posix() for path in target.rglob("*")}
+    assert listed == {name for name in on_disk if (target / name).is_file()} - {CHECKSUM_FILE}

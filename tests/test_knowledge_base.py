@@ -13,6 +13,7 @@ from repro.core.knowledge_base import (
     POLICY_VALLEY_FILL,
     SubscriptionKnowledge,
     WorkloadKnowledgeBase,
+    build_subscription_records,
 )
 from repro.telemetry.schema import Cloud, PATTERN_DIURNAL, PATTERN_STABLE
 
@@ -54,6 +55,21 @@ class TestExtraction:
         assert summary["subscriptions"] > 0
         assert summary["vms"] > 0
         assert 0 <= summary["short_lived_fraction"] <= 1
+
+    def test_batched_records_equal_one_at_a_time(self, kb, small_trace):
+        # One classifier pass over every subscription's windows gives each
+        # record exactly what a build of that subscription alone gives.
+        vms_by_sub = small_trace.vms_by_subscription()
+        entries = [
+            (sub, vms_by_sub[sub_id], (), None)
+            for sub_id, sub in small_trace.subscriptions.items()
+            if vms_by_sub.get(sub_id)
+        ][:60]
+        batched = build_subscription_records(small_trace, entries)
+        alone = [build_subscription_records(small_trace, [entry])[0] for entry in entries]
+        assert [repr(record) for record in batched] == [repr(record) for record in alone]
+        assert any(record.pattern_mix for record in batched)
+        assert build_subscription_records(small_trace, []) == []
 
     def test_cloud_summary_unknown_raises(self):
         with pytest.raises(ValueError):

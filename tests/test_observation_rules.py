@@ -81,9 +81,9 @@ class TestClassifyWindows:
         ]
 
     def test_matches_scalar_in_input_order(self, windows, monkeypatch):
-        # Two full-length rows per chunk: the seven-row 2016-sample group
-        # splits into four chunks.
-        monkeypatch.setattr(patterns, "_CLASSIFY_BLOCK_BYTES", 2 * 8 * 2016)
+        # Two full-length rows per tile: the seven-row 2016-sample group
+        # splits into four tiles.
+        monkeypatch.setattr(patterns, "_CLASSIFY_TILE_BYTES", 2 * 8 * 2016)
         block_rows = []
         kernel = patterns.classify_block
 
@@ -100,7 +100,7 @@ class TestClassifyWindows:
 
     def test_chunk_size_cannot_move_a_label(self, windows, monkeypatch):
         unchunked = classify_windows(windows)
-        monkeypatch.setattr(patterns, "_CLASSIFY_BLOCK_BYTES", 1)
+        monkeypatch.setattr(patterns, "_CLASSIFY_TILE_BYTES", 1)
         assert classify_windows(windows) == unchunked
 
     def test_config_is_applied(self, windows):

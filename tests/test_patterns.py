@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import patterns
 from repro.core.patterns import (
     ClassifierConfig,
     PatternClassifier,
@@ -121,6 +122,64 @@ class TestClassifyBlock:
     def test_rejects_1d(self, block):
         with pytest.raises(ValueError):
             classify_block(block[0])
+
+
+class TestTiles:
+    """Cache-sized tiles cannot move a label or a std bit."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, examples, times):
+        rng = np.random.default_rng(11)
+        rows = []
+        for i in range(700):
+            kind = i % 7
+            if kind < 4:  # the four patterns, re-noised
+                base = list(examples.values())[kind]
+                row = np.clip(base + rng.normal(0, 0.02, times.size), 0, 1)
+            elif kind == 4:
+                row = np.full(times.size, rng.uniform())  # constant
+            elif kind == 5:  # a short-period wave: fails both ACF hills
+                wave = np.sin(2 * np.pi * np.arange(times.size) / rng.uniform(5, 9))
+                row = np.clip(0.5 + 0.2 * wave + rng.normal(0, 0.05, times.size), 0, 1)
+            else:  # diurnal with a telemetry gap
+                row = np.clip(
+                    0.6 * diurnal_signal(times, tz_offset_hours=int(rng.integers(-8, 9)))
+                    + rng.normal(0, 0.05, times.size),
+                    0,
+                    1,
+                )
+                start = int(rng.integers(0, times.size - 100))
+                row[start : start + 100] = np.nan
+            rows.append(row.astype(np.float32).astype(np.float64))
+        return np.stack(rows)
+
+    @pytest.fixture(scope="class")
+    def scalar_labels(self, rows):
+        return [classify_series(row) for row in rows]
+
+    def test_fixture_covers_every_label(self, scalar_labels):
+        assert set(scalar_labels) == {
+            PATTERN_DIURNAL,
+            PATTERN_STABLE,
+            PATTERN_IRREGULAR,
+            PATTERN_HOURLY_PEAK,
+        }
+
+    @pytest.mark.parametrize("n_rows", [1, 31, 32, 33, 700])
+    def test_tiled_equals_untiled_and_scalar(self, rows, scalar_labels, n_rows, monkeypatch):
+        assert patterns._rows_per_tile(rows.shape[1]) == 32
+        tiled = classify_block(rows[:n_rows])
+        assert tiled == scalar_labels[:n_rows]
+        monkeypatch.setattr(patterns, "_CLASSIFY_TILE_BYTES", rows.nbytes)
+        assert classify_block(rows[:n_rows]) == tiled
+
+    def test_centered_std_is_numpy_std(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(2, 2500)))
+            block = rng.normal(size=shape) * rng.uniform(1e-3, 10) + rng.uniform(-5, 5)
+            std = patterns._centered_stds(block - block.mean(axis=1, keepdims=True))
+            assert std.tobytes() == block.std(axis=1).tobytes()
 
 
 class TestPatternMix:

@@ -14,32 +14,53 @@ from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_HOUR
 
 
+def _scalar_survival(model: SpotEvictionModel, pressure: float) -> float:
+    """The per-hour survival factor as a scalar: clip, knee, then ``** 2``."""
+    pressure = float(np.clip(pressure, 0.0, 1.0))
+    if pressure <= model.knee:
+        return 1.0 - 0.0
+    return 1.0 - model.max_rate * ((pressure - model.knee) / (1.0 - model.knee)) ** 2
+
+
 class TestEvictionModel:
     def test_no_eviction_below_knee(self):
         model = SpotEvictionModel(knee=0.75)
-        assert model.hourly_eviction_probability(0.5) == 0.0
-        assert model.hourly_eviction_probability(0.75) == 0.0
+        assert model.hourly_survival(np.array([0.5, 0.75])).tolist() == [1.0, 1.0]
 
     def test_rises_to_max(self):
         model = SpotEvictionModel(knee=0.5, max_rate=0.4)
-        assert model.hourly_eviction_probability(1.0) == pytest.approx(0.4)
-        assert 0 < model.hourly_eviction_probability(0.8) < 0.4
+        at_full, at_high = model.hourly_survival(np.array([1.0, 0.8]))
+        assert at_full == pytest.approx(0.6)
+        assert 0.6 < at_high < 1.0
 
     def test_monotone(self):
         model = SpotEvictionModel()
-        pressures = np.linspace(0, 1, 50)
-        probs = [model.hourly_eviction_probability(p) for p in pressures]
-        assert all(a <= b + 1e-12 for a, b in zip(probs, probs[1:], strict=False))
+        survival = model.hourly_survival(np.linspace(0, 1, 50))
+        assert np.all(np.diff(survival) <= 1e-12)
 
     def test_pressure_clipped(self):
         model = SpotEvictionModel()
-        assert model.hourly_eviction_probability(2.0) == model.hourly_eviction_probability(1.0)
+        survival = model.hourly_survival(np.array([2.0, 1.0, -1.0, 0.0]))
+        assert survival[0] == survival[1]
+        assert survival[2] == survival[3] == 1.0
 
     def test_survival(self):
         model = SpotEvictionModel(knee=0.5, max_rate=0.5)
-        surv = model.survival_probability(np.array([1.0, 1.0]))
-        assert surv == pytest.approx(0.25)
-        assert model.survival_probability(np.array([0.1, 0.2])) == 1.0
+        assert np.prod(model.hourly_survival(np.array([1.0, 1.0]))) == pytest.approx(0.25)
+        assert np.prod(model.hourly_survival(np.array([0.1, 0.2]))) == 1.0
+
+    @pytest.mark.parametrize(("knee", "max_rate"), [(0.75, 0.30), (0.05, 0.30), (0.5, 0.77)])
+    def test_factors_bitwise_scalar(self, knee, max_rate):
+        # Below 0, at 0, at the knee, at 1, above 1, and a dense sweep:
+        # Python's ``** 2`` (libm pow) rounds some squares differently
+        # from numpy's ``x * x``, so the sweep catches a numpy square.
+        model = SpotEvictionModel(knee=knee, max_rate=max_rate)
+        pressures = np.concatenate(
+            [[-0.5, 0.0, knee, 1.0, 1.5], np.random.default_rng(0).uniform(-0.2, 1.2, 20_000)]
+        )
+        expected = np.array([_scalar_survival(model, p) for p in pressures])
+        assert model.hourly_survival(pressures).tobytes() == expected.tobytes()
+        assert model.hourly_survival(pressures[:0]).shape == (0,)
 
     def test_invalid_knee(self):
         with pytest.raises(ValueError):
@@ -108,7 +129,7 @@ def _analyze_reference(advisor: SpotAdoptionAdvisor) -> SpotAdoptionReport:
         first = int(vm.created_at // SECONDS_PER_HOUR)
         last = min(int(vm.ended_at // SECONDS_PER_HOUR), len(pressure) - 1)
         window = pressure[first : last + 1]
-        expected_evictions += 1.0 - advisor.eviction_model.survival_probability(window)
+        expected_evictions += 1.0 - float(np.prod(advisor.eviction_model.hourly_survival(window)))
         if window.size and window[0] < np.median(pressure):
             valley_starts += 1
     return SpotAdoptionReport(
