@@ -110,12 +110,10 @@ def percentile_bands(
     bands (no RuntimeWarning is emitted for it).
 
     Each time column is sorted first, in the input dtype and a contiguous
-    ``(T, n)`` layout, and the sorted float64 rows go to ``np.percentile``
-    along axis 1.  A quantile depends only on its column's multiset of
+    ``(T, n)`` layout.  A quantile depends only on its column's multiset of
     values, so the bands are bitwise those of the float64 matrix along
-    axis 0, without selecting over a strided float64 copy.  The sorted
-    rows are this function's own, so ``np.percentile`` may partition them
-    in place (``overwrite_input``) instead of copying them once more.
+    axis 0.  Without NaNs every quantile is read straight off the sorted
+    rows (:func:`_sorted_quantiles`) instead of partitioning them again.
     """
     matrix = np.asarray(series_matrix)
     if matrix.ndim != 2:
@@ -133,12 +131,40 @@ def percentile_bands(
                 columns[has_data], percentiles, axis=1, overwrite_input=True
             )
     else:
-        bands = np.percentile(columns, percentiles, axis=1, overwrite_input=True)
+        bands = _sorted_quantiles(columns, percentiles)
     return PercentileBands(
         percentiles=tuple(float(p) for p in percentiles),
         bands=bands,
         n_series=int(matrix.shape[0]),
     )
+
+
+def _sorted_quantiles(rows: np.ndarray, percentiles: tuple[float, ...]) -> np.ndarray:
+    """``np.percentile(rows, percentiles, axis=1)`` of rows already sorted.
+
+    NumPy's default (linear) method, step for step: the virtual index
+    ``(n - 1) * q``, its floor and the next index (both the last one at or
+    past the end), and ``_lerp``'s two formulas, ``a + d * g`` and, where
+    ``g >= 0.5``, ``b - d * (1 - g)``.  Reading the two neighbours off
+    sorted rows replaces the partition, so the result is bitwise the same.
+    """
+    q = np.true_divide(percentiles, 100)
+    if q.size and not (q.min() >= 0 and q.max() <= 1):
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    n = rows.shape[1]
+    virtual = (n - 1) * q
+    at_end = virtual >= n - 1
+    below = np.floor(virtual)
+    below[at_end] = -1
+    gamma = (virtual - below)[:, None]
+    lo = below.astype(np.intp)
+    hi = lo + 1
+    hi[at_end] = -1
+    a, b = rows.T[lo], rows.T[hi]  # (len(q), T)
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def fold_daily(series: np.ndarray, samples_per_day: int) -> np.ndarray:

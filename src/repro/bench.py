@@ -18,9 +18,11 @@ The three benches:
   one warm-up pass fills the trace cache, then ``repeats`` measured passes
   record each task's ``task.run`` span.  That span excludes the trace
   fetch, so cache hits cannot masquerade as analysis regressions.  The
-  artifact also embeds a microbenchmark of the batched
-  :func:`~repro.analysis.stats.pairwise_pearson` kernel against its scalar
-  reference path, with a bitwise ``outputs_identical`` check.
+  artifact also embeds microbenchmarks of the batched
+  :func:`~repro.analysis.stats.pairwise_pearson` and
+  :func:`~repro.core.patterns.classify_block` kernels against their scalar
+  reference paths, each with an ``outputs_identical`` check (a bitwise
+  matrix, equal labels).
 * ``scale`` generates a trace (spilled to shards) and analyzes it with the
   full registry, each phase in its own child so that
   ``getrusage(RUSAGE_SELF).ru_maxrss`` is a clean per-phase high-water
@@ -54,6 +56,8 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
+from operator import eq
 from pathlib import Path
 from typing import Sequence
 
@@ -490,15 +494,33 @@ def _phase_measure(
     return report
 
 
-def _phase_kernels() -> dict:
-    """Microbench the batched kernel against its scalar reference path.
+def _kernel_row(name: str, block: np.ndarray, scalar, batched, same) -> dict:
+    """Time ``scalar()`` against ``batched(block)``; ``same`` judges their outputs."""
+    with span("bench.kernel", kernel=f"{name}.scalar") as scalar_t:
+        expected = scalar()
+    with span("bench.kernel", kernel=f"{name}.block") as block_t:
+        got = batched(block)
+    return {
+        "name": name,
+        "rows": len(block),
+        "scalar_s": scalar_t.wall_s,
+        "batched_s": block_t.wall_s,
+        "speedup": scalar_t.wall_s / block_t.wall_s,
+        "outputs_identical": bool(same(expected, got)),
+    }
 
-    The fixture is seeded and week-shaped (2016 samples = 7 days at 5
-    minutes).  The kernel reports both wall-times *and* whether the
-    outputs are identical -- the evidence that the speedup did not buy a
+
+def _phase_kernels() -> dict:
+    """Microbench each batched kernel against its scalar reference path.
+
+    The fixtures are seeded and week-shaped (2016 samples = 7 days at 5
+    minutes).  Each kernel reports both wall-times *and* whether the
+    outputs are identical -- a bitwise-equal correlation matrix, equal
+    pattern labels -- the evidence that the speedup did not buy a
     different answer.
     """
     from repro.analysis.stats import pairwise_pearson, pearson_correlation
+    from repro.core.patterns import classify_block, classify_series
 
     rng = np.random.default_rng(0)
     n = 2016
@@ -507,25 +529,31 @@ def _phase_kernels() -> dict:
     corr_block = 0.3 + 0.2 * daily[None, :] + 0.05 * rng.standard_normal((96, n))
     corr_block[4:8] = 0.7
     m = corr_block.shape[0]
-    with span("bench.kernel", kernel="pairwise_pearson.scalar") as scalar_t:
-        scalar_r = np.full((m, m), np.nan)
+
+    def scalar_pearson() -> np.ndarray:
+        r = np.full((m, m), np.nan)
         for i in range(m):
             for j in range(i, m):
-                scalar_r[i, j] = scalar_r[j, i] = pearson_correlation(
-                    corr_block[i], corr_block[j]
-                )
-    with span("bench.kernel", kernel="pairwise_pearson.block") as block_t:
-        blocked_r = pairwise_pearson(corr_block)
-    both_nan = np.isnan(scalar_r) & np.isnan(blocked_r)
-    correlation = {
-        "name": "pairwise_pearson",
-        "rows": m,
-        "scalar_s": scalar_t.wall_s,
-        "batched_s": block_t.wall_s,
-        "speedup": scalar_t.wall_s / block_t.wall_s,
-        "outputs_identical": bool(np.all((scalar_r == blocked_r) | both_nan)),
-    }
-    return {"phase": "kernels", "kernels": [correlation]}
+                r[i, j] = r[j, i] = pearson_correlation(corr_block[i], corr_block[j])
+        return r
+
+    noise = rng.standard_normal((4, 24, n))  # diurnal, hourly-peak, stable, irregular
+    week = np.concatenate(
+        [
+            0.4 + 0.2 * daily + 0.05 * noise[0],
+            0.4 + 0.2 * np.sin(2 * np.pi * t / 12.0) + 0.05 * noise[1],
+            0.3 + 0.002 * noise[2],
+            0.4 + 0.1 * noise[3],
+        ]
+    )
+    same_matrix = partial(np.array_equal, equal_nan=True)
+    kernels = [
+        _kernel_row("pairwise_pearson", corr_block, scalar_pearson, pairwise_pearson, same_matrix),
+        _kernel_row(
+            "classify_block", week, lambda: list(map(classify_series, week)), classify_block, eq
+        ),
+    ]
+    return {"phase": "kernels", "kernels": kernels}
 
 
 def _build_ops(rng: np.random.Generator, n: int, vm_ids, sub_ids) -> list:

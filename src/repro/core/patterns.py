@@ -14,7 +14,7 @@ test and validation on an autocorrelation hill
 (:mod:`repro.core.periodicity`) -- only at the two periods the four classes
 ask about (1 hour, 1 day), not over every candidate period, which keeps a
 whole-trace sweep cheap.  :func:`classify_series` is the scalar reference
-and :func:`classify_block` its bitwise-identical batched form.
+and :func:`classify_block` its label-identical batched form.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.periodicity import autocorrelation, autocorrelation_centered
+from repro.core.periodicity import autocorrelation, short_acf
 from repro.telemetry.schema import (
     Cloud,
     PATTERN_DIURNAL,
@@ -56,23 +56,12 @@ class ClassifierConfig:
     min_duration: float = 2 * SECONDS_PER_DAY
 
 
-def _power_ratio_from_spectrum(
-    spectrum: np.ndarray, mean_power: float, lag: int, n: int
-) -> float:
-    """Power near period ``lag`` relative to ``mean_power``, given a spectrum.
-
-    Shared by the scalar and batched paths so both read the same bins the
-    same way; the batched path computes the spectrum once per series and
-    evaluates it at both target lags.
-    """
-    if mean_power == 0:
-        return 0.0
+def _power_bins(lag: int, n: int) -> slice:
+    """Bins of a length-``n`` periodogram within 10% of period ``lag``'s frequency."""
     target_bin = n / lag
     lo = max(1, int(np.floor(target_bin * 0.9)))
-    hi = min(spectrum.size - 1, int(np.ceil(target_bin * 1.1)))
-    if hi < lo:
-        return 0.0
-    return float(spectrum[lo : hi + 1].max() / mean_power)
+    hi = min(n // 2, int(np.ceil(target_bin * 1.1)))
+    return slice(lo, hi + 1)
 
 
 def _power_ratio(series: np.ndarray, lag: int) -> float:
@@ -81,21 +70,27 @@ def _power_ratio(series: np.ndarray, lag: int) -> float:
     n = x.size
     spectrum = np.abs(np.fft.rfft(x)) ** 2 / n
     spectrum[0] = 0.0
-    return _power_ratio_from_spectrum(spectrum, spectrum.mean(), lag, n)
+    mean_power = spectrum.mean()
+    bins = _power_bins(lag, n)
+    if mean_power == 0 or bins.stop <= bins.start:
+        return 0.0
+    return float(spectrum[bins].max() / mean_power)
+
+
+def _hill_bounds(lag: int, tolerance: float, acf_size: int) -> tuple[int, int]:
+    """First and last lag of the ACF window searched for a hill near ``lag``."""
+    search = max(1, int(round(lag * tolerance)))
+    return max(1, lag - search), min(acf_size - 2, lag + search)
 
 
 def _acf_hill_value(acf: np.ndarray, lag: int, tolerance: float) -> float:
     """Max ACF on a hill near ``lag``; -inf when no local max is present."""
-    search = max(1, int(round(lag * tolerance)))
-    lo = max(1, lag - search)
-    hi = min(acf.size - 2, lag + search)
+    lo, hi = _hill_bounds(lag, tolerance, acf.size)
     if hi <= lo:
         return float("-inf")
-    window = acf[lo : hi + 1]
-    peak_offset = int(np.argmax(window))
-    peak_lag = lo + peak_offset
-    if acf[peak_lag] >= acf[peak_lag - 1] and acf[peak_lag] >= acf[peak_lag + 1]:
-        return float(acf[peak_lag])
+    peak = lo + int(np.argmax(acf[lo : hi + 1]))
+    if acf[peak] >= acf[peak - 1] and acf[peak] >= acf[peak + 1]:
+        return float(acf[peak])
     return float("-inf")
 
 
@@ -153,14 +148,16 @@ def classify_block(
 ) -> list[str]:
     """Classify every row of an equal-length series block in one batch.
 
-    Bitwise identical to calling :func:`classify_series` on each row
+    Label-identical to calling :func:`classify_series` on each row
     (``tests/test_patterns.py`` asserts it on random, constant and NaN-gap
-    fixtures): the row means/stds, broadcast centering and batched rFFTs
-    reproduce the scalar operations exactly, and the per-row hill search and
-    threshold decisions reuse the scalar helpers.  The win is one rFFT over
-    each tile of ``_CLASSIFY_TILE_BYTES`` -- and one shared power spectrum
+    fixtures): the row stds and the length-n periodogram are bitwise the
+    scalar ones, and the ACF is :func:`~repro.core.periodicity.short_acf`,
+    which pads to ``n + max_lag`` instead of ``2n`` and so differs from the
+    scalar ACF only in its last bits.  The win is one short ACF per tile of
+    ``_CLASSIFY_TILE_BYTES``, array-wide tests, and one shared periodogram
     for the hourly *and* daily tests, taken only for rows with an ACF hill
-    that passes -- instead of up to three FFTs per series.
+    that passes -- instead of up to three FFTs and two scalar helpers per
+    series.
     """
     config = config or ClassifierConfig()
     x = np.asarray(block, dtype=np.float64)
@@ -169,10 +166,12 @@ def classify_block(
     n_series, n = x.shape
     if n * sample_period < config.min_duration:
         return [PATTERN_IRREGULAR] * n_series
+    hourly_lag = max(2, int(round(3600.0 / sample_period)))
+    daily_lag = int(round(24 * 3600.0 / sample_period))
     step = _rows_per_tile(n)
     labels: list[str] = []
     for start in range(0, n_series, step):
-        labels += _classify_tile(x[start : start + step], config, sample_period)
+        labels += _classify_tile(x[start : start + step], config, hourly_lag, daily_lag)
     return labels
 
 
@@ -185,58 +184,89 @@ def _centered_stds(xc: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(xc * xc, axis=1) / xc.shape[1])
 
 
-def _classify_tile(
-    x: np.ndarray, config: ClassifierConfig, sample_period: float
-) -> list[str]:
-    """:func:`classify_block` on one tile of rows long enough to judge."""
-    n = x.shape[1]
-    xc = x - x.mean(axis=1, keepdims=True)
-    stds = _centered_stds(xc)
-    labels = [
-        PATTERN_STABLE if std < config.stable_std_threshold else PATTERN_IRREGULAR
-        for std in stds.tolist()
-    ]
-    active = [row for row, label in enumerate(labels) if label != PATTERN_STABLE]
-    if not active:
-        return labels
+#: A tile's labels, by the code :func:`_classify_tile` gives each row.
+_TILE_LABELS = (PATTERN_IRREGULAR, PATTERN_STABLE, PATTERN_HOURLY_PEAK, PATTERN_DIURNAL)
 
-    hourly_lag = max(2, int(round(3600.0 / sample_period)))
-    daily_lag = int(round(24 * 3600.0 / sample_period))
+
+def _classify_tile(
+    x: np.ndarray, config: ClassifierConfig, hourly_lag: int, daily_lag: int
+) -> list[str]:
+    """:func:`classify_block` on one tile of rows long enough to judge.
+
+    Each test is one array op over the rows still undecided: the std test,
+    then the ACF hills on every row that is not stable, then the length-n
+    periodogram only for rows with a passing hill.  The comparisons are
+    :func:`classify_series`'s, so given the same ACF and spectrum each row
+    gets the label the scalar helpers would give it.
+    """
+    n = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) / n  # bitwise x.mean(axis=1)
+    stable = _centered_stds(xc) < config.stable_std_threshold
+    active = np.flatnonzero(~stable)
+    if not active.size:
+        return [PATTERN_STABLE] * len(x)
+    codes = stable.astype(np.intp)  # 0 irregular, 1 stable
     max_lag = min(n // 2, daily_lag * 2)
-    acf_block = autocorrelation_centered(xc[active], max_lag)
-    # The hill tests are cheap and decide most rows alone: only a row with a
-    # passing hill needs its length-n power spectrum.
-    checks: list[tuple[int, bool, bool]] = []
-    for row, acf in zip(active, acf_block):
-        hourly = (
-            _acf_hill_value(acf, hourly_lag, config.lag_tolerance)
-            >= config.hourly_min_acf
-        )
-        daily = daily_lag <= max_lag and (
-            _acf_hill_value(acf, daily_lag, config.lag_tolerance)
-            >= config.diurnal_min_acf
-        )
-        if hourly or daily:
-            checks.append((row, hourly, daily))
-    if not checks:
-        return labels
-    spectra = np.abs(np.fft.rfft(xc[[row for row, _, _ in checks]], axis=1)) ** 2 / n
-    spectra[:, 0] = 0.0
-    mean_powers = spectra.mean(axis=1)
-    for (row, hourly, daily), spectrum, mean_power in zip(
-        checks, spectra, mean_powers.tolist()
-    ):
-        if hourly and (
-            _power_ratio_from_spectrum(spectrum, mean_power, hourly_lag, n)
-            >= config.min_power_ratio
-        ):
-            labels[row] = PATTERN_HOURLY_PEAK
-        elif daily and (
-            _power_ratio_from_spectrum(spectrum, mean_power, daily_lag, n)
-            >= config.min_power_ratio
-        ):
-            labels[row] = PATTERN_DIURNAL
-    return labels
+    acf = short_acf(xc if active.size == len(x) else xc[active], max_lag)
+    hourly = _hill_passes(acf, hourly_lag, config.lag_tolerance, config.hourly_min_acf)
+    daily = (
+        _hill_passes(acf, daily_lag, config.lag_tolerance, config.diurnal_min_acf)
+        if daily_lag <= max_lag
+        else np.zeros_like(hourly)
+    )
+    check = hourly | daily
+    if check.any():
+        rows = active[check]
+        spectra = np.abs(np.fft.rfft(xc[rows], axis=1)) ** 2 / n
+        spectra[:, 0] = 0.0
+        mean_powers = spectra.sum(axis=1) / spectra.shape[1]  # bitwise mean
+        min_ratio = config.min_power_ratio
+        peak = hourly[check]
+        if peak.any():
+            peak &= _power_passes(spectra, mean_powers, _power_bins(hourly_lag, n), min_ratio)
+        diurnal = daily[check] & ~peak
+        if diurnal.any():
+            diurnal &= _power_passes(spectra, mean_powers, _power_bins(daily_lag, n), min_ratio)
+        codes[rows[peak]] = 2
+        codes[rows[diurnal]] = 3
+    return [_TILE_LABELS[code] for code in codes.tolist()]
+
+
+def _hill_passes(
+    acf: np.ndarray, lag: int, tolerance: float, threshold: float
+) -> np.ndarray:
+    """``_acf_hill_value(row, lag, tolerance) >= threshold`` for every ACF row.
+
+    The first argmax of a window is at least every other window value (or a
+    NaN, which fails every test), so only a peak on the window's edge has a
+    neighbour left to compare against.  ``threshold`` is finite, so a row
+    without a hill (scalar value -inf) fails it.
+    """
+    lo, hi = _hill_bounds(lag, tolerance, acf.shape[1])
+    if hi <= lo:
+        return np.zeros(acf.shape[0], dtype=bool)
+    window = acf[:, lo : hi + 1]
+    peak = window.argmax(axis=1)
+    value = window.max(axis=1)
+    return (
+        (value >= threshold)
+        & ((peak != 0) | (value >= acf[:, lo - 1]))
+        & ((peak != hi - lo) | (value >= acf[:, hi + 1]))
+    )
+
+
+def _power_passes(
+    spectra: np.ndarray, mean_powers: np.ndarray, bins: slice, min_ratio: float
+) -> np.ndarray:
+    """``_power_ratio(row, lag) >= min_ratio`` per row, given its periodogram.
+
+    ``spectra`` holds the rows' length-n periodograms, bin 0 zeroed,
+    ``mean_powers`` their means and ``bins`` is ``_power_bins(lag, n)``.
+    """
+    ratio = np.zeros(len(spectra))  # the scalar ratio of an empty bin range or no power
+    if bins.stop > bins.start:
+        np.divide(spectra[:, bins].max(axis=1), mean_powers, out=ratio, where=mean_powers != 0)
+    return ratio >= min_ratio
 
 
 def classify_windows(
@@ -250,11 +280,11 @@ def classify_windows(
     Windows are grouped by length and each group runs through
     :func:`classify_block` one tile at a time: a tile sized to the cache,
     ``_CLASSIFY_TILE_BYTES`` of float64, filled just before it is
-    classified.  ``classify_block`` is bitwise identical to
-    :func:`classify_series`, so neither grouping nor tiling can change a
-    label; labels come back in input order.  A store sweep passes a lazy
-    :class:`_StoreWindows`, which knows every window's length without
-    reading it, so each of its rows is read once, when its tile is filled.
+    classified.  Each row's label depends on that row alone, so neither
+    grouping nor tiling can change a label; labels come back in input
+    order.  A store sweep passes a lazy :class:`_StoreWindows`, which knows
+    every window's length without reading it, so each of its rows is read
+    once, when its tile is filled.
     """
     if isinstance(windows, _StoreWindows):
         lengths = windows.lengths
@@ -349,10 +379,6 @@ class PatternClassifier:
 
     def __init__(self, config: ClassifierConfig | None = None) -> None:
         self.config = config or ClassifierConfig()
-
-    def classify(self, series: np.ndarray, *, sample_period: float = SAMPLE_PERIOD) -> str:
-        """Classify one series."""
-        return classify_series(series, self.config, sample_period=sample_period)
 
     def classify_store(
         self,

@@ -1,4 +1,4 @@
-"""Autocorrelation of utilization series, scalar and batched.
+"""Autocorrelation of utilization series: a scalar reference and a short block ACF.
 
 The paper detects diurnal and hourly-peak patterns "using the approach
 discussed in [18]" -- Vlachos, Yu and Castelli, *On periodicity detection
@@ -7,15 +7,16 @@ two stages are a periodogram-power test and validation on a *hill* (local
 maximum) of the autocorrelation function, where a true period lands and a
 spectral-leakage artifact does not.  :mod:`repro.core.patterns` runs both
 stages only at the two periods the paper's four classes ask about (1 hour
-and 1 day); this module holds the ACF they share with ``fig3``.
+and 1 day).
 
-:func:`autocorrelation` is the scalar reference path, one series at a time;
-:func:`autocorrelation_block` runs one rFFT over a 2-D block of
-equal-length series.  NumPy's pocketfft applies the identical kernel per
-row, and every other batched step (row means, broadcast centering, per-row
-BLAS dots) was chosen so the block path is **bitwise identical** to the
-scalar path -- ``tests/test_periodicity.py`` asserts it on random,
-constant and NaN-gap fixtures.
+:func:`autocorrelation` is the scalar ACF ``fig3`` reads and the pattern
+classifier's reference path (:func:`~repro.core.patterns.classify_series`)
+uses.  :func:`short_acf` is the classifier's batched ACF: it needs lags up
+to ``max_lag`` only, so it pads each row to the smaller wrap-free length
+:func:`short_acf_length` instead of ``2n``.  Its values differ from
+:func:`autocorrelation` in the last bits, never in a label:
+``tests/test_patterns.py`` checks the batched classifier against the scalar
+one row by row.
 """
 
 from __future__ import annotations
@@ -42,57 +43,30 @@ def autocorrelation(series: np.ndarray, max_lag: int | None = None) -> np.ndarra
     return acov / variance
 
 
-def _row_self_dots(block: np.ndarray) -> np.ndarray:
-    """``np.dot(row, row)`` per row.
+def short_acf_length(n: int, max_lag: int) -> int:
+    """The smallest ``2**k`` or ``3 * 2**k`` that is at least ``n + max_lag``.
 
-    Deliberately a per-row BLAS ``ddot`` loop rather than ``einsum`` or a
-    gemm: on this stack only ``ddot`` reproduces the scalar path's
-    accumulation order bit-for-bit, and the loop is negligible next to the
-    batched FFTs it accompanies.
+    Zero-padding a length-``n`` series to ``n + max_lag`` samples keeps the
+    circular autocovariance free of wrap-around up to lag ``max_lag``.  The
+    sizes come from a short fixed ladder rather than the exact smallest
+    5-smooth size, so the windows of a few hundred distinct lengths a store
+    sweep classifies share a handful of FFT plans.
     """
-    return np.array([np.dot(row, row) for row in block], dtype=np.float64)
+    need = n + max_lag
+    size = 1 << (need - 1).bit_length()  # the smallest power of two >= need
+    return 3 * size // 4 if 3 * size // 4 >= need else size
 
 
-def autocorrelation_block(
-    block: np.ndarray, max_lag: int | None = None
-) -> np.ndarray:
-    """Biased sample ACF of every row of ``block``, batched through one FFT.
+def short_acf(xc: np.ndarray, max_lag: int) -> np.ndarray:
+    """ACF up to ``max_lag`` of every row of ``xc``, rows centered on their means.
 
-    ``block`` is ``(n_series, n)``; the result is ``(n_series, max_lag + 1)``
-    and is bitwise identical to calling :func:`autocorrelation` per row.
+    ``(rows, n)`` in, ``(rows, max_lag + 1)`` out, normalized by lag 0.  A
+    row of zero variance comes out NaN: the classifier decides those rows
+    on their std before it asks for an ACF.
     """
-    x = np.asarray(block, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D block, got shape {x.shape}")
-    n = x.shape[1]
-    if n < 2:
-        raise ValueError("series too short for autocorrelation")
-    if max_lag is None:
-        max_lag = n // 2
-    return autocorrelation_centered(x - x.mean(axis=1, keepdims=True), max_lag)
-
-
-def autocorrelation_centered(xc: np.ndarray, max_lag: int) -> np.ndarray:
-    """:func:`autocorrelation_block` of rows already centered on their means.
-
-    The body :func:`autocorrelation_block` runs after centering, exposed so
-    the pattern classifier, which centers each tile once for its std and
-    spectrum tests too, can hand over its centered rows.
-    """
-    n = xc.shape[1]
-    variance = _row_self_dots(xc)
-    n_fft = int(2 ** np.ceil(np.log2(2 * n)))
+    n_fft = short_acf_length(xc.shape[1], max_lag)
     spectrum = np.fft.rfft(xc, n_fft, axis=1)
-    # The power spectrum is multiplied row by row: numpy's 2-D elementwise
-    # complex multiply takes a fused-multiply-add SIMD path whose rounding
-    # of the (nominally zero) imaginary part differs from the 1-D loop, and
-    # that last-ulp residue survives the inverse FFT.  A row of a 2-D array
-    # goes through the same 1-D kernel the scalar path uses.
-    power = np.empty_like(spectrum)
-    for row in range(spectrum.shape[0]):
-        power[row] = spectrum[row] * np.conj(spectrum[row])
-    acov = np.fft.irfft(power, axis=1)[:, : max_lag + 1]
-    out = np.zeros((xc.shape[0], max_lag + 1))
-    live = variance != 0
-    out[live] = acov[live] / variance[live, None]
-    return out
+    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+    acov = np.fft.irfft(power, n_fft, axis=1)[:, : max_lag + 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return acov / acov[:, :1]

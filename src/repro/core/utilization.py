@@ -49,9 +49,10 @@ def _long_lived_ids(
 
 #: Scratch budget for one windowed percentile pass, in bytes, and what one
 #: window element costs at peak: its gathered float32 slab (4) plus what
-#: ``percentile_bands`` allocates beyond its input (a sorted copy, its
-#: float64 cast and ``np.percentile``'s own float64 copy: 16.25 under
-#: tracemalloc), rounded up.  The window width adapts to stay under budget.
+#: ``percentile_bands`` allocates beyond its input (a sorted copy and its
+#: float64 cast, 12 under tracemalloc, and in a window with a NaN also
+#: ``np.nanpercentile``'s own float64 copy: 16.25), rounded up.  The window
+#: width adapts to stay under budget.
 _BAND_WINDOW_BYTES = 256 * 1024 * 1024
 _BAND_BYTES_PER_ELEMENT = 21
 

@@ -12,7 +12,7 @@ and noise levels controlling node-level similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -245,10 +245,16 @@ def sample_service(
     rng: np.random.Generator,
 ) -> ServiceArchetype:
     """Draw a service archetype from a weighted catalog."""
-    weights = np.array([w for _, w in catalog], dtype=np.float64)
-    weights = weights / weights.sum()
-    idx = int(rng.choice(len(catalog), p=weights))
-    return catalog[idx][0]
+    return catalog[int(draw_index(rng, _catalog_cdf(tuple(w for _, w in catalog))))][0]
+
+
+@cache
+def _catalog_cdf(weights: tuple[float, ...]) -> np.ndarray:
+    """The draw CDF of one catalog's weights, validated and built once."""
+    if not weights or any(w < 0 for w in weights) or sum(weights) <= 0:
+        raise ValueError("catalog weights must be non-negative with positive sum")
+    array = np.array(weights, dtype=np.float64)
+    return weighted_cdf(array / array.sum())
 
 
 def expected_pattern_mix(

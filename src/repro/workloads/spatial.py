@@ -10,8 +10,11 @@ cloud, i.e. multi-region private subscriptions are the big ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from repro.sampling import draw_index, weighted_cdf
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,13 @@ class RegionSpread:
             probs[1:] = tail
         return probs
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return weighted_cdf(self.probabilities())
+
     def sample_region_count(self, rng: np.random.Generator) -> int:
         """Draw the number of regions for one subscription."""
-        return int(rng.choice(self.max_regions, p=self.probabilities())) + 1
+        return int(draw_index(rng, self._cdf)) + 1
 
     def expected_region_count(self) -> float:
         """Mean number of regions per subscription."""

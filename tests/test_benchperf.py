@@ -168,7 +168,9 @@ class TestRunBenchPerf:
                 "bench", "schema_version", "seed", "scale", "repeats",
                 "machine", "calibration_s", "tasks", "total_s", "kernels",
             }
-            assert [k["name"] for k in payload["kernels"]] == ["pairwise_pearson"]
+            assert [k["name"] for k in payload["kernels"]] == [
+                "pairwise_pearson", "classify_block"
+            ]
             assert all(k["outputs_identical"] for k in payload["kernels"])
         assert [t["id"] for t in first["tasks"]] == ["fig1a"]
         assert [t["id"] for t in first["tasks"]] == [t["id"] for t in second["tasks"]]

@@ -12,6 +12,7 @@ from repro.core.patterns import (
     PatternMix,
     classify_block,
     classify_series,
+    classify_windows,
 )
 from repro.telemetry.schema import (
     Cloud,
@@ -178,8 +179,64 @@ class TestTiles:
         for _ in range(300):
             shape = (int(rng.integers(1, 40)), int(rng.integers(2, 2500)))
             block = rng.normal(size=shape) * rng.uniform(1e-3, 10) + rng.uniform(-5, 5)
-            std = patterns._centered_stds(block - block.mean(axis=1, keepdims=True))
+            mean = block.mean(axis=1, keepdims=True)
+            # the tile centers on sum / n, which is how np.mean computes it
+            assert (block.sum(axis=1, keepdims=True) / shape[1]).tobytes() == mean.tobytes()
+            std = patterns._centered_stds(block - mean)
             assert std.tobytes() == block.std(axis=1).tobytes()
+
+
+class TestTileDecisions:
+    """Array-wide hill and power tests make the scalar helpers' decisions."""
+
+    @pytest.fixture(scope="class")
+    def acfs(self):
+        rng = np.random.default_rng(23)
+        rows = rng.uniform(-1, 1, (400, 577))
+        rows[::7] = np.round(rows[::7], 1)  # ties inside the windows
+        rows[1::7, 240:340] = 0.5  # flat plateau: first argmax on the edge
+        rows[2::7, 240:340] = np.linspace(0.2, 0.9, 100)  # peak on the right edge
+        rows[3::7, 240:340] = np.linspace(0.9, 0.2, 100)  # peak on the left edge
+        rows[4::7, 9:16] = [0.3, 0.26, 0.28, 0.5, 0.27, 0.29, 0.31]
+        rows[5::7, rng.integers(0, 577, 57)] = np.nan  # scattered NaNs
+        rows[6::7] = np.nan
+        return rows
+
+    @pytest.mark.parametrize("lag", [12, 288, 575])
+    @pytest.mark.parametrize("threshold", [-2.0, 0.25, 0.7])
+    def test_hill_passes_equals_scalar(self, acfs, lag, threshold):
+        got = patterns._hill_passes(acfs, lag, 0.15, threshold)
+        expected = [patterns._acf_hill_value(row, lag, 0.15) >= threshold for row in acfs]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("n", [576, 1001, 2016])
+    def test_power_passes_equals_scalar(self, n):
+        rng = np.random.default_rng(n)
+        t = np.arange(n)
+        rows = rng.normal(0, 0.1, (60, n))
+        rows[::3] += np.sin(2 * np.pi * t / 288)
+        rows[1::3] += rng.uniform(0, 0.4) * np.sin(2 * np.pi * t / 12)
+        rows[5] = 0.4  # constant: zero mean power
+        xc = rows - rows.mean(axis=1, keepdims=True)
+        spectra = np.abs(np.fft.rfft(xc, axis=1)) ** 2 / n
+        spectra[:, 0] = 0.0
+        mean_powers = spectra.sum(axis=1) / spectra.shape[1]
+        for lag in (12, 288):
+            for min_ratio in (0.0, 4.0, 30.0):
+                got = patterns._power_passes(
+                    spectra, mean_powers, patterns._power_bins(lag, n), min_ratio
+                )
+                expected = [patterns._power_ratio(row, lag) >= min_ratio for row in rows]
+                assert got.tolist() == expected
+
+
+def test_one_window_equals_series(examples):
+    """A serving cache miss classifies one window: it must match the oracle."""
+    rng = np.random.default_rng(4)
+    for series in examples.values():
+        for length in (2016, 1500, int(rng.integers(577, 2016)), 576, 300):
+            window = series[:length]
+            assert classify_windows([window]) == [classify_series(window)]
 
 
 class TestPatternMix:

@@ -1,11 +1,13 @@
-"""Unit tests for the scalar and batched autocorrelation."""
+"""Unit tests for the scalar autocorrelation and the classifier's short block ACF."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.periodicity import autocorrelation, autocorrelation_block
+from repro.core.periodicity import autocorrelation, short_acf, short_acf_length
 
 
 def sine(period: int, n: int = 2016) -> np.ndarray:
@@ -35,12 +37,6 @@ class TestAutocorrelation:
         assert np.all(np.abs(acf[1:]) < 0.15)
 
 
-def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Exact equality, with NaN == NaN (there is no looser tolerance here)."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and bool(np.all((a == b) | (np.isnan(a) & np.isnan(b))))
-
-
 @pytest.fixture(scope="module")
 def mixed_block():
     """Random, periodic, constant and NaN-gap rows of one odd length.
@@ -59,34 +55,44 @@ def mixed_block():
             np.sin(2 * np.pi * t / 48) + 0.1 * rng.normal(size=n),
             np.sin(2 * np.pi * t / 288) + 0.7 * np.sin(2 * np.pi * t / 12),
             np.full(n, 0.37),
-            np.zeros(n),
             gap,
         ]
     )
 
 
-class TestBatchedBitCompat:
-    """autocorrelation_block must match the scalar path bit for bit."""
+class TestShortAcf:
+    """The classifier's wrap-free ACF: scalar values to rounding, few FFT sizes."""
 
-    def test_autocorrelation_block(self, mixed_block):
-        batched = autocorrelation_block(mixed_block)
-        for row, series in enumerate(mixed_block):
-            assert bitwise_equal(batched[row], autocorrelation(series)), row
+    def test_length_ladder(self):
+        sizes = set()
+        for n in range(576, 2017):
+            max_lag = min(n // 2, 576)
+            size = short_acf_length(n, max_lag)
+            assert size >= n + max_lag
+            k = size.bit_length() - 1
+            assert size in (1 << k, 3 << (k - 1))
+            next_down = 3 << (k - 2) if size == 1 << k else 1 << k
+            assert next_down < n + max_lag  # the smallest rung long enough
+            sizes.add(size)
+        assert sizes == {1024, 1536, 2048, 3072}
+        assert short_acf_length(2016, 576) == 3072
 
-    def test_autocorrelation_block_max_lag(self, mixed_block):
-        batched = autocorrelation_block(mixed_block, max_lag=64)
-        assert batched.shape == (mixed_block.shape[0], 65)
-        for row, series in enumerate(mixed_block):
-            assert bitwise_equal(batched[row], autocorrelation(series, max_lag=64))
+    @pytest.mark.parametrize("max_lag", [64, 350])
+    def test_close_to_scalar(self, mixed_block, max_lag):
+        rows = mixed_block[:3]
+        acf = short_acf(rows - rows.mean(axis=1, keepdims=True), max_lag)
+        assert acf.shape == (3, max_lag + 1)
+        for got, series in zip(acf, rows):
+            expected = autocorrelation(series, max_lag=max_lag)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            assert got[0] == 1.0
 
-    def test_autocorrelation_block_rejects_1d(self):
-        with pytest.raises(ValueError):
-            autocorrelation_block(np.ones(16))
-
-    def test_single_row_block(self, mixed_block):
-        one = mixed_block[1:2]
-        assert bitwise_equal(autocorrelation_block(one)[0], autocorrelation(one[0]))
+    def test_degenerate_rows_are_nan(self, mixed_block):
+        rows = mixed_block[3:]  # constant, NaN gap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acf = short_acf(rows - rows.mean(axis=1, keepdims=True), 64)
+        assert np.isnan(acf).all()
 
     def test_empty_block(self):
-        assert autocorrelation_block(np.empty((0, 64))).shape == (0, 33)
-
+        assert short_acf(np.empty((0, 64)), 32).shape == (0, 33)

@@ -25,7 +25,12 @@ from repro.workloads.lifetime import (
     perturbed_model,
 )
 from repro.workloads.profiles import private_profile, public_profile
-from repro.workloads.services import OFFERINGS, ServiceArchetype
+from repro.workloads.services import (
+    OFFERINGS,
+    PRIVATE_SERVICES,
+    ServiceArchetype,
+    sample_service,
+)
 from repro.workloads.utilization_models import NoiseParams
 
 PROFILES = (private_profile(), public_profile())
@@ -84,6 +89,27 @@ def test_archetype_draws_equal_choice(profile):
                 expected = OFFERINGS[expected_rng.choice(3, p=offering_p)]
                 assert archetype.sample_offering(rng) == expected
             assert rng.random() == expected_rng.random()
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: str(p.cloud))
+def test_service_and_region_count_draws_equal_choice(profile):
+    service_p = _normalized([share for _, share in profile.services])
+    spread = profile.region_spread
+    for seed in SEEDS:
+        expected_rng, rng = _pair(seed)
+        for _ in range(20):
+            expected = profile.services[expected_rng.choice(len(service_p), p=service_p)][0]
+            assert sample_service(profile.services, rng) is expected
+            expected = int(expected_rng.choice(spread.max_regions, p=spread.probabilities()))
+            assert spread.sample_region_count(rng) == expected + 1
+        assert rng.random() == expected_rng.random()
+
+
+def test_bad_catalog_weights_raise():
+    archetype = PRIVATE_SERVICES[0][0]
+    for weights in [(), (0.5, -0.1), (0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            sample_service(tuple((archetype, w) for w in weights), np.random.default_rng(0))
 
 
 def _lifetimes_via_choice(model, rng: np.random.Generator, size: int) -> np.ndarray:

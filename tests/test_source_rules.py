@@ -7,8 +7,9 @@
 * **Slow idiom in a loop.**  Inside ``core/`` and ``analysis/`` a loop
   body or comprehension element may not call ``np.fft.*``,
   ``np.corrcoef``, ``np.append`` or ``pearson_correlation``: the batched
-  kernels (``pairwise_pearson``, ``autocorrelation_block``,
-  ``classify_block``) replaced exactly those per-series shapes.
+  kernels (``pairwise_pearson`` and ``classify_block`` with its short
+  block ACF ``short_acf``, label-identical to the scalar classifier)
+  replaced exactly those per-series shapes.
 
 Each site that may break a rule is listed below, keyed by module and
 function, with its reason.  A new site fails the test until it is fixed

@@ -201,6 +201,11 @@ class TestPercentileBands:
         assert np.isnan(bands.band(25.0)[0])
         assert bands.band(50.0)[1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("bad", [(50.0, 100.5), (-1.0,), (np.nan,)])
+    def test_out_of_range_percentile_raises(self, rng, bad):
+        with pytest.raises(ValueError):
+            percentile_bands(rng.random((5, 4)), bad)
+
     def test_nan_free_path_unchanged(self, rng):
         matrix = rng.uniform(0, 1, size=(20, 12))
         with_nan_path = percentile_bands(matrix)
@@ -233,6 +238,11 @@ _BAND_CASES = {
     "constant_columns": lambda rng: np.tile(rng.random(12), (9, 1)),
     "one_row": lambda rng: rng.random((1, 20)),
     "two_rows": lambda rng: rng.random((2, 20)),
+    "three_rows": lambda rng: rng.random((3, 20)),
+    "720_rows_ties": lambda rng: np.floor(rng.random((720, 12)) * 7) / 7,
+    "1501_rows_constant_columns": lambda rng: np.hstack(
+        [rng.random((1501, 6)), np.full((1501, 2), 0.25)]
+    ),
     "nan_gaps": lambda rng: _with_nans(rng.random((45, 33)), rng, 0.2),
     "nan_gaps_two_rows": lambda rng: _with_nans(rng.random((2, 40)), rng, 0.4),
     "all_nan_columns": lambda rng: np.where(
