@@ -53,7 +53,9 @@ REGION_AGNOSTIC_THRESHOLD = 0.7
 MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION = 50
 
 
-def build_subscription_records(store, subscriptions) -> "list[SubscriptionKnowledge]":
+def build_subscription_records(
+    store, subscriptions, labels: "dict[int, str] | None" = None
+) -> "list[SubscriptionKnowledge]":
     """Distill subscriptions' telemetry into knowledge records, in input order.
 
     The shared record builder behind both the batch
@@ -76,22 +78,37 @@ def build_subscription_records(store, subscriptions) -> "list[SubscriptionKnowle
     subscription's windows, the batched path of
     ``PatternClassifier.classify_store``; labels do not depend on how
     windows are batched, so a record is the same built alone or with others.
+
+    ``labels`` is an optional per-VM label cache, the online service's: a
+    VM found in it is not classified again, and each VM classified here is
+    added to it when its window is non-empty.  For the same reason a
+    cached label equals a fresh one as long as the VM's window has not
+    changed; dropping the entry when it does is the caller's part.
     """
     collected = [_collect_record(store, *entry) for entry in subscriptions]
-    labels = classify_vm_windows(
-        store, [vm_id for _record, vm_ids in collected for vm_id in vm_ids], CLASSIFIER_CONFIG
-    )
-    at = 0
-    for record, vm_ids in collected:
-        _finish_record(record, labels[at : at + len(vm_ids)])
-        at += len(vm_ids)
-    return [record for record, _vm_ids in collected]
+    known = {} if labels is None else labels
+    misses = [
+        vm_id for _record, vm_ids, _empty in collected for vm_id in vm_ids if vm_id not in known
+    ]
+    fresh = dict(zip(misses, classify_vm_windows(store, misses, CLASSIFIER_CONFIG)))
+    for record, vm_ids, empty in collected:
+        _finish_record(
+            record, [fresh[vm_id] if vm_id in fresh else known[vm_id] for vm_id in vm_ids]
+        )
+        if labels is not None:
+            # An empty window is labelled by its length alone; the service
+            # answers such a VM "unavailable", so its label is not kept.
+            labels.update(
+                (vm_id, fresh[vm_id]) for vm_id in vm_ids if vm_id in fresh and vm_id not in empty
+            )
+    return [record for record, _vm_ids, _empty in collected]
 
 
 def _collect_record(
     store, sub, vms, creations, region_agnostic
-) -> "tuple[SubscriptionKnowledge, list[int]]":
-    """Everything of one record but its patterns, and the VMs to classify."""
+) -> "tuple[SubscriptionKnowledge, list[int], set[int]]":
+    """Everything of one record but its patterns, the VMs to classify and
+    which of those have an empty window."""
     metadata = store.metadata
     vms = sorted(vms, key=lambda vm: vm.vm_id)
     record = SubscriptionKnowledge(
@@ -113,6 +130,7 @@ def _collect_record(
         )
 
     to_classify: list[int] = []
+    empty: set[int] = set()
     utils = []
     for vm in vms:
         series = store.utilization(vm.vm_id)
@@ -124,10 +142,12 @@ def _collect_record(
             utils.append(window)
         if len(to_classify) < MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION:
             to_classify.append(vm.vm_id)
+            if not window.size:
+                empty.add(vm.vm_id)
     if utils:
-        stacked = np.concatenate(utils)
+        stacked = np.concatenate(utils)  # a private copy, free to reorder
         record.mean_utilization = float(stacked.mean())
-        record.p95_utilization = float(np.percentile(stacked, 95))
+        record.p95_utilization = float(np.percentile(stacked, 95, overwrite_input=True))
 
     if len(creations) >= 12:
         times = np.array([t for t, _vm_id in sorted(creations)])
@@ -137,7 +157,7 @@ def _collect_record(
             record.creation_cv = cv
 
     record.region_agnostic = region_agnostic
-    return record, to_classify
+    return record, to_classify, empty
 
 
 def _finish_record(record: "SubscriptionKnowledge", labels: list[str]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,12 +149,7 @@ def apply_record(store: TraceStore, record: IngestRecord) -> None:
     if vm is not None and event is not None:
         # A CREATE delivers the censored record; the closing event (if it
         # ever arrives) finalizes the true end time.
-        vm = replace(vm, ended_at=math.inf)
-    block = None
-    if vm is not None and record.utilization is not None:
-        block = store.check_utilization_block(
-            [vm.vm_id], np.asarray(record.utilization).reshape(1, -1)
-        )
+        vm = vm.with_end(math.inf)
     closing = None
     if event is not None and record.vm_end is not None:
         if vm is not None and vm.vm_id == event.vm_id:
@@ -165,9 +160,9 @@ def apply_record(store: TraceStore, record: IngestRecord) -> None:
             check_vm_end(closing, record.vm_end)
 
     if vm is not None:
-        store.add_vm(vm)  # the first mutation; refuses a duplicate id itself
-        if block is not None:
-            store.add_utilization_block([vm.vm_id], block)
+        # The first mutation; it checks the id and the series before
+        # storing either.
+        store.add_vm(vm, record.utilization)
     if event is not None:
         store.add_event(event)
         if closing is not None:

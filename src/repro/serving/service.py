@@ -19,9 +19,10 @@
   equivalence suite asserts this at every prefix.
 * **Queries** are served over a newline-delimited JSON TCP protocol
   (one request object per line, one response object per line; see
-  ``docs/SERVING.md``).  Malformed input gets a typed ``bad_request`` error
-  and bumps the ``serving.bad_request`` counter instead of killing the
-  connection.
+  ``docs/SERVING.md``) by an :class:`asyncio.Protocol` that dispatches each
+  line inline as it arrives and answers in request order.  Malformed input
+  gets a typed ``bad_request`` error and bumps the ``serving.bad_request``
+  counter instead of killing the connection.
 
 ``REPRO_FAULT=serve:stall`` arms the slow-consumer fault: the ingest
 consumer sleeps before each batch, so a fast producer fills the bounded
@@ -35,6 +36,7 @@ import asyncio
 import inspect
 import json
 import math
+from collections import deque
 
 from repro.core.correlation import subscription_region_report
 from repro.core.knowledge_base import (
@@ -124,7 +126,12 @@ class KnowledgeBaseService:
         self._creations: dict[int, list[tuple[float, int]]] = {}
         self._region_ids: dict[int, dict[str, list[int]]] = {}
         self._dirty: set[int] = set()
+        #: Pattern label per VM over its current window, filled by
+        #: ``pattern_for_vm`` and by refresh; dropped when the window closes.
         self._pattern_cache: dict[int, str] = {}
+        #: ``region_agnostic_candidates`` answers per ``cloud`` argument,
+        #: valid until a refresh rebuilds a record.
+        self._candidates: dict[str | None, list[dict]] = {}
         self._events_version = 0
         self._predictors: dict[Cloud, tuple[int, AllocationFailurePredictor]] = {}
         self._queue: asyncio.Queue[list[IngestRecord]] = asyncio.Queue(
@@ -132,8 +139,8 @@ class KnowledgeBaseService:
         )
         self._server: asyncio.base_events.Server | None = None
         self._ingest_task: asyncio.Task | None = None
-        #: Live client handlers and their writers; stop() closes them.
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Open client connections; stop() closes them.
+        self._connections: set[_ServerConnection] = set()
         #: Serializes start()/stop(): both mutate several related fields
         #: (_server, _ingest_task, host, port) across awaits, and two
         #: overlapping lifecycle transitions must never interleave --
@@ -250,12 +257,12 @@ class KnowledgeBaseService:
             sub_id = store.vm(event.vm_id).subscription_id
             self._creations.setdefault(sub_id, []).append((event.time, event.vm_id))
             self._dirty.add(sub_id)
-        elif event.kind in (EventKind.TERMINATE, EventKind.EVICT):
-            if event.vm_id in store:
-                self._dirty.add(store.vm(event.vm_id).subscription_id)
-                # The VM's observation window closed; its cached pattern
-                # was computed over the open-ended window.
-                self._pattern_cache.pop(event.vm_id, None)
+        closes = record.vm_end is not None or event.kind in (EventKind.TERMINATE, EventKind.EVICT)
+        if closes and event.vm_id in store:
+            self._dirty.add(store.vm(event.vm_id).subscription_id)
+            # The VM's observation window closed; its cached pattern
+            # was computed over the open-ended window.
+            self._pattern_cache.pop(event.vm_id, None)
 
     # ------------------------------------------------------------------
     # refresh (dirty subscriptions -> knowledge records)
@@ -291,9 +298,11 @@ class KnowledgeBaseService:
                         None if report is None else report.region_agnostic,
                     )
                 )
-            for record in build_subscription_records(store, entries):
+            for record in build_subscription_records(store, entries, self._pattern_cache):
                 self._kb.put(record)
             refreshed = len(entries)
+            if refreshed:
+                self._candidates.clear()
             self._dirty.clear()
         _REFRESHED_SUBS.inc(refreshed)
         return refreshed
@@ -343,18 +352,27 @@ class KnowledgeBaseService:
         return {"vm_id": int(vm_id), "pattern": label}
 
     def region_agnostic_candidates(self, cloud: "Cloud | str | None" = None) -> list[dict]:
-        """Subscriptions whose load follows one global clock (Fig. 7c)."""
+        """Subscriptions whose load follows one global clock (Fig. 7c).
+
+        The list depends only on the knowledge records, so it is built once
+        per ``cloud`` and kept until a refresh rebuilds a record; callers
+        share it and must not modify it.
+        """
         self.refresh()
-        return [
-            {
-                "subscription_id": r.subscription_id,
-                "cloud": r.cloud,
-                "service": r.service,
-                "regions": list(r.regions),
-                "n_vms": r.n_vms,
-            }
-            for r in self._kb.region_agnostic_candidates(cloud=cloud)
-        ]
+        key = None if cloud is None else str(cloud)
+        candidates = self._candidates.get(key)
+        if candidates is None:
+            candidates = self._candidates[key] = [
+                {
+                    "subscription_id": r.subscription_id,
+                    "cloud": r.cloud,
+                    "service": r.service,
+                    "regions": list(r.regions),
+                    "n_vms": r.n_vms,
+                }
+                for r in self._kb.region_agnostic_candidates(cloud=cloud)
+            ]
+        return candidates
 
     def allocation_failure_risk(
         self, cloud: "Cloud | str", load_fraction: float, recent_creations: float
@@ -507,8 +525,8 @@ class KnowledgeBaseService:
             if self._server is not None:
                 raise RuntimeError("service already started")
             self._ingest_task = asyncio.create_task(self._ingest_loop())
-            self._server = await asyncio.start_server(
-                self._accept, host, port, limit=STREAM_LIMIT
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: _ServerConnection(self), host, port
             )
             sockname = self._server.sockets[0].getsockname()
             self.host, self.port = sockname[0], sockname[1]
@@ -519,15 +537,18 @@ class KnowledgeBaseService:
 
         Connections are closed first because ``Server.wait_closed()``
         waits for all of them on Python 3.12+, so one idle client would
-        otherwise keep ``stop()`` from returning.
+        otherwise keep ``stop()`` from returning.  A dispatch suspended on
+        a full ingest queue still finishes (its batch is enqueued and
+        applied below); only its response is dropped.
         """
         async with self._lifecycle_lock:
             if self._server is not None:
                 self._server.close()
-                for writer in self._connections.values():
-                    writer.close()
-                # A closed transport feeds EOF, so each handler exits.
-                await asyncio.gather(*self._connections)
+                connections = list(self._connections)
+                for connection in connections:
+                    connection.close()
+                for connection in connections:
+                    await connection.wait_closed()
                 await self._server.wait_closed()
                 self._server = None
             if self._ingest_task is not None:
@@ -550,41 +571,6 @@ class KnowledgeBaseService:
                 self.apply_records(batch)
             finally:
                 self._queue.task_done()
-
-    def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """``start_server`` callback: run the handler as a tracked task."""
-        task = asyncio.get_running_loop().create_task(
-            self._handle_client(reader, writer)
-        )
-        self._connections[task] = writer
-        task.add_done_callback(self._connections.pop)
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        _CONNECTIONS.inc()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                response = await self._dispatch_line(line)
-                writer.write(response + b"\n")
-                await writer.drain()
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            _DISCONNECTS.inc()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                _DISCONNECTS.inc()
 
     async def _dispatch_line(self, line: bytes) -> bytes:
         _REQUESTS.inc()
@@ -630,32 +616,251 @@ def _error_response(req_id, kind: str, message: str) -> bytes:
     ).encode()
 
 
-class ServiceClient:
-    """Minimal asyncio client for the newline-JSON protocol."""
+class _LineBuffer:
+    """Splits a byte stream into newline-terminated lines of bounded length.
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    ``feed`` returns the complete lines (without their newline).  A line,
+    complete or still open, longer than ``STREAM_LIMIT`` -- the bound
+    ``StreamReader.readline`` enforces -- sets ``overrun``: the lines
+    before it are still returned, and it and everything after are dropped.
+    Only the new bytes are searched, so a multi-MB line arriving in chunks
+    costs linear time.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        self.overrun = False
+
+    def feed(self, data: bytes) -> list[bytearray]:
+        if self.overrun:
+            return []
+        buffer = self._buffer
+        scan = len(buffer)
+        buffer += data
+        lines = []
+        start = 0
+        while (end := buffer.find(b"\n", scan)) >= 0:
+            if end - start > STREAM_LIMIT:
+                self.overrun = True
+                break
+            lines.append(buffer[start:end])
+            start = scan = end + 1
+        del buffer[:start]
+        if self.overrun or len(buffer) > STREAM_LIMIT:
+            self.overrun = True
+            buffer.clear()
+        return lines
+
+    def rest(self) -> bytearray:
+        """The unterminated tail, emptied (what ``readline`` returns at EOF)."""
+        rest, self._buffer = self._buffer, bytearray()
+        return rest
+
+
+class _ServerConnection(asyncio.Protocol):
+    """One client connection of the service (see ``docs/SERVING.md``).
+
+    Each complete line is dispatched inline from ``data_received``: nearly
+    every op finishes without suspending, so its coroutine completes in
+    one ``send`` and the response is written before the callback returns.
+    A dispatch that does suspend (``ingest`` on a full queue) continues in
+    a task, the lines behind it wait in order, and reading pauses until it
+    finishes.  Reading also pauses while the transport's write buffer is
+    over its high-water mark, so a client that does not read its responses
+    stops being served.  EOF or an over-long line ends the input: the
+    lines before it are answered, then the connection closes.
+    """
+
+    def __init__(self, service: KnowledgeBaseService) -> None:
+        self._service = service
+        self._transport: asyncio.Transport | None = None
+        self._input = _LineBuffer()
+        self._lines: deque[bytes] = deque()
+        self._task: asyncio.Task | None = None
+        self._writing_paused = False
+        self._input_done = False
+        self._closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._service._connections.add(self)
+        _CONNECTIONS.inc()
+
+    def data_received(self, data: bytes) -> None:
+        self._lines.extend(self._input.feed(data))
+        if self._input.overrun:
+            self._input_done = True
+            self._transport.pause_reading()
+        self._run()
+
+    def eof_received(self) -> bool:
+        rest = self._input.rest()
+        if rest:
+            self._lines.append(rest)
+        self._input_done = True
+        self._run()
+        return True  # half-open until the queued lines are answered
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self._resume_reading()
+        self._run()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if exc is not None:
+            _DISCONNECTS.inc()
+        self._lines.clear()
+        self._service._connections.discard(self)
+        self._closed.set_result(None)
+
+    def close(self) -> None:
+        self._transport.close()
+
+    async def wait_closed(self) -> None:
+        """Until the connection is gone and no dispatch of it is running."""
+        await self._closed
+        if self._task is not None:
+            await self._task
+
+    def _resume_reading(self) -> None:
+        if self._task is None and not self._writing_paused and not self._input_done:
+            self._transport.resume_reading()
+
+    def _run(self) -> None:
+        """Dispatch queued lines, in order, until one suspends."""
+        transport, lines = self._transport, self._lines
+        while lines and self._task is None and not self._writing_paused:
+            if transport.is_closing():
+                return
+            coro = self._service._dispatch_line(lines.popleft())
+            try:
+                pending = coro.send(None)
+            except StopIteration as done:
+                transport.write(done.value + b"\n")
+            else:
+                transport.pause_reading()
+                self._task = asyncio.get_running_loop().create_task(
+                    self._finish(coro, pending)
+                )
+        if self._input_done and not lines and self._task is None:
+            transport.close()
+
+    async def _finish(self, coro, pending) -> None:
+        """Complete a suspended dispatch, answer it, then go on with the queue."""
+        try:
+            while True:
+                # Wait for what the dispatch waits on, then step it on, as
+                # a task would; a bare ``yield`` asks for one loop turn.
+                if pending is None:
+                    await asyncio.sleep(0)
+                else:
+                    await asyncio.wait((pending,))
+                try:
+                    pending = coro.send(None)
+                except StopIteration as done:
+                    response = done.value
+                    break
+        except BaseException:
+            self._transport.close()
+            raise
+        finally:
+            self._task = None
+        if self._transport.is_closing():
+            _DISCONNECTS.inc()  # the client left before its answer
+            return
+        self._transport.write(response + b"\n")
+        self._resume_reading()
+        self._run()
+
+
+class _ClientConnection(asyncio.Protocol):
+    """Client side of one connection: responses resolve requests in order."""
+
+    def __init__(self) -> None:
+        self._transport: asyncio.Transport | None = None
+        self._input = _LineBuffer()
+        self._waiters: deque[asyncio.Future] = deque()
+        self._loop = asyncio.get_running_loop()
+        self._closed = self._loop.create_future()
+        self._drained: asyncio.Future | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        waiters = self._waiters
+        for line in self._input.feed(data):
+            if not waiters:
+                break  # an answer nobody asked for
+            waiter = waiters.popleft()
+            if not waiter.done():  # a cancelled request still takes its answer
+                waiter.set_result(line)
+        if self._input.overrun:
+            self._fail(ValueError(f"response line longer than {STREAM_LIMIT} bytes"))
+            self._transport.close()
+
+    def pause_writing(self) -> None:
+        self._drained = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        drained, self._drained = self._drained, None
+        if drained is not None and not drained.done():
+            drained.set_result(None)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._fail(ConnectionError("server closed the connection"))
+        self.resume_writing()
+        self._closed.set_result(None)
+
+    def _fail(self, exc: Exception) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(exc)
+
+    async def round_trip(self, line: bytes) -> bytearray:
+        """Send one request line; returns its response line."""
+        if self._transport.is_closing():
+            raise ConnectionError("server closed the connection")
+        waiter = self._loop.create_future()
+        self._waiters.append(waiter)
+        self._transport.write(line)
+        if self._drained is not None:
+            await self._drained
+        return await waiter
+
+    async def close(self) -> None:
+        self._transport.close()
+        await self._closed
+
+
+class ServiceClient:
+    """Minimal asyncio client for the newline-JSON protocol.
+
+    Requests may be pipelined: concurrent ``request`` calls on one client
+    are written in call order and answered in that order.
+    """
+
+    def __init__(self, connection: _ClientConnection) -> None:
+        self._connection = connection
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=STREAM_LIMIT
+        _transport, connection = await asyncio.get_running_loop().create_connection(
+            _ClientConnection, host, port
         )
-        return cls(reader, writer)
+        return cls(connection)
 
     async def request(self, op: str, args: dict | None = None, **extra) -> dict:
         """One round trip; returns the raw response envelope."""
         payload: dict = {"op": op, **extra}
         if args is not None:
             payload["args"] = args
-        self._writer.write(json.dumps(payload).encode() + b"\n")
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
+        line = await self._connection.round_trip(json.dumps(payload).encode() + b"\n")
         return json.loads(line)
 
     async def call(self, op: str, args: dict | None = None) -> dict:
@@ -669,8 +874,4 @@ class ServiceClient:
         return response["result"]
 
     async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        await self._connection.close()

@@ -98,6 +98,31 @@ class VMRecord:
         """Whether the VM both started and ended inside a finite window."""
         return self.ended_at != float("inf")
 
+    def with_end(self, ended_at: float) -> "VMRecord":
+        """This row with ``ended_at`` replaced.
+
+        Equal field for field to ``dataclasses.replace(self,
+        ended_at=ended_at)`` at well under half its cost; the store closes
+        and the serving backend censors one row per VM this way.
+        """
+        return VMRecord(
+            self.vm_id,
+            self.subscription_id,
+            self.deployment_id,
+            self.service,
+            self.cloud,
+            self.region,
+            self.cluster_id,
+            self.rack_id,
+            self.node_id,
+            self.cores,
+            self.memory_gb,
+            self.created_at,
+            ended_at,
+            self.pattern,
+            self.offering,
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class EventRecord:

@@ -45,7 +45,6 @@ call.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
@@ -197,18 +196,27 @@ class TraceStore:
         """Register a subscription."""
         self.subscriptions[subscription.subscription_id] = subscription
 
-    def add_vm(self, vm: VMRecord) -> None:
-        """Add a VM row; the id must be unused."""
+    def add_vm(self, vm: VMRecord, utilization: np.ndarray | None = None) -> None:
+        """Add a VM row, and its series when given; the id must be unused.
+
+        Every check, the series' included, runs before either is stored.
+        """
         if vm.vm_id in self._vms:
             raise ValueError(f"duplicate vm_id {vm.vm_id}")
+        if utilization is not None:
+            block = self._checked_block(
+                [vm.vm_id], np.asarray(utilization).reshape(1, -1)
+            )
         self._vms[vm.vm_id] = vm
         self._version += 1
+        if utilization is not None:
+            self._adopt_block([vm.vm_id], block)
 
     def finalize_vm(self, vm_id: int, ended_at: float) -> VMRecord:
         """Replace a VM row with a terminated copy and return that copy."""
         old = self._vms[vm_id]
         check_vm_end(old, ended_at)
-        closed = dataclasses.replace(old, ended_at=float(ended_at))
+        closed = old.with_end(float(ended_at))
         self._vms[vm_id] = closed
         self._version += 1
         return closed
@@ -247,19 +255,19 @@ class TraceStore:
         into it.  An id that already carries a series is refused, as
         :meth:`add_vm` refuses a duplicate id.
         """
-        block = self.check_utilization_block(vm_ids, block)
+        block = self._checked_block(vm_ids, block)
         for vm_id in vm_ids:
             if vm_id not in self._vms:
                 raise KeyError(f"unknown vm_id {vm_id}")
         self._adopt_block(vm_ids, block)
 
-    def check_utilization_block(
+    def _checked_block(
         self, vm_ids: Sequence[int], block: np.ndarray
     ) -> np.ndarray:
         """Validate a block for :meth:`add_utilization_block`, storing nothing.
 
-        Every check but VM membership, so a caller can vet a series before
-        it adds the VM.  Returns the block as C-contiguous float32.
+        Every check but VM membership, so :meth:`add_vm` can vet a series
+        before it adds the VM.  Returns the block as C-contiguous float32.
         """
         block = np.ascontiguousarray(block, dtype=np.float32)
         if block.ndim != 2:

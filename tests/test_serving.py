@@ -21,6 +21,7 @@ import pytest
 
 from repro.bench import QUERY_MIX
 from repro.obs import MetricsScope
+from repro.serving import service as service_module
 from repro.serving import (
     KnowledgeBaseService,
     ServiceClient,
@@ -193,13 +194,14 @@ class TestLifecycle:
             before = asyncio.all_tasks()
             service = KnowledgeBaseService.for_trace(small_trace)
             host, port = await service.start()
-            client = await ServiceClient.connect(host, port)
-            assert await client.call("ping") == {"pong": True}
+            reader, writer = await asyncio.open_connection(host, port)
+            pong = json.loads(await _raw_round_trip(reader, writer, b'{"op": "ping"}\n'))
+            assert pong["result"] == {"pong": True}
             await asyncio.wait_for(service.stop(), 10.0)
             leaked = asyncio.all_tasks() - before
             assert leaked == set(), leaked
-            assert await client._reader.read() == b"", "connection left open"
-            await client.close()
+            assert await reader.read() == b"", "connection left open"
+            writer.close()
 
         run(scenario())
 
@@ -342,16 +344,15 @@ class TestProtocolErrors:
             service = KnowledgeBaseService.for_trace(small_trace)
             host, port = await service.start()
             client = await ServiceClient.connect(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
             responses = {}
 
-            client._writer.write(b"this is not json\n")
-            await client._writer.drain()
-            responses["garbage"] = json.loads(await client._reader.readline())
-
-            client._writer.write(b"[1, 2, 3]\n")
-            await client._writer.drain()
-            responses["non_object"] = json.loads(await client._reader.readline())
-
+            responses["garbage"] = json.loads(
+                await _raw_round_trip(reader, writer, b"this is not json\n")
+            )
+            responses["non_object"] = json.loads(
+                await _raw_round_trip(reader, writer, b"[1, 2, 3]\n")
+            )
             responses["unknown_op"] = await client.request("frobnicate")
             responses["bad_args"] = await client.request(
                 "pattern_for_vm", {"vm_id": "not-an-int"}
@@ -361,9 +362,10 @@ class TestProtocolErrors:
             )
             responses["bad_args_type"] = json.loads(
                 await _raw_round_trip(
-                    client, {"op": "ping", "args": [1, 2]}
+                    reader, writer, b'{"op": "ping", "args": [1, 2]}\n'
                 )
             )
+            writer.close()
             await client.close()
             await service.stop()
             return responses
@@ -434,10 +436,132 @@ class TestProtocolErrors:
         assert stats["queue_depth"] == 0
 
 
-async def _raw_round_trip(client: ServiceClient, payload: dict) -> bytes:
-    client._writer.write(json.dumps(payload).encode() + b"\n")
-    await client._writer.drain()
-    return await client._reader.readline()
+#: Counts dispatches that waited on a full ingest queue.
+_BACKPRESSURE = service_module._BACKPRESSURE
+
+
+async def _fill_queue(service: KnowledgeBaseService, records: list) -> None:
+    """Park the stalled consumer on one batch and fill a one-slot queue."""
+    await service.ingest(records[:10])  # the consumer takes it and stalls
+    await service.ingest(records[10:20])  # waits for the slot, then holds it
+
+
+def _ingest_line(record, req_id) -> bytes:
+    request = {"op": "ingest", "id": req_id, "args": {"records": [record.to_wire()]}}
+    return json.dumps(request).encode() + b"\n"
+
+
+class TestTransport:
+    """The protocol server: ordering, suspension, line limit, shutdown."""
+
+    def test_pipelined_requests_answered_in_order(
+        self, small_trace, ingest_records, monkeypatch
+    ):
+        """Three requests in one write -- ``ping``, an ``ingest`` that must
+        wait for a slot in the full queue, ``ping`` -- are answered in
+        request order: the second ``ping`` waits behind the ``ingest``."""
+        monkeypatch.setenv("REPRO_FAULT", "serve:stall:1000")
+
+        async def scenario():
+            service = KnowledgeBaseService.for_trace(
+                small_trace, queue_maxsize=1, stall_delay=0.1
+            )
+            host, port = await service.start()
+            await _fill_queue(service, ingest_records)
+            waits = _BACKPRESSURE.value
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                b'{"op": "ping", "id": 1}\n'
+                + _ingest_line(ingest_records[20], 2)
+                + b'{"op": "ping", "id": 3}\n'
+            )
+            await writer.drain()
+            responses = [json.loads(await reader.readline()) for _ in range(3)]
+            waited = _BACKPRESSURE.value - waits
+            writer.close()
+            await service.drain()
+            applied = service.backend.describe()["applied"]
+            await service.stop()
+            return responses, waited, applied
+
+        responses, waited, applied = run(scenario())
+        assert [r["id"] for r in responses] == [1, 2, 3]
+        assert all(r["ok"] for r in responses), responses
+        assert responses[1]["result"] == {"accepted": 1}
+        assert waited == 1, "the ingest never waited on the full queue"
+        assert applied == 21
+
+    @pytest.mark.parametrize("terminated", [False, True])
+    def test_overlong_line_closes_only_its_connection(
+        self, small_trace, monkeypatch, terminated
+    ):
+        """A line over ``STREAM_LIMIT`` (the limit is lowered here instead
+        of sending 64 MB) ends its own connection after the lines before
+        it are answered; another client is still served."""
+        monkeypatch.setattr(service_module, "STREAM_LIMIT", 1024)
+
+        async def scenario():
+            service = KnowledgeBaseService.for_trace(small_trace)
+            host, port = await service.start()
+            survivor = await ServiceClient.connect(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                b'{"op": "ping", "id": 1}\n' + b"x" * 4096 + (b"\n" if terminated else b"")
+            )
+            await writer.drain()
+            first = json.loads(await reader.readline())
+            rest = await reader.read()
+            writer.close()
+            pong = await survivor.call("ping")
+            await survivor.close()
+            await service.stop()
+            return first, rest, pong
+
+        first, rest, pong = run(scenario())
+        assert first["id"] == 1 and first["result"] == {"pong": True}
+        assert rest == b"", "the over-long line was not the end of its connection"
+        assert pong == {"pong": True}
+
+    def test_stop_leaves_no_task_while_a_dispatch_is_suspended(
+        self, small_trace, ingest_records, monkeypatch
+    ):
+        """``stop()`` with an ``ingest`` suspended on the full queue: the
+        dispatch finishes (its batch is applied), the connection closes and
+        no task the service created is left."""
+        monkeypatch.setenv("REPRO_FAULT", "serve:stall:1000")
+
+        async def scenario():
+            before = asyncio.all_tasks()
+            service = KnowledgeBaseService.for_trace(
+                small_trace, queue_maxsize=1, stall_delay=0.05
+            )
+            host, port = await service.start()
+            await _fill_queue(service, ingest_records)
+            waits = _BACKPRESSURE.value
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(_ingest_line(ingest_records[20], 1))
+            await writer.drain()
+            while _BACKPRESSURE.value == waits:
+                await asyncio.sleep(0.001)
+            await asyncio.wait_for(service.stop(), 10.0)
+            leaked = asyncio.all_tasks() - before
+            closed = await reader.read()
+            writer.close()
+            return leaked, closed, service.backend.describe()["applied"]
+
+        leaked, closed, applied = run(scenario())
+        assert leaked == set(), leaked
+        assert closed == b"", "connection left open"
+        assert applied == 21
+
+
+async def _raw_round_trip(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, line: bytes
+) -> bytes:
+    """One request line over a plain stream connection; its response line."""
+    writer.write(line)
+    await writer.drain()
+    return await reader.readline()
 
 
 class TestIngestOverWire:

@@ -13,8 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.knowledge_base import WorkloadKnowledgeBase
-from repro.serving import KnowledgeBaseService, iter_ingest_records, truncated_store
+from repro.core.knowledge_base import CLASSIFIER_CONFIG, WorkloadKnowledgeBase
+from repro.core.patterns import classify_windows
+from repro.serving import (
+    KnowledgeBaseService,
+    ServiceError,
+    iter_ingest_records,
+    truncated_store,
+)
+from repro.serving import service as service_module
 from repro.telemetry.schema import (
     Cloud,
     EventKind,
@@ -213,6 +220,101 @@ class TestEdgeTraces:
         full = truncated_store(store, len(records))
         assert len(full) == len(store)
         assert full.summary()["events"] == store.summary()["events"]
+
+
+def _cache_store() -> tuple[TraceStore, np.ndarray]:
+    """The edge trace plus two VMs whose windows change when they close.
+
+    VM 5's full week is irregular (noise after a daily cycle), its closed
+    window -- the cycle alone -- diurnal.  VM 6 lives 100 s inside one
+    sample: its open window is non-empty, its closed window empty.
+    """
+    store = _edge_store()
+    n, end = store.metadata.n_samples, store.metadata.duration
+    t = np.arange(n)
+    series = np.clip(0.4 + 0.25 * np.sin(2 * np.pi * t / 288), 0.0, 1.0).astype(np.float32)
+    series[n // 2 :] = np.random.default_rng(0).random(n - n // 2)
+    for vm_id, created, ended in ((5, 0.0, end / 2), (6, 100.0, 200.0)):
+        store.add_vm(make_vm(vm_id, created_at=created, ended_at=ended), series)
+        for time, kind in ((created, EventKind.CREATE), (ended, EventKind.TERMINATE)):
+            store.add_event(
+                EventRecord(time=time, kind=kind, vm_id=vm_id,
+                            cloud=Cloud.PRIVATE, region="us-east")
+            )
+    return store, series
+
+
+def _created(records: list, vm_id: int) -> int:
+    """Index of the record that creates ``vm_id``."""
+    return next(
+        i for i, r in enumerate(records)
+        if r.event is not None and r.event.kind is EventKind.CREATE and r.event.vm_id == vm_id
+    )
+
+
+class TestPatternCache:
+    """Refresh takes labels from, and adds labels to, the per-VM cache."""
+
+    def test_refresh_keeps_no_label_of_an_empty_window(self):
+        store, _series = _cache_store()
+        records = list(iter_ingest_records(store))
+        service = KnowledgeBaseService.for_trace(store)
+        service.apply_records(records[: _created(records, 6) + 1])
+        assert service.pattern_for_vm(6)["pattern"]  # open window: classified
+        service.apply_records(records[_created(records, 6) + 1 :])
+        service.refresh()  # classifies VM 6's empty closed window
+        with pytest.raises(ServiceError) as excinfo:
+            service.pattern_for_vm(6)
+        assert excinfo.value.kind == "unavailable"
+        assert service.snapshot_json() == _batch_snapshot(store, len(records))
+
+    def test_label_after_close_is_the_closed_windows(self, monkeypatch):
+        store, series = _cache_store()
+        records = list(iter_ingest_records(store))
+        service = KnowledgeBaseService.for_trace(store)
+        service.apply_records(records[: _created(records, 5) + 1])
+        open_label = service.pattern_for_vm(5)["pattern"]
+        service.apply_records(records[_created(records, 5) + 1 :])
+        service.refresh()
+
+        lo, hi = store.metadata.sample_window(store.vm(5))
+        closed = classify_windows(
+            [series[lo:hi]], CLASSIFIER_CONFIG, sample_period=store.metadata.sample_period
+        )[0]
+        assert (open_label, closed) == ("irregular", "diurnal")
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("pattern_for_vm classified a VM refresh had cached")
+
+        monkeypatch.setattr(service_module, "classify_windows", unexpected)
+        assert service.pattern_for_vm(5)["pattern"] == closed
+
+    def test_caches_follow_ingest(self, small_trace, trace_records):
+        """One service queried between ingests -- filling the pattern cache
+        and the candidates memo -- matches the batch rebuild at every step."""
+        service = KnowledgeBaseService.for_trace(small_trace)
+        vm_ids = small_trace.vm_ids_with_utilization()
+        applied, seen = 0, []
+        for frac in (0.25, 0.5, 1.0):
+            n = int(len(trace_records) * frac)
+            service.apply_records(trace_records[applied:n])
+            applied = n
+            for vm_id in vm_ids[::3]:
+                try:
+                    service.pattern_for_vm(int(vm_id))
+                except ServiceError:
+                    pass  # not ingested yet, or an empty window
+            batch = WorkloadKnowledgeBase.from_trace(truncated_store(small_trace, n))
+            for cloud in (None, Cloud.PRIVATE, Cloud.PUBLIC):
+                expected = [
+                    r.subscription_id for r in batch.region_agnostic_candidates(cloud=cloud)
+                ]
+                for _ in range(2):  # built, then memoized
+                    served = service.region_agnostic_candidates(cloud)
+                    assert [c["subscription_id"] for c in served] == expected
+            assert service.snapshot_json() == batch.to_json()
+            seen.append(service.region_agnostic_candidates())
+        assert seen[0] != seen[-1], "the candidates never changed"
 
 
 class TestWireRoundTrip:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,27 @@ class TestVMRecord:
         assert not vm.completed
         assert vm.lifetime == float("inf")
 
+    @pytest.mark.parametrize(
+        "created_at, ended_at, new_end",
+        [
+            (0.0, float("inf"), 500.0),  # closing a censored row
+            (-3600.0, 7200.0, float("inf")),  # censoring a pre-window row
+            (-0.5, float("inf"), float("inf")),
+            (10.0, 20.0, 20.0),
+        ],
+    )
+    def test_with_end_equals_replace(self, created_at, ended_at, new_end):
+        vm = make_vm(
+            7, cloud=Cloud.PUBLIC, created_at=created_at, ended_at=ended_at,
+            pattern="diurnal", offering="paas",
+        )
+        built, replaced = vm.with_end(new_end), dataclasses.replace(vm, ended_at=new_end)
+        assert type(built) is VMRecord
+        for field in dataclasses.fields(VMRecord):
+            a, b = getattr(built, field.name), getattr(replaced, field.name)
+            assert (a, type(a)) == (b, type(b)), field.name
+        assert built == replaced
+
 
 class TestTraceStore:
     def test_add_and_get_vm(self):
@@ -65,6 +88,17 @@ class TestTraceStore:
         store.add_vm(make_vm(1))
         with pytest.raises(ValueError):
             store.add_vm(make_vm(1))
+
+    def test_add_vm_with_series(self):
+        store = TraceStore()
+        n = store.metadata.n_samples
+        series = np.linspace(0.0, 1.0, n).astype(np.float32)
+        store.add_vm(make_vm(1), series)
+        np.testing.assert_array_equal(store.utilization(1), series)
+        for bad in (series[:3], series + 1.0):
+            with pytest.raises(ValueError):
+                store.add_vm(make_vm(2), bad)
+            assert 2 not in store and not store.has_utilization(2)
 
     def test_finalize_vm(self):
         store = TraceStore()
