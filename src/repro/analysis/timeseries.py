@@ -5,11 +5,13 @@ These back the temporal-domain figures:
 * Fig. 3(b) "normalized VM counts per hour" -- :func:`hourly_occupancy`;
 * Fig. 3(c) "numbers of VMs created per hour" -- :func:`hourly_event_counts`;
 * Fig. 6 weekly/daily utilization percentile distributions --
-  :func:`percentile_bands`.
+  :func:`percentile_bands`, whose quantiles :func:`sorted_percentile` reads
+  off sorted values (the knowledge base's p95 reads them the same way).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +115,7 @@ def percentile_bands(
     ``(T, n)`` layout.  A quantile depends only on its column's multiset of
     values, so the bands are bitwise those of the float64 matrix along
     axis 0.  Without NaNs every quantile is read straight off the sorted
-    rows (:func:`_sorted_quantiles`) instead of partitioning them again.
+    rows (:func:`sorted_percentile`) instead of partitioning them again.
     """
     matrix = np.asarray(series_matrix)
     if matrix.ndim != 2:
@@ -122,8 +124,8 @@ def percentile_bands(
         raise ValueError("need at least one series")
     columns = np.array(matrix.T, order="C")  # a copy: sorted in place below
     columns.sort(axis=1)  # NaN sorts last
-    columns = columns.astype(np.float64, copy=False)
     if np.isnan(columns[:, -1]).any():
+        columns = columns.astype(np.float64, copy=False)
         bands = np.full((len(percentiles), columns.shape[0]), np.nan)
         has_data = ~np.isnan(columns[:, 0])
         if has_data.any():
@@ -131,7 +133,11 @@ def percentile_bands(
                 columns[has_data], percentiles, axis=1, overwrite_input=True
             )
     else:
-        bands = _sorted_quantiles(columns, percentiles)
+        # Only the order statistics read are cast to float64, not the whole
+        # sorted block.  A partition is no faster than the sort: on a
+        # 720 x 2016 float32 block (2-vCPU Xeon, AVX-512) the sort takes
+        # 4.6 ms, a partition at one rank 4.5 ms and at fig6's eight 50 ms.
+        bands = sorted_percentile(columns, percentiles, dtype=np.float64)
     return PercentileBands(
         percentiles=tuple(float(p) for p in percentiles),
         bands=bands,
@@ -139,32 +145,57 @@ def percentile_bands(
     )
 
 
-def _sorted_quantiles(rows: np.ndarray, percentiles: tuple[float, ...]) -> np.ndarray:
-    """``np.percentile(rows, percentiles, axis=1)`` of rows already sorted.
+def sorted_percentile(sorted_values: np.ndarray, percentiles, *, dtype=None):
+    """``np.percentile(values, percentiles, axis=-1)`` of values already sorted.
 
-    NumPy's default (linear) method, step for step: the virtual index
-    ``(n - 1) * q``, its floor and the next index (both the last one at or
-    past the end), and ``_lerp``'s two formulas, ``a + d * g`` and, where
-    ``g >= 0.5``, ``b - d * (1 - g)``.  Reading the two neighbours off
-    sorted rows replaces the partition, so the result is bitwise the same.
+    ``sorted_values`` is a non-empty 1-D array, or 2-D with each row
+    sorted; ``percentiles`` is a Python number or a sequence of them.
+    NumPy's default (linear) method, step for step, so the result is
+    bitwise the same: the virtual index ``(n - 1) * q``, its floor and the
+    next index (both the last one at or past the end), and ``_lerp``'s two
+    formulas, ``a + d * g`` and, where ``g >= 0.5``, ``b - d * (1 - g)``.
+    Reading the two neighbours off sorted values replaces NumPy's
+    partition, and each percentile's index arithmetic runs on Python
+    floats, which is the same float64 arithmetic without NumPy's per-call
+    overhead.
+
+    A Python number keeps NumPy's weak promotion: the arithmetic stays in
+    the values' dtype (float32 for telemetry) and the result is a scalar.
+    A sequence gives float64 weights and a result of shape
+    ``(len(percentiles), ...)``.  ``dtype`` casts only the order
+    statistics read, so the result is that of ``values.astype(dtype)``.
+    NaN sorts last, and a row that holds one gives NaN, as in NumPy.  (A
+    sort may order ``-0.0`` and ``0.0`` differently from a partition;
+    telemetry holds no negative zeros.)
     """
-    q = np.true_divide(percentiles, 100)
-    if q.size and not (q.min() >= 0 and q.max() <= 1):
+    values = np.asarray(sorted_values)
+    if values.ndim > 2:
+        raise ValueError("sorted_values must be 1-D or 2-D")
+    if type(percentiles) in (int, float):
+        return _read_sorted(values, percentiles / 100, float, dtype)
+    reads = [_read_sorted(values, p / 100, np.float64, dtype) for p in percentiles]
+    return np.array(reads) if reads else np.empty((0,) + values.shape[:-1])
+
+
+def _read_sorted(values: np.ndarray, q, weight: type, dtype):
+    """Quantile ``q`` of sorted ``values``, its lerp weight of type ``weight``."""
+    if not 0 <= q <= 1:
         raise ValueError("Percentiles must be in the range [0, 100]")
-    n = rows.shape[1]
+    n = values.shape[-1]
     virtual = (n - 1) * q
-    at_end = virtual >= n - 1
-    below = np.floor(virtual)
-    below[at_end] = -1
-    gamma = (virtual - below)[:, None]
-    lo = below.astype(np.intp)
-    hi = lo + 1
-    hi[at_end] = -1
-    a, b = rows.T[lo], rows.T[hi]  # (len(q), T)
+    if virtual >= n - 1:
+        below = lo = hi = -1
+    else:
+        below = lo = math.floor(virtual)
+        hi = lo + 1
+    a, b, last = values[..., lo], values[..., hi], values[..., -1]
+    if dtype is not None:
+        a, b, last = a.astype(dtype), b.astype(dtype), last.astype(dtype)
+    gamma = weight(virtual - below)
     diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out
+    out = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    has_nan = np.isnan(last)
+    return np.where(has_nan, last, out)[()] if has_nan.any() else out
 
 
 def fold_daily(series: np.ndarray, samples_per_day: int) -> np.ndarray:

@@ -9,10 +9,13 @@ over (allocation level, arrival burst) features.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
-from repro.telemetry.schema import Cloud
+from repro.telemetry.schema import Cloud, EventKind, EventRecord, VMRecord
 from repro.telemetry.store import TraceStore
+from repro.timebase import SECONDS_PER_HOUR
 
 
 class LogisticRegression:
@@ -52,12 +55,29 @@ class LogisticRegression:
         self._std = features.std(axis=0)
         self._std = np.where(self._std == 0, 1.0, self._std)
         design = self._design(features)
+        design_t = design.T
         weights = np.zeros(design.shape[1])
         n = design.shape[0]
+        # Each step reuses these buffers and applies _sigmoid's ufuncs and
+        # the update's in the same order as allocating expressions would,
+        # so the weights keep their bits.
+        z = np.empty(n)
+        gradient = np.empty_like(weights)
+        step = np.empty_like(weights)
         for _ in range(self.n_iterations):
-            predictions = self._sigmoid(design @ weights)
-            gradient = design.T @ (predictions - labels) / n + self.l2 * weights
-            weights -= self.learning_rate * gradient
+            np.matmul(design, weights, out=z)
+            np.clip(z, -35, 35, out=z)
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            np.add(1.0, z, out=z)
+            np.divide(1.0, z, out=z)  # the predictions
+            np.subtract(z, labels, out=z)
+            np.matmul(design_t, z, out=gradient)
+            np.divide(gradient, n, out=gradient)
+            np.multiply(self.l2, weights, out=step)
+            np.add(gradient, step, out=gradient)
+            np.multiply(self.learning_rate, gradient, out=step)
+            np.subtract(weights, step, out=weights)
         self.weights = weights
         return self
 
@@ -73,53 +93,126 @@ class LogisticRegression:
         return (self.predict_proba(features) >= threshold).astype(np.int64)
 
 
+class RegionHourCounts:
+    """The integers per (cloud, region) and hour that the failure predictor fits.
+
+    For each key: the VMs alive at each hour boundary, by
+    :func:`~repro.analysis.timeseries.hourly_occupancy`'s rule (alive at
+    ``b`` when ``start <= b < end``; a NaN end is ``inf``, an inverted
+    interval is empty); the CREATE and the ALLOCATION_FAILURE events per
+    hour, counted as :func:`~repro.analysis.timeseries.hourly_event_counts`
+    counts them; and the number of VMs.  :meth:`add_vm` and
+    :meth:`add_event` keep them exact one row at a time, so the online
+    service refits without rescanning its store.  Nothing is kept per VM,
+    so a row that is replaced is taken out by the caller.
+    """
+
+    def __init__(self, duration: float) -> None:
+        self.duration = float(duration)
+        self.n_hours = int(np.ceil(duration / SECONDS_PER_HOUR))
+        self._boundaries = (
+            SECONDS_PER_HOUR * np.arange(self.n_hours, dtype=np.float64)
+        ).tolist()
+        #: Per key, +1 at each VM's first alive hour and -1 after its last;
+        #: the running sum is the alive count.
+        self._alive_steps: dict[tuple, list[int]] = {}
+        self._events: dict[EventKind, dict[tuple, list[int]]] = {
+            EventKind.CREATE: {},
+            EventKind.ALLOCATION_FAILURE: {},
+        }
+        self._n_vms: dict[tuple, int] = {}
+
+    @classmethod
+    def from_store(cls, store: TraceStore) -> "RegionHourCounts":
+        """The counts of every VM and event in ``store``, in one pass."""
+        counts = cls(store.metadata.duration)
+        for vm in store.vms():
+            counts.add_vm(vm)
+        for kind in counts._events:
+            for event in store.events(kind=kind):
+                counts.add_event(event)
+        return counts
+
+    def add_vm(self, vm: VMRecord, count: int = 1) -> None:
+        """Count one VM row; ``count=-1`` takes a counted row out again."""
+        key = (vm.cloud, vm.region)
+        self._n_vms[key] = self._n_vms.get(key, 0) + count
+        start, end = vm.created_at, vm.ended_at
+        lo = bisect_left(self._boundaries, start)
+        # A NaN end is inf; an inverted interval or a NaN start is empty.
+        hi = bisect_left(self._boundaries, end) if end == end else self.n_hours
+        if lo < hi and start == start:
+            steps = self._alive_steps.get(key)
+            if steps is None:
+                steps = self._alive_steps[key] = [0] * (self.n_hours + 1)
+            steps[lo] += count
+            steps[hi] -= count
+
+    def add_event(self, event: EventRecord) -> None:
+        """Count a CREATE or ALLOCATION_FAILURE event; others are ignored."""
+        table = self._events.get(event.kind)
+        time = event.time
+        if table is None or not 0.0 <= time < self.duration:
+            return
+        hour = int(time // SECONDS_PER_HOUR)
+        if hour < self.n_hours:
+            key = (event.cloud, event.region)
+            counts = table.get(key)
+            if counts is None:
+                counts = table[key] = [0] * self.n_hours
+            counts[hour] += 1
+
+    def regions(self, cloud: Cloud) -> list[str]:
+        """Sorted regions holding a VM of ``cloud``, like ``region_names``."""
+        return sorted(region for (c, region), n in self._n_vms.items() if c == cloud and n)
+
+    def series(self, cloud: Cloud, region: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hourly alive VMs, creations and allocation failures of one region."""
+        key = (cloud, region)
+        none = [0] * (self.n_hours + 1)
+        alive = np.cumsum(self._alive_steps.get(key, none)[:-1], dtype=np.int64)
+        created, failed = (
+            np.array(table.get(key, none[:-1]), dtype=np.int64) for table in self._events.values()
+        )
+        return alive, created, failed
+
+
 class AllocationFailurePredictor:
     """Predicts region-hour allocation-failure risk from capacity features."""
 
     def __init__(self) -> None:
         self.model = LogisticRegression()
 
-    @staticmethod
-    def _features_and_labels(
-        store: TraceStore, cloud: Cloud
-    ) -> tuple[np.ndarray, np.ndarray]:
-        from repro.analysis.timeseries import hourly_event_counts
-        from repro.core.deployment import vm_count_series
-        from repro.telemetry.schema import EventKind
+    def fit(
+        self, store: TraceStore, cloud: Cloud, *, counts: RegionHourCounts | None = None
+    ) -> "AllocationFailurePredictor":
+        """Train on the region-hour grid of one cloud.
 
-        rows = []
-        labels = []
-        for region in store.region_names(cloud=cloud):
-            capacity = sum(
-                c.capacity_cores
-                for c in store.clusters.values()
-                if c.region == region and c.cloud == cloud
-            )
-            if capacity <= 0:
+        One row per hour of each region with a VM of ``cloud`` and cluster
+        capacity: the alive VMs over their peak, and the creations; the
+        label is whether an allocation failed.  ``counts`` are the store's
+        :class:`RegionHourCounts` when the caller keeps them (the online
+        service does, at ingest); otherwise they are built here.
+        """
+        if counts is None:
+            counts = RegionHourCounts.from_store(store)
+        capacity: dict[str, float] = {}
+        for cluster in store.clusters.values():
+            if cluster.cloud == cloud:
+                capacity[cluster.region] = capacity.get(cluster.region, 0) + cluster.capacity_cores
+        loads, creations, failures = [], [], []
+        for region in counts.regions(cloud):
+            if capacity.get(region, 0) <= 0:
                 continue
-            counts = vm_count_series(store, cloud, region=region).astype(np.float64)
-            creations = hourly_event_counts(
-                store.event_times(EventKind.CREATE, cloud=cloud, region=region),
-                duration=store.metadata.duration,
-            ).astype(np.float64)
-            failures = hourly_event_counts(
-                store.event_times(
-                    EventKind.ALLOCATION_FAILURE, cloud=cloud, region=region
-                ),
-                duration=store.metadata.duration,
-            )
-            load = counts / counts.max() if counts.max() else counts
-            for hour in range(len(counts)):
-                rows.append([load[hour], creations[hour]])
-                labels.append(1.0 if failures[hour] > 0 else 0.0)
-        return np.array(rows), np.array(labels)
-
-    def fit(self, store: TraceStore, cloud: Cloud) -> "AllocationFailurePredictor":
-        """Train on the region-hour grid of one cloud."""
-        features, labels = self._features_and_labels(store, cloud)
-        if features.size == 0:
+            alive, created, failed = counts.series(cloud, region)
+            alive = alive.astype(np.float64)
+            loads.append(alive / alive.max() if alive.max() else alive)
+            creations.append(created.astype(np.float64))
+            failures.append(failed > 0)
+        if not loads:
             raise ValueError(f"no {cloud} regions with data")
-        self.model.fit(features, labels)
+        features = np.column_stack([np.concatenate(loads), np.concatenate(creations)])
+        self.model.fit(features, np.concatenate(failures).astype(np.float64))
         return self
 
     def predict_risk(self, load_fraction: float, recent_creations: float) -> float:

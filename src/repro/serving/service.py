@@ -48,7 +48,7 @@ from repro.core.knowledge_base import (
 )
 from repro.core.patterns import classify_windows
 from repro.experiments.faultinject import FaultKind, plan_from_env
-from repro.management.prediction import AllocationFailurePredictor
+from repro.management.prediction import AllocationFailurePredictor, RegionHourCounts
 from repro.obs import Counter, span
 from repro.serving.backends import (
     IngestRecord,
@@ -72,6 +72,11 @@ _APPLY_ERRORS = Counter("serving.apply_errors")
 _REFRESHED_SUBS = Counter("serving.refreshed_subscriptions")
 _BACKPRESSURE = Counter("serving.backpressure_waits")
 _STALLS = Counter("serving.stall_injected")
+
+# Reading a member off its Enum class takes ~0.2 us, several times the
+# identity check it feeds; the apply path runs these checks per record.
+_CREATE = EventKind.CREATE
+_CLOSING_KINDS = (EventKind.TERMINATE, EventKind.EVICT)
 
 
 class ServiceError(Exception):
@@ -133,6 +138,8 @@ class KnowledgeBaseService:
         #: valid until a refresh rebuilds a record.
         self._candidates: dict[str | None, list[dict]] = {}
         self._events_version = 0
+        #: The failure predictor's features, kept exact at apply time.
+        self._region_hours = RegionHourCounts.from_store(self._backend.store())
         self._predictors: dict[Cloud, tuple[int, AllocationFailurePredictor]] = {}
         self._queue: asyncio.Queue[list[IngestRecord]] = asyncio.Queue(
             maxsize=queue_maxsize
@@ -231,9 +238,14 @@ class KnowledgeBaseService:
         return applied
 
     def _apply_one(self, record: IngestRecord) -> None:
+        store = self._backend.store()
+        event = record.event
+        # The row whose end this record moves, as counted before it moves.
+        moved = None
+        if event is not None and record.vm_end is not None and event.vm_id in store:
+            moved = store.vm(event.vm_id)
         self._backend.apply(record)
         self._events_version += 1
-        store = self._backend.store()
         if record.vm is not None:
             vm = record.vm
             sub = store.subscriptions.get(vm.subscription_id)
@@ -250,16 +262,21 @@ class KnowledgeBaseService:
                 ).append(vm.vm_id)
             self._dirty.add(vm.subscription_id)
             self._pattern_cache.pop(vm.vm_id, None)
-        event = record.event
+            self._region_hours.add_vm(store.vm(vm.vm_id))  # the row as stored
         if event is None:
             return
-        if event.kind is EventKind.CREATE and event.vm_id in store:
-            sub_id = store.vm(event.vm_id).subscription_id
-            self._creations.setdefault(sub_id, []).append((event.time, event.vm_id))
-            self._dirty.add(sub_id)
-        closes = record.vm_end is not None or event.kind in (EventKind.TERMINATE, EventKind.EVICT)
-        if closes and event.vm_id in store:
-            self._dirty.add(store.vm(event.vm_id).subscription_id)
+        self._region_hours.add_event(event)
+        if event.vm_id not in store:
+            return
+        row = store.vm(event.vm_id)
+        if moved is not None:
+            self._region_hours.add_vm(moved, -1)
+            self._region_hours.add_vm(row)
+        if event.kind is _CREATE:
+            self._creations.setdefault(row.subscription_id, []).append((event.time, event.vm_id))
+            self._dirty.add(row.subscription_id)
+        if record.vm_end is not None or event.kind in _CLOSING_KINDS:
+            self._dirty.add(row.subscription_id)
             # The VM's observation window closed; its cached pattern
             # was computed over the open-ended window.
             self._pattern_cache.pop(event.vm_id, None)
@@ -380,14 +397,15 @@ class KnowledgeBaseService:
         """Failure probability for a (load, burst) state of one cloud.
 
         The predictor refits lazily whenever new events arrived since the
-        last fit, so the risk always reflects the ingested history.
+        last fit, so the risk always reflects the ingested history.  A refit
+        reads the region-hour counts kept at apply time, not the store.
         """
         cloud = Cloud(cloud)
         cached = self._predictors.get(cloud)
         if cached is None or cached[0] != self._events_version:
             try:
                 predictor = AllocationFailurePredictor().fit(
-                    self._backend.store(), cloud
+                    self._backend.store(), cloud, counts=self._region_hours
                 )
             except ValueError as exc:
                 raise ServiceError("unavailable", str(exc)) from exc

@@ -10,11 +10,20 @@ bookkeeping diverged from what the batch path scans.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.analysis.timeseries import hourly_event_counts
+from repro.core.deployment import vm_count_series
 from repro.core.knowledge_base import CLASSIFIER_CONFIG, WorkloadKnowledgeBase
 from repro.core.patterns import classify_windows
+from repro.management.prediction import (
+    AllocationFailurePredictor,
+    LogisticRegression,
+    RegionHourCounts,
+)
 from repro.serving import (
     KnowledgeBaseService,
     ServiceError,
@@ -24,6 +33,7 @@ from repro.serving import (
 from repro.serving import service as service_module
 from repro.telemetry.schema import (
     Cloud,
+    ClusterInfo,
     EventKind,
     EventRecord,
     NodeInfo,
@@ -78,6 +88,27 @@ class TestGeneratedTrace:
                 service.apply_records(trace_records[lo : lo + chunk])
                 service.refresh()
             assert service.snapshot_json() == expected
+
+    def test_risk_matches_the_per_region_features(self, small_trace, trace_records):
+        """Risk answers served from the counts kept at apply time equal a
+        fit on features built per region from the Fig. 3 series."""
+        service = KnowledgeBaseService.for_trace(small_trace)
+        applied = 0
+        for frac in (0.25, 0.5, 1.0):
+            n = int(len(trace_records) * frac)
+            service.apply_records(trace_records[applied:n])
+            applied = n
+            partial = truncated_store(small_trace, n)
+            assert _count_table(service._region_hours) == _fig3_table(partial)
+            for cloud in Cloud:
+                model = LogisticRegression().fit(*_per_region_features(partial, cloud))
+                expected = _answers(
+                    cloud,
+                    lambda load, creations, model=model: float(
+                        model.predict_proba([[load, creations]])[0]
+                    ),
+                )
+                assert _served_risk(service, cloud) == expected
 
     def test_snapshot_is_idempotent(self, small_trace, trace_records):
         service = KnowledgeBaseService.for_trace(small_trace)
@@ -220,6 +251,183 @@ class TestEdgeTraces:
         full = truncated_store(store, len(records))
         assert len(full) == len(store)
         assert full.summary()["events"] == store.summary()["events"]
+
+
+#: (load fraction, recent creations) states every risk check asks about.
+_RISK_GRID = [(0.0, 0.0), (0.3, 2.0), (0.5, 1.0), (0.9, 40.0), (1.0, 150.0)]
+
+
+def _served_risk(service: KnowledgeBaseService, cloud: Cloud):
+    try:
+        return [
+            json.dumps(service.allocation_failure_risk(cloud, load, creations))
+            for load, creations in _RISK_GRID
+        ]
+    except ServiceError as exc:
+        return [exc.kind, str(exc)]
+
+
+def _answers(cloud: Cloud, risk) -> list[str]:
+    """The wire answers of a ``risk(load, creations)`` function over the grid."""
+    return [
+        json.dumps(
+            {
+                "cloud": cloud.value,
+                "load_fraction": load,
+                "recent_creations": creations,
+                "risk": risk(load, creations),
+            }
+        )
+        for load, creations in _RISK_GRID
+    ]
+
+
+def _fitted_risk(store: TraceStore, cloud: Cloud):
+    """What the service must answer: a predictor fitted afresh on ``store``."""
+    try:
+        predictor = AllocationFailurePredictor().fit(store, cloud)
+    except ValueError as exc:
+        return ["unavailable", str(exc)]
+    return _answers(cloud, predictor.predict_risk)
+
+
+def _count_table(counts: RegionHourCounts) -> dict:
+    return {
+        (cloud, region): [a.tolist() for a in counts.series(cloud, region)]
+        for cloud in Cloud
+        for region in counts.regions(cloud)
+    }
+
+
+def _fig3_table(store: TraceStore) -> dict:
+    """The same counts from the Fig. 3(b)/(c) series of each region."""
+    duration = store.metadata.duration
+    return {
+        (cloud, region): [
+            vm_count_series(store, cloud, region=region).tolist(),
+            *(
+                hourly_event_counts(
+                    store.event_times(kind, cloud=cloud, region=region), duration=duration
+                ).tolist()
+                for kind in (EventKind.CREATE, EventKind.ALLOCATION_FAILURE)
+            ),
+        ]
+        for cloud in Cloud
+        for region in store.region_names(cloud=cloud)
+    }
+
+
+def _per_region_features(store: TraceStore, cloud: Cloud) -> tuple[np.ndarray, np.ndarray]:
+    """The predictor's rows, one region at a time (the feature oracle)."""
+    rows, labels = [], []
+    table = _fig3_table(store)
+    for region in store.region_names(cloud=cloud):
+        capacity = sum(
+            c.capacity_cores for c in store.clusters.values()
+            if c.region == region and c.cloud == cloud
+        )
+        if capacity <= 0:
+            continue
+        alive, created, failed = (np.array(a) for a in table[cloud, region])
+        alive = alive.astype(np.float64)
+        load = alive / alive.max() if alive.max() else alive
+        for hour in range(len(alive)):
+            rows.append([load[hour], float(created[hour])])
+            labels.append(1.0 if failed[hour] > 0 else 0.0)
+    return np.array(rows), np.array(labels)
+
+
+_HOUR = 3600.0
+
+
+def _risk_store() -> TraceStore:
+    """A trace whose VMs start and end on, just before and just after hour
+    boundaries, with allocation failures inside and outside the window.
+
+    Private capacity sits in us-east only, so us-west's VM is left out of
+    the fit; the public cloud has no capacity until eu-north's cluster.
+    """
+    store = TraceStore()
+    end = store.metadata.duration
+    for name in ("us-east", "us-west", "eu-north"):
+        store.add_region(RegionInfo(name=name, tz_offset_hours=0, country="US"))
+    store.add_cluster(ClusterInfo(0, "us-east", Cloud.PRIVATE, 2, 16.0, 64.0))
+    store.add_cluster(ClusterInfo(1, "eu-north", Cloud.PUBLIC, 1, 8.0, 32.0))
+    store.add_subscription(SubscriptionInfo(subscription_id=10, cloud=Cloud.PRIVATE, service="svc"))
+    store.add_subscription(SubscriptionInfo(subscription_id=12, cloud=Cloud.PUBLIC, service="web"))
+    before, after = np.nextafter(_HOUR, 0.0), np.nextafter(_HOUR, np.inf)
+    vms = [  # (vm_id, cloud, region, created_at, ended_at, closing kind)
+        (1, Cloud.PRIVATE, "us-east", _HOUR, 3 * _HOUR, EventKind.TERMINATE),
+        (2, Cloud.PRIVATE, "us-east", before, np.nextafter(5 * _HOUR, np.inf), EventKind.EVICT),
+        (3, Cloud.PRIVATE, "us-east", after, np.nextafter(2 * _HOUR, 0.0), EventKind.TERMINATE),
+        (4, Cloud.PRIVATE, "us-east", -2 * _HOUR, 10.5 * _HOUR, EventKind.TERMINATE),
+        (5, Cloud.PRIVATE, "us-west", 0.0, np.inf, None),
+        (6, Cloud.PUBLIC, "eu-north", 2 * _HOUR + 1.0, 150 * _HOUR, EventKind.EVICT),
+        (7, Cloud.PUBLIC, "eu-north", _HOUR, end + 100.0, EventKind.TERMINATE),
+        (8, Cloud.PRIVATE, "us-east", np.nextafter(end, 0.0), np.inf, None),
+        # No CREATE events, so both arrive as backfill rows: a NaN start
+        # and an inverted interval, neither ever alive.
+        (9, Cloud.PRIVATE, "us-east", np.nan, np.inf, None),
+        (10, Cloud.PRIVATE, "us-east", 5 * _HOUR, 2 * _HOUR, None),
+    ]
+    for vm_id, cloud, region, created, ended, closing in vms:
+        sub = 10 if cloud is Cloud.PRIVATE else 12
+        store.add_vm(
+            make_vm(vm_id, cloud=cloud, region=region, subscription_id=sub,
+                    created_at=float(created), ended_at=float(ended))
+        )
+        times = [(created, EventKind.CREATE)] if 0 <= created < ended else []
+        if closing is not None:
+            times.append((ended, closing))
+        for time, kind in times:
+            store.add_event(EventRecord(time=float(time), kind=kind, vm_id=vm_id,
+                                        cloud=cloud, region=region))
+    failures = [  # (time, cloud, region): two outside the window
+        (_HOUR, Cloud.PRIVATE, "us-east"),
+        (np.nextafter(4 * _HOUR, 0.0), Cloud.PRIVATE, "us-east"),
+        (-1.0, Cloud.PRIVATE, "us-east"),
+        (end, Cloud.PRIVATE, "us-east"),
+        (3 * _HOUR, Cloud.PUBLIC, "eu-north"),
+    ]
+    for vm_id, (time, cloud, region) in enumerate(failures, start=100):
+        store.add_event(EventRecord(time=float(time), kind=EventKind.ALLOCATION_FAILURE,
+                                    vm_id=vm_id, cloud=cloud, region=region))
+    return store
+
+
+class TestFailurePredictorState:
+    """The predictor's counts are kept at apply time, and its answers equal
+    a fresh fit on the batch rebuild, at every prefix."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_every_prefix(self, batch):
+        store = _risk_store()
+        records = list(iter_ingest_records(store))
+        service = KnowledgeBaseService.for_trace(store)
+        for lo in range(0, len(records), batch):
+            service.apply_records(records[lo : lo + batch])
+            partial = truncated_store(store, lo + batch)
+            table = _count_table(service._region_hours)
+            assert table == _count_table(RegionHourCounts.from_store(partial))
+            assert table == _fig3_table(partial)
+            for cloud in Cloud:
+                assert _served_risk(service, cloud) == _fitted_risk(partial, cloud)
+
+    def test_hour_boundaries(self):
+        """Alive at hour ``h`` means ``start <= h * 3600 < end``; events
+        outside the window are not counted."""
+        counts = RegionHourCounts.from_store(_risk_store())
+        alive, created, failed = counts.series(Cloud.PRIVATE, "us-east")
+        # VM 4 (pre-window) counts from hour 0.  VMs 1 (start on hour 1's
+        # boundary) and 2 (one ulp before it) count from hour 1; VM 3 (one
+        # ulp after it, ending one ulp before hour 2) never counts.  VM 1
+        # ends on hour 3's boundary, VM 2 one ulp after hour 5's.
+        assert alive[:7].tolist() == [1, 3, 3, 2, 2, 2, 1]
+        assert alive[-1] == 0  # VM 8 starts after the last boundary
+        # VM 2's CREATE falls in hour 0, VMs 1's and 3's in hour 1, VM 8's
+        # (one ulp before the window ends) in the last hour.
+        assert created[:2].tolist() == [1, 2] and created[-1] == 1
+        assert failed.sum() == 2 and failed[1] == 1 and failed[3] == 1
 
 
 def _cache_store() -> tuple[TraceStore, np.ndarray]:

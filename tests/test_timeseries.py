@@ -14,6 +14,7 @@ from repro.analysis.timeseries import (
     hourly_event_counts,
     hourly_occupancy,
     percentile_bands,
+    sorted_percentile,
 )
 
 
@@ -268,6 +269,65 @@ class TestPercentileBandsBitwise:
                 assert bands.dtype == np.float64
                 assert bands.tobytes() == expected.tobytes()
                 assert layout.tobytes() == original.tobytes()  # input left as it was
+
+
+_SAMPLE_CASES = {
+    "random": lambda rng, n: rng.random(n),
+    "ties": lambda rng, n: np.floor(rng.random(n) * 5) / 5,
+    "constant": lambda rng, n: np.full(n, 0.37),
+    "zeros_and_ones": lambda rng, n: (rng.random(n) < 0.5).astype(np.float64),
+    "mostly_zero": lambda rng, n: np.where(rng.random(n) < 0.9, 0.0, rng.random(n)),
+    # Neighbours orders of magnitude apart make b - a inexact, which is
+    # where a + d * g and b - d * (1 - g) part at g = 0.5.
+    "log_spread": lambda rng, n: 10.0 ** rng.uniform(-9.0, 0.0, n),
+}
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+class TestSortedPercentile:
+    """The sorted-read quantile is bitwise ``np.percentile`` (linear method)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2016, 2 * 2016, 5 * 2016])
+    @pytest.mark.parametrize("case", sorted(_SAMPLE_CASES))
+    def test_float32_scalar_percentile(self, case, n):
+        values = _SAMPLE_CASES[case](np.random.default_rng(n), n).astype(np.float32)
+        for q in (0, 50, 95, 100, 95.0, 33.3):
+            expected = np.percentile(values, q)
+            got = sorted_percentile(np.sort(values), q)
+            assert type(got) is type(expected) is np.float32
+            assert _bits(got) == _bits(expected), (q, got, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2016, 3 * 2016])
+    @pytest.mark.parametrize("case", sorted(_SAMPLE_CASES))
+    def test_float64_vector_percentiles(self, case, n):
+        rows = np.stack([_SAMPLE_CASES[case](np.random.default_rng(n + k), n) for k in range(4)])
+        sorted_rows = np.sort(rows.astype(np.float32), axis=1)
+        for q in [(0.0, 50.0, 95.0, 100.0), (25.0, 50.0, 75.0, 95.0), [95]]:
+            expected = np.percentile(rows.astype(np.float32).astype(np.float64), q, axis=1)
+            got = sorted_percentile(sorted_rows, q, dtype=np.float64)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert _bits(got) == _bits(expected), q
+            same_dtype = sorted_percentile(np.sort(rows, axis=1), q)
+            assert _bits(same_dtype) == _bits(np.percentile(rows, q, axis=1))
+
+    def test_a_nan_gives_nan(self):
+        values = np.array([0.2, np.nan, 0.1, 1.0], dtype=np.float32)
+        expected = np.percentile(values, 95)
+        got = sorted_percentile(np.sort(values), 95)
+        assert np.isnan(got) and _bits(got) == _bits(expected)
+        rows = np.array([[0.1, 0.5, 0.9], [0.3, np.nan, 0.2]])
+        expected = np.percentile(rows, (0.0, 50.0, 100.0), axis=1)
+        got = sorted_percentile(np.sort(rows, axis=1), (0.0, 50.0, 100.0))
+        assert _bits(got) == _bits(expected)
+        assert np.isnan(got[:, 1]).all() and not np.isnan(got[:, 0]).any()
+
+    @pytest.mark.parametrize("bad", [-1, 100.5, (50.0, 101.0), (np.nan,)])
+    def test_out_of_range_raises(self, bad):
+        with pytest.raises(ValueError, match="range"):
+            sorted_percentile(np.arange(4.0), bad)
 
 
 class TestFoldDaily:
