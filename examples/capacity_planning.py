@@ -24,7 +24,6 @@ from repro.management.oversubscription import (
 )
 from repro.management.prediction import AllocationFailurePredictor
 from repro.management.scheduling import ValleyScheduler, jobs_from_fraction
-from repro.telemetry.counters import region_average_utilization
 
 
 def main() -> None:
@@ -62,7 +61,12 @@ def main() -> None:
     )
     counts = vm_count_series(trace, Cloud.PRIVATE, region=region).astype(np.float64)
     # Approximate used cores: VM count x average cores x average utilization.
-    avg_util = float(region_average_utilization(trace, cloud=Cloud.PRIVATE, region=region).mean())
+    vm_ids = [
+        vm.vm_id
+        for vm in trace.vms(cloud=Cloud.PRIVATE, region=region)
+        if trace.has_utilization(vm.vm_id)
+    ]
+    avg_util = float(trace.utilization_mean(vm_ids).mean())
     used_cores = counts * 5.5 * avg_util
     scheduler = ValleyScheduler(used_cores, capacity)
     jobs = jobs_from_fraction(used_cores, capacity, fill_fraction=0.3)

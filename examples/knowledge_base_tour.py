@@ -1,7 +1,7 @@
 """Tour of the centralized workload knowledge base (Section V).
 
 Builds the knowledge base from a synthetic trace, queries it, asks for
-policy recommendations per workload, and round-trips it through JSON --
+policy recommendations per workload, and exports it as JSON --
 "the key pillar of the future workload-aware intelligent cloud platform".
 
 Run:
@@ -10,6 +10,7 @@ Run:
 
 from __future__ import annotations
 
+import json
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -27,7 +28,8 @@ def main() -> None:
         print(f"{cloud} cloud summary:")
         for key, value in kb.cloud_summary(cloud).items():
             print(f"  {key:24s} {value:10.2f}")
-        print(f"  services: {kb.services(cloud=cloud)}\n")
+        services = Counter(record.service for record in kb.subscriptions(cloud=cloud))
+        print(f"  services: {dict(services)}\n")
 
     print("Region-agnostic candidates (private):")
     for record in kb.region_agnostic_candidates(cloud=Cloud.PRIVATE)[:5]:
@@ -48,11 +50,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "kb.json"
         kb.to_json(path)
-        restored = WorkloadKnowledgeBase.from_json(path)
-        print(
-            f"\nJSON round-trip: {path.stat().st_size:,} bytes, "
-            f"{len(restored)} records restored"
-        )
+        rows = json.loads(path.read_text())
+        print(f"\nJSON export: {path.stat().st_size:,} bytes, {len(rows)} records")
 
 
 if __name__ == "__main__":

@@ -102,6 +102,3 @@ class EmpiricalCdf:
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(x, p)`` arrays suitable for a step plot."""
         return self.values.copy(), self.probabilities.copy()
-
-    def __len__(self) -> int:
-        return int(self.values.size)

@@ -27,19 +27,6 @@ class Heatmap2D:
     density: np.ndarray
     n_samples: int
 
-    @property
-    def total_mass(self) -> float:
-        """Sum of all cells; 1.0 when every sample fell inside the bins."""
-        return float(self.density.sum())
-
-    def marginal_x(self) -> np.ndarray:
-        """Fraction of mass per x-bin."""
-        return self.density.sum(axis=1)
-
-    def marginal_y(self) -> np.ndarray:
-        """Fraction of mass per y-bin."""
-        return self.density.sum(axis=0)
-
     def occupied_fraction(self, threshold: float = 0.0) -> float:
         """Fraction of cells whose mass exceeds ``threshold``.
 

@@ -131,11 +131,6 @@ class BoxplotStats:
     n_outliers: int
     n_samples: int
 
-    @property
-    def iqr(self) -> float:
-        """Interquartile range."""
-        return self.q3 - self.q1
-
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "BoxplotStats":
         """Compute box-plot statistics of ``samples`` (NaNs are dropped)."""

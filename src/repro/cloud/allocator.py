@@ -63,11 +63,6 @@ class AllocationStats:
     failures: int = 0
     failures_by_region: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
-    @property
-    def failure_rate(self) -> float:
-        """Fraction of placement attempts that failed."""
-        return self.failures / self.attempts if self.attempts else 0.0
-
 
 class AllocationService:
     """Places VMs onto nodes of a single cloud's topology."""
@@ -154,10 +149,6 @@ class AllocationService:
                 self._deployment_rack_count[key] = count - 1
         return node
 
-    def node_of(self, vm_id: int) -> Node | None:
-        """The node currently hosting ``vm_id`` (``None`` if not placed)."""
-        return self._vm_node.get(vm_id)
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -225,17 +216,3 @@ class AllocationService:
                     if best_key is None or key < best_key:
                         best, best_key = node, key
         return best
-
-    # ------------------------------------------------------------------
-    # introspection used by tests and the ablation benchmark
-    # ------------------------------------------------------------------
-    def deployment_rack_spread(self, deployment_id: int) -> int:
-        """Number of distinct racks a deployment currently occupies."""
-        return sum(1 for dep, _rack in self._deployment_rack_count if dep == deployment_id)
-
-    def subscriptions_per_cluster(self) -> dict[int, int]:
-        """How many subscriptions have affinity to each cluster."""
-        counts: dict[int, int] = defaultdict(int)
-        for (_sub, _region), cluster_id in self._affinity.items():
-            counts[cluster_id] += 1
-        return dict(counts)

@@ -55,11 +55,6 @@ class Autoscaler:
         self.scale_out_events = 0
         self.scale_in_events = 0
 
-    @property
-    def current_size(self) -> int:
-        """Number of VMs the autoscaler currently manages."""
-        return len(self._fleet)
-
     def install(self, simulator: Simulator, *, start: float, until: float) -> None:
         """Schedule periodic evaluations in ``[start, until)``."""
         simulator.schedule_periodic(

@@ -120,12 +120,6 @@ class Cluster:
         """Currently allocated cores."""
         return sum(node.used_cores for node in self.nodes)
 
-    @property
-    def utilization(self) -> float:
-        """Allocated-core fraction in ``[0, 1]``."""
-        capacity = self.capacity_cores
-        return self.used_cores / capacity if capacity else 0.0
-
     def to_info(self) -> ClusterInfo:
         """Static snapshot for the trace store."""
         return ClusterInfo(
@@ -220,19 +214,6 @@ class Topology:
             self.clusters[cluster.cluster_id] = cluster
             for node in cluster.nodes:
                 self.nodes[node.node_id] = node
-
-    def clusters_in_region(self, region: str) -> list[Cluster]:
-        """Clusters hosted in ``region``."""
-        return self.regions[region].clusters
-
-    @property
-    def total_capacity_cores(self) -> float:
-        """Fleet-wide core capacity."""
-        return sum(node.capacity_cores for node in self.nodes.values())
-
-    def region_names(self) -> list[str]:
-        """Sorted region names."""
-        return sorted(self.regions)
 
 
 def build_topology(

@@ -155,11 +155,3 @@ class CloudPlatform:
                 region=vm.region,
             )
         )
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def allocated_vm_count(self) -> int:
-        """VMs currently holding capacity."""
-        return sum(len(node.hosted) for node in self.topology.nodes.values())

@@ -27,22 +27,11 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list[tuple[float, int, Action]] = []
         self._sequence = itertools.count()
-        self._events_processed = 0
 
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of actions executed so far."""
-        return self._events_processed
-
-    @property
-    def pending(self) -> int:
-        """Number of scheduled but not yet executed actions."""
-        return len(self._queue)
 
     def schedule(self, time: float, action: Action) -> None:
         """Schedule ``action`` to run at absolute ``time``.
@@ -55,12 +44,6 @@ class Simulator:
                 f"cannot schedule at {time}: clock already at {self._now}"
             )
         heapq.heappush(self._queue, (float(time), next(self._sequence), action))
-
-    def schedule_after(self, delay: float, action: Action) -> None:
-        """Schedule ``action`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.schedule(self._now + delay, action)
 
     def schedule_periodic(
         self,
@@ -87,8 +70,7 @@ class Simulator:
         """Execute events in time order, optionally stopping at ``until``.
 
         The clock is advanced to ``until`` at the end even if the queue
-        drained earlier, so a subsequent ``schedule_after`` behaves
-        intuitively.
+        drained earlier, so ``now`` reads ``until`` afterwards.
         """
         while self._queue:
             time, _seq, action = self._queue[0]
@@ -97,16 +79,5 @@ class Simulator:
             heapq.heappop(self._queue)
             self._now = time
             action()
-            self._events_processed += 1
         if until is not None and until > self._now:
             self._now = float(until)
-
-    def step(self) -> bool:
-        """Execute exactly one event; returns ``False`` if the queue is empty."""
-        if not self._queue:
-            return False
-        time, _seq, action = heapq.heappop(self._queue)
-        self._now = time
-        action()
-        self._events_processed += 1
-        return True

@@ -29,10 +29,6 @@ class VMSku:
     cores: float
     memory_gb: float
 
-    def fits_on(self, free_cores: float, free_memory_gb: float) -> bool:
-        """Whether this SKU fits in the given free capacity."""
-        return self.cores <= free_cores and self.memory_gb <= free_memory_gb
-
 
 @dataclass(frozen=True)
 class NodeSku:
@@ -73,13 +69,6 @@ class SkuCatalog:
         if size is None:
             return self.skus[int(idx)]
         return [self.skus[int(i)] for i in np.atleast_1d(idx)]
-
-    def by_name(self, name: str) -> VMSku:
-        """Look up a SKU by name."""
-        for sku in self.skus:
-            if sku.name == name:
-                return sku
-        raise KeyError(f"no SKU named {name!r}")
 
 
 # Mainstream general-purpose family shared by both clouds.

@@ -195,17 +195,6 @@ def creation_cv_boxplot(store: TraceStore, cloud: Cloud) -> BoxplotStats:
     return BoxplotStats.from_samples(np.array(list(cvs.values())))
 
 
-def offering_mix(store: TraceStore, cloud: Cloud) -> dict[str, float]:
-    """Share of IaaS / PaaS / SaaS VMs in one cloud (Section II attribute)."""
-    vms = store.vms(cloud=cloud)
-    if not vms:
-        raise ValueError(f"no {cloud} VMs in the trace")
-    counts: dict[str, int] = {}
-    for vm in vms:
-        counts[vm.offering] = counts.get(vm.offering, 0) + 1
-    return {offering: n / len(vms) for offering, n in sorted(counts.items())}
-
-
 def regions_per_subscription_cdf(store: TraceStore, cloud: Cloud) -> EmpiricalCdf:
     """Fig. 4(a): CDF of the number of deployed regions per subscription."""
     groups = store.vms_by_subscription(cloud=cloud)

@@ -289,13 +289,6 @@ class WorkloadKnowledgeBase:
             records = (r for r in records if r.cloud == cloud)
         return sorted(records, key=lambda r: r.subscription_id)
 
-    def services(self, *, cloud: Cloud | str | None = None) -> dict[str, int]:
-        """Subscription counts per service."""
-        counter: Counter[str] = Counter()
-        for record in self.subscriptions(cloud=cloud):
-            counter[record.service] += 1
-        return dict(counter)
-
     def region_agnostic_candidates(
         self, *, cloud: Cloud | str | None = None
     ) -> list[SubscriptionKnowledge]:
@@ -369,27 +362,3 @@ class WorkloadKnowledgeBase:
         if path is not None:
             Path(path).write_text(text)
         return text
-
-    @classmethod
-    def from_json(cls, text_or_path: str | Path) -> "WorkloadKnowledgeBase":
-        """Deserialize from a JSON string or file path."""
-        text = str(text_or_path)
-        if "\n" not in text and len(text) < 4096:
-            path = Path(text)
-            if path.exists():
-                text = path.read_text()
-        kb = cls()
-        for row in json.loads(text):
-            row["regions"] = tuple(row.get("regions", ()))
-            for key in (
-                "lifetime_p50",
-                "short_lived_fraction",
-                "creation_cv",
-                "mean_utilization",
-                "p95_utilization",
-            ):
-                if row.get(key) is None:
-                    row[key] = float("nan")
-            record = SubscriptionKnowledge(**row)
-            kb._records[record.subscription_id] = record
-        return kb

@@ -419,19 +419,3 @@ class PatternClassifier:
         """The Fig. 5(d) statistic: share of each pattern in a cloud."""
         labels = self.classify_store(store, cloud=cloud, max_vms=max_vms)
         return PatternMix(counts=dict(Counter(labels.values())))
-
-    def accuracy(
-        self,
-        store: TraceStore,
-        *,
-        cloud: Cloud | None = None,
-        max_vms: int | None = None,
-    ) -> float:
-        """Agreement with the generator's ground-truth pattern labels."""
-        labels = self.classify_store(store, cloud=cloud, max_vms=max_vms)
-        if not labels:
-            raise ValueError("no VM was classified; is telemetry attached?")
-        hits = sum(
-            1 for vm_id, label in labels.items() if store.vm(vm_id).pattern == label
-        )
-        return hits / len(labels)

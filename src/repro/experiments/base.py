@@ -41,16 +41,6 @@ class CheckResult:
             "measured": self.measured,
         }
 
-    @classmethod
-    def from_dict(cls, row: dict[str, Any]) -> CheckResult:
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=row["name"],
-            passed=bool(row["passed"]),
-            paper=row["paper"],
-            measured=row["measured"],
-        )
-
 
 @dataclass
 class ExperimentResult:
@@ -96,27 +86,3 @@ class ExperimentResult:
         }
         blob = json.dumps(payload, sort_keys=True, default=_jsonable)
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready rendering (used by the run manifest).
-
-        ``series`` is intentionally omitted: it holds arbitrary numpy
-        payloads that belong in the CSV export, not the manifest.
-        """
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "passed": self.passed,
-            "checks": [check.to_dict() for check in self.checks],
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_dict(cls, row: dict[str, Any]) -> ExperimentResult:
-        """Inverse of :meth:`to_dict` (``series`` comes back empty)."""
-        return cls(
-            experiment_id=row["experiment_id"],
-            title=row["title"],
-            checks=[CheckResult.from_dict(c) for c in row.get("checks", [])],
-            notes=row.get("notes", ""),
-        )

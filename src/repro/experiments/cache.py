@@ -254,14 +254,3 @@ def get_trace(
         config, cache_dir=cache_dir, use_cache=use_cache, workers=workers, spill=spill
     )
     return store
-
-
-def clear_cache(cache_dir: str | Path | None = None) -> int:
-    """Delete every cached trace under the resolved root; returns the count."""
-    traces = resolve_cache_dir(cache_dir) / "traces"
-    if not traces.is_dir():
-        return 0
-    entries = [p for p in traces.iterdir() if p.is_dir()]
-    for entry in entries:
-        shutil.rmtree(entry, ignore_errors=True)
-    return len(entries)

@@ -84,10 +84,6 @@ class ExperimentConfig:
         """The generator settings implied by this experiment config."""
         return GeneratorConfig(seed=self.seed, scale=self.scale)
 
-    def config_hash(self) -> str:
-        """The trace-cache key for this config (see :func:`cache.config_hash`)."""
-        return cache.config_hash(self.generator_config())
-
 
 _TRACE_CACHE: dict[tuple[int, float], TraceStore] = {}
 

@@ -75,8 +75,3 @@ def run_fig1b(store: TraceStore) -> ExperimentResult:
         f"public Q1 {public.q1:.0f} vs private Q3 {private.q3:.0f}",
     )
     return result
-
-
-def run(store: TraceStore) -> list[ExperimentResult]:
-    """Both panels."""
-    return [run_fig1a(store), run_fig1b(store)]

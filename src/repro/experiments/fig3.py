@@ -218,14 +218,3 @@ def run_fig3d(store: TraceStore) -> ExperimentResult:
         f"private Q1 {private.q1:.2f} vs public median {public.median:.2f}",
     )
     return result
-
-
-def run(store: TraceStore) -> list[ExperimentResult]:
-    """All four panels."""
-    return [
-        run_fig3a(store),
-        run_fig3b(store),
-        run_fig3c(store),
-        run_fig3c_removals(store),
-        run_fig3d(store),
-    ]

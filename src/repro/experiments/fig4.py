@@ -72,8 +72,3 @@ def run_fig4b(store: TraceStore) -> ExperimentResult:
         f"single-region share {p_share:.0%} vs {q_share:.0%}",
     )
     return result
-
-
-def run(store: TraceStore) -> list[ExperimentResult]:
-    """Both panels."""
-    return [run_fig4a(store), run_fig4b(store)]

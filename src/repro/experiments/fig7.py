@@ -124,8 +124,3 @@ def run_fig7c(store: TraceStore) -> ExperimentResult:
             f"public max peak gap {public_alignment:.1f}h vs ServiceX {alignment:.1f}h",
         )
     return result
-
-
-def run(store: TraceStore) -> list[ExperimentResult]:
-    """All three panels."""
-    return [run_fig7a(store), run_fig7b(store), run_fig7c(store)]

@@ -102,8 +102,3 @@ def run_spot(store: TraceStore) -> ExperimentResult:
         f"{eviction_rate:.1%} expected evictions per candidate",
     )
     return result
-
-
-def run(store: TraceStore) -> list[ExperimentResult]:
-    """Both implication experiments."""
-    return [run_oversubscription(store), run_spot(store)]

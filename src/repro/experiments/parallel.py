@@ -28,9 +28,9 @@ the content-addressed on-disk cache (:mod:`repro.experiments.cache`), so
 no job count ever re-synthesizes a trace another process already built.
 With a saved (format v3) trace this hand-off is zero-copy for telemetry either
 way: the store's utilization blocks are
-:class:`~repro.telemetry.shards.ShardRef` entries that pickle (and load)
-as *paths* into the cached trace directory, so each worker memory-maps
-the shards it touches instead of receiving a copy of the matrices.
+:class:`~repro.telemetry.shards.ShardRef` entries, *paths* into the cached
+trace directory, so each worker memory-maps the shards it touches instead
+of receiving a copy of the matrices.
 """
 
 from __future__ import annotations

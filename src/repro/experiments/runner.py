@@ -98,11 +98,6 @@ class RunReport:
         return [outcome.result for outcome in self.outcomes if outcome.result is not None]
 
     @property
-    def degraded(self) -> bool:
-        """Whether any task failed to complete (see manifest ``degraded``)."""
-        return bool(self.manifest.get("degraded"))
-
-    @property
     def metrics(self) -> dict:
         """The run's metrics snapshot (the manifest's ``metrics`` section)."""
         return self.manifest.get("metrics", {})
@@ -372,11 +367,6 @@ def write_manifest(manifest: dict, path: str | Path) -> Path:
     out = Path(path)
     out.write_text(json.dumps(validate_manifest(manifest), indent=2) + "\n")
     return out
-
-
-def load_manifest(path: str | Path) -> dict:
-    """Read and validate a manifest previously written by :func:`write_manifest`."""
-    return validate_manifest(json.loads(Path(path).read_text()))
 
 
 def render_report(results: list[ExperimentResult]) -> str:

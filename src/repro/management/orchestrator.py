@@ -68,13 +68,6 @@ class OptimizationReport:
 
     outcomes: list[PolicyOutcome]
 
-    def get(self, policy: str) -> PolicyOutcome | None:
-        """Outcome of one policy, if it was applicable."""
-        for outcome in self.outcomes:
-            if outcome.policy == policy:
-                return outcome
-        return None
-
     def render(self) -> str:
         """Console rendering."""
         lines = ["Workload-aware optimization report", "=" * 40]

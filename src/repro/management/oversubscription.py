@@ -105,11 +105,6 @@ class ChanceConstrainedOversubscriber:
             for vm_id, cores in eligible
         ]
 
-    @property
-    def n_candidates(self) -> int:
-        """Number of VMs available for packing."""
-        return len(self._candidates)
-
     def pack_baseline(self, capacity_cores: float) -> OversubscriptionOutcome:
         """Reserve full requested cores; stop when the node is 'full'."""
         packed: list[_Candidate] = []

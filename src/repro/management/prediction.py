@@ -88,10 +88,6 @@ class LogisticRegression:
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         return self._sigmoid(self._design(features) @ self.weights)
 
-    def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        """Binary predictions at ``threshold``."""
-        return (self.predict_proba(features) >= threshold).astype(np.int64)
-
 
 class RegionHourCounts:
     """The integers per (cloud, region) and hour that the failure predictor fits.

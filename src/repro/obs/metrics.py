@@ -96,19 +96,6 @@ class MetricsRegistry:
         """Current value of a counter (0 if never incremented)."""
         return self._counters.get(name, 0.0)
 
-    def counter_values(self, prefix: str = "") -> dict[str, float]:
-        """Counters whose name starts with ``prefix``, sorted by name.
-
-        The fault-tolerance suite and CI gates read whole families this
-        way (``retry.``, ``task.``, ``cache.``) instead of enumerating
-        series names that may grow over time.
-        """
-        return {
-            name: self._counters[name]
-            for name in sorted(self._counters)
-            if name.startswith(prefix)
-        }
-
     def ensure_histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS
     ) -> dict:

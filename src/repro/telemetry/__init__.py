@@ -10,10 +10,7 @@ is our equivalent artifact: three logical tables (``vms``, ``events``,
 
 from repro.telemetry.schema import Cloud, EventKind, EventRecord, VMRecord
 from repro.telemetry.store import TraceMetadata, TraceStore
-from repro.telemetry.counters import (
-    node_utilization,
-    region_average_utilization,
-)
+from repro.telemetry.counters import node_utilization
 from repro.telemetry.io import TraceCorruptionError, load_trace, save_trace
 
 __all__ = [
@@ -26,6 +23,5 @@ __all__ = [
     "VMRecord",
     "load_trace",
     "node_utilization",
-    "region_average_utilization",
     "save_trace",
 ]

@@ -5,7 +5,7 @@ operate on raw VM counters: the node series is the (core-weighted) sum of its
 hosted VMs' usage, and the region series of a subscription is "the averaged
 utilization computed at the region level for each studied subscription".
 This module holds the node-series rule (from rows the caller has already
-read) and the population averages and groupings the region studies run on.
+read) and the ``(subscription, region)`` grouping the region studies run on.
 """
 
 from __future__ import annotations
@@ -33,31 +33,6 @@ def node_utilization(
     for vm, row in zip(vms, rows, strict=True):
         total += vm.cores * row.astype(np.float64)
     return np.clip(total / node.capacity_cores, 0.0, 1.0)
-
-
-def region_average_utilization(
-    store: TraceStore,
-    *,
-    cloud: Cloud | None = None,
-    region: str | None = None,
-    vm_ids: list[int] | None = None,
-) -> np.ndarray:
-    """Average utilization across a VM population (equal VM weights).
-
-    Delegates to :meth:`~repro.telemetry.store.TraceStore.utilization_mean`,
-    which accumulates in float64 over fixed row chunks -- the population may
-    be an entire cloud, and materializing its full matrix would dwarf the
-    result.
-    """
-    if vm_ids is None:
-        vm_ids = [
-            vm.vm_id
-            for vm in store.vms(cloud=cloud, region=region)
-            if store.has_utilization(vm.vm_id)
-        ]
-    if not vm_ids:
-        raise ValueError("no VMs with utilization match the filter")
-    return store.utilization_mean(vm_ids)
 
 
 def subscription_region_vm_ids(

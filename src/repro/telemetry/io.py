@@ -343,7 +343,7 @@ def _save_utilization(
 ) -> "list[tuple[ShardRef, str]]":
     """Write utilization rows as fixed-size shards + index.
 
-    Rows are emitted in attachment (``iter_utilization``) order.  A lazy
+    Rows are emitted in attachment order.  A lazy
     shard block whose rows are contiguous in that order is
     *adopted*: its file is hard-linked into the trace instead of being
     read and rewritten, which is what makes saving a freshly spilled

@@ -52,9 +52,6 @@ class EventKind(str, enum.Enum):
     MIGRATE = "migrate"
     ALLOCATION_FAILURE = "allocation_failure"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class VMRecord:

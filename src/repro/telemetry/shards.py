@@ -96,14 +96,8 @@ class ShardMmapCache:
     def __len__(self) -> int:
         return len(self._open)
 
-    def release(self, path: Path) -> None:
-        """Drop one mapping (and its resident pages) if currently open."""
-        array = self._open.pop(str(path), None)
-        if array is not None:
-            _release_pages(array.base)
-
     def clear(self) -> None:
-        """Drop every mapping; analyses call this between heavy passes."""
+        """Drop every mapping and its resident pages."""
         while self._open:
             _, evicted = self._open.popitem(last=False)
             _release_pages(evicted.base)
@@ -125,8 +119,8 @@ class ShardRef:
     Quacks like the metadata of a ``(n_rows, n_cols)`` array (``shape``,
     ``nbytes``) without touching the file; :meth:`open` memory-maps it on
     first real access.  Instances are freely shareable between stores
-    (:meth:`TraceStore.merge` adopts blocks by reference) and picklable,
-    which is what makes cross-process "attach by path" zero-copy.
+    (:meth:`TraceStore.merge` adopts blocks by reference) and pickle as
+    their path, never their rows.
     """
 
     __slots__ = ("path", "n_rows", "n_cols")
@@ -147,22 +141,6 @@ class ShardRef:
     def open(self) -> np.ndarray:
         """The shard as a read-only plain-array view of its mapping (cached process-wide)."""
         return _MMAPS.get(self.path, self.shape)
-
-    def release(self) -> None:
-        """Drop this shard's mapping and resident pages, if open."""
-        _MMAPS.release(self.path)
-
-    def __getstate__(self):
-        return (str(self.path), self.n_rows, self.n_cols)
-
-    def __setstate__(self, state):
-        path, n_rows, n_cols = state
-        self.path = Path(path)
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardRef({self.path.name}, {self.n_rows}x{self.n_cols})"
 
 
 def write_shard(path: Path, rows: np.ndarray) -> ShardRef:

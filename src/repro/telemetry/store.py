@@ -19,7 +19,7 @@ preallocated matrix per call via :meth:`TraceStore.add_utilization_block`,
 while :meth:`TraceStore.add_utilization` keeps the one-VM-at-a-time API by
 wrapping the series in a single-row block.  All reads
 (:meth:`~TraceStore.utilization`, :meth:`~TraceStore.utilization_matrix`,
-:meth:`~TraceStore.iter_utilization`, :meth:`~TraceStore.merge`) go through
+:meth:`~TraceStore.merge`) go through
 the index, so callers never see the physical layout.
 
 A block may be resident (an ``np.ndarray``) or lazy (a
@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -561,17 +561,6 @@ class TraceStore:
         if cloud is None:
             return sorted(self.regions)
         return sorted({vm.region for vm in self.vms(cloud=cloud)})
-
-    def iter_utilization(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Iterate ``(vm_id, series)`` pairs in attachment order.
-
-        Series are read-only views into shared storage blocks, exactly as
-        :meth:`utilization` returns them.
-        """
-        for vm_id, (block_idx, row) in self._util_index.items():
-            view = self._block(block_idx)[row]
-            view.flags.writeable = False
-            yield vm_id, view
 
     # ------------------------------------------------------------------
     # merging (private + public traces are generated independently)

@@ -78,12 +78,6 @@ class LifetimeModel:
         """Draw a single lifetime in seconds."""
         return float(self.sample(rng, size=1)[0])
 
-    def expected_short_fraction(self, n: int = 20000, seed: int = 0) -> float:
-        """Monte-Carlo estimate of the mass below the shortest bin."""
-        rng = np.random.default_rng(seed)
-        samples = self.sample(rng, size=n)
-        return float(np.mean(samples <= SHORTEST_BIN_SECONDS))
-
 
 def perturbed_model(
     model: LifetimeModel,

@@ -255,18 +255,3 @@ def _catalog_cdf(weights: tuple[float, ...]) -> np.ndarray:
         raise ValueError("catalog weights must be non-negative with positive sum")
     array = np.array(weights, dtype=np.float64)
     return weighted_cdf(array / array.sum())
-
-
-def expected_pattern_mix(
-    catalog: tuple[tuple[ServiceArchetype, float], ...],
-) -> dict[str, float]:
-    """Closed-form pattern mix implied by a service catalog (for tests)."""
-    mix: dict[str, float] = {}
-    total_weight = sum(w for _, w in catalog)
-    for archetype, share in catalog:
-        pattern_total = sum(archetype.pattern_weights.values())
-        for pattern, weight in archetype.pattern_weights.items():
-            mix[pattern] = mix.get(pattern, 0.0) + (share / total_weight) * (
-                weight / pattern_total
-            )
-    return mix

@@ -55,11 +55,6 @@ class RegionSpread:
         """Draw the number of regions for one subscription."""
         return int(draw_index(rng, self._cdf)) + 1
 
-    def expected_region_count(self) -> float:
-        """Mean number of regions per subscription."""
-        probs = self.probabilities()
-        return float(np.dot(probs, np.arange(1, self.max_regions + 1)))
-
 
 def choose_regions(
     rng: np.random.Generator,

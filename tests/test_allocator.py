@@ -4,7 +4,7 @@ The allocator keeps cluster utilization as running sums and picks a node
 in one pass over the racks.  :class:`ReferenceAllocationService` is the
 full-scan placement it must agree with: every node of the cluster is
 tested for fit, the SPREAD / BEST_FIT choice is two ``min`` passes over
-that list, and clusters are ranked on a fresh ``Cluster.utilization``.
+that list, and clusters are ranked on a fresh :func:`_fresh_utilization`.
 The differential tests drive both with the same requests, and the
 end-to-end test patches the reference into the generator.
 """
@@ -35,9 +35,15 @@ from repro.workloads.generator import GeneratorConfig, TraceGenerator, generate_
 from repro.workloads.profiles import private_profile
 
 
+def _fresh_utilization(cluster: Cluster) -> float:
+    """Allocated-core fraction summed over the cluster's nodes right now."""
+    capacity = cluster.capacity_cores
+    return cluster.used_cores / capacity if capacity else 0.0
+
+
 def _reference_clusters_by_headroom(self, region: str) -> list[Cluster]:
     clusters = self.topology.regions[region].clusters if region in self.topology.regions else []
-    return sorted(clusters, key=lambda c: c.utilization)
+    return sorted(clusters, key=_fresh_utilization)
 
 
 def _reference_choose_node(
@@ -91,11 +97,11 @@ def test_basic_allocation_and_release():
     service = make_service()
     node = service.allocate(1, 4, 16, region="a", deployment_id=1, subscription_id=1)
     assert node.used_cores == 4
-    assert service.node_of(1) is node
+    assert node.hosted == {1: (4, 16)}
     released = service.release(1, deployment_id=1)
     assert released is node
     assert node.used_cores == 0
-    assert service.node_of(1) is None
+    assert not node.hosted
 
 
 def test_unknown_region_fails():
@@ -110,23 +116,27 @@ def test_capacity_exhaustion_raises_and_counts():
     service.allocate(1, 8, 32, region="a", deployment_id=1, subscription_id=1)
     with pytest.raises(AllocationFailure):
         service.allocate(2, 1, 4, region="a", deployment_id=1, subscription_id=1)
-    assert service.stats.failure_rate == pytest.approx(0.5)
+    assert (service.stats.attempts, service.stats.failures) == (2, 1)
     assert service.stats.failures_by_region["a"] == 1
 
 
 def test_fault_domain_spreading():
     """SPREAD places a deployment's first VMs on distinct racks."""
     service = make_service(racks=4, nodes=3, clusters=1, regions=("a",))
-    for vm_id in range(4):
+    nodes = [
         service.allocate(vm_id, 2, 8, region="a", deployment_id=7, subscription_id=1)
-    assert service.deployment_rack_spread(7) == 4
+        for vm_id in range(4)
+    ]
+    assert len({node.rack_id for node in nodes}) == 4
 
 
 def test_best_fit_packs_instead_of_spreading():
     service = make_service(policy=PlacementPolicy.BEST_FIT, racks=4, nodes=3, clusters=1, regions=("a",))
-    for vm_id in range(4):
+    nodes = [
         service.allocate(vm_id, 2, 8, region="a", deployment_id=7, subscription_id=1)
-    assert service.deployment_rack_spread(7) == 1
+        for vm_id in range(4)
+    ]
+    assert len({node.rack_id for node in nodes}) == 1
 
 
 def _mean_rack_spread_of_large_deployments(policy: PlacementPolicy) -> float:
@@ -182,16 +192,15 @@ def test_subscriptions_per_cluster_accounting():
     service = make_service(clusters=2, regions=("a",))
     service.allocate(1, 2, 8, region="a", deployment_id=1, subscription_id=1)
     service.allocate(2, 2, 8, region="a", deployment_id=2, subscription_id=2)
-    counts = service.subscriptions_per_cluster()
-    assert sum(counts.values()) == 2
+    assert sorted(sub for sub, _region in service._affinity) == [1, 2]
 
 
 def test_release_decrements_rack_count():
     service = make_service(racks=2, nodes=2, clusters=1, regions=("a",))
-    service.allocate(1, 2, 8, region="a", deployment_id=5, subscription_id=1)
-    assert service.deployment_rack_spread(5) == 1
+    node = service.allocate(1, 2, 8, region="a", deployment_id=5, subscription_id=1)
+    assert service._deployment_rack_count == {(5, node.rack_id): 1}
     service.release(1, deployment_id=5)
-    assert service.deployment_rack_spread(5) == 0
+    assert not service._deployment_rack_count
 
 
 @given(
@@ -249,7 +258,6 @@ def test_release_drops_empty_rack_counts():
     for vm_id in range(6):
         service.release(vm_id, deployment_id=vm_id % 2)
     assert not service._deployment_rack_count
-    assert service.deployment_rack_spread(0) == 0
 
 
 @pytest.mark.parametrize("cores", [0.1, 1 / 3, 2.0**-11])
@@ -330,7 +338,7 @@ def test_placement_matches_full_scan_reference(operations, topology):
                 live.append((vm_id, dep))
             fast = services[0]
             for cluster in fast.topology.clusters.values():
-                assert fast._utilization(cluster) == cluster.utilization
+                assert fast._utilization(cluster) == _fresh_utilization(cluster)
         assert services[0]._deployment_rack_count == services[1]._deployment_rack_count
         assert services[0]._rng.random() == services[1]._rng.random()
 

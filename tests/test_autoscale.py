@@ -44,8 +44,8 @@ def test_bootstrap_matches_demand():
     platform = make_platform()
     scaler = make_scaler(platform, lambda t: 5)
     scaler.bootstrap(0.0)
-    assert scaler.current_size == 5
-    assert platform.allocated_vm_count == 5
+    assert len(scaler._fleet) == 5
+    assert sum(len(node.hosted) for node in platform.topology.nodes.values()) == 5
 
 
 def test_tracks_step_demand():
@@ -60,7 +60,7 @@ def test_tracks_step_demand():
     sim = Simulator()
     scaler.install(sim, start=SECONDS_PER_HOUR, until=3 * SECONDS_PER_HOUR)
     sim.run()
-    assert scaler.current_size == 3
+    assert len(scaler._fleet) == 3
     assert scaler.scale_out_events >= 6  # 2 bootstrap + 4 scale-out
     assert scaler.scale_in_events == 3
 
@@ -81,7 +81,7 @@ def test_evaluate_reaches_constant_demand_without_history():
     platform = make_platform()
     scaler = make_scaler(platform, lambda t: 3)
     scaler.evaluate(0.0)
-    assert scaler.current_size == 3
+    assert len(scaler._fleet) == 3
 
 
 def test_reactive_fleet_lags_a_diurnal_ramp():
@@ -95,7 +95,7 @@ def test_reactive_fleet_lags_a_diurnal_ramp():
     shortfalls = []
 
     def probe(now: float) -> None:
-        shortfalls.append(max(0, demand(now) - scaler.current_size))
+        shortfalls.append(max(0, demand(now) - len(scaler._fleet)))
 
     sim.schedule_periodic(450.0, 900.0, probe, until=horizon)
     sim.run(until=horizon)
@@ -107,7 +107,7 @@ def test_capacity_limit_stops_scale_out():
     platform = make_platform(nodes=1)  # 16 cores only
     scaler = make_scaler(platform, lambda t: 100)
     scaler.evaluate(0.0)
-    assert scaler.current_size == 16  # one core each
+    assert len(scaler._fleet) == 16  # one core each
     # The failed 17th attempt is recorded as an allocation failure.
     assert platform.store.events(kind=EventKind.ALLOCATION_FAILURE)
 

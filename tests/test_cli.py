@@ -160,7 +160,7 @@ def test_experiments_manifest_and_exit_gate(tmp_path, capsys):
     the CI gate path: exit code 1, `passed: false` rows in the manifest.
     """
     from repro.experiments.config import clear_trace_cache
-    from repro.experiments.runner import load_manifest
+    from repro.experiments.runner import validate_manifest
 
     clear_trace_cache()
     manifest_path = tmp_path / "manifest.json"
@@ -174,7 +174,7 @@ def test_experiments_manifest_and_exit_gate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "Reproduced" in out
-    manifest = load_manifest(manifest_path)
+    manifest = validate_manifest(json.loads(manifest_path.read_text()))
     assert manifest["totals"]["failed"] > 0
     assert any(not row["passed"] for row in manifest["experiments"])
 
@@ -182,7 +182,7 @@ def test_experiments_manifest_and_exit_gate(tmp_path, capsys):
 def test_experiments_manifest_default_path_next_to_md(tmp_path):
     """Bare --manifest lands next to the EXPERIMENTS.md being written."""
     from repro.experiments.config import clear_trace_cache
-    from repro.experiments.runner import load_manifest
+    from repro.experiments.runner import validate_manifest
 
     clear_trace_cache()
     md_path = tmp_path / "EXPERIMENTS.md"
@@ -194,7 +194,7 @@ def test_experiments_manifest_default_path_next_to_md(tmp_path):
         ]
     )
     assert md_path.exists()
-    manifest = load_manifest(tmp_path / "manifest.json")
+    manifest = validate_manifest(json.loads((tmp_path / "manifest.json").read_text()))
     assert manifest["config"]["scale"] == 0.05
     assert len(manifest["experiments"]) == manifest["totals"]["experiments"]
 
@@ -202,7 +202,7 @@ def test_experiments_manifest_default_path_next_to_md(tmp_path):
 def test_experiments_metrics_snapshot_matches_manifest(tmp_path):
     """--metrics dumps the run snapshot; per-task walls must match the manifest."""
     from repro.experiments.config import clear_trace_cache
-    from repro.experiments.runner import METRICS_SCHEMA_VERSION, load_manifest
+    from repro.experiments.runner import METRICS_SCHEMA_VERSION, validate_manifest
 
     clear_trace_cache()
     manifest_path = tmp_path / "manifest.json"
@@ -219,7 +219,7 @@ def test_experiments_metrics_snapshot_matches_manifest(tmp_path):
     assert metrics["schema_version"] == METRICS_SCHEMA_VERSION
     counters = metrics["counters"]
     assert counters.get("cache.hit", 0) + counters.get("cache.miss", 0) >= 1
-    manifest = load_manifest(manifest_path)
+    manifest = validate_manifest(json.loads(manifest_path.read_text()))
     assert manifest["metrics"] == metrics
     rows = {row["id"]: row for row in manifest["experiments"]}
     assert set(metrics["tasks"]) == set(rows)

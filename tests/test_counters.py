@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.telemetry.counters import node_utilization, region_average_utilization
+from repro.telemetry.counters import node_utilization
 from repro.telemetry.schema import Cloud, NodeInfo
 from repro.telemetry.store import TraceStore
 from tests.test_store import make_vm
@@ -52,10 +52,7 @@ def test_node_utilization_clipped():
 
 
 def test_region_average_utilization(store_with_node):
-    avg = region_average_utilization(store_with_node, cloud=Cloud.PRIVATE)
+    """A region's average series is the equal-weight mean of its VMs' rows."""
+    vm_ids = [vm.vm_id for vm in store_with_node.vms(cloud=Cloud.PRIVATE, region="us-east")]
+    avg = store_with_node.utilization_mean(vm_ids)
     assert np.allclose(avg, (0.5 + 0.25) / 2)
-
-
-def test_region_average_no_match_raises(store_with_node):
-    with pytest.raises(ValueError):
-        region_average_utilization(store_with_node, cloud=Cloud.PUBLIC)

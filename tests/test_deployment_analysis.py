@@ -36,7 +36,7 @@ class TestSubscriptionsPerCluster:
 class TestVmSizeHeatmap:
     def test_mass_and_shape(self, small_trace):
         hm = dep.vm_size_heatmap(small_trace, Cloud.PRIVATE)
-        assert hm.total_mass == pytest.approx(1.0, abs=1e-6)
+        assert hm.density.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_public_extends_to_corners(self, small_trace):
         private = dep.vm_size_heatmap(small_trace, Cloud.PRIVATE)

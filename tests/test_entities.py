@@ -74,7 +74,7 @@ class TestBuildTopology:
         assert len(topology.regions) == 2
         assert len(topology.clusters) == 4
         assert len(topology.nodes) == 4 * 3 * 4
-        assert topology.total_capacity_cores == 48 * 32
+        assert sum(c.capacity_cores for c in topology.clusters.values()) == 48 * 32
 
     def test_ids_unique_across_offset(self):
         a = build_topology(small_spec())
@@ -96,7 +96,7 @@ class TestBuildTopology:
         assert len(cluster.racks) == 3
         assert len(cluster.nodes) == 12
         assert cluster.capacity_cores == 12 * 32
-        assert cluster.utilization == 0.0
+        assert cluster.used_cores == 0.0
         # All nodes of a rack share the rack id and cluster id.
         rack = cluster.racks[0]
         assert {n.rack_id for n in rack.nodes} == {rack.rack_id}
@@ -108,10 +108,8 @@ class TestBuildTopology:
         node = cluster.nodes[0]
         node.host(1, 32.0, 64.0)
         assert cluster.used_cores == 32.0
-        assert cluster.utilization == pytest.approx(32.0 / cluster.capacity_cores)
 
     def test_region_infos(self):
         topology = build_topology(small_spec())
         info = topology.regions["a"].to_info()
         assert info.tz_offset_hours == -5
-        assert topology.region_names() == ["a", "b"]

@@ -1,13 +1,16 @@
-"""Every example script still imports against the current package.
+"""Every example script imports and runs against the current package.
 
-The examples are not run here (each synthesizes a trace), but importing
-one resolves every ``repro`` name it uses, so deleting or renaming a name
-an example needs fails this test instead of breaking the example silently.
+Importing an example resolves the ``repro`` names it imports; running its
+``main()`` (stdout captured, default arguments) also resolves every
+attribute it calls, so deleting or renaming anything an example needs
+fails this test instead of breaking the example silently.  All six run in
+about 6 s together on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,8 +23,10 @@ def test_examples_found():
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
-def test_example_imports(path):
+def test_example_imports(path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    monkeypatch.setattr(sys, "argv", [str(path)])  # default options only
+    module.main()
+    assert capsys.readouterr().out.strip()

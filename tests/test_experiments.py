@@ -90,9 +90,7 @@ def test_case_study():
 
 
 def test_every_experiment_has_paper_artifact_mapping(store):
-    results = []
-    results.extend(fig1.run(store))
-    results.append(fig2.run(store))
+    results = [fig1.run_fig1a(store), fig1.run_fig1b(store), fig2.run(store)]
     for result in results:
         assert result.experiment_id in PAPER_ARTIFACTS
 

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.core.deployment import offering_mix
 from repro.telemetry.schema import Cloud
 from repro.timebase import SECONDS_PER_DAY
 from repro.workloads.generator import GeneratorConfig, TraceGenerator
 from repro.workloads.profiles import private_profile, public_profile
 from repro.workloads.services import PRIVATE_SERVICES
+
+
+def offering_mix(store, cloud: Cloud) -> dict[str, float]:
+    """Share of IaaS / PaaS / SaaS VMs in one cloud (Section II attribute)."""
+    vms = store.vms(cloud=cloud)
+    counts = Counter(vm.offering for vm in vms)
+    return {offering: n / len(vms) for offering, n in counts.items()}
 
 
 class TestOffering:

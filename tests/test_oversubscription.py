@@ -68,7 +68,7 @@ class TestPacking:
 
     def test_max_candidates_subsamples(self, flat_store):
         packer = ChanceConstrainedOversubscriber(flat_store, max_candidates=5)
-        assert packer.n_candidates == 5
+        assert len(packer._candidates) == 5
 
 
 class TestChanceConstraint:

@@ -7,13 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments import parallel
+from repro.experiments import cache, parallel
 from repro.experiments.base import ExperimentResult
 from repro.experiments.config import ExperimentConfig, clear_trace_cache
 from repro.experiments.runner import (
     MANIFEST_SCHEMA_VERSION,
     PAPER_ARTIFACTS,
-    load_manifest,
     run_pipeline,
     validate_manifest,
     write_manifest,
@@ -152,7 +151,7 @@ class TestManifest:
         manifest = serial.manifest
         assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION
         assert manifest["config"] == {"seed": CONFIG.seed, "scale": CONFIG.scale}
-        assert manifest["config_hash"] == CONFIG.config_hash()
+        assert manifest["config_hash"] == cache.config_hash(CONFIG.generator_config())
         totals = manifest["totals"]
         assert totals["experiments"] == len(parallel.REGISTRY)
         assert totals["passed"] + totals["failed"] == totals["experiments"]
@@ -166,7 +165,7 @@ class TestManifest:
     def test_round_trip(self, reports, tmp_path):
         serial, _, _ = reports
         path = write_manifest(serial.manifest, tmp_path / "manifest.json")
-        loaded = load_manifest(path)
+        loaded = validate_manifest(json.loads(path.read_text()))
         assert loaded == json.loads(json.dumps(serial.manifest))
 
     def test_validate_rejects_missing_keys(self, reports):
@@ -211,9 +210,11 @@ class TestResultSerialization:
         assert result("1.1", 1.0).digest() != base
 
     def test_experiment_result_round_trip(self, reports):
+        """Each manifest row records its result's verdict, checks and digest."""
         serial, _, _ = reports
+        rows = {row["id"]: row for row in serial.manifest["experiments"]}
         for result in serial.results:
-            clone = ExperimentResult.from_dict(result.to_dict())
-            assert clone.experiment_id == result.experiment_id
-            assert clone.passed == result.passed
-            assert [c.render() for c in clone.checks] == [c.render() for c in result.checks]
+            row = rows[result.experiment_id]
+            assert row["passed"] == result.passed
+            assert row["checks"] == [c.to_dict() for c in result.checks]
+            assert row["digest"] == result.digest()

@@ -271,13 +271,10 @@ class TestClassifyStore:
         assert a == b
 
     def test_accuracy_beats_chance(self, small_trace):
-        classifier = PatternClassifier()
-        accuracy = classifier.accuracy(small_trace, cloud=Cloud.PRIVATE, max_vms=150)
-        assert accuracy > 0.6
-
-    def test_accuracy_empty_raises(self):
-        from repro.telemetry.store import TraceStore
-
-        classifier = PatternClassifier()
-        with pytest.raises(ValueError):
-            classifier.accuracy(TraceStore())
+        """Agreement with the generator's ground-truth pattern labels."""
+        labels = PatternClassifier().classify_store(
+            small_trace, cloud=Cloud.PRIVATE, max_vms=150
+        )
+        assert labels
+        hits = sum(small_trace.vm(vm_id).pattern == label for vm_id, label in labels.items())
+        assert hits / len(labels) > 0.6

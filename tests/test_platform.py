@@ -57,7 +57,7 @@ def test_create_vm_records_everything(platform):
     assert vm.node_id in platform.store.nodes
     events = platform.store.events(kind=EventKind.CREATE)
     assert len(events) == 1 and events[0].time == 100.0
-    assert platform.allocated_vm_count == 1
+    assert platform.topology.nodes[vm.node_id].hosted == {vm_id: (4, vm.memory_gb)}
 
 
 def test_backdated_creation_suppresses_event(platform):
@@ -71,7 +71,7 @@ def test_terminate_vm(platform):
     platform.terminate_vm(vm_id, 500.0)
     vm = platform.store.vm(vm_id)
     assert vm.ended_at == 500.0
-    assert platform.allocated_vm_count == 0
+    assert not platform.topology.nodes[vm.node_id].hosted
     events = platform.store.events(kind=EventKind.TERMINATE)
     assert len(events) == 1
     assert events[0].region == vm.region == "a"

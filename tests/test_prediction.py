@@ -14,7 +14,7 @@ class TestLogisticRegression:
         x = rng.normal(size=(400, 2))
         y = (x[:, 0] + x[:, 1] > 0).astype(float)
         model = LogisticRegression().fit(x, y)
-        preds = model.predict(x)
+        preds = model.predict_proba(x) >= 0.5
         assert np.mean(preds == y) > 0.95
 
     def test_probabilities_bounded(self, rng):

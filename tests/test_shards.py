@@ -110,7 +110,7 @@ class TestShardMmapCache:
         # The mmap object that _release_pages advises MADV_DONTNEED on.
         assert getattr(mapping, "_mmap", None) is not None
         assert Path(mapping.filename) == first.path.resolve()
-        cache.release(second.path)
+        cache.clear()
         assert [Path(m.filename) for m in released[1:]] == [second.path.resolve()]
 
     def test_process_cache_accessor(self):

@@ -4,19 +4,25 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cloud.entities import Node
 from repro.cloud.sku import (
     SkuCatalog,
     VMSku,
     private_sku_catalog,
     public_sku_catalog,
 )
+from repro.telemetry.schema import Cloud
 
 
 def test_sku_fits_on():
     sku = VMSku("D4", 4, 16)
-    assert sku.fits_on(4, 16)
-    assert not sku.fits_on(3.9, 16)
-    assert not sku.fits_on(4, 15.9)
+
+    def node(cores: float, memory_gb: float) -> Node:
+        return Node(1, 1, 1, "r", Cloud.PRIVATE, capacity_cores=cores, capacity_memory_gb=memory_gb)
+
+    assert node(4, 16).can_host(sku.cores, sku.memory_gb)
+    assert not node(3.9, 16).can_host(sku.cores, sku.memory_gb)
+    assert not node(4, 15.9).can_host(sku.cores, sku.memory_gb)
 
 
 def test_catalog_validation():
@@ -48,10 +54,9 @@ def test_sample_respects_weights(rng):
 
 
 def test_by_name():
-    catalog = public_sku_catalog()
-    assert catalog.by_name("D4").cores == 4
-    with pytest.raises(KeyError):
-        catalog.by_name("nope")
+    by_name = {sku.name: sku for sku in public_sku_catalog().skus}
+    assert by_name["D4"].cores == 4
+    assert "nope" not in by_name
 
 
 def test_public_catalog_has_size_extremes():
@@ -66,4 +71,5 @@ def test_all_skus_fit_default_node():
     from repro.cloud.sku import DEFAULT_NODE_SKU
 
     for sku in public_sku_catalog().skus + private_sku_catalog().skus:
-        assert sku.fits_on(DEFAULT_NODE_SKU.cores, DEFAULT_NODE_SKU.memory_gb), sku
+        assert sku.cores <= DEFAULT_NODE_SKU.cores, sku
+        assert sku.memory_gb <= DEFAULT_NODE_SKU.memory_gb, sku

@@ -83,23 +83,27 @@ class PlatformMachine(RuleBasedStateMachine):
             booked = sum(c for c, _m in node.hosted.values())
             assert abs(booked - node.used_cores) < 1e-9
 
+    def _hosted(self) -> set[int]:
+        hosted = set()
+        for node in self.platform.topology.nodes.values():
+            hosted.update(node.hosted)
+        return hosted
+
     @invariant()
     def store_and_allocator_agree(self):
-        assert self.platform.allocated_vm_count == len(self.live)
+        assert self._hosted() == set(self.live)
         for vm_id in self.live:
-            node = self.platform.allocator.node_of(vm_id)
-            assert node is not None
-            assert vm_id in node.hosted
             record = self.platform.store.vm(vm_id)
-            assert record.node_id == node.node_id
+            assert vm_id in self.platform.topology.nodes[record.node_id].hosted
             assert record.ended_at == float("inf")
 
     @invariant()
     def dead_vms_are_finalized(self):
+        hosted = self._hosted()
         for vm in self.platform.store.vms():
             if vm.vm_id not in self.live:
                 assert vm.ended_at != float("inf")
-                assert self.platform.allocator.node_of(vm.vm_id) is None
+                assert vm.vm_id not in hosted
 
 
 TestPlatformStateMachine = PlatformMachine.TestCase

@@ -201,7 +201,7 @@ class TestBoxplotStats:
         # whisker_low <= q1.
         assert stats.q1 <= stats.median <= stats.q3
         assert stats.whisker_low <= stats.whisker_high
-        assert stats.whisker_low >= stats.q1 - 1.5 * stats.iqr - 1e-9
-        assert stats.whisker_high <= stats.q3 + 1.5 * stats.iqr + 1e-9
-        assert stats.iqr >= 0
+        iqr = stats.q3 - stats.q1
+        assert stats.whisker_low >= stats.q1 - 1.5 * iqr - 1e-9
+        assert stats.whisker_high <= stats.q3 + 1.5 * iqr + 1e-9
         assert 0 <= stats.n_outliers < stats.n_samples or stats.n_outliers == 0

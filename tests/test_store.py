@@ -525,9 +525,9 @@ class TestReadOnlyViews:
 
     def test_iter_utilization_views_are_read_only(self):
         store = self._store_with_block()
-        for _vm_id, row in store.iter_utilization():
+        for vm_id in store.vm_ids_with_utilization():
             with pytest.raises(ValueError, match="read-only"):
-                row[:] = 9.0
+                store.utilization(vm_id)[:] = 9.0
 
     def test_matrix_is_a_fresh_copy(self):
         # utilization_matrix returns a gather copy; mutating it must not
