@@ -19,7 +19,7 @@ from repro.management.spot import SpotAdoptionAdvisor
 def main() -> None:
     trace = generate_trace_pair(GeneratorConfig(seed=5, scale=0.2))
     print("Spot adoption what-if (public cloud)")
-    advisor = SpotAdoptionAdvisor(trace, spot_discount=0.7)
+    advisor = SpotAdoptionAdvisor(trace)
     report = advisor.analyze()
     print(f"   completed public VMs: {report.n_total_completed}")
     print(

@@ -28,7 +28,7 @@ Quickstart::
     print(report.render())
 """
 
-from repro.core import ClassifierConfig, PatternClassifier, WorkloadKnowledgeBase
+from repro.core import PatternClassifier, WorkloadKnowledgeBase
 from repro.experiments.claims import run_study
 from repro.telemetry import Cloud, TraceStore, load_trace, save_trace
 from repro.workloads import (
@@ -42,7 +42,6 @@ from repro.workloads import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ClassifierConfig",
     "Cloud",
     "GeneratorConfig",
     "PatternClassifier",

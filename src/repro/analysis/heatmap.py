@@ -27,24 +27,23 @@ class Heatmap2D:
     density: np.ndarray
     n_samples: int
 
-    def occupied_fraction(self, threshold: float = 0.0) -> float:
-        """Fraction of cells whose mass exceeds ``threshold``.
+    def occupied_fraction(self) -> float:
+        """Fraction of cells with any mass.
 
         A coarse "spread" measure: the paper observes that the public-cloud
         heatmap extends into the extreme corners (tiny and huge VMs), i.e. it
         occupies more cells than the private-cloud heatmap.
         """
-        return float(np.mean(self.density > threshold))
+        return float(np.mean(self.density > 0.0))
 
-    def corner_mass(self, x_fraction: float = 0.25, y_fraction: float = 0.25) -> float:
+    def corner_mass(self) -> float:
         """Mass in the bottom-left plus top-right corners of the grid.
 
-        ``x_fraction``/``y_fraction`` select the corner size as a fraction of
-        the number of bins on each axis.
+        Each corner spans a quarter of the bins on each axis.
         """
         nx, ny = self.density.shape
-        cx = max(1, int(round(nx * x_fraction)))
-        cy = max(1, int(round(ny * y_fraction)))
+        cx = max(1, int(round(nx * 0.25)))
+        cy = max(1, int(round(ny * 0.25)))
         bottom_left = self.density[:cx, :cy].sum()
         top_right = self.density[nx - cx :, ny - cy :].sum()
         return float(bottom_left + top_right)

@@ -39,16 +39,14 @@ def sparkline(values: np.ndarray, *, width: int = 64) -> str:
     return "".join(_SPARK_LEVELS[i] for i in indices)
 
 
-def bar(fraction: float, *, width: int = 24, fill: str = "#") -> str:
+def bar(fraction: float, *, width: int = 24) -> str:
     """Render a fraction in [0, 1] as a fixed-width bar."""
     fraction = float(np.clip(fraction, 0.0, 1.0))
     filled = int(round(fraction * width))
-    return fill * filled + "." * (width - filled)
+    return "#" * filled + "." * (width - filled)
 
 
-def mix_table(
-    mixes: dict[str, dict[str, float]], *, width: int = 24
-) -> str:
+def mix_table(mixes: dict[str, dict[str, float]]) -> str:
     """Render category mixes (e.g. pattern shares per cloud) as bar rows.
 
     ``mixes`` maps a column label (e.g. ``private``) to its category
@@ -71,24 +69,19 @@ def mix_table(
         cells = []
         for column in columns:
             share = mixes[column].get(category, 0.0)
-            cells.append(f"{column} {bar(share, width=width)} {share:5.1%}")
+            cells.append(f"{column} {bar(share)} {share:5.1%}")
         lines.append(f"{category.ljust(label_width)}  " + "   ".join(cells))
     return "\n".join(lines)
 
 
-def cdf_strip(
-    values: np.ndarray,
-    probabilities: np.ndarray,
-    *,
-    quantiles: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9),
-) -> str:
-    """Render a CDF as a one-line quantile strip, e.g. ``p50=12  p90=85``."""
+def cdf_strip(values: np.ndarray, probabilities: np.ndarray) -> str:
+    """Render a CDF's p10, p25, p50, p75 and p90 on one line: ``p10=1  p25=4  ...``."""
     values = np.asarray(values, dtype=np.float64)
     probabilities = np.asarray(probabilities, dtype=np.float64)
     if values.size == 0:
         return ""
     parts = []
-    for q in quantiles:
+    for q in (0.1, 0.25, 0.5, 0.75, 0.9):
         idx = int(np.searchsorted(probabilities, q, side="left"))
         idx = min(idx, values.size - 1)
         parts.append(f"p{int(q * 100)}={values[idx]:g}")

@@ -23,9 +23,8 @@ def hourly_event_counts(
     event_times: np.ndarray,
     *,
     duration: float,
-    start: float = 0.0,
 ) -> np.ndarray:
-    """Count events per UTC hour over ``[start, start + duration)``.
+    """Count events per UTC hour over ``[0, duration)``.
 
     Events outside the window are ignored.  Returns an integer array with one
     entry per hour.
@@ -34,8 +33,8 @@ def hourly_event_counts(
         raise ValueError("duration must be positive")
     n_hours = int(np.ceil(duration / SECONDS_PER_HOUR))
     times = np.asarray(event_times, dtype=np.float64).ravel()
-    times = times[(times >= start) & (times < start + duration)]
-    idx = ((times - start) // SECONDS_PER_HOUR).astype(np.int64)
+    times = times[(times >= 0.0) & (times < duration)]
+    idx = (times // SECONDS_PER_HOUR).astype(np.int64)
     return np.bincount(idx, minlength=n_hours)[:n_hours]
 
 
@@ -44,7 +43,6 @@ def hourly_occupancy(
     end_times: np.ndarray,
     *,
     duration: float,
-    start: float = 0.0,
 ) -> np.ndarray:
     """Number of intervals alive at the start of each hour.
 
@@ -62,7 +60,7 @@ def hourly_occupancy(
     # empty interval [start, start) preserves that under the counting below.
     ends = np.maximum(ends, starts)
     n_hours = int(np.ceil(duration / SECONDS_PER_HOUR))
-    boundaries = start + SECONDS_PER_HOUR * np.arange(n_hours, dtype=np.float64)
+    boundaries = SECONDS_PER_HOUR * np.arange(n_hours, dtype=np.float64)
     # alive at boundary b  <=>  start <= b < end, so the count at b is
     # #{start <= b} - #{end <= b}.  Two sorts plus two searchsorted passes
     # keep this O((n_vms + n_hours) log n_vms) time and O(n_vms + n_hours)

@@ -441,14 +441,14 @@ def calibration_seconds() -> float:
     return best
 
 
-def _phase_generate(seed: int, scale: float, cache_dir: str, workers: int) -> dict:
+def _phase_generate(seed: int, scale: float, cache_dir: str) -> dict:
     """Synthesize (spilling to shards) and cache the trace."""
     from repro.experiments.cache import fetch_trace
     from repro.workloads.generator import GeneratorConfig
 
     config = GeneratorConfig(seed=seed, scale=scale)
     with span("bench.generate", scale=scale) as timing:
-        store, info = fetch_trace(config, cache_dir=cache_dir, workers=workers, spill=True)
+        store, info = fetch_trace(config, cache_dir=cache_dir, spill=True)
     summary = store.summary()
     return {
         "phase": "generate",
@@ -739,12 +739,11 @@ def run_bench_scale(
     scale: float = DEFAULT_SCALE["scale"],
     cache_dir: str | Path,
     budget_gb: float = 4.0,
-    workers: int = 1,
     task_ids: Sequence[str] | None = None,
 ) -> dict:
     """Run the generate + analyze phases and return the artifact payload."""
     cache_dir = str(cache_dir)
-    generate = run_phase(_phase_generate, seed, scale, cache_dir, workers)
+    generate = run_phase(_phase_generate, seed, scale, cache_dir)
     analyze = run_phase(
         _phase_analyze, seed, scale, cache_dir, list(task_ids) if task_ids else None
     )

@@ -15,8 +15,7 @@ Subcommands::
     repro-cloud kb          [--trace trace_dir] [--out kb.json]
     repro-cloud case-study  [--seed 11]
     repro-cloud bench-scale --cache-dir DIR [--scale 50] [--budget-gb 4]
-                            [--workers N] [--tasks fig6 fig7a ...]
-                            [--out BENCH_scale.json]
+                            [--tasks fig6 fig7a ...] [--out BENCH_scale.json]
     repro-cloud bench-perf  --cache-dir DIR [--scale 0.12] [--repeats 3]
                             [--check] [--baseline BENCH_perf.json]
                             [--write-baseline] [--tasks fig6 ...]
@@ -70,11 +69,6 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", type=str, default=None, help="load a saved trace directory instead"
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for trace generation (2 = private and public in "
-        "parallel; output is bit-identical to --workers 1)",
-    )
 
 
 def _load_or_generate(args: argparse.Namespace):
@@ -87,10 +81,7 @@ def _load_or_generate(args: argparse.Namespace):
     # The CLI reads the elapsed wall time off the obs span record instead
     # of touching the clock itself.
     with span("cli.generate_trace", seed=args.seed, scale=args.scale) as timing:
-        store = generate_trace_pair(
-            GeneratorConfig(seed=args.seed, scale=args.scale),
-            workers=getattr(args, "workers", 1),
-        )
+        store = generate_trace_pair(GeneratorConfig(seed=args.seed, scale=args.scale))
     print(
         f"generated {len(store)} VMs "
         f"({store.summary()['utilization_series']} with telemetry) "
@@ -540,11 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("--budget-gb", dict(
                 type=float, default=4.0,
                 help="hard per-phase peak-RSS budget in GiB (default 4)",
-            )),
-            ("--workers", dict(
-                type=int, default=1,
-                help="generation worker processes (forwarded to "
-                "generate_trace_pair)",
             )),
             (
             "--tasks",

@@ -108,8 +108,6 @@ def diurnal_demand(
     tz_offset_hours: float,
     peak_hour: float = 14.0,
     weekend_factor: float = 0.6,
-    jitter: float = 0.0,
-    rng: np.random.Generator | None = None,
     holiday_week: bool = False,
 ) -> DemandCurve:
     """Build a demand curve with a local-time diurnal cycle and weekend dip.
@@ -120,8 +118,6 @@ def diurnal_demand(
     """
     from repro.timebase import day_of_week, hour_of_day
 
-    rng = rng or np.random.default_rng(0)
-
     def demand(t: float) -> int:
         hour = float(hour_of_day(np.array([t]), tz_offset_hours=tz_offset_hours)[0])
         day = int(day_of_week(np.array([t]), tz_offset_hours=tz_offset_hours)[0])
@@ -129,8 +125,6 @@ def diurnal_demand(
         level = base + amplitude * bump
         if holiday_week or day >= 5:
             level *= weekend_factor
-        if jitter > 0:
-            level += rng.normal(0.0, jitter * max(1.0, amplitude))
         return max(0, int(round(level)))
 
     return demand

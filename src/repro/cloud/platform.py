@@ -75,7 +75,6 @@ class CloudPlatform:
         time: float,
         *,
         backdate_to: float | None = None,
-        record_event: bool = True,
     ) -> int | None:
         """Create and place a VM at ``time``; returns its id.
 
@@ -129,7 +128,7 @@ class CloudPlatform:
             )
         )
         self._vm_deployment[vm_id] = request.deployment_id
-        if record_event and created_at >= 0:
+        if created_at >= 0:
             self.store.add_event(
                 EventRecord(
                     time=float(created_at),

@@ -19,7 +19,6 @@ experiment registry (:mod:`repro.experiments`).
 
 from repro.core.knowledge_base import SubscriptionKnowledge, WorkloadKnowledgeBase
 from repro.core.patterns import (
-    ClassifierConfig,
     PatternClassifier,
     PatternMix,
     classify_block,
@@ -27,7 +26,6 @@ from repro.core.patterns import (
 )
 
 __all__ = [
-    "ClassifierConfig",
     "PatternClassifier",
     "PatternMix",
     "SubscriptionKnowledge",

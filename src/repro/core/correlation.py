@@ -29,6 +29,10 @@ from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_DAY
 
+#: Fig. 7(a) correlates only VMs alive this long, so that each correlation
+#: is estimated over a meaningful overlap.
+MIN_ALIVE_SECONDS = 2 * SECONDS_PER_DAY
+
 #: Pairs dropped because one side was constant (Pearson r undefined).
 _CONSTANT_PAIRS = Counter("correlation.constant_pairs")
 
@@ -61,21 +65,17 @@ def node_level_correlation(
     store: TraceStore,
     cloud: Cloud,
     *,
-    min_alive: float | None = None,
     max_nodes: int | None = None,
 ) -> CorrelationCdf:
     """Fig. 7(a): CDF of Pearson(VM utilization, host-node utilization).
 
     "We filter out the trivial case that nodes only host one VM."  VMs must
-    be alive at least ``min_alive`` seconds (default: 2 days) so that the
-    correlation is estimated over a meaningful overlap; each correlation is
+    be alive at least :data:`MIN_ALIVE_SECONDS`; each correlation is
     computed on the VM's alive span.
 
     When ``max_nodes`` caps the sample, nodes are visited in ascending
     ``node_id`` order so the cap selects the same nodes on every run.
     """
-    if min_alive is None:
-        min_alive = 2 * SECONDS_PER_DAY
     metadata = store.metadata
     vms_by_node = store.vms_by_node(cloud=cloud)
 
@@ -102,7 +102,7 @@ def node_level_correlation(
         eligible = [  # (row, lo, hi)
             (row, *metadata.sample_window(vm))
             for vm, row in zip(vms, rows)
-            if metadata.alive_seconds(vm) >= min_alive
+            if metadata.alive_seconds(vm) >= MIN_ALIVE_SECONDS
         ]
         for r in _node_vm_correlations(node_util, eligible):
             if np.isfinite(r):
@@ -157,7 +157,6 @@ def _node_level_correlation_reference(
     store: TraceStore,
     cloud: Cloud,
     *,
-    min_alive: float | None = None,
     max_nodes: int | None = None,
 ) -> CorrelationCdf:
     """Pre-hoisting scalar implementation of :func:`node_level_correlation`.
@@ -166,8 +165,6 @@ def _node_level_correlation_reference(
     standardizes both series from scratch inside every pair, which is the
     exact textbook computation the blocked kernel must reproduce bitwise.
     """
-    if min_alive is None:
-        min_alive = 2 * SECONDS_PER_DAY
     sample_period = store.metadata.sample_period
     duration = store.metadata.duration
     vms_by_node = store.vms_by_node(cloud=cloud)
@@ -194,7 +191,7 @@ def _node_level_correlation_reference(
         for vm in vms:
             start = max(vm.created_at, 0.0)
             end = min(vm.ended_at, duration)
-            if end - start < min_alive:
+            if end - start < MIN_ALIVE_SECONDS:
                 continue
             lo = int(np.ceil(start / sample_period))
             hi = int(np.floor(end / sample_period))
@@ -215,12 +212,11 @@ def region_level_correlation(
     cloud: Cloud,
     *,
     countries: tuple[str, ...] = ("US",),
-    min_regions: int = 2,
 ) -> CorrelationCdf:
     """Fig. 7(b): CDF of cross-region utilization correlation per subscription.
 
-    For each subscription deployed in at least ``min_regions`` of the
-    selected countries' regions, correlate the region-averaged utilization
+    For each subscription deployed in at least two of the selected
+    countries' regions, correlate the region-averaged utilization
     of every region pair.
     """
     allowed = {
@@ -237,7 +233,7 @@ def region_level_correlation(
             continue
         ids_by_region = grouped.get(sub_id, {})
         regions = sorted(r for r in ids_by_region if r in allowed)
-        if len(regions) < min_regions:
+        if len(regions) < 2:
             continue
         finite, constant = _region_pair_correlations(store, ids_by_region, regions)
         correlations.extend(finite)
@@ -364,13 +360,11 @@ def service_region_series(
     service: str,
     *,
     cloud: Cloud | None = None,
-    fold_to_day: bool = True,
 ) -> dict[str, np.ndarray]:
     """Fig. 7(c): average utilization of one service, per region.
 
     Returns the average utilization series of all telemetry-bearing VMs of
-    ``service`` in each region, optionally folded to one day (the paper
-    plots one day).
+    ``service`` in each region, folded to one day (the paper plots one day).
     """
     by_region: dict[str, list[int]] = {}
     for vm in store.vms(cloud=cloud):
@@ -382,8 +376,6 @@ def service_region_series(
         for region, ids in by_region.items()
         if len(ids) >= 2
     }
-    if not fold_to_day:
-        return series
     from repro.analysis.timeseries import fold_daily
 
     samples_per_day = int(SECONDS_PER_DAY // store.metadata.sample_period)

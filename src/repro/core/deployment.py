@@ -30,6 +30,10 @@ from repro.telemetry.schema import Cloud, EventKind
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_DAY
 
+#: Fig. 1's snapshot time: the paper takes it "at one time point on a
+#: weekday"; this is Wednesday noon UTC.
+SNAPSHOT_TIME = 2 * SECONDS_PER_DAY + 12 * 3600
+
 
 def _alive_at(store: TraceStore, cloud: Cloud, time: float):
     """VMs of ``cloud`` alive at ``time``."""
@@ -40,54 +44,29 @@ def _alive_at(store: TraceStore, cloud: Cloud, time: float):
     ]
 
 
-def vms_per_subscription_cdf(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    at_time: float | None = None,
-) -> EmpiricalCdf:
-    """Fig. 1(a): CDF of the number of VMs per subscription.
-
-    The paper takes the snapshot "at one time point on a weekday";
-    ``at_time`` defaults to Wednesday noon UTC.
-    """
-    if at_time is None:
-        at_time = 2 * SECONDS_PER_DAY + 12 * 3600
+def vms_per_subscription_cdf(store: TraceStore, cloud: Cloud) -> EmpiricalCdf:
+    """Fig. 1(a): CDF of the number of VMs per subscription at :data:`SNAPSHOT_TIME`."""
     counts: dict[int, int] = {}
-    for vm in _alive_at(store, cloud, at_time):
+    for vm in _alive_at(store, cloud, SNAPSHOT_TIME):
         counts[vm.subscription_id] = counts.get(vm.subscription_id, 0) + 1
     if not counts:
-        raise ValueError(f"no {cloud} VMs alive at t={at_time}")
+        raise ValueError(f"no {cloud} VMs alive at t={SNAPSHOT_TIME}")
     return EmpiricalCdf.from_samples(np.array(list(counts.values()), dtype=np.float64))
 
 
-def subscriptions_per_cluster(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    at_time: float | None = None,
-) -> BoxplotStats:
-    """Fig. 1(b): box-plot stats of distinct subscriptions per cluster."""
-    if at_time is None:
-        at_time = 2 * SECONDS_PER_DAY + 12 * 3600
+def subscriptions_per_cluster(store: TraceStore, cloud: Cloud) -> BoxplotStats:
+    """Fig. 1(b): box-plot stats of distinct subscriptions per cluster at :data:`SNAPSHOT_TIME`."""
     subs: dict[int, set[int]] = {}
-    for vm in _alive_at(store, cloud, at_time):
+    for vm in _alive_at(store, cloud, SNAPSHOT_TIME):
         subs.setdefault(vm.cluster_id, set()).add(vm.subscription_id)
     if not subs:
-        raise ValueError(f"no {cloud} VMs alive at t={at_time}")
+        raise ValueError(f"no {cloud} VMs alive at t={SNAPSHOT_TIME}")
     counts = np.array([len(s) for s in subs.values()], dtype=np.float64)
     return BoxplotStats.from_samples(counts)
 
 
-def vm_size_heatmap(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    bins: int = 12,
-    core_range: tuple[float, float] = (0.5, 96.0),
-    memory_range: tuple[float, float] = (0.5, 768.0),
-) -> Heatmap2D:
-    """Fig. 2: heatmap of (cores, memory) per VM, log-binned.
+def vm_size_heatmap(store: TraceStore, cloud: Cloud) -> Heatmap2D:
+    """Fig. 2: heatmap of (cores, memory) per VM, log-binned 12 x 12.
 
     Fixed axis ranges keep the private and public heatmaps comparable.
     """
@@ -97,7 +76,7 @@ def vm_size_heatmap(
     cores = np.array([vm.cores for vm in vms], dtype=np.float64)
     memory = np.array([vm.memory_gb for vm in vms], dtype=np.float64)
     return build_heatmap(
-        cores, memory, bins=bins, log=True, x_range=core_range, y_range=memory_range
+        cores, memory, bins=12, log=True, x_range=(0.5, 96.0), y_range=(0.5, 768.0)
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.analysis.stats import coefficient_of_variation
 from repro.analysis.timeseries import hourly_event_counts, sorted_percentile
 from repro.core.correlation import region_agnostic_subscriptions
-from repro.core.patterns import ClassifierConfig, classify_vm_windows
+from repro.core.patterns import classify_vm_windows
 from repro.telemetry.schema import (
     Cloud,
     EventKind,
@@ -46,8 +46,6 @@ POLICY_REGION_SHIFT = "region-agnostic-rebalancing"
 POLICY_FAILURE_PREDICTION = "allocation-failure-prediction"
 POLICY_CONSERVATIVE = "no-aggressive-management"
 
-#: Pattern classifier settings of both the batch and the online path.
-CLASSIFIER_CONFIG = ClassifierConfig()
 #: Cross-region similarity above which a subscription is region-agnostic.
 REGION_AGNOSTIC_THRESHOLD = 0.7
 #: VMs per subscription whose windows feed the pattern mix.
@@ -91,7 +89,7 @@ def build_subscription_records(
     misses = [
         vm_id for _record, vm_ids, _empty in collected for vm_id in vm_ids if vm_id not in known
     ]
-    fresh = dict(zip(misses, classify_vm_windows(store, misses, CLASSIFIER_CONFIG)))
+    fresh = dict(zip(misses, classify_vm_windows(store, misses)))
     for record, vm_ids, empty in collected:
         _finish_record(
             record, [fresh[vm_id] if vm_id in fresh else known[vm_id] for vm_id in vm_ids]

@@ -37,23 +37,19 @@ from repro.telemetry.store import TraceStore
 from repro.timebase import SAMPLE_PERIOD, SECONDS_PER_DAY
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Thresholds of the pattern classifier."""
-
-    #: Std threshold below which a series is "stable".
-    stable_std_threshold: float = 0.035
-    #: Minimum ACF value at the (refined) daily lag for "diurnal".
-    diurnal_min_acf: float = 0.25
-    #: Minimum ACF value at the hourly lag for "hourly-peak".
-    hourly_min_acf: float = 0.25
-    #: Periodogram power at the target bin must exceed this multiple of the
-    #: mean spectral power for the period to be considered significant.
-    min_power_ratio: float = 4.0
-    #: Relative search window around the target lag for the ACF hill.
-    lag_tolerance: float = 0.15
-    #: Series shorter than this (seconds) cannot be classified reliably.
-    min_duration: float = 2 * SECONDS_PER_DAY
+#: Std threshold below which a series is "stable".
+STABLE_STD_THRESHOLD = 0.035
+#: Minimum ACF value at the (refined) daily lag for "diurnal".
+DIURNAL_MIN_ACF = 0.25
+#: Minimum ACF value at the hourly lag for "hourly-peak".
+HOURLY_MIN_ACF = 0.25
+#: Periodogram power at the target bin must exceed this multiple of the
+#: mean spectral power for the period to be considered significant.
+MIN_POWER_RATIO = 4.0
+#: Relative search window around the target lag for the ACF hill.
+LAG_TOLERANCE = 0.15
+#: Series shorter than this (seconds) cannot be classified reliably.
+MIN_DURATION = 2 * SECONDS_PER_DAY
 
 
 def _power_bins(lag: int, n: int) -> slice:
@@ -77,15 +73,15 @@ def _power_ratio(series: np.ndarray, lag: int) -> float:
     return float(spectrum[bins].max() / mean_power)
 
 
-def _hill_bounds(lag: int, tolerance: float, acf_size: int) -> tuple[int, int]:
+def _hill_bounds(lag: int, acf_size: int) -> tuple[int, int]:
     """First and last lag of the ACF window searched for a hill near ``lag``."""
-    search = max(1, int(round(lag * tolerance)))
+    search = max(1, int(round(lag * LAG_TOLERANCE)))
     return max(1, lag - search), min(acf_size - 2, lag + search)
 
 
-def _acf_hill_value(acf: np.ndarray, lag: int, tolerance: float) -> float:
+def _acf_hill_value(acf: np.ndarray, lag: int) -> float:
     """Max ACF on a hill near ``lag``; -inf when no local max is present."""
-    lo, hi = _hill_bounds(lag, tolerance, acf.size)
+    lo, hi = _hill_bounds(lag, acf.size)
     if hi <= lo:
         return float("-inf")
     peak = lo + int(np.argmax(acf[lo : hi + 1]))
@@ -94,38 +90,26 @@ def _acf_hill_value(acf: np.ndarray, lag: int, tolerance: float) -> float:
     return float("-inf")
 
 
-def classify_series(
-    series: np.ndarray,
-    config: ClassifierConfig | None = None,
-    *,
-    sample_period: float = SAMPLE_PERIOD,
-) -> str:
-    """Classify one utilization series into the four canonical patterns."""
-    config = config or ClassifierConfig()
+def classify_series(series: np.ndarray) -> str:
+    """Classify one ``SAMPLE_PERIOD``-sampled series into the four canonical patterns."""
     x = np.asarray(series, dtype=np.float64).ravel()
-    if x.size * sample_period < config.min_duration:
+    if x.size * SAMPLE_PERIOD < MIN_DURATION:
         return PATTERN_IRREGULAR
 
-    if float(x.std()) < config.stable_std_threshold:
+    if float(x.std()) < STABLE_STD_THRESHOLD:
         return PATTERN_STABLE
 
-    hourly_lag = max(2, int(round(3600.0 / sample_period)))
-    daily_lag = int(round(24 * 3600.0 / sample_period))
+    hourly_lag = max(2, int(round(3600.0 / SAMPLE_PERIOD)))
+    daily_lag = int(round(24 * 3600.0 / SAMPLE_PERIOD))
 
     acf = autocorrelation(x, max_lag=min(x.size // 2, daily_lag * 2))
-    hourly_acf = _acf_hill_value(acf, hourly_lag, config.lag_tolerance)
-    if (
-        hourly_acf >= config.hourly_min_acf
-        and _power_ratio(x, hourly_lag) >= config.min_power_ratio
-    ):
+    hourly_acf = _acf_hill_value(acf, hourly_lag)
+    if hourly_acf >= HOURLY_MIN_ACF and _power_ratio(x, hourly_lag) >= MIN_POWER_RATIO:
         return PATTERN_HOURLY_PEAK
 
     if daily_lag < acf.size:
-        daily_acf = _acf_hill_value(acf, daily_lag, config.lag_tolerance)
-        if (
-            daily_acf >= config.diurnal_min_acf
-            and _power_ratio(x, daily_lag) >= config.min_power_ratio
-        ):
+        daily_acf = _acf_hill_value(acf, daily_lag)
+        if daily_acf >= DIURNAL_MIN_ACF and _power_ratio(x, daily_lag) >= MIN_POWER_RATIO:
             return PATTERN_DIURNAL
     return PATTERN_IRREGULAR
 
@@ -140,12 +124,7 @@ def _rows_per_tile(length: int) -> int:
     return max(1, _CLASSIFY_TILE_BYTES // (8 * max(length, 1)))
 
 
-def classify_block(
-    block: np.ndarray,
-    config: ClassifierConfig | None = None,
-    *,
-    sample_period: float = SAMPLE_PERIOD,
-) -> list[str]:
+def classify_block(block: np.ndarray, *, sample_period: float = SAMPLE_PERIOD) -> list[str]:
     """Classify every row of an equal-length series block in one batch.
 
     Label-identical to calling :func:`classify_series` on each row
@@ -159,19 +138,18 @@ def classify_block(
     that passes -- instead of up to three FFTs and two scalar helpers per
     series.
     """
-    config = config or ClassifierConfig()
     x = np.asarray(block, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D block, got shape {x.shape}")
     n_series, n = x.shape
-    if n * sample_period < config.min_duration:
+    if n * sample_period < MIN_DURATION:
         return [PATTERN_IRREGULAR] * n_series
     hourly_lag = max(2, int(round(3600.0 / sample_period)))
     daily_lag = int(round(24 * 3600.0 / sample_period))
     step = _rows_per_tile(n)
     labels: list[str] = []
     for start in range(0, n_series, step):
-        labels += _classify_tile(x[start : start + step], config, hourly_lag, daily_lag)
+        labels += _classify_tile(x[start : start + step], hourly_lag, daily_lag)
     return labels
 
 
@@ -188,9 +166,7 @@ def _centered_stds(xc: np.ndarray) -> np.ndarray:
 _TILE_LABELS = (PATTERN_IRREGULAR, PATTERN_STABLE, PATTERN_HOURLY_PEAK, PATTERN_DIURNAL)
 
 
-def _classify_tile(
-    x: np.ndarray, config: ClassifierConfig, hourly_lag: int, daily_lag: int
-) -> list[str]:
+def _classify_tile(x: np.ndarray, hourly_lag: int, daily_lag: int) -> list[str]:
     """:func:`classify_block` on one tile of rows long enough to judge.
 
     Each test is one array op over the rows still undecided: the std test,
@@ -201,16 +177,16 @@ def _classify_tile(
     """
     n = x.shape[1]
     xc = x - x.sum(axis=1, keepdims=True) / n  # bitwise x.mean(axis=1)
-    stable = _centered_stds(xc) < config.stable_std_threshold
+    stable = _centered_stds(xc) < STABLE_STD_THRESHOLD
     active = np.flatnonzero(~stable)
     if not active.size:
         return [PATTERN_STABLE] * len(x)
     codes = stable.astype(np.intp)  # 0 irregular, 1 stable
     max_lag = min(n // 2, daily_lag * 2)
     acf = short_acf(xc if active.size == len(x) else xc[active], max_lag)
-    hourly = _hill_passes(acf, hourly_lag, config.lag_tolerance, config.hourly_min_acf)
+    hourly = _hill_passes(acf, hourly_lag, HOURLY_MIN_ACF)
     daily = (
-        _hill_passes(acf, daily_lag, config.lag_tolerance, config.diurnal_min_acf)
+        _hill_passes(acf, daily_lag, DIURNAL_MIN_ACF)
         if daily_lag <= max_lag
         else np.zeros_like(hourly)
     )
@@ -220,29 +196,26 @@ def _classify_tile(
         spectra = np.abs(np.fft.rfft(xc[rows], axis=1)) ** 2 / n
         spectra[:, 0] = 0.0
         mean_powers = spectra.sum(axis=1) / spectra.shape[1]  # bitwise mean
-        min_ratio = config.min_power_ratio
         peak = hourly[check]
         if peak.any():
-            peak &= _power_passes(spectra, mean_powers, _power_bins(hourly_lag, n), min_ratio)
+            peak &= _power_passes(spectra, mean_powers, _power_bins(hourly_lag, n))
         diurnal = daily[check] & ~peak
         if diurnal.any():
-            diurnal &= _power_passes(spectra, mean_powers, _power_bins(daily_lag, n), min_ratio)
+            diurnal &= _power_passes(spectra, mean_powers, _power_bins(daily_lag, n))
         codes[rows[peak]] = 2
         codes[rows[diurnal]] = 3
     return [_TILE_LABELS[code] for code in codes.tolist()]
 
 
-def _hill_passes(
-    acf: np.ndarray, lag: int, tolerance: float, threshold: float
-) -> np.ndarray:
-    """``_acf_hill_value(row, lag, tolerance) >= threshold`` for every ACF row.
+def _hill_passes(acf: np.ndarray, lag: int, threshold: float) -> np.ndarray:
+    """``_acf_hill_value(row, lag) >= threshold`` for every ACF row.
 
     The first argmax of a window is at least every other window value (or a
     NaN, which fails every test), so only a peak on the window's edge has a
     neighbour left to compare against.  ``threshold`` is finite, so a row
     without a hill (scalar value -inf) fails it.
     """
-    lo, hi = _hill_bounds(lag, tolerance, acf.shape[1])
+    lo, hi = _hill_bounds(lag, acf.shape[1])
     if hi <= lo:
         return np.zeros(acf.shape[0], dtype=bool)
     window = acf[:, lo : hi + 1]
@@ -255,10 +228,8 @@ def _hill_passes(
     )
 
 
-def _power_passes(
-    spectra: np.ndarray, mean_powers: np.ndarray, bins: slice, min_ratio: float
-) -> np.ndarray:
-    """``_power_ratio(row, lag) >= min_ratio`` per row, given its periodogram.
+def _power_passes(spectra: np.ndarray, mean_powers: np.ndarray, bins: slice) -> np.ndarray:
+    """``_power_ratio(row, lag) >= MIN_POWER_RATIO`` per row, given its periodogram.
 
     ``spectra`` holds the rows' length-n periodograms, bin 0 zeroed,
     ``mean_powers`` their means and ``bins`` is ``_power_bins(lag, n)``.
@@ -266,14 +237,11 @@ def _power_passes(
     ratio = np.zeros(len(spectra))  # the scalar ratio of an empty bin range or no power
     if bins.stop > bins.start:
         np.divide(spectra[:, bins].max(axis=1), mean_powers, out=ratio, where=mean_powers != 0)
-    return ratio >= min_ratio
+    return ratio >= MIN_POWER_RATIO
 
 
 def classify_windows(
-    windows: Sequence[np.ndarray],
-    config: ClassifierConfig | None = None,
-    *,
-    sample_period: float = SAMPLE_PERIOD,
+    windows: Sequence[np.ndarray], *, sample_period: float = SAMPLE_PERIOD
 ) -> list[str]:
     """Classify variable-length windows with the batched kernel.
 
@@ -301,7 +269,7 @@ def classify_windows(
             block = np.empty((len(tile), length), dtype=np.float64)
             for row, idx in enumerate(tile):
                 block[row] = windows[idx]
-            tile_labels = classify_block(block, config, sample_period=sample_period)
+            tile_labels = classify_block(block, sample_period=sample_period)
             for idx, label in zip(tile, tile_labels, strict=True):
                 labels[idx] = label
     return labels
@@ -332,16 +300,14 @@ class _StoreWindows(Sequence[np.ndarray]):
         return self._store.utilization(self._vm_ids[idx])[self._windows[idx]]
 
 
-def classify_vm_windows(
-    store: TraceStore, vm_ids: list[int], config: ClassifierConfig | None = None
-) -> list[str]:
+def classify_vm_windows(store: TraceStore, vm_ids: list[int]) -> list[str]:
     """:func:`classify_windows` over each VM's observed window in ``store``.
 
     The windows are read lazily (:class:`_StoreWindows`), one tile at a
     time, so a sweep over many VMs holds no row views between tiles.
     """
     return classify_windows(
-        _StoreWindows(store, vm_ids), config, sample_period=store.metadata.sample_period
+        _StoreWindows(store, vm_ids), sample_period=store.metadata.sample_period
     )
 
 
@@ -377,9 +343,6 @@ class PatternMix:
 class PatternClassifier:
     """Classifies whole traces and evaluates against ground-truth labels."""
 
-    def __init__(self, config: ClassifierConfig | None = None) -> None:
-        self.config = config or ClassifierConfig()
-
     def classify_store(
         self,
         store: TraceStore,
@@ -400,13 +363,13 @@ class PatternClassifier:
         eligible = [
             vm_id
             for vm_id in store.vm_ids_with_utilization(cloud=cloud)
-            if metadata.alive_seconds(store.vm(vm_id)) >= self.config.min_duration
+            if metadata.alive_seconds(store.vm(vm_id)) >= MIN_DURATION
         ]
         if max_vms is not None and len(eligible) > max_vms:
             rng = np.random.default_rng(seed)
             chosen = rng.choice(len(eligible), size=max_vms, replace=False)
             eligible = [eligible[i] for i in sorted(chosen)]
-        labels = classify_vm_windows(store, eligible, self.config)
+        labels = classify_vm_windows(store, eligible)
         return dict(zip(eligible, labels, strict=True))
 
     def pattern_mix(

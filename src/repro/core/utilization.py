@@ -5,31 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.timeseries import PercentileBands, fold_daily, percentile_bands
-from repro.core.patterns import ClassifierConfig, PatternClassifier, PatternMix
+from repro.core.patterns import PatternClassifier, PatternMix
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_DAY
 
 
-def pattern_mix(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    config: ClassifierConfig | None = None,
-    max_vms: int | None = None,
-) -> PatternMix:
+def pattern_mix(store: TraceStore, cloud: Cloud, *, max_vms: int | None = None) -> PatternMix:
     """Fig. 5(d): measured share of each utilization pattern in one cloud."""
-    return PatternClassifier(config).pattern_mix(store, cloud=cloud, max_vms=max_vms)
+    return PatternClassifier().pattern_mix(store, cloud=cloud, max_vms=max_vms)
 
 
-def _long_lived_ids(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    min_alive_fraction: float = 0.95,
-    max_vms: int | None = None,
-) -> list[int]:
-    """Ids of telemetry-bearing VMs alive ~the entire window.
+def _long_lived_ids(store: TraceStore, cloud: Cloud, *, max_vms: int | None = None) -> list[int]:
+    """Ids of telemetry-bearing VMs alive for at least 95% of the window.
 
     Fig. 6 tracks the population distribution over time; including VMs that
     are dead for part of the window would mix "off" zeros into the
@@ -38,7 +26,7 @@ def _long_lived_ids(
     metadata = store.metadata
     ids = []
     for vm_id in store.vm_ids_with_utilization(cloud=cloud):
-        if metadata.alive_seconds(store.vm(vm_id)) >= min_alive_fraction * metadata.duration:
+        if metadata.alive_seconds(store.vm(vm_id)) >= 0.95 * metadata.duration:
             ids.append(vm_id)
         if max_vms is not None and len(ids) >= max_vms:
             break
@@ -56,12 +44,14 @@ def _long_lived_ids(
 _BAND_WINDOW_BYTES = 256 * 1024 * 1024
 _BAND_BYTES_PER_ELEMENT = 21
 
+#: The utilization percentiles of Fig. 6's bands.
+PERCENTILES = (25.0, 50.0, 75.0, 95.0)
+
 
 def weekly_percentiles(
     store: TraceStore,
     cloud: Cloud,
     *,
-    percentiles: tuple[float, ...] = (25.0, 50.0, 75.0, 95.0),
     max_vms: int | None = None,
 ) -> PercentileBands:
     """Fig. 6(a, b): CPU utilization percentile bands over the week.
@@ -75,14 +65,14 @@ def weekly_percentiles(
     n_samples = store.metadata.n_samples
     window = max(16, _BAND_WINDOW_BYTES // (_BAND_BYTES_PER_ELEMENT * len(ids)))
     if window >= n_samples:
-        return percentile_bands(store.utilization_matrix(ids), percentiles)
-    bands = np.empty((len(percentiles), n_samples), dtype=np.float64)
+        return percentile_bands(store.utilization_matrix(ids), PERCENTILES)
+    bands = np.empty((len(PERCENTILES), n_samples), dtype=np.float64)
     for start in range(0, n_samples, window):
         stop = min(n_samples, start + window)
         chunk = store.utilization_matrix(ids, start=start, stop=stop)
-        bands[:, start:stop] = percentile_bands(chunk, percentiles).bands
+        bands[:, start:stop] = percentile_bands(chunk, PERCENTILES).bands
     return PercentileBands(
-        percentiles=tuple(float(p) for p in percentiles),
+        percentiles=PERCENTILES,
         bands=bands,
         n_series=len(ids),
     )

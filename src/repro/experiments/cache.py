@@ -89,7 +89,7 @@ class CacheKeyCoverageError(ValueError):
 
 
 #: Above this ``GeneratorConfig.scale``, :func:`fetch_trace` synthesizes
-#: telemetry straight into on-disk v2 shards instead of resident matrices.
+#: telemetry straight into on-disk v3 shards instead of resident matrices.
 #: At scale 8 the utilization matrices alone are ~1.3 GB; spilling keeps
 #: peak RSS bounded by the shard chunk size while producing bit-identical
 #: values (so the cache key is unaffected).
@@ -171,7 +171,6 @@ def fetch_trace(
     *,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    workers: int = 1,
     spill: "bool | None" = None,
 ) -> tuple[TraceStore, TraceCacheInfo]:
     """Return the trace pair for ``config`` and where it came from.
@@ -180,9 +179,8 @@ def fetch_trace(
     truncated, torn or checksum-mismatched entries are evicted (counted on
     ``cache.corrupt_evicted``) and the trace falls back to re-synthesis,
     so a torn write or disk fault degrades a run to a cache miss instead
-    of aborting it.  On a miss the pair is generated (``workers``
-    forwarded to :func:`generate_trace_pair`) and, unless ``use_cache``
-    is false, stored atomically for the next run.
+    of aborting it.  On a miss the pair is generated and, unless
+    ``use_cache`` is false, stored atomically for the next run.
 
     ``spill`` controls shard-spilled synthesis on a miss: ``True``/``False``
     force it, ``None`` (default) turns it on above
@@ -219,9 +217,7 @@ def fetch_trace(
         spill_dir = Path(tempfile.mkdtemp(prefix=f"spill-{key}-", dir=scratch_root))
     with span("cache.synthesize", key=key, spilled=spill_dir is not None):
         store = generate_trace_pair(
-            config,
-            workers=workers,
-            spill_dir=str(spill_dir) if spill_dir is not None else None,
+            config, spill_dir=str(spill_dir) if spill_dir is not None else None
         )
     if use_cache:
         with span("cache.save", key=key):
@@ -246,11 +242,7 @@ def get_trace(
     *,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    workers: int = 1,
-    spill: "bool | None" = None,
 ) -> TraceStore:
     """:func:`fetch_trace` without the provenance record."""
-    store, _info = fetch_trace(
-        config, cache_dir=cache_dir, use_cache=use_cache, workers=workers, spill=spill
-    )
+    store, _info = fetch_trace(config, cache_dir=cache_dir, use_cache=use_cache)
     return store

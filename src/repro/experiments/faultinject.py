@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.obs import Counter
 
@@ -228,7 +228,6 @@ def reset_consumed() -> None:
     _CORRUPT_FIRED.clear()
 
 
-def describe_plan(specs: Iterable[FaultSpec] | None = None) -> list[str]:
+def describe_plan() -> list[str]:
     """The armed plan as ``REPRO_FAULT``-syntax strings (for the manifest)."""
-    plan = plan_from_env() if specs is None else tuple(specs)
-    return [spec.render() for spec in plan]
+    return [spec.render() for spec in plan_from_env()]

@@ -12,19 +12,17 @@
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.management.oversubscription import ChanceConstrainedOversubscriber, sweep_epsilon
+from repro.management.oversubscription import (
+    NODE_CAPACITY_CORES,
+    ChanceConstrainedOversubscriber,
+    sweep_epsilon,
+)
 from repro.management.spot import SpotAdoptionAdvisor
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 
 
-def run_oversubscription(
-    store: TraceStore,
-    *,
-    capacity_cores: float = 96.0,
-    epsilons: tuple[float, ...] = (0.3, 0.1, 0.05, 0.01, 0.001),
-    max_candidates: int = 600,
-) -> ExperimentResult:
+def run_oversubscription(store: TraceStore, *, max_candidates: int = 600) -> ExperimentResult:
     """Reproduce IM1: utilization gain vs safety level."""
     result = ExperimentResult(
         "im1-oversubscription",
@@ -33,8 +31,8 @@ def run_oversubscription(
     oversubscriber = ChanceConstrainedOversubscriber(
         store, cloud=Cloud.PRIVATE, max_candidates=max_candidates
     )
-    baseline = oversubscriber.pack_baseline(capacity_cores)
-    outcomes = sweep_epsilon(oversubscriber, capacity_cores, epsilons)
+    baseline = oversubscriber.pack_baseline(NODE_CAPACITY_CORES)
+    outcomes = sweep_epsilon(oversubscriber, NODE_CAPACITY_CORES)
     result.series["baseline"] = baseline
     result.series["sweep"] = outcomes
 

@@ -31,13 +31,19 @@ from repro.core.knowledge_base import (
     POLICY_VALLEY_FILL,
     WorkloadKnowledgeBase,
 )
-from repro.management.oversubscription import ChanceConstrainedOversubscriber
+from repro.management.oversubscription import (
+    NODE_CAPACITY_CORES,
+    ChanceConstrainedOversubscriber,
+)
 from repro.management.peaks import compare_strategies
 from repro.management.placement import RegionShiftPlanner
 from repro.management.scheduling import ValleyScheduler, jobs_from_fraction
 from repro.management.spot import SpotAdoptionAdvisor
 from repro.telemetry.schema import Cloud, PATTERN_HOURLY_PEAK
 from repro.telemetry.store import TraceStore
+
+#: Violation probability the chance-constrained packing allows.
+OVERSUBSCRIPTION_EPSILON = 0.05
 
 
 @dataclass
@@ -84,14 +90,10 @@ class WorkloadAwareOrchestrator:
         store: TraceStore,
         *,
         knowledge_base: WorkloadKnowledgeBase | None = None,
-        node_capacity_cores: float = 96.0,
-        spot_discount: float = 0.7,
         seed: int = 0,
     ) -> None:
         self.store = store
         self.kb = knowledge_base or WorkloadKnowledgeBase.from_trace(store)
-        self.node_capacity = node_capacity_cores
-        self.spot_discount = spot_discount
         self._rng = np.random.default_rng(seed)
 
     def _subscriptions_with(self, policy: str) -> list[int]:
@@ -110,9 +112,7 @@ class WorkloadAwareOrchestrator:
         if not applicable:
             return None
         try:
-            report = SpotAdoptionAdvisor(
-                self.store, spot_discount=self.spot_discount
-            ).analyze()
+            report = SpotAdoptionAdvisor(self.store).analyze()
         except ValueError:
             return None
         return PolicyOutcome(
@@ -127,7 +127,7 @@ class WorkloadAwareOrchestrator:
             f"({report.candidate_core_hours:,.0f} core-hours)",
         )
 
-    def size_oversubscription(self, *, epsilon: float = 0.05) -> PolicyOutcome | None:
+    def size_oversubscription(self) -> PolicyOutcome | None:
         """IM1: utilization gain from chance-constrained packing."""
         applicable = self._subscriptions_with(POLICY_OVERSUBSCRIPTION)
         if not applicable:
@@ -138,8 +138,8 @@ class WorkloadAwareOrchestrator:
             )
         except ValueError:
             return None
-        baseline = packer.pack_baseline(self.node_capacity)
-        packed = packer.pack_chance_constrained(self.node_capacity, epsilon)
+        baseline = packer.pack_baseline(NODE_CAPACITY_CORES)
+        packed = packer.pack_chance_constrained(NODE_CAPACITY_CORES, OVERSUBSCRIPTION_EPSILON)
         if baseline.mean_utilization <= 0:
             return None
         return PolicyOutcome(
@@ -149,8 +149,8 @@ class WorkloadAwareOrchestrator:
                 "utilization_gain": packed.improvement_over(baseline),
                 "violation_rate": packed.violation_probability,
             },
-            detail=f"epsilon={epsilon}: {baseline.n_vms_packed} -> "
-            f"{packed.n_vms_packed} VMs per {self.node_capacity:.0f}-core node",
+            detail=f"epsilon={OVERSUBSCRIPTION_EPSILON}: {baseline.n_vms_packed} -> "
+            f"{packed.n_vms_packed} VMs per {NODE_CAPACITY_CORES:.0f}-core node",
         )
 
     def size_region_shift(self) -> PolicyOutcome | None:

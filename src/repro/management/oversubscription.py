@@ -22,6 +22,9 @@ import numpy as np
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 
+#: Cores of the one node that the over-subscription experiments pack.
+NODE_CAPACITY_CORES = 96.0
+
 
 @dataclass(frozen=True)
 class OversubscriptionOutcome:
@@ -65,22 +68,14 @@ class ChanceConstrainedOversubscriber:
         store: TraceStore,
         *,
         cloud: Cloud | None = None,
-        min_alive_fraction: float = 0.9,
         max_candidates: int | None = None,
-        seed: int = 0,
     ) -> None:
         self.store = store
-        self._candidates = self._collect(cloud, min_alive_fraction, max_candidates, seed)
+        self._candidates = self._collect(cloud, max_candidates)
         if not self._candidates:
             raise ValueError("no telemetry-bearing VM qualifies as a candidate")
 
-    def _collect(
-        self,
-        cloud: Cloud | None,
-        min_alive_fraction: float,
-        max_candidates: int | None,
-        seed: int,
-    ) -> list[_Candidate]:
+    def _collect(self, cloud: Cloud | None, max_candidates: int | None) -> list[_Candidate]:
         metadata = self.store.metadata
         # Select ids first, materialize demand after: sampling depends only
         # on the eligible count, so the chosen VMs are identical, but the
@@ -89,11 +84,12 @@ class ChanceConstrainedOversubscriber:
         eligible: list[tuple[int, float]] = []
         for vm_id in self.store.vm_ids_with_utilization(cloud=cloud):
             vm = self.store.vm(vm_id)
-            if metadata.alive_seconds(vm) < min_alive_fraction * metadata.duration:
+            # Only VMs alive for at least 90% of the window are packed.
+            if metadata.alive_seconds(vm) < 0.9 * metadata.duration:
                 continue
             eligible.append((vm_id, vm.cores))
         if max_candidates is not None and len(eligible) > max_candidates:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             idx = rng.choice(len(eligible), size=max_candidates, replace=False)
             eligible = [eligible[i] for i in sorted(idx)]
         return [

@@ -74,13 +74,12 @@ class PeakAbsorber:
         *,
         standby_cores: float | None = None,
         history_fraction: float = 0.5,
-        peak_quantile: float = 0.70,
     ) -> PeakAbsorptionOutcome:
         """Reserve standby capacity during *predicted* peak offsets.
 
         The within-hour demand profile of the history window predicts which
-        sample offsets carry peaks (those above the ``peak_quantile`` of the
-        profile).  Standby capacity is added at those offsets for the whole
+        sample offsets carry peaks (those at or above the profile's 70th
+        percentile).  Standby capacity is added at those offsets for the whole
         evaluation window; idle reservations count as waste.
         """
         if standby_cores is None:
@@ -96,7 +95,7 @@ class PeakAbsorber:
             n_hours, self._samples_per_hour
         )
         profile = folded.mean(axis=0)
-        threshold = np.quantile(profile, peak_quantile)
+        threshold = np.quantile(profile, 0.70)
         peak_offsets = profile >= threshold
 
         offsets = np.arange(self.demand.size) % self._samples_per_hour

@@ -21,8 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.correlation import region_agnostic_subscriptions
+from repro.core.knowledge_base import REGION_AGNOSTIC_THRESHOLD
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
+
+#: Mean utilization below which a VM's cores count as underutilized.
+UNDERUTILIZED_THRESHOLD = 0.12
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,11 @@ class RegionShiftPlanner:
         store: TraceStore,
         *,
         cloud: Cloud = Cloud.PRIVATE,
-        underutilized_threshold: float = 0.12,
-        snapshot_time: float | None = None,
     ) -> None:
         self.store = store
         self.cloud = cloud
-        self.underutilized_threshold = underutilized_threshold
-        self.snapshot_time = (
-            snapshot_time
-            if snapshot_time is not None
-            else store.metadata.duration / 2
-        )
+        #: Health is measured on the VMs alive mid-window.
+        self.snapshot_time = store.metadata.duration / 2
 
     # ------------------------------------------------------------------
     # measurement
@@ -121,7 +119,7 @@ class RegionShiftPlanner:
                 continue
             allocated += vm.cores
             mean_util = self._vm_mean_utilization(vm.vm_id)
-            if mean_util is not None and mean_util < self.underutilized_threshold:
+            if mean_util is not None and mean_util < UNDERUTILIZED_THRESHOLD:
                 underutilized += vm.cores
         return RegionSnapshot(
             region=region,
@@ -145,10 +143,8 @@ class RegionShiftPlanner:
         *,
         source_region: str | None = None,
         target_region: str | None = None,
-        region_agnostic_threshold: float = 0.7,
-        max_services: int = 3,
     ) -> list[ShiftRecommendation]:
-        """Recommend shifting region-agnostic services out of a hot region.
+        """Recommend shifting up to three region-agnostic services out of a hot region.
 
         Without explicit regions, picks the region with the highest
         underutilized percentage as the source and the one with the most
@@ -169,7 +165,7 @@ class RegionShiftPlanner:
 
         # Region-agnostic candidates deployed in the source region.
         reports = region_agnostic_subscriptions(
-            self.store, self.cloud, threshold=region_agnostic_threshold
+            self.store, self.cloud, threshold=REGION_AGNOSTIC_THRESHOLD
         )
         by_service: dict[str, list[int]] = {}
         for report in reports:
@@ -192,11 +188,11 @@ class RegionShiftPlanner:
                     moved_cores=moved,
                     reason=(
                         f"cross-region utilization correlation >= "
-                        f"{region_agnostic_threshold} in all deployed regions"
+                        f"{REGION_AGNOSTIC_THRESHOLD} in all deployed regions"
                     ),
                 )
             )
-            if len(recommendations) >= max_services:
+            if len(recommendations) >= 3:
                 break
         return recommendations
 
@@ -232,7 +228,7 @@ class RegionShiftPlanner:
             self.store.vm(v).cores
             for v in moved_ids
             if (mu := self._vm_mean_utilization(v)) is not None
-            and mu < self.underutilized_threshold
+            and mu < UNDERUTILIZED_THRESHOLD
         )
         return {
             "source_before": self.snapshot(recommendation.source_region),

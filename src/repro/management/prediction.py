@@ -17,20 +17,18 @@ from repro.telemetry.schema import Cloud, EventKind, EventRecord, VMRecord
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_HOUR
 
+#: Gradient-descent step of :class:`LogisticRegression`.
+LEARNING_RATE = 0.5
+#: Full-batch steps per :meth:`LogisticRegression.fit`.
+N_ITERATIONS = 400
+#: L2 penalty on the weights (the intercept included).
+L2 = 1e-4
+
 
 class LogisticRegression:
     """Minimal batch-gradient logistic regression (no external deps)."""
 
-    def __init__(
-        self,
-        *,
-        learning_rate: float = 0.5,
-        n_iterations: int = 400,
-        l2: float = 1e-4,
-    ) -> None:
-        self.learning_rate = learning_rate
-        self.n_iterations = n_iterations
-        self.l2 = l2
+    def __init__(self) -> None:
         self.weights: np.ndarray | None = None
         self._mean: np.ndarray | None = None
         self._std: np.ndarray | None = None
@@ -64,7 +62,7 @@ class LogisticRegression:
         z = np.empty(n)
         gradient = np.empty_like(weights)
         step = np.empty_like(weights)
-        for _ in range(self.n_iterations):
+        for _ in range(N_ITERATIONS):
             np.matmul(design, weights, out=z)
             np.clip(z, -35, 35, out=z)
             np.negative(z, out=z)
@@ -74,9 +72,9 @@ class LogisticRegression:
             np.subtract(z, labels, out=z)
             np.matmul(design_t, z, out=gradient)
             np.divide(gradient, n, out=gradient)
-            np.multiply(self.l2, weights, out=step)
+            np.multiply(L2, weights, out=step)
             np.add(gradient, step, out=gradient)
-            np.multiply(self.learning_rate, gradient, out=step)
+            np.multiply(LEARNING_RATE, gradient, out=step)
             np.subtract(weights, step, out=weights)
         self.weights = weights
         return self

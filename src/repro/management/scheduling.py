@@ -137,13 +137,13 @@ def jobs_from_fraction(
     *,
     fill_fraction: float = 0.5,
     job_cores: float = 8.0,
-    duration_hours: int = 4,
     rng: np.random.Generator | None = None,
 ) -> list[DeferrableJob]:
     """Synthesize a deferrable-job set sized to a fraction of the idle valley.
 
-    Utility for experiments: generates enough jobs to fill roughly
-    ``fill_fraction`` of the gap between the profile and its peak.
+    Utility for experiments: generates enough jobs, each 3 to 6 hours long,
+    to fill roughly ``fill_fraction`` of the gap between the profile and
+    its peak.
     """
     rng = rng or np.random.default_rng(0)
     profile = np.asarray(profile, dtype=np.float64)
@@ -152,7 +152,7 @@ def jobs_from_fraction(
     jobs: list[DeferrableJob] = []
     job_id = 0
     while budget > 0 and job_id < 10_000:
-        duration = max(1, int(rng.integers(duration_hours // 2 + 1, duration_hours + 3)))
+        duration = int(rng.integers(3, 7))
         deadline = int(rng.integers(duration, profile.size + 1))
         jobs.append(
             DeferrableJob(

@@ -24,6 +24,9 @@ from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_HOUR
 
+#: Spot price discount off the on-demand price.
+SPOT_DISCOUNT = 0.7
+
 
 class SpotEvictionModel:
     """Capacity-pressure-driven eviction hazard.
@@ -83,26 +86,20 @@ class SpotAdoptionAdvisor:
         self,
         store: TraceStore,
         *,
-        cloud: Cloud = Cloud.PUBLIC,
-        spot_discount: float = 0.7,
         eviction_model: SpotEvictionModel | None = None,
         max_candidate_lifetime: float = 6 * SECONDS_PER_HOUR,
     ) -> None:
-        if not 0 < spot_discount < 1:
-            raise ValueError("spot_discount must be in (0, 1)")
         self.store = store
-        self.cloud = cloud
-        self.spot_discount = spot_discount
         self.eviction_model = eviction_model or SpotEvictionModel()
         self.max_candidate_lifetime = max_candidate_lifetime
 
     def _region_pressure(self, region: str) -> np.ndarray:
         """Hourly allocated-core fraction of one region."""
-        vms = self.store.vms(cloud=self.cloud, region=region)
+        vms = self.store.vms(cloud=Cloud.PUBLIC, region=region)
         capacity = sum(
             c.capacity_cores
             for c in self.store.clusters.values()
-            if c.region == region and c.cloud == self.cloud
+            if c.region == region and c.cloud == Cloud.PUBLIC
         )
         if not vms or capacity <= 0:
             return np.zeros(int(self.store.metadata.duration // SECONDS_PER_HOUR))
@@ -117,10 +114,10 @@ class SpotAdoptionAdvisor:
         return (alive @ cores) / capacity
 
     def analyze(self) -> SpotAdoptionReport:
-        """Run the what-if over the target cloud's VMs completed in the window."""
+        """Run the what-if over the public VMs completed in the window."""
         pressures = {
             region: self._region_pressure(region)
-            for region in self.store.region_names(cloud=self.cloud)
+            for region in self.store.region_names(cloud=Cloud.PUBLIC)
         }
         medians = {
             region: np.median(pressure)
@@ -140,7 +137,7 @@ class SpotAdoptionAdvisor:
         total_core_hours = 0.0
         expected_evictions = 0.0
         valley_starts = 0
-        for vm in self.store.vms(cloud=self.cloud):
+        for vm in self.store.vms(cloud=Cloud.PUBLIC):
             if not self.store.metadata.completed_in_window(vm):
                 continue
             n_completed += 1
@@ -160,8 +157,8 @@ class SpotAdoptionAdvisor:
             if first <= last and pressure[first] < medians[vm.region]:
                 valley_starts += 1
         if total_core_hours <= 0:
-            raise ValueError(f"no completed {self.cloud} VMs with core-hours")
-        saving = self.spot_discount * candidate_core_hours / total_core_hours
+            raise ValueError(f"no completed {Cloud.PUBLIC} VMs with core-hours")
+        saving = SPOT_DISCOUNT * candidate_core_hours / total_core_hours
         return SpotAdoptionReport(
             n_candidates=n_candidates,
             n_total_completed=n_completed,

@@ -23,6 +23,8 @@ import numpy as np
 from repro.telemetry.schema import Cloud, EventKind, EventRecord, VMRecord
 from repro.telemetry.store import TraceMetadata, TraceStore, check_vm_end
 
+#: Recent ingest entries the ``recent`` op can return.
+RING_CAPACITY = 1024
 
 @dataclass(frozen=True)
 class IngestRecord:
@@ -190,13 +192,9 @@ class MemoryBackend:
 
     name = "memory"
 
-    def __init__(
-        self, metadata: TraceMetadata | None = None, *, ring_capacity: int = 1024
-    ):
-        if ring_capacity <= 0:
-            raise ValueError("ring_capacity must be positive")
+    def __init__(self, metadata: TraceMetadata | None = None):
         self._store = TraceStore(metadata=metadata)
-        self._ring: deque[dict] = deque(maxlen=ring_capacity)
+        self._ring: deque[dict] = deque(maxlen=RING_CAPACITY)
         self._applied = 0
 
     def store(self) -> TraceStore:

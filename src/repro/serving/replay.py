@@ -111,13 +111,12 @@ def batch_stream(
     records: "list[IngestRecord]",
     *,
     batch_records: int = 256,
-    bucket_seconds: float = 3600.0,
 ) -> "list[list[IngestRecord]]":
     """Cut the stream into batches by count or elapsed trace time.
 
     Backfill records (no event) land in the leading batches.  A batch never
-    spans more than ``bucket_seconds`` of trace time, so pacing stays
-    faithful even through sparse stretches.
+    spans more than one hour of trace time, so pacing stays faithful even
+    through sparse stretches.
     """
     if batch_records <= 0:
         raise ValueError("batch_records must be positive")
@@ -131,7 +130,7 @@ def batch_stream(
             or (
                 time is not None
                 and bucket_start is not None
-                and time - bucket_start > bucket_seconds
+                and time - bucket_start > 3600.0
             )
         ):
             batches.append(current)
@@ -150,24 +149,17 @@ async def replay_trace(
     service,
     *,
     speedup: float = 0.0,
-    batch_records: int = 256,
-    bucket_seconds: float = 3600.0,
-    limit: int | None = None,
 ) -> ReplayStats:
     """Push a trace's ingest stream into ``service`` at ``1/speedup`` pace.
 
     ``service`` is a started :class:`~repro.serving.service.KnowledgeBaseService`
-    (or anything with ``async ingest(records)``).  ``speedup <= 0`` skips
-    pacing entirely; otherwise the trace-time gap between consecutive
-    batches is slept divided by ``speedup``.  ``limit`` replays only the
-    first N records (prefix semantics identical to :func:`truncated_store`).
+    (or anything with ``async ingest(records)``), fed :func:`batch_stream`'s
+    batches.  ``speedup <= 0`` skips pacing entirely; otherwise the
+    trace-time gap between consecutive batches is slept divided by
+    ``speedup``.
     """
     records = list(iter_ingest_records(store))
-    if limit is not None:
-        records = records[:limit]
-    batches = batch_stream(
-        records, batch_records=batch_records, bucket_seconds=bucket_seconds
-    )
+    batches = batch_stream(records)
     slept = 0.0
     clock = 0.0
     for batch in batches:

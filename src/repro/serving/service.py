@@ -40,7 +40,6 @@ from collections import deque
 
 from repro.core.correlation import subscription_region_report
 from repro.core.knowledge_base import (
-    CLASSIFIER_CONFIG,
     POLICY_SPOT_ADOPTION,
     REGION_AGNOSTIC_THRESHOLD,
     WorkloadKnowledgeBase,
@@ -56,7 +55,7 @@ from repro.serving.backends import (
     copy_topology,
 )
 from repro.telemetry.schema import Cloud, EventKind
-from repro.telemetry.store import TraceStore
+from repro.telemetry.store import TraceMetadata, TraceStore
 
 #: Per-line stream limit: an ingest batch of a few hundred VMs with full
 #: week-long series serializes to several MB of JSON on one line.
@@ -94,6 +93,30 @@ def _clean(value: float) -> float | None:
     return value
 
 
+def _int_arg(args: dict, name: str) -> int:
+    """``args[name]`` as an id: a JSON integer (``true`` is not one)."""
+    value = args.get(name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError("bad_request", f"{name} must be an integer")
+    return value
+
+
+def _number_arg(args: dict, name: str) -> float:
+    """``args[name]`` as a finite JSON number: no bool, string, NaN or infinity.
+
+    An integer beyond float range raises ``OverflowError``, which the
+    dispatcher answers as ``bad_request`` too.
+    """
+    value = args.get(name)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ServiceError("bad_request", f"{name} must be a finite number")
+    return float(value)
+
+
 def _stall_seconds(delay: float) -> float:
     """Injected per-batch consumer delay when ``serve:stall`` is armed."""
     for spec in plan_from_env():
@@ -115,11 +138,11 @@ class KnowledgeBaseService:
     def __init__(
         self,
         *,
-        backend: MemoryBackend | None = None,
+        metadata: TraceMetadata | None = None,
         queue_maxsize: int = 64,
         stall_delay: float = 0.05,
     ) -> None:
-        self._backend = backend or MemoryBackend()
+        self._backend = MemoryBackend(metadata)
         self._stall_delay = stall_delay
         self._last_apply_error: str | None = None
         self._kb = WorkloadKnowledgeBase()
@@ -175,10 +198,7 @@ class KnowledgeBaseService:
     @classmethod
     def for_trace(cls, store: TraceStore, **kwargs) -> "KnowledgeBaseService":
         """Service primed with a trace's topology (but none of its telemetry)."""
-        backend = kwargs.pop("backend", None) or MemoryBackend(
-            metadata=store.metadata
-        )
-        service = cls(backend=backend, **kwargs)
+        service = cls(metadata=store.metadata, **kwargs)
         service.register_topology(store)
         return service
 
@@ -360,11 +380,7 @@ class KnowledgeBaseService:
                 raise ServiceError(
                     "unavailable", f"vm {vm_id} has an empty observation window"
                 )
-            label = classify_windows(
-                [window],
-                CLASSIFIER_CONFIG,
-                sample_period=store.metadata.sample_period,
-            )[0]
+            label = classify_windows([window], sample_period=store.metadata.sample_period)[0]
             self._pattern_cache[vm_id] = label
         return {"vm_id": int(vm_id), "pattern": label}
 
@@ -464,19 +480,14 @@ class KnowledgeBaseService:
         return self.stats()
 
     def _op_recent(self, args: dict) -> dict:
-        limit = args.get("limit")
-        if limit is not None and not isinstance(limit, int):
-            raise ServiceError("bad_request", "limit must be an integer")
+        limit = None if args.get("limit") is None else _int_arg(args, "limit")
         return {"entries": self._backend.recent(limit)}
 
     def _op_snapshot(self, args: dict) -> dict:
         return {"records": json.loads(self.snapshot_json())}
 
     def _op_pattern_for_vm(self, args: dict) -> dict:
-        vm_id = args.get("vm_id")
-        if not isinstance(vm_id, int):
-            raise ServiceError("bad_request", "vm_id must be an integer")
-        return self.pattern_for_vm(vm_id)
+        return self.pattern_for_vm(_int_arg(args, "vm_id"))
 
     def _op_region_agnostic_candidates(self, args: dict) -> dict:
         cloud = args.get("cloud")
@@ -490,26 +501,21 @@ class KnowledgeBaseService:
     def _op_allocation_failure_risk(self, args: dict) -> dict:
         try:
             cloud = Cloud(args["cloud"])
-            load = float(args["load_fraction"])
-            creations = float(args["recent_creations"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(
                 "bad_request",
                 "allocation_failure_risk needs cloud, load_fraction, "
                 f"recent_creations ({exc})",
             ) from exc
+        load = _number_arg(args, "load_fraction")
+        creations = _number_arg(args, "recent_creations")
         return self.allocation_failure_risk(cloud, load, creations)
 
     def _op_spot_eligibility(self, args: dict) -> dict:
-        sub_id = args.get("subscription_id")
-        if not isinstance(sub_id, int):
-            raise ServiceError("bad_request", "subscription_id must be an integer")
-        return self.spot_eligibility(sub_id)
+        return self.spot_eligibility(_int_arg(args, "subscription_id"))
 
     def _op_recommend_policies(self, args: dict) -> dict:
-        sub_id = args.get("subscription_id")
-        if not isinstance(sub_id, int):
-            raise ServiceError("bad_request", "subscription_id must be an integer")
+        sub_id = _int_arg(args, "subscription_id")
         self.refresh()
         if sub_id not in self._kb:
             raise ServiceError("not_found", f"no knowledge for subscription {sub_id}")
@@ -620,7 +626,7 @@ class KnowledgeBaseService:
             else:
                 _ERRORS.inc()
             return _error_response(req_id, exc.kind, str(exc))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             _BAD_REQUEST.inc()
             return _error_response(
                 req_id, "bad_request", f"{type(exc).__name__}: {exc}"

@@ -373,17 +373,9 @@ class TraceStore:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def vms(
-        self,
-        *,
-        cloud: Cloud | None = None,
-        region: str | None = None,
-        completed_only: bool = False,
-    ) -> list[VMRecord]:
+    def vms(self, *, cloud: Cloud | None = None, region: str | None = None) -> list[VMRecord]:
         """Return VM rows in insertion order, optionally filtered."""
-        return self._select(
-            "vms", cloud=cloud, region=region, completed=True if completed_only else None
-        )
+        return self._select("vms", cloud=cloud, region=region)
 
     def vm(self, vm_id: int) -> VMRecord:
         """Return one VM row by id."""
@@ -500,8 +492,6 @@ class TraceStore:
         self,
         vm_ids: Sequence[int],
         *,
-        start: int | None = None,
-        stop: int | None = None,
         chunk_rows: int = 1024,
     ) -> np.ndarray:
         """Column-wise mean utilization over ``vm_ids`` as float64.
@@ -513,15 +503,11 @@ class TraceStore:
         bit-identical whether the store is resident or shard-backed.
         """
         vm_ids = list(vm_ids)
-        window = slice(start, stop)
-        width = len(range(*window.indices(self.metadata.n_samples)))
+        acc = np.zeros(self.metadata.n_samples, dtype=np.float64)
         if not vm_ids:
-            return np.zeros(width, dtype=np.float64)
-        acc = np.zeros(width, dtype=np.float64)
+            return acc
         for lo in range(0, len(vm_ids), chunk_rows):
-            chunk = self.utilization_matrix(
-                vm_ids[lo : lo + chunk_rows], start=start, stop=stop
-            )
+            chunk = self.utilization_matrix(vm_ids[lo : lo + chunk_rows])
             acc += chunk.sum(axis=0, dtype=np.float64)
         acc /= len(vm_ids)
         return acc

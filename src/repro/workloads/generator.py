@@ -49,7 +49,7 @@ from repro.timebase import (
 )
 from repro.workloads.arrivals import diurnal_rate_curve, nhpp, sample_burst_episodes
 from repro.workloads.lifetime import LifetimeModel, burst_lifetime_model, perturbed_model
-from repro.workloads.profiles import CloudProfile
+from repro.workloads.profiles import CloudProfile, private_profile, public_profile
 from repro.workloads.services import ServiceArchetype, sample_service
 from repro.workloads.spatial import DEFAULT_REGION_POPULARITY, choose_regions
 from repro.workloads.utilization_models import (
@@ -594,7 +594,6 @@ class TraceGenerator:
                     stable_signal_block(
                         times,
                         levels[a - start : b - start],
-                        wobble=0.01,
                         rng=fill_rng,
                         out=rows(a, b),
                     )
@@ -759,63 +758,23 @@ def generate_trace(
     ).generate()
 
 
-def _generate_pair_member(
-    cloud_key: str, config: GeneratorConfig, spill_dir: "str | None" = None
-) -> TraceStore:
-    """Generate one member of the private+public pair (process-pool target)."""
-    from repro.workloads.profiles import private_profile, public_profile
-
-    if cloud_key == "private":
-        return generate_trace(
-            private_profile(), config, entity_offset=0, spill_dir=spill_dir
-        )
-    return generate_trace(
-        public_profile(), config, entity_offset=1, spill_dir=spill_dir
-    )
-
-
 def generate_trace_pair(
     config: GeneratorConfig | None = None,
     *,
-    workers: int = 1,
     spill_dir: "str | None" = None,
 ) -> TraceStore:
     """Generate the merged private+public trace every experiment consumes.
 
-    ``workers=2`` generates the two clouds in parallel processes.  Each
-    cloud already owns an independent seeded RNG stream (``[seed, 0]`` for
-    private, ``[seed, 1]`` for public), so the result is bit-identical to
-    the sequential ``workers=1`` run.  Falls back to sequential generation
-    when a process pool cannot be started.
+    Each cloud owns an independent seeded RNG stream (``[seed, 0]`` for
+    private, ``[seed, 1]`` for public).
 
     ``spill_dir`` routes telemetry synthesis straight to on-disk trace shards
-    (the two clouds share the directory under distinct file prefixes, and
-    worker processes hand shards back by path); the trace's values are
-    bit-identical with or without it.
+    (the two clouds share the directory under distinct file prefixes); the
+    trace's values are bit-identical with or without it.
     """
     config = config or GeneratorConfig()
-    private: TraceStore | None = None
-    public: TraceStore | None = None
-    if workers > 1:
-        import concurrent.futures
-
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-                private_future = pool.submit(
-                    _generate_pair_member, "private", config, spill_dir
-                )
-                public_future = pool.submit(
-                    _generate_pair_member, "public", config, spill_dir
-                )
-                private = private_future.result()
-                public = public_future.result()
-        except (OSError, PermissionError):
-            # Sandboxes without process-spawn rights get the same trace,
-            # just sequentially.
-            private = public = None
-    if private is None or public is None:
-        private = _generate_pair_member("private", config, spill_dir)
-        public = _generate_pair_member("public", config, spill_dir)
+    private = generate_trace(private_profile(), config, entity_offset=0, spill_dir=spill_dir)
+    public = generate_trace(public_profile(), config, entity_offset=1, spill_dir=spill_dir)
     merged = TraceStore(
         TraceMetadata(
             duration=config.duration,

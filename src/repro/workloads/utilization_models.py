@@ -27,6 +27,23 @@ import numpy as np
 
 from repro.timebase import SECONDS_PER_HOUR, day_of_week, hour_of_day
 
+#: Scale of a stable signal's slow random walk.
+STABLE_WOBBLE = 0.01
+#: Idle level of an irregular signal.
+IRREGULAR_BASE_LEVEL = 0.05
+#: Mean spikes per day of an irregular signal in the batched synthesis.
+SPIKE_RATE_PER_DAY = 1.5
+#: Range of an irregular spike's height, drawn uniformly.
+SPIKE_HEIGHT = (0.45, 0.9)
+#: Shortest and longest irregular spike, in samples.
+SPIKE_DURATION_SAMPLES = (2, 12)
+#: Hourly-peak signal: level between meetings, hour- and half-hour-mark peak
+#: heights over it, and how many samples each peak lasts.
+HOURLY_BASE_LEVEL = 0.08
+HOUR_PEAK_HEIGHT = 0.60
+HALF_HOUR_PEAK_HEIGHT = 0.40
+PEAK_WIDTH_SAMPLES = 2
+
 
 def diurnal_signal(
     times: np.ndarray,
@@ -71,14 +88,13 @@ def stable_signal(
     times: np.ndarray,
     *,
     level: float,
-    wobble: float = 0.01,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Near-constant utilization with a tiny slow wobble."""
     rng = rng or np.random.default_rng(0)
     n = times.shape[0]
     # Slow random walk, heavily smoothed so the std stays small.
-    walk = np.cumsum(rng.normal(0.0, wobble / 10.0, size=n))
+    walk = np.cumsum(rng.normal(0.0, STABLE_WOBBLE / 10.0, size=n))
     walk -= np.linspace(walk[0], walk[-1], n)  # detrend to stay near level
     return np.clip(level + walk, 0.0, 1.0)
 
@@ -86,22 +102,19 @@ def stable_signal(
 def irregular_signal(
     times: np.ndarray,
     *,
-    base_level: float = 0.05,
-    spike_rate_per_day: float = 1.5,
-    spike_height: tuple[float, float] = (0.45, 0.9),
-    spike_duration_samples: tuple[int, int] = (2, 12),
+    spike_rate_per_day: float = SPIKE_RATE_PER_DAY,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Mostly idle utilization with unannounced short spikes."""
     rng = rng or np.random.default_rng(0)
     n = times.shape[0]
-    series = np.full(n, base_level, dtype=np.float64)
+    series = np.full(n, IRREGULAR_BASE_LEVEL, dtype=np.float64)
     window_days = (times[-1] - times[0]) / (24 * SECONDS_PER_HOUR) if n > 1 else 0.0
     n_spikes = int(rng.poisson(max(0.0, spike_rate_per_day * window_days)))
     for _ in range(n_spikes):
         start = int(rng.integers(0, n))
-        width = int(rng.integers(spike_duration_samples[0], spike_duration_samples[1] + 1))
-        height = float(rng.uniform(*spike_height))
+        width = int(rng.integers(SPIKE_DURATION_SAMPLES[0], SPIKE_DURATION_SAMPLES[1] + 1))
+        height = float(rng.uniform(*SPIKE_HEIGHT))
         series[start : start + width] = np.maximum(series[start : start + width], height)
     return series
 
@@ -110,10 +123,6 @@ def hourly_peak_signal(
     times: np.ndarray,
     *,
     tz_offset_hours: float,
-    base_level: float = 0.08,
-    hour_peak_height: float = 0.60,
-    half_hour_peak_height: float = 0.40,
-    peak_width_samples: int = 2,
     envelope_peak_hour: float = 13.0,
     holiday_week: bool = False,
     clock: tuple[np.ndarray, np.ndarray] | None = None,
@@ -126,9 +135,9 @@ def hourly_peak_signal(
     """
     sample_period = float(times[1] - times[0]) if times.shape[0] > 1 else 300.0
     seconds_into_hour = np.mod(times, SECONDS_PER_HOUR)
-    on_hour = seconds_into_hour < peak_width_samples * sample_period
+    on_hour = seconds_into_hour < PEAK_WIDTH_SAMPLES * sample_period
     half = np.mod(times - SECONDS_PER_HOUR / 2, SECONDS_PER_HOUR)
-    on_half_hour = half < peak_width_samples * sample_period
+    on_half_hour = half < PEAK_WIDTH_SAMPLES * sample_period
 
     # Envelope: meetings happen during the local working day.
     envelope = diurnal_signal(
@@ -142,9 +151,11 @@ def hourly_peak_signal(
         holiday_week=holiday_week,
         clock=clock,
     )
-    series = np.full(times.shape[0], base_level, dtype=np.float64)
-    series = np.where(on_half_hour, base_level + half_hour_peak_height * envelope, series)
-    series = np.where(on_hour, base_level + hour_peak_height * envelope, series)
+    series = np.full(times.shape[0], HOURLY_BASE_LEVEL, dtype=np.float64)
+    series = np.where(
+        on_half_hour, HOURLY_BASE_LEVEL + HALF_HOUR_PEAK_HEIGHT * envelope, series
+    )
+    series = np.where(on_hour, HOURLY_BASE_LEVEL + HOUR_PEAK_HEIGHT * envelope, series)
     return series
 
 
@@ -209,14 +220,13 @@ def stable_signal_block(
     times: np.ndarray,
     levels: np.ndarray,
     *,
-    wobble: float = 0.01,
     rng: np.random.Generator,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`stable_signal` for many VMs at once: one ``(n, T)`` matrix.
 
     Row ``i`` has the same distribution as ``stable_signal(times,
-    level=levels[i], wobble=wobble)``: a heavily smoothed random walk,
+    level=levels[i])``: a heavily smoothed random walk,
     detrended back to its level.  Computed in float32 -- the telemetry
     storage dtype -- directly into ``out`` when given, so callers can fill
     slices of a preallocated matrix without intermediate copies.
@@ -225,7 +235,7 @@ def stable_signal_block(
     n = times.shape[0]
     walk = _block_out(out, levels.shape[0], n)
     rng.standard_normal(dtype=np.float32, out=walk)
-    walk *= np.float32(wobble / 10.0)
+    walk *= np.float32(STABLE_WOBBLE / 10.0)
     np.cumsum(walk, axis=1, out=walk)
     ramp = np.linspace(0.0, 1.0, n, dtype=np.float32)[None, :]
     start = walk[:, :1].copy()
@@ -236,56 +246,43 @@ def stable_signal_block(
 
 
 def irregular_spike_counts(
-    times: np.ndarray,
-    n_series: int,
-    *,
-    spike_rate_per_day: float = 1.5,
-    rng: np.random.Generator,
+    times: np.ndarray, n_series: int, *, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-series spike counts for :func:`irregular_signal_block`.
 
-    Exposed so chunked callers (the generator's spill-to-shard path) can
-    draw the whole group's counts up front -- preserving the exact draw
-    order of the unchunked path -- and pass ``counts[chunk]`` per call.
+    Chunked callers (the generator's synthesis, spilled or not) draw the
+    whole group's counts up front -- the draw order of an unchunked pass --
+    and pass ``counts[chunk]`` per call.
     """
     n = times.shape[0]
     window_days = (times[-1] - times[0]) / (24 * SECONDS_PER_HOUR) if n > 1 else 0.0
-    return rng.poisson(max(0.0, spike_rate_per_day * window_days), size=n_series)
+    return rng.poisson(max(0.0, SPIKE_RATE_PER_DAY * window_days), size=n_series)
 
 
 def irregular_signal_block(
     times: np.ndarray,
     n_series: int,
     *,
-    base_level: float = 0.05,
-    spike_rate_per_day: float = 1.5,
-    spike_height: tuple[float, float] = (0.45, 0.9),
-    spike_duration_samples: tuple[int, int] = (2, 12),
     rng: np.random.Generator,
     out: np.ndarray | None = None,
-    counts: np.ndarray | None = None,
+    counts: np.ndarray,
 ) -> np.ndarray:
     """:func:`irregular_signal` for many VMs at once: one ``(n, T)`` matrix.
 
     Spike placement stays a (short) per-spike loop -- spikes are rare -- but
-    the base matrix and spike counts are drawn in bulk.  ``counts``
-    optionally supplies pre-drawn :func:`irregular_spike_counts` (chunked
-    callers hoist the draw to keep the RNG stream identical).
+    the base matrix is filled in bulk.  ``counts`` holds each row's
+    :func:`irregular_spike_counts` draw.
     """
     n = times.shape[0]
     block = _block_out(out, n_series, n)
-    block.fill(base_level)
-    if counts is None:
-        counts = irregular_spike_counts(
-            times, n_series, spike_rate_per_day=spike_rate_per_day, rng=rng
-        )
+    block.fill(IRREGULAR_BASE_LEVEL)
     for row, n_spikes in zip(block, counts, strict=True):
         for _ in range(int(n_spikes)):
             start = int(rng.integers(0, n))
             width = int(
-                rng.integers(spike_duration_samples[0], spike_duration_samples[1] + 1)
+                rng.integers(SPIKE_DURATION_SAMPLES[0], SPIKE_DURATION_SAMPLES[1] + 1)
             )
-            height = float(rng.uniform(*spike_height))
+            height = float(rng.uniform(*SPIKE_HEIGHT))
             row[start : start + width] = np.maximum(row[start : start + width], height)
     return block
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.telemetry.schema import Cloud, EventKind, UTILIZATION_PATTERNS
-from repro.workloads.generator import GeneratorConfig, TraceGenerator, generate_trace_pair
+from repro.workloads.generator import GeneratorConfig, TraceGenerator
 from repro.workloads.profiles import private_profile, public_profile
 
 
@@ -93,28 +93,6 @@ def test_telemetry_only_for_long_lived(small_trace):
         vm = small_trace.vm(vm_id)
         overlap = min(vm.ended_at, duration) - max(vm.created_at, 0.0)
         assert overlap >= min_overlap
-
-
-def test_workers_bit_identical_to_sequential():
-    """``generate_trace_pair(workers=2)`` must equal the sequential result.
-
-    The private and public clouds draw from independent seeded RNG streams,
-    so process-parallel generation cannot change a single bit of output.
-    """
-    config = GeneratorConfig(seed=5, scale=0.04)
-    seq = generate_trace_pair(config, workers=1)
-    par = generate_trace_pair(config, workers=2)
-    assert [vm.vm_id for vm in seq.vms()] == [vm.vm_id for vm in par.vms()]
-    assert {vm.vm_id: (vm.created_at, vm.ended_at, vm.node_id) for vm in seq.vms()} == {
-        vm.vm_id: (vm.created_at, vm.ended_at, vm.node_id) for vm in par.vms()
-    }
-    assert [(e.time, e.kind, e.vm_id) for e in seq.events()] == [
-        (e.time, e.kind, e.vm_id) for e in par.events()
-    ]
-    ids = seq.vm_ids_with_utilization()
-    assert ids == par.vm_ids_with_utilization()
-    for vm_id in ids:
-        np.testing.assert_array_equal(seq.utilization(vm_id), par.utilization(vm_id))
 
 
 def test_no_utilization_option():

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core import patterns
-from repro.core.patterns import ClassifierConfig, classify_series, classify_windows
+from repro.core.patterns import classify_series, classify_windows
 from repro.telemetry.store import TraceMetadata
-from repro.timebase import SECONDS_PER_DAY, sample_times
+from repro.timebase import SAMPLE_PERIOD, sample_times
 from repro.workloads.utilization_models import diurnal_signal, stable_signal
 from tests.test_store import make_vm
 
@@ -104,8 +104,11 @@ class TestClassifyWindows:
         assert classify_windows(windows) == unchunked
 
     def test_config_is_applied(self, windows):
-        config = ClassifierConfig(min_duration=8 * SECONDS_PER_DAY)
-        assert classify_windows(windows, config) == ["irregular"] * len(windows)
+        # One diurnal series is judged at MIN_DURATION, and one sample short
+        # of it is left irregular.
+        n = int(patterns.MIN_DURATION // SAMPLE_PERIOD)
+        diurnal = windows[0]
+        assert classify_windows([diurnal[:n], diurnal[: n - 1]]) == ["diurnal", "irregular"]
 
     def test_empty_input(self):
         assert classify_windows([]) == []

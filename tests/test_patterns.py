@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import patterns
 from repro.core.patterns import (
-    ClassifierConfig,
     PatternClassifier,
     PatternMix,
     classify_block,
@@ -76,10 +75,13 @@ def test_short_series_is_unclassifiable(examples):
     assert classify_series(short) == PATTERN_IRREGULAR
 
 
-def test_stable_threshold_config(examples):
-    strict = ClassifierConfig(stable_std_threshold=1e-6)
-    # With an absurdly strict threshold, stable is no longer detected.
-    assert classify_series(examples[PATTERN_STABLE], strict) != PATTERN_STABLE
+def test_stable_threshold_config(times):
+    # A week of white noise is stable just below the std threshold and not above it.
+    z = np.random.default_rng(0).normal(size=times.size)
+    z = (z - z.mean()) / z.std()
+    threshold = patterns.STABLE_STD_THRESHOLD
+    assert classify_series(0.5 + 0.9 * threshold * z) == PATTERN_STABLE
+    assert classify_series(0.5 + 1.1 * threshold * z) != PATTERN_STABLE
 
 
 def test_noise_robustness(times):
@@ -205,12 +207,12 @@ class TestTileDecisions:
     @pytest.mark.parametrize("lag", [12, 288, 575])
     @pytest.mark.parametrize("threshold", [-2.0, 0.25, 0.7])
     def test_hill_passes_equals_scalar(self, acfs, lag, threshold):
-        got = patterns._hill_passes(acfs, lag, 0.15, threshold)
-        expected = [patterns._acf_hill_value(row, lag, 0.15) >= threshold for row in acfs]
+        got = patterns._hill_passes(acfs, lag, threshold)
+        expected = [patterns._acf_hill_value(row, lag) >= threshold for row in acfs]
         assert got.tolist() == expected
 
     @pytest.mark.parametrize("n", [576, 1001, 2016])
-    def test_power_passes_equals_scalar(self, n):
+    def test_power_passes_equals_scalar(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         t = np.arange(n)
         rows = rng.normal(0, 0.1, (60, n))
@@ -223,9 +225,8 @@ class TestTileDecisions:
         mean_powers = spectra.sum(axis=1) / spectra.shape[1]
         for lag in (12, 288):
             for min_ratio in (0.0, 4.0, 30.0):
-                got = patterns._power_passes(
-                    spectra, mean_powers, patterns._power_bins(lag, n), min_ratio
-                )
+                monkeypatch.setattr(patterns, "MIN_POWER_RATIO", min_ratio)
+                got = patterns._power_passes(spectra, mean_powers, patterns._power_bins(lag, n))
                 expected = [patterns._power_ratio(row, lag) >= min_ratio for row in rows]
                 assert got.tolist() == expected
 

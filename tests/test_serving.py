@@ -360,6 +360,26 @@ class TestProtocolErrors:
             responses["missing_args"] = await client.request(
                 "allocation_failure_risk", {}
             )
+            # true is a JSON bool, not an id, even though Python counts it as 1.
+            responses["bool_vm_id"] = await client.request("pattern_for_vm", {"vm_id": True})
+            for op in ("spot_eligibility", "recommend_policies"):
+                responses[f"bool_{op}"] = await client.request(op, {"subscription_id": True})
+            responses["bool_limit"] = await client.request("recent", {"limit": True})
+            # Risk inputs must be finite JSON numbers: no strings, NaN or infinity.
+            risk = {"cloud": "private", "load_fraction": 0.5, "recent_creations": 3.0}
+            for name, value in (
+                ("load_fraction", "nan"),
+                ("recent_creations", "inf"),
+                ("load_fraction", float("nan")),
+                ("recent_creations", float("inf")),
+                ("load_fraction", True),
+            ):
+                responses[f"risk_{name}_{value}"] = await client.request(
+                    "allocation_failure_risk", {**risk, name: value}
+                )
+            responses["risk_overflowing_int"] = await client.request(
+                "allocation_failure_risk", {**risk, "recent_creations": 10**400}
+            )
             responses["bad_args_type"] = json.loads(
                 await _raw_round_trip(
                     reader, writer, b'{"op": "ping", "args": [1, 2]}\n'

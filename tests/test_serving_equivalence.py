@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.timeseries import hourly_event_counts
 from repro.core.deployment import vm_count_series
-from repro.core.knowledge_base import CLASSIFIER_CONFIG, WorkloadKnowledgeBase
+from repro.core.knowledge_base import WorkloadKnowledgeBase
 from repro.core.patterns import classify_windows
 from repro.management.prediction import (
     AllocationFailurePredictor,
@@ -486,9 +486,7 @@ class TestPatternCache:
         service.refresh()
 
         lo, hi = store.metadata.sample_window(store.vm(5))
-        closed = classify_windows(
-            [series[lo:hi]], CLASSIFIER_CONFIG, sample_period=store.metadata.sample_period
-        )[0]
+        closed = classify_windows([series[lo:hi]], sample_period=store.metadata.sample_period)[0]
         assert (open_label, closed) == ("irregular", "diurnal")
 
         def unexpected(*args, **kwargs):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.management import spot
 from repro.management.spot import (
     SpotAdoptionAdvisor,
     SpotAdoptionReport,
     SpotEvictionModel,
 )
+from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_HOUR
 
@@ -84,16 +86,14 @@ class TestAdoptionAdvisor:
         # The paper's motivation: most completed public VMs are candidates.
         assert report.candidate_fraction > 0.5
 
-    def test_discount_scales_savings(self, small_trace):
-        low = SpotAdoptionAdvisor(small_trace, spot_discount=0.3).analyze()
-        high = SpotAdoptionAdvisor(small_trace, spot_discount=0.9).analyze()
+    def test_discount_scales_savings(self, small_trace, monkeypatch):
+        monkeypatch.setattr(spot, "SPOT_DISCOUNT", 0.3)
+        low = SpotAdoptionAdvisor(small_trace).analyze()
+        monkeypatch.setattr(spot, "SPOT_DISCOUNT", 0.9)
+        high = SpotAdoptionAdvisor(small_trace).analyze()
         assert high.cost_saving_fraction == pytest.approx(
             3 * low.cost_saving_fraction
         )
-
-    def test_invalid_discount(self, small_trace):
-        with pytest.raises(ValueError):
-            SpotAdoptionAdvisor(small_trace, spot_discount=1.5)
 
     def test_empty_store_raises(self):
         with pytest.raises(ValueError):
@@ -111,12 +111,12 @@ def _analyze_reference(advisor: SpotAdoptionAdvisor) -> SpotAdoptionReport:
     duration = store.metadata.duration
     pressures = {
         region: advisor._region_pressure(region)
-        for region in store.region_names(cloud=advisor.cloud)
+        for region in store.region_names(cloud=Cloud.PUBLIC)
     }
     n_candidates = n_completed = valley_starts = 0
     candidate_core_hours = total_core_hours = expected_evictions = 0.0
-    for vm in store.vms(cloud=advisor.cloud, completed_only=True):
-        if vm.created_at < 0 or vm.ended_at > duration:
+    for vm in store.vms(cloud=Cloud.PUBLIC):
+        if not vm.completed or vm.created_at < 0 or vm.ended_at > duration:
             continue
         n_completed += 1
         core_hours = vm.cores * vm.lifetime / SECONDS_PER_HOUR
@@ -138,7 +138,7 @@ def _analyze_reference(advisor: SpotAdoptionAdvisor) -> SpotAdoptionReport:
         candidate_core_hours=candidate_core_hours,
         total_core_hours=total_core_hours,
         cost_saving_fraction=float(
-            advisor.spot_discount * candidate_core_hours / total_core_hours
+            spot.SPOT_DISCOUNT * candidate_core_hours / total_core_hours
         ),
         expected_evictions=float(expected_evictions),
         valley_start_fraction=valley_starts / n_candidates if n_candidates else 0.0,

@@ -121,7 +121,6 @@ class TestTraceStore:
         store.add_vm(make_vm(3, cloud=Cloud.PUBLIC, region="b", ended_at=10.0))
         assert len(store.vms(cloud=Cloud.PUBLIC)) == 2
         assert len(store.vms(region="a")) == 2
-        assert len(store.vms(completed_only=True)) == 1
 
     def test_events_sorted_lazily(self):
         store = TraceStore()
@@ -369,10 +368,7 @@ def _indexed_answers(store: TraceStore) -> dict:
     answers = {}
     for cloud in (None, *Cloud):
         for region in _QUERY_REGIONS:
-            for completed in (False, True):
-                answers["vms", cloud, region, completed] = store.vms(
-                    cloud=cloud, region=region, completed_only=completed
-                )
+            answers["vms", cloud, region] = store.vms(cloud=cloud, region=region)
             for kind in (None, *EventKind):
                 answers["events", kind, cloud, region] = store.events(
                     kind=kind, cloud=cloud, region=region
@@ -401,13 +397,9 @@ def _scanned_answers(store: TraceStore) -> dict:
     answers = {}
     for cloud in (None, *Cloud):
         for region in _QUERY_REGIONS:
-            for completed in (False, True):
-                answers["vms", cloud, region, completed] = [
-                    vm
-                    for vm in vms
-                    if matches(vm, cloud=cloud, region=region)
-                    and (vm.completed or not completed)
-                ]
+            answers["vms", cloud, region] = [
+                vm for vm in vms if matches(vm, cloud=cloud, region=region)
+            ]
             for kind in (None, *EventKind):
                 answers["events", kind, cloud, region] = [
                     e for e in events if matches(e, kind=kind, cloud=cloud, region=region)

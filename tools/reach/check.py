@@ -1,9 +1,8 @@
 """Compare a reach run against the written allowlist of unreached code.
 
-A reach run (``tools/reach/sitecustomize.py`` under every CLI verb, see
-``.claude/skills/verify/SKILL.md``) leaves ``reached.tsv``: one
-``path<TAB>qualname`` line per function any entry point called, paths
-relative to the checkout.  This script lists every ``def`` under
+A reach run (``tools/reach/run.sh``: ``sitecustomize.py`` under every
+entry point) leaves ``reached.tsv``: one ``path<TAB>qualname`` line per
+function any entry point called, paths relative to the checkout.  This script lists every ``def`` under
 ``src/repro`` with the qualname Python gives it (enclosing classes and
 functions joined by ``.``, ``<locals>`` after each function) and checks
 the unreached ones against the allowlist, the markdown bullets
