@@ -96,7 +96,7 @@ def main() -> None:
     )
     stressed = TraceGenerator(
         stressed_profile,
-        GeneratorConfig(seed=11, scale=0.25, synthesize_utilization=False),
+        GeneratorConfig(seed=11, scale=0.25),
     ).generate()
     n_failures = len(
         [e for e in stressed.events() if e.kind.value == "allocation_failure"]

@@ -32,7 +32,7 @@ def main() -> None:
         print(f"    {policy:42s} {count:4d}")
 
     print("\nSizing every policy on the trace ...\n")
-    orchestrator = WorkloadAwareOrchestrator(trace, knowledge_base=kb, seed=1)
+    orchestrator = WorkloadAwareOrchestrator(trace, knowledge_base=kb)
     report = orchestrator.run()
     print(report.render())
 

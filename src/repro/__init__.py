@@ -28,7 +28,7 @@ Quickstart::
     print(report.render())
 """
 
-from repro.core import PatternClassifier, WorkloadKnowledgeBase
+from repro.core import WorkloadKnowledgeBase, pattern_mix
 from repro.experiments.claims import run_study
 from repro.telemetry import Cloud, TraceStore, load_trace, save_trace
 from repro.workloads import (
@@ -44,13 +44,13 @@ __version__ = "1.0.0"
 __all__ = [
     "Cloud",
     "GeneratorConfig",
-    "PatternClassifier",
     "TraceStore",
     "WorkloadKnowledgeBase",
     "__version__",
     "generate_trace",
     "generate_trace_pair",
     "load_trace",
+    "pattern_mix",
     "private_profile",
     "public_profile",
     "run_study",

@@ -11,20 +11,23 @@ import numpy as np
 
 #: Eight-level block characters, lowest to highest.
 _SPARK_LEVELS = " ▁▂▃▄▅▆▇█"
+#: Buckets a longer series is averaged into for its sparkline.
+SPARKLINE_WIDTH = 64
+#: Characters in a bar.
+BAR_WIDTH = 24
 
 
-def sparkline(values: np.ndarray, *, width: int = 64) -> str:
+def sparkline(values: np.ndarray) -> str:
     """Render a series as a fixed-width unicode sparkline.
 
-    Values are averaged into ``width`` buckets and scaled to the series'
-    own min/max (a flat series renders as a mid-level line).
+    Values are averaged into ``SPARKLINE_WIDTH`` buckets and scaled to the
+    series' own min/max (a flat series renders as a mid-level line).
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         return ""
-    if values.size > width:
-        # Average into `width` buckets.
-        edges = np.linspace(0, values.size, width + 1).astype(int)
+    if values.size > SPARKLINE_WIDTH:
+        edges = np.linspace(0, values.size, SPARKLINE_WIDTH + 1).astype(int)
         bucketed = np.array(
             [values[a:b].mean() if b > a else values[min(a, values.size - 1)]
              for a, b in zip(edges[:-1], edges[1:], strict=True)]
@@ -39,11 +42,11 @@ def sparkline(values: np.ndarray, *, width: int = 64) -> str:
     return "".join(_SPARK_LEVELS[i] for i in indices)
 
 
-def bar(fraction: float, *, width: int = 24) -> str:
-    """Render a fraction in [0, 1] as a fixed-width bar."""
+def bar(fraction: float) -> str:
+    """Render a fraction in [0, 1] as a ``BAR_WIDTH``-wide bar."""
     fraction = float(np.clip(fraction, 0.0, 1.0))
-    filled = int(round(fraction * width))
-    return "#" * filled + "." * (width - filled)
+    filled = int(round(fraction * BAR_WIDTH))
+    return "#" * filled + "." * (BAR_WIDTH - filled)
 
 
 def mix_table(mixes: dict[str, dict[str, float]]) -> str:

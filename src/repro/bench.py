@@ -53,7 +53,6 @@ import multiprocessing
 import os
 import platform
 import statistics
-import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -63,7 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.obs import span
+from repro.obs import peak_rss_kb, span
 
 __all__ = [
     "DEFAULT_SCALE",
@@ -406,13 +405,6 @@ def run_phase(target, *args) -> dict:
     return report
 
 
-def _peak_rss_kb() -> float:
-    import resource
-
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return float(peak if sys.platform != "darwin" else peak / 1024)
-
-
 def calibration_seconds() -> float:
     """Wall-time of a fixed numpy workload, for cross-machine normalization.
 
@@ -453,7 +445,7 @@ def _phase_generate(seed: int, scale: float, cache_dir: str) -> dict:
     return {
         "phase": "generate",
         "wall_s": round(timing.wall_s, 2),
-        "peak_rss_kb": _peak_rss_kb(),
+        "peak_rss_kb": peak_rss_kb(),
         "span_rss_delta_kb": timing.peak_rss_delta_kb,
         "vms": summary["vms"],
         "utilization_series": summary["utilization_series"],
@@ -476,7 +468,7 @@ def _phase_analyze(
     return {
         "phase": "analyze",
         "wall_s": timing.wall_s,
-        "peak_rss_kb": _peak_rss_kb(),
+        "peak_rss_kb": peak_rss_kb(),
         "span_rss_delta_kb": timing.peak_rss_delta_kb,
         "tasks": [
             {"id": outcome.task_id, "status": outcome.status, "wall_s": outcome.wall_time_s}

@@ -7,7 +7,7 @@ spreading, and the discrete-event simulator that the workload generator
 drives to produce a week-long trace.
 """
 
-from repro.cloud.allocator import AllocationFailure, AllocationService, PlacementPolicy
+from repro.cloud.allocator import AllocationFailure, AllocationService
 from repro.cloud.entities import Cluster, Node, Rack, Region, Topology, TopologySpec, build_topology
 from repro.cloud.autoscale import Autoscaler, diurnal_demand
 from repro.cloud.platform import CloudPlatform, VMRequest
@@ -22,7 +22,6 @@ __all__ = [
     "Cluster",
     "Node",
     "NodeSku",
-    "PlacementPolicy",
     "Rack",
     "Region",
     "Simulator",

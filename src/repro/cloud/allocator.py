@@ -11,16 +11,14 @@ the phenomena the paper studies:
 * **fault-domain spreading** -- VMs of one deployment are spread over racks,
   so that a rack loss does not take out a whole service.  Insight 1's
   implication (harder placement in homogeneous private clusters) falls out
-  of this rule and is measured by the allocator ablation benchmark.
+  of this rule; ``tests/test_allocator.py`` measures the rack spread it buys
+  against a best-fit chooser that ignores fault domains.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.cloud.entities import FIT_TOLERANCE, Cluster, Node, Topology
 
@@ -30,17 +28,6 @@ from repro.cloud.entities import FIT_TOLERANCE, Cluster, Node, Topology
 #: the allocator's running per-cluster core sums never round away from a
 #: fresh re-sum of the nodes.  Every SKU size is a whole core count.
 CORE_QUANTUM = 2.0**-10
-
-
-class PlacementPolicy(str, enum.Enum):
-    """Node-selection strategy within the chosen cluster."""
-
-    #: Spread a deployment's VMs across racks (fault domains), then best-fit.
-    SPREAD = "spread"
-    #: Pure best-fit packing, ignoring fault domains (ablation baseline).
-    BEST_FIT = "best_fit"
-    #: Uniformly random feasible node (ablation baseline).
-    RANDOM = "random"
 
 
 class AllocationFailure(Exception):
@@ -67,16 +54,8 @@ class AllocationStats:
 class AllocationService:
     """Places VMs onto nodes of a single cloud's topology."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        policy: PlacementPolicy = PlacementPolicy.SPREAD,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.policy = policy
-        self._rng = rng or np.random.default_rng(0)
         self.stats = AllocationStats()
         self._vm_node: dict[int, Node] = {}
         #: (subscription_id, region) -> preferred cluster id.
@@ -87,7 +66,10 @@ class AllocationService:
         #: cluster_id -> allocated cores, kept in step by ``allocate`` and
         #: ``release`` so ranking clusters never re-sums their nodes.  The
         #: running sums equal a fresh ``Cluster.used_cores`` exactly, because
-        #: ``allocate`` admits only whole multiples of ``CORE_QUANTUM``.
+        #: ``allocate`` admits only whole multiples of ``CORE_QUANTUM``.  They
+        #: pay off where regions hold many clusters (``CloudProfile.scaled``
+        #: adds clusters above scale 1): at scale 16, ranking on re-sums took
+        #: a third of simulation time.
         self._cluster_used: dict[int, float] = {
             cid: cluster.used_cores for cid, cluster in topology.clusters.items()
         }
@@ -188,20 +170,15 @@ class AllocationService:
         memory_gb: float,
         deployment_id: int,
     ) -> Node | None:
-        if self.policy is PlacementPolicy.RANDOM:
-            feasible = [node for node in cluster.nodes if node.can_host(cores, memory_gb)]
-            if not feasible:
-                return None
-            return feasible[int(self._rng.integers(len(feasible)))]
-        # SPREAD: least-loaded rack w.r.t. this deployment, then best-fit;
-        # BEST_FIT: every rack counts as unloaded.  One pass keeps the
-        # feasible node that is least in (rack load, leftover cores, node id).
-        spread = self.policy is PlacementPolicy.SPREAD
+        # Least-loaded rack w.r.t. this deployment, then best-fit.  One pass
+        # keeps the feasible node that is least in (rack load, leftover
+        # cores, node id).  Racks hold 5-6 nodes in every profile at every
+        # scale, so a sorted per-rack index would buy nothing over it.
         rack_count = self._deployment_rack_count
         best: Node | None = None
         best_key: tuple[int, float, int] | None = None
         for rack in cluster.racks:
-            load = rack_count.get((deployment_id, rack.rack_id), 0) if spread else 0
+            load = rack_count.get((deployment_id, rack.rack_id), 0)
             if best_key is not None and load > best_key[0]:
                 continue
             for node in rack.nodes:

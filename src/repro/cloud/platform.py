@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.cloud.allocator import AllocationFailure, AllocationService, PlacementPolicy
+from repro.cloud.allocator import AllocationFailure, AllocationService
 from repro.cloud.entities import Topology
 from repro.cloud.sku import VMSku
 from repro.telemetry.schema import EventKind, EventRecord, VMRecord
@@ -46,14 +44,12 @@ class CloudPlatform:
         topology: Topology,
         store: TraceStore,
         *,
-        policy: PlacementPolicy = PlacementPolicy.SPREAD,
-        rng: np.random.Generator | None = None,
         vm_id_offset: int = 0,
     ) -> None:
         self.topology = topology
         self.store = store
         self.cloud = topology.cloud
-        self.allocator = AllocationService(topology, policy=policy, rng=rng)
+        self.allocator = AllocationService(topology)
         self._next_vm_id = vm_id_offset
         self._vm_deployment: dict[int, int] = {}
         self._register_topology()

@@ -23,8 +23,8 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Event-driven simulator with a floating-point clock (seconds)."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, Action]] = []
         self._sequence = itertools.count()
 

@@ -19,17 +19,19 @@ experiment registry (:mod:`repro.experiments`).
 
 from repro.core.knowledge_base import SubscriptionKnowledge, WorkloadKnowledgeBase
 from repro.core.patterns import (
-    PatternClassifier,
     PatternMix,
     classify_block,
     classify_series,
+    classify_store,
+    pattern_mix,
 )
 
 __all__ = [
-    "PatternClassifier",
     "PatternMix",
     "SubscriptionKnowledge",
     "WorkloadKnowledgeBase",
     "classify_block",
     "classify_series",
+    "classify_store",
+    "pattern_mix",
 ]

@@ -33,6 +33,8 @@ from repro.timebase import SECONDS_PER_DAY
 #: Fig. 1's snapshot time: the paper takes it "at one time point on a
 #: weekday"; this is Wednesday noon UTC.
 SNAPSHOT_TIME = 2 * SECONDS_PER_DAY + 12 * 3600
+#: Fewest creations a region needs before its creation CV counts.
+MIN_REGION_CREATIONS = 12
 
 
 def _alive_at(store: TraceStore, cloud: Cloud, time: float):
@@ -126,12 +128,10 @@ def vm_creation_series(
 def creation_cv_by_region(
     store: TraceStore,
     cloud: Cloud,
-    *,
-    min_events: int = 12,
 ) -> dict[str, float]:
     """Fig. 3(d) input: CV of hourly creations, per region.
 
-    Regions with fewer than ``min_events`` creations are skipped -- their
+    Regions with fewer than ``MIN_REGION_CREATIONS`` creations are skipped -- their
     CV estimate would be dominated by Poisson noise.
     """
     # One event scan groups creation times per region (the per-region
@@ -145,7 +145,7 @@ def creation_cv_by_region(
     regions = [
         region
         for region in store.region_names(cloud=cloud)
-        if len(times_by_region.get(region, ())) >= min_events
+        if len(times_by_region.get(region, ())) >= MIN_REGION_CREATIONS
     ]
     if not regions:
         return {}

@@ -75,7 +75,7 @@ def build_subscription_records(
     of :class:`~repro.telemetry.store.TraceMetadata`.  Patterns come from
     one :func:`~repro.core.patterns.classify_vm_windows` call over every
     subscription's windows, the batched path of
-    ``PatternClassifier.classify_store``; labels do not depend on how
+    :func:`~repro.core.patterns.classify_store`; labels do not depend on how
     windows are batched, so a record is the same built alone or with others.
 
     ``labels`` is an optional per-VM label cache, the online service's: a

@@ -340,45 +340,36 @@ class PatternMix:
         }
 
 
-class PatternClassifier:
-    """Classifies whole traces and evaluates against ground-truth labels."""
+#: Seed of the uniform subsample :func:`classify_store` draws under ``max_vms``.
+SUBSAMPLE_SEED = 0
 
-    def classify_store(
-        self,
-        store: TraceStore,
-        *,
-        cloud: Cloud | None = None,
-        max_vms: int | None = None,
-        seed: int = 0,
-    ) -> dict[int, str]:
-        """Classify every telemetry-bearing VM alive long enough to judge.
 
-        The series is trimmed to the VM's alive span before classification so
-        the zero-padding outside its life does not register as variance.
-        ``max_vms`` caps the work by *uniformly subsampling* eligible VMs
-        (truncating instead would bias the mix toward the subscriptions that
-        were generated first).
-        """
-        metadata = store.metadata
-        eligible = [
-            vm_id
-            for vm_id in store.vm_ids_with_utilization(cloud=cloud)
-            if metadata.alive_seconds(store.vm(vm_id)) >= MIN_DURATION
-        ]
-        if max_vms is not None and len(eligible) > max_vms:
-            rng = np.random.default_rng(seed)
-            chosen = rng.choice(len(eligible), size=max_vms, replace=False)
-            eligible = [eligible[i] for i in sorted(chosen)]
-        labels = classify_vm_windows(store, eligible)
-        return dict(zip(eligible, labels, strict=True))
+def classify_store(
+    store: TraceStore, cloud: Cloud, *, max_vms: int | None = None
+) -> dict[int, str]:
+    """Classify every telemetry-bearing VM of ``cloud`` alive long enough to judge.
 
-    def pattern_mix(
-        self,
-        store: TraceStore,
-        *,
-        cloud: Cloud | None = None,
-        max_vms: int | None = None,
-    ) -> PatternMix:
-        """The Fig. 5(d) statistic: share of each pattern in a cloud."""
-        labels = self.classify_store(store, cloud=cloud, max_vms=max_vms)
-        return PatternMix(counts=dict(Counter(labels.values())))
+    The series is trimmed to the VM's alive span before classification so
+    the zero-padding outside its life does not register as variance.
+    ``max_vms`` caps the work by *uniformly subsampling* eligible VMs
+    (truncating instead would bias the mix toward the subscriptions that
+    were generated first).
+    """
+    metadata = store.metadata
+    eligible = [
+        vm_id
+        for vm_id in store.vm_ids_with_utilization(cloud=cloud)
+        if metadata.alive_seconds(store.vm(vm_id)) >= MIN_DURATION
+    ]
+    if max_vms is not None and len(eligible) > max_vms:
+        rng = np.random.default_rng(SUBSAMPLE_SEED)
+        chosen = rng.choice(len(eligible), size=max_vms, replace=False)
+        eligible = [eligible[i] for i in sorted(chosen)]
+    labels = classify_vm_windows(store, eligible)
+    return dict(zip(eligible, labels, strict=True))
+
+
+def pattern_mix(store: TraceStore, cloud: Cloud, *, max_vms: int | None = None) -> PatternMix:
+    """Fig. 5(d): measured share of each utilization pattern in one cloud."""
+    labels = classify_store(store, cloud, max_vms=max_vms)
+    return PatternMix(counts=dict(Counter(labels.values())))

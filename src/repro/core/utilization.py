@@ -5,15 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.timeseries import PercentileBands, fold_daily, percentile_bands
-from repro.core.patterns import PatternClassifier, PatternMix
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_DAY
-
-
-def pattern_mix(store: TraceStore, cloud: Cloud, *, max_vms: int | None = None) -> PatternMix:
-    """Fig. 5(d): measured share of each utilization pattern in one cloud."""
-    return PatternClassifier().pattern_mix(store, cloud=cloud, max_vms=max_vms)
 
 
 def _long_lived_ids(store: TraceStore, cloud: Cloud, *, max_vms: int | None = None) -> list[int]:
@@ -113,12 +107,12 @@ def sample_pattern_series(
     return out
 
 
-def daily_range(bands: PercentileBands, percentile: float = 50.0) -> float:
-    """Peak-to-trough swing of one daily percentile band.
+def daily_range(bands: PercentileBands) -> float:
+    """Peak-to-trough swing of the daily median band.
 
     Quantifies Fig. 6(c) vs 6(d): the private cloud's median follows a
     working-hour pattern (large swing) while the public cloud's is almost
     constant (small swing).
     """
-    band = bands.band(percentile)
+    band = bands.band(50.0)
     return float(band.max() - band.min())

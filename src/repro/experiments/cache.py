@@ -39,6 +39,7 @@ from repro.telemetry.io import (
     save_trace_atomic,
 )
 from repro.telemetry.store import TraceStore
+from repro.timebase import SECONDS_PER_WEEK
 from repro.workloads.generator import GENERATOR_VERSION, GeneratorConfig, generate_trace_pair
 
 #: Environment variable overriding the default cache root.
@@ -60,32 +61,13 @@ def resolve_cache_dir(cache_dir: str | Path | None = None) -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-#: The :class:`GeneratorConfig` fields that parameterize the generated
-#: trace and therefore enter the cache key.  :func:`config_hash` checks
-#: this tuple against the dataclass on every call: a new config knob
-#: cannot be added without either landing here (changing the key) or
-#: being listed in :data:`CACHE_KEY_EXEMPT` with a justification.
-CACHE_KEY_FIELDS: tuple[str, ...] = (
-    "seed",
-    "scale",
-    "duration",
-    "synthesize_utilization",
-    "placement_policy",
-    "holiday_week",
-)
-
-#: Fields deliberately excluded from the cache key because they cannot
-#: change the generated trace.  Empty today; every entry needs a comment
-#: explaining why the knob is output-invariant.
-CACHE_KEY_EXEMPT: frozenset[str] = frozenset()
-
-
-class CacheKeyCoverageError(ValueError):
-    """``CACHE_KEY_FIELDS``/``CACHE_KEY_EXEMPT`` disagree with ``GeneratorConfig``.
-
-    Raised for a field that is neither keyed nor exempt, a keyed name
-    that is no longer a field, or a name that is both keyed and exempt.
-    """
+#: Former :class:`GeneratorConfig` fields, at the one value every trace
+#: used.  They stay in the key so that no cache key moved when they went.
+RETIRED_KEY_FIELDS: dict[str, object] = {
+    "duration": SECONDS_PER_WEEK,
+    "synthesize_utilization": True,
+    "placement_policy": "spread",
+}
 
 
 #: Above this ``GeneratorConfig.scale``, :func:`fetch_trace` synthesizes
@@ -100,36 +82,18 @@ def _should_spill(config: GeneratorConfig, spill: "bool | None") -> bool:
     """Resolve the spill decision: explicit flag wins, else scale threshold."""
     if spill is not None:
         return spill
-    return config.synthesize_utilization and config.scale > SPILL_SCALE_THRESHOLD
+    return config.scale > SPILL_SCALE_THRESHOLD
 
 
 def config_hash(config: GeneratorConfig) -> str:
     """A stable content hash of ``config`` plus the generator version.
 
-    Every field named in :data:`CACHE_KEY_FIELDS` participates; enum
-    fields hash by value so the key survives module reloads and
-    interpreter restarts.  Coverage is validated on every call: a field
-    that is neither keyed nor in :data:`CACHE_KEY_EXEMPT`, a stale keyed
-    name, or a name both keyed and exempt raises
-    :class:`CacheKeyCoverageError` instead of silently colliding cache
-    entries across configs.
+    Every dataclass field of ``config`` enters the key, so a new field
+    changes it by construction, next to :data:`RETIRED_KEY_FIELDS`.
     """
-    names = {field.name for field in dataclasses.fields(config)}
-    keyed = set(CACHE_KEY_FIELDS)
-    missing = names - keyed - CACHE_KEY_EXEMPT
-    stale = keyed - names
-    both = keyed & CACHE_KEY_EXEMPT
-    if missing or stale or both:
-        raise CacheKeyCoverageError(
-            f"cache key out of sync with GeneratorConfig: "
-            f"unkeyed fields {sorted(missing)}, stale entries {sorted(stale)}, "
-            f"keyed and exempt {sorted(both)}; "
-            "update CACHE_KEY_FIELDS or CACHE_KEY_EXEMPT in repro.experiments.cache"
-        )
-    payload: dict[str, object] = {"generator_version": GENERATOR_VERSION}
-    for name in CACHE_KEY_FIELDS:
-        value = getattr(config, name)
-        payload[name] = getattr(value, "value", value)
+    payload: dict[str, object] = {"generator_version": GENERATOR_VERSION, **RETIRED_KEY_FIELDS}
+    for field in dataclasses.fields(config):
+        payload[field.name] = getattr(config, field.name)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:20]
 

@@ -55,7 +55,7 @@ def build_canada_scenario(seed: int = 11) -> TraceStore:
         node_sku=NodeSku("Gen8-96c", 96.0, 768.0),
     )
     topology = build_topology(spec)
-    platform = CloudPlatform(topology, store, rng=rng)
+    platform = CloudPlatform(topology, store)
     times = sample_times(store.metadata.n_samples)
 
     # Region capacity: 20 nodes x 96 cores = 1920 cores.

@@ -64,10 +64,6 @@ INSIGHTS: Mapping[str, tuple[ClaimKey, ...]] = {
     ),
 }
 
-#: The anchor tasks that read utilization telemetry.
-TELEMETRY_TASKS = frozenset({"fig7a", "fig7b"})
-
-
 @dataclass(frozen=True)
 class ClaimGroup:
     """One named group of checks with their verdicts on one trace."""
@@ -190,12 +186,5 @@ def run_study(store: TraceStore) -> ClaimReport:
 
 
 def validate_trace(store: TraceStore) -> ClaimReport:
-    """The calibration anchors on one merged trace.
-
-    A trace without telemetry (``synthesize_utilization=False``) gets only
-    the anchors whose tasks need none.
-    """
-    anchors = ANCHORS
-    if not store.vm_ids_with_utilization():
-        anchors = tuple(key for key in ANCHORS if key[0] not in TELEMETRY_TASKS)
-    return evaluate_claims(store, "Calibration scorecard", {"Calibration anchors": anchors})
+    """The calibration anchors on one merged trace."""
+    return evaluate_claims(store, "Calibration scorecard", {"Calibration anchors": ANCHORS})

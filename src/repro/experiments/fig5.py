@@ -9,6 +9,7 @@ mostly private, irregular rare in both.
 from __future__ import annotations
 
 from repro.core import utilization as util
+from repro.core.patterns import pattern_mix
 from repro.experiments.base import ExperimentResult
 from repro.telemetry.schema import (
     Cloud,
@@ -24,8 +25,8 @@ from repro.telemetry.store import TraceStore
 def run(store: TraceStore, *, max_vms: int | None = 800) -> ExperimentResult:
     """Reproduce Fig. 5 (samples + measured mix)."""
     result = ExperimentResult("fig5", "Utilization pattern taxonomy and mix")
-    p_mix = util.pattern_mix(store, Cloud.PRIVATE, max_vms=max_vms)
-    q_mix = util.pattern_mix(store, Cloud.PUBLIC, max_vms=max_vms)
+    p_mix = pattern_mix(store, Cloud.PRIVATE, max_vms=max_vms)
+    q_mix = pattern_mix(store, Cloud.PUBLIC, max_vms=max_vms)
     result.series["private_mix"] = p_mix.as_fractions()
     result.series["public_mix"] = q_mix.as_fractions()
     for pattern in UTILIZATION_PATTERNS:

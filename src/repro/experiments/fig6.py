@@ -56,8 +56,8 @@ def run(store: TraceStore, *, max_vms: int | None = 1500) -> ExperimentResult:
         "work-related private workloads dip on weekends",
         f"median weekend dip {p_dip:.0%} vs {q_dip:.0%}",
     )
-    p_range = util.daily_range(p_day, 50.0)
-    q_range = util.daily_range(q_day, 50.0)
+    p_range = util.daily_range(p_day)
+    q_range = util.daily_range(q_day)
     result.check(
         "private daily median follows a working-hour pattern; public ~constant",
         p_range > 2 * q_range,

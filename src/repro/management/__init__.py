@@ -25,11 +25,7 @@ from repro.management.peaks import PeakAbsorber, PeakAbsorptionOutcome, compare_
 from repro.management.placement import RegionShiftPlanner, RegionSnapshot, ShiftRecommendation
 from repro.management.prediction import AllocationFailurePredictor, LogisticRegression
 from repro.management.scheduling import DeferrableJob, ScheduleOutcome, ValleyScheduler
-from repro.management.spot import (
-    SpotAdoptionAdvisor,
-    SpotAdoptionReport,
-    SpotEvictionModel,
-)
+from repro.management.spot import SpotAdoptionAdvisor, SpotAdoptionReport, hourly_survival
 
 __all__ = [
     "AllocationFailurePredictor",
@@ -49,7 +45,7 @@ __all__ = [
     "ShiftRecommendation",
     "SpotAdoptionAdvisor",
     "SpotAdoptionReport",
-    "SpotEvictionModel",
     "ValleyScheduler",
+    "hourly_survival",
     "sweep_epsilon",
 ]

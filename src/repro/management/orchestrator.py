@@ -90,11 +90,10 @@ class WorkloadAwareOrchestrator:
         store: TraceStore,
         *,
         knowledge_base: WorkloadKnowledgeBase | None = None,
-        seed: int = 0,
     ) -> None:
         self.store = store
         self.kb = knowledge_base or WorkloadKnowledgeBase.from_trace(store)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)
 
     def _subscriptions_with(self, policy: str) -> list[int]:
         return [

@@ -24,6 +24,8 @@ from repro.telemetry.store import TraceStore
 
 #: Cores of the one node that the over-subscription experiments pack.
 NODE_CAPACITY_CORES = 96.0
+#: Safety levels :func:`sweep_epsilon` packs at, loosest first.
+EPSILONS = (0.3, 0.1, 0.05, 0.01, 0.001)
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,8 @@ class ChanceConstrainedOversubscriber:
 def sweep_epsilon(
     oversubscriber: ChanceConstrainedOversubscriber,
     capacity_cores: float,
-    epsilons: tuple[float, ...] = (0.3, 0.1, 0.05, 0.01, 0.001),
 ) -> list[tuple[OversubscriptionOutcome, float]]:
-    """The paper's 20-86% experiment: gain vs baseline for each epsilon.
+    """The paper's 20-86% experiment: gain vs baseline for each of ``EPSILONS``.
 
     Returns ``(outcome, improvement)`` pairs, loosest constraint first.
     Looser safety (larger epsilon) packs more VMs and gains more utilization;
@@ -179,7 +180,7 @@ def sweep_epsilon(
     """
     baseline = oversubscriber.pack_baseline(capacity_cores)
     results = []
-    for epsilon in epsilons:
+    for epsilon in EPSILONS:
         outcome = oversubscriber.pack_chance_constrained(capacity_cores, epsilon)
         results.append((outcome, outcome.improvement_over(baseline)))
     return results

@@ -24,6 +24,9 @@ import numpy as np
 
 from repro.timebase import SECONDS_PER_HOUR
 
+#: Leading share of the demand that pre-provisioning learns peaks from.
+HISTORY_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class PeakAbsorptionOutcome:
@@ -69,22 +72,18 @@ class PeakAbsorber:
         effective = np.full(self.demand.size, self.capacity)
         return self._outcome("baseline", effective, wasted=0.0, boost_minutes=0.0)
 
-    def pre_provision(
-        self,
-        *,
-        standby_cores: float | None = None,
-        history_fraction: float = 0.5,
-    ) -> PeakAbsorptionOutcome:
+    def pre_provision(self) -> PeakAbsorptionOutcome:
         """Reserve standby capacity during *predicted* peak offsets.
 
-        The within-hour demand profile of the history window predicts which
+        The standby is the demand's excess over capacity at its highest.
+        The within-hour demand profile of the history window (the first
+        ``HISTORY_FRACTION`` of the demand) predicts which
         sample offsets carry peaks (those at or above the profile's 70th
         percentile).  Standby capacity is added at those offsets for the whole
         evaluation window; idle reservations count as waste.
         """
-        if standby_cores is None:
-            standby_cores = max(0.0, float(self.demand.max()) - self.capacity)
-        split = max(self._samples_per_hour, int(self.demand.size * history_fraction))
+        standby_cores = max(0.0, float(self.demand.max()) - self.capacity)
+        split = max(self._samples_per_hour, int(self.demand.size * HISTORY_FRACTION))
         history = self.demand[:split]
 
         # Within-hour profile of the history: mean demand per offset.

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Cores of each job :func:`jobs_from_fraction` synthesizes.
+JOB_CORES = 8.0
+
 
 @dataclass(frozen=True)
 class DeferrableJob:
@@ -136,13 +139,12 @@ def jobs_from_fraction(
     capacity: float,
     *,
     fill_fraction: float = 0.5,
-    job_cores: float = 8.0,
     rng: np.random.Generator | None = None,
 ) -> list[DeferrableJob]:
     """Synthesize a deferrable-job set sized to a fraction of the idle valley.
 
-    Utility for experiments: generates enough jobs, each 3 to 6 hours long,
-    to fill roughly ``fill_fraction`` of the gap between the profile and
+    Utility for experiments: generates enough jobs of ``JOB_CORES`` cores,
+    each 3 to 6 hours long, to fill roughly ``fill_fraction`` of the gap between the profile and
     its peak.
     """
     rng = rng or np.random.default_rng(0)
@@ -157,11 +159,11 @@ def jobs_from_fraction(
         jobs.append(
             DeferrableJob(
                 job_id=job_id,
-                cores=job_cores,
+                cores=JOB_CORES,
                 duration_hours=duration,
                 deadline_hour=deadline,
             )
         )
-        budget -= job_cores * duration
+        budget -= JOB_CORES * duration
         job_id += 1
     return jobs

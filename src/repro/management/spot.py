@@ -8,7 +8,7 @@ shows the considerable number of candidate VMs for this adoption."
 
 Two pieces, mirroring the cited systems:
 
-* :class:`SpotEvictionModel` -- evictions are driven by capacity pressure:
+* :func:`hourly_survival` -- evictions are driven by capacity pressure:
   the fuller a region, the likelier a spot VM is reclaimed;
 * :class:`SpotAdoptionAdvisor` -- the what-if analysis: which VMs of a trace
   could have run as spot, what that saves, and how many evictions to expect.
@@ -26,35 +26,30 @@ from repro.timebase import SECONDS_PER_HOUR
 
 #: Spot price discount off the on-demand price.
 SPOT_DISCOUNT = 0.7
+#: Allocated-core fraction at and below which no spot VM is evicted.
+EVICTION_KNEE = 0.75
+#: Hourly eviction probability at full allocation.
+MAX_EVICTION_RATE = 0.30
+#: Longest lifetime (seconds) of a VM that could have run as spot.
+MAX_CANDIDATE_LIFETIME = 6 * SECONDS_PER_HOUR
 
 
-class SpotEvictionModel:
-    """Capacity-pressure-driven eviction hazard.
+def hourly_survival(pressures: np.ndarray) -> np.ndarray:
+    """P(not evicted within the hour) at each allocated fraction of ``pressures``.
 
     The hourly eviction probability is a convex function of the region's
-    allocated-core fraction: essentially zero below ``knee``, rising to
-    ``max_rate`` at full allocation.
+    allocated-core fraction: zero up to ``EVICTION_KNEE``, rising to
+    ``MAX_EVICTION_RATE`` at full allocation.  A VM's survival across
+    consecutive hours is the product of their factors.  The rate is squared
+    per element with Python's ``** 2`` (libm ``pow``), which rounds a few
+    squares differently from numpy's ``x * x``; the rest is elementwise
+    numpy, whose ``-``, ``/`` and ``*`` round exactly like the scalar
+    operations.
     """
-
-    def __init__(self, *, knee: float = 0.75, max_rate: float = 0.30) -> None:
-        if not 0 < knee < 1:
-            raise ValueError("knee must be in (0, 1)")
-        self.knee = knee
-        self.max_rate = max_rate
-
-    def hourly_survival(self, pressures: np.ndarray) -> np.ndarray:
-        """P(not evicted within the hour) at each allocated fraction of ``pressures``.
-
-        A VM's survival across consecutive hours is the product of their
-        factors.  The rate is squared per element with Python's ``** 2``
-        (libm ``pow``), which rounds a few squares differently from numpy's
-        ``x * x``; the rest is elementwise numpy, whose ``-``, ``/`` and
-        ``*`` round exactly like the scalar operations.
-        """
-        clipped = np.clip(np.asarray(pressures, dtype=np.float64), 0.0, 1.0)
-        excess = (clipped - self.knee) / (1.0 - self.knee)
-        squared = np.array([value**2 for value in excess.tolist()], dtype=np.float64)
-        return 1.0 - np.where(clipped <= self.knee, 0.0, self.max_rate * squared)
+    clipped = np.clip(np.asarray(pressures, dtype=np.float64), 0.0, 1.0)
+    excess = (clipped - EVICTION_KNEE) / (1.0 - EVICTION_KNEE)
+    squared = np.array([value**2 for value in excess.tolist()], dtype=np.float64)
+    return 1.0 - np.where(clipped <= EVICTION_KNEE, 0.0, MAX_EVICTION_RATE * squared)
 
 
 @dataclass(frozen=True)
@@ -82,16 +77,8 @@ class SpotAdoptionReport:
 class SpotAdoptionAdvisor:
     """What-if: run short-lived public VMs as spot instances."""
 
-    def __init__(
-        self,
-        store: TraceStore,
-        *,
-        eviction_model: SpotEvictionModel | None = None,
-        max_candidate_lifetime: float = 6 * SECONDS_PER_HOUR,
-    ) -> None:
+    def __init__(self, store: TraceStore) -> None:
         self.store = store
-        self.eviction_model = eviction_model or SpotEvictionModel()
-        self.max_candidate_lifetime = max_candidate_lifetime
 
     def _region_pressure(self, region: str) -> np.ndarray:
         """Hourly allocated-core fraction of one region."""
@@ -125,7 +112,7 @@ class SpotAdoptionAdvisor:
             if pressure.size
         }
         factors = {
-            region: self.eviction_model.hourly_survival(pressure)
+            region: hourly_survival(pressure)
             for region, pressure in pressures.items()
         }
         # Survival depends only on the hourly window, and many short-lived
@@ -143,7 +130,7 @@ class SpotAdoptionAdvisor:
             n_completed += 1
             core_hours = vm.cores * vm.lifetime / SECONDS_PER_HOUR
             total_core_hours += core_hours
-            if vm.lifetime > self.max_candidate_lifetime:
+            if vm.lifetime > MAX_CANDIDATE_LIFETIME:
                 continue
             n_candidates += 1
             candidate_core_hours += core_hours

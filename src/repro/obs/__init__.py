@@ -35,6 +35,7 @@ from repro.obs.tracing import (
     drain_spans,
     export_spans,
     mark,
+    peak_rss_kb,
     reset_spans,
     span,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "export_spans",
     "mark",
     "maybe_profile",
+    "peak_rss_kb",
     "reset_spans",
     "span",
 ]

@@ -36,7 +36,7 @@ from repro.obs.metrics import check_name
 try:  # pragma: no cover - resource exists on every POSIX platform
     import resource
 
-    def _peak_rss_kb() -> float | None:
+    def peak_rss_kb() -> float | None:
         """Peak resident set size of this process, in kilobytes."""
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         # Linux reports kilobytes, macOS reports bytes.
@@ -44,7 +44,7 @@ try:  # pragma: no cover - resource exists on every POSIX platform
 
 except ImportError:  # pragma: no cover - Windows
 
-    def _peak_rss_kb() -> float | None:
+    def peak_rss_kb() -> float | None:
         return None
 
 
@@ -102,13 +102,13 @@ def span(name: str, **attrs: object) -> Iterator[SpanRecord]:
     )
     _SPANS.append(record)
     _STACK.append(record.index)
-    rss0 = _peak_rss_kb()
+    rss0 = peak_rss_kb()
     t0 = time.perf_counter()
     try:
         yield record
     finally:
         record.wall_s = time.perf_counter() - t0
-        rss1 = _peak_rss_kb()
+        rss1 = peak_rss_kb()
         if rss0 is not None and rss1 is not None:
             record.peak_rss_delta_kb = max(0.0, rss1 - rss0)
         record.closed = True

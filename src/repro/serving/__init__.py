@@ -18,16 +18,11 @@ ingest prefix.  Online and batch paths share one record builder
 (:func:`~repro.core.knowledge_base.build_subscription_records`), so they
 cannot drift.
 
-See ``docs/SERVING.md`` for the protocol, the backend, and the bench
+See ``docs/SERVING.md`` for the protocol, the store, and the bench
 schema/tolerance policy.
 """
 
-from repro.serving.backends import (
-    IngestRecord,
-    MemoryBackend,
-    apply_record,
-    copy_topology,
-)
+from repro.serving.backends import IngestRecord, apply_record, copy_topology
 from repro.serving.replay import (
     ReplayStats,
     iter_ingest_records,
@@ -43,7 +38,6 @@ from repro.serving.service import (
 __all__ = [
     "IngestRecord",
     "KnowledgeBaseService",
-    "MemoryBackend",
     "ReplayStats",
     "ServiceClient",
     "ServiceError",

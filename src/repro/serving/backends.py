@@ -1,10 +1,7 @@
-"""Storage for the online knowledge-base service.
+"""Ingest records and how they apply to a trace store.
 
-The service talks to a :class:`MemoryBackend`, which owns a
-:class:`~repro.telemetry.store.TraceStore` and applies :class:`IngestRecord`
-deltas to it, plus a bounded ring buffer of recent ingest activity.  The
-service and the equivalence tests use only its four methods (``store``,
-``apply``, ``recent``, ``describe``).
+The online service keeps a :class:`~repro.telemetry.store.TraceStore` and
+applies :class:`IngestRecord` deltas to it with :func:`apply_record`.
 
 ``apply_record`` is module-level on purpose: the replay truncation helper
 (:func:`repro.serving.replay.truncated_store`) applies the *same* function to
@@ -15,16 +12,12 @@ truncated trace" a tautology rather than a hope.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.telemetry.schema import Cloud, EventKind, EventRecord, VMRecord
-from repro.telemetry.store import TraceMetadata, TraceStore, check_vm_end
-
-#: Recent ingest entries the ``recent`` op can return.
-RING_CAPACITY = 1024
+from repro.telemetry.store import TraceStore, check_vm_end
 
 @dataclass(frozen=True)
 class IngestRecord:
@@ -140,8 +133,8 @@ class IngestRecord:
 def apply_record(store: TraceStore, record: IngestRecord) -> None:
     """Apply one ingest record to ``store``.
 
-    Shared by :meth:`MemoryBackend.apply` and
-    :func:`repro.serving.replay.truncated_store` so the online and batch
+    Shared by :meth:`~repro.serving.service.KnowledgeBaseService.apply_records`
+    and :func:`repro.serving.replay.truncated_store` so the online and batch
     paths mutate state identically.  Raises (``ValueError``/``KeyError`` from
     the store) on malformed records; callers decide whether to count or
     propagate.  The store's own checks all run before the first mutation,
@@ -175,7 +168,7 @@ def copy_topology(source: TraceStore, dest: TraceStore) -> None:
     """Copy static topology (regions/clusters/nodes/subscriptions).
 
     Registration order follows the source store's, so a truncated rebuild
-    and the service's backend hold identical topology tables.
+    and the service's store hold identical topology tables.
     """
     for region in source.regions.values():
         dest.add_region(region)
@@ -185,48 +178,3 @@ def copy_topology(source: TraceStore, dest: TraceStore) -> None:
         dest.add_node(node)
     for subscription in source.subscriptions.values():
         dest.add_subscription(subscription)
-
-
-class MemoryBackend:
-    """In-memory backend: a TraceStore plus a ring buffer of recent ingest."""
-
-    name = "memory"
-
-    def __init__(self, metadata: TraceMetadata | None = None):
-        self._store = TraceStore(metadata=metadata)
-        self._ring: deque[dict] = deque(maxlen=RING_CAPACITY)
-        self._applied = 0
-
-    def store(self) -> TraceStore:
-        return self._store
-
-    def apply(self, record: IngestRecord) -> None:
-        apply_record(self._store, record)
-        self._applied += 1
-        entry: dict = {"seq": self._applied}
-        if record.event is not None:
-            entry["time"] = record.event.time
-            entry["kind"] = record.event.kind.value
-            entry["vm_id"] = record.event.vm_id
-        elif record.vm is not None:
-            entry["kind"] = "backfill"
-            entry["vm_id"] = record.vm.vm_id
-        if record.utilization is not None:
-            entry["samples"] = int(record.utilization.size)
-        self._ring.append(entry)
-
-    def recent(self, limit: int | None = None) -> list[dict]:
-        entries = list(self._ring)
-        if limit is not None and limit >= 0:
-            entries = entries[-limit:] if limit else []
-        return entries
-
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "applied": self._applied,
-            "ring_capacity": self._ring.maxlen,
-            "ring_size": len(self._ring),
-            "vms": len(self._store),
-            "events": self._store.n_events,
-        }

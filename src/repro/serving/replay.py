@@ -40,6 +40,8 @@ _BATCHES = Counter("replay.batches")
 _RECORDS = Counter("replay.records")
 
 _CLOSING_KINDS = (EventKind.TERMINATE, EventKind.EVICT)
+#: Most records in one :func:`batch_stream` batch.
+BATCH_RECORDS = 256
 
 
 def iter_ingest_records(store: TraceStore) -> Iterator[IngestRecord]:
@@ -107,26 +109,20 @@ class ReplayStats:
     slept_s: float
 
 
-def batch_stream(
-    records: "list[IngestRecord]",
-    *,
-    batch_records: int = 256,
-) -> "list[list[IngestRecord]]":
-    """Cut the stream into batches by count or elapsed trace time.
+def batch_stream(records: "list[IngestRecord]") -> "list[list[IngestRecord]]":
+    """Cut the stream into batches of ``BATCH_RECORDS`` or one hour of trace time.
 
     Backfill records (no event) land in the leading batches.  A batch never
     spans more than one hour of trace time, so pacing stays faithful even
     through sparse stretches.
     """
-    if batch_records <= 0:
-        raise ValueError("batch_records must be positive")
     batches: list[list[IngestRecord]] = []
     current: list[IngestRecord] = []
     bucket_start: float | None = None
     for record in records:
         time = record.event.time if record.event is not None else None
         if current and (
-            len(current) >= batch_records
+            len(current) >= BATCH_RECORDS
             or (
                 time is not None
                 and bucket_start is not None

@@ -1,7 +1,7 @@
 """The online workload-knowledge-base service (Section V, kept warm).
 
-:class:`KnowledgeBaseService` is a single-event-loop asyncio server around a
-:class:`~repro.serving.backends.MemoryBackend`:
+:class:`KnowledgeBaseService` is a single-event-loop asyncio server around an
+in-memory :class:`~repro.telemetry.store.TraceStore`:
 
 * **Ingest** arrives in :class:`~repro.serving.backends.IngestRecord`
   batches through a *bounded* queue (producers feel backpressure when the
@@ -49,17 +49,15 @@ from repro.core.patterns import classify_windows
 from repro.experiments.faultinject import FaultKind, plan_from_env
 from repro.management.prediction import AllocationFailurePredictor, RegionHourCounts
 from repro.obs import Counter, span
-from repro.serving.backends import (
-    IngestRecord,
-    MemoryBackend,
-    copy_topology,
-)
+from repro.serving.backends import IngestRecord, apply_record, copy_topology
 from repro.telemetry.schema import Cloud, EventKind
 from repro.telemetry.store import TraceMetadata, TraceStore
 
 #: Per-line stream limit: an ingest batch of a few hundred VMs with full
 #: week-long series serializes to several MB of JSON on one line.
 STREAM_LIMIT = 1 << 26
+#: Recent ingest entries the ``recent`` op can return.
+RING_CAPACITY = 1024
 
 _REQUESTS = Counter("serving.requests")
 _BAD_REQUEST = Counter("serving.bad_request")
@@ -129,7 +127,7 @@ class KnowledgeBaseService:
     """Long-running knowledge base: incremental ingest, concurrent queries.
 
     The service owns a :class:`WorkloadKnowledgeBase` that it keeps
-    consistent with the backend store via dirty-subscription refresh.  All
+    consistent with its store via dirty-subscription refresh.  All
     state mutation happens on the event loop thread in synchronous code,
     which is the whole concurrency story: batches apply atomically with
     respect to queries.
@@ -142,7 +140,11 @@ class KnowledgeBaseService:
         queue_maxsize: int = 64,
         stall_delay: float = 0.05,
     ) -> None:
-        self._backend = MemoryBackend(metadata)
+        self._store = TraceStore(metadata=metadata)
+        #: Recent ingest activity for the ``recent`` op, and how many
+        #: records have applied in all.
+        self._ring: deque[dict] = deque(maxlen=RING_CAPACITY)
+        self._applied = 0
         self._stall_delay = stall_delay
         self._last_apply_error: str | None = None
         self._kb = WorkloadKnowledgeBase()
@@ -162,7 +164,7 @@ class KnowledgeBaseService:
         self._candidates: dict[str | None, list[dict]] = {}
         self._events_version = 0
         #: The failure predictor's features, kept exact at apply time.
-        self._region_hours = RegionHourCounts.from_store(self._backend.store())
+        self._region_hours = RegionHourCounts.from_store(self._store)
         self._predictors: dict[Cloud, tuple[int, AllocationFailurePredictor]] = {}
         self._queue: asyncio.Queue[list[IngestRecord]] = asyncio.Queue(
             maxsize=queue_maxsize
@@ -209,11 +211,7 @@ class KnowledgeBaseService:
             regions=len(source.regions),
             subscriptions=len(source.subscriptions),
         ):
-            copy_topology(source, self._backend.store())
-
-    @property
-    def backend(self) -> MemoryBackend:
-        return self._backend
+            copy_topology(source, self._store)
 
     # ------------------------------------------------------------------
     # ingest (consumer side is the only writer)
@@ -258,13 +256,25 @@ class KnowledgeBaseService:
         return applied
 
     def _apply_one(self, record: IngestRecord) -> None:
-        store = self._backend.store()
+        store = self._store
         event = record.event
         # The row whose end this record moves, as counted before it moves.
         moved = None
         if event is not None and record.vm_end is not None and event.vm_id in store:
             moved = store.vm(event.vm_id)
-        self._backend.apply(record)
+        apply_record(store, record)
+        self._applied += 1
+        entry: dict = {"seq": self._applied}
+        if event is not None:
+            entry["time"] = event.time
+            entry["kind"] = event.kind.value
+            entry["vm_id"] = event.vm_id
+        elif record.vm is not None:
+            entry["kind"] = "backfill"
+            entry["vm_id"] = record.vm.vm_id
+        if record.utilization is not None:
+            entry["samples"] = int(record.utilization.size)
+        self._ring.append(entry)
         self._events_version += 1
         if record.vm is not None:
             vm = record.vm
@@ -308,7 +318,7 @@ class KnowledgeBaseService:
         """Rebuild records for dirty subscriptions; returns how many."""
         if not self._dirty:
             return 0
-        store = self._backend.store()
+        store = self._store
         allowed = set(store.regions)
         with span("serving.refresh", subscriptions=len(self._dirty)):
             entries = []
@@ -366,7 +376,7 @@ class KnowledgeBaseService:
     # ------------------------------------------------------------------
     def pattern_for_vm(self, vm_id: int) -> dict:
         """Classify one VM's utilization pattern over its observed window."""
-        store = self._backend.store()
+        store = self._store
         if vm_id not in store:
             raise ServiceError("not_found", f"unknown vm {vm_id}")
         label = self._pattern_cache.get(vm_id)
@@ -421,7 +431,7 @@ class KnowledgeBaseService:
         if cached is None or cached[0] != self._events_version:
             try:
                 predictor = AllocationFailurePredictor().fit(
-                    self._backend.store(), cloud, counts=self._region_hours
+                    self._store, cloud, counts=self._region_hours
                 )
             except ValueError as exc:
                 raise ServiceError("unavailable", str(exc)) from exc
@@ -458,7 +468,7 @@ class KnowledgeBaseService:
 
     def stats(self) -> dict:
         """Operational state of the service (cheap; no refresh)."""
-        store = self._backend.store()
+        store = self._store
         return {
             "vms": len(store),
             "events": store.n_events,
@@ -467,7 +477,14 @@ class KnowledgeBaseService:
             "dirty_subscriptions": len(self._dirty),
             "queue_depth": self._queue.qsize(),
             "events_version": self._events_version,
-            "backend": self._backend.describe(),
+            "backend": {
+                "backend": "memory",
+                "applied": self._applied,
+                "ring_capacity": RING_CAPACITY,
+                "ring_size": len(self._ring),
+                "vms": len(store),
+                "events": store.n_events,
+            },
         }
 
     # ------------------------------------------------------------------
@@ -481,7 +498,10 @@ class KnowledgeBaseService:
 
     def _op_recent(self, args: dict) -> dict:
         limit = None if args.get("limit") is None else _int_arg(args, "limit")
-        return {"entries": self._backend.recent(limit)}
+        entries = list(self._ring)
+        if limit is not None and limit >= 0:
+            entries = entries[-limit:] if limit else []
+        return {"entries": entries}
 
     def _op_snapshot(self, args: dict) -> dict:
         return {"records": json.loads(self.snapshot_json())}

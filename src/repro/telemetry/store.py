@@ -116,6 +116,9 @@ class TraceMetadata:
 
 _T = TypeVar("_T")
 
+#: VM rows per gather in :meth:`TraceStore.utilization_mean`.
+MEAN_CHUNK_ROWS = 1024
+
 _BLOCKS_ADDED = Counter("store.utilization_blocks")
 _BLOCK_BYTES = Counter("store.utilization_bytes")
 
@@ -488,15 +491,10 @@ class TraceStore:
             out[positions] = self._block(block_idx)[rows, window]
         return out
 
-    def utilization_mean(
-        self,
-        vm_ids: Sequence[int],
-        *,
-        chunk_rows: int = 1024,
-    ) -> np.ndarray:
+    def utilization_mean(self, vm_ids: Sequence[int]) -> np.ndarray:
         """Column-wise mean utilization over ``vm_ids`` as float64.
 
-        Accumulates in fixed ``chunk_rows`` batches of
+        Accumulates in fixed ``MEAN_CHUNK_ROWS`` batches of
         :meth:`utilization_matrix` gathers, so memory stays bounded by one
         chunk and -- because the chunk boundaries depend only on the id
         list, never on the physical block layout -- the result is
@@ -506,8 +504,8 @@ class TraceStore:
         acc = np.zeros(self.metadata.n_samples, dtype=np.float64)
         if not vm_ids:
             return acc
-        for lo in range(0, len(vm_ids), chunk_rows):
-            chunk = self.utilization_matrix(vm_ids[lo : lo + chunk_rows])
+        for lo in range(0, len(vm_ids), MEAN_CHUNK_ROWS):
+            chunk = self.utilization_matrix(vm_ids[lo : lo + MEAN_CHUNK_ROWS])
             acc += chunk.sum(axis=0, dtype=np.float64)
         acc /= len(vm_ids)
         return acc

@@ -29,12 +29,12 @@ SAMPLES_PER_WEEK = SECONDS_PER_WEEK // SAMPLE_PERIOD
 SAMPLES_PER_DAY = SECONDS_PER_DAY // SAMPLE_PERIOD
 SAMPLES_PER_HOUR = SECONDS_PER_HOUR // SAMPLE_PERIOD
 
-def sample_times(n_samples: int = SAMPLES_PER_WEEK, *, offset: float = 0.0) -> np.ndarray:
+def sample_times(n_samples: int = SAMPLES_PER_WEEK) -> np.ndarray:
     """Return the UTC timestamps (seconds) of ``n_samples`` telemetry samples.
 
     Each sample is stamped at the *start* of its 5-minute averaging window.
     """
-    return offset + SAMPLE_PERIOD * np.arange(n_samples, dtype=np.float64)
+    return SAMPLE_PERIOD * np.arange(n_samples, dtype=np.float64)
 
 
 def hour_of_day(times: np.ndarray, *, tz_offset_hours: float = 0.0) -> np.ndarray:

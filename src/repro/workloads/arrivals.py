@@ -20,6 +20,11 @@ import numpy as np
 
 from repro.timebase import SECONDS_PER_HOUR, day_of_week, hour_of_day
 
+#: Largest burst episode, in VMs; larger log-normal draws are clipped.
+MAX_BURST_SIZE = 2000
+#: Local hour at which churn creations peak.
+CHURN_PEAK_HOUR = 14.0
+
 RateCurve = Callable[[np.ndarray], np.ndarray]
 
 
@@ -74,13 +79,12 @@ def diurnal_rate_curve(
     base_per_hour: float,
     peak_per_hour: float,
     tz_offset_hours: float,
-    peak_hour: float = 14.0,
     weekend_factor: float = 0.5,
     holiday_week: bool = False,
 ) -> RateCurve:
     """A creation-rate curve following the local working day.
 
-    Raised-cosine bump peaking at ``peak_hour`` local time, damped on
+    Raised-cosine bump peaking at ``CHURN_PEAK_HOUR`` local time, damped on
     weekends -- the public cloud's "clear and stable diurnal pattern".
     """
     if peak_per_hour < base_per_hour:
@@ -89,7 +93,7 @@ def diurnal_rate_curve(
     def curve(times: np.ndarray) -> np.ndarray:
         hours = hour_of_day(times, tz_offset_hours=tz_offset_hours)
         days = day_of_week(times, tz_offset_hours=tz_offset_hours)
-        bump = 0.5 * (1.0 + np.cos(2.0 * np.pi * (hours - peak_hour) / 24.0))
+        bump = 0.5 * (1.0 + np.cos(2.0 * np.pi * (hours - CHURN_PEAK_HOUR) / 24.0))
         rates = base_per_hour + (peak_per_hour - base_per_hour) * bump
         if holiday_week:
             rates = rates * weekend_factor
@@ -115,7 +119,6 @@ def sample_burst_episodes(
     size_sigma: float,
     duration: float,
     rng: np.random.Generator,
-    max_size: int = 2000,
 ) -> list[BurstEpisode]:
     """Draw burst episodes: Poisson count, uniform times, log-normal sizes.
 
@@ -130,7 +133,7 @@ def sample_burst_episodes(
     for _ in range(n_episodes):
         time = float(rng.uniform(0.0, duration))
         size = int(round(rng.lognormal(np.log(size_median), size_sigma)))
-        size = int(np.clip(size, 1, max_size))
+        size = int(np.clip(size, 1, MAX_BURST_SIZE))
         episodes.append(BurstEpisode(time=time, size=size))
     episodes.sort(key=lambda e: e.time)
     return episodes

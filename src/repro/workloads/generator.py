@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import Counter, Histogram, span
-from repro.cloud.allocator import PlacementPolicy
 from repro.cloud.autoscale import Autoscaler, diurnal_demand
 from repro.cloud.entities import build_topology
 from repro.cloud.platform import CloudPlatform, VMRequest
@@ -88,14 +87,16 @@ _SYNTH_CHUNK_ROWS = DEFAULT_SHARD_ROWS
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Reproducible generation settings."""
+    """Reproducible generation settings.
+
+    Every trace covers one week (``SECONDS_PER_WEEK``), places VMs with
+    fault-domain spreading and carries telemetry for every VM that lives
+    long enough, the one configuration the paper measures.
+    """
 
     seed: int = 7
     #: Scales subscription counts and churn rates (1.0 = DESIGN.md sizing).
     scale: float = 1.0
-    duration: float = SECONDS_PER_WEEK
-    synthesize_utilization: bool = True
-    placement_policy: PlacementPolicy = PlacementPolicy.SPREAD
     #: Section VII (threats to validity): simulate a holiday week where
     #: every day behaves like a weekend (reduced activity everywhere).
     holiday_week: bool = False
@@ -165,19 +166,13 @@ class TraceGenerator:
         profile = self.profile.scaled(self.config.scale)
         store = TraceStore(
             TraceMetadata(
-                duration=self.config.duration,
+                duration=SECONDS_PER_WEEK,
                 sample_period=SAMPLE_PERIOD,
                 label=str(profile.cloud),
             )
         )
         topology = build_topology(profile.topology_spec(), id_offset=self._offset)
-        platform = CloudPlatform(
-            topology,
-            store,
-            policy=self.config.placement_policy,
-            rng=self._rng,
-            vm_id_offset=self._offset,
-        )
+        platform = CloudPlatform(topology, store, vm_id_offset=self._offset)
         simulator = Simulator()
 
         self._subscriptions = self._build_subscriptions(profile, store)
@@ -189,11 +184,10 @@ class TraceGenerator:
             self._install_autoscalers(profile, platform, simulator)
 
         with span("generate.simulate", cloud=str(profile.cloud)):
-            simulator.run(until=self.config.duration)
+            simulator.run(until=SECONDS_PER_WEEK)
 
-        if self.config.synthesize_utilization:
-            with span("generate.synthesize", cloud=str(profile.cloud), vms=len(store)):
-                self._synthesize_utilization(profile, store)
+        with span("generate.synthesize", cloud=str(profile.cloud), vms=len(store)):
+            self._synthesize_telemetry(profile, store)
         return store
 
     # ------------------------------------------------------------------
@@ -278,7 +272,7 @@ class TraceGenerator:
         self, profile: CloudProfile, platform: CloudPlatform, simulator: Simulator
     ) -> None:
         rng = self._rng
-        duration = self.config.duration
+        duration = SECONDS_PER_WEEK
         for sub in self._subscriptions:
             for region, size in sub.pool_sizes.items():
                 deployment_id = self._new_deployment()
@@ -301,7 +295,7 @@ class TraceGenerator:
         self, profile: CloudProfile, platform: CloudPlatform, simulator: Simulator
     ) -> None:
         rng = self._rng
-        duration = self.config.duration
+        duration = SECONDS_PER_WEEK
         churn = profile.churn
         # Subscriptions present in each region, used to attribute arrivals.
         subs_by_region: dict[str, list[_Subscription]] = {}
@@ -353,7 +347,7 @@ class TraceGenerator:
         burst = profile.burst
         assert burst is not None
         burst_lifetimes = burst_lifetime_model()
-        duration = self.config.duration
+        duration = SECONDS_PER_WEEK
         for sub in self._subscriptions:
             if not sub.bursty:
                 continue
@@ -427,7 +421,7 @@ class TraceGenerator:
                 rng=rng,
             )
             scaler.bootstrap(0.0, backdate_to=-float(rng.uniform(0, 14 * SECONDS_PER_DAY)))
-            scaler.install(simulator, start=autoscale.evaluation_interval, until=self.config.duration)
+            scaler.install(simulator, start=autoscale.evaluation_interval, until=SECONDS_PER_WEEK)
 
     # ------------------------------------------------------------------
     # telemetry synthesis
@@ -458,7 +452,7 @@ class TraceGenerator:
             append((vm, sub, tz))
         return eligible
 
-    def _synthesize_utilization(
+    def _synthesize_telemetry(
         self, profile: CloudProfile, store: TraceStore
     ) -> None:
         """Vectorized telemetry synthesis in shard-aligned row chunks.
@@ -777,7 +771,7 @@ def generate_trace_pair(
     public = generate_trace(public_profile(), config, entity_offset=1, spill_dir=spill_dir)
     merged = TraceStore(
         TraceMetadata(
-            duration=config.duration,
+            duration=SECONDS_PER_WEEK,
             sample_period=SAMPLE_PERIOD,
             label="private+public",
         )

@@ -21,6 +21,9 @@ from repro.timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_MINUTE
 #: Boundary of the "shortest lifetime bin" used throughout the reproduction
 #: (the paper's axis is normalized; we document our choice in EXPERIMENTS.md).
 SHORTEST_BIN_SECONDS = 1.0 * SECONDS_PER_HOUR
+#: Beta concentration of :func:`perturbed_model`'s short weight: the lower,
+#: the more subscriptions' mixes depart from their cloud's.
+PERTURBATION_CONCENTRATION = 6.0
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,6 @@ class LifetimeModel:
 def perturbed_model(
     model: LifetimeModel,
     rng: np.random.Generator,
-    *,
-    concentration: float = 6.0,
 ) -> LifetimeModel:
     """Per-subscription variant of a cloud-level lifetime mixture.
 
@@ -94,12 +95,10 @@ def perturbed_model(
     cloud-level weight (so aggregate statistics are preserved), and the
     medium/long weights are rescaled proportionally.
     """
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
     w_short = float(
         rng.beta(
-            max(1e-3, model.weight_short * concentration),
-            max(1e-3, (1.0 - model.weight_short) * concentration),
+            max(1e-3, model.weight_short * PERTURBATION_CONCENTRATION),
+            max(1e-3, (1.0 - model.weight_short) * PERTURBATION_CONCENTRATION),
         )
     )
     rest = 1.0 - w_short

@@ -102,7 +102,6 @@ def stable_signal(
 def irregular_signal(
     times: np.ndarray,
     *,
-    spike_rate_per_day: float = SPIKE_RATE_PER_DAY,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Mostly idle utilization with unannounced short spikes."""
@@ -110,7 +109,7 @@ def irregular_signal(
     n = times.shape[0]
     series = np.full(n, IRREGULAR_BASE_LEVEL, dtype=np.float64)
     window_days = (times[-1] - times[0]) / (24 * SECONDS_PER_HOUR) if n > 1 else 0.0
-    n_spikes = int(rng.poisson(max(0.0, spike_rate_per_day * window_days)))
+    n_spikes = int(rng.poisson(max(0.0, SPIKE_RATE_PER_DAY * window_days)))
     for _ in range(n_spikes):
         start = int(rng.integers(0, n))
         width = int(rng.integers(SPIKE_DURATION_SAMPLES[0], SPIKE_DURATION_SAMPLES[1] + 1))

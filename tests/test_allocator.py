@@ -3,10 +3,11 @@
 The allocator keeps cluster utilization as running sums and picks a node
 in one pass over the racks.  :class:`ReferenceAllocationService` is the
 full-scan placement it must agree with: every node of the cluster is
-tested for fit, the SPREAD / BEST_FIT choice is two ``min`` passes over
-that list, and clusters are ranked on a fresh :func:`_fresh_utilization`.
-The differential tests drive both with the same requests, and the
-end-to-end test patches the reference into the generator.
+tested for fit, the spread choice is two ``min`` passes over that list,
+and clusters are ranked on a fresh :func:`_fresh_utilization`.  The
+differential tests drive both with the same requests, and the end-to-end
+test patches the reference into the generator.  :func:`_best_fit_choose_node`
+is the ablation baseline: best-fit packing that ignores fault domains.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.allocator import (
-    CORE_QUANTUM,
-    AllocationFailure,
-    AllocationService,
-    PlacementPolicy,
-)
+from repro.cloud.allocator import CORE_QUANTUM, AllocationFailure, AllocationService
 from repro.cloud.entities import Cluster, Node, RegionSpec, TopologySpec, build_topology
 from repro.cloud.sku import NodeSku, public_sku_catalog
 from repro.telemetry.schema import Cloud
@@ -52,10 +48,6 @@ def _reference_choose_node(
     feasible = [node for node in cluster.nodes if node.can_host(cores, memory_gb)]
     if not feasible:
         return None
-    if self.policy is PlacementPolicy.RANDOM:
-        return feasible[int(self._rng.integers(len(feasible)))]
-    if self.policy is PlacementPolicy.BEST_FIT:
-        return min(feasible, key=lambda n: (n.free_cores - cores, n.node_id))
 
     def rack_load(node: Node) -> int:
         return self._deployment_rack_count.get((deployment_id, node.rack_id), 0)
@@ -63,6 +55,16 @@ def _reference_choose_node(
     min_load = min(rack_load(node) for node in feasible)
     candidates = [node for node in feasible if rack_load(node) == min_load]
     return min(candidates, key=lambda n: (n.free_cores - cores, n.node_id))
+
+
+def _best_fit_choose_node(
+    self, cluster: Cluster, cores: float, memory_gb: float, deployment_id: int
+) -> Node | None:
+    """Pure best-fit packing: the feasible node with the least cores left over."""
+    feasible = [node for node in cluster.nodes if node.can_host(cores, memory_gb)]
+    if not feasible:
+        return None
+    return min(feasible, key=lambda n: (n.free_cores - cores, n.node_id))
 
 
 class ReferenceAllocationService(AllocationService):
@@ -74,7 +76,6 @@ class ReferenceAllocationService(AllocationService):
 
 def make_service(
     *,
-    policy=PlacementPolicy.SPREAD,
     racks=4,
     nodes=3,
     clusters=2,
@@ -90,7 +91,7 @@ def make_service(
         nodes_per_rack=nodes,
         node_sku=NodeSku("t", node_cores, node_cores * 4),
     )
-    return service_class(build_topology(spec), policy=policy, rng=np.random.default_rng(0))
+    return service_class(build_topology(spec))
 
 
 def test_basic_allocation_and_release():
@@ -130,8 +131,9 @@ def test_fault_domain_spreading():
     assert len({node.rack_id for node in nodes}) == 4
 
 
-def test_best_fit_packs_instead_of_spreading():
-    service = make_service(policy=PlacementPolicy.BEST_FIT, racks=4, nodes=3, clusters=1, regions=("a",))
+def test_best_fit_packs_instead_of_spreading(monkeypatch):
+    monkeypatch.setattr(AllocationService, "_choose_node", _best_fit_choose_node)
+    service = make_service(racks=4, nodes=3, clusters=1, regions=("a",))
     nodes = [
         service.allocate(vm_id, 2, 8, region="a", deployment_id=7, subscription_id=1)
         for vm_id in range(4)
@@ -139,15 +141,12 @@ def test_best_fit_packs_instead_of_spreading():
     assert len({node.rack_id for node in nodes}) == 1
 
 
-def _mean_rack_spread_of_large_deployments(policy: PlacementPolicy) -> float:
+def _mean_rack_spread_of_large_deployments() -> float:
     """Mean racks per deployment of 3+ VMs on a tight 1x3x3 private fleet."""
     profile = replace(
         private_profile(), clusters_per_region=1, racks_per_cluster=3, nodes_per_rack=3
     )
-    config = GeneratorConfig(
-        seed=17, scale=0.2, synthesize_utilization=False, placement_policy=policy
-    )
-    store = TraceGenerator(profile, config).generate()
+    store = TraceGenerator(profile, GeneratorConfig(seed=17, scale=0.2)).generate()
     racks: dict[int, set[int]] = defaultdict(set)
     sizes: Counter[int] = Counter()
     for vm in store.vms():
@@ -158,17 +157,12 @@ def _mean_rack_spread_of_large_deployments(policy: PlacementPolicy) -> float:
     return sum(len(racks[d]) for d in large) / len(large)
 
 
-def test_spread_beats_best_fit_rack_spread_under_pressure():
-    """Insight 1: SPREAD buys fault tolerance that BEST_FIT gives up."""
-    spread = _mean_rack_spread_of_large_deployments(PlacementPolicy.SPREAD)
-    best_fit = _mean_rack_spread_of_large_deployments(PlacementPolicy.BEST_FIT)
+def test_spread_beats_best_fit_rack_spread_under_pressure(monkeypatch):
+    """Insight 1: spreading buys fault tolerance that best-fit packing gives up."""
+    spread = _mean_rack_spread_of_large_deployments()
+    monkeypatch.setattr(AllocationService, "_choose_node", _best_fit_choose_node)
+    best_fit = _mean_rack_spread_of_large_deployments()
     assert spread > best_fit
-
-
-def test_random_policy_allocates():
-    service = make_service(policy=PlacementPolicy.RANDOM, regions=("a",))
-    node = service.allocate(1, 2, 8, region="a", deployment_id=1, subscription_id=1)
-    assert node is not None
 
 
 def test_subscription_cluster_affinity():
@@ -209,12 +203,11 @@ def test_release_decrements_rack_count():
         min_size=1,
         max_size=80,
     ),
-    st.sampled_from(list(PlacementPolicy)),
 )
 @settings(max_examples=40, deadline=None)
-def test_capacity_never_exceeded(requests, policy):
-    """Property: no node is ever overcommitted, whatever the policy."""
-    service = make_service(policy=policy, racks=2, nodes=2, clusters=1, regions=("a",), node_cores=16)
+def test_capacity_never_exceeded(requests):
+    """Property: no node is ever overcommitted."""
+    service = make_service(racks=2, nodes=2, clusters=1, regions=("a",), node_cores=16)
     for vm_id, (cores, dep) in enumerate(requests):
         try:
             service.allocate(
@@ -303,44 +296,42 @@ _operations = st.lists(
 @given(_operations, st.sampled_from(_TOPOLOGIES))
 @settings(max_examples=60, deadline=None)
 def test_placement_matches_full_scan_reference(operations, topology):
-    """Every placement and failure equals the full-scan oracle's, under every policy."""
+    """Every placement and failure equals the full-scan oracle's."""
     clusters, racks, nodes, node_cores = topology
-    for policy in PlacementPolicy:
-        services = [
-            make_service(
-                policy=policy, clusters=clusters, racks=racks, nodes=nodes,
-                node_cores=node_cores, service_class=service_class,
-            )
-            for service_class in (AllocationService, ReferenceAllocationService)
-        ]
-        live: list[tuple[int, int]] = []
-        for vm_id, op in enumerate(operations):
-            if op[0] == "release":
-                if live:
-                    released, dep = live.pop(op[1] % len(live))
-                    freed = [s.release(released, deployment_id=dep).node_id for s in services]
-                    assert freed[0] == freed[1]
-                continue
-            _, size_index, dep, sub, region = op
-            cores, memory_gb = _SIZES[size_index]
-            outcomes = []
-            for service in services:
-                try:
-                    node = service.allocate(
-                        vm_id, cores, memory_gb, region=region,
-                        deployment_id=dep, subscription_id=sub,
-                    )
-                    outcomes.append(node.node_id)
-                except AllocationFailure as failure:
-                    outcomes.append(("failure", failure.region, failure.cores))
-            assert outcomes[0] == outcomes[1], (policy, vm_id, op)
-            if isinstance(outcomes[0], int):
-                live.append((vm_id, dep))
-            fast = services[0]
-            for cluster in fast.topology.clusters.values():
-                assert fast._utilization(cluster) == _fresh_utilization(cluster)
-        assert services[0]._deployment_rack_count == services[1]._deployment_rack_count
-        assert services[0]._rng.random() == services[1]._rng.random()
+    services = [
+        make_service(
+            clusters=clusters, racks=racks, nodes=nodes,
+            node_cores=node_cores, service_class=service_class,
+        )
+        for service_class in (AllocationService, ReferenceAllocationService)
+    ]
+    live: list[tuple[int, int]] = []
+    for vm_id, op in enumerate(operations):
+        if op[0] == "release":
+            if live:
+                released, dep = live.pop(op[1] % len(live))
+                freed = [s.release(released, deployment_id=dep).node_id for s in services]
+                assert freed[0] == freed[1]
+            continue
+        _, size_index, dep, sub, region = op
+        cores, memory_gb = _SIZES[size_index]
+        outcomes = []
+        for service in services:
+            try:
+                node = service.allocate(
+                    vm_id, cores, memory_gb, region=region,
+                    deployment_id=dep, subscription_id=sub,
+                )
+                outcomes.append(node.node_id)
+            except AllocationFailure as failure:
+                outcomes.append(("failure", failure.region, failure.cores))
+        assert outcomes[0] == outcomes[1], (vm_id, op)
+        if isinstance(outcomes[0], int):
+            live.append((vm_id, dep))
+        fast = services[0]
+        for cluster in fast.topology.clusters.values():
+            assert fast._utilization(cluster) == _fresh_utilization(cluster)
+    assert services[0]._deployment_rack_count == services[1]._deployment_rack_count
 
 
 def _trace_digest(store: TraceStore) -> str:
@@ -356,11 +347,10 @@ def _trace_digest(store: TraceStore) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("policy", [PlacementPolicy.SPREAD, PlacementPolicy.BEST_FIT])
 @pytest.mark.parametrize("seed", [1, 7])
-def test_generated_trace_matches_full_scan_reference(monkeypatch, seed, policy):
+def test_generated_trace_matches_full_scan_reference(monkeypatch, seed):
     """Placement rewrites must not move a byte of the generated trace."""
-    config = GeneratorConfig(seed=seed, scale=0.03, placement_policy=policy)
+    config = GeneratorConfig(seed=seed, scale=0.03)
     fast = _trace_digest(generate_trace_pair(config))
     monkeypatch.setattr(AllocationService, "_clusters_by_headroom", _reference_clusters_by_headroom)
     monkeypatch.setattr(AllocationService, "_choose_node", _reference_choose_node)

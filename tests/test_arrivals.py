@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.workloads import arrivals
 from repro.timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from repro.workloads.arrivals import (
     diurnal_rate_curve,
@@ -67,7 +68,7 @@ class TestNhpp:
 class TestDiurnalRateCurve:
     def test_peak_at_local_peak_hour(self):
         curve = diurnal_rate_curve(
-            base_per_hour=1, peak_per_hour=10, tz_offset_hours=-8, peak_hour=14
+            base_per_hour=1, peak_per_hour=10, tz_offset_hours=-8
         )
         # 14:00 local = 22:00 UTC
         peak_rate = curve(np.array([22 * 3600.0]))[0]
@@ -107,9 +108,10 @@ class TestBurstEpisodes:
         # 700/week over one day -> ~100 expected.
         assert 60 < len(episodes) < 140
 
-    def test_size_cap(self, rng):
+    def test_size_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(arrivals, "MAX_BURST_SIZE", 100)
         episodes = sample_burst_episodes(
             episodes_per_week=50, size_median=5000, size_sigma=1.0,
-            duration=SECONDS_PER_WEEK, rng=rng, max_size=100,
+            duration=SECONDS_PER_WEEK, rng=rng,
         )
         assert all(e.size <= 100 for e in episodes)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cloud.autoscale import Autoscaler, diurnal_demand
 from repro.cloud.entities import RegionSpec, TopologySpec, build_topology
 from repro.cloud.platform import CloudPlatform
@@ -23,7 +21,7 @@ def make_platform(nodes=6) -> CloudPlatform:
         nodes_per_rack=nodes,
         node_sku=NodeSku("t", 16, 64),
     )
-    return CloudPlatform(build_topology(spec), TraceStore(), rng=np.random.default_rng(0))
+    return CloudPlatform(build_topology(spec), TraceStore())
 
 
 def make_scaler(platform, demand, interval=900.0) -> Autoscaler:

@@ -88,7 +88,7 @@ class TestStability:
         from repro.workloads.generator import GeneratorConfig, generate_trace_pair
 
         trace = generate_trace_pair(
-            GeneratorConfig(seed=seed, scale=0.15, synthesize_utilization=False)
+            GeneratorConfig(seed=seed, scale=0.15)
         )
         p = dep.lifetime_cdf(trace, Cloud.PRIVATE).evaluate(SHORTEST_BIN_SECONDS)
         q = dep.lifetime_cdf(trace, Cloud.PUBLIC).evaluate(SHORTEST_BIN_SECONDS)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.claims import ANCHORS, INSIGHTS, TELEMETRY_TASKS
+from repro.experiments.claims import ANCHORS, INSIGHTS
 from repro.experiments.parallel import TASKS
 
 ALL_KEYS = sorted(set(ANCHORS) | {key for keys in INSIGHTS.values() for key in keys})
@@ -27,4 +27,3 @@ def test_each_key_names_exactly_one_shared_trace_check(key, results):
 def test_table_shapes():
     assert len(ANCHORS) == len(set(ANCHORS)) == 12
     assert len(INSIGHTS) == 4
-    assert TELEMETRY_TASKS <= {task for task, _name in ANCHORS}

@@ -85,8 +85,9 @@ class TestCreationCv:
         assert cvs
         assert all(np.isfinite(v) and v >= 0 for v in cvs.values())
 
-    def test_sparse_regions_skipped(self, small_trace):
-        cvs = dep.creation_cv_by_region(small_trace, Cloud.PRIVATE, min_events=10**9)
+    def test_sparse_regions_skipped(self, small_trace, monkeypatch):
+        monkeypatch.setattr(dep, "MIN_REGION_CREATIONS", 10**9)
+        cvs = dep.creation_cv_by_region(small_trace, Cloud.PRIVATE)
         assert cvs == {}
 
     def test_private_burstier(self, medium_trace):

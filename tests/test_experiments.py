@@ -134,7 +134,7 @@ def test_single_region_panels_sample_a_region_both_clouds_use(tmp_path, seed, re
     The sample follows ``store.regions`` order, which a save/load round trip
     must keep.
     """
-    config = GeneratorConfig(seed=seed, scale=0.12, synthesize_utilization=False)
+    config = GeneratorConfig(seed=seed, scale=0.12)
     generated = generate_trace_pair(config)
     store = load_trace(save_trace(generated, tmp_path / "trace"))
     assert list(store.regions) == list(generated.regions)

@@ -95,13 +95,6 @@ def test_telemetry_only_for_long_lived(small_trace):
         assert overlap >= min_overlap
 
 
-def test_no_utilization_option():
-    config = GeneratorConfig(seed=5, scale=0.05, synthesize_utilization=False)
-    trace = TraceGenerator(public_profile(), config).generate()
-    assert trace.vm_ids_with_utilization() == []
-    assert len(trace) > 0
-
-
 def test_scaled_profile_counts():
     profile = public_profile()
     scaled = profile.scaled(0.5)

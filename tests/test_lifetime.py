@@ -91,7 +91,3 @@ class TestPerturbedModel:
         model = perturbed_model(base, rng)
         expected_ratio = base.weight_medium / base.weight_long
         assert model.weight_medium / model.weight_long == pytest.approx(expected_ratio)
-
-    def test_invalid_concentration(self, rng):
-        with pytest.raises(ValueError):
-            perturbed_model(private_lifetime_model(), rng, concentration=0)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.telemetry.schema import Cloud
 from repro.timebase import SECONDS_PER_DAY
+from repro.workloads import generator
 from repro.workloads.generator import GeneratorConfig, TraceGenerator
 from repro.workloads.profiles import private_profile, public_profile
 from repro.workloads.services import PRIVATE_SERVICES
@@ -59,32 +60,34 @@ class TestOffering:
 
 
 class TestNonWeeklyWindows:
-    def test_three_day_window(self):
-        config = GeneratorConfig(seed=5, scale=0.08, duration=3 * SECONDS_PER_DAY)
-        trace = TraceGenerator(private_profile(), config).generate()
+    """Windows other than a week, by patching ``generator.SECONDS_PER_WEEK``.
+
+    Every entry point generates one week, but stores carry their own
+    ``TraceMetadata.duration`` and the analyses must follow it.
+    """
+
+    def test_three_day_window(self, monkeypatch):
+        monkeypatch.setattr(generator, "SECONDS_PER_WEEK", 3 * SECONDS_PER_DAY)
+        trace = TraceGenerator(private_profile(), GeneratorConfig(seed=5, scale=0.08)).generate()
         assert trace.metadata.duration == 3 * SECONDS_PER_DAY
         assert trace.metadata.n_samples == 3 * 288
         assert len(trace) > 50
         for vm_id in trace.vm_ids_with_utilization()[:10]:
             assert trace.utilization(vm_id).size == 3 * 288
 
-    def test_two_week_window(self):
-        config = GeneratorConfig(
-            seed=5, scale=0.04, duration=14 * SECONDS_PER_DAY,
-            synthesize_utilization=False,
-        )
-        trace = TraceGenerator(public_profile(), config).generate()
+    def test_two_week_window(self, monkeypatch):
+        monkeypatch.setattr(generator, "SECONDS_PER_WEEK", 14 * SECONDS_PER_DAY)
+        trace = TraceGenerator(public_profile(), GeneratorConfig(seed=5, scale=0.04)).generate()
         assert trace.metadata.n_samples == 14 * 288
         # Events span the full window, not just the first week.
         times = [e.time for e in trace.events()]
         assert max(times) > 7 * SECONDS_PER_DAY
 
-    def test_analyses_run_on_short_window(self):
+    def test_analyses_run_on_short_window(self, monkeypatch):
         from repro.core.deployment import lifetime_cdf, vm_count_series
 
-        config = GeneratorConfig(seed=5, scale=0.1, duration=3 * SECONDS_PER_DAY,
-                                 synthesize_utilization=False)
-        trace = TraceGenerator(public_profile(), config).generate()
+        monkeypatch.setattr(generator, "SECONDS_PER_WEEK", 3 * SECONDS_PER_DAY)
+        trace = TraceGenerator(public_profile(), GeneratorConfig(seed=5, scale=0.1)).generate()
         counts = vm_count_series(trace, Cloud.PUBLIC)
         assert counts.shape == (72,)
         cdf = lifetime_cdf(trace, Cloud.PUBLIC)

@@ -25,7 +25,7 @@ def outcome_of(report, policy: str):
 
 @pytest.fixture(scope="module")
 def report(medium_trace):
-    orchestrator = WorkloadAwareOrchestrator(medium_trace, seed=1)
+    orchestrator = WorkloadAwareOrchestrator(medium_trace)
     return orchestrator.run()
 
 

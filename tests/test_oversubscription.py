@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 import pytest
 
+from repro.management import oversubscription
 from repro.management.oversubscription import (
+    EPSILONS,
     ChanceConstrainedOversubscriber,
     OversubscriptionOutcome,
     sweep_epsilon,
@@ -16,10 +16,6 @@ from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceMetadata, TraceStore
 from repro.timebase import SAMPLE_PERIOD
 from tests.test_store import make_vm
-
-#: sweep_epsilon's default safety levels, the ones the im1 experiment runs.
-EPSILONS = inspect.signature(sweep_epsilon).parameters["epsilons"].default
-
 
 @pytest.fixture()
 def flat_store():
@@ -91,11 +87,12 @@ class TestChanceConstraint:
 
 
 class TestSweep:
-    def test_sweep_ordering(self, small_trace):
+    def test_sweep_ordering(self, small_trace, monkeypatch):
+        monkeypatch.setattr(oversubscription, "EPSILONS", (0.3, 0.05, 0.001))
         packer = ChanceConstrainedOversubscriber(
             small_trace, cloud=Cloud.PRIVATE, max_candidates=150
         )
-        results = sweep_epsilon(packer, 96.0, epsilons=(0.3, 0.05, 0.001))
+        results = sweep_epsilon(packer, 96.0)
         gains = [g for _o, g in results]
         assert gains == sorted(gains, reverse=True)
         assert all(g > 0 for g in gains)

@@ -7,10 +7,10 @@ import pytest
 
 from repro.core import patterns
 from repro.core.patterns import (
-    PatternClassifier,
     PatternMix,
     classify_block,
     classify_series,
+    classify_store,
     classify_windows,
 )
 from repro.telemetry.schema import (
@@ -257,25 +257,20 @@ class TestPatternMix:
 
 class TestClassifyStore:
     def test_classifies_long_lived_vms(self, small_trace):
-        classifier = PatternClassifier()
-        labels = classifier.classify_store(
-            small_trace, cloud=Cloud.PRIVATE, max_vms=50
-        )
+        labels = classify_store(small_trace, Cloud.PRIVATE, max_vms=50)
         assert 0 < len(labels) <= 50
         for vm_id in labels:
             assert small_trace.vm(vm_id).cloud is Cloud.PRIVATE
 
-    def test_subsampling_is_deterministic(self, small_trace):
-        classifier = PatternClassifier()
-        a = classifier.classify_store(small_trace, cloud=Cloud.PUBLIC, max_vms=30, seed=1)
-        b = classifier.classify_store(small_trace, cloud=Cloud.PUBLIC, max_vms=30, seed=1)
+    def test_subsampling_is_deterministic(self, small_trace, monkeypatch):
+        monkeypatch.setattr(patterns, "SUBSAMPLE_SEED", 1)
+        a = classify_store(small_trace, Cloud.PUBLIC, max_vms=30)
+        b = classify_store(small_trace, Cloud.PUBLIC, max_vms=30)
         assert a == b
 
     def test_accuracy_beats_chance(self, small_trace):
         """Agreement with the generator's ground-truth pattern labels."""
-        labels = PatternClassifier().classify_store(
-            small_trace, cloud=Cloud.PRIVATE, max_vms=150
-        )
+        labels = classify_store(small_trace, Cloud.PRIVATE, max_vms=150)
         assert labels
         hits = sum(small_trace.vm(vm_id).pattern == label for vm_id, label in labels.items())
         assert hits / len(labels) > 0.6

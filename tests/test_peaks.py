@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,15 +45,16 @@ class TestPreProvision:
         assert outcome.served_peak_fraction > 0.8
         assert outcome.wasted_core_hours > 0  # reservations idle at night
 
-    def test_zero_standby_is_baseline(self, peaky_demand):
-        absorber = PeakAbsorber(peaky_demand, CAPACITY)
-        outcome = absorber.pre_provision(standby_cores=0.0)
-        assert outcome.served_peak_fraction == 0.0
+    def test_zero_standby_is_baseline(self):
+        # Demand that never exceeds capacity gets no standby cores.
+        absorber = PeakAbsorber(np.full(288, 10.0), CAPACITY)
+        outcome = absorber.pre_provision()
+        assert dataclasses.replace(outcome, strategy="baseline") == absorber.baseline()
 
     def test_short_history_raises(self):
         absorber = PeakAbsorber(np.ones(4), CAPACITY, sample_period=300.0)
         with pytest.raises(ValueError):
-            absorber.pre_provision(history_fraction=0.01)
+            absorber.pre_provision()
 
 
 class TestOverclock:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cloud.entities import RegionSpec, TopologySpec, build_topology
@@ -25,7 +24,7 @@ def platform():
         node_sku=NodeSku("t", 16, 64),
     )
     store = TraceStore()
-    return CloudPlatform(build_topology(spec), store, rng=np.random.default_rng(0))
+    return CloudPlatform(build_topology(spec), store)
 
 
 def request(**overrides) -> VMRequest:

@@ -64,7 +64,7 @@ class TestAllocationFailurePredictor:
             nodes_per_rack=3,
         )
         trace = TraceGenerator(
-            profile, GeneratorConfig(seed=11, scale=0.25, synthesize_utilization=False)
+            profile, GeneratorConfig(seed=11, scale=0.25)
         ).generate()
         predictor = AllocationFailurePredictor().fit(trace, Cloud.PRIVATE)
         low = predictor.predict_risk(0.3, 2)

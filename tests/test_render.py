@@ -4,22 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.render import bar, cdf_strip, mix_table, sparkline
+from repro.analysis.render import (
+    BAR_WIDTH,
+    SPARKLINE_WIDTH,
+    bar,
+    cdf_strip,
+    mix_table,
+    sparkline,
+)
 
 
 class TestSparkline:
     def test_length_capped_at_width(self):
-        assert len(sparkline(np.arange(1000), width=40)) == 40
+        assert len(sparkline(np.arange(1000))) == SPARKLINE_WIDTH
 
     def test_short_series_kept(self):
-        assert len(sparkline(np.arange(5), width=40)) == 5
+        assert len(sparkline(np.arange(5))) == 5
 
     def test_flat_series(self):
         line = sparkline(np.full(10, 3.0))
         assert line == "▄" * 10
 
     def test_monotone_series_renders_ramp(self):
-        line = sparkline(np.arange(8, dtype=float), width=8)
+        line = sparkline(np.arange(8, dtype=float))
         assert line[0] == " " and line[-1] == "█"
 
     def test_empty(self):
@@ -27,21 +34,21 @@ class TestSparkline:
 
     def test_diurnal_shape_has_peaks_and_valleys(self):
         t = np.linspace(0, 4 * np.pi, 200)
-        line = sparkline(np.sin(t) + 1, width=40)
+        line = sparkline(np.sin(t) + 1)
         assert "█" in line and " " in line
 
 
 class TestBar:
     def test_full_and_empty(self):
-        assert bar(1.0, width=10) == "#" * 10
-        assert bar(0.0, width=10) == "." * 10
+        assert bar(1.0) == "#" * BAR_WIDTH
+        assert bar(0.0) == "." * BAR_WIDTH
 
     def test_half(self):
-        assert bar(0.5, width=10) == "#####....."
+        assert bar(0.5) == "#" * (BAR_WIDTH // 2) + "." * (BAR_WIDTH // 2)
 
     def test_clipped(self):
-        assert bar(2.0, width=4) == "####"
-        assert bar(-1.0, width=4) == "...."
+        assert bar(2.0) == bar(1.0)
+        assert bar(-1.0) == bar(0.0)
 
 
 class TestMixTable:

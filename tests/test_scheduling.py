@@ -63,7 +63,7 @@ class TestValleyScheduler:
     def test_flattens_diurnal_profile(self):
         profile = diurnal_profile()
         scheduler = ValleyScheduler(profile, capacity_cores=100.0)
-        jobs = jobs_from_fraction(profile, 100.0, fill_fraction=0.6, job_cores=8.0)
+        jobs = jobs_from_fraction(profile, 100.0, fill_fraction=0.6)
         outcome = scheduler.schedule(jobs)
         assert outcome.peak_to_valley_after < outcome.peak_to_valley_before
         assert outcome.variance_reduction > 0.2

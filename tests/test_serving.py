@@ -29,6 +29,7 @@ from repro.serving import (
     iter_ingest_records,
     replay_trace,
 )
+from repro.serving import replay
 from repro.serving.replay import batch_stream
 from repro.telemetry.store import TraceStore
 
@@ -141,7 +142,7 @@ class TestConcurrentQueries:
 
 
 class TestBatchAtomicity:
-    def test_stats_sees_only_batch_boundaries(self, small_trace, ingest_records):
+    def test_stats_sees_only_batch_boundaries(self, small_trace, ingest_records, monkeypatch):
         """A query never observes half a batch: during paced ingest every
         ``events_version`` a client reads is a prefix sum of batch sizes.
 
@@ -149,7 +150,8 @@ class TestBatchAtomicity:
         non-empty queue, so an unpaced backlog drains in one go and the
         clients would only ever see the final version.
         """
-        batches = batch_stream(ingest_records[:3000], batch_records=64)
+        monkeypatch.setattr(replay, "BATCH_RECORDS", 64)
+        batches = batch_stream(ingest_records[:3000])
         boundaries = {0, *itertools.accumulate(len(b) for b in batches)}
 
         async def scenario():
@@ -313,12 +315,12 @@ class TestIngestValidation:
             bad = dataclasses.replace(good, vm_end=-1e9)
         service = KnowledgeBaseService.for_trace(small_trace)
         service.apply_records(ingest_records[:idx])
-        before = (service.stats(), service.backend.recent())
+        before = (service.stats(), service._op_recent({}))
 
         with MetricsScope() as scope:
             assert service.apply_records([bad]) == 0
         assert scope.delta["counters"]["serving.apply_errors"] == 1
-        assert (service.stats(), service.backend.recent()) == before
+        assert (service.stats(), service._op_recent({})) == before
         assert service.apply_records([good]) == 1
 
 
@@ -500,7 +502,7 @@ class TestTransport:
             waited = _BACKPRESSURE.value - waits
             writer.close()
             await service.drain()
-            applied = service.backend.describe()["applied"]
+            applied = service.stats()["backend"]["applied"]
             await service.stop()
             return responses, waited, applied
 
@@ -567,7 +569,7 @@ class TestTransport:
             leaked = asyncio.all_tasks() - before
             closed = await reader.read()
             writer.close()
-            return leaked, closed, service.backend.describe()["applied"]
+            return leaked, closed, service.stats()["backend"]["applied"]
 
         leaked, closed, applied = run(scenario())
         assert leaked == set(), leaked

@@ -47,7 +47,8 @@ def test_run_until_stops_before_later_events():
 
 
 def test_schedule_in_past_rejected():
-    sim = Simulator(start_time=10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
     with pytest.raises(SimulationError):
         sim.schedule(5.0, lambda: None)
 

@@ -6,67 +6,69 @@ import numpy as np
 import pytest
 
 from repro.management import spot
-from repro.management.spot import (
-    SpotAdoptionAdvisor,
-    SpotAdoptionReport,
-    SpotEvictionModel,
-)
+from repro.management.spot import SpotAdoptionAdvisor, SpotAdoptionReport, hourly_survival
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_HOUR
 
 
-def _scalar_survival(model: SpotEvictionModel, pressure: float) -> float:
+@pytest.fixture()
+def eviction_curve(monkeypatch):
+    """Set the eviction knee and the rate at full allocation."""
+
+    def set_curve(knee: float, max_rate: float = spot.MAX_EVICTION_RATE) -> None:
+        monkeypatch.setattr(spot, "EVICTION_KNEE", knee)
+        monkeypatch.setattr(spot, "MAX_EVICTION_RATE", max_rate)
+
+    return set_curve
+
+
+def _scalar_survival(pressure: float) -> float:
     """The per-hour survival factor as a scalar: clip, knee, then ``** 2``."""
+    knee, max_rate = spot.EVICTION_KNEE, spot.MAX_EVICTION_RATE
     pressure = float(np.clip(pressure, 0.0, 1.0))
-    if pressure <= model.knee:
+    if pressure <= knee:
         return 1.0 - 0.0
-    return 1.0 - model.max_rate * ((pressure - model.knee) / (1.0 - model.knee)) ** 2
+    return 1.0 - max_rate * ((pressure - knee) / (1.0 - knee)) ** 2
 
 
 class TestEvictionModel:
-    def test_no_eviction_below_knee(self):
-        model = SpotEvictionModel(knee=0.75)
-        assert model.hourly_survival(np.array([0.5, 0.75])).tolist() == [1.0, 1.0]
+    def test_no_eviction_below_knee(self, eviction_curve):
+        eviction_curve(0.75)
+        assert hourly_survival(np.array([0.5, 0.75])).tolist() == [1.0, 1.0]
 
-    def test_rises_to_max(self):
-        model = SpotEvictionModel(knee=0.5, max_rate=0.4)
-        at_full, at_high = model.hourly_survival(np.array([1.0, 0.8]))
+    def test_rises_to_max(self, eviction_curve):
+        eviction_curve(0.5, 0.4)
+        at_full, at_high = hourly_survival(np.array([1.0, 0.8]))
         assert at_full == pytest.approx(0.6)
         assert 0.6 < at_high < 1.0
 
     def test_monotone(self):
-        model = SpotEvictionModel()
-        survival = model.hourly_survival(np.linspace(0, 1, 50))
+        survival = hourly_survival(np.linspace(0, 1, 50))
         assert np.all(np.diff(survival) <= 1e-12)
 
     def test_pressure_clipped(self):
-        model = SpotEvictionModel()
-        survival = model.hourly_survival(np.array([2.0, 1.0, -1.0, 0.0]))
+        survival = hourly_survival(np.array([2.0, 1.0, -1.0, 0.0]))
         assert survival[0] == survival[1]
         assert survival[2] == survival[3] == 1.0
 
-    def test_survival(self):
-        model = SpotEvictionModel(knee=0.5, max_rate=0.5)
-        assert np.prod(model.hourly_survival(np.array([1.0, 1.0]))) == pytest.approx(0.25)
-        assert np.prod(model.hourly_survival(np.array([0.1, 0.2]))) == 1.0
+    def test_survival(self, eviction_curve):
+        eviction_curve(0.5, 0.5)
+        assert np.prod(hourly_survival(np.array([1.0, 1.0]))) == pytest.approx(0.25)
+        assert np.prod(hourly_survival(np.array([0.1, 0.2]))) == 1.0
 
     @pytest.mark.parametrize(("knee", "max_rate"), [(0.75, 0.30), (0.05, 0.30), (0.5, 0.77)])
-    def test_factors_bitwise_scalar(self, knee, max_rate):
+    def test_factors_bitwise_scalar(self, knee, max_rate, eviction_curve):
         # Below 0, at 0, at the knee, at 1, above 1, and a dense sweep:
         # Python's ``** 2`` (libm pow) rounds some squares differently
         # from numpy's ``x * x``, so the sweep catches a numpy square.
-        model = SpotEvictionModel(knee=knee, max_rate=max_rate)
+        eviction_curve(knee, max_rate)
         pressures = np.concatenate(
             [[-0.5, 0.0, knee, 1.0, 1.5], np.random.default_rng(0).uniform(-0.2, 1.2, 20_000)]
         )
-        expected = np.array([_scalar_survival(model, p) for p in pressures])
-        assert model.hourly_survival(pressures).tobytes() == expected.tobytes()
-        assert model.hourly_survival(pressures[:0]).shape == (0,)
-
-    def test_invalid_knee(self):
-        with pytest.raises(ValueError):
-            SpotEvictionModel(knee=1.5)
+        expected = np.array([_scalar_survival(p) for p in pressures])
+        assert hourly_survival(pressures).tobytes() == expected.tobytes()
+        assert hourly_survival(pressures[:0]).shape == (0,)
 
 
 class TestAdoptionAdvisor:
@@ -99,9 +101,11 @@ class TestAdoptionAdvisor:
         with pytest.raises(ValueError):
             SpotAdoptionAdvisor(TraceStore()).analyze()
 
-    def test_max_candidate_lifetime_filters(self, small_trace):
-        strict = SpotAdoptionAdvisor(small_trace, max_candidate_lifetime=600.0).analyze()
-        loose = SpotAdoptionAdvisor(small_trace, max_candidate_lifetime=86400.0).analyze()
+    def test_max_candidate_lifetime_filters(self, small_trace, monkeypatch):
+        monkeypatch.setattr(spot, "MAX_CANDIDATE_LIFETIME", 600.0)
+        strict = SpotAdoptionAdvisor(small_trace).analyze()
+        monkeypatch.setattr(spot, "MAX_CANDIDATE_LIFETIME", 86400.0)
+        loose = SpotAdoptionAdvisor(small_trace).analyze()
         assert strict.n_candidates < loose.n_candidates
 
 
@@ -121,7 +125,7 @@ def _analyze_reference(advisor: SpotAdoptionAdvisor) -> SpotAdoptionReport:
         n_completed += 1
         core_hours = vm.cores * vm.lifetime / SECONDS_PER_HOUR
         total_core_hours += core_hours
-        if vm.lifetime > advisor.max_candidate_lifetime:
+        if vm.lifetime > spot.MAX_CANDIDATE_LIFETIME:
             continue
         n_candidates += 1
         candidate_core_hours += core_hours
@@ -129,7 +133,7 @@ def _analyze_reference(advisor: SpotAdoptionAdvisor) -> SpotAdoptionReport:
         first = int(vm.created_at // SECONDS_PER_HOUR)
         last = min(int(vm.ended_at // SECONDS_PER_HOUR), len(pressure) - 1)
         window = pressure[first : last + 1]
-        expected_evictions += 1.0 - float(np.prod(advisor.eviction_model.hourly_survival(window)))
+        expected_evictions += 1.0 - float(np.prod(hourly_survival(window)))
         if window.size and window[0] < np.median(pressure):
             valley_starts += 1
     return SpotAdoptionReport(
@@ -147,11 +151,10 @@ def _analyze_reference(advisor: SpotAdoptionAdvisor) -> SpotAdoptionReport:
 
 class TestMatchesPerVmReference:
     @pytest.mark.parametrize("trace", ["small_trace", "medium_trace"])
-    def test_report_identical(self, trace, request):
+    def test_report_identical(self, trace, request, eviction_curve):
         # A low knee makes evictions likely, so the memoized survival terms
         # carry real weight in expected_evictions.
-        for model in (SpotEvictionModel(), SpotEvictionModel(knee=0.05)):
-            advisor = SpotAdoptionAdvisor(
-                request.getfixturevalue(trace), eviction_model=model
-            )
+        advisor = SpotAdoptionAdvisor(request.getfixturevalue(trace))
+        for knee in (spot.EVICTION_KNEE, 0.05):
+            eviction_curve(knee)
             assert advisor.analyze() == _analyze_reference(advisor)

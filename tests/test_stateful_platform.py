@@ -10,7 +10,6 @@ and checks the core safety invariants after every step:
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -35,9 +34,7 @@ class PlatformMachine(RuleBasedStateMachine):
             nodes_per_rack=2,
             node_sku=NodeSku("n", 16, 64),
         )
-        self.platform = CloudPlatform(
-            build_topology(spec), TraceStore(), rng=np.random.default_rng(0)
-        )
+        self.platform = CloudPlatform(build_topology(spec), TraceStore())
         self.clock = 0.0
         self.live: set[int] = set()
 

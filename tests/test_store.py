@@ -18,6 +18,7 @@ from repro.telemetry.schema import (
     VMRecord,
 )
 from repro.telemetry.shards import write_shard
+from repro.telemetry import store as store_module
 from repro.telemetry.store import TraceMetadata, TraceStore
 
 
@@ -538,7 +539,8 @@ class TestReadOnlyViews:
         tail = store.utilization_matrix([2], start=n - 4)
         np.testing.assert_array_equal(tail, full[1:, n - 4 :])
 
-    def test_utilization_mean_matches_dense(self):
+    def test_utilization_mean_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MEAN_CHUNK_ROWS", 2)  # 5 rows: 3 chunks
         store = TraceStore()
         n = store.metadata.n_samples
         rng = np.random.default_rng(7)
@@ -546,7 +548,7 @@ class TestReadOnlyViews:
         for vm_id in range(1, 6):
             store.add_vm(make_vm(vm_id))
         store.add_utilization_block(list(range(1, 6)), block)
-        mean = store.utilization_mean(list(range(1, 6)), chunk_rows=2)
+        mean = store.utilization_mean(list(range(1, 6)))
         np.testing.assert_allclose(
             mean, block.astype(np.float64).mean(axis=0), rtol=0, atol=1e-12
         )

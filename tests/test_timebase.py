@@ -22,11 +22,6 @@ def test_sample_times_grid():
     assert np.all(np.diff(times) == timebase.SAMPLE_PERIOD)
 
 
-def test_sample_times_offset():
-    times = timebase.sample_times(4, offset=100.0)
-    assert times[0] == 100.0
-
-
 def test_hour_of_day_utc():
     times = np.array([0.0, 6 * 3600, 23.5 * 3600, 24 * 3600])
     hours = timebase.hour_of_day(times)

@@ -34,10 +34,6 @@ class TestConfigHash:
     def test_sensitive_to_every_field(self):
         base = cache.config_hash(SMALL)
         assert cache.config_hash(GeneratorConfig(seed=3, scale=0.05, holiday_week=True)) != base
-        assert (
-            cache.config_hash(GeneratorConfig(seed=3, scale=0.05, synthesize_utilization=False))
-            != base
-        )
 
     def test_sensitive_to_generator_version(self, monkeypatch):
         base = cache.config_hash(SMALL)

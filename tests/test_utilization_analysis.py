@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.timeseries import PercentileBands, fold_daily, percentile_bands
 from repro.core import utilization as util
+from repro.core.patterns import pattern_mix
 from repro.experiments import fig6
 from repro.telemetry.schema import Cloud, PATTERN_DIURNAL, PATTERN_STABLE
 from repro.telemetry.store import TraceStore
@@ -15,12 +16,12 @@ from repro.timebase import SECONDS_PER_DAY
 
 class TestPatternMixAnalysis:
     def test_fractions_sum_to_one(self, small_trace):
-        mix = util.pattern_mix(small_trace, Cloud.PRIVATE, max_vms=120)
+        mix = pattern_mix(small_trace, Cloud.PRIVATE, max_vms=120)
         assert sum(mix.as_fractions().values()) == pytest.approx(1.0)
 
     def test_cloud_mixes_differ_in_documented_direction(self, medium_trace):
-        p = util.pattern_mix(medium_trace, Cloud.PRIVATE, max_vms=400).as_fractions()
-        q = util.pattern_mix(medium_trace, Cloud.PUBLIC, max_vms=400).as_fractions()
+        p = pattern_mix(medium_trace, Cloud.PRIVATE, max_vms=400).as_fractions()
+        q = pattern_mix(medium_trace, Cloud.PUBLIC, max_vms=400).as_fractions()
         assert p[PATTERN_DIURNAL] > q[PATTERN_DIURNAL]
         assert q[PATTERN_STABLE] > p[PATTERN_STABLE]
 
@@ -86,7 +87,7 @@ class TestPercentiles:
             )
             for cloud in (Cloud.PRIVATE, Cloud.PUBLIC)
         )
-        assert util.daily_range(p, 50.0) > util.daily_range(q, 50.0)
+        assert util.daily_range(p) > util.daily_range(q)
 
 
 def _daily_percentiles_reference(
@@ -133,4 +134,4 @@ def test_daily_range_of_flat_band_is_zero():
     from repro.analysis.timeseries import PercentileBands
 
     bands = PercentileBands(percentiles=(50.0,), bands=np.ones((1, 288)), n_series=3)
-    assert util.daily_range(bands, 50.0) == 0.0
+    assert util.daily_range(bands) == 0.0

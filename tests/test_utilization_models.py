@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.workloads import utilization_models
 from repro.timebase import SAMPLES_PER_DAY, SAMPLES_PER_WEEK, SECONDS_PER_HOUR, sample_times
 from repro.workloads.utilization_models import (
     NoiseParams,
@@ -70,13 +71,15 @@ class TestStableSignal:
 
 
 class TestIrregularSignal:
-    def test_mostly_low_with_spikes(self, times, rng):
-        signal = irregular_signal(times, rng=rng, spike_rate_per_day=2.0)
+    def test_mostly_low_with_spikes(self, times, rng, monkeypatch):
+        monkeypatch.setattr(utilization_models, "SPIKE_RATE_PER_DAY", 2.0)
+        signal = irregular_signal(times, rng=rng)
         assert np.median(signal) <= 0.1
         assert signal.max() >= 0.45
 
-    def test_no_spikes_when_rate_zero(self, times, rng):
-        signal = irregular_signal(times, rng=rng, spike_rate_per_day=0.0)
+    def test_no_spikes_when_rate_zero(self, times, rng, monkeypatch):
+        monkeypatch.setattr(utilization_models, "SPIKE_RATE_PER_DAY", 0.0)
+        signal = irregular_signal(times, rng=rng)
         assert np.all(signal == signal[0])
 
 

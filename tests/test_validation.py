@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.claims import ANCHORS, TELEMETRY_TASKS, validate_trace
+from repro.experiments.claims import ANCHORS, validate_trace
 
 
 class TestScorecard:
@@ -17,17 +17,6 @@ class TestScorecard:
         assert text.startswith(f"Calibration scorecard: {len(ANCHORS)}/{len(ANCHORS)}")
         assert "fig3a [PASS] private shortest-bin fraction ~49%" in text
 
-    def test_without_utilization_anchors(self):
-        from repro.workloads.generator import GeneratorConfig, generate_trace_pair
-
-        trace = generate_trace_pair(
-            GeneratorConfig(seed=5, scale=0.15, synthesize_utilization=False)
-        )
-        scorecard = validate_trace(trace)
-        assert set(scorecard.results) == {"fig1a", "fig1b", "fig3a", "fig3d", "fig4b"}
-        assert not set(scorecard.results) & TELEMETRY_TASKS
-        assert scorecard.passed, scorecard.render()
-
     def test_detects_broken_profile(self):
         """A profile with inverted lifetime mixes must fail the scorecard."""
         from dataclasses import replace
@@ -41,7 +30,7 @@ class TestScorecard:
         broken_private = replace(
             private_profile(), lifetime=LifetimeModel(0.95, 0.04, 0.01)
         )
-        config = GeneratorConfig(seed=5, scale=0.15, synthesize_utilization=False)
+        config = GeneratorConfig(seed=5, scale=0.15)
         private = TraceGenerator(broken_private, config).generate()
         public = TraceGenerator(
             public_profile(), config, entity_offset=1
