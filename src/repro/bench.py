@@ -459,10 +459,10 @@ def _phase_analyze(
     seed: int, scale: float, cache_dir: str, task_ids: list[str] | None
 ) -> dict:
     """One pass of the experiment registry over the cached trace."""
-    from repro.experiments.config import ExperimentConfig
     from repro.experiments.parallel import execute
+    from repro.workloads.generator import GeneratorConfig
 
-    config = ExperimentConfig(seed=seed, scale=scale)
+    config = GeneratorConfig(seed=seed, scale=scale)
     with span("bench.analyze", scale=scale) as timing:
         outcomes = execute(config, jobs=1, cache_dir=cache_dir, task_ids=task_ids)
     return {
@@ -651,10 +651,10 @@ def _phase_serve(
     seed: int, scale: float, cache_dir: str, clients: int, requests_per_client: int
 ) -> dict:
     """One full serving pass plus the calibration workload."""
-    from repro.experiments.cache import get_trace
+    from repro.experiments.cache import fetch_trace
     from repro.workloads.generator import GeneratorConfig
 
-    store = get_trace(GeneratorConfig(seed=seed, scale=scale), cache_dir=cache_dir)
+    store = fetch_trace(GeneratorConfig(seed=seed, scale=scale), cache_dir=cache_dir)[0]
     outcome = asyncio.run(
         _drive(store, clients=clients, requests_per_client=requests_per_client, seed=seed)
     )

@@ -10,7 +10,7 @@ Subcommands::
     repro-cloud experiments [--jobs 4] [--manifest [PATH]] [--cache-dir DIR]
                             [--write-md EXPERIMENTS.md] [--seed 7 --scale 0.3]
                             [--retries N] [--task-timeout S] [--fail-fast]
-                            [--metrics PATH] [--profile [PATH]]
+                            [--profile [PATH]]
                             (alias: repro-cloud run ...)
     repro-cloud kb          [--trace trace_dir] [--out kb.json]
     repro-cloud case-study  [--seed 11]
@@ -128,9 +128,7 @@ def _manifest_path(args: argparse.Namespace) -> Path | None:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.config import ExperimentConfig, RetryPolicy
+    from repro.experiments.parallel import RetryPolicy
     from repro.experiments.runner import (
         EXIT_CHECK_FAILURES,
         EXIT_DEGRADED,
@@ -141,8 +139,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         write_manifest,
     )
     from repro.obs import maybe_profile
+    from repro.workloads.generator import GeneratorConfig
 
-    config = ExperimentConfig(seed=args.seed, scale=args.scale)
+    config = GeneratorConfig(seed=args.seed, scale=args.scale)
     policy = RetryPolicy(
         retries=args.retries,
         task_timeout_s=args.task_timeout,
@@ -162,10 +161,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             "(inspect with: python -m pstats ...)",
             file=sys.stderr,
         )
-    if args.metrics:
-        metrics_path = Path(args.metrics)
-        metrics_path.write_text(json.dumps(report.metrics, indent=2) + "\n")
-        print(f"wrote {metrics_path}")
     results = report.results
     print(render_report(results))
     trace = report.trace_info
@@ -483,10 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--export-dir", type=str, default=None,
         help="export the numeric series behind every figure as CSV files",
-    )
-    p_exp.add_argument(
-        "--metrics", type=str, default=None, metavar="PATH",
-        help="dump the run's metrics snapshot (counters + spans) as JSON",
     )
     p_exp.add_argument(
         "--profile", type=str, nargs="?", const="profile.pstats", default=None,

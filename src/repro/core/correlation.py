@@ -33,6 +33,17 @@ from repro.timebase import SECONDS_PER_DAY
 #: is estimated over a meaningful overlap.
 MIN_ALIVE_SECONDS = 2 * SECONDS_PER_DAY
 
+#: Cap on the multi-VM nodes :func:`node_level_correlation` visits
+#: (``None``: every node).
+MAX_NODES: int | None = None
+
+#: Countries whose regions Fig. 7(b) correlates.
+REGION_COUNTRIES: tuple[str, ...] = ("US",)
+
+#: Countries whose regions :func:`region_agnostic_subscriptions` considers
+#: (empty: every region).
+AGNOSTIC_COUNTRIES: tuple[str, ...] = ()
+
 #: Pairs dropped because one side was constant (Pearson r undefined).
 _CONSTANT_PAIRS = Counter("correlation.constant_pairs")
 
@@ -61,20 +72,15 @@ def _correlation_cdf(correlations: list[float], n_constant: int) -> CorrelationC
     return replace(cdf, n_constant_pairs=int(n_constant))
 
 
-def node_level_correlation(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    max_nodes: int | None = None,
-) -> CorrelationCdf:
+def node_level_correlation(store: TraceStore, cloud: Cloud) -> CorrelationCdf:
     """Fig. 7(a): CDF of Pearson(VM utilization, host-node utilization).
 
     "We filter out the trivial case that nodes only host one VM."  VMs must
     be alive at least :data:`MIN_ALIVE_SECONDS`; each correlation is
     computed on the VM's alive span.
 
-    When ``max_nodes`` caps the sample, nodes are visited in ascending
-    ``node_id`` order so the cap selects the same nodes on every run.
+    Nodes are visited in ascending ``node_id`` order, so when
+    :data:`MAX_NODES` caps the sample it selects the same nodes on every run.
     """
     metadata = store.metadata
     vms_by_node = store.vms_by_node(cloud=cloud)
@@ -95,7 +101,7 @@ def node_level_correlation(
         if len(vms) < 2:
             continue  # trivial single-VM nodes are excluded
         n_nodes += 1
-        if max_nodes is not None and n_nodes > max_nodes:
+        if MAX_NODES is not None and n_nodes > MAX_NODES:
             break
         rows = [store.utilization(vm.vm_id) for vm in vms]
         node_util = node_utilization(node, vms, rows)
@@ -207,22 +213,15 @@ def _node_level_correlation_reference(
     return _correlation_cdf(correlations, n_constant)
 
 
-def region_level_correlation(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    countries: tuple[str, ...] = ("US",),
-) -> CorrelationCdf:
+def region_level_correlation(store: TraceStore, cloud: Cloud) -> CorrelationCdf:
     """Fig. 7(b): CDF of cross-region utilization correlation per subscription.
 
-    For each subscription deployed in at least two of the selected
-    countries' regions, correlate the region-averaged utilization
+    For each subscription deployed in at least two regions of
+    :data:`REGION_COUNTRIES`, correlate the region-averaged utilization
     of every region pair.
     """
     allowed = {
-        name
-        for name, info in store.regions.items()
-        if not countries or info.country in countries
+        name for name, info in store.regions.items() if info.country in REGION_COUNTRIES
     }
     # One fleet pass groups (subscription, region) -> vm ids.
     grouped = subscription_region_vm_ids(store, cloud=cloud)
@@ -323,7 +322,6 @@ def region_agnostic_subscriptions(
     cloud: Cloud,
     *,
     threshold: float = 0.7,
-    countries: tuple[str, ...] = (),
 ) -> list[RegionAgnosticReport]:
     """Identify region-agnostic candidates: high correlation in every pair.
 
@@ -335,7 +333,7 @@ def region_agnostic_subscriptions(
     allowed = {
         name
         for name, info in store.regions.items()
-        if not countries or info.country in countries
+        if not AGNOSTIC_COUNTRIES or info.country in AGNOSTIC_COUNTRIES
     }
     grouped = subscription_region_vm_ids(store, cloud=cloud)
     reports = []

@@ -12,12 +12,11 @@ checks that ``repro study`` and ``repro validate`` report.
 """
 
 from repro.experiments.base import CheckResult, ExperimentResult
-from repro.experiments.config import ExperimentConfig, get_trace
+from repro.experiments.cache import get_trace
 from repro.experiments.runner import RunReport, run_pipeline, write_experiments_md
 
 __all__ = [
     "CheckResult",
-    "ExperimentConfig",
     "ExperimentResult",
     "RunReport",
     "get_trace",

@@ -13,6 +13,9 @@ Layout::
 
     <cache-dir>/traces/<config-hash>/   # one save_trace() directory per key
 
+:func:`get_trace` puts a per-process memo in front of it, so the tasks of
+one run share one store.
+
 The cache root resolves, in order, to the explicit ``cache_dir`` argument,
 the ``REPRO_CACHE_DIR`` environment variable, then ``~/.cache/repro``.
 Writes are atomic (temp directory + rename) so concurrent writers of the
@@ -201,12 +204,39 @@ def fetch_trace(
     )
 
 
+#: Per-process memo in front of the disk cache: one store per config.
+_TRACES: dict[GeneratorConfig, TraceStore] = {}
+
+
 def get_trace(
     config: GeneratorConfig,
     *,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
 ) -> TraceStore:
-    """:func:`fetch_trace` without the provenance record."""
-    store, _info = fetch_trace(config, cache_dir=cache_dir, use_cache=use_cache)
+    """The shared trace for ``config``, fetched at most once per process.
+
+    Experiments share one trace per config: this memo serves repeat calls
+    within one run, and :func:`fetch_trace`'s disk cache lets a warm second
+    process (or a spawned ``--jobs`` worker) skip synthesis too.
+    """
+    store = _TRACES.get(config)
+    if store is None:
+        store = _TRACES[config] = fetch_trace(
+            config, cache_dir=cache_dir, use_cache=use_cache
+        )[0]
     return store
+
+
+def prime_trace(config: GeneratorConfig, store: TraceStore) -> None:
+    """Install ``store`` as the memoized trace for ``config``.
+
+    The pipeline runner calls :func:`fetch_trace` itself (to learn hit/miss
+    for the manifest) and primes the memo so its tasks reuse that object.
+    """
+    _TRACES[config] = store
+
+
+def clear_trace_cache() -> None:
+    """Drop memoized traces (used by tests to bound memory)."""
+    _TRACES.clear()

@@ -11,14 +11,14 @@ Faults are armed through the ``REPRO_FAULT`` environment variable::
 
     REPRO_FAULT=<target>:<kind>[:<count>][,<target>:<kind>[:<count>]...]
 
-* ``target`` -- an experiment task id (``fig5``), a task-id *prefix*
-  (``fig3`` resolves to the first matching registry task, ``fig3a``), or
-  the literal ``cache`` for cache-corruption faults.
-* ``kind`` -- ``raise`` (alias ``crash``): raise :class:`FaultInjected`
-  inside the task body; ``hang`` (alias ``stall``): block until the
-  supervisor's timeout kills the worker; ``kill`` (alias ``sigkill``):
-  SIGKILL the worker process mid-task; ``corrupt``: truncate a file of
-  the on-disk cached trace just before it is loaded.
+* ``target`` -- an experiment task id (``fig5``), or the literal
+  ``cache`` for cache-corruption faults.  A target that names no task is
+  inert, so a typo'd target degrades to a no-op rather than crashing the
+  run.
+* ``kind`` -- ``raise``: raise :class:`FaultInjected` inside the task
+  body; ``hang``: block until the supervisor's timeout kills the worker;
+  ``kill``: SIGKILL the worker process mid-task; ``corrupt``: truncate a
+  file of the on-disk cached trace just before it is loaded.
 * ``count`` -- how many attempts the fault fires on.  Task faults
   default to *every* attempt (so a task with retries still ends up
   ``failed``); ``fig5:raise:1`` fires only on the first attempt, letting
@@ -38,7 +38,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 from repro.obs import Counter
 
@@ -62,17 +61,6 @@ class FaultKind(Enum):
     HANG = "hang"
     KILL = "kill"
     CORRUPT = "corrupt"
-
-
-_KIND_ALIASES = {
-    "raise": FaultKind.RAISE,
-    "crash": FaultKind.RAISE,
-    "hang": FaultKind.HANG,
-    "stall": FaultKind.HANG,
-    "kill": FaultKind.KILL,
-    "sigkill": FaultKind.KILL,
-    "corrupt": FaultKind.CORRUPT,
-}
 
 
 @dataclass(frozen=True)
@@ -99,7 +87,7 @@ def parse_faults(text: str | None) -> tuple[FaultSpec, ...]:
     if not text or not text.strip():
         return ()
     specs = []
-    for chunk in text.replace(";", ",").split(","):
+    for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -109,12 +97,13 @@ def parse_faults(text: str | None) -> tuple[FaultSpec, ...]:
                 f"malformed fault spec {chunk!r} (expected target:kind[:count])"
             )
         target, kind_text = parts[0].strip(), parts[1].strip().lower()
-        kind = _KIND_ALIASES.get(kind_text)
-        if kind is None:
+        try:
+            kind = FaultKind(kind_text)
+        except ValueError:
             raise ValueError(
                 f"unknown fault kind {kind_text!r} in {chunk!r} "
-                f"(one of: {', '.join(sorted(_KIND_ALIASES))})"
-            )
+                f"(one of: {', '.join(k.value for k in FaultKind)})"
+            ) from None
         count: int | None = 1 if kind is FaultKind.CORRUPT else None
         if len(parts) == 3:
             count = int(parts[2])
@@ -129,23 +118,7 @@ def plan_from_env() -> tuple[FaultSpec, ...]:
     return parse_faults(os.environ.get(ENV_FAULT))
 
 
-def resolve_target(target: str, known_ids: Sequence[str]) -> str | None:
-    """Map a spec target onto one concrete task id.
-
-    An exact id match wins; otherwise the first ``known_ids`` entry (in
-    registry order) the target is a prefix of.  ``None`` when nothing
-    matches -- the spec is inert, so a typo'd target degrades to a no-op
-    rather than crashing the run.
-    """
-    if target in known_ids:
-        return target
-    for task_id in known_ids:
-        if task_id.startswith(target):
-            return task_id
-    return None
-
-
-def maybe_fire(task_id: str, attempt: int, known_ids: Sequence[str]) -> None:
+def maybe_fire(task_id: str, attempt: int) -> None:
     """Fire any armed task fault matching ``task_id`` on this attempt.
 
     Called at the top of every task attempt (in the worker process when
@@ -156,7 +129,7 @@ def maybe_fire(task_id: str, attempt: int, known_ids: Sequence[str]) -> None:
     for spec in plan_from_env():
         if spec.kind is FaultKind.CORRUPT:
             continue
-        if resolve_target(spec.target, known_ids) != task_id:
+        if spec.target != task_id:
             continue
         if not spec.fires_on(attempt):
             continue

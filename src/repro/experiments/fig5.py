@@ -21,12 +21,15 @@ from repro.telemetry.schema import (
 )
 from repro.telemetry.store import TraceStore
 
+#: Long-lived VMs per cloud whose series the measured mix classifies.
+MAX_VMS = 800
 
-def run(store: TraceStore, *, max_vms: int | None = 800) -> ExperimentResult:
+
+def run(store: TraceStore) -> ExperimentResult:
     """Reproduce Fig. 5 (samples + measured mix)."""
     result = ExperimentResult("fig5", "Utilization pattern taxonomy and mix")
-    p_mix = pattern_mix(store, Cloud.PRIVATE, max_vms=max_vms)
-    q_mix = pattern_mix(store, Cloud.PUBLIC, max_vms=max_vms)
+    p_mix = pattern_mix(store, Cloud.PRIVATE, max_vms=MAX_VMS)
+    q_mix = pattern_mix(store, Cloud.PUBLIC, max_vms=MAX_VMS)
     result.series["private_mix"] = p_mix.as_fractions()
     result.series["public_mix"] = q_mix.as_fractions()
     for pattern in UTILIZATION_PATTERNS:

@@ -16,6 +16,9 @@ from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 from repro.timebase import SECONDS_PER_DAY
 
+#: Long-lived VMs per cloud whose series the percentile bands pool.
+MAX_VMS = 1500
+
 
 def _weekend_dip(band: np.ndarray, sample_period: float) -> float:
     """Relative drop of a percentile band on the weekend vs weekdays."""
@@ -27,12 +30,12 @@ def _weekend_dip(band: np.ndarray, sample_period: float) -> float:
     return float(1.0 - weekend.mean() / weekday.mean())
 
 
-def run(store: TraceStore, *, max_vms: int | None = 1500) -> ExperimentResult:
+def run(store: TraceStore) -> ExperimentResult:
     """Reproduce Fig. 6 (all four panels)."""
     result = ExperimentResult("fig6", "CPU utilization distribution over time")
     sample_period = store.metadata.sample_period
-    p_week = util.weekly_percentiles(store, Cloud.PRIVATE, max_vms=max_vms)
-    q_week = util.weekly_percentiles(store, Cloud.PUBLIC, max_vms=max_vms)
+    p_week = util.weekly_percentiles(store, Cloud.PRIVATE, max_vms=MAX_VMS)
+    q_week = util.weekly_percentiles(store, Cloud.PUBLIC, max_vms=MAX_VMS)
     p_day = util.daily_bands(p_week, sample_period)
     q_day = util.daily_bands(q_week, sample_period)
     result.series["private_weekly"] = p_week

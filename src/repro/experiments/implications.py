@@ -21,15 +21,18 @@ from repro.management.spot import SpotAdoptionAdvisor
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 
+#: Private-cloud VMs the over-subscription sweep packs.
+MAX_CANDIDATES = 600
 
-def run_oversubscription(store: TraceStore, *, max_candidates: int = 600) -> ExperimentResult:
+
+def run_oversubscription(store: TraceStore) -> ExperimentResult:
     """Reproduce IM1: utilization gain vs safety level."""
     result = ExperimentResult(
         "im1-oversubscription",
         "Chance-constrained over-subscription gain vs safety level",
     )
     oversubscriber = ChanceConstrainedOversubscriber(
-        store, cloud=Cloud.PRIVATE, max_candidates=max_candidates
+        store, cloud=Cloud.PRIVATE, max_candidates=MAX_CANDIDATES
     )
     baseline = oversubscriber.pack_baseline(NODE_CAPACITY_CORES)
     outcomes = sweep_epsilon(oversubscriber, NODE_CAPACITY_CORES)

@@ -13,13 +13,12 @@ selection through one scheduler loop with two kinds of attempt:
 
 Both kinds share the retry, exponential-backoff, fail-fast and failure
 bookkeeping.  Per-attempt processes are what make the pipeline fault
-tolerant: a worker that raises, hangs past the
-:class:`~repro.experiments.config.RetryPolicy` deadline, or dies to a
-SIGKILL takes down only its own attempt, and once its attempts are
-exhausted the task is recorded ``failed``/``timeout`` while the rest of
-the registry completes -- unlike a shared ``ProcessPoolExecutor``, where
-one killed worker poisons every pending future with
-``BrokenProcessPool``.  Outcomes are always reassembled in registry
+tolerant: a worker that raises, hangs past the :class:`RetryPolicy`
+deadline, or dies to a SIGKILL takes down only its own attempt, and once
+its attempts are exhausted the task is recorded ``failed``/``timeout``
+while the rest of the registry completes -- unlike a shared
+``ProcessPoolExecutor``, where one killed worker poisons every pending
+future with ``BrokenProcessPool``.  Outcomes are always reassembled in registry
 order, so the output is deterministic at any job count.
 
 Worker processes get the shared trace for free: on fork start methods they
@@ -58,7 +57,8 @@ from repro.experiments import (
     validity,
 )
 from repro.experiments.base import ExperimentResult
-from repro.experiments.config import ExperimentConfig, RetryPolicy, get_trace
+from repro.experiments.cache import get_trace
+from repro.workloads.generator import GeneratorConfig
 
 #: Statuses a task outcome (and its manifest row) may carry.
 TASK_STATUSES = ("ok", "retried", "failed", "timeout", "skipped")
@@ -70,6 +70,59 @@ _RETRY_ATTEMPTS = Counter("retry.attempts")
 _TASKS_FAILED = Counter("task.failed")
 _TASKS_TIMEOUT = Counter("task.timeout")
 _TASKS_SKIPPED = Counter("task.skipped")
+
+#: Base backoff before the first retry; doubles per failed attempt.
+BACKOFF_S = 0.1
+#: Upper bound on any single backoff sleep.
+BACKOFF_MAX_S = 30.0
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How the scheduler treats a task attempt that fails, hangs, or dies.
+
+    Attempt ``n`` (1-based) that fails is retried after
+    ``BACKOFF_S * 2**(n-1)`` seconds (capped at ``BACKOFF_MAX_S``) until
+    ``retries`` extra attempts are exhausted; the task then lands in the
+    manifest as ``failed`` (or ``timeout`` when the last attempt hit the
+    per-task deadline) while the rest of the registry completes.  The
+    policy shapes how a run degrades, never what it computes, so it is
+    not part of the trace-cache key.
+    """
+
+    #: Extra attempts after the first (0 = fail immediately).
+    retries: int = 0
+    #: Per-attempt wall-clock deadline; ``None`` disables timeouts.  A
+    #: deadline (or an armed hang/kill fault) forces process isolation
+    #: even at ``jobs=1`` so a hung task can actually be killed.
+    task_timeout_s: float | None = None
+    #: When True, a task that exhausts its attempts marks every not-yet-
+    #: started task ``skipped`` instead of running it.
+    fail_fast: bool = False
+
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
+            raise ValueError(f"task_timeout_s must be > 0, got {self.task_timeout_s}")
+
+    @property
+    def max_attempts(self) -> int:
+        """Total attempts a task may consume."""
+        return self.retries + 1
+
+    def backoff_for(self, failed_attempt: int) -> float:
+        """Sleep before retrying after 1-based attempt ``failed_attempt`` failed."""
+        return min(BACKOFF_MAX_S, BACKOFF_S * 2 ** (failed_attempt - 1))
+
+    def to_dict(self) -> dict:
+        """JSON-ready rendering for the run manifest."""
+        return {
+            "retries": self.retries,
+            "task_timeout_s": self.task_timeout_s,
+            "backoff_s": BACKOFF_S,
+            "fail_fast": self.fail_fast,
+        }
 
 
 @dataclass(frozen=True)
@@ -88,14 +141,14 @@ class ExperimentTask:
 
 
 def _run_case_study(
-    config: ExperimentConfig, cache_dir: str | Path | None, use_cache: bool
+    config: GeneratorConfig, cache_dir: str | Path | None, use_cache: bool
 ) -> ExperimentResult:
     """The Canada pilot builds its own two-region scenario (no generator)."""
     return case_study.run(seed=config.seed + 4)
 
 
 def _run_validity(
-    config: ExperimentConfig, cache_dir: str | Path | None, use_cache: bool
+    config: GeneratorConfig, cache_dir: str | Path | None, use_cache: bool
 ) -> ExperimentResult:
     """The holiday ablation generates its own trace sweep (disk-cached)."""
     return validity.run(
@@ -147,9 +200,6 @@ REGISTRY: tuple[ExperimentTask, ...] = (
 #: Registry lookup by task id.
 TASKS: dict[str, ExperimentTask] = {task.task_id: task for task in REGISTRY}
 
-#: Registry order, used to resolve fault targets deterministically.
-_REGISTRY_IDS: tuple[str, ...] = tuple(task.task_id for task in REGISTRY)
-
 
 @dataclass
 class TaskOutcome:
@@ -180,11 +230,11 @@ class TaskOutcome:
 
 def run_task(
     task_id: str,
-    config: ExperimentConfig | None = None,
+    config: GeneratorConfig,
     *,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-    attempt: int = 1,
+    cache_dir: str | Path | None,
+    use_cache: bool,
+    attempt: int,
 ) -> TaskOutcome:
     """Execute one registered task (also the entry point for worker processes).
 
@@ -194,9 +244,8 @@ def run_task(
     Armed :mod:`~repro.experiments.faultinject` faults fire here, before
     any real work, so every attempt is deterministic.
     """
-    config = config or ExperimentConfig()
     task = TASKS[task_id]
-    faultinject.maybe_fire(task_id, attempt, _REGISTRY_IDS)
+    faultinject.maybe_fire(task_id, attempt)
     fetch_s = 0.0
     span_mark = mark()
     with MetricsScope() as scope:
@@ -243,7 +292,7 @@ def _plan_requires_isolation() -> bool:
 
 
 def execute(
-    config: ExperimentConfig | None = None,
+    config: GeneratorConfig,
     *,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
@@ -263,7 +312,6 @@ def execute(
     position, so results are identical regardless of completion order or
     worker count.
     """
-    config = config or ExperimentConfig()
     policy = policy or RetryPolicy()
     selected = _select_tasks(task_ids)
     inline = (
@@ -293,7 +341,7 @@ def execute(
 def _worker_entry(
     conn,
     task_id: str,
-    config: ExperimentConfig,
+    config: GeneratorConfig,
     cache_dir: str | Path | None,
     use_cache: bool,
     attempt: int,
@@ -346,7 +394,7 @@ class _TaskState:
 
 def _schedule(
     selected: list[ExperimentTask],
-    config: ExperimentConfig,
+    config: GeneratorConfig,
     policy: RetryPolicy,
     *,
     jobs: int,

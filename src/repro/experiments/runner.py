@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs import MetricsScope, drain_spans, mark, span
 from repro.experiments import cache, faultinject, parallel
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import TraceCacheInfo
-from repro.experiments.config import ExperimentConfig, RetryPolicy, prime_trace
-from repro.experiments.parallel import DEGRADED_STATUSES, TASK_STATUSES, TaskOutcome
-from repro.workloads.generator import GENERATOR_VERSION
+from repro.experiments.parallel import (
+    DEGRADED_STATUSES,
+    TASK_STATUSES,
+    RetryPolicy,
+    TaskOutcome,
+)
+from repro.workloads.generator import GENERATOR_VERSION, GeneratorConfig
 
 #: Maps experiment ids to the paper artifact they reproduce.
 PAPER_ARTIFACTS = {task.task_id: task.paper_artifact for task in parallel.REGISTRY}
@@ -34,8 +38,7 @@ PAPER_ARTIFACTS = {task.task_id: task.paper_artifact for task in parallel.REGIST
 #: embeds metrics v2.
 MANIFEST_SCHEMA_VERSION = 5
 
-#: Version of the standalone metrics snapshot layout (``--metrics`` file,
-#: also embedded as the manifest's ``metrics`` section).  v2 dropped the
+#: Version of the manifest's ``metrics`` section.  v2 dropped the
 #: ``gauges`` key: no metric was ever a gauge.
 METRICS_SCHEMA_VERSION = 2
 
@@ -83,10 +86,9 @@ _MANIFEST_ROW_KEYS = (
 class RunReport:
     """Everything one pipeline run produced."""
 
-    config: ExperimentConfig
     outcomes: list[TaskOutcome]
     trace_info: TraceCacheInfo
-    manifest: dict = field(default_factory=dict)
+    manifest: dict
 
     @property
     def results(self) -> list[ExperimentResult]:
@@ -97,14 +99,9 @@ class RunReport:
         """
         return [outcome.result for outcome in self.outcomes if outcome.result is not None]
 
-    @property
-    def metrics(self) -> dict:
-        """The run's metrics snapshot (the manifest's ``metrics`` section)."""
-        return self.manifest.get("metrics", {})
-
 
 def run_pipeline(
-    config: ExperimentConfig | None = None,
+    config: GeneratorConfig,
     *,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
@@ -119,7 +116,6 @@ def run_pipeline(
     for every run that gets as far as task execution -- degraded runs
     included -- so partial results always leave a machine-readable record.
     """
-    config = config or ExperimentConfig()
     policy = policy or RetryPolicy()
     # Every structured timing below this goes through spans; this clock only
     # feeds the manifest's whole-run wall-time total.
@@ -127,10 +123,8 @@ def run_pipeline(
     span_mark = mark()
     with MetricsScope() as scope:
         with span("pipeline.trace_fetch"):
-            store, trace_info = cache.fetch_trace(
-                config.generator_config(), cache_dir=cache_dir, use_cache=use_cache
-            )
-        prime_trace(config, store)
+            store, trace_info = cache.fetch_trace(config, cache_dir=cache_dir, use_cache=use_cache)
+        cache.prime_trace(config, store)
         outcomes = parallel.execute(
             config, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, policy=policy
         )
@@ -148,16 +142,11 @@ def run_pipeline(
         metrics=metrics,
         policy=policy,
     )
-    return RunReport(
-        config=config, outcomes=outcomes, trace_info=trace_info, manifest=manifest
-    )
+    return RunReport(outcomes=outcomes, trace_info=trace_info, manifest=manifest)
 
 
 def build_metrics_snapshot(
-    outcomes: list[TaskOutcome],
-    *,
-    registry_delta: dict | None = None,
-    spans: list[dict] | None = None,
+    outcomes: list[TaskOutcome], *, registry_delta: dict, spans: list[dict]
 ) -> dict:
     """Assemble the run's observability snapshot.
 
@@ -169,12 +158,11 @@ def build_metrics_snapshot(
     ``wall_time_s`` here is rounded exactly like the manifest's experiment
     rows, so the two always agree.
     """
-    registry_delta = registry_delta or {}
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "counters": registry_delta.get("counters", {}),
         "histograms": registry_delta.get("histograms", {}),
-        "spans": spans or [],
+        "spans": spans,
         "tasks": {
             outcome.task_id: {
                 "wall_time_s": round(outcome.wall_time_s, 3),
@@ -189,15 +177,15 @@ def build_metrics_snapshot(
 
 def build_manifest(
     outcomes: list[TaskOutcome],
-    config: ExperimentConfig,
+    config: GeneratorConfig,
     *,
     jobs: int,
     trace_info: TraceCacheInfo,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-    elapsed_s: float = 0.0,
-    metrics: dict | None = None,
-    policy: RetryPolicy | None = None,
+    cache_dir: str | Path | None,
+    use_cache: bool,
+    elapsed_s: float,
+    metrics: dict,
+    policy: RetryPolicy,
 ) -> dict:
     """The machine-readable record of one pipeline run (schema v5).
 
@@ -208,7 +196,6 @@ def build_manifest(
     (and ``totals.degraded`` count) summarize whether any task is missing
     from the results.
     """
-    policy = policy or RetryPolicy()
     experiments = []
     for outcome in outcomes:
         task = parallel.TASKS[outcome.task_id]
@@ -256,7 +243,7 @@ def build_manifest(
             "degraded": degraded,
             "wall_time_s": round(elapsed_s, 3),
         },
-        "metrics": metrics if metrics is not None else build_metrics_snapshot(outcomes),
+        "metrics": metrics,
         "experiments": experiments,
     }
 
@@ -382,13 +369,9 @@ def render_report(results: list[ExperimentResult]) -> str:
 
 
 def write_experiments_md(
-    results: list[ExperimentResult],
-    path: str | Path = "EXPERIMENTS.md",
-    *,
-    config: ExperimentConfig | None = None,
+    results: list[ExperimentResult], path: str | Path, *, config: GeneratorConfig
 ) -> Path:
     """Regenerate EXPERIMENTS.md: paper-vs-measured for every artifact."""
-    config = config or ExperimentConfig()
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",

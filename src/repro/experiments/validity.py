@@ -34,14 +34,14 @@ def run(
     result = ExperimentResult(
         "validity-holiday", "Threats to validity: holiday-week sensitivity"
     )
-    ordinary = cache.get_trace(
+    ordinary = cache.fetch_trace(
         GeneratorConfig(seed=seed, scale=scale),
         cache_dir=cache_dir, use_cache=use_cache,
-    )
-    holiday = cache.get_trace(
+    )[0]
+    holiday = cache.fetch_trace(
         GeneratorConfig(seed=seed, scale=scale, holiday_week=True),
         cache_dir=cache_dir, use_cache=use_cache,
-    )
+    )[0]
 
     # Robust finding 1: private arrivals remain burstier than public.
     cv_gap_ordinary = (

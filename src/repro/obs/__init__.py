@@ -10,8 +10,9 @@ primitives the pipeline uses to do that:
   exportable as a flat JSON list;
 * :mod:`repro.obs.metrics` -- a process-global **metrics registry** with
   ``Counter("cache.hit")``-style handles plus a snapshot/diff/merge API
-  that stays deterministic under ``ProcessPoolExecutor`` fan-out (child
-  deltas are merged into the parent in registry order);
+  that stays deterministic when the scheduler runs each task attempt in
+  its own worker process (child deltas are merged into the parent in
+  registry order);
 * :mod:`repro.obs.profiling` -- an opt-in ``cProfile`` wrapper behind the
   CLI's ``--profile`` flag.
 

@@ -15,8 +15,9 @@ Handles are module-level constants, so importing the module that reuses
 or misspells a name fails at once -- two modules feeding one series
 would make merge deltas ambiguous.
 
-The registry is deliberately *per process*.  Parallel pipeline stages
-(``ProcessPoolExecutor`` workers) each accumulate into their own copy --
+The registry is deliberately *per process*.  The pipeline's worker
+processes (one per task attempt, see ``repro.experiments.parallel``) each
+accumulate into their own copy --
 under the default ``fork`` start method that copy starts pre-seeded with
 the parent's totals, so raw values cannot simply be shipped back.  The
 supported pattern is **scoped deltas**:

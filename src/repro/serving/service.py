@@ -24,7 +24,7 @@ in-memory :class:`~repro.telemetry.store.TraceStore`:
   gets a typed ``bad_request`` error and bumps the ``serving.bad_request``
   counter instead of killing the connection.
 
-``REPRO_FAULT=serve:stall`` arms the slow-consumer fault: the ingest
+``REPRO_FAULT=serve:hang`` arms the slow-consumer fault: the ingest
 consumer sleeps before each batch, so a fast producer fills the bounded
 queue and blocks -- the asyncio analogue of the worker-pool ``hang`` fault
 (an actual hour-long hang would just wedge the test suite).
@@ -116,7 +116,7 @@ def _number_arg(args: dict, name: str) -> float:
 
 
 def _stall_seconds(delay: float) -> float:
-    """Injected per-batch consumer delay when ``serve:stall`` is armed."""
+    """Injected per-batch consumer delay when ``serve:hang`` is armed."""
     for spec in plan_from_env():
         if spec.target == "serve" and spec.kind is FaultKind.HANG:
             return delay

@@ -159,7 +159,7 @@ def test_experiments_manifest_and_exit_gate(tmp_path, capsys):
     Scale 0.05 is deliberately too thin for ~5 checks, so this exercises
     the CI gate path: exit code 1, `passed: false` rows in the manifest.
     """
-    from repro.experiments.config import clear_trace_cache
+    from repro.experiments.cache import clear_trace_cache
     from repro.experiments.runner import validate_manifest
 
     clear_trace_cache()
@@ -181,7 +181,7 @@ def test_experiments_manifest_and_exit_gate(tmp_path, capsys):
 
 def test_experiments_manifest_default_path_next_to_md(tmp_path):
     """Bare --manifest lands next to the EXPERIMENTS.md being written."""
-    from repro.experiments.config import clear_trace_cache
+    from repro.experiments.cache import clear_trace_cache
     from repro.experiments.runner import validate_manifest
 
     clear_trace_cache()
@@ -200,30 +200,29 @@ def test_experiments_manifest_default_path_next_to_md(tmp_path):
 
 
 def test_experiments_metrics_snapshot_matches_manifest(tmp_path):
-    """--metrics dumps the run snapshot; per-task walls must match the manifest."""
-    from repro.experiments.config import clear_trace_cache
-    from repro.experiments.runner import METRICS_SCHEMA_VERSION, validate_manifest
+    """The manifest's metrics section passes the CI gate and matches its rows."""
+    from repro.experiments.cache import clear_trace_cache
+    from repro.experiments.runner import METRICS_SCHEMA_VERSION
 
     clear_trace_cache()
     manifest_path = tmp_path / "manifest.json"
-    metrics_path = tmp_path / "metrics.json"
     main(
         [
             "run", "--seed", "7", "--scale", "0.05", "--jobs", "2",
             "--cache-dir", str(tmp_path / "cache"),
             "--manifest", str(manifest_path),
-            "--metrics", str(metrics_path),
         ]
     )
-    metrics = json.loads(metrics_path.read_text())
+    # Read the file as the CI gate does, without validate_manifest.
+    manifest = json.loads(manifest_path.read_text())
+    metrics = manifest["metrics"]
     assert metrics["schema_version"] == METRICS_SCHEMA_VERSION
     counters = metrics["counters"]
-    assert counters.get("cache.hit", 0) + counters.get("cache.miss", 0) >= 1
-    manifest = validate_manifest(json.loads(manifest_path.read_text()))
-    assert manifest["metrics"] == metrics
+    assert counters.get("cache.hit", 0) + counters.get("cache.miss", 0) > 0
     rows = {row["id"]: row for row in manifest["experiments"]}
     assert set(metrics["tasks"]) == set(rows)
     for task_id, task in metrics["tasks"].items():
+        assert task["spans"], task_id
         assert task["wall_time_s"] == rows[task_id]["wall_time_s"]
         assert any(s["name"] == "task.run" for s in task["spans"])
 
@@ -231,7 +230,7 @@ def test_experiments_metrics_snapshot_matches_manifest(tmp_path):
 def test_experiments_profile_writes_pstats(tmp_path):
     import pstats
 
-    from repro.experiments.config import clear_trace_cache
+    from repro.experiments.cache import clear_trace_cache
 
     clear_trace_cache()
     profile_path = tmp_path / "run.pstats"

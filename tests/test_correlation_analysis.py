@@ -153,10 +153,11 @@ class TestBlockedNodeCorrelationBitCompat:
             corr._node_level_correlation_reference(correlated_store, Cloud.PRIVATE),
         )
 
-    def test_matches_reference_on_generated_trace(self, small_trace):
+    def test_matches_reference_on_generated_trace(self, small_trace, monkeypatch):
+        monkeypatch.setattr(corr, "MAX_NODES", 40)
         for cloud in (Cloud.PRIVATE, Cloud.PUBLIC):
             self.assert_cdfs_identical(
-                corr.node_level_correlation(small_trace, cloud, max_nodes=40),
+                corr.node_level_correlation(small_trace, cloud),
                 corr._node_level_correlation_reference(
                     small_trace, cloud, max_nodes=40
                 ),
@@ -170,10 +171,9 @@ class TestRegionLevel:
         assert cdf.n_samples == 1
         assert cdf.median > 0.9
 
-    def test_country_filter_off_includes_europe(self, correlated_store):
-        cdf = corr.region_level_correlation(
-            correlated_store, Cloud.PRIVATE, countries=()
-        )
+    def test_country_filter_off_includes_europe(self, correlated_store, monkeypatch):
+        monkeypatch.setattr(corr, "REGION_COUNTRIES", ("US", "EU"))
+        cdf = corr.region_level_correlation(correlated_store, Cloud.PRIVATE)
         assert cdf.n_samples == 3  # all pairs of 3 regions
 
     def test_no_multi_region_raises(self):
@@ -186,18 +186,15 @@ class TestRegionLevel:
 
 
 class TestRegionAgnostic:
-    def test_detection(self, correlated_store):
-        reports = corr.region_agnostic_subscriptions(
-            correlated_store, Cloud.PRIVATE, countries=("US",)
-        )
+    def test_detection(self, correlated_store, monkeypatch):
+        monkeypatch.setattr(corr, "AGNOSTIC_COUNTRIES", ("US",))
+        reports = corr.region_agnostic_subscriptions(correlated_store, Cloud.PRIVATE)
         assert len(reports) == 1
         assert reports[0].region_agnostic
         assert reports[0].regions == ("us-east", "us-west")
 
     def test_anticorrelated_region_breaks_agnosticism(self, correlated_store):
-        reports = corr.region_agnostic_subscriptions(
-            correlated_store, Cloud.PRIVATE, countries=()
-        )
+        reports = corr.region_agnostic_subscriptions(correlated_store, Cloud.PRIVATE)
         assert len(reports) == 1
         assert not reports[0].region_agnostic  # europe is anti-correlated
 

@@ -30,10 +30,11 @@ HASH_SEEDS = ("0", "1")
 def fingerprints(cache_dir: Path) -> dict:
     """One process's trace checksums, task digests and KB hash."""
     from repro.core.knowledge_base import WorkloadKnowledgeBase
-    from repro.experiments.config import ExperimentConfig, get_trace
+    from repro.experiments.cache import get_trace
     from repro.experiments.runner import run_pipeline
+    from repro.workloads.generator import GeneratorConfig
 
-    config = ExperimentConfig(seed=7, scale=0.05)
+    config = GeneratorConfig(seed=7, scale=0.05)
     report = run_pipeline(config, jobs=1, cache_dir=cache_dir)
     store = get_trace(config, cache_dir=cache_dir)
     kb_json = WorkloadKnowledgeBase.from_trace(store).to_json()

@@ -57,12 +57,14 @@ def test_fig4b(store):
     _assert_all_pass(fig4.run_fig4b(store))
 
 
-def test_fig5(store):
-    _assert_all_pass(fig5.run(store, max_vms=500))
+def test_fig5(store, monkeypatch):
+    monkeypatch.setattr(fig5, "MAX_VMS", 500)
+    _assert_all_pass(fig5.run(store))
 
 
-def test_fig6(store):
-    _assert_all_pass(fig6.run(store, max_vms=800))
+def test_fig6(store, monkeypatch):
+    monkeypatch.setattr(fig6, "MAX_VMS", 800)
+    _assert_all_pass(fig6.run(store))
 
 
 def test_fig7a(store):
@@ -77,8 +79,9 @@ def test_fig7c(store):
     _assert_all_pass(fig7.run_fig7c(store))
 
 
-def test_im1_oversubscription(store):
-    _assert_all_pass(implications.run_oversubscription(store, max_candidates=300))
+def test_im1_oversubscription(store, monkeypatch):
+    monkeypatch.setattr(implications, "MAX_CANDIDATES", 300)
+    _assert_all_pass(implications.run_oversubscription(store))
 
 
 def test_im2_spot(store):
@@ -116,7 +119,8 @@ class TestHarness:
 
     def test_write_experiments_md(self, store, tmp_path):
         results = [fig1.run_fig1a(store), fig2.run(store)]
-        path = write_experiments_md(results, tmp_path / "EXP.md")
+        config = GeneratorConfig(seed=7, scale=0.3)
+        path = write_experiments_md(results, tmp_path / "EXP.md", config=config)
         text = path.read_text()
         assert "fig1a" in text
         assert "Figure 2" in text

@@ -16,11 +16,10 @@ import time
 
 import pytest
 
-from repro.experiments import config as config_module
 from repro.experiments import faultinject, parallel
-from repro.experiments.cache import fetch_trace
-from repro.experiments.config import ExperimentConfig, RetryPolicy, clear_trace_cache
+from repro.experiments.cache import clear_trace_cache, fetch_trace
 from repro.experiments.faultinject import FaultKind, FaultSpec, parse_faults
+from repro.experiments.parallel import RetryPolicy
 from repro.experiments.runner import (
     EXIT_CHECK_FAILURES,
     EXIT_DEGRADED,
@@ -30,8 +29,9 @@ from repro.experiments.runner import (
     validate_manifest,
 )
 from repro.obs import metrics
+from repro.workloads.generator import GeneratorConfig
 
-CONFIG = ExperimentConfig(seed=7, scale=0.05)
+CONFIG = GeneratorConfig(seed=7, scale=0.05)
 
 #: A cheap three-task slice of the registry (in registry order).
 SUBSET = ["fig1a", "fig2", "fig5"]
@@ -57,7 +57,7 @@ def _clean_fault_state():
 @pytest.fixture
 def no_backoff(monkeypatch):
     """Retry immediately; the real backoff constants are unit-tested."""
-    monkeypatch.setattr(config_module, "BACKOFF_S", 0.0)
+    monkeypatch.setattr(parallel, "BACKOFF_S", 0.0)
 
 
 def arm(plan: str) -> None:
@@ -77,13 +77,8 @@ class TestFaultSpecParsing:
         (spec,) = parse_faults("fig5:raise")
         assert spec == FaultSpec("fig5", FaultKind.RAISE, None)
 
-    def test_parse_aliases(self):
-        assert parse_faults("a:crash")[0].kind is FaultKind.RAISE
-        assert parse_faults("a:stall")[0].kind is FaultKind.HANG
-        assert parse_faults("a:sigkill")[0].kind is FaultKind.KILL
-
     def test_parse_count_and_multiple_specs(self):
-        specs = parse_faults("fig5:raise:2, cache:corrupt; fig2:hang")
+        specs = parse_faults("fig5:raise:2, cache:corrupt,fig2:hang")
         assert [s.render() for s in specs] == [
             "fig5:raise:2",
             "cache:corrupt:1",
@@ -104,17 +99,20 @@ class TestFaultSpecParsing:
         assert parse_faults(None) == ()
         assert parse_faults("  ") == ()
 
-    @pytest.mark.parametrize("bad", ["fig5", "fig5:explode", "fig5:raise:0", "a:b:c:d"])
+    @pytest.mark.parametrize(
+        "bad", ["fig5", "fig5:explode", "fig5:raise:0", "a:b:c:d", "fig5:raise;fig2:hang"]
+    )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_faults(bad)
 
-    def test_resolve_exact_beats_prefix(self):
-        ids = [t.task_id for t in parallel.REGISTRY]
-        assert faultinject.resolve_target("fig3a", ids) == "fig3a"
-        # "fig3" matches five tasks; the first in registry order wins.
-        assert faultinject.resolve_target("fig3", ids) == "fig3a"
-        assert faultinject.resolve_target("nope", ids) is None
+    def test_unmatched_target_is_inert(self):
+        # Only an exact task id fires: neither a typo nor a prefix of one.
+        arm("nope:raise,fig3:raise")
+        faultinject.maybe_fire("fig3a", 1)
+        arm("fig3a:raise")
+        with pytest.raises(faultinject.FaultInjected):
+            faultinject.maybe_fire("fig3a", 1)
 
 
 class TestRetryPolicy:
@@ -125,7 +123,7 @@ class TestRetryPolicy:
             RetryPolicy(task_timeout_s=0)
 
     def test_backoff_doubles_and_caps(self):
-        assert (config_module.BACKOFF_S, config_module.BACKOFF_MAX_S) == (0.1, 30.0)
+        assert (parallel.BACKOFF_S, parallel.BACKOFF_MAX_S) == (0.1, 30.0)
         policy = RetryPolicy(retries=9)
         assert policy.max_attempts == 10
         assert [policy.backoff_for(n) for n in (1, 2, 3)] == pytest.approx([0.1, 0.2, 0.4])
@@ -306,29 +304,27 @@ class TestScheduler:
 
 class TestCacheCorruptionFault:
     def test_corrupt_fault_evicts_and_resynthesizes(self, tmp_path):
-        gen = CONFIG.generator_config()
-        store, cold = fetch_trace(gen, cache_dir=tmp_path)
+        store, cold = fetch_trace(CONFIG, cache_dir=tmp_path)
         assert not cold.hit
         arm("cache:corrupt")
         before = metrics.REGISTRY.counter_value("cache.corrupt_evicted")
-        recovered, info = fetch_trace(gen, cache_dir=tmp_path)
+        recovered, info = fetch_trace(CONFIG, cache_dir=tmp_path)
         assert info.evicted_corrupt
         assert not info.hit  # the poisoned entry did not count as a hit
         assert metrics.REGISTRY.counter_value("cache.corrupt_evicted") == before + 1
         assert len(recovered) == len(store)
 
     def test_corrupt_fault_is_one_shot_per_process(self, tmp_path):
-        gen = CONFIG.generator_config()
-        fetch_trace(gen, cache_dir=tmp_path)
+        fetch_trace(CONFIG, cache_dir=tmp_path)
         arm("cache:corrupt")
-        _, first = fetch_trace(gen, cache_dir=tmp_path)
-        _, second = fetch_trace(gen, cache_dir=tmp_path)
+        _, first = fetch_trace(CONFIG, cache_dir=tmp_path)
+        _, second = fetch_trace(CONFIG, cache_dir=tmp_path)
         assert first.evicted_corrupt
         assert second.hit and not second.evicted_corrupt
 
 
 class TestDegradedManifest:
-    """Full-pipeline acceptance: fig3:crash fails exactly one of 19 tasks."""
+    """Full-pipeline acceptance: fig3a:raise fails exactly one of 19 tasks."""
 
     @pytest.fixture(scope="class")
     def degraded_report(self, tmp_path_factory):
@@ -336,7 +332,7 @@ class TestDegradedManifest:
         clear_trace_cache()
         run_pipeline(CONFIG, jobs=2, cache_dir=cache_dir)  # warm the cache
         clear_trace_cache()
-        os.environ[faultinject.ENV_FAULT] = "fig3:crash"
+        os.environ[faultinject.ENV_FAULT] = "fig3a:raise"
         try:
             policy = RetryPolicy(retries=1)
             return run_pipeline(CONFIG, jobs=2, cache_dir=cache_dir, policy=policy)
@@ -348,7 +344,7 @@ class TestDegradedManifest:
         rows = {row["id"]: row for row in degraded_report.manifest["experiments"]}
         assert len(rows) == len(parallel.REGISTRY)
         failed = [row for row in rows.values() if row["status"] != "ok"]
-        assert [row["id"] for row in failed] == ["fig3a"]  # first "fig3" prefix match
+        assert [row["id"] for row in failed] == ["fig3a"]
         assert failed[0]["status"] == "failed"
         assert failed[0]["attempts"] == 2  # retries + 1
         assert "FaultInjected" in failed[0]["error"]
@@ -361,7 +357,7 @@ class TestDegradedManifest:
         ]
         assert manifest["degraded"] is True
         assert manifest["totals"]["degraded"] == 1
-        assert manifest["faults"] == ["fig3:raise"]
+        assert manifest["faults"] == ["fig3a:raise"]
         assert manifest["policy"]["retries"] == 1
 
     def test_other_tasks_produced_results(self, degraded_report):

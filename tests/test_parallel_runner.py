@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments import cache, parallel
 from repro.experiments.base import ExperimentResult
-from repro.experiments.config import ExperimentConfig, clear_trace_cache
+from repro.experiments.cache import clear_trace_cache
 from repro.experiments.runner import (
     MANIFEST_SCHEMA_VERSION,
     PAPER_ARTIFACTS,
@@ -17,11 +17,12 @@ from repro.experiments.runner import (
     validate_manifest,
     write_manifest,
 )
+from repro.workloads.generator import GeneratorConfig
 
 #: Small but sufficient for every experiment to *execute* (some shape
 #: checks legitimately fail at this scale; equality across job counts is
 #: what these tests assert).
-CONFIG = ExperimentConfig(seed=7, scale=0.05)
+CONFIG = GeneratorConfig(seed=7, scale=0.05)
 
 
 @pytest.fixture(autouse=True)
@@ -124,8 +125,8 @@ class TestParallelDeterminism:
                 strip_spans(task.get("spans", []))
             return stripped
 
-        assert strip_timings(serial_warm.metrics) == strip_timings(
-            parallel_report.metrics
+        assert strip_timings(serial_warm.manifest["metrics"]) == strip_timings(
+            parallel_report.manifest["metrics"]
         )
 
 
@@ -151,7 +152,7 @@ class TestManifest:
         manifest = serial.manifest
         assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION
         assert manifest["config"] == {"seed": CONFIG.seed, "scale": CONFIG.scale}
-        assert manifest["config_hash"] == cache.config_hash(CONFIG.generator_config())
+        assert manifest["config_hash"] == cache.config_hash(CONFIG)
         totals = manifest["totals"]
         assert totals["experiments"] == len(parallel.REGISTRY)
         assert totals["passed"] + totals["failed"] == totals["experiments"]

@@ -482,7 +482,7 @@ class TestTransport:
         """Three requests in one write -- ``ping``, an ``ingest`` that must
         wait for a slot in the full queue, ``ping`` -- are answered in
         request order: the second ``ping`` waits behind the ``ingest``."""
-        monkeypatch.setenv("REPRO_FAULT", "serve:stall:1000")
+        monkeypatch.setenv("REPRO_FAULT", "serve:hang:1000")
 
         async def scenario():
             service = KnowledgeBaseService.for_trace(
@@ -550,7 +550,7 @@ class TestTransport:
         """``stop()`` with an ``ingest`` suspended on the full queue: the
         dispatch finishes (its batch is applied), the connection closes and
         no task the service created is left."""
-        monkeypatch.setenv("REPRO_FAULT", "serve:stall:1000")
+        monkeypatch.setenv("REPRO_FAULT", "serve:hang:1000")
 
         async def scenario():
             before = asyncio.all_tasks()
@@ -636,11 +636,11 @@ class TestIngestOverWire:
 
 class TestFaultInjection:
     def test_stall_fault_exercises_backpressure(self, small_trace, monkeypatch):
-        """``REPRO_FAULT=serve:stall`` slows the consumer; a tiny queue then
+        """``REPRO_FAULT=serve:hang`` slows the consumer; a tiny queue then
         forces producers onto the blocking path.  The slow consumer must
         surface in the counters, and -- fault or no fault -- every record
         must still land."""
-        monkeypatch.setenv("REPRO_FAULT", "serve:stall:1000")
+        monkeypatch.setenv("REPRO_FAULT", "serve:hang:1000")
         records = list(iter_ingest_records(small_trace))[:600]
 
         async def scenario():

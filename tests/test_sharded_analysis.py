@@ -58,10 +58,11 @@ def test_weekly_percentiles_bitwise_equal(resident_and_sharded):
         np.testing.assert_array_equal(a.bands, b.bands)
 
 
-def test_node_level_correlation_bitwise_equal(resident_and_sharded):
+def test_node_level_correlation_bitwise_equal(resident_and_sharded, monkeypatch):
     resident, sharded = resident_and_sharded
-    a = corr.node_level_correlation(resident, Cloud.PRIVATE, max_nodes=40)
-    b = corr.node_level_correlation(sharded, Cloud.PRIVATE, max_nodes=40)
+    monkeypatch.setattr(corr, "MAX_NODES", 40)
+    a = corr.node_level_correlation(resident, Cloud.PRIVATE)
+    b = corr.node_level_correlation(sharded, Cloud.PRIVATE)
     np.testing.assert_array_equal(a.values, b.values)
     assert a.n_constant_pairs == b.n_constant_pairs
 

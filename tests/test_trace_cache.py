@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import cache
-from repro.experiments.config import ExperimentConfig, clear_trace_cache, get_trace
 from repro.telemetry import io as telemetry_io
 from repro.telemetry.io import is_trace_dir, load_trace, save_trace_atomic
 from repro.workloads.generator import GeneratorConfig
@@ -17,9 +16,9 @@ SMALL = GeneratorConfig(seed=3, scale=0.05)
 @pytest.fixture(autouse=True)
 def _isolated_memo():
     """Keep the in-process memo from leaking between cache tests."""
-    clear_trace_cache()
+    cache.clear_trace_cache()
     yield
-    clear_trace_cache()
+    cache.clear_trace_cache()
 
 
 class TestConfigHash:
@@ -39,10 +38,6 @@ class TestConfigHash:
         base = cache.config_hash(SMALL)
         monkeypatch.setattr(cache, "GENERATOR_VERSION", "test-bump")
         assert cache.config_hash(SMALL) != base
-
-    def test_experiment_config_hash_matches(self):
-        config = ExperimentConfig(seed=3, scale=0.05)
-        assert cache.config_hash(config.generator_config()) == cache.config_hash(SMALL)
 
 
 class TestFetchTrace:
@@ -151,16 +146,14 @@ class TestSaveTraceAtomic:
         assert metrics.REGISTRY.counter_value("io.tmp_cleanup_failed") == before + 1
 
 
-class TestExperimentConfigMemo:
+class TestTraceMemo:
     def test_memoized_within_process(self, tmp_path):
-        config = ExperimentConfig(seed=3, scale=0.05)
-        first = get_trace(config, cache_dir=tmp_path)
-        assert get_trace(config, cache_dir=tmp_path) is first
+        first = cache.get_trace(SMALL, cache_dir=tmp_path)
+        assert cache.get_trace(GeneratorConfig(seed=3, scale=0.05), cache_dir=tmp_path) is first
 
     def test_clear_trace_cache_forces_refetch(self, tmp_path):
-        config = ExperimentConfig(seed=3, scale=0.05)
-        first = get_trace(config, cache_dir=tmp_path)
-        clear_trace_cache()
-        second = get_trace(config, cache_dir=tmp_path)
+        first = cache.get_trace(SMALL, cache_dir=tmp_path)
+        cache.clear_trace_cache()
+        second = cache.get_trace(SMALL, cache_dir=tmp_path)
         assert second is not first
         assert second.summary() == first.summary()

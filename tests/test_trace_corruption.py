@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import cache
-from repro.experiments.config import clear_trace_cache
+from repro.experiments.cache import clear_trace_cache
 from repro.experiments.faultinject import corrupt_trace_dir
 from repro.obs import metrics
 from repro.telemetry.io import (

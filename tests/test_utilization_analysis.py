@@ -106,9 +106,9 @@ class TestFig6DailyBands:
     @pytest.mark.parametrize("trace", ["small_trace", "medium_trace"])
     def test_daily_bands_match_store_reference(self, trace, request):
         store = request.getfixturevalue(trace)
-        result = fig6.run(store, max_vms=1500)
+        result = fig6.run(store)
         for cloud, key in ((Cloud.PRIVATE, "private_daily"), (Cloud.PUBLIC, "public_daily")):
-            expected = _daily_percentiles_reference(store, cloud, max_vms=1500)
+            expected = _daily_percentiles_reference(store, cloud, max_vms=fig6.MAX_VMS)
             got = result.series[key]
             assert got.percentiles == expected.percentiles
             assert got.n_series == expected.n_series

@@ -39,7 +39,7 @@ expect() {
 expect 0 python -m repro generate --seed 7 --scale 0.12 --out "$W/trace"
 expect 0 python -m repro study --trace "$W/trace" --markdown "$W/report.md"
 expect 0 python -m repro experiments --scale 0.12 --jobs 2 --manifest "$W/m.json" \
-    --metrics "$W/metrics.json" --export-dir "$W/export" --write-md "$W/EXPERIMENTS.md"
+    --export-dir "$W/export" --write-md "$W/EXPERIMENTS.md"
 expect 0 python -m repro experiments --scale 0.12 --jobs 1
 # The second fault run reaches RetryPolicy.backoff_for (--retries) and
 # _schedule.<locals>.skip_pending (--fail-fast); it takes ~40 s.
