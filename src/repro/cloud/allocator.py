@@ -17,8 +17,10 @@ the phenomena the paper studies:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.cloud.entities import FIT_TOLERANCE, Cluster, Node, Topology
 
@@ -26,7 +28,8 @@ from repro.cloud.entities import FIT_TOLERANCE, Cluster, Node, Topology
 #: VM core sizes must be whole multiples of this binary fraction.  Sums and
 #: differences of such sizes are exact in float64 (below 2**43 cores), so
 #: the allocator's running per-cluster core sums never round away from a
-#: fresh re-sum of the nodes.  Every SKU size is a whole core count.
+#: fresh re-sum of the nodes, and a node's leftover ``free - cores`` is
+#: exact.  Every SKU size, VM and node alike, is a whole core count.
 CORE_QUANTUM = 2.0**-10
 
 
@@ -76,6 +79,16 @@ class AllocationService:
         self._cluster_capacity: dict[int, float] = {
             cid: cluster.capacity_cores for cid, cluster in topology.clusters.items()
         }
+        #: node_id -> its current ``(free_cores, node_id)`` key, and
+        #: cluster_id -> its nodes' keys in ascending order: the free-core
+        #: index ``_choose_node`` walks.  Plain tuples, because a ``key=``
+        #: callable on bisect or insort costs more than the index saves.
+        self._node_key: dict[int, tuple[float, int]] = {}
+        self._free_index: dict[int, list[tuple[float, int]]] = {}
+        for cid, cluster in topology.clusters.items():
+            keys = [(node.capacity_cores - node.used_cores, node.node_id) for node in cluster.nodes]
+            self._node_key.update((key[1], key) for key in keys)
+            self._free_index[cid] = sorted(keys)
 
     # ------------------------------------------------------------------
     # placement
@@ -114,6 +127,7 @@ class AllocationService:
         node.host(vm_id, cores, memory_gb)
         self._vm_node[vm_id] = node
         self._cluster_used[node.cluster_id] += cores
+        self._rekey(node)
         key = (deployment_id, node.rack_id)
         self._deployment_rack_count[key] = self._deployment_rack_count.get(key, 0) + 1
         return node
@@ -124,6 +138,7 @@ class AllocationService:
         cores, _memory_gb = node.hosted[vm_id]
         node.release(vm_id)
         self._cluster_used[node.cluster_id] -= cores
+        self._rekey(node)
         if deployment_id is not None:
             key = (deployment_id, node.rack_id)
             count = self._deployment_rack_count.pop(key, 0)
@@ -163,6 +178,14 @@ class AllocationService:
         capacity = self._cluster_capacity[cluster.cluster_id]
         return self._cluster_used[cluster.cluster_id] / capacity if capacity else 0.0
 
+    def _rekey(self, node: Node) -> None:
+        """Move ``node`` to its new free-core position in its cluster's index."""
+        keys = self._free_index[node.cluster_id]
+        del keys[bisect_left(keys, self._node_key[node.node_id])]
+        key = (node.capacity_cores - node.used_cores, node.node_id)
+        insort(keys, key)
+        self._node_key[node.node_id] = key
+
     def _choose_node(
         self,
         cluster: Cluster,
@@ -170,26 +193,45 @@ class AllocationService:
         memory_gb: float,
         deployment_id: int,
     ) -> Node | None:
-        # Least-loaded rack w.r.t. this deployment, then best-fit.  One pass
-        # keeps the feasible node that is least in (rack load, leftover
-        # cores, node id).  Racks hold 5-6 nodes in every profile at every
-        # scale, so a sorted per-rack index would buy nothing over it.
+        """The feasible node least in (rack load, leftover cores, node id).
+
+        The rack load is this deployment's VM count in the node's rack:
+        spreading over fault domains first, then best fit.  The walk starts
+        in the free-core index a quantum below ``cores`` (every node before
+        that point is more than a quantum short) and applies the fit test of
+        ``Node.can_host`` to each key it visits.  ``allocate`` admits only
+        whole multiples of ``CORE_QUANTUM``, so ``free - cores`` is exact and
+        ascending ``(free, node_id)`` is ascending ``(free - cores,
+        node_id)``: within one load level, the first feasible key is the
+        best fit.  A feasible node in a rack without this deployment's VMs
+        is therefore the answer at once; otherwise the walk goes on until
+        it meets the least load over the cluster's racks, or runs out.
+        """
         rack_count = self._deployment_rack_count
+        nodes = self.topology.nodes
+        keys = self._free_index[cluster.cluster_id]
         best: Node | None = None
-        best_key: tuple[int, float, int] | None = None
-        for rack in cluster.racks:
-            load = rack_count.get((deployment_id, rack.rack_id), 0)
-            if best_key is not None and load > best_key[0]:
+        best_load = 0
+        floor = 0
+        for free_cores, node_id in islice(keys, bisect_left(keys, (cores - CORE_QUANTUM,)), None):
+            node = nodes[node_id]
+            # ``Node.can_host`` written out, with the same tolerance.
+            if not (
+                cores <= free_cores + FIT_TOLERANCE
+                and memory_gb <= node.capacity_memory_gb - node.used_memory_gb + FIT_TOLERANCE
+            ):
                 continue
-            for node in rack.nodes:
-                # ``Node.can_host`` written out: the call per node costs ~9%
-                # of ``perfbench generate`` latency.
-                free_cores = node.capacity_cores - node.used_cores
-                if (
-                    cores <= free_cores + FIT_TOLERANCE
-                    and memory_gb <= node.capacity_memory_gb - node.used_memory_gb + FIT_TOLERANCE
-                ):
-                    key = (load, free_cores - cores, node.node_id)
-                    if best_key is None or key < best_key:
-                        best, best_key = node, key
+            load = rack_count.get((deployment_id, node.rack_id), 0)
+            if best is None:
+                if load == 0:
+                    return node
+                # Only now is the least load over the racks worth computing.
+                floor = min(
+                    rack_count.get((deployment_id, rack.rack_id), 0) for rack in cluster.racks
+                )
+            elif load >= best_load:
+                continue
+            if load == floor:
+                return node
+            best, best_load = node, load
         return best

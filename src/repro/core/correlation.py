@@ -44,6 +44,10 @@ REGION_COUNTRIES: tuple[str, ...] = ("US",)
 #: (empty: every region).
 AGNOSTIC_COUNTRIES: tuple[str, ...] = ()
 
+#: Least cross-region correlation, in every region pair, of a
+#: region-agnostic subscription.
+REGION_AGNOSTIC_THRESHOLD = 0.7
+
 #: Pairs dropped because one side was constant (Pearson r undefined).
 _CONSTANT_PAIRS = Counter("correlation.constant_pairs")
 
@@ -281,7 +285,6 @@ def subscription_region_report(
     service: str,
     ids_by_region: dict[str, list[int]],
     *,
-    threshold: float = 0.7,
     allowed_regions: set[str] | None = None,
 ) -> RegionAgnosticReport | None:
     """Cross-region similarity verdict for one subscription, or ``None``.
@@ -313,15 +316,13 @@ def subscription_region_report(
         service=service,
         regions=tuple(regions),
         min_pairwise_correlation=worst,
-        region_agnostic=worst >= threshold,
+        region_agnostic=worst >= REGION_AGNOSTIC_THRESHOLD,
     )
 
 
 def region_agnostic_subscriptions(
     store: TraceStore,
     cloud: Cloud,
-    *,
-    threshold: float = 0.7,
 ) -> list[RegionAgnosticReport]:
     """Identify region-agnostic candidates: high correlation in every pair.
 
@@ -345,7 +346,6 @@ def region_agnostic_subscriptions(
             sub_id,
             sub.service,
             grouped.get(sub_id, {}),
-            threshold=threshold,
             allowed_regions=allowed,
         )
         if report is not None:

@@ -46,8 +46,6 @@ POLICY_REGION_SHIFT = "region-agnostic-rebalancing"
 POLICY_FAILURE_PREDICTION = "allocation-failure-prediction"
 POLICY_CONSERVATIVE = "no-aggressive-management"
 
-#: Cross-region similarity above which a subscription is region-agnostic.
-REGION_AGNOSTIC_THRESHOLD = 0.7
 #: VMs per subscription whose windows feed the pattern mix.
 MAX_CLASSIFIED_VMS_PER_SUBSCRIPTION = 50
 
@@ -241,9 +239,7 @@ class WorkloadKnowledgeBase:
         agnostic: dict[int, bool] = {}
         for cloud in (Cloud.PRIVATE, Cloud.PUBLIC):
             try:
-                for report in region_agnostic_subscriptions(
-                    store, cloud, threshold=REGION_AGNOSTIC_THRESHOLD
-                ):
+                for report in region_agnostic_subscriptions(store, cloud):
                     agnostic[report.subscription_id] = report.region_agnostic
             except ValueError:
                 continue

@@ -25,10 +25,10 @@ from repro.workloads.lifetime import SHORTEST_BIN_SECONDS
 
 def run(
     *,
-    seed: int = 7,
-    scale: float = 0.15,
-    cache_dir: str | None = None,
-    use_cache: bool = True,
+    seed: int,
+    scale: float,
+    cache_dir: str | None,
+    use_cache: bool,
 ) -> ExperimentResult:
     """Compare an ordinary week against a holiday week."""
     result = ExperimentResult(

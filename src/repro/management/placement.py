@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.correlation import region_agnostic_subscriptions
-from repro.core.knowledge_base import REGION_AGNOSTIC_THRESHOLD
+from repro.core.correlation import REGION_AGNOSTIC_THRESHOLD, region_agnostic_subscriptions
 from repro.telemetry.schema import Cloud
 from repro.telemetry.store import TraceStore
 
@@ -164,9 +163,7 @@ class RegionShiftPlanner:
             ).region
 
         # Region-agnostic candidates deployed in the source region.
-        reports = region_agnostic_subscriptions(
-            self.store, self.cloud, threshold=REGION_AGNOSTIC_THRESHOLD
-        )
+        reports = region_agnostic_subscriptions(self.store, self.cloud)
         by_service: dict[str, list[int]] = {}
         for report in reports:
             if report.region_agnostic and source_region in report.regions:

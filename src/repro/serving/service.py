@@ -41,7 +41,6 @@ from collections import deque
 from repro.core.correlation import subscription_region_report
 from repro.core.knowledge_base import (
     POLICY_SPOT_ADOPTION,
-    REGION_AGNOSTIC_THRESHOLD,
     WorkloadKnowledgeBase,
     build_subscription_records,
 )
@@ -334,7 +333,6 @@ class KnowledgeBaseService:
                     sub_id,
                     sub.service,
                     self._region_ids.get(sub_id, {}),
-                    threshold=REGION_AGNOSTIC_THRESHOLD,
                     allowed_regions=allowed,
                 )
                 entries.append(
@@ -364,12 +362,6 @@ class KnowledgeBaseService:
         """
         self.refresh()
         return self._kb.to_json()
-
-    @property
-    def knowledge_base(self) -> WorkloadKnowledgeBase:
-        """The live KB (refreshing first); embedded consumers share it."""
-        self.refresh()
-        return self._kb
 
     # ------------------------------------------------------------------
     # queries

@@ -1,10 +1,11 @@
 """Unit and property tests for the allocation service.
 
 The allocator keeps cluster utilization as running sums and picks a node
-in one pass over the racks.  :class:`ReferenceAllocationService` is the
-full-scan placement it must agree with: every node of the cluster is
-tested for fit, the spread choice is two ``min`` passes over that list,
-and clusters are ranked on a fresh :func:`_fresh_utilization`.  The
+by walking a per-cluster free-core index.
+:class:`ReferenceAllocationService` is the full-scan placement it must
+agree with: every node of the cluster is tested for fit, the spread
+choice is two ``min`` passes over that list, and clusters are ranked on
+a fresh :func:`_fresh_utilization`.  The
 differential tests drive both with the same requests, and the end-to-end
 test patches the reference into the generator.  :func:`_best_fit_choose_node`
 is the ablation baseline: best-fit packing that ignores fault domains.
@@ -12,12 +13,10 @@ is the ablation baseline: best-fit packing that ignores fault domains.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
+import gc
 from collections import Counter, defaultdict
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +25,10 @@ from repro.cloud.allocator import CORE_QUANTUM, AllocationFailure, AllocationSer
 from repro.cloud.entities import Cluster, Node, RegionSpec, TopologySpec, build_topology
 from repro.cloud.sku import NodeSku, public_sku_catalog
 from repro.telemetry.schema import Cloud
-from repro.telemetry.store import TraceStore
+from repro.telemetry.store import TraceMetadata, TraceStore
 from repro.workloads.generator import GeneratorConfig, TraceGenerator, generate_trace_pair
 from repro.workloads.profiles import private_profile
+from tests.golden import store_digest as _trace_digest
 
 
 def _fresh_utilization(cluster: Cluster) -> float:
@@ -263,6 +263,101 @@ def test_core_sizes_off_the_quantum_are_rejected(cores):
     assert all(node.used_cores == 0 for node in service.topology.nodes.values())
 
 
+def _assert_free_index(service: AllocationService) -> None:
+    """Each cluster's index is its nodes' sorted ``(free cores, node id)``."""
+    for cid, cluster in service.topology.clusters.items():
+        keys = sorted((n.capacity_cores - n.used_cores, n.node_id) for n in cluster.nodes)
+        assert service._free_index[cid] == keys
+        assert all(service._node_key[key[1]] == key for key in keys)
+
+
+def _place(services, vm_id, cores, deployment_id):
+    """Allocate on every service; all must choose the same node."""
+    chosen = {
+        s.allocate(vm_id, cores, cores * 4, region="a", deployment_id=deployment_id,
+                   subscription_id=1).node_id
+        for s in services
+    }
+    assert len(chosen) == 1
+    return chosen.pop()
+
+
+def _fixed_services(**sizing):
+    return [
+        make_service(clusters=1, regions=("a",), service_class=service_class, **sizing)
+        for service_class in (AllocationService, ReferenceAllocationService)
+    ]
+
+
+def test_fullest_node_in_a_loaded_rack_loses_to_a_later_key():
+    """The first feasible key sits in the deployment's rack; a later one wins."""
+    services = _fixed_services(racks=2, nodes=2)  # racks {0, 1} and {2, 3}
+    assert _place(services, 0, 2.0, deployment_id=1) == 0
+    # Node 0 is now the fullest feasible node, but rack {0, 1} carries one
+    # of deployment 1's VMs and rack {2, 3} none.
+    assert services[0]._free_index[services[0].topology.nodes[0].cluster_id][0] == (14.0, 0)
+    assert _place(services, 1, 2.0, deployment_id=1) == 2
+    _assert_free_index(services[0])
+
+
+def test_walk_past_the_least_loaded_rack_keeps_the_least_feasible_load():
+    """The least-loaded rack is full, so the answer is the least load that fits."""
+    services = _fixed_services(racks=3, nodes=1, node_cores=8.0)  # one node per rack
+    assert _place(services, 0, 4.0, deployment_id=1) == 0
+    assert _place(services, 1, 2.0, deployment_id=1) == 1
+    assert _place(services, 2, 8.0, deployment_id=2) == 2  # fills the third rack
+    # Free cores: node 0 has 4 (load 1), node 1 has 6 (load 1), node 2 has 0
+    # (load 0).  The walk never meets load 0 and runs out: best fit picks
+    # node 0, then node 1, whose rack now carries less of deployment 1.
+    assert _place(services, 3, 2.0, deployment_id=1) == 0
+    assert _place(services, 4, 2.0, deployment_id=1) == 1
+    _assert_free_index(services[0])
+
+
+def test_equal_free_cores_break_on_node_id():
+    """A re-keyed node goes before a higher id with the same free cores."""
+    services = _fixed_services(racks=1, nodes=3)
+    for vm_id in range(3):
+        assert _place(services, vm_id, 12.0, deployment_id=vm_id) == vm_id
+    for service in services:
+        service.release(0, deployment_id=0)
+    # Node 0 is re-keyed last, to the 4 free cores nodes 1 and 2 already have.
+    assert _place(services, 3, 12.0, deployment_id=3) == 0
+    assert services[0]._free_index[services[0].topology.nodes[0].cluster_id][:3] == [
+        (4.0, 0), (4.0, 1), (4.0, 2),
+    ]
+    assert _place(services, 4, 4.0, deployment_id=4) == 0
+    _assert_free_index(services[0])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raises", [False, True])
+def test_generate_pauses_and_restores_the_collector(monkeypatch, enabled, raises):
+    """Generation runs with the collector off and leaves it as it found it."""
+    seen = []
+
+    def fake_generate(self):
+        seen.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("generation failed")
+        return TraceStore(TraceMetadata())
+
+    monkeypatch.setattr(TraceGenerator, "_generate", fake_generate)
+    generator = TraceGenerator(private_profile(), GeneratorConfig(seed=1, scale=0.03))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="generation failed"):
+                generator.generate()
+        else:
+            generator.generate()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]
+
+
 #: (clusters, racks, nodes per rack, node cores): the profiles' 6x5 racks,
 #: a tight single cluster, and a small multi-cluster fleet whose affinity
 #: clusters fill up and push placements onto the headroom fallback.
@@ -312,6 +407,7 @@ def test_placement_matches_full_scan_reference(operations, topology):
                 released, dep = live.pop(op[1] % len(live))
                 freed = [s.release(released, deployment_id=dep).node_id for s in services]
                 assert freed[0] == freed[1]
+                _assert_free_index(services[0])
             continue
         _, size_index, dep, sub, region = op
         cores, memory_gb = _SIZES[size_index]
@@ -331,20 +427,8 @@ def test_placement_matches_full_scan_reference(operations, topology):
         fast = services[0]
         for cluster in fast.topology.clusters.values():
             assert fast._utilization(cluster) == _fresh_utilization(cluster)
+        _assert_free_index(fast)
     assert services[0]._deployment_rack_count == services[1]._deployment_rack_count
-
-
-def _trace_digest(store: TraceStore) -> str:
-    """sha256 over a trace's VM table, utilization bytes and events."""
-    h = hashlib.sha256()
-    for vm in sorted(store.vms(), key=lambda vm: vm.vm_id):
-        h.update(repr(dataclasses.astuple(vm)).encode())
-        series = store.utilization(vm.vm_id)
-        if series is not None:
-            h.update(np.ascontiguousarray(series).tobytes())
-    for event in store.events():
-        h.update(repr((event.time, event.kind.value, event.vm_id, event.region)).encode())
-    return h.hexdigest()
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -42,7 +42,7 @@ class TestValidityExperiment:
     def result(self):
         from repro.experiments import validity
 
-        return validity.run(seed=7, scale=0.12)
+        return validity.run(seed=7, scale=0.12, cache_dir=None, use_cache=True)
 
     def test_all_checks_pass(self, result):
         for check in result.checks:
